@@ -1,16 +1,25 @@
 """Exact centralizers, bi-gradings and the classification predicates.
 
-The generic centralizer is the nullspace of the stacked commutator maps in
-algebra-basis coordinates.  Realizations built by this package have diagonal
-h1, h2 and bi-homogeneous e1, e2, so the same linear systems split into small
-blocks indexed by ad-(h1,h2) bi-degree; analyze() uses that decomposition and
-canonicalizes through the same reduced echelon form, which makes the two
-routes interchangeable (and cross-checked in the test suite).
+analyze() works in one frame: a basis of V in which h1 and h2 are diagonal.
+Realizations built by this package are already in such a basis.  Any other
+input, such as a hand-edited verify document, is conjugated once into the
+joint eigenbasis of h1 and h2, and its Gram matrix G becomes T^T G T.  In
+that frame ad h1 and ad h2 are diagonal on gl(V), e1 and e2 are
+bi-homogeneous, and the form pairs weight w only with -w.  So z(e1, e2)
+splits into small blocks indexed by bi-degree, and one graded solve gives
+the centralizer and its bi-grading.  The other two facts the flags need are
+read off without another solve: z(h) is the (0,0) block of g, and
+z(h) & z(e) is the (0,0) piece of z(e).  Bases are mapped back to the input
+coordinates and returned in reduced echelon form.
+
+centralizer() is the dense textbook route over an algebra basis.  It is
+public for callers with arbitrary elements, and the test suite uses it as
+the oracle for the graded solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -51,6 +60,9 @@ from .skewgraph import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+DEGREE_0 = (ZERO, ZERO)
+DEGREE_E1 = (ONE, ZERO)
+DEGREE_E2 = (ZERO, ONE)
 
 
 class NormalFormError(ValueError):
@@ -140,27 +152,33 @@ def centralizer(spec: AlgebraSpec, elements: Sequence[Matrix]) -> tuple[Matrix, 
 
 
 # ---------------------------------------------------------------------------
-# Graded fast path
+# The eigenframe and the graded block systems
 # ---------------------------------------------------------------------------
 
-def _diagonal_weights(h1: Matrix, h2: Matrix) -> Optional[tuple[tuple[Fraction, Fraction], ...]]:
+def _eigenframe(spec: AlgebraSpec, h1: Matrix, h2: Matrix, mats: Sequence[Matrix]):
+    """Change to a basis of V in which h1 and h2 are diagonal.
+
+    Returns (spec, weights, mats, t, t_inv).  The columns of T are a joint
+    eigenbasis of h1 and h2, weights[i] is the eigenvalue pair of column i,
+    each m becomes T^-1 m T and the Gram matrix G becomes T^T G T.  When h1
+    and h2 are already diagonal the inputs come back unchanged and t, t_inv
+    are None.  Raises ValueError when h1, h2 have no rational joint
+    eigenbasis.
+    """
     if is_diagonal(h1) and is_diagonal(h2):
-        return tuple((h1[i][i], h2[i][i]) for i in range(len(h1)))
-    return None
-
-
-def _homogeneous_degree(m: Matrix, weights):
-    """Bi-degree of a bi-homogeneous matrix, None if zero, "mixed" otherwise."""
-    deg = None
-    for i, row in enumerate(m):
-        for j, x in enumerate(row):
-            if x:
-                d = (weights[i][0] - weights[j][0], weights[i][1] - weights[j][1])
-                if deg is None:
-                    deg = d
-                elif deg != d:
-                    return "mixed"
-    return deg
+        weights = tuple((h1[i][i], h2[i][i]) for i in range(len(h1)))
+        return spec, weights, tuple(mats), None, None
+    cols: list[Vector] = []
+    weights = []
+    for key, vecs in joint_eigenspaces(h1, h2):
+        cols.extend(vecs)
+        weights.extend([key] * len(vecs))
+    t = transpose(cols)
+    t_inv = invert(t)
+    if spec.form is not None:
+        spec = replace(spec, form=mat_mul(transpose(t), mat_mul(spec.form, t)))
+    moved = tuple(mat_mul(t_inv, mat_mul(m, t)) for m in mats)
+    return spec, tuple(weights), moved, t, t_inv
 
 
 @lru_cache(maxsize=4096)
@@ -178,8 +196,38 @@ def _weight_tables(weights):
     return blocks, sums
 
 
-def _position_blocks(weights):
-    return _weight_tables(weights)[0]
+def _block_index(weights, delta) -> dict[tuple[int, int], int]:
+    """Coordinates of the bi-degree-delta block of gl(V): position -> column."""
+    return {p: t for t, p in enumerate(_weight_tables(weights)[0].get(delta, ()))}
+
+
+def _form_rows(spec: AlgebraSpec, weights, delta, pidx) -> list[list[Fraction]]:
+    """Rows of the condition x in g for x in the bi-degree-delta block.
+
+    Series A has the trace, which only the (0,0) block meets.  B, C and D
+    have the entries (a, b) of x^T G + G x; since G pairs weight w only with
+    -w, the block reaches just those with weight sum -delta.
+    """
+    k = len(pidx)
+    if spec.series == "A":
+        return [[ONE if i == j else ZERO for (i, j) in pidx]] if delta == DEGREE_0 else []
+    g = spec.form
+    n = len(weights)
+    rows = []
+    for a, b in _weight_tables(weights)[1].get((-delta[0], -delta[1]), ()):
+        row = [ZERO] * k
+        for c in range(n):
+            if g[c][b]:
+                t = pidx.get((c, a))
+                if t is not None:
+                    row[t] += g[c][b]
+            if g[a][c]:
+                t = pidx.get((c, b))
+                if t is not None:
+                    row[t] += g[a][c]
+        if any(row):
+            rows.append(row)
+    return rows
 
 
 def _sparse_rows_cols(m: Matrix):
@@ -188,148 +236,57 @@ def _sparse_rows_cols(m: Matrix):
     return rows, cols
 
 
-def _graded_commutant(
-    spec: AlgebraSpec, elements: Sequence[Matrix], weights
-) -> Optional[tuple[Matrix, ...]]:
-    """Block-by-bi-degree solve of the same system as centralizer(); None when
-    some element is not bi-homogeneous for the given weights."""
-    degrees = []
-    for m in elements:
-        d = _homogeneous_degree(m, weights)
-        if d == "mixed":
-            return None
-        degrees.append(d)
+def _bracket_rows(weights, sparse_m, dm, delta, pidx):
+    """(i, j, row) for each entry of [x, m] that x in the delta block reaches.
+
+    m is bi-homogeneous of degree dm and given by _sparse_rows_cols, so the
+    entries lie in the block delta + dm; row is entry (i, j) as a linear
+    form in the block coordinates of x.
+    """
+    m_rows, m_cols = sparse_m
+    k = len(pidx)
+    for i, j in _weight_tables(weights)[0].get((delta[0] + dm[0], delta[1] + dm[1]), ()):
+        row = [ZERO] * k
+        for t, val in m_cols[j]:
+            pos = pidx.get((i, t))
+            if pos is not None:
+                row[pos] += val
+        for t, val in m_rows[i]:
+            pos = pidx.get((t, j))
+            if pos is not None:
+                row[pos] -= val
+        yield i, j, row
+
+
+def _graded_commutant(spec: AlgebraSpec, weights, elements) -> dict:
+    """Block-by-bi-degree solve for {x in g : [x, m] = 0 for all m}.
+
+    elements holds (m, degree) pairs, each m bi-homogeneous of its degree
+    for the weights.  Returns {degree: basis of that graded piece} for the
+    nonzero pieces; together they span the same space as centralizer().
+    """
     n = len(weights)
-    g = spec.form
-    blocks, sums = _weight_tables(weights)
-    gram_cols = gram_rows = None
-    if g is not None:
-        gram_cols = [tuple((c, g[c][b]) for c in range(n) if g[c][b]) for b in range(n)]
-        gram_rows = [tuple((c, g[a][c]) for c in range(n) if g[a][c]) for a in range(n)]
-    sparse = [_sparse_rows_cols(m) for m in elements]
-    solutions = []
-    for delta in sorted(blocks):
-        positions = blocks[delta]
-        k = len(positions)
-        pidx = {p: t for t, p in enumerate(positions)}
-        rows = []
-        if spec.series == "A":
-            if delta == (ZERO, ZERO):
-                rows.append([1 if i == j else 0 for (i, j) in positions])
-        else:
-            for a, b in sums.get((-delta[0], -delta[1]), ()):
-                row = [ZERO] * k
-                hit = False
-                for c, val in gram_cols[b]:
-                    t = pidx.get((c, a))
-                    if t is not None:
-                        row[t] += val
-                        hit = True
-                for c, val in gram_rows[a]:
-                    t = pidx.get((c, b))
-                    if t is not None:
-                        row[t] += val
-                        hit = True
-                if hit and any(row):
-                    rows.append(row)
-        for (m_rows, m_cols), dm in zip(sparse, degrees):
-            if dm is None:
-                continue
-            out_delta = (delta[0] + dm[0], delta[1] + dm[1])
-            for (i, j) in blocks.get(out_delta, ()):
-                row = [ZERO] * k
-                hit = False
-                for t, val in m_cols[j]:
-                    pos = pidx.get((i, t))
-                    if pos is not None:
-                        row[pos] += val
-                        hit = True
-                for t, val in m_rows[i]:
-                    pos = pidx.get((t, j))
-                    if pos is not None:
-                        row[pos] -= val
-                        hit = True
-                if hit and any(row):
-                    rows.append(row)
-        if rows:
-            sols = nullspace(rows, k)
-        else:
-            sols = tuple(tuple(ONE if t == s else ZERO for t in range(k)) for s in range(k))
-        for s in sols:
-            flat = [0] * (n * n)
-            for t, (i, j) in enumerate(positions):
-                flat[i * n + j] = s[t]
-            solutions.append(flat)
-    reduced, _ = rref(solutions)
-    return tuple(_unflatten(v, n) for v in reduced)
-
-
-def _commutant(spec: AlgebraSpec, elements: Sequence[Matrix], weights) -> tuple[Matrix, ...]:
-    if weights is not None:
-        out = _graded_commutant(spec, elements, weights)
-        if out is not None:
-            return out
-    return centralizer(spec, elements)
+    sparse = [(_sparse_rows_cols(m), dm) for m, dm in elements]
+    pieces = {}
+    for delta in sorted(_weight_tables(weights)[0]):
+        pidx = _block_index(weights, delta)
+        rows = _form_rows(spec, weights, delta, pidx)
+        for sparse_m, dm in sparse:
+            rows.extend(row for _, _, row in _bracket_rows(weights, sparse_m, dm, delta, pidx) if any(row))
+        piece = []
+        for s in nullspace(rows, len(pidx)):
+            out = [[ZERO] * n for _ in range(n)]
+            for (i, j), t in pidx.items():
+                out[i][j] = s[t]
+            piece.append(tuple(tuple(row) for row in out))
+        if piece:
+            pieces[delta] = piece
+    return pieces
 
 
 # ---------------------------------------------------------------------------
 # Bi-grading
 # ---------------------------------------------------------------------------
-
-def _graded_pieces(h1: Matrix, h2: Matrix, mats: Sequence[Matrix]):
-    """Split span(mats) into joint ad-eigenpieces; canonical bases per degree.
-
-    Returns (pieces, total) where pieces maps a degree to an RREF basis of its
-    graded piece in the original coordinates.  Raises if the span is not
-    ad-stable (the graded dimensions then exceed the span dimension).
-    """
-    n = len(h1)
-    weights = _diagonal_weights(h1, h2)
-    t_mat = t_inv = None
-    if weights is None:
-        spaces = joint_eigenspaces(h1, h2)
-        cols = []
-        keys = []
-        for key, vecs in spaces:
-            for v in vecs:
-                cols.append(v)
-                keys.append(key)
-        t_mat = transpose(matrix(cols))
-        t_inv = invert(t_mat)
-        weights = tuple(keys)
-        mats = [mat_mul(t_inv, mat_mul(m, t_mat)) for m in mats]
-
-    split: dict[tuple[Fraction, Fraction], list] = {}
-    for m in mats:
-        parts: dict[tuple[Fraction, Fraction], list] = {}
-        for i, row in enumerate(m):
-            for j, x in enumerate(row):
-                if x:
-                    d = (weights[i][0] - weights[j][0], weights[i][1] - weights[j][1])
-                    parts.setdefault(d, []).append((i, j, x))
-        for d, entries in parts.items():
-            flat = [ZERO] * (n * n)
-            for i, j, x in entries:
-                flat[i * n + j] = x
-            split.setdefault(d, []).append(flat)
-
-    pieces = {}
-    total = 0
-    for d in sorted(split):
-        reduced, _ = rref(split[d])
-        piece = []
-        for v in reduced:
-            m = _unflatten(v, n)
-            if t_mat is not None:
-                m = mat_mul(t_mat, mat_mul(m, t_inv))
-            piece.append(m)
-        if t_mat is not None:
-            piece = list(_canonical_span(piece, n))
-        if piece:
-            pieces[d] = tuple(piece)
-            total += len(piece)
-    return pieces, total
-
 
 def bigrade(spec: AlgebraSpec, h1: Matrix, h2: Matrix, subspace_basis: Sequence[Matrix]) -> BiGrading:
     """Decompose a subspace into joint ad-(h1,h2) eigenspaces.
@@ -340,13 +297,25 @@ def bigrade(spec: AlgebraSpec, h1: Matrix, h2: Matrix, subspace_basis: Sequence[
     mats = [matrix(m) for m in subspace_basis]
     if not mats:
         return BiGrading(table=(), total=0)
-    pieces, total = _graded_pieces(matrix(h1), matrix(h2), mats)
+    _, weights, moved, _, _ = _eigenframe(spec, matrix(h1), matrix(h2), mats)
+    n = len(weights)
+    split: dict[tuple[Fraction, Fraction], list] = {}
+    for m in moved:
+        parts: dict[tuple[Fraction, Fraction], list] = {}
+        for i, row in enumerate(m):
+            for j, x in enumerate(row):
+                if x:
+                    d = (weights[i][0] - weights[j][0], weights[i][1] - weights[j][1])
+                    parts.setdefault(d, [ZERO] * (n * n))[i * n + j] = x
+        for d, flat in parts.items():
+            split.setdefault(d, []).append(flat)
+    table = tuple((d, rank(split[d])) for d in sorted(split))
+    total = sum(dim for _, dim in table)
     span_dim = rank([_flatten(m) for m in mats])
     if total != span_dim:
         raise ValueError(
             f"subspace is not ad-stable: graded dimensions sum to {total}, span has dimension {span_dim}"
         )
-    table = tuple((d, len(pieces[d])) for d in sorted(pieces))
     return BiGrading(table=table, total=total)
 
 
@@ -354,61 +323,37 @@ def bigrade(spec: AlgebraSpec, h1: Matrix, h2: Matrix, subspace_basis: Sequence[
 # Rectangularity
 # ---------------------------------------------------------------------------
 
-def _graded_image_solvable(spec, e: Matrix, h: Matrix, weights, direction) -> Optional[bool]:
-    """Consistency of [e, x] = h with x of bi-degree -direction inside g."""
-    de = _homogeneous_degree(e, weights)
-    if de == "mixed" or _homogeneous_degree(h, weights) == "mixed":
-        return None
-    n = len(weights)
-    blocks, sums = _weight_tables(weights)
-    delta = (-direction[0], -direction[1])
-    positions = blocks.get(delta, [])
-    pidx = {p: t for t, p in enumerate(positions)}
-    k = len(positions)
-    rows = []
-    rhs = []
-    g = spec.form
-    if spec.series == "A":
-        if delta == (ZERO, ZERO):
-            rows.append([ONE if i == j else ZERO for (i, j) in positions])
-            rhs.append(ZERO)
-    else:
-        for a, b in sums.get((-delta[0], -delta[1]), ()):
-            row = [ZERO] * k
-            for c in range(n):
-                if g[c][b] and (c, a) in pidx:
-                    row[pidx[(c, a)]] += g[c][b]
-                if g[a][c] and (c, b) in pidx:
-                    row[pidx[(c, b)]] += g[a][c]
-            if any(row):
-                rows.append(row)
-                rhs.append(ZERO)
-    for (i, j) in blocks.get((ZERO, ZERO), ()):
-        row = [ZERO] * k
-        for t in range(n):
-            if e[i][t] and (t, j) in pidx:
-                row[pidx[(t, j)]] += e[i][t]
-            if e[t][j] and (i, t) in pidx:
-                row[pidx[(i, t)]] -= e[t][j]
+def _graded_image_solvable(spec: AlgebraSpec, weights, e: Matrix, de, h: Matrix) -> bool:
+    """Whether [e, x] = h for some x in g, in the eigenframe (h diagonal).
+
+    ad e raises degree by de, so x can be sought in the degree -de block;
+    the system is [x, e] = -h on the (0,0) block that [x, e] lands in.
+    """
+    delta = (-de[0], -de[1])
+    pidx = _block_index(weights, delta)
+    rows = _form_rows(spec, weights, delta, pidx)
+    rhs = [ZERO] * len(rows)
+    for i, j, row in _bracket_rows(weights, _sparse_rows_cols(e), de, delta, pidx):
         if any(row) or h[i][j]:
             rows.append(row)
-            rhs.append(h[i][j])
+            rhs.append(-h[i][j])
     return solve(rows, rhs) is not None
 
 
-def _dense_image_solvable(spec, e: Matrix, h: Matrix) -> bool:
-    basis = algebra_basis(spec)
-    comms = [commutator(e, b) for b in basis]
-    n = spec.dimv
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(n):
-            row = [c[i][j] for c in comms]
-            if any(row) or h[i][j]:
-                rows.append(row)
-                rhs.append(h[i][j])
-    return solve(rows, rhs) is not None
+def _rectangularity(spec: AlgebraSpec, weights, e1, e2, h1, h2) -> bool:
+    side1 = _graded_image_solvable(spec, weights, e1, DEGREE_E1, h1)
+    side2 = _graded_image_solvable(spec, weights, e2, DEGREE_E2, h2)
+    if side1 != side2:
+        raise RuntimeError("internal consistency failure: h1- and h2-rectangularity tests disagree")
+    return side1
+
+
+def _framed(r: PairRealization):
+    """verify_relations, then the eigenframe of r: (spec, weights, (e1, e2, h1, h2), t, t_inv)."""
+    rep = verify_relations(r)
+    if not rep.ok:
+        raise ValueError(f"relations fail: {', '.join(rep.failures)}")
+    return _eigenframe(r.spec, r.h1, r.h2, (r.e1, r.e2, r.h1, r.h2))
 
 
 def is_rectangular_pair(r: PairRealization) -> bool:
@@ -416,25 +361,8 @@ def is_rectangular_pair(r: PairRealization) -> bool:
 
     The two sides are computed independently and must agree.
     """
-    rep = verify_relations(r)
-    if not rep.ok:
-        raise ValueError(f"relations fail: {', '.join(rep.failures)}")
-    return _rectangularity(r)
-
-
-def _rectangularity(r: PairRealization) -> bool:
-    weights = _diagonal_weights(r.h1, r.h2)
-    results = []
-    for e, h, direction in ((r.e1, r.h1, (ONE, ZERO)), (r.e2, r.h2, (ZERO, ONE))):
-        res = None
-        if weights is not None:
-            res = _graded_image_solvable(r.spec, e, h, weights, direction)
-        if res is None:
-            res = _dense_image_solvable(r.spec, e, h)
-        results.append(res)
-    if results[0] != results[1]:
-        raise RuntimeError("internal consistency failure: h1- and h2-rectangularity tests disagree")
-    return results[0]
+    spec, weights, mats, _, _ = _framed(r)
+    return _rectangularity(spec, weights, *mats)
 
 
 # ---------------------------------------------------------------------------
@@ -443,47 +371,44 @@ def _rectangularity(r: PairRealization) -> bool:
 
 def analyze(r: PairRealization) -> CentralizerReport:
     """Centralizer dimensions, bi-exponents and all classification flags."""
-    rep = verify_relations(r)
-    if not rep.ok:
-        raise ValueError(f"relations fail: {', '.join(rep.failures)}")
-    spec = r.spec
-    weights = _diagonal_weights(r.h1, r.h2)
+    spec, weights, (e1, e2, h1, h2), t, t_inv = _framed(r)
+    n = spec.dimv
+    pieces = _graded_commutant(spec, weights, ((e1, DEGREE_E1), (e2, DEGREE_E2)))
 
-    z_h = _commutant(spec, [r.h1, r.h2], weights)
-    z_e = _commutant(spec, [r.e1, r.e2], weights)
-    z_both = _commutant(spec, [r.h1, r.h2, r.e1, r.e2], weights)
+    def span_in_input_basis(mats):
+        if t is not None:
+            mats = [mat_mul(t, mat_mul(m, t_inv)) for m in mats]
+        return _canonical_span(mats, n)
 
-    cartan_h = len(z_h) == spec.rank
-    trivial = len(z_both) == 0
-    distinguished = cartan_h and trivial
-    principal = len(z_e) == spec.rank
+    basis = span_in_input_basis([m for piece in pieces.values() for m in piece])
+    # z(h) is the (0,0) block of g, and z(h) & z(e) the (0,0) piece of z(e).
+    zero_block = _block_index(weights, DEGREE_0)
+    cartan_h = len(zero_block) - rank(_form_rows(spec, weights, DEGREE_0, zero_block)) == spec.rank
+    trivial = DEGREE_0 not in pieces
 
-    pieces, total = _graded_pieces(r.h1, r.h2, list(z_e)) if z_e else ({}, 0)
-    if total != len(z_e):
-        raise RuntimeError("centralizer is unexpectedly not ad-stable")
     table = tuple((d, len(pieces[d])) for d in sorted(pieces))
-    grading = BiGrading(table=table, total=total)
+    grading = BiGrading(table=table, total=len(basis))
     biexponents = tuple(d for d, dim in table for _ in range(dim))
 
     # Witness search prefers the most negative q (the column-style
     # disqualifier the sl/so/sp arguments construct), then p.
     witness = None
-    for d in sorted(pieces, key=lambda t: (t[1], t[0])):
+    for d in sorted(pieces, key=lambda d: (d[1], d[0])):
         if d[0] < 0 or d[1] < 0:
-            witness = (pieces[d][0], d)
+            witness = (span_in_input_basis(pieces[d])[0], d)
             break
 
     flags = ReportFlags(
         relations_ok=True,
         cartan_h=cartan_h,
         trivial_intersection=trivial,
-        distinguished=distinguished,
-        principal=principal,
-        rectangular=_rectangularity(r),
+        distinguished=cartan_h and trivial,
+        principal=len(basis) == spec.rank,
+        rectangular=_rectangularity(spec, weights, e1, e2, h1, h2),
     )
     return CentralizerReport(
-        dimension=len(z_e),
-        basis=z_e,
+        dimension=len(basis),
+        basis=basis,
         grading=grading,
         biexponents=biexponents,
         flags=flags,

@@ -357,9 +357,17 @@ def matrix_from_jsonable(data) -> Matrix:
         n = data["shape"]
         rows = [[ZERO] * n for _ in range(n)]
         for i, j, v in data["entries"]:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"sparse entry ({i}, {j}) lies outside a {n}x{n} matrix")
             rows[i][j] = Fraction(v)
         return tuple(tuple(r) for r in rows)
     return matrix(data)
+
+
+def _square(m: Matrix, n: int, name: str) -> Matrix:
+    if len(m) != n or any(len(row) != n for row in m):
+        raise ValueError(f"{name} is not a {n}x{n} matrix")
+    return m
 
 
 def realization_to_jsonable(r: PairRealization, fmt: str = "dense") -> dict:
@@ -385,21 +393,37 @@ def realization_to_jsonable(r: PairRealization, fmt: str = "dense") -> dict:
 
 
 def realization_from_jsonable(data: dict) -> PairRealization:
+    """Read a realization document.
+
+    Raises ValueError when a matrix is not dimV x dimV, when the label count
+    differs from dimV, or when series B, C or D comes without a Gram matrix.
+    """
     from .skewgraph import graph_from_jsonable
 
-    form = None if data.get("gram") is None else matrix_from_jsonable(data["gram"])
-    spec = make_spec(data["series"], data["dimv"], form)
+    series, n = data["series"], data["dimv"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"dimv must be a positive integer, got {n!r}")
+    if data.get("gram") is None:
+        if series != "A":
+            raise ValueError(f"a series {series} realization needs its gram matrix")
+        form = None
+    else:
+        form = _square(matrix_from_jsonable(data["gram"]), n, "gram")
+    spec = make_spec(series, n, form)
     labels = tuple(
         BasisLabel(item["component"], Node(Fraction(item["node"][0]), Fraction(item["node"][1])))
         for item in data["labels"]
     )
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for dimv {n}")
+    e1, e2, h1, h2 = (_square(matrix_from_jsonable(data[k]), n, k) for k in ("e1", "e2", "h1", "h2"))
     return PairRealization(
         spec=spec,
         graph=graph_from_jsonable(data["graph"]),
         labels=labels,
-        e1=matrix_from_jsonable(data["e1"]),
-        e2=matrix_from_jsonable(data["e2"]),
-        h1=matrix_from_jsonable(data["h1"]),
-        h2=matrix_from_jsonable(data["h2"]),
+        e1=e1,
+        e2=e2,
+        h1=h1,
+        h2=h2,
         orbit_sign=data.get("orbit_sign"),
     )

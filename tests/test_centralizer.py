@@ -1,5 +1,7 @@
 """Centralizer engine: exact dimensions, gradings, predicates, round trips."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,16 +20,27 @@ from skewpairs.centralizer import (
     is_rectangular_pair,
     report_to_jsonable,
 )
-from skewpairs.liealg import algebra_basis, build_pair, make_spec, verify_relations
+from skewpairs.liealg import (
+    PairRealization,
+    algebra_basis,
+    build_pair,
+    make_spec,
+    verify_relations,
+)
 from skewpairs.linalg import (
+    commutator,
     identity,
     in_span,
     invert,
+    is_diagonal,
     mat_add,
     mat_mul,
     mat_scale,
+    mat_sub,
     matrix,
+    solve,
     span_rref,
+    transpose,
     zeros,
 )
 from skewpairs.skewgraph import (
@@ -107,12 +120,18 @@ def test_graded_commutant_agrees_with_dense():
         for dimv in dims:
             for g in enumerate_admissible(series, dimv, "distinguished"):
                 cases.append((series, g))
+    zero, d1, d2 = (F(0), F(0)), (F(1), F(0)), (F(0), F(1))
     for series, g in cases:
         r = build_pair(series, g)
         weights = tuple((r.h1[i][i], r.h2[i][i]) for i in range(r.spec.dimv))
-        for elements in ([r.e1, r.e2], [r.h1, r.h2], [r.h1, r.h2, r.e1, r.e2]):
-            graded = _graded_commutant(r.spec, elements, weights)
-            dense = centralizer(r.spec, elements)
+        for elements in (
+            [(r.e1, d1), (r.e2, d2)],
+            [(r.h1, zero), (r.h2, zero)],
+            [(r.h1, zero), (r.h2, zero), (r.e1, d1), (r.e2, d2)],
+        ):
+            pieces = _graded_commutant(r.spec, weights, elements)
+            graded = _canonical_span([m for piece in pieces.values() for m in piece], r.spec.dimv)
+            dense = centralizer(r.spec, [m for m, _ in elements])
             assert graded == dense, (series, graph_to_text(g))
 
 
@@ -197,6 +216,21 @@ def test_analyze_rejects_broken_relations():
     r = build_pair("A", rect_graph(2, 2))
     with pytest.raises(ValueError, match="relations fail"):
         analyze(replace(r, e2=r.e1))
+
+
+def test_analyze_degenerate_pair_has_full_centralizer():
+    # e1 = e2 = h1 = h2 = 0 passes the relations.  z(h) is all of g, and all
+    # of z(e) is its (0,0) piece, so neither derived flag may hold.
+    for series, dimv in (("A", 3), ("C", 4), ("D", 4)):
+        spec = make_spec(series, dimv)
+        z = zeros(dimv)
+        r = PairRealization(spec=spec, graph=SkewGraph(()), labels=(), e1=z, e2=z, h1=z, h2=z)
+        rep = analyze(r)
+        dim_g = len(algebra_basis(spec))
+        assert not rep.flags.cartan_h
+        assert not rep.flags.trivial_intersection
+        assert rep.dimension == dim_g
+        assert rep.grading.as_dict() == {(F(0), F(0)): dim_g}
 
 
 def test_analyze_d_signs_agree():
@@ -321,11 +355,9 @@ def test_rectangular_sl2_domino():
     assert is_rectangular_pair(r)
 
 
-def test_analyze_conjugated_realization_uses_dense_paths():
-    # A realization handed over in a different basis (non-diagonal h) must
-    # produce the same invariants through the dense and eigen machinery.
-    from dataclasses import replace
-
+def test_analyze_conjugated_realization_matches_diagonal():
+    # A realization handed over in a different basis (non-diagonal h) goes
+    # through the eigenframe and must produce the same invariants.
     for series, g in [("A", rect_graph(2, 2)), ("A", zigzag_graph())]:
         r = build_pair(series, g)
         n = r.spec.dimv
@@ -410,3 +442,110 @@ def test_report_jsonable():
     assert data["nonpositive_witness"]["q"].startswith("-")
     total = sum(cell["dim"] for cell in data["grading"])
     assert total == rep.dimension
+
+
+# ---------------------------------------------------------------------------
+# dense oracles for the facts analyze() derives from one graded solve
+# ---------------------------------------------------------------------------
+
+def _dense_image_solvable(spec, e, h):
+    """Whether [e, x] = h for some x in g, solved over the whole algebra basis."""
+    basis = algebra_basis(spec)
+    comms = [commutator(e, b) for b in basis]
+    n = spec.dimv
+    rows = []
+    rhs = []
+    for i in range(n):
+        for j in range(n):
+            row = [c[i][j] for c in comms]
+            if any(row) or h[i][j]:
+                rows.append(row)
+                rhs.append(h[i][j])
+    return solve(rows, rhs) is not None
+
+
+def _conjugated(r, rng):
+    """r moved by a seeded rational isometry T of its form (any T in GL(n, Q)
+    for series A), redrawn until h1 or h2 is no longer diagonal; None when
+    twenty draws all leave h diagonal."""
+    n = r.spec.dimv
+    one = identity(n)
+    for _ in range(20):
+        if r.spec.series == "A":
+            t = one
+            for _ in range(3):
+                i, j = rng.sample(range(n), 2)
+                step = [list(row) for row in one]
+                step[i][j] = F(rng.choice((1, -1)))
+                t = mat_mul(t, matrix(step))
+        else:
+            # Cayley transform (I - X)^-1 (I + X) of X = G^-1 S in the algebra.
+            s = [[F(0)] * n for _ in range(n)]
+            for _ in range(2):
+                # S is symmetric for C, where its diagonal may be hit, and skew for B, D.
+                i, j = (rng.randrange(n), rng.randrange(n)) if r.spec.series == "C" else rng.sample(range(n), 2)
+                c = F(rng.choice((1, -1)))
+                s[i][j] += c
+                s[j][i] += c if r.spec.series == "C" else -c
+            x = mat_mul(invert(r.spec.form), matrix(s))
+            try:
+                t = mat_mul(invert(mat_sub(one, x)), mat_add(one, x))
+            except ValueError:
+                continue
+            assert mat_mul(transpose(t), mat_mul(r.spec.form, t)) == r.spec.form
+        t_inv = invert(t)
+
+        def conj(m):
+            return mat_mul(t, mat_mul(m, t_inv))
+
+        moved = replace(r, e1=conj(r.e1), e2=conj(r.e2), h1=conj(r.h1), h2=conj(r.h2))
+        if not (is_diagonal(moved.h1) and is_diagonal(moved.h2)):
+            return moved
+    return None
+
+
+def _small_realizations():
+    """Every distinguished and principal realization with dimV <= 6."""
+    seen = set()
+    for series, dims in (("A", range(1, 7)), ("B", (1, 3, 5)), ("C", (2, 4, 6)), ("D", (2, 4, 6))):
+        for dimv in dims:
+            for kind in ("distinguished", "principal"):
+                for g in enumerate_admissible(series, dimv, kind):
+                    signs = ("plus", "minus") if series == "D" and g.is_connected() else (None,)
+                    for sign in signs:
+                        key = (series, graph_key(g), sign)
+                        if key not in seen:
+                            seen.add(key)
+                            yield build_pair(series, g, sign)
+
+
+def test_derived_facts_match_dense_oracles():
+    rng = random.Random(20261017)
+    moved_count = 0
+    for r in _small_realizations():
+        base = analyze(r)
+        copies = [(r, base)]
+        moved = _conjugated(r, rng) if r.spec.dimv > 1 else None
+        if moved is not None:
+            copies.append((moved, analyze(moved)))
+            moved_count += 1
+        for c, rep in copies:
+            spec = c.spec
+            where = (spec.series, graph_to_text(r.graph), r.orbit_sign, c is not r)
+            assert rep.flags.cartan_h == (len(centralizer(spec, [c.h1, c.h2])) == spec.rank), where
+            assert rep.flags.trivial_intersection == (
+                centralizer(spec, [c.h1, c.h2, c.e1, c.e2]) == ()
+            ), where
+            assert rep.basis == centralizer(spec, [c.e1, c.e2]), where
+            side1 = _dense_image_solvable(spec, c.e1, c.h1)
+            side2 = _dense_image_solvable(spec, c.e2, c.h2)
+            assert side1 == side2 == rep.flags.rectangular == is_rectangular_pair(c), where
+            assert (rep.grading, rep.biexponents, rep.flags) == (
+                base.grading, base.biexponents, base.flags
+            ), where
+            if rep.nonpositive_witness is not None:
+                w, (p, q) = rep.nonpositive_witness
+                assert in_span(span_rref([_flatten(m) for m in rep.basis]), _flatten(w)), where
+                assert commutator(c.h1, w) == mat_scale(p, w), where
+                assert commutator(c.h2, w) == mat_scale(q, w), where
+    assert moved_count > 50

@@ -154,3 +154,43 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "2\n"
+
+
+def _verify_mutated(tmp_path, capsys, mutate):
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text("-1/1,0/1 0/1,0/1 1/1,0/1\n0/1,-1/1 0/1,0/1 0/1,1/1\n")
+    pair_file = tmp_path / "pair.json"
+    run_cli(capsys, "build", "--series", "D", "--input", str(graph_file), "--output", str(pair_file))
+    doc = json.loads(pair_file.read_text())
+    mutate(doc)
+    pair_file.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--input", str(pair_file))
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return code, err
+
+
+def test_verify_rejects_non_square_matrix(tmp_path, capsys):
+    def drop_entry(doc):
+        doc["e1"][0].pop()
+
+    code, err = _verify_mutated(tmp_path, capsys, drop_entry)
+    assert code == 2
+    assert "e1" in err
+
+
+def test_verify_rejects_dimv_that_disagrees_with_matrices(tmp_path, capsys):
+    def shrink(doc):
+        doc["dimv"] = 4
+
+    code, _ = _verify_mutated(tmp_path, capsys, shrink)
+    assert code == 2
+
+
+def test_verify_rejects_missing_gram(tmp_path, capsys):
+    def drop_gram(doc):
+        doc["gram"] = None
+
+    code, err = _verify_mutated(tmp_path, capsys, drop_gram)
+    assert code == 2
+    assert "gram" in err

@@ -204,3 +204,12 @@ def test_realization_json_round_trip():
         assert back.h1 == r.h1 and back.h2 == r.h2
         assert back.spec == r.spec
         assert back.labels == r.labels
+
+
+def test_realization_json_rejects_sparse_entry_outside_shape():
+    r = build_pair("C", rect_graph(3, 2))
+    for bad in ([0, 6, "1"], [-1, 0, "1"]):
+        data = realization_to_jsonable(r, "sparse")
+        data["e1"]["entries"].append(bad)
+        with pytest.raises(ValueError, match="outside"):
+            realization_from_jsonable(data)
