@@ -28,7 +28,6 @@ from .liealg import (
     PairRealization,
     build_pair,
     matrix_to_jsonable,
-    verify_relations,
 )
 from .linalg import in_span, mat_mul, mat_pow, span_rref
 from .skewgraph import (
@@ -66,7 +65,8 @@ class CatalogVerificationError(RuntimeError):
     """Internal verification failed for a graph that should be admissible."""
 
     def __init__(self, message: str, graph: SkewGraph):
-        super().__init__(f"{message}\noffending graph:\n{graph_to_text(graph)}")
+        shown = " | ".join(graph_to_text(graph).splitlines())
+        super().__init__(f"{message}; offending graph: {shown}")
         self.graph = graph
 
 
@@ -120,12 +120,10 @@ def classify(
             signs = ("plus", "minus")
         for sign in signs:
             r = build_pair(series, graph, sign)
-            relations = verify_relations(r)
-            if not relations.ok:
-                raise CatalogVerificationError(
-                    f"relations fail: {', '.join(relations.failures)}", graph
-                )
-            report = analyze(r)
+            try:
+                report = analyze(r)
+            except ValueError as exc:  # analyze rejects failing relations
+                raise CatalogVerificationError(str(exc), graph) from exc
             if not report.flags.distinguished:
                 raise CatalogVerificationError("entry is not distinguished", graph)
             if kind == "principal" and not report.flags.principal:

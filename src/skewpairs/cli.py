@@ -172,7 +172,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
-    except (NotAdmissibleError, NormalFormError) as exc:
+    except (NotAdmissibleError, NormalFormError, catalog_mod.CatalogVerificationError) as exc:
         # The input parsed fine but failed a mathematical validity judgment.
         sys.stderr.write(f"finding: {exc}\n")
         return EXIT_FINDINGS

@@ -22,6 +22,7 @@ from .linalg import (
     mat_mul,
     matrix,
     nullspace,
+    parse_fraction,
     rank,
     transpose,
 )
@@ -34,7 +35,10 @@ from .skewgraph import (
     SkewGraph,
     canonical_form,
     classify_component,
+    graph_from_jsonable,
+    graph_to_jsonable,
     is_admissible,
+    node_from_jsonable,
 )
 
 ZERO = Fraction(0)
@@ -214,9 +218,9 @@ def build_pair(series: str, graph: SkewGraph, orbit_sign: Optional[str] = None) 
     e2 = [[ZERO] * n for _ in range(n)]
     h1 = [[ZERO] * n for _ in range(n)]
     h2 = [[ZERO] * n for _ in range(n)]
+    symmetries = [classify_component(comp).symmetry for comp in graph.components]
     for ci, comp in enumerate(graph.components):
-        shape = classify_component(comp)
-        s1, s2 = _sign_functions(series, shape.symmetry)
+        s1, s2 = _sign_functions(series, symmetries[ci])
         nodes = comp.node_set
         for nd in comp.nodes:
             i = index[(ci, nd)]
@@ -233,13 +237,12 @@ def build_pair(series: str, graph: SkewGraph, orbit_sign: Optional[str] = None) 
     if series != "A":
         g = [[ZERO] * n for _ in range(n)]
         for ci, comp in enumerate(graph.components):
-            shape = classify_component(comp)
             for nd in comp.nodes:
                 a = index[(ci, nd)]
                 b = index[(ci, -nd)]
                 if series in ("B", "D"):
                     g[a][b] = ONE
-                elif shape.symmetry == SYM_SEMI_COLSORT:
+                elif symmetries[ci] == SYM_SEMI_COLSORT:
                     g[a][b] = ONE if nd.y > 0 else -ONE
                 else:
                     g[a][b] = ONE if nd.x > 0 else -ONE
@@ -359,9 +362,9 @@ def matrix_from_jsonable(data) -> Matrix:
         for i, j, v in data["entries"]:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"sparse entry ({i}, {j}) lies outside a {n}x{n} matrix")
-            rows[i][j] = Fraction(v)
+            rows[i][j] = parse_fraction(v)
         return tuple(tuple(r) for r in rows)
-    return matrix(data)
+    return tuple(tuple(parse_fraction(x) for x in row) for row in data)
 
 
 def _square(m: Matrix, n: int, name: str) -> Matrix:
@@ -371,8 +374,6 @@ def _square(m: Matrix, n: int, name: str) -> Matrix:
 
 
 def realization_to_jsonable(r: PairRealization, fmt: str = "dense") -> dict:
-    from .skewgraph import graph_to_jsonable
-
     return {
         "series": r.spec.series,
         "dimv": r.spec.dimv,
@@ -396,9 +397,9 @@ def realization_from_jsonable(data: dict) -> PairRealization:
     """Read a realization document.
 
     Raises ValueError when a matrix is not dimV x dimV, when the label count
-    differs from dimV, or when series B, C or D comes without a Gram matrix.
+    differs from dimV, when series B, C or D comes without a Gram matrix, or
+    when a number has a zero denominator.
     """
-    from .skewgraph import graph_from_jsonable
 
     series, n = data["series"], data["dimv"]
     if type(n) is not int or n < 1:
@@ -411,8 +412,7 @@ def realization_from_jsonable(data: dict) -> PairRealization:
         form = _square(matrix_from_jsonable(data["gram"]), n, "gram")
     spec = make_spec(series, n, form)
     labels = tuple(
-        BasisLabel(item["component"], Node(Fraction(item["node"][0]), Fraction(item["node"][1])))
-        for item in data["labels"]
+        BasisLabel(item["component"], node_from_jsonable(item["node"])) for item in data["labels"]
     )
     if len(labels) != n:
         raise ValueError(f"{len(labels)} labels for dimv {n}")

@@ -20,6 +20,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def parse_fraction(value) -> Fraction:
+    """Fraction(value) for external input: a zero denominator is a ValueError."""
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+
+
 def matrix(rows: Iterable[Iterable]) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 

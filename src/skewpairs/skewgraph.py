@@ -9,6 +9,9 @@ nodes joined by unit arrows pointing right or up, subject to:
   (iv)  whenever (i,j) and (i+1,j+1) lie in one component, so do (i,j+1)
         and (i+1,j), together with the four arrows of that unit square.
 
+A component's arrows join exactly its adjacent nodes (right or up), so
+they are implied by the nodes and not stored: a component is its node set.
+
 Connected skew-graphs are exactly skew diagrams drawn in the convention
 where rows shift weakly left going up.  Components are allowed to share
 a single node (0,0) (two integral components only); this is the one
@@ -22,8 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
-DIR_H = "h"
-DIR_V = "v"
+from .linalg import parse_fraction
+
 SERIES = ("A", "B", "C", "D")
 KINDS = ("distinguished", "principal")
 DEFAULT_MAX_NODES = 12
@@ -56,10 +59,9 @@ ORIGIN = Node(Fraction(0), Fraction(0))
 
 @dataclass(frozen=True)
 class Component:
-    """One connected piece: sorted node tuple plus its oriented unit arrows."""
+    """One connected piece: its sorted node tuple (arrows join adjacent nodes)."""
 
     nodes: tuple[Node, ...]
-    arrows: frozenset[tuple[Node, str]]
 
     @property
     def node_set(self) -> frozenset[Node]:
@@ -67,6 +69,9 @@ class Component:
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+
+_POINT = Component((ORIGIN,))
 
 
 @dataclass(frozen=True)
@@ -90,28 +95,9 @@ class ShapeClass:
     young: str
 
 
-def _implied_arrows(nodes: frozenset[Node]) -> frozenset[tuple[Node, str]]:
-    arrows = set()
-    for nd in nodes:
-        if nd.shifted(1, 0) in nodes:
-            arrows.add((nd, DIR_H))
-        if nd.shifted(0, 1) in nodes:
-            arrows.add((nd, DIR_V))
-    return frozenset(arrows)
-
-
 def component_from_nodes(nodes: Iterable[Node]) -> Component:
-    """Build a component with the arrows implied by node adjacency."""
-    node_set = frozenset(nodes)
-    return Component(nodes=tuple(sorted(node_set)), arrows=_implied_arrows(node_set))
-
-
-def graph_from_node_sets(node_sets: Iterable[Iterable[Node]]) -> SkewGraph:
-    return canonical_form(SkewGraph(tuple(component_from_nodes(s) for s in node_sets)))
-
-
-def _is_int(q: Fraction) -> bool:
-    return q.denominator == 1
+    """The component on these nodes; its arrows are implied by adjacency."""
+    return Component(nodes=tuple(sorted(frozenset(nodes))))
 
 
 def _neighbours(nd: Node) -> tuple[Node, ...]:
@@ -143,21 +129,8 @@ def _component_findings(index: int, comp: Component) -> list[str]:
     if not nodes:
         return [f"{tag}: empty node set"]
     base = comp.nodes[0]
-    if any(not _is_int(nd.x - base.x) or not _is_int(nd.y - base.y) for nd in nodes):
-        findings.append(f"{tag}: nodes do not all differ by integer vectors")
-        return findings
-    for src, d in sorted(comp.arrows):
-        if src not in nodes:
-            findings.append(f"{tag}: arrow source {_node_text(src)} is not a node")
-        tgt = src.shifted(1, 0) if d == DIR_H else src.shifted(0, 1)
-        if tgt not in nodes:
-            findings.append(f"{tag}: arrow from {_node_text(src)} ({d}) points outside the component")
-    implied = _implied_arrows(nodes)
-    for src, d in sorted(implied - comp.arrows):
-        findings.append(f"{tag}: missing arrow at {_node_text(src)} ({d}) forced by node adjacency")
-    for src, d in sorted(comp.arrows - implied):
-        if src in nodes:
-            findings.append(f"{tag}: arrow at {_node_text(src)} ({d}) not implied by node adjacency")
+    if any((nd.x - base.x).denominator != 1 or (nd.y - base.y).denominator != 1 for nd in nodes):
+        return [f"{tag}: nodes do not all differ by integer vectors"]
     for nd in sorted(nodes):
         if nd.shifted(1, 1) in nodes:
             for req in (nd.shifted(0, 1), nd.shifted(1, 0)):
@@ -200,6 +173,29 @@ def validate(graph: SkewGraph) -> list[str]:
 # Classification of a connected component
 # ---------------------------------------------------------------------------
 
+_PARITY_SYMMETRY = {
+    (0, 0): SYM_INTEGRAL,
+    (0, 1): SYM_SEMI_COLSORT,
+    (1, 0): SYM_SEMI_ROWSORT,
+    (1, 1): SYM_NON_INTEGRAL,
+}
+
+
+def _cell_symmetry(cells: frozenset[tuple[int, int]]) -> str:
+    """Symmetry class of integer cells moved to centre their bounding box.
+
+    The shape is centrally symmetric when reflection through the box centre
+    maps it to itself.  The centred coordinates are then integral or
+    half-integral by the parity of the box's width - 1 and height - 1,
+    which is the parity of min + max.
+    """
+    sx = min(x for x, _ in cells) + max(x for x, _ in cells)
+    sy = min(y for _, y in cells) + max(y for _, y in cells)
+    if any((sx - x, sy - y) not in cells for x, y in cells):
+        return SYM_NOT_CS
+    return _PARITY_SYMMETRY[sx % 2, sy % 2]
+
+
 def classify_component(comp: Component) -> ShapeClass:
     """Symmetry class, Young type, rectangle and near-rectangle detection.
 
@@ -228,19 +224,13 @@ def classify_component(comp: Component) -> ShapeClass:
     if len(nodes) == len(xs) * len(ys) and xs[-1] - xs[0] == len(xs) - 1 and ys[-1] - ys[0] == len(ys) - 1:
         rectangle = (len(xs), len(ys))
 
-    if frozenset(-nd for nd in nodes) == nodes:
-        sample = comp.nodes[0]
-        xi, yi = _is_int(sample.x), _is_int(sample.y)
-        if xi and yi:
-            symmetry = SYM_INTEGRAL
-        elif xi:
-            symmetry = SYM_SEMI_COLSORT
-        elif yi:
-            symmetry = SYM_SEMI_ROWSORT
-        else:
-            symmetry = SYM_NON_INTEGRAL
-    else:
-        symmetry = SYM_NOT_CS
+    # Symmetric about the origin: the bounding box is centred there and the
+    # cells are symmetric within it.
+    symmetry = SYM_NOT_CS
+    if xs[0] + xs[-1] == 0 and ys[0] + ys[-1] == 0:
+        base = comp.nodes[0]
+        cells = frozenset((int(nd.x - base.x), int(nd.y - base.y)) for nd in nodes)
+        symmetry = _cell_symmetry(cells)
 
     near = None
     if symmetry == SYM_NON_INTEGRAL and rectangle is None and len(nodes) % 4 == 2:
@@ -296,57 +286,62 @@ def canonical_form(graph: SkewGraph) -> SkewGraph:
     n = graph.n_nodes
     sx = sum((nd.x for c in graph.components for nd in c.nodes), Fraction(0)) / n
     sy = sum((nd.y for c in graph.components for nd in c.nodes), Fraction(0)) / n
-    comps = []
-    for comp in graph.components:
-        nodes = frozenset(nd.shifted(-sx, -sy) for nd in comp.nodes)
-        comps.append(component_from_nodes(nodes))
+    comps = [component_from_nodes(nd.shifted(-sx, -sy) for nd in c.nodes) for c in graph.components]
     comps.sort(key=lambda c: (-len(c), c.nodes))
     return SkewGraph(tuple(comps))
 
 
+def _key(graph: SkewGraph):
+    return tuple(tuple((nd.x, nd.y) for nd in c.nodes) for c in graph.components)
+
+
 def graph_key(graph: SkewGraph):
     """Hashable identity of a graph in canonical form."""
-    g = canonical_form(graph)
-    return tuple(tuple((nd.x, nd.y) for nd in c.nodes) for c in g.components)
+    return _key(canonical_form(graph))
+
+
+def _centred(cells) -> list[tuple[int, int]]:
+    """n times the coordinates of n cells about their barycentre, sorted."""
+    n = len(cells)
+    sx = sum(x for x, _ in cells)
+    sy = sum(y for _, y in cells)
+    return sorted((n * x - sx, n * y - sy) for x, y in cells)
 
 
 @lru_cache(maxsize=None)
 def _connected_cellsets(n: int) -> tuple[frozenset, ...]:
-    # Grow shapes cell by cell.  Removing the leftmost cell of the bottom row
-    # (or a single-cell bottom row) of any valid shape leaves a valid connected
-    # shape, so every n-cell shape appears as an (n-1)-cell shape plus one
-    # adjacent cell.
-    if n == 1:
-        return (frozenset({(0, 0)}),)
-    seen = set()
-    for cells in _connected_cellsets(n - 1):
-        candidates = set()
-        for (x, y) in cells:
-            for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                if nb not in cells:
-                    candidates.add(nb)
-        for nb in candidates:
-            grown = cells | {nb}
-            if not _cells_skew_valid(grown):
-                continue
-            mx = min(c[0] for c in grown)
-            my = min(c[1] for c in grown)
-            seen.add(frozenset((c[0] - mx, c[1] - my) for c in grown))
-    return tuple(sorted(seen, key=sorted))
+    """Each connected n-cell skew shape once, in the order of the canonical graphs.
 
+    Shapes have their min corner at the origin.  A connected skew shape is
+    a parallelogram polyomino: read left to right, its columns are intervals
+    whose bottoms and tops fall weakly, each overlapping the one before.
+    Choosing the columns in turn therefore produces each shape exactly once
+    (orderly generation in the manner of Redelmeier 1981, "Counting
+    polyominoes: yet another attack").
+    """
+    shapes = []
 
-def _cells_skew_valid(cells) -> bool:
-    for (x, y) in cells:
-        if (x + 1, y + 1) in cells and ((x, y + 1) not in cells or (x + 1, y) not in cells):
-            return False
-    return True
+    def extend(cols: list[tuple[int, int]], left: int) -> None:
+        if not left:
+            y0 = cols[-1][0]
+            shapes.append(
+                frozenset((x, y - y0) for x, (b, t) in enumerate(cols) for y in range(b, t + 1))
+            )
+            return
+        bottom, top = cols[-1]
+        for t in range(bottom, top + 1):
+            for b in range(t - left + 1, bottom + 1):
+                extend(cols + [(b, t)], left - (t - b + 1))
+
+    for height in range(1, n + 1):
+        extend([(0, height - 1)], n - height)
+    return tuple(sorted(shapes, key=_centred))
 
 
 def _cells_to_component(cells) -> Component:
+    """The component of integer cells translated to barycentre the origin."""
     n = len(cells)
-    sx = Fraction(sum(c[0] for c in cells), n)
-    sy = Fraction(sum(c[1] for c in cells), n)
-    return component_from_nodes(Node(Fraction(c[0]) - sx, Fraction(c[1]) - sy) for c in cells)
+    return Component(tuple(Node(Fraction(x, n), Fraction(y, n)) for x, y in _centred(cells)))
 
 
 def enumerate_connected(n: int, *, max_nodes: int = DEFAULT_MAX_NODES) -> tuple[SkewGraph, ...]:
@@ -357,19 +352,14 @@ def enumerate_connected(n: int, *, max_nodes: int = DEFAULT_MAX_NODES) -> tuple[
         raise EnumerationLimitError(
             f"enumeration of {n}-node graphs exceeds the configured bound of {max_nodes}"
         )
-    graphs = [SkewGraph((_cells_to_component(c),)) for c in _connected_cellsets(n)]
-    graphs.sort(key=graph_key)
-    return tuple(graphs)
+    return tuple(SkewGraph((_cells_to_component(c),)) for c in _connected_cellsets(n))
 
 
 @lru_cache(maxsize=None)
 def _cs_components(n: int, symmetry: str) -> tuple[Component, ...]:
-    out = []
-    for cells in _connected_cellsets(n):
-        comp = _cells_to_component(cells)
-        if classify_component(comp).symmetry == symmetry:
-            out.append(comp)
-    return tuple(out)
+    return tuple(
+        _cells_to_component(c) for c in _connected_cellsets(n) if _cell_symmetry(c) == symmetry
+    )
 
 
 def _rectangle_graphs(n: int, side_test) -> list[SkewGraph]:
@@ -380,11 +370,7 @@ def _rectangle_graphs(n: int, side_test) -> list[SkewGraph]:
     return out
 
 
-def _point_component() -> Component:
-    return component_from_nodes([ORIGIN])
-
-
-def _d_integral_pair_sets(n: int, max_nodes: int) -> list[tuple[Component, ...]]:
+def _d_integral_pair_sets(n: int) -> list[tuple[Component, ...]]:
     """Series-D two-integral-component configurations with n nodes total.
 
     Either a component with at least three nodes plus the point component,
@@ -393,12 +379,12 @@ def _d_integral_pair_sets(n: int, max_nodes: int) -> list[tuple[Component, ...]]
     if n % 2:
         return []
     out = []
-    if n - 1 >= 3 and n - 1 <= max_nodes:
+    if n - 1 >= 3:
         for comp in _cs_components(n - 1, SYM_INTEGRAL):
-            out.append((comp, _point_component()))
+            out.append((comp, _POINT))
     for k in range(3, n // 2 + 1, 2):
         m = n - k
-        if m < 3 or k > max_nodes or m > max_nodes:
+        if m < 3:
             continue
         pool_a = _cs_components(k, SYM_INTEGRAL)
         pool_b = _cs_components(m, SYM_INTEGRAL)
@@ -459,27 +445,24 @@ def enumerate_admissible(
         if kind == "distinguished":
             for comp in _cs_components(dimv, SYM_NON_INTEGRAL):
                 graphs.append(SkewGraph((comp,)))
-            for comps in _d_integral_pair_sets(dimv, max_nodes):
+            for comps in _d_integral_pair_sets(dimv):
                 graphs.append(SkewGraph(comps))
             for j in range(4, dimv - 3, 2):
                 for c0 in _cs_components(j, SYM_NON_INTEGRAL):
-                    for comps in _d_integral_pair_sets(dimv - j, max_nodes):
+                    for comps in _d_integral_pair_sets(dimv - j):
                         graphs.append(SkewGraph((c0,) + comps))
         else:
             graphs = _rectangle_graphs(dimv, lambda w, h: w % 2 == 0 and h % 2 == 0)
-            near_sets = set()
             for w in range(2, dimv + 3, 2):
                 for h in range(2, dimv + 3, 2):
                     for _, cand in _near_rectangular_sets(w, h):
                         if len(cand) == dimv:
-                            near_sets.add(cand)
-            for cand in sorted(near_sets, key=sorted):
-                graphs.append(SkewGraph((component_from_nodes(cand),)))
+                            graphs.append(SkewGraph((component_from_nodes(cand),)))
             for w in range(1, dimv, 2):
                 h = (dimv - 1) // w
                 if w * h == dimv - 1 and h % 2 == 1 and dimv - 1 >= 3:
                     graphs.append(
-                        SkewGraph((component_from_nodes(rectangle_nodes(w, h)), _point_component()))
+                        SkewGraph((component_from_nodes(rectangle_nodes(w, h)), _POINT))
                     )
             for w in range(3, dimv - 2, 2):
                 h = dimv - w
@@ -493,7 +476,7 @@ def enumerate_admissible(
                         )
                     )
 
-    canon = {graph_key(g): canonical_form(g) for g in graphs}
+    canon = {_key(g): g for g in map(canonical_form, graphs)}
     return tuple(canon[k] for k in sorted(canon))
 
 
@@ -599,7 +582,7 @@ def _node_text(nd: Node) -> str:
 
 def _node_from_text(text: str) -> Node:
     xs, ys = text.split(",")
-    return Node(Fraction(xs), Fraction(ys))
+    return Node(parse_fraction(xs), parse_fraction(ys))
 
 
 def graph_to_text(graph: SkewGraph) -> str:
@@ -625,11 +608,15 @@ def graph_to_jsonable(graph: SkewGraph) -> dict:
     }
 
 
+def node_from_jsonable(pair) -> Node:
+    x, y = pair
+    return Node(parse_fraction(x), parse_fraction(y))
+
+
 def graph_from_jsonable(data: dict) -> SkewGraph:
-    comps = []
-    for nodes in data["components"]:
-        comps.append(component_from_nodes(Node(Fraction(x), Fraction(y)) for x, y in nodes))
-    return SkewGraph(tuple(comps))
+    return SkewGraph(tuple(
+        component_from_nodes(map(node_from_jsonable, nodes)) for nodes in data["components"]
+    ))
 
 
 def render_ascii(graph: SkewGraph) -> str:

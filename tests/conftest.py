@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately avoid the package's own algorithms: row
-reduction is the textbook divide-by-pivot Gauss-Jordan over Fraction, and
-shape enumeration is subset brute force over a bounded grid.
+reduction is the textbook divide-by-pivot Gauss-Jordan over Fraction,
+shape enumeration is subset brute force over a bounded grid, and shape
+counts come from an integer recurrence over column heights.
 """
 
 from __future__ import annotations
@@ -172,6 +173,26 @@ def oracle_connected_cellsets(n: int) -> set:
             continue
         found.add(cells)
     return found
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: count of connected skew shapes by a column-height DP
+# ---------------------------------------------------------------------------
+
+def oracle_connected_counts(n_max: int) -> list[int]:
+    """Connected skew shapes (parallelogram polyominoes) with 1..n_max cells.
+
+    A shape is a run of column intervals, each overlapping the one before
+    with bottom and top falling weakly; a column of height k can follow one
+    of height j in min(j, k) ways.  OEIS A006958.
+    """
+    # ways[area][k]: shapes of this area whose last column has height k
+    ways = [[0] * (n_max + 1) for _ in range(n_max + 1)]
+    for area in range(1, n_max + 1):
+        ways[area][area] = 1
+        for k in range(1, area):
+            ways[area][k] = sum(ways[area - k][j] * min(j, k) for j in range(1, area - k + 1))
+    return [sum(ways[area]) for area in range(1, n_max + 1)]
 
 
 def graph_to_cellset(graph: SkewGraph) -> frozenset:

@@ -194,3 +194,51 @@ def test_verify_rejects_missing_gram(tmp_path, capsys):
     code, err = _verify_mutated(tmp_path, capsys, drop_gram)
     assert code == 2
     assert "gram" in err
+
+
+def test_build_rejects_zero_denominator(tmp_path, capsys):
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text("-1/2,0/1 1/0,0/1\n")
+    code, out, err = run_cli(capsys, "build", "--series", "A", "--input", str(graph_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_rejects_zero_denominator(tmp_path, capsys):
+    def divide_by_zero(doc):
+        doc["h1"][0][0] = "1/0"
+
+    code, err = _verify_mutated(tmp_path, capsys, divide_by_zero)
+    assert code == 2
+    assert "zero denominator" in err
+
+
+def test_verify_rejects_label_without_two_coordinates(tmp_path, capsys):
+    def shorten_label(doc):
+        doc["labels"][0]["node"] = ["1/1"]
+
+    code, _ = _verify_mutated(tmp_path, capsys, shorten_label)
+    assert code == 2
+
+
+def test_catalog_verification_failure_is_a_finding(monkeypatch, capsys):
+    import dataclasses
+
+    from skewpairs import catalog
+
+    real_analyze = catalog.analyze
+
+    def not_distinguished(r):
+        report = real_analyze(r)
+        return dataclasses.replace(
+            report, flags=dataclasses.replace(report.flags, distinguished=False)
+        )
+
+    monkeypatch.setattr(catalog, "analyze", not_distinguished)
+    code, out, err = run_cli(
+        capsys, "classify", "--series", "D", "--dimv", "6", "--kind", "principal"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("finding: entry is not distinguished") and err.count("\n") == 1

@@ -6,11 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_to_cellset, oracle_connected_cellsets
+from conftest import graph_to_cellset, oracle_connected_cellsets, oracle_connected_counts
 from skewpairs.skewgraph import (
+    SYM_INTEGRAL,
+    SYM_NON_INTEGRAL,
+    SYM_SEMI_COLSORT,
+    SYM_SEMI_ROWSORT,
     EnumerationLimitError,
     Node,
     SkewGraph,
+    _cs_components,
     canonical_form,
     classify_component,
     component_from_nodes,
@@ -55,20 +60,13 @@ def test_validate_axiom_iv_violation():
 def test_validate_horizontal_domino():
     g = one_component((F(-1, 2), 0), (F(1, 2), 0))
     assert validate(g) == []
-    comp = g.components[0]
-    assert len(comp.arrows) == 1
+    left, right = g.components[0].nodes
+    assert left.shifted(1, 0) == right  # the one implied arrow
 
 
 def test_validate_barycentre():
     g = one_component((0, 0), (1, 0))
     assert any("barycentre" in f for f in validate(g))
-
-
-def test_validate_arrow_consistency():
-    comp = component_from_nodes(nodes_of((F(-1, 2), 0), (F(1, 2), 0)))
-    broken = comp.__class__(nodes=comp.nodes, arrows=frozenset())
-    findings = validate(SkewGraph((broken,)))
-    assert any("missing arrow" in f for f in findings)
 
 
 def test_validate_shared_node_rules():
@@ -175,6 +173,41 @@ def test_enumeration_matches_subset_oracle(n):
 def test_enumeration_matches_subset_oracle_n6():
     ours = {graph_to_cellset(g) for g in enumerate_connected(6)}
     assert ours == oracle_connected_cellsets(6)
+
+
+def test_count_oracle_is_a006958():
+    assert oracle_connected_counts(12) == [1, 2, 4, 9, 20, 46, 105, 242, 557, 1285, 2964, 6842]
+
+
+def test_connected_counts_match_count_oracle():
+    assert [len(enumerate_connected(n)) for n in range(1, 13)] == oracle_connected_counts(12)
+
+
+def _negation_symmetry(comp) -> str:
+    """Central symmetry read off Fraction nodes: closed under negation about
+    the origin, class from whether one node's coordinates are integers."""
+    if frozenset(-nd for nd in comp.nodes) != comp.node_set:
+        return "not-cs"
+    nd = comp.nodes[0]
+    return {
+        (True, True): SYM_INTEGRAL,
+        (True, False): SYM_SEMI_COLSORT,
+        (False, True): SYM_SEMI_ROWSORT,
+        (False, False): SYM_NON_INTEGRAL,
+    }[nd.x.denominator == 1, nd.y.denominator == 1]
+
+
+def test_symmetry_classes_match_negation_oracle():
+    for n in range(1, 11):
+        comps = [g.components[0] for g in enumerate_connected(n)]
+        expected = {c: _negation_symmetry(c) for c in comps}
+        for c in comps:
+            assert classify_component(c).symmetry == expected[c]
+        for sym in (SYM_INTEGRAL, SYM_SEMI_COLSORT, SYM_SEMI_ROWSORT, SYM_NON_INTEGRAL):
+            assert list(_cs_components(n, sym)) == [c for c in comps if expected[c] == sym]
+    # symmetry is about the origin: a translated copy is not centrally symmetric
+    moved = component_from_nodes(nd.shifted(1, 0) for nd in rectangle_nodes(3, 3))
+    assert classify_component(moved).symmetry == "not-cs"
 
 
 def test_enumeration_limit():
