@@ -12,6 +12,12 @@ read off without another solve: z(h) is the (0,0) block of g, and
 z(h) & z(e) is the (0,0) piece of z(e).  Bases are mapped back to the input
 coordinates and returned in reduced echelon form.
 
+The solve runs in integer units.  The weights are scaled by their common
+denominator, so bi-degrees are int pairs, and e1, e2 and the Gram matrix
+are each scaled to integers, which changes no commutant and no
+solvability.  Every block row is an int row; only the reduced bases and
+the reported bi-degrees are Fractions.
+
 centralizer() is the dense textbook route over an algebra basis.  It is
 public for callers with arbitrary elements, and the test suite uses it as
 the oracle for the graded solve.
@@ -22,12 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional, Sequence
 
 from .liealg import (
     AlgebraSpec,
     BasisLabel,
     PairRealization,
+    _bracket_checks,
     algebra_basis,
     verify_relations,
 )
@@ -35,6 +43,8 @@ from .linalg import (
     Matrix,
     Vector,
     commutator,
+    integer_nullspace,
+    integral_rows,
     invert,
     is_diagonal,
     joint_eigenspaces,
@@ -46,23 +56,21 @@ from .linalg import (
     rref,
     solve,
     transpose,
+    transposed_rows,
 )
 from .skewgraph import (
     ORIGIN,
     Node,
     SkewGraph,
+    _admissible_shapes,
     canonical_form,
-    classify_component,
     component_from_nodes,
-    is_admissible,
     validate,
 )
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-DEGREE_0 = (ZERO, ZERO)
-DEGREE_E1 = (ONE, ZERO)
-DEGREE_E2 = (ZERO, ONE)
+DEGREE_0 = (0, 0)
 
 
 class NormalFormError(ValueError):
@@ -155,38 +163,66 @@ def centralizer(spec: AlgebraSpec, elements: Sequence[Matrix]) -> tuple[Matrix, 
 # The eigenframe and the graded block systems
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Frame:
+    """A basis of V in which h1 and h2 are diagonal, in integer units.
+
+    weights[i] is den times the eigenvalue pair of basis vector i, as ints,
+    so every bi-degree is an int pair in units of 1/den.  gram holds the
+    nonzero rows and columns of the Gram matrix in this basis, scaled to
+    integers (None without a form).  t is the change of basis and t_inv its
+    inverse, both None when h1 and h2 were diagonal already.
+    """
+
+    spec: AlgebraSpec
+    den: int
+    weights: tuple[tuple[int, int], ...]
+    gram: Optional[tuple[list, list]]
+    t: Optional[Matrix]
+    t_inv: Optional[Matrix]
+
+    def degree(self, d: tuple[int, int]) -> tuple[Fraction, Fraction]:
+        """The exact bi-degree of an int degree d."""
+        return Fraction(d[0], self.den), Fraction(d[1], self.den)
+
+
 def _eigenframe(spec: AlgebraSpec, h1: Matrix, h2: Matrix, mats: Sequence[Matrix]):
     """Change to a basis of V in which h1 and h2 are diagonal.
 
-    Returns (spec, weights, mats, t, t_inv).  The columns of T are a joint
-    eigenbasis of h1 and h2, weights[i] is the eigenvalue pair of column i,
-    each m becomes T^-1 m T and the Gram matrix G becomes T^T G T.  When h1
-    and h2 are already diagonal the inputs come back unchanged and t, t_inv
-    are None.  Raises ValueError when h1, h2 have no rational joint
-    eigenbasis.
+    Returns (frame, moved): the columns of T are a joint eigenbasis of h1
+    and h2, each m in mats becomes T^-1 m T and the Gram matrix G becomes
+    T^T G T.  When h1 and h2 are already diagonal, mats come back unchanged.
+    Raises ValueError when h1, h2 have no rational joint eigenbasis.
     """
+    t = t_inv = None
     if is_diagonal(h1) and is_diagonal(h2):
-        weights = tuple((h1[i][i], h2[i][i]) for i in range(len(h1)))
-        return spec, weights, tuple(mats), None, None
-    cols: list[Vector] = []
-    weights = []
-    for key, vecs in joint_eigenspaces(h1, h2):
-        cols.extend(vecs)
-        weights.extend([key] * len(vecs))
-    t = transpose(cols)
-    t_inv = invert(t)
-    if spec.form is not None:
-        spec = replace(spec, form=mat_mul(transpose(t), mat_mul(spec.form, t)))
-    moved = tuple(mat_mul(t_inv, mat_mul(m, t)) for m in mats)
-    return spec, tuple(weights), moved, t, t_inv
+        pairs = [(h1[i][i], h2[i][i]) for i in range(len(h1))]
+        moved = tuple(mats)
+    else:
+        cols: list[Vector] = []
+        pairs = []
+        for key, vecs in joint_eigenspaces(h1, h2):
+            cols.extend(vecs)
+            pairs.extend([key] * len(vecs))
+        t = transpose(cols)
+        t_inv = invert(t)
+        if spec.form is not None:
+            spec = replace(spec, form=mat_mul(transpose(t), mat_mul(spec.form, t)))
+        moved = tuple(mat_mul(t_inv, mat_mul(m, t)) for m in mats)
+    den = lcm(*(x.denominator for pair in pairs for x in pair))
+    weights = tuple(
+        (p.numerator * (den // p.denominator), q.numerator * (den // q.denominator)) for p, q in pairs
+    )
+    gram = None if spec.form is None else _sparse_rows_cols(spec.form)
+    return _Frame(spec, den, weights, gram, t, t_inv), moved
 
 
 @lru_cache(maxsize=4096)
 def _weight_tables(weights):
     """Positions grouped by bi-degree, and index pairs grouped by weight sum."""
     n = len(weights)
-    blocks: dict[tuple[Fraction, Fraction], list[tuple[int, int]]] = {}
-    sums: dict[tuple[Fraction, Fraction], list[tuple[int, int]]] = {}
+    blocks: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    sums: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i in range(n):
         wi = weights[i]
         for j in range(n):
@@ -201,7 +237,7 @@ def _block_index(weights, delta) -> dict[tuple[int, int], int]:
     return {p: t for t, p in enumerate(_weight_tables(weights)[0].get(delta, ()))}
 
 
-def _form_rows(spec: AlgebraSpec, weights, delta, pidx) -> list[list[Fraction]]:
+def _form_rows(frame: _Frame, delta, pidx) -> list[list[int]]:
     """Rows of the condition x in g for x in the bi-degree-delta block.
 
     Series A has the trace, which only the (0,0) block meets.  B, C and D
@@ -209,31 +245,33 @@ def _form_rows(spec: AlgebraSpec, weights, delta, pidx) -> list[list[Fraction]]:
     -w, the block reaches just those with weight sum -delta.
     """
     k = len(pidx)
-    if spec.series == "A":
-        return [[ONE if i == j else ZERO for (i, j) in pidx]] if delta == DEGREE_0 else []
-    g = spec.form
-    n = len(weights)
+    if frame.spec.series == "A":
+        return [[1 if i == j else 0 for (i, j) in pidx]] if delta == DEGREE_0 else []
+    g_rows, g_cols = frame.gram
     rows = []
-    for a, b in _weight_tables(weights)[1].get((-delta[0], -delta[1]), ()):
-        row = [ZERO] * k
-        for c in range(n):
-            if g[c][b]:
-                t = pidx.get((c, a))
-                if t is not None:
-                    row[t] += g[c][b]
-            if g[a][c]:
-                t = pidx.get((c, b))
-                if t is not None:
-                    row[t] += g[a][c]
+    for a, b in _weight_tables(frame.weights)[1].get((-delta[0], -delta[1]), ()):
+        row = [0] * k
+        for c, val in g_cols[b]:
+            t = pidx.get((c, a))
+            if t is not None:
+                row[t] += val
+        for c, val in g_rows[a]:
+            t = pidx.get((c, b))
+            if t is not None:
+                row[t] += val
         if any(row):
             rows.append(row)
     return rows
 
 
 def _sparse_rows_cols(m: Matrix):
-    rows = [tuple((t, x) for t, x in enumerate(row) if x) for row in m]
-    cols = [tuple((t, m[t][j]) for t in range(len(m)) if m[t][j]) for j in range(len(m))]
-    return rows, cols
+    """The nonzero entries of c * m by row and by column, as (index, int) pairs.
+
+    c > 0 is the least common denominator of m.  Commutants and the
+    solvability of [x, e] = h do not change when e or h is scaled.
+    """
+    rows = integral_rows(m)[1]
+    return rows, transposed_rows(rows)
 
 
 def _bracket_rows(weights, sparse_m, dm, delta, pidx):
@@ -246,7 +284,7 @@ def _bracket_rows(weights, sparse_m, dm, delta, pidx):
     m_rows, m_cols = sparse_m
     k = len(pidx)
     for i, j in _weight_tables(weights)[0].get((delta[0] + dm[0], delta[1] + dm[1]), ()):
-        row = [ZERO] * k
+        row = [0] * k
         for t, val in m_cols[j]:
             pos = pidx.get((i, t))
             if pos is not None:
@@ -258,29 +296,37 @@ def _bracket_rows(weights, sparse_m, dm, delta, pidx):
         yield i, j, row
 
 
-def _graded_commutant(spec: AlgebraSpec, weights, elements) -> dict:
+def _graded_commutant(frame: _Frame, elements) -> dict:
     """Block-by-bi-degree solve for {x in g : [x, m] = 0 for all m}.
 
-    elements holds (m, degree) pairs, each m bi-homogeneous of its degree
-    for the weights.  Returns {degree: basis of that graded piece} for the
-    nonzero pieces; together they span the same space as centralizer().
+    elements holds (m, degree) pairs, each m bi-homogeneous of its int
+    degree for the frame's weights.  Returns {degree: piece} for the
+    nonzero graded pieces, each piece the reduced echelon basis of its
+    block as (lead, matrix) pairs, lead the position of the leading 1.
+    Together the pieces span the same space as centralizer().
     """
+    weights = frame.weights
     n = len(weights)
     sparse = [(_sparse_rows_cols(m), dm) for m, dm in elements]
     pieces = {}
     for delta in sorted(_weight_tables(weights)[0]):
         pidx = _block_index(weights, delta)
-        rows = _form_rows(spec, weights, delta, pidx)
+        rows = _form_rows(frame, delta, pidx)
         for sparse_m, dm in sparse:
             rows.extend(row for _, _, row in _bracket_rows(weights, sparse_m, dm, delta, pidx) if any(row))
+        null = [v for _, v in integer_nullspace(rows, len(pidx))]
+        if not null:
+            continue
+        positions = list(pidx)
+        reduced, leads = rref(null)
         piece = []
-        for s in nullspace(rows, len(pidx)):
+        for vec, lead in zip(reduced, leads):
             out = [[ZERO] * n for _ in range(n)]
-            for (i, j), t in pidx.items():
-                out[i][j] = s[t]
-            piece.append(tuple(tuple(row) for row in out))
-        if piece:
-            pieces[delta] = piece
+            for (i, j), x in zip(positions, vec):
+                if x:
+                    out[i][j] = x
+            piece.append((positions[lead], tuple(tuple(row) for row in out)))
+        pieces[delta] = piece
     return pieces
 
 
@@ -297,11 +343,12 @@ def bigrade(spec: AlgebraSpec, h1: Matrix, h2: Matrix, subspace_basis: Sequence[
     mats = [matrix(m) for m in subspace_basis]
     if not mats:
         return BiGrading(table=(), total=0)
-    _, weights, moved, _, _ = _eigenframe(spec, matrix(h1), matrix(h2), mats)
+    frame, moved = _eigenframe(spec, matrix(h1), matrix(h2), mats)
+    weights = frame.weights
     n = len(weights)
-    split: dict[tuple[Fraction, Fraction], list] = {}
+    split: dict[tuple[int, int], list] = {}
     for m in moved:
-        parts: dict[tuple[Fraction, Fraction], list] = {}
+        parts: dict[tuple[int, int], list] = {}
         for i, row in enumerate(m):
             for j, x in enumerate(row):
                 if x:
@@ -309,7 +356,7 @@ def bigrade(spec: AlgebraSpec, h1: Matrix, h2: Matrix, subspace_basis: Sequence[
                     parts.setdefault(d, [ZERO] * (n * n))[i * n + j] = x
         for d, flat in parts.items():
             split.setdefault(d, []).append(flat)
-    table = tuple((d, rank(split[d])) for d in sorted(split))
+    table = tuple((frame.degree(d), rank(split[d])) for d in sorted(split))
     total = sum(dim for _, dim in table)
     span_dim = rank([_flatten(m) for m in mats])
     if total != span_dim:
@@ -323,37 +370,43 @@ def bigrade(spec: AlgebraSpec, h1: Matrix, h2: Matrix, subspace_basis: Sequence[
 # Rectangularity
 # ---------------------------------------------------------------------------
 
-def _graded_image_solvable(spec: AlgebraSpec, weights, e: Matrix, de, h: Matrix) -> bool:
-    """Whether [e, x] = h for some x in g, in the eigenframe (h diagonal).
+def _graded_image_solvable(frame: _Frame, e: Matrix, side: int) -> bool:
+    """Whether [e, x] = h for some x in g, in the eigenframe.
 
-    ad e raises degree by de, so x can be sought in the degree -de block;
-    the system is [x, e] = -h on the (0,0) block that [x, e] lands in.
+    e is e1 (side 0) or e2 (side 1), of degree den along its side, and h the
+    matching h1 or h2: the diagonal matrix of that weight coordinate, which
+    is den * h.  ad e raises degree by de, so x can be sought in the degree
+    -de block; the system is [x, e] = -h on the (0,0) block that [x, e]
+    lands in.
     """
+    weights = frame.weights
+    de = (frame.den, 0) if side == 0 else (0, frame.den)
     delta = (-de[0], -de[1])
     pidx = _block_index(weights, delta)
-    rows = _form_rows(spec, weights, delta, pidx)
-    rhs = [ZERO] * len(rows)
+    rows = _form_rows(frame, delta, pidx)
+    rhs = [0] * len(rows)
     for i, j, row in _bracket_rows(weights, _sparse_rows_cols(e), de, delta, pidx):
-        if any(row) or h[i][j]:
+        h = weights[i][side] if i == j else 0
+        if any(row) or h:
             rows.append(row)
-            rhs.append(-h[i][j])
+            rhs.append(-h)
     return solve(rows, rhs) is not None
 
 
-def _rectangularity(spec: AlgebraSpec, weights, e1, e2, h1, h2) -> bool:
-    side1 = _graded_image_solvable(spec, weights, e1, DEGREE_E1, h1)
-    side2 = _graded_image_solvable(spec, weights, e2, DEGREE_E2, h2)
+def _rectangularity(frame: _Frame, e1: Matrix, e2: Matrix) -> bool:
+    side1 = _graded_image_solvable(frame, e1, 0)
+    side2 = _graded_image_solvable(frame, e2, 1)
     if side1 != side2:
         raise RuntimeError("internal consistency failure: h1- and h2-rectangularity tests disagree")
     return side1
 
 
 def _framed(r: PairRealization):
-    """verify_relations, then the eigenframe of r: (spec, weights, (e1, e2, h1, h2), t, t_inv)."""
+    """verify_relations, then the eigenframe of r: (frame, (e1, e2)) in it."""
     rep = verify_relations(r)
     if not rep.ok:
         raise ValueError(f"relations fail: {', '.join(rep.failures)}")
-    return _eigenframe(r.spec, r.h1, r.h2, (r.e1, r.e2, r.h1, r.h2))
+    return _eigenframe(r.spec, r.h1, r.h2, (r.e1, r.e2))
 
 
 def is_rectangular_pair(r: PairRealization) -> bool:
@@ -361,8 +414,8 @@ def is_rectangular_pair(r: PairRealization) -> bool:
 
     The two sides are computed independently and must agree.
     """
-    spec, weights, mats, _, _ = _framed(r)
-    return _rectangularity(spec, weights, *mats)
+    frame, (e1, e2) = _framed(r)
+    return _rectangularity(frame, e1, e2)
 
 
 # ---------------------------------------------------------------------------
@@ -371,22 +424,26 @@ def is_rectangular_pair(r: PairRealization) -> bool:
 
 def analyze(r: PairRealization) -> CentralizerReport:
     """Centralizer dimensions, bi-exponents and all classification flags."""
-    spec, weights, (e1, e2, h1, h2), t, t_inv = _framed(r)
+    frame, (e1, e2) = _framed(r)
+    spec, weights, t, t_inv = frame.spec, frame.weights, frame.t, frame.t_inv
     n = spec.dimv
-    pieces = _graded_commutant(spec, weights, ((e1, DEGREE_E1), (e2, DEGREE_E2)))
+    pieces = _graded_commutant(frame, ((e1, (frame.den, 0)), (e2, (0, frame.den))))
 
-    def span_in_input_basis(mats):
-        if t is not None:
-            mats = [mat_mul(t, mat_mul(m, t_inv)) for m in mats]
-        return _canonical_span(mats, n)
+    def span_in_input_basis(lead_mats):
+        # Without a change of basis the blocks have disjoint supports and
+        # list their positions in row-major order, so their reduced bases,
+        # ordered by leading position, form the reduced basis of the span.
+        if t is None:
+            return tuple(m for _, m in sorted(lead_mats))
+        return _canonical_span([mat_mul(t, mat_mul(m, t_inv)) for _, m in lead_mats], n)
 
-    basis = span_in_input_basis([m for piece in pieces.values() for m in piece])
+    basis = span_in_input_basis([lm for piece in pieces.values() for lm in piece])
     # z(h) is the (0,0) block of g, and z(h) & z(e) the (0,0) piece of z(e).
     zero_block = _block_index(weights, DEGREE_0)
-    cartan_h = len(zero_block) - rank(_form_rows(spec, weights, DEGREE_0, zero_block)) == spec.rank
+    cartan_h = len(zero_block) - rank(_form_rows(frame, DEGREE_0, zero_block)) == spec.rank
     trivial = DEGREE_0 not in pieces
 
-    table = tuple((d, len(pieces[d])) for d in sorted(pieces))
+    table = tuple((frame.degree(d), len(pieces[d])) for d in sorted(pieces))
     grading = BiGrading(table=table, total=len(basis))
     biexponents = tuple(d for d, dim in table for _ in range(dim))
 
@@ -395,7 +452,7 @@ def analyze(r: PairRealization) -> CentralizerReport:
     witness = None
     for d in sorted(pieces, key=lambda d: (d[1], d[0])):
         if d[0] < 0 or d[1] < 0:
-            witness = (span_in_input_basis(pieces[d])[0], d)
+            witness = (span_in_input_basis(pieces[d])[0], frame.degree(d))
             break
 
     flags = ReportFlags(
@@ -404,7 +461,7 @@ def analyze(r: PairRealization) -> CentralizerReport:
         trivial_intersection=trivial,
         distinguished=cartan_h and trivial,
         principal=len(basis) == spec.rank,
-        rectangular=_rectangularity(spec, weights, e1, e2, h1, h2),
+        rectangular=_rectangularity(frame, e1, e2),
     )
     return CentralizerReport(
         dimension=len(basis),
@@ -465,10 +522,10 @@ def closed_form_centralizer(series: str, graph: SkewGraph) -> ClosedFormPredicti
     is given by its basis-label actions and bi-degree.
     """
     graph = canonical_form(graph)
-    if not is_admissible(series, graph, "principal"):
+    shapes = _admissible_shapes(series, graph, "principal")
+    if shapes is None:
         raise ValueError("graph is outside the closed-form (principal) case list")
     comps = graph.components
-    shapes = [classify_component(c) for c in comps]
     n_total = graph.n_nodes
 
     if series == "A":
@@ -612,14 +669,13 @@ def graph_from_pair(spec: AlgebraSpec, e1: Matrix, e2: Matrix, h1: Matrix, h2: M
     """
     n = spec.dimv
     e1, e2, h1, h2 = (matrix(m) for m in (e1, e2, h1, h2))
-    if any(x for row in commutator(e1, e2) for x in row):
+    checks = dict(_bracket_checks([integral_rows(m) for m in (e1, e2, h1, h2)]))
+    if not checks.pop("e1_e2_commute"):
         raise NormalFormError("e1 and e2 do not commute")
-    if any(x for row in commutator(h1, h2) for x in row):
+    if not checks.pop("h1_h2_commute"):
         raise NormalFormError("h1 and h2 do not commute")
-    for h, e, expect in ((h1, e1, 1), (h1, e2, 0), (h2, e1, 0), (h2, e2, 1)):
-        target = e if expect else tuple(tuple(ZERO for _ in row) for row in e)
-        if commutator(h, e) != target:
-            raise NormalFormError("the grading relations [h_i, e_j] = delta_ij e_j fail")
+    if not all(checks.values()):
+        raise NormalFormError("the grading relations [h_i, e_j] = delta_ij e_j fail")
 
     spaces = joint_eigenspaces(h1, h2)
     singles = {key: vecs[0] for key, vecs in spaces if len(vecs) == 1}

@@ -9,35 +9,31 @@ a label with its antipode inside the same component.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 from .linalg import (
     Matrix,
-    commutator,
-    is_zero_matrix,
-    mat_add,
-    mat_mul,
+    integral_rows,
     matrix,
     nullspace,
     parse_fraction,
     rank,
-    transpose,
+    transposed_rows,
 )
 from .skewgraph import (
-    SYM_INTEGRAL,
-    SYM_NON_INTEGRAL,
     SYM_SEMI_COLSORT,
     SYM_SEMI_ROWSORT,
     Node,
     SkewGraph,
+    _admissible_shapes,
+    _cell_offsets,
     canonical_form,
-    classify_component,
     graph_from_jsonable,
     graph_to_jsonable,
-    is_admissible,
     node_from_jsonable,
 )
 
@@ -134,48 +130,30 @@ def make_spec(series: str, dimv: int, form: Optional[Matrix] = None) -> AlgebraS
     return AlgebraSpec(series=series, dimv=dimv, rank=series_rank(series, dimv), form=form)
 
 
-def _neg_one_pow(q: Fraction) -> Fraction:
-    if q.denominator != 1:
-        raise ValueError("sign exponent is not an integer")
-    return ONE if q.numerator % 2 == 0 else -ONE
+def _shift_signs(series: str, symmetry: str, x2: int, y2: int) -> tuple[Fraction, Fraction]:
+    """Signs of the e1 and e2 arrows leaving the node (x2 / 2, y2 / 2).
 
-
-def _sign_functions(series: str, symmetry: str) -> tuple[Callable[[Node], Fraction], Callable[[Node], Fraction]]:
-    """Per-component shift signs for e1 and e2."""
+    Series B, C and D components are centred on the origin, so twice a
+    node's coordinates are integers; B and D nodes have x + y integral, and
+    series C colsort (rowsort) nodes an integral x (y).
+    """
     if series == "A":
-        return (lambda nd: ONE), (lambda nd: ONE)
+        return ONE, ONE
     if series in ("B", "D"):
-        def s1(nd: Node) -> Fraction:
-            return _neg_one_pow(nd.x + nd.y)
-
-        def s2(nd: Node) -> Fraction:
-            return -_neg_one_pow(nd.x + nd.y)
-
-        return s1, s2
+        s = ONE if (x2 + y2) % 4 == 0 else -ONE
+        return s, -s
     if symmetry == SYM_SEMI_COLSORT:
-        def s1(nd: Node) -> Fraction:
-            return -ONE if nd.y > 0 else ONE
-
-        def s2(nd: Node) -> Fraction:
-            if nd.y > 0:
-                return ONE
-            if nd.y == -HALF:
-                return _neg_one_pow(nd.x)
-            return -ONE
-
-        return s1, s2
+        if y2 > 0:
+            return -ONE, ONE
+        if y2 == -1:
+            return ONE, (ONE if x2 % 4 == 0 else -ONE)
+        return ONE, -ONE
     if symmetry == SYM_SEMI_ROWSORT:
-        def s1(nd: Node) -> Fraction:
-            if nd.x > 0:
-                return ONE
-            if nd.x == -HALF:
-                return _neg_one_pow(nd.y)
-            return -ONE
-
-        def s2(nd: Node) -> Fraction:
-            return -ONE if nd.x > 0 else ONE
-
-        return s1, s2
+        if x2 > 0:
+            return ONE, -ONE
+        if x2 == -1:
+            return (ONE if y2 % 4 == 0 else -ONE), ONE
+        return -ONE, ONE
     raise ValueError(f"series C component with unexpected symmetry {symmetry!r}")
 
 
@@ -196,7 +174,8 @@ def build_pair(series: str, graph: SkewGraph, orbit_sign: Optional[str] = None) 
     basis vectors at (1/2,1/2) and (-1/2,-1/2).
     """
     graph = canonical_form(graph)
-    if not is_admissible(series, graph, "distinguished"):
+    shapes = _admissible_shapes(series, graph, "distinguished")
+    if shapes is None:
         raise NotAdmissibleError(f"graph is not admissible for series {series}")
     connected = graph.is_connected()
     if series == "D" and connected:
@@ -211,47 +190,48 @@ def build_pair(series: str, graph: SkewGraph, orbit_sign: Optional[str] = None) 
     labels = tuple(
         BasisLabel(ci, nd) for ci, comp in enumerate(graph.components) for nd in comp.nodes
     )
-    index = {(lb.component_index, lb.node): i for i, lb in enumerate(labels)}
     n = len(labels)
-
     e1 = [[ZERO] * n for _ in range(n)]
     e2 = [[ZERO] * n for _ in range(n)]
     h1 = [[ZERO] * n for _ in range(n)]
     h2 = [[ZERO] * n for _ in range(n)]
-    symmetries = [classify_component(comp).symmetry for comp in graph.components]
-    for ci, comp in enumerate(graph.components):
-        s1, s2 = _sign_functions(series, symmetries[ci])
-        nodes = comp.node_set
-        for nd in comp.nodes:
-            i = index[(ci, nd)]
+    g = None if series == "A" else [[ZERO] * n for _ in range(n)]
+    start = 0
+    for comp, shape in zip(graph.components, shapes):
+        # Arrows and antipodes are found on integer cells.  Twice a node's
+        # coordinates are 2 * offset - (min + max offset) once the component
+        # is centred on the origin, which series B, C and D components are.
+        offsets = _cell_offsets(comp)
+        index = {d: start + k for k, d in enumerate(offsets)}
+        sx = min(dx for dx, _ in offsets) + max(dx for dx, _ in offsets)
+        sy = min(dy for _, dy in offsets) + max(dy for _, dy in offsets)
+        for (dx, dy), nd in zip(offsets, comp.nodes):
+            i = index[dx, dy]
             h1[i][i] = nd.x
             h2[i][i] = nd.y
-            right = nd.shifted(1, 0)
-            if right in nodes:
-                e1[index[(ci, right)]][i] = s1(nd)
-            up = nd.shifted(0, 1)
-            if up in nodes:
-                e2[index[(ci, up)]][i] = s2(nd)
-
-    form = None
-    if series != "A":
-        g = [[ZERO] * n for _ in range(n)]
-        for ci, comp in enumerate(graph.components):
-            for nd in comp.nodes:
-                a = index[(ci, nd)]
-                b = index[(ci, -nd)]
+            x2, y2 = 2 * dx - sx, 2 * dy - sy
+            s1, s2 = _shift_signs(series, shape.symmetry, x2, y2)
+            right = index.get((dx + 1, dy))
+            if right is not None:
+                e1[right][i] = s1
+            up = index.get((dx, dy + 1))
+            if up is not None:
+                e2[up][i] = s2
+            if g is not None:
+                antipode = index[sx - dx, sy - dy]
                 if series in ("B", "D"):
-                    g[a][b] = ONE
-                elif symmetries[ci] == SYM_SEMI_COLSORT:
-                    g[a][b] = ONE if nd.y > 0 else -ONE
+                    g[i][antipode] = ONE
+                elif shape.symmetry == SYM_SEMI_COLSORT:
+                    g[i][antipode] = ONE if y2 > 0 else -ONE
                 else:
-                    g[a][b] = ONE if nd.x > 0 else -ONE
-        form = tuple(tuple(r) for r in g)
+                    g[i][antipode] = ONE if x2 > 0 else -ONE
+        start += len(offsets)
+    form = None if g is None else tuple(tuple(r) for r in g)
 
     mats = [tuple(tuple(r) for r in m) for m in (e1, e2, h1, h2)]
     if sign == "minus":
-        i = index[(0, Node(HALF, HALF))]
-        j = index[(0, Node(-HALF, -HALF))]
+        i = labels.index(BasisLabel(0, Node(HALF, HALF)))
+        j = labels.index(BasisLabel(0, Node(-HALF, -HALF)))
         mats = [_conjugate_by_swap(m, i, j) for m in mats]
 
     spec = make_spec(series, n, form)
@@ -267,11 +247,48 @@ def build_pair(series: str, graph: SkewGraph, orbit_sign: Optional[str] = None) 
     )
 
 
-def in_algebra(spec: AlgebraSpec, m: Matrix) -> bool:
+def _commutator_entries(a: list, b: list) -> dict[tuple[int, int], int]:
+    """The nonzero entries of ab - ba, from the nonzero rows of a and b."""
+    out: dict[tuple[int, int], int] = {}
+    for i, row in enumerate(a):
+        for t, x in row:
+            for j, y in b[t]:
+                out[i, j] = out.get((i, j), 0) + x * y
+    for i, row in enumerate(b):
+        for t, x in row:
+            for j, y in a[t]:
+                out[i, j] = out.get((i, j), 0) - x * y
+    return {p: v for p, v in out.items() if v}
+
+
+def _in_algebra(spec: AlgebraSpec, rows: list, g_rows: list, g_cols: list) -> bool:
+    """in_algebra for the nonzero rows of a multiple of x, given those of G and G^T.
+
+    Series A asks for trace 0.  Otherwise x[c][a] adds x[c][a] G[c][b] to
+    entry (a, b) of x^T G and G[p][c] x[c][a] to entry (p, a) of G x, and
+    x^T G + G x must vanish.
+    """
     if spec.series == "A":
-        return sum((m[i][i] for i in range(len(m))), ZERO) == 0
-    g = spec.form
-    return is_zero_matrix(mat_add(mat_mul(transpose(m), g), mat_mul(g, m)))
+        return sum(x for i, row in enumerate(rows) for j, x in row if i == j) == 0
+    out: dict[tuple[int, int], int] = {}
+    for c, row in enumerate(rows):
+        for a, x in row:
+            for b, y in g_rows[c]:
+                out[a, b] = out.get((a, b), 0) + x * y
+            for p, y in g_cols[c]:
+                out[p, a] = out.get((p, a), 0) + y * x
+    return not any(out.values())
+
+
+def _gram_rows_cols(spec: AlgebraSpec) -> tuple[list, list]:
+    if spec.series == "A":
+        return [], []
+    g_rows = integral_rows(spec.form)[1]
+    return g_rows, transposed_rows(g_rows)
+
+
+def in_algebra(spec: AlgebraSpec, m: Matrix) -> bool:
+    return _in_algebra(spec, integral_rows(m)[1], *_gram_rows_cols(spec))
 
 
 @lru_cache(maxsize=None)
@@ -318,25 +335,44 @@ def algebra_basis(spec: AlgebraSpec) -> tuple[Matrix, ...]:
     return tuple(basis)
 
 
-def verify_relations(r: PairRealization) -> RelationReport:
-    """Check the defining relations, algebra membership and nondegeneracy."""
-    e1, e2, h1, h2 = r.e1, r.e2, r.h1, r.h2
-    checks = [
-        ("e1_e2_commute", is_zero_matrix(commutator(e1, e2))),
-        ("h1_h2_commute", is_zero_matrix(commutator(h1, h2))),
-        ("h1_e1_grading", commutator(h1, e1) == e1),
-        ("h1_e2_grading", is_zero_matrix(commutator(h1, e2))),
-        ("h2_e1_grading", is_zero_matrix(commutator(h2, e1))),
-        ("h2_e2_grading", commutator(h2, e2) == e2),
-        ("e1_in_algebra", in_algebra(r.spec, e1)),
-        ("e2_in_algebra", in_algebra(r.spec, e2)),
-        ("h1_in_algebra", in_algebra(r.spec, h1)),
-        ("h2_in_algebra", in_algebra(r.spec, h2)),
-        (
-            "form_nondegenerate",
-            r.spec.form is None or rank(r.spec.form) == r.spec.dimv,
-        ),
+def _bracket_checks(scaled: list) -> list[tuple[str, bool]]:
+    """The commuting and grading relations of e1, e2, h1, h2.
+
+    scaled holds integral_rows of e1, e2, h1 and h2: each matrix m enters
+    as its nonzero entries times c_m > 0, so the arithmetic is on ints.
+    Commuting does not change under scaling, and [h, e] = e holds iff
+    [c_h h, c_e e] = c_h (c_e e).
+    """
+    (_, e1), (_, e2), (c_h1, h1), (c_h2, h2) = scaled
+
+    def times(c: int, rows: list) -> dict[tuple[int, int], int]:
+        return {(i, j): c * x for i, row in enumerate(rows) for j, x in row}
+
+    return [
+        ("e1_e2_commute", not _commutator_entries(e1, e2)),
+        ("h1_h2_commute", not _commutator_entries(h1, h2)),
+        ("h1_e1_grading", _commutator_entries(h1, e1) == times(c_h1, e1)),
+        ("h1_e2_grading", not _commutator_entries(h1, e2)),
+        ("h2_e1_grading", not _commutator_entries(h2, e1)),
+        ("h2_e2_grading", _commutator_entries(h2, e2) == times(c_h2, e2)),
     ]
+
+
+def verify_relations(r: PairRealization) -> RelationReport:
+    """Check the defining relations, algebra membership and nondegeneracy.
+
+    The brackets and x^T G + G x are computed from the nonzero entries of
+    integer multiples of the matrices; membership in g does not change under
+    scaling either.
+    """
+    spec = r.spec
+    scaled = [integral_rows(m) for m in (r.e1, r.e2, r.h1, r.h2)]
+    gram = _gram_rows_cols(spec)
+    checks = _bracket_checks(scaled) + [
+        (f"{name}_in_algebra", _in_algebra(spec, rows, *gram))
+        for name, (_, rows) in zip(("e1", "e2", "h1", "h2"), scaled)
+    ]
+    checks.append(("form_nondegenerate", spec.form is None or rank(spec.form) == spec.dimv))
     return RelationReport(tuple(checks))
 
 
@@ -356,18 +392,34 @@ def matrix_to_jsonable(m: Matrix, fmt: str = "dense"):
 
 
 def matrix_from_jsonable(data) -> Matrix:
+    """Read a dense (list of rows) or sparse ({shape, entries}) matrix.
+
+    Raises ValueError for any other JSON value, an entry outside the shape,
+    or an entry that is not a number.
+    """
     if isinstance(data, dict):
-        n = data["shape"]
+        n, entries = data.get("shape"), data.get("entries")
+        if type(n) is not int or n < 0 or not isinstance(entries, list):
+            raise ValueError("a sparse matrix needs an integer shape and a list of entries")
         rows = [[ZERO] * n for _ in range(n)]
-        for i, j, v in data["entries"]:
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == 3 and all(type(k) is int for k in entry[:2])):
+                raise ValueError(f"sparse entry {reprlib.repr(entry)} is not [row, column, value]")
+            i, j, v = entry
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"sparse entry ({i}, {j}) lies outside a {n}x{n} matrix")
             rows[i][j] = parse_fraction(v)
         return tuple(tuple(r) for r in rows)
+    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+        raise ValueError(f"a matrix must be a list of rows or a sparse object, got {type(data).__name__}")
     return tuple(tuple(parse_fraction(x) for x in row) for row in data)
 
 
-def _square(m: Matrix, n: int, name: str) -> Matrix:
+def _square(data, n: int, name: str) -> Matrix:
+    """The n x n matrix in data; a sparse shape is checked before it is filled."""
+    if isinstance(data, dict) and data.get("shape") != n:
+        raise ValueError(f"{name} is not a {n}x{n} matrix")
+    m = matrix_from_jsonable(data)
     if len(m) != n or any(len(row) != n for row in m):
         raise ValueError(f"{name} is not a {n}x{n} matrix")
     return m
@@ -396,11 +448,14 @@ def realization_to_jsonable(r: PairRealization, fmt: str = "dense") -> dict:
 def realization_from_jsonable(data: dict) -> PairRealization:
     """Read a realization document.
 
-    Raises ValueError when a matrix is not dimV x dimV, when the label count
-    differs from dimV, when series B, C or D comes without a Gram matrix, or
-    when a number has a zero denominator.
+    Raises ValueError when a value has the wrong JSON type, when a matrix is
+    not dimV x dimV, when the label count differs from dimV, when series B,
+    C or D comes without a Gram matrix, or when a number has a zero
+    denominator.
     """
 
+    if not isinstance(data, dict):
+        raise ValueError("a realization must be a JSON object")
     series, n = data["series"], data["dimv"]
     if type(n) is not int or n < 1:
         raise ValueError(f"dimv must be a positive integer, got {n!r}")
@@ -409,14 +464,15 @@ def realization_from_jsonable(data: dict) -> PairRealization:
             raise ValueError(f"a series {series} realization needs its gram matrix")
         form = None
     else:
-        form = _square(matrix_from_jsonable(data["gram"]), n, "gram")
+        form = _square(data["gram"], n, "gram")
     spec = make_spec(series, n, form)
-    labels = tuple(
-        BasisLabel(item["component"], node_from_jsonable(item["node"])) for item in data["labels"]
-    )
+    items = data["labels"]
+    if not (isinstance(items, list) and all(isinstance(item, dict) for item in items)):
+        raise ValueError("labels must be a list of {component, node} objects")
+    labels = tuple(BasisLabel(item["component"], node_from_jsonable(item["node"])) for item in items)
     if len(labels) != n:
         raise ValueError(f"{len(labels)} labels for dimv {n}")
-    e1, e2, h1, h2 = (_square(matrix_from_jsonable(data[k]), n, k) for k in ("e1", "e2", "h1", "h2"))
+    e1, e2, h1, h2 = (_square(data[k], n, k) for k in ("e1", "e2", "h1", "h2"))
     return PairRealization(
         spec=spec,
         graph=graph_from_jsonable(data["graph"]),

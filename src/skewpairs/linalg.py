@@ -5,12 +5,15 @@ fraction-free: rows are scaled to primitive integer vectors (content
 reduction), eliminated with the two-row integer rule, and only normalized
 back to leading-one Fractions at the end.  Pivoting is by first nonzero
 column with ties broken by row order, so every result is deterministic.
+Rows that are ints already, such as the block systems of the graded solve,
+never become Fractions: rank() and integer_nullspace() stay on ints.
 """
 
 from __future__ import annotations
 
+import reprlib
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Matrix = tuple
@@ -21,11 +24,19 @@ ONE = Fraction(1)
 
 
 def parse_fraction(value) -> Fraction:
-    """Fraction(value) for external input: a zero denominator is a ValueError."""
+    """Fraction(value) for external input.
+
+    A zero denominator, an infinity, and a value that is neither a number
+    nor a string, is a ValueError.
+    """
     try:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
+    except OverflowError:
+        raise ValueError(f"{value!r} is not a finite number") from None
+    except TypeError:
+        raise ValueError(f"expected a number or a numeric string, got {reprlib.repr(value)}") from None
 
 
 def matrix(rows: Iterable[Iterable]) -> Matrix:
@@ -101,6 +112,26 @@ def is_diagonal(a: Matrix) -> bool:
     return all(not x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
 
 
+def integral_rows(m: Matrix) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(c, rows): rows[i] lists the (j, c * m[i][j]) with m[i][j] != 0.
+
+    c > 0 is the least common denominator of the entries, so the values are
+    ints.
+    """
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in m]
+    c = lcm(*(x.denominator for row in nonzero for _, x in row))
+    return c, [[(j, x.numerator * (c // x.denominator)) for j, x in row] for row in nonzero]
+
+
+def transposed_rows(rows: Sequence[Sequence[tuple[int, object]]]) -> list[list[tuple[int, object]]]:
+    """The (index, value) rows of the transpose of a square matrix given by its rows."""
+    cols: list[list] = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            cols[j].append((i, x))
+    return cols
+
+
 def _primitive(row: Sequence) -> list[int]:
     """Scale a rational row to a primitive integer row (positive leading entry).
 
@@ -116,6 +147,11 @@ def _primitive(row: Sequence) -> list[int]:
         ints = [x.numerator for x in row]
     else:
         ints = [x.numerator * (den // x.denominator) for x in row]
+    return _content_reduced(ints)
+
+
+def _content_reduced(ints: list[int]) -> list[int]:
+    """An integer row divided by its content, with a positive leading entry."""
     g = 0
     for v in ints:
         if v:
@@ -132,11 +168,12 @@ def _primitive(row: Sequence) -> list[int]:
     return ints
 
 
-def rref(rows: Iterable[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form with the pivot columns.
+def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination on content-reduced integer rows.
 
-    Fraction-free elimination on content-reduced integer rows; zero rows are
-    dropped and pivots are normalized to 1 at the end.
+    Returns (work, pivots): zero rows are dropped, and work[i] is a
+    primitive integer row whose only nonzero entry in a pivot column is at
+    pivots[i].
     """
     work = []
     for row in rows:
@@ -144,7 +181,7 @@ def rref(rows: Iterable[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
         if any(ints):
             work.append(ints)
     if not work:
-        return (), ()
+        return [], []
     ncols = len(work[0])
     pivots: list[int] = []
     r = 0
@@ -162,36 +199,59 @@ def rref(rows: Iterable[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
         for i in range(len(work)):
             if i != r and work[i][c]:
                 f = work[i][c]
-                work[i] = _primitive([piv * a - f * b for a, b in zip(work[i], pivot_vec)])
+                work[i] = _content_reduced([piv * a - f * b for a, b in zip(work[i], pivot_vec)])
         pivots.append(c)
         r += 1
         if r == len(work):
             break
+    return work[:r], pivots
+
+
+def rref(rows: Iterable[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form with the pivot columns.
+
+    Fraction-free elimination on content-reduced integer rows; zero rows are
+    dropped and pivots are normalized to 1 at the end, when only the nonzero
+    entries become Fractions.
+    """
+    work, pivots = _eliminate(rows)
     reduced = []
-    for i, c in enumerate(pivots):
-        piv = work[i][c]
-        reduced.append(tuple(Fraction(x, piv) for x in work[i]))
+    for row, c in zip(work, pivots):
+        piv = row[c]
+        reduced.append(tuple(Fraction(x, piv) if x else ZERO for x in row))
     return tuple(reduced), tuple(pivots)
 
 
 def rank(rows: Iterable[Sequence]) -> int:
-    return len(rref(rows)[0])
+    return len(_eliminate(rows)[1])
 
 
 def nullspace(rows: Iterable[Sequence], ncols: int) -> tuple[Vector, ...]:
     """Canonical basis of the right nullspace (one vector per free column)."""
-    red, pivots = rref(rows)
+    return tuple(
+        tuple(Fraction(x, v[free]) if x else ZERO for x in v)
+        for free, v in integer_nullspace(rows, ncols)
+    )
+
+
+def integer_nullspace(rows: Iterable[Sequence], ncols: int) -> list[tuple[int, list[int]]]:
+    """(free, v) per free column, v the nullspace() vector of that column
+    scaled to a primitive integer vector with v[free] > 0."""
+    work, pivots = _eliminate(rows)
     pivot_set = set(pivots)
-    basis = []
+    out = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [ZERO] * ncols
-        v[free] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][free]
-        basis.append(tuple(v))
-    return tuple(basis)
+        hits = [(row[free], row[p], p) for row, p in zip(work, pivots) if row[free]]
+        scale = lcm(*(piv for _, piv, _ in hits))
+        v = [0] * ncols
+        v[free] = scale
+        for x, piv, p in hits:
+            v[p] = -x * (scale // piv)
+        g = gcd(*v)
+        out.append((free, [x // g for x in v] if g > 1 else v))
+    return out
 
 
 def solve(rows: Iterable[Sequence], rhs: Sequence) -> Optional[Vector]:
@@ -200,12 +260,13 @@ def solve(rows: Iterable[Sequence], rhs: Sequence) -> Optional[Vector]:
     if not aug:
         return ()
     ncols = len(aug[0]) - 1
-    red, pivots = rref(aug)
+    work, pivots = _eliminate(aug)
     if ncols in pivots:
         return None
     x = [ZERO] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = red[i][ncols]
+    for row, p in zip(work, pivots):
+        if row[ncols]:
+            x[p] = Fraction(row[ncols], row[p])
     return tuple(x)
 
 

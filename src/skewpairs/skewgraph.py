@@ -20,6 +20,7 @@ overlap that actually occurs in the even orthogonal series.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -100,73 +101,105 @@ def component_from_nodes(nodes: Iterable[Node]) -> Component:
     return Component(nodes=tuple(sorted(frozenset(nodes))))
 
 
-def _neighbours(nd: Node) -> tuple[Node, ...]:
-    return (nd.shifted(1, 0), nd.shifted(-1, 0), nd.shifted(0, 1), nd.shifted(0, -1))
-
-
-def _is_connected(nodes: frozenset[Node]) -> bool:
-    if not nodes:
+def _is_connected(cells: frozenset[tuple[int, int]]) -> bool:
+    if not cells:
         return False
-    seen = {next(iter(nodes))}
-    stack = list(seen)
+    start = next(iter(cells))
+    seen = {start}
+    stack = [start]
     while stack:
-        nd = stack.pop()
-        for nb in _neighbours(nd):
-            if nb in nodes and nb not in seen:
+        x, y = stack.pop()
+        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if nb in cells and nb not in seen:
                 seen.add(nb)
                 stack.append(nb)
-    return len(seen) == len(nodes)
+    return len(seen) == len(cells)
+
+
+def _cell_offsets(comp: Component) -> Optional[list[tuple[int, int]]]:
+    """Integer offsets of comp's nodes from its first node, in node order.
+
+    None when some node is off by a non-integral vector.  x - x0 is an
+    integer exactly when the reduced fractions x and x0 share a denominator
+    and their numerators agree modulo it, so no Fraction is built.
+    """
+    x0, y0 = comp.nodes[0].x, comp.nodes[0].y
+    px, qx, py, qy = x0.numerator, x0.denominator, y0.numerator, y0.denominator
+    out = []
+    for nd in comp.nodes:
+        x, y = nd.x, nd.y
+        if x.denominator != qx or y.denominator != qy:
+            return None
+        dx, rx = divmod(x.numerator - px, qx)
+        dy, ry = divmod(y.numerator - py, qy)
+        if rx or ry:
+            return None
+        out.append((dx, dy))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
 
-def _component_findings(index: int, comp: Component) -> list[str]:
+def _component_cells(index: int, comp: Component) -> tuple[Optional[frozenset], list[str]]:
+    """comp as integer cells (offsets from its first node) and its findings.
+
+    The cells are None when the component is empty or not on one integer
+    lattice; the component is valid iff the findings are empty.
+    """
     tag = f"component {index}"
-    findings = []
-    nodes = comp.node_set
-    if not nodes:
-        return [f"{tag}: empty node set"]
+    if not comp.nodes:
+        return None, [f"{tag}: empty node set"]
+    offsets = _cell_offsets(comp)
+    if offsets is None:
+        return None, [f"{tag}: nodes do not all differ by integer vectors"]
+    cells = frozenset(offsets)
     base = comp.nodes[0]
-    if any((nd.x - base.x).denominator != 1 or (nd.y - base.y).denominator != 1 for nd in nodes):
-        return [f"{tag}: nodes do not all differ by integer vectors"]
-    for nd in sorted(nodes):
-        if nd.shifted(1, 1) in nodes:
-            for req in (nd.shifted(0, 1), nd.shifted(1, 0)):
-                if req not in nodes:
-                    findings.append(
-                        f"{tag}: axiom (iv) fails at square {_node_text(nd)}:"
-                        f" {_node_text(req)} is missing"
-                    )
-    if not _is_connected(nodes):
-        findings.append(f"{tag}: not connected")
-    return findings
-
-
-def validate(graph: SkewGraph) -> list[str]:
-    """Check every axiom; the graph is valid iff the returned list is empty."""
     findings = []
+    for x, y in sorted(cells):
+        if (x + 1, y + 1) in cells:
+            for req in ((x, y + 1), (x + 1, y)):
+                if req not in cells:
+                    findings.append(
+                        f"{tag}: axiom (iv) fails at square {_node_text(base.shifted(x, y))}:"
+                        f" {_node_text(base.shifted(*req))} is missing"
+                    )
+    if not _is_connected(cells):
+        findings.append(f"{tag}: not connected")
+    return cells, findings
+
+
+def _validated(graph: SkewGraph) -> tuple[list[str], list[Optional[frozenset]]]:
+    """validate(graph), and each component's integer cells."""
+    findings = []
+    cells = []
     for i, comp in enumerate(graph.components):
-        findings.extend(_component_findings(i, comp))
+        comp_cells, comp_findings = _component_cells(i, comp)
+        cells.append(comp_cells)
+        findings.extend(comp_findings)
     sx = sum((nd.x for c in graph.components for nd in c.nodes), Fraction(0))
     sy = sum((nd.y for c in graph.components for nd in c.nodes), Fraction(0))
     if sx or sy:
         findings.append(f"barycentre is ({sx},{sy}), not the origin")
-    origin_holders = 0
-    for i in range(len(graph.components)):
-        if ORIGIN in graph.components[i].node_set:
-            origin_holders += 1
-        for j in range(i + 1, len(graph.components)):
-            inter = graph.components[i].node_set & graph.components[j].node_set
+    # Components may share only (0,0), and at most two may hold it.
+    node_sets = [c.node_set for c in graph.components] if len(graph.components) > 1 else []
+    for i, nodes in enumerate(node_sets):
+        for j in range(i + 1, len(node_sets)):
+            inter = nodes & node_sets[j]
             if inter and inter != frozenset({ORIGIN}):
                 findings.append(
                     f"components {i} and {j} share {len(inter)} nodes;"
                     " only a single shared node (0,0) is allowed"
                 )
-    if origin_holders > 2:
+    if sum(ORIGIN in nodes for nodes in node_sets) > 2:
         findings.append("more than two components contain the node (0,0)")
-    return findings
+    return findings, cells
+
+
+def validate(graph: SkewGraph) -> list[str]:
+    """Check every axiom; the graph is valid iff the returned list is empty."""
+    return _validated(graph)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +235,16 @@ def classify_component(comp: Component) -> ShapeClass:
     Central symmetry is taken about the origin, which is the barycentre for
     every component produced by this package.
     """
-    findings = _component_findings(0, comp)
+    cells, findings = _component_cells(0, comp)
     if findings:
         raise ValueError("component is not a valid connected skew-graph: " + "; ".join(findings))
-    nodes = comp.node_set
+    return _cell_shape(cells, comp.nodes[0])
 
-    sources = [nd for nd in nodes if nd.shifted(-1, 0) not in nodes and nd.shifted(0, -1) not in nodes]
-    sinks = [nd for nd in nodes if nd.shifted(1, 0) not in nodes and nd.shifted(0, 1) not in nodes]
+
+def _cell_shape(cells: frozenset[tuple[int, int]], base: Node) -> ShapeClass:
+    """classify_component for a valid component given as cells offset from base."""
+    sources = [(x, y) for x, y in cells if (x - 1, y) not in cells and (x, y - 1) not in cells]
+    sinks = [(x, y) for x, y in cells if (x + 1, y) not in cells and (x, y + 1) not in cells]
     if len(sources) == 1 and len(sinks) == 1:
         young = "both"
     elif len(sources) == 1:
@@ -218,27 +254,30 @@ def classify_component(comp: Component) -> ShapeClass:
     else:
         young = "neither"
 
-    xs = sorted({nd.x for nd in nodes})
-    ys = sorted({nd.y for nd in nodes})
+    xs = sorted({x for x, _ in cells})
+    ys = sorted({y for _, y in cells})
     rectangle = None
-    if len(nodes) == len(xs) * len(ys) and xs[-1] - xs[0] == len(xs) - 1 and ys[-1] - ys[0] == len(ys) - 1:
+    if len(cells) == len(xs) * len(ys) and xs[-1] - xs[0] == len(xs) - 1 and ys[-1] - ys[0] == len(ys) - 1:
         rectangle = (len(xs), len(ys))
 
-    # Symmetric about the origin: the bounding box is centred there and the
-    # cells are symmetric within it.
+    # Symmetric about the origin: the bounding box is centred there, that is
+    # 2 * base + (min + max) = 0 in each coordinate, and the cells are
+    # symmetric within it.
     symmetry = SYM_NOT_CS
-    if xs[0] + xs[-1] == 0 and ys[0] + ys[-1] == 0:
-        base = comp.nodes[0]
-        cells = frozenset((int(nd.x - base.x), int(nd.y - base.y)) for nd in nodes)
+    if (
+        2 * base.x.numerator + (xs[0] + xs[-1]) * base.x.denominator == 0
+        and 2 * base.y.numerator + (ys[0] + ys[-1]) * base.y.denominator == 0
+    ):
         symmetry = _cell_symmetry(cells)
 
     near = None
-    if symmetry == SYM_NON_INTEGRAL and rectangle is None and len(nodes) % 4 == 2:
-        width = int(xs[-1] - xs[0]) + 1
-        height = int(ys[-1] - ys[0]) + 1
+    if symmetry == SYM_NON_INTEGRAL and rectangle is None and len(cells) % 4 == 2:
+        width = xs[-1] - xs[0] + 1
+        height = ys[-1] - ys[0] + 1
         if width % 2 == 0 and height % 2 == 0:
-            for name, cand in _near_rectangular_sets(width, height):
-                if cand == nodes:
+            cornered = frozenset((x - xs[0], y - ys[0]) for x, y in cells)
+            for name, cand in _near_rectangular_cellsets(width, height):
+                if cand == cornered:
                     near = name
                     break
 
@@ -253,28 +292,43 @@ def rectangle_nodes(width: int, height: int) -> frozenset[Node]:
 
 
 @lru_cache(maxsize=None)
-def _near_rectangular_sets(width: int, height: int) -> tuple[tuple[str, frozenset[Node]], ...]:
-    """Connected near-rectangular node sets built from an even x even rectangle.
+def _near_rectangular_cellsets(width: int, height: int) -> tuple[tuple[str, frozenset], ...]:
+    """Connected near-rectangular cell sets cut from an even x even rectangle.
 
-    Constructive per the defining recipe: trim the extreme columns (or rows)
-    centrally-symmetrically, either one square or all squares but one.
-    Degenerate coincidences (height or width 2) collapse onto the corner
-    ("third") shape, which is listed first.
+    Cells have their min corner at the origin.  Constructive per the
+    defining recipe: trim the extreme columns (or rows) centrally
+    symmetrically, either one square or all squares but one.  Degenerate
+    coincidences (height or width 2) collapse onto the corner ("third")
+    shape, which is listed first.  The three cuts leave wh - 2,
+    wh - 2(h - 1) and wh - 2(w - 1) cells.
     """
     if width % 2 or height % 2 or width < 2 or height < 2:
         return ()
-    rect = rectangle_nodes(width, height)
-    xs = sorted({nd.x for nd in rect})
-    ys = sorted({nd.y for nd in rect})
-    left, right, bottom, top = xs[0], xs[-1], ys[0], ys[-1]
-    third = rect - {Node(left, bottom), Node(right, top)}
-    first = rect - {Node(left, y) for y in ys[:-1]} - {Node(right, y) for y in ys[1:]}
-    second = rect - {Node(x, bottom) for x in xs[:-1]} - {Node(x, top) for x in xs[1:]}
-    out: list[tuple[str, frozenset[Node]]] = []
+    right, top = width - 1, height - 1
+    rect = frozenset((x, y) for x in range(width) for y in range(height))
+    third = rect - {(0, 0), (right, top)}
+    first = rect - {(0, y) for y in range(top)} - {(right, y) for y in range(1, height)}
+    second = rect - {(x, 0) for x in range(right)} - {(x, top) for x in range(1, width)}
+    out: list[tuple[str, frozenset]] = []
     for name, cand in (("third", third), ("first", first), ("second", second)):
         if _is_connected(cand) and all(cand != prev for _, prev in out):
             out.append((name, cand))
     return tuple(out)
+
+
+def _near_rectangular_components(n: int) -> list[Component]:
+    """The connected n-node near-rectangular components, centred on the origin.
+
+    Only the even boxes with n among their three cut sizes are built.
+    """
+    out = []
+    for w in range(2, n + 3, 2):
+        for h in range(2, n + 3, 2):
+            if n in (w * h - 2, w * h - 2 * (h - 1), w * h - 2 * (w - 1)):
+                for _, cells in _near_rectangular_cellsets(w, h):
+                    if len(cells) == n:
+                        out.append(_cells_to_component(cells))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +340,14 @@ def canonical_form(graph: SkewGraph) -> SkewGraph:
     n = graph.n_nodes
     sx = sum((nd.x for c in graph.components for nd in c.nodes), Fraction(0)) / n
     sy = sum((nd.y for c in graph.components for nd in c.nodes), Fraction(0)) / n
-    comps = [component_from_nodes(nd.shifted(-sx, -sy) for nd in c.nodes) for c in graph.components]
+    if sx or sy:
+        comps = [component_from_nodes(nd.shifted(-sx, -sy) for nd in c.nodes) for c in graph.components]
+    else:
+        # Already centred: keep each component whose nodes are strictly sorted.
+        comps = [
+            c if all(a < b for a, b in zip(c.nodes, c.nodes[1:])) else component_from_nodes(c.nodes)
+            for c in graph.components
+        ]
     comps.sort(key=lambda c: (-len(c), c.nodes))
     return SkewGraph(tuple(comps))
 
@@ -453,11 +514,7 @@ def enumerate_admissible(
                         graphs.append(SkewGraph((c0,) + comps))
         else:
             graphs = _rectangle_graphs(dimv, lambda w, h: w % 2 == 0 and h % 2 == 0)
-            for w in range(2, dimv + 3, 2):
-                for h in range(2, dimv + 3, 2):
-                    for _, cand in _near_rectangular_sets(w, h):
-                        if len(cand) == dimv:
-                            graphs.append(SkewGraph((component_from_nodes(cand),)))
+            graphs.extend(SkewGraph((comp,)) for comp in _near_rectangular_components(dimv))
             for w in range(1, dimv, 2):
                 h = (dimv - 1) // w
                 if w * h == dimv - 1 and h % 2 == 1 and dimv - 1 >= 3:
@@ -482,13 +539,27 @@ def enumerate_admissible(
 
 def is_admissible(series: str, graph: SkewGraph, kind: str) -> bool:
     """Structural admissibility test; equivalent to enumeration membership."""
+    return _admissible_shapes(series, graph, kind) is not None
+
+
+def _admissible_shapes(series: str, graph: SkewGraph, kind: str) -> Optional[list[ShapeClass]]:
+    """The ShapeClass of each component when the graph is admissible, else None.
+
+    The graph is validated once; its components are classified from the
+    integer cells that validation built.
+    """
     if series not in SERIES or kind not in KINDS:
         raise ValueError("unknown series or kind")
-    if validate(graph):
-        return False
-    comps = list(graph.components)
-    shapes = [classify_component(c) for c in comps]
+    findings, cells = _validated(graph)
+    if findings:
+        return None
+    shapes = [_cell_shape(c, comp.nodes[0]) for c, comp in zip(cells, graph.components)]
+    return shapes if _shapes_admissible(series, graph, kind, shapes) else None
 
+
+def _shapes_admissible(series: str, graph: SkewGraph, kind: str, shapes: list[ShapeClass]) -> bool:
+    """Admissibility of a valid graph, given the shapes of its components."""
+    comps = list(graph.components)
     if series == "A":
         if len(comps) != 1:
             return False
@@ -609,14 +680,18 @@ def graph_to_jsonable(graph: SkewGraph) -> dict:
 
 
 def node_from_jsonable(pair) -> Node:
+    """A node from a JSON pair of numbers or numeric strings (ValueError otherwise)."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"a node must be a pair of coordinates, got {reprlib.repr(pair)}")
     x, y = pair
     return Node(parse_fraction(x), parse_fraction(y))
 
 
 def graph_from_jsonable(data: dict) -> SkewGraph:
-    return SkewGraph(tuple(
-        component_from_nodes(map(node_from_jsonable, nodes)) for nodes in data["components"]
-    ))
+    comps = data["components"] if isinstance(data, dict) else None
+    if not (isinstance(comps, list) and all(isinstance(nodes, list) for nodes in comps)):
+        raise ValueError("a graph must be an object whose components are lists of nodes")
+    return SkewGraph(tuple(component_from_nodes(map(node_from_jsonable, nodes)) for nodes in comps))
 
 
 def render_ascii(graph: SkewGraph) -> str:

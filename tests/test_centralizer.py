@@ -9,6 +9,7 @@ import pytest
 from skewpairs.centralizer import (
     NormalFormError,
     _canonical_span,
+    _eigenframe,
     _flatten,
     _graded_commutant,
     a_operator_matrix,
@@ -120,17 +121,18 @@ def test_graded_commutant_agrees_with_dense():
         for dimv in dims:
             for g in enumerate_admissible(series, dimv, "distinguished"):
                 cases.append((series, g))
-    zero, d1, d2 = (F(0), F(0)), (F(1), F(0)), (F(0), F(1))
     for series, g in cases:
         r = build_pair(series, g)
-        weights = tuple((r.h1[i][i], r.h2[i][i]) for i in range(r.spec.dimv))
+        frame, _ = _eigenframe(r.spec, r.h1, r.h2, ())
+        # Degrees are int pairs in units of 1 / frame.den.
+        zero, d1, d2 = (0, 0), (frame.den, 0), (0, frame.den)
         for elements in (
             [(r.e1, d1), (r.e2, d2)],
             [(r.h1, zero), (r.h2, zero)],
             [(r.h1, zero), (r.h2, zero), (r.e1, d1), (r.e2, d2)],
         ):
-            pieces = _graded_commutant(r.spec, weights, elements)
-            graded = _canonical_span([m for piece in pieces.values() for m in piece], r.spec.dimv)
+            pieces = _graded_commutant(frame, elements)
+            graded = _canonical_span([m for piece in pieces.values() for _, m in piece], r.spec.dimv)
             dense = centralizer(r.spec, [m for m, _ in elements])
             assert graded == dense, (series, graph_to_text(g))
 
@@ -549,3 +551,28 @@ def test_derived_facts_match_dense_oracles():
                 assert commutator(c.h1, w) == mat_scale(p, w), where
                 assert commutator(c.h2, w) == mat_scale(q, w), where
     assert moved_count > 50
+
+
+def test_analyze_ignores_scalar_factors_of_e_and_the_form():
+    # The graded solve scales e1, e2 and the Gram matrix to integers.  The
+    # commutant of c e is that of e, [x, c e] = -h is solvable iff
+    # [x, e] = -h is, and c G defines the same algebra, so a realization
+    # whose e1, e2 and form carry non-unit factors has the same report.
+    rng = random.Random(20261018)
+    for r in _small_realizations():
+        copies = [r]
+        if r.spec.dimv <= 4:
+            moved = _conjugated(r, rng) if r.spec.dimv > 1 else None
+            copies += [moved] if moved is not None else []
+        for c in copies:
+            base = analyze(c)
+            for c1, c2, cg in ((F(2), F(2), F(1)), (F(6), F(-4), F(3)), (F(2, 3), F(5, 7), F(-1, 2))):
+                spec = c.spec if c.spec.form is None else replace(c.spec, form=mat_scale(cg, c.spec.form))
+                scaled = replace(c, spec=spec, e1=mat_scale(c1, c.e1), e2=mat_scale(c2, c.e2))
+                rep = analyze(scaled)
+                assert (
+                    rep.dimension, rep.basis, rep.grading, rep.biexponents, rep.flags, rep.nonpositive_witness
+                ) == (
+                    base.dimension, base.basis, base.grading, base.biexponents, base.flags, base.nonpositive_witness
+                ), (c.spec.series, graph_to_text(r.graph), c1, c2, cg)
+                assert is_rectangular_pair(scaled) == base.flags.rectangular

@@ -242,3 +242,53 @@ def test_catalog_verification_failure_is_a_finding(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("finding: entry is not distinguished") and err.count("\n") == 1
+
+
+def _set_e1(value):
+    def mutate(doc):
+        doc["e1"] = value
+
+    return mutate
+
+
+def _set_label_node(value):
+    def mutate(doc):
+        doc["labels"][0]["node"] = value
+
+    return mutate
+
+
+def _set_graph_node(value):
+    def mutate(doc):
+        doc["graph"]["components"][0][0] = value
+
+    return mutate
+
+
+def _set_key(key, value):
+    def mutate(doc):
+        if key == "components":
+            doc["graph"]["components"] = value
+        else:
+            doc[key] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(_set_e1(5), id="matrix-is-a-number"),
+        pytest.param(_set_e1([1, 2, 3, 4, 5, 6]), id="matrix-rows-are-numbers"),
+        pytest.param(_set_e1({"shape": "6", "entries": []}), id="sparse-shape-is-a-string"),
+        pytest.param(_set_label_node([[1], "0"]), id="label-coordinate-is-a-list"),
+        pytest.param(_set_label_node(7), id="label-node-is-a-number"),
+        pytest.param(_set_graph_node([None, "0"]), id="graph-coordinate-is-null"),
+        pytest.param(_set_key("labels", 5), id="labels-is-a-number"),
+        pytest.param(_set_key("components", 5), id="components-is-a-number"),
+    ],
+)
+def test_verify_rejects_wrong_json_types(tmp_path, capsys, mutate):
+    # Each of these once escaped as a TypeError traceback with exit 1.
+    code, _ = _verify_mutated(tmp_path, capsys, mutate)
+    assert code == 2

@@ -7,6 +7,7 @@ import pytest
 
 from skewpairs.liealg import (
     NotAdmissibleError,
+    RelationReport,
     algebra_basis,
     build_pair,
     in_algebra,
@@ -17,10 +18,14 @@ from skewpairs.liealg import (
     verify_relations,
 )
 from skewpairs.linalg import (
+    commutator,
     is_zero_matrix,
+    mat_add,
+    mat_mul,
     mat_pow,
     mat_sub,
     matrix,
+    rank,
     trace,
     transpose,
 )
@@ -213,3 +218,101 @@ def test_realization_json_rejects_sparse_entry_outside_shape():
         data["e1"]["entries"].append(bad)
         with pytest.raises(ValueError, match="outside"):
             realization_from_jsonable(data)
+
+
+# ---------------------------------------------------------------------------
+# dense oracle for the sparse relation checks
+# ---------------------------------------------------------------------------
+
+def _dense_in_algebra(spec, m):
+    if spec.series == "A":
+        return trace(m) == 0
+    g = spec.form
+    return is_zero_matrix(mat_add(mat_mul(transpose(m), g), mat_mul(g, m)))
+
+
+def _dense_relations(r):
+    """verify_relations by dense Fraction commutators and x^T G + G x."""
+    e1, e2, h1, h2 = r.e1, r.e2, r.h1, r.h2
+    checks = [
+        ("e1_e2_commute", is_zero_matrix(commutator(e1, e2))),
+        ("h1_h2_commute", is_zero_matrix(commutator(h1, h2))),
+        ("h1_e1_grading", commutator(h1, e1) == e1),
+        ("h1_e2_grading", is_zero_matrix(commutator(h1, e2))),
+        ("h2_e1_grading", is_zero_matrix(commutator(h2, e1))),
+        ("h2_e2_grading", commutator(h2, e2) == e2),
+        ("e1_in_algebra", _dense_in_algebra(r.spec, e1)),
+        ("e2_in_algebra", _dense_in_algebra(r.spec, e2)),
+        ("h1_in_algebra", _dense_in_algebra(r.spec, h1)),
+        ("h2_in_algebra", _dense_in_algebra(r.spec, h2)),
+        ("form_nondegenerate", r.spec.form is None or rank(r.spec.form) == r.spec.dimv),
+    ]
+    return RelationReport(tuple(checks))
+
+
+def _distinguished_realizations(max_dimv):
+    for series, first, step in (("A", 1, 1), ("B", 1, 2), ("C", 2, 2), ("D", 2, 2)):
+        for dimv in range(first, max_dimv + 1, step):
+            for g in enumerate_admissible(series, dimv, "distinguished"):
+                signs = ("plus", "minus") if series == "D" and g.is_connected() else (None,)
+                for sign in signs:
+                    yield build_pair(series, g, sign)
+
+
+def test_sparse_relations_match_dense_oracle():
+    count = 0
+    for r in _distinguished_realizations(8):
+        assert verify_relations(r) == _dense_relations(r), (r.spec.series, r.graph)
+        count += 1
+    assert count > 500
+
+
+def _with_entry(m, i, j, value):
+    rows = [list(row) for row in m]
+    rows[i][j] = value
+    return tuple(tuple(row) for row in rows)
+
+
+def test_sparse_relations_match_dense_oracle_on_mutations():
+    # Every single-entry change of e1, e2, h1, h2 or the Gram matrix to a
+    # few values, on every distinguished realization with dimV <= 4.
+    checks, failed = set(), set()
+    for r in _distinguished_realizations(4):
+        n = r.spec.dimv
+        names = ("e1", "e2", "h1", "h2") + (() if r.spec.form is None else ("gram",))
+        for name in names:
+            m = r.spec.form if name == "gram" else getattr(r, name)
+            for i in range(n):
+                for j in range(n):
+                    for value in (F(0), F(1), F(-1), F(2), F(1, 2)):
+                        if m[i][j] == value:
+                            continue
+                        moved = _with_entry(m, i, j, value)
+                        if name == "gram":
+                            mutant = replace(r, spec=replace(r.spec, form=moved))
+                        else:
+                            mutant = replace(r, **{name: moved})
+                        rep = verify_relations(mutant)
+                        assert rep == _dense_relations(mutant), (r.graph, name, i, j, value)
+                        checks.update(check for check, _ in rep.checks)
+                        failed.update(rep.failures)
+    # The mutations make each of the 11 checks fail at least once.
+    assert len(checks) == 11 and failed == checks
+
+
+def test_realization_json_checks_sparse_shape_before_filling():
+    # A small document that declares a large sparse shape is refused before
+    # shape x shape entries are allocated.
+    import tracemalloc
+
+    r = build_pair("C", rect_graph(3, 2))
+    data = realization_to_jsonable(r, "sparse")
+    data["gram"] = {"shape": 2000, "entries": []}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="gram"):
+            realization_from_jsonable(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

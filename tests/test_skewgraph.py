@@ -12,10 +12,16 @@ from skewpairs.skewgraph import (
     SYM_NON_INTEGRAL,
     SYM_SEMI_COLSORT,
     SYM_SEMI_ROWSORT,
+    Component,
     EnumerationLimitError,
     Node,
+    ShapeClass,
     SkewGraph,
+    _cells_to_component,
+    _component_cells,
     _cs_components,
+    _near_rectangular_cellsets,
+    _near_rectangular_components,
     canonical_form,
     classify_component,
     component_from_nodes,
@@ -208,6 +214,164 @@ def test_symmetry_classes_match_negation_oracle():
     # symmetry is about the origin: a translated copy is not centrally symmetric
     moved = component_from_nodes(nd.shifted(1, 0) for nd in rectangle_nodes(3, 3))
     assert classify_component(moved).symmetry == "not-cs"
+
+
+# ---------------------------------------------------------------------------
+# Node-based oracles for the integer-cell component checks
+# ---------------------------------------------------------------------------
+
+def _node_text(nd):
+    return f"{nd.x.numerator}/{nd.x.denominator},{nd.y.numerator}/{nd.y.denominator}"
+
+
+def _nodes_connected(nodes):
+    seen = {next(iter(nodes))}
+    stack = list(seen)
+    while stack:
+        nd = stack.pop()
+        for nb in (nd.shifted(1, 0), nd.shifted(-1, 0), nd.shifted(0, 1), nd.shifted(0, -1)):
+            if nb in nodes and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return len(seen) == len(nodes)
+
+
+def _oracle_component_findings(index, comp):
+    """The axiom findings, computed on Fraction nodes."""
+    tag = f"component {index}"
+    nodes = comp.node_set
+    if not nodes:
+        return [f"{tag}: empty node set"]
+    base = comp.nodes[0]
+    if any((nd.x - base.x).denominator != 1 or (nd.y - base.y).denominator != 1 for nd in nodes):
+        return [f"{tag}: nodes do not all differ by integer vectors"]
+    findings = []
+    for nd in sorted(nodes):
+        if nd.shifted(1, 1) in nodes:
+            for req in (nd.shifted(0, 1), nd.shifted(1, 0)):
+                if req not in nodes:
+                    findings.append(
+                        f"{tag}: axiom (iv) fails at square {_node_text(nd)}:"
+                        f" {_node_text(req)} is missing"
+                    )
+    if not _nodes_connected(nodes):
+        findings.append(f"{tag}: not connected")
+    return findings
+
+
+def _oracle_near_rectangular_sets(width, height):
+    """Near-rectangles as Fraction node sets cut from the centred rectangle."""
+    if width % 2 or height % 2 or width < 2 or height < 2:
+        return ()
+    rect = rectangle_nodes(width, height)
+    xs = sorted({nd.x for nd in rect})
+    ys = sorted({nd.y for nd in rect})
+    left, right, bottom, top = xs[0], xs[-1], ys[0], ys[-1]
+    third = rect - {Node(left, bottom), Node(right, top)}
+    first = rect - {Node(left, y) for y in ys[:-1]} - {Node(right, y) for y in ys[1:]}
+    second = rect - {Node(x, bottom) for x in xs[:-1]} - {Node(x, top) for x in xs[1:]}
+    out = []
+    for name, cand in (("third", third), ("first", first), ("second", second)):
+        if _nodes_connected(cand) and all(cand != prev for _, prev in out):
+            out.append((name, cand))
+    return tuple(out)
+
+
+def _oracle_classify(comp):
+    """classify_component on Fraction nodes, symmetry by the negation rule."""
+    findings = _oracle_component_findings(0, comp)
+    if findings:
+        raise ValueError("component is not a valid connected skew-graph: " + "; ".join(findings))
+    nodes = comp.node_set
+    sources = [nd for nd in nodes if nd.shifted(-1, 0) not in nodes and nd.shifted(0, -1) not in nodes]
+    sinks = [nd for nd in nodes if nd.shifted(1, 0) not in nodes and nd.shifted(0, 1) not in nodes]
+    young = {(True, True): "both", (True, False): "sw", (False, True): "ne", (False, False): "neither"}[
+        len(sources) == 1, len(sinks) == 1
+    ]
+    xs = sorted({nd.x for nd in nodes})
+    ys = sorted({nd.y for nd in nodes})
+    rectangle = None
+    if len(nodes) == len(xs) * len(ys) and xs[-1] - xs[0] == len(xs) - 1 and ys[-1] - ys[0] == len(ys) - 1:
+        rectangle = (len(xs), len(ys))
+    symmetry = _negation_symmetry(comp)
+    near = None
+    if symmetry == SYM_NON_INTEGRAL and rectangle is None and len(nodes) % 4 == 2:
+        width, height = int(xs[-1] - xs[0]) + 1, int(ys[-1] - ys[0]) + 1
+        near = next((name for name, cand in _oracle_near_rectangular_sets(width, height) if cand == nodes), None)
+    return ShapeClass(symmetry=symmetry, rectangle=rectangle, near_rectangular_shape=near, young=young)
+
+
+def _oracle_outcome(fn, comp):
+    try:
+        return fn(comp)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _invalid_components():
+    square = [(F(-1, 2), F(-1, 2)), (F(1, 2), F(-1, 2)), (F(-1, 2), F(1, 2)), (F(1, 2), F(1, 2))]
+    return [
+        Component(()),
+        component_from_nodes(nodes_of(*square[:1], *square[3:])),  # diagonal pair
+        component_from_nodes(nodes_of(*square[1:])),  # square missing (-1/2,-1/2)
+        component_from_nodes(nodes_of(*square[:3])),  # square missing (1/2,1/2): valid
+        component_from_nodes(nodes_of((0, 0), (1, 0), (0, 1), (1, 1), (2, 2))),  # disconnected
+        component_from_nodes(nodes_of((-1, 0), (1, 0))),  # gap in a row
+        component_from_nodes(nodes_of((0, 0), (F(1, 2), 0))),  # half-integral offset
+        component_from_nodes(nodes_of((0, 0), (1, F(1, 3)))),  # non-integral offset
+        component_from_nodes(nodes_of((F(1, 3), 0), (F(4, 3), 0), (F(1, 3), 1))),
+    ]
+
+
+def test_component_checks_match_node_oracles():
+    # Every connected shape with n <= 9 and every near-rectangle in an 8 x 8
+    # box, at the origin barycentre and translated by (1/3, 1/2).
+    centred = [g.components[0] for n in range(1, 10) for g in enumerate_connected(n)]
+    centred += [
+        component_from_nodes(cand)
+        for w in range(2, 9, 2)
+        for h in range(2, 9, 2)
+        for _, cand in _oracle_near_rectangular_sets(w, h)
+    ]
+    shift = (F(1, 3), F(1, 2))
+    comps = list(_invalid_components())
+    for comp in centred:
+        comps.append(comp)
+        comps.append(component_from_nodes(nd.shifted(*shift) for nd in comp.nodes))
+    seen_near = set()
+    for comp in comps:
+        assert _component_cells(2, comp)[1] == _oracle_component_findings(2, comp), comp
+        ours = _oracle_outcome(classify_component, comp)
+        assert ours == _oracle_outcome(_oracle_classify, comp), comp
+        if isinstance(ours, ShapeClass) and ours.near_rectangular_shape:
+            seen_near.add(ours.near_rectangular_shape)
+    assert seen_near == {"third", "first", "second"}
+
+
+def test_near_rectangular_cellsets_match_node_oracle():
+    for w in range(1, 15):
+        for h in range(1, 15):
+            ours = [
+                (name, frozenset(Node(F(2 * x - (w - 1), 2), F(2 * y - (h - 1), 2)) for x, y in cells))
+                for name, cells in _near_rectangular_cellsets(w, h)
+            ]
+            assert ours == list(_oracle_near_rectangular_sets(w, h)), (w, h)
+
+
+@pytest.mark.parametrize("dimv", range(2, 15, 2))
+def test_near_rectangle_size_guard_loses_nothing(dimv):
+    # D principal builds only the boxes whose cut sizes include dimV; the
+    # unguarded loop tries every even box up to (dimV + 2) x (dimV + 2).
+    unguarded = [
+        _cells_to_component(cells)
+        for w in range(2, dimv + 3, 2)
+        for h in range(2, dimv + 3, 2)
+        for _, cells in _near_rectangular_cellsets(w, h)
+        if len(cells) == dimv
+    ]
+    assert _near_rectangular_components(dimv) == unguarded
+    admissible = {graph_key(g) for g in enumerate_admissible("D", dimv, "principal", max_nodes=14)}
+    assert {graph_key(SkewGraph((c,))) for c in unguarded} <= admissible
 
 
 def test_enumeration_limit():
