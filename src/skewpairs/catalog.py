@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from .centralizer import (
     CentralizerReport,
+    _flatten,
     a_operator_matrix,
     analyze,
     closed_form_centralizer,
@@ -29,7 +30,7 @@ from .liealg import (
     build_pair,
     matrix_to_jsonable,
 )
-from .linalg import in_span, mat_mul, mat_pow, span_rref
+from .linalg import identity, in_span, mat_mul
 from .skewgraph import (
     SkewGraph,
     canonical_form,
@@ -88,8 +89,12 @@ def graph_hash(graph: SkewGraph) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:12]
 
 
-def _flatten(m) -> tuple:
-    return tuple(x for row in m for x in row)
+def _powers(e, top: int) -> list:
+    """[e^0, e^1, ..., e^top], each the product of the one before with e."""
+    out = [identity(len(e))]
+    for _ in range(top):
+        out.append(mat_mul(out[-1], e))
+    return out
 
 
 def _closed_form_matches(series: str, r: PairRealization, report: CentralizerReport) -> bool:
@@ -98,10 +103,11 @@ def _closed_form_matches(series: str, r: PairRealization, report: CentralizerRep
         return False
     if tuple(sorted(pred.biexponents)) != tuple(sorted(report.biexponents)):
         return False
-    basis = span_rref([_flatten(m) for m in report.basis])
+    basis = [_flatten(m) for m in report.basis]  # analyze() returns it in reduced echelon form
+    e1_powers = _powers(r.e1, max((k for k, _ in pred.powers), default=0))
+    e2_powers = _powers(r.e2, max((l for _, l in pred.powers), default=0))
     for k, l in sorted(pred.powers):
-        power = mat_mul(mat_pow(r.e1, k), mat_pow(r.e2, l))
-        if not in_span(basis, _flatten(power)):
+        if not in_span(basis, _flatten(mat_mul(e1_powers[k], e2_powers[l]))):
             return False
     a_mat = a_operator_matrix(pred, r)
     if a_mat is not None and not in_span(basis, _flatten(a_mat)):

@@ -55,8 +55,8 @@ from .linalg import (
     rank,
     rref,
     solve,
+    sparse_rows_cols,
     transpose,
-    transposed_rows,
 )
 from .skewgraph import (
     ORIGIN,
@@ -192,7 +192,7 @@ def _eigenframe(spec: AlgebraSpec, h1: Matrix, h2: Matrix, mats: Sequence[Matrix
     Returns (frame, moved): the columns of T are a joint eigenbasis of h1
     and h2, each m in mats becomes T^-1 m T and the Gram matrix G becomes
     T^T G T.  When h1 and h2 are already diagonal, mats come back unchanged.
-    Raises ValueError when h1, h2 have no rational joint eigenbasis.
+    Raises NotDiagonalizableError when h1, h2 have no rational joint eigenbasis.
     """
     t = t_inv = None
     if is_diagonal(h1) and is_diagonal(h2):
@@ -213,7 +213,7 @@ def _eigenframe(spec: AlgebraSpec, h1: Matrix, h2: Matrix, mats: Sequence[Matrix
     weights = tuple(
         (p.numerator * (den // p.denominator), q.numerator * (den // q.denominator)) for p, q in pairs
     )
-    gram = None if spec.form is None else _sparse_rows_cols(spec.form)
+    gram = None if spec.form is None else sparse_rows_cols(spec.form)
     return _Frame(spec, den, weights, gram, t, t_inv), moved
 
 
@@ -264,20 +264,10 @@ def _form_rows(frame: _Frame, delta, pidx) -> list[list[int]]:
     return rows
 
 
-def _sparse_rows_cols(m: Matrix):
-    """The nonzero entries of c * m by row and by column, as (index, int) pairs.
-
-    c > 0 is the least common denominator of m.  Commutants and the
-    solvability of [x, e] = h do not change when e or h is scaled.
-    """
-    rows = integral_rows(m)[1]
-    return rows, transposed_rows(rows)
-
-
 def _bracket_rows(weights, sparse_m, dm, delta, pidx):
     """(i, j, row) for each entry of [x, m] that x in the delta block reaches.
 
-    m is bi-homogeneous of degree dm and given by _sparse_rows_cols, so the
+    m is bi-homogeneous of degree dm and given by sparse_rows_cols, so the
     entries lie in the block delta + dm; row is entry (i, j) as a linear
     form in the block coordinates of x.
     """
@@ -307,7 +297,7 @@ def _graded_commutant(frame: _Frame, elements) -> dict:
     """
     weights = frame.weights
     n = len(weights)
-    sparse = [(_sparse_rows_cols(m), dm) for m, dm in elements]
+    sparse = [(sparse_rows_cols(m), dm) for m, dm in elements]
     pieces = {}
     for delta in sorted(_weight_tables(weights)[0]):
         pidx = _block_index(weights, delta)
@@ -385,7 +375,7 @@ def _graded_image_solvable(frame: _Frame, e: Matrix, side: int) -> bool:
     pidx = _block_index(weights, delta)
     rows = _form_rows(frame, delta, pidx)
     rhs = [0] * len(rows)
-    for i, j, row in _bracket_rows(weights, _sparse_rows_cols(e), de, delta, pidx):
+    for i, j, row in _bracket_rows(weights, sparse_rows_cols(e), de, delta, pidx):
         h = weights[i][side] if i == j else 0
         if any(row) or h:
             rows.append(row)

@@ -21,6 +21,7 @@ from .liealg import (
     realization_to_jsonable,
     verify_relations,
 )
+from .linalg import NotDiagonalizableError
 from .skewgraph import (
     DEFAULT_MAX_NODES,
     enumerate_connected,
@@ -172,7 +173,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
-    except (NotAdmissibleError, NormalFormError, catalog_mod.CatalogVerificationError) as exc:
+    except (
+        NotAdmissibleError, NormalFormError, NotDiagonalizableError, catalog_mod.CatalogVerificationError
+    ) as exc:
         # The input parsed fine but failed a mathematical validity judgment.
         sys.stderr.write(f"finding: {exc}\n")
         return EXIT_FINDINGS

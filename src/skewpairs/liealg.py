@@ -22,7 +22,7 @@ from .linalg import (
     nullspace,
     parse_fraction,
     rank,
-    transposed_rows,
+    sparse_rows_cols,
 )
 from .skewgraph import (
     SYM_SEMI_COLSORT,
@@ -281,10 +281,7 @@ def _in_algebra(spec: AlgebraSpec, rows: list, g_rows: list, g_cols: list) -> bo
 
 
 def _gram_rows_cols(spec: AlgebraSpec) -> tuple[list, list]:
-    if spec.series == "A":
-        return [], []
-    g_rows = integral_rows(spec.form)[1]
-    return g_rows, transposed_rows(g_rows)
+    return ([], []) if spec.series == "A" else sparse_rows_cols(spec.form)
 
 
 def in_algebra(spec: AlgebraSpec, m: Matrix) -> bool:

@@ -7,6 +7,13 @@ back to leading-one Fractions at the end.  Pivoting is by first nonzero
 column with ties broken by row order, so every result is deterministic.
 Rows that are ints already, such as the block systems of the graded solve,
 never become Fractions: rank() and integer_nullspace() stay on ints.
+
+Eigenvalues come from integers too.  With c the least common denominator
+of h, the characteristic polynomial of the integer matrix c h is monic over
+Z, so each rational eigenvalue of h is r / c for an integer r dividing its
+lowest nonzero coefficient.  A joint eigenspace of (h1, h2) is the kernel
+of the two shifted matrices stacked; the pair is diagonalizable over Q
+exactly when these kernels span the whole space.
 """
 
 from __future__ import annotations
@@ -123,13 +130,17 @@ def integral_rows(m: Matrix) -> tuple[int, list[list[tuple[int, int]]]]:
     return c, [[(j, x.numerator * (c // x.denominator)) for j, x in row] for row in nonzero]
 
 
-def transposed_rows(rows: Sequence[Sequence[tuple[int, object]]]) -> list[list[tuple[int, object]]]:
-    """The (index, value) rows of the transpose of a square matrix given by its rows."""
-    cols: list[list] = [[] for _ in rows]
+def sparse_rows_cols(m: Matrix) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
+    """The nonzero entries of c * m by row and by column, as (index, int) pairs.
+
+    c > 0 is the least common denominator of m, as in integral_rows.
+    """
+    rows = integral_rows(m)[1]
+    cols: list[list[tuple[int, int]]] = [[] for _ in rows]
     for i, row in enumerate(rows):
         for j, x in row:
             cols[j].append((i, x))
-    return cols
+    return rows, cols
 
 
 def _primitive(row: Sequence) -> list[int]:
@@ -285,108 +296,103 @@ def span_rref(vectors: Iterable[Sequence]) -> Matrix:
 
 
 def in_span(basis_rref: Matrix, v: Sequence) -> bool:
-    """Membership test against an RREF basis, by reduction."""
-    v = [Fraction(x) for x in v]
+    """Membership test against an RREF basis, by reduction.
+
+    Only the nonzero entries of a basis row take part in its step.
+    """
+    v = list(v)
     for row in basis_rref:
         lead = next(i for i, x in enumerate(row) if x)
-        if v[lead]:
-            f = v[lead]
-            v = [a - f * b for a, b in zip(v, row)]
+        f = v[lead]
+        if f:
+            for i in range(lead, len(row)):
+                if row[i]:
+                    v[i] -= f * row[i]
     return not any(v)
+
+
+class NotDiagonalizableError(ValueError):
+    """A pair of matrices has no joint eigenbasis over Q."""
+
+
+def _integer_charpoly(rows: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
+    """Characteristic polynomial of an integer matrix, highest degree first.
+
+    The matrix A is given by its nonzero entries by row.  Faddeev-LeVerrier:
+    M_1 = I, c_k = -tr(A M_k) / k, M_(k+1) = A M_k + c_k I.  The c_k are
+    the integer coefficients of a monic polynomial over Z, so every trace
+    division is exact.
+    """
+    n = len(rows)
+    coeffs = [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [[sum(x * m[t][j] for t, x in row) for j in range(n)] for row in rows]
+        c = -sum(am[i][i] for i in range(n)) // k
+        coeffs.append(c)
+        for i in range(n):
+            am[i][i] += c
+        m = am
+    return coeffs
 
 
 def charpoly(a: Matrix) -> tuple[Fraction, ...]:
     """Characteristic polynomial coefficients, highest degree first (monic).
 
-    Faddeev-LeVerrier iteration; exact over Fraction.
+    With c the least common denominator of a, the coefficient of x^(n-k)
+    is that of the integer matrix c a divided by c^k.
     """
-    n = len(a)
-    coeffs = [ONE]
-    m = identity(n)
-    for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        c = -trace(am) / k
-        coeffs.append(c)
-        m = mat_add(am, mat_scale(c, identity(n)))
-    return tuple(coeffs)
+    c, rows = integral_rows(a)
+    return tuple(Fraction(x, c**k) for k, x in enumerate(_integer_charpoly(rows)))
 
 
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _integer_eigenvalues(rows: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
+    """The distinct integer eigenvalues, ascending, of an integer matrix
+    given by its nonzero entries by row.
+
+    Its characteristic polynomial is monic over Z, so a nonzero integer root
+    divides the lowest nonzero coefficient, and no eigenvalue exceeds the
+    largest absolute row sum.
+    """
+    coeffs = _integer_charpoly(rows)
+    low = next(x for x in reversed(coeffs) if x)
+    bound = max((sum(abs(x) for _, x in row) for row in rows), default=0)
+    roots = [] if coeffs[-1] else [0]
+    for r in range(1, min(bound, abs(low)) + 1):
+        if low % r == 0:
+            for s in (r, -r):
+                acc = 0
+                for x in coeffs:
+                    acc = acc * s + x
+                if not acc:
+                    roots.append(s)
+    return sorted(roots)
 
 
-def rational_roots(coeffs: Sequence[Fraction]) -> dict[Fraction, int]:
-    """Rational roots of a polynomial (highest degree first), with multiplicity."""
-    work = [Fraction(c) for c in coeffs]
-    while work and not work[0]:
-        work.pop(0)
-    if not work:
-        raise ValueError("zero polynomial")
-    roots: dict[Fraction, int] = {}
-    zero_mult = 0
-    while len(work) > 1 and not work[-1]:
-        work.pop()
-        zero_mult += 1
-    if zero_mult:
-        roots[ZERO] = zero_mult
-
-    def divide_out(poly: list[Fraction], r: Fraction) -> Optional[list[Fraction]]:
-        out = []
-        acc = ZERO
-        for c in poly:
-            acc = acc * r + c
-            out.append(acc)
-        if acc:
-            return None
-        return out[:-1]
-
-    while len(work) > 1:
-        den = 1
-        for c in work:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in work]
-        lead, const = ints[0], ints[-1]
-        found = None
-        for p in _int_divisors(const):
-            for q in _int_divisors(lead):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    nxt = divide_out(work, cand)
-                    if nxt is not None:
-                        found = (cand, nxt)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found is None:
-            break
-        root, work = found
-        roots[root] = roots.get(root, 0) + 1
-    return roots
-
-
-def eigenvalues_rational(a: Matrix) -> dict[Fraction, int]:
-    """All eigenvalues with multiplicity; raises if any eigenvalue is irrational."""
-    roots = rational_roots(charpoly(a))
-    if sum(roots.values()) != len(a):
-        raise ValueError("matrix has irrational eigenvalues")
-    return roots
+def _eigen_shifts(h: Matrix) -> list[tuple[Fraction, list[list[int]]]]:
+    """(r / c, rows of c h - r I) for each integer eigenvalue r of c h, c the
+    least common denominator of h, ascending; ker(c h - r I) = ker(h - r / c)."""
+    c, rows = integral_rows(h)
+    n = len(rows)
+    out = []
+    for r in _integer_eigenvalues(rows):
+        shifted = [[0] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            for j, x in row:
+                shifted[i][j] = x
+            shifted[i][i] -= r
+        out.append((Fraction(r, c), shifted))
+    return out
 
 
 def joint_eigenspaces(h1: Matrix, h2: Matrix) -> list[tuple[tuple[Fraction, Fraction], tuple[Vector, ...]]]:
     """Simultaneous eigenspace decomposition of two commuting matrices.
 
-    Returns sorted ((p, q), basis-of-V_{p,q}) entries; raises if the pair is
-    not simultaneously diagonalizable with rational eigenvalues.
+    Returns sorted ((p, q), basis-of-V_{p,q}) entries, each basis the
+    canonical nullspace() basis of ker(h1 - p) & ker(h2 - q).  With c the
+    least common denominator of h, the eigenvalues of h in Q are r / c for
+    the integer eigenvalues r of c h.  Raises NotDiagonalizableError unless
+    the joint eigenspaces span Q^n.
     """
     n = len(h1)
     if is_diagonal(h1) and is_diagonal(h2):
@@ -398,32 +404,16 @@ def joint_eigenspaces(h1: Matrix, h2: Matrix) -> list[tuple[tuple[Fraction, Frac
             spaces.setdefault(key, []).append(tuple(e))
         return sorted((k, tuple(v)) for k, v in spaces.items())
 
-    out: dict[tuple[Fraction, Fraction], list[Vector]] = {}
-    total = 0
-    for p in sorted(eigenvalues_rational(h1)):
-        shifted = mat_sub(h1, mat_scale(p, identity(n)))
-        basis = nullspace(shifted, n)
-        if not basis:
-            continue
-        # h2 restricted to ker(h1 - p): coordinates of h2*v in the kernel basis.
-        k = len(basis)
-        cols = transpose(matrix(basis))
-        restricted = []
-        for v in basis:
-            coords = solve(cols, mat_vec(h2, v))
-            if coords is None:
-                raise ValueError("eigenspace of h1 is not h2-stable")
-            restricted.append(coords)
-        h2_small = transpose(matrix(restricted))
-        for q in sorted(eigenvalues_rational(h2_small)):
-            small = nullspace(mat_sub(h2_small, mat_scale(q, identity(k))), k)
-            for coeffs in small:
-                vec = [ZERO] * n
-                for c, bv in zip(coeffs, basis):
-                    if c:
-                        vec = [x + c * y for x, y in zip(vec, bv)]
-                out.setdefault((p, q), []).append(tuple(vec))
-                total += 1
-    if total != n:
-        raise ValueError("h1, h2 are not simultaneously diagonalizable over Q")
-    return sorted((k, tuple(v)) for k, v in out.items())
+    second = _eigen_shifts(h2)
+    out = []
+    for p, rows1 in _eigen_shifts(h1):
+        for q, rows2 in second:
+            basis = nullspace(rows1 + rows2, n)
+            if basis:
+                out.append(((p, q), basis))
+    found = sum(len(basis) for _, basis in out)
+    if found != n:
+        raise NotDiagonalizableError(
+            f"h1, h2 have no rational joint eigenbasis: their joint eigenspaces span {found} of {n} dimensions"
+        )
+    return out

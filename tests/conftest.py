@@ -9,7 +9,7 @@ counts come from an integer recurrence over column heights.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -17,7 +17,8 @@ import pytest
 
 from skewpairs.centralizer import CentralizerReport, analyze
 from skewpairs.liealg import PairRealization, RelationReport, build_pair, verify_relations
-from skewpairs.skewgraph import SkewGraph, enumerate_admissible
+from skewpairs.linalg import identity, invert, is_diagonal, mat_add, mat_mul, mat_sub, matrix, transpose
+from skewpairs.skewgraph import SkewGraph, enumerate_admissible, graph_key
 
 DESK_DIMS = (
     ("A", tuple(range(1, 11))),
@@ -82,6 +83,65 @@ def principal_keys() -> dict:
                 graph_key(g) for g in enumerate_admissible(series, dimv, "principal")
             }
     return keys
+
+
+# ---------------------------------------------------------------------------
+# Small realizations and their conjugated copies
+# ---------------------------------------------------------------------------
+
+def conjugated(r, rng):
+    """r moved by a seeded rational isometry T of its form (any T in GL(n, Q)
+    for series A), redrawn until h1 or h2 is no longer diagonal; None when
+    twenty draws all leave h diagonal."""
+    n = r.spec.dimv
+    one = identity(n)
+    for _ in range(20):
+        if r.spec.series == "A":
+            t = one
+            for _ in range(3):
+                i, j = rng.sample(range(n), 2)
+                step = [list(row) for row in one]
+                step[i][j] = Fraction(rng.choice((1, -1)))
+                t = mat_mul(t, matrix(step))
+        else:
+            # Cayley transform (I - X)^-1 (I + X) of X = G^-1 S in the algebra.
+            s = [[Fraction(0)] * n for _ in range(n)]
+            for _ in range(2):
+                # S is symmetric for C, where its diagonal may be hit, and skew for B, D.
+                i, j = (rng.randrange(n), rng.randrange(n)) if r.spec.series == "C" else rng.sample(range(n), 2)
+                c = Fraction(rng.choice((1, -1)))
+                s[i][j] += c
+                s[j][i] += c if r.spec.series == "C" else -c
+            x = mat_mul(invert(r.spec.form), matrix(s))
+            try:
+                t = mat_mul(invert(mat_sub(one, x)), mat_add(one, x))
+            except ValueError:
+                continue
+            assert mat_mul(transpose(t), mat_mul(r.spec.form, t)) == r.spec.form
+        t_inv = invert(t)
+
+        def conj(m):
+            return mat_mul(t, mat_mul(m, t_inv))
+
+        moved = replace(r, e1=conj(r.e1), e2=conj(r.e2), h1=conj(r.h1), h2=conj(r.h2))
+        if not (is_diagonal(moved.h1) and is_diagonal(moved.h2)):
+            return moved
+    return None
+
+
+def small_realizations():
+    """Every distinguished and principal realization with dimV <= 6."""
+    seen = set()
+    for series, dims in (("A", range(1, 7)), ("B", (1, 3, 5)), ("C", (2, 4, 6)), ("D", (2, 4, 6))):
+        for dimv in dims:
+            for kind in ("distinguished", "principal"):
+                for g in enumerate_admissible(series, dimv, kind):
+                    signs = ("plus", "minus") if series == "D" and g.is_connected() else (None,)
+                    for sign in signs:
+                        key = (series, graph_key(g), sign)
+                        if key not in seen:
+                            seen.add(key)
+                            yield build_pair(series, g, sign)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import conjugated, small_realizations
 from skewpairs.centralizer import (
     NormalFormError,
     _canonical_span,
@@ -30,18 +31,14 @@ from skewpairs.liealg import (
 )
 from skewpairs.linalg import (
     commutator,
-    identity,
     in_span,
     invert,
-    is_diagonal,
     mat_add,
     mat_mul,
     mat_scale,
-    mat_sub,
     matrix,
     solve,
     span_rref,
-    transpose,
     zeros,
 )
 from skewpairs.skewgraph import (
@@ -466,68 +463,13 @@ def _dense_image_solvable(spec, e, h):
     return solve(rows, rhs) is not None
 
 
-def _conjugated(r, rng):
-    """r moved by a seeded rational isometry T of its form (any T in GL(n, Q)
-    for series A), redrawn until h1 or h2 is no longer diagonal; None when
-    twenty draws all leave h diagonal."""
-    n = r.spec.dimv
-    one = identity(n)
-    for _ in range(20):
-        if r.spec.series == "A":
-            t = one
-            for _ in range(3):
-                i, j = rng.sample(range(n), 2)
-                step = [list(row) for row in one]
-                step[i][j] = F(rng.choice((1, -1)))
-                t = mat_mul(t, matrix(step))
-        else:
-            # Cayley transform (I - X)^-1 (I + X) of X = G^-1 S in the algebra.
-            s = [[F(0)] * n for _ in range(n)]
-            for _ in range(2):
-                # S is symmetric for C, where its diagonal may be hit, and skew for B, D.
-                i, j = (rng.randrange(n), rng.randrange(n)) if r.spec.series == "C" else rng.sample(range(n), 2)
-                c = F(rng.choice((1, -1)))
-                s[i][j] += c
-                s[j][i] += c if r.spec.series == "C" else -c
-            x = mat_mul(invert(r.spec.form), matrix(s))
-            try:
-                t = mat_mul(invert(mat_sub(one, x)), mat_add(one, x))
-            except ValueError:
-                continue
-            assert mat_mul(transpose(t), mat_mul(r.spec.form, t)) == r.spec.form
-        t_inv = invert(t)
-
-        def conj(m):
-            return mat_mul(t, mat_mul(m, t_inv))
-
-        moved = replace(r, e1=conj(r.e1), e2=conj(r.e2), h1=conj(r.h1), h2=conj(r.h2))
-        if not (is_diagonal(moved.h1) and is_diagonal(moved.h2)):
-            return moved
-    return None
-
-
-def _small_realizations():
-    """Every distinguished and principal realization with dimV <= 6."""
-    seen = set()
-    for series, dims in (("A", range(1, 7)), ("B", (1, 3, 5)), ("C", (2, 4, 6)), ("D", (2, 4, 6))):
-        for dimv in dims:
-            for kind in ("distinguished", "principal"):
-                for g in enumerate_admissible(series, dimv, kind):
-                    signs = ("plus", "minus") if series == "D" and g.is_connected() else (None,)
-                    for sign in signs:
-                        key = (series, graph_key(g), sign)
-                        if key not in seen:
-                            seen.add(key)
-                            yield build_pair(series, g, sign)
-
-
 def test_derived_facts_match_dense_oracles():
     rng = random.Random(20261017)
     moved_count = 0
-    for r in _small_realizations():
+    for r in small_realizations():
         base = analyze(r)
         copies = [(r, base)]
-        moved = _conjugated(r, rng) if r.spec.dimv > 1 else None
+        moved = conjugated(r, rng) if r.spec.dimv > 1 else None
         if moved is not None:
             copies.append((moved, analyze(moved)))
             moved_count += 1
@@ -559,10 +501,10 @@ def test_analyze_ignores_scalar_factors_of_e_and_the_form():
     # [x, e] = -h is, and c G defines the same algebra, so a realization
     # whose e1, e2 and form carry non-unit factors has the same report.
     rng = random.Random(20261018)
-    for r in _small_realizations():
+    for r in small_realizations():
         copies = [r]
         if r.spec.dimv <= 4:
-            moved = _conjugated(r, rng) if r.spec.dimv > 1 else None
+            moved = conjugated(r, rng) if r.spec.dimv > 1 else None
             copies += [moved] if moved is not None else []
         for c in copies:
             base = analyze(c)

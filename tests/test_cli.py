@@ -90,6 +90,31 @@ def test_verify_flags_findings(tmp_path, capsys):
     assert report["report"] is None
 
 
+@pytest.mark.parametrize(
+    "h1",
+    [
+        pytest.param([["0", "1"], ["0", "0"]], id="nilpotent"),
+        pytest.param([["0", "1"], ["2", "0"]], id="eigenvalues-plus-minus-root-2"),
+    ],
+)
+def test_verify_reports_missing_joint_eigenbasis_as_finding(tmp_path, capsys, h1):
+    # All 11 relations hold (e1 = e2 = h2 = 0, h1 traceless), but h1 has no
+    # rational eigenbasis: a mathematical finding, not a usage error.
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text("-1/2,0/1 1/2,0/1\n")
+    pair_file = tmp_path / "pair.json"
+    run_cli(capsys, "build", "--series", "A", "--input", str(graph_file), "--output", str(pair_file))
+    doc = json.loads(pair_file.read_text())
+    zero = [["0", "0"], ["0", "0"]]
+    doc.update(e1=zero, e2=zero, h1=h1, h2=zero)
+    pair_file.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--input", str(pair_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("finding: ") and err.count("\n") == 1
+    assert "joint eigenbasis" in err
+
+
 def test_build_sparse_format(tmp_path, capsys):
     graph_file = tmp_path / "graph.txt"
     graph_file.write_text("-1/2,0/1 1/2,0/1\n")

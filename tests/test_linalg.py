@@ -1,20 +1,28 @@
 """Exact linear algebra: unit cases plus agreement with the naive oracle."""
 
+import random
 from fractions import Fraction
+from math import gcd
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_nullspace, naive_rref
+from conftest import conjugated, naive_nullspace, naive_rref, small_realizations
 from skewpairs.linalg import (
+    NotDiagonalizableError,
     charpoly,
     commutator,
     identity,
     invert,
     in_span,
+    is_diagonal,
     joint_eigenspaces,
+    mat_add,
     mat_mul,
+    mat_scale,
+    mat_sub,
     mat_vec,
     matrix,
     nullspace,
@@ -22,6 +30,8 @@ from skewpairs.linalg import (
     rref,
     solve,
     span_rref,
+    trace,
+    transpose,
 )
 
 F = Fraction
@@ -125,6 +135,183 @@ def test_joint_eigenspaces_rejects_nondiagonalizable():
     nilp = matrix([[0, 1], [0, 0]])
     with pytest.raises(ValueError):
         joint_eigenspaces(nilp, matrix([[0, 0], [0, 0]]))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: Fraction Faddeev-LeVerrier, a p/q divisor search for rational
+# roots, and joint eigenspaces by restricting h2 to each h1-eigenspace
+# ---------------------------------------------------------------------------
+
+def oracle_charpoly(a):
+    n = len(a)
+    coeffs = [F(1)]
+    m = identity(n)
+    for k in range(1, n + 1):
+        am = mat_mul(a, m)
+        c = -trace(am) / k
+        coeffs.append(c)
+        m = mat_add(am, mat_scale(c, identity(n)))
+    return tuple(coeffs)
+
+
+def _oracle_divisors(n):
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def oracle_rational_roots(coeffs: Sequence[Fraction]) -> dict:
+    work = [F(c) for c in coeffs]
+    while work and not work[0]:
+        work.pop(0)
+    roots = {}
+    zero_mult = 0
+    while len(work) > 1 and not work[-1]:
+        work.pop()
+        zero_mult += 1
+    if zero_mult:
+        roots[F(0)] = zero_mult
+
+    def divide_out(poly, r) -> Optional[list]:
+        out = []
+        acc = F(0)
+        for c in poly:
+            acc = acc * r + c
+            out.append(acc)
+        return None if acc else out[:-1]
+
+    while len(work) > 1:
+        den = 1
+        for c in work:
+            den = den * c.denominator // gcd(den, c.denominator)
+        ints = [int(c * den) for c in work]
+        found = None
+        for p in _oracle_divisors(ints[-1]):
+            for q in _oracle_divisors(ints[0]):
+                for cand in (F(p, q), F(-p, q)):
+                    nxt = divide_out(work, cand)
+                    if nxt is not None:
+                        found = (cand, nxt)
+                        break
+                if found:
+                    break
+            if found:
+                break
+        if found is None:
+            break
+        root, work = found
+        roots[root] = roots.get(root, 0) + 1
+    return roots
+
+
+def oracle_eigenvalues(a):
+    roots = oracle_rational_roots(oracle_charpoly(a))
+    if sum(roots.values()) != len(a):
+        raise ValueError("matrix has irrational eigenvalues")
+    return roots
+
+
+def oracle_joint_eigenspaces(h1, h2):
+    n = len(h1)
+    if is_diagonal(h1) and is_diagonal(h2):
+        spaces = {}
+        for i in range(n):
+            spaces.setdefault((h1[i][i], h2[i][i]), []).append(tuple(F(int(i == j)) for j in range(n)))
+        return sorted((k, tuple(v)) for k, v in spaces.items())
+    out = {}
+    total = 0
+    for p in sorted(oracle_eigenvalues(h1)):
+        basis = nullspace(mat_sub(h1, mat_scale(p, identity(n))), n)
+        if not basis:
+            continue
+        k = len(basis)
+        cols = transpose(matrix(basis))
+        restricted = []
+        for v in basis:
+            coords = solve(cols, mat_vec(h2, v))
+            if coords is None:
+                raise ValueError("eigenspace of h1 is not h2-stable")
+            restricted.append(coords)
+        h2_small = transpose(matrix(restricted))
+        for q in sorted(oracle_eigenvalues(h2_small)):
+            for coeffs in nullspace(mat_sub(h2_small, mat_scale(q, identity(k))), k):
+                vec = [F(0)] * n
+                for c, bv in zip(coeffs, basis):
+                    if c:
+                        vec = [x + c * y for x, y in zip(vec, bv)]
+                out.setdefault((p, q), []).append(tuple(vec))
+                total += 1
+    if total != n:
+        raise ValueError("h1, h2 are not simultaneously diagonalizable over Q")
+    return sorted((k, tuple(v)) for k, v in out.items())
+
+
+def assert_eigen_layer_matches_oracle(h1, h2):
+    assert charpoly(h1) == oracle_charpoly(h1)
+    assert charpoly(h2) == oracle_charpoly(h2)
+    ours, theirs = joint_eigenspaces(h1, h2), oracle_joint_eigenspaces(h1, h2)
+    assert [key for key, _ in ours] == [key for key, _ in theirs]
+    assert [span_rref(vecs) for _, vecs in ours] == [span_rref(vecs) for _, vecs in theirs]
+
+
+def test_eigen_layer_matches_oracle_on_conjugated_realizations():
+    rng = random.Random(20261019)
+    moved_count = 0
+    for r in small_realizations():
+        moved = conjugated(r, rng) if r.spec.dimv > 1 else None
+        if moved is not None:
+            assert_eigen_layer_matches_oracle(moved.h1, moved.h2)
+            moved_count += 1
+    assert moved_count > 50
+
+
+_T = matrix([[1, 1, 0, 0], [0, 1, 2, 0], [0, 0, 1, -1], [1, 0, 0, 1]])
+
+
+def _conj_diag(*entries):
+    """T diag(entries) T^-1 for a fixed T in GL(4, Z) whose inverse has denominator 3."""
+    d = matrix([[x if i == j else 0 for j, x in enumerate(entries)] for i in range(len(entries))])
+    return mat_mul(_T, mat_mul(d, invert(_T)))
+
+
+@pytest.mark.parametrize(
+    "h1, h2",
+    [
+        pytest.param(
+            _conj_diag(F(1, 3), F(1, 3), F(-2, 5), 0), _conj_diag(F(1, 5), F(-1, 5), F(1, 5), F(2, 3)),
+            id="denominators-3-and-5",
+        ),
+        pytest.param(_conj_diag(0, 0, 1, -1), _conj_diag(0, 1, 0, 0), id="zero-eigenvalue-twice"),
+        pytest.param(_conj_diag(2, 2, 2, -1), _conj_diag(1, 0, -1, 0), id="repeated-nonzero-eigenvalue"),
+        pytest.param(matrix([[F(3, 4)]]), matrix([[-2]]), id="one-by-one"),
+        pytest.param(matrix([[0] * 4] * 4), _conj_diag(1, 1, -2, 0), id="zero-matrix"),
+    ],
+)
+def test_eigen_layer_matches_oracle_on_hand_cases(h1, h2):
+    assert_eigen_layer_matches_oracle(h1, h2)
+
+
+@pytest.mark.parametrize(
+    "h1",
+    [
+        pytest.param(matrix([[0, 1], [0, 0]]), id="nilpotent"),
+        pytest.param(matrix([[0, 1], [2, 0]]), id="irrational"),
+    ],
+)
+def test_eigen_layer_and_oracle_reject(h1):
+    h2 = matrix([[0, 0], [0, 0]])
+    assert charpoly(h1) == oracle_charpoly(h1)
+    with pytest.raises(ValueError):
+        oracle_joint_eigenspaces(h1, h2)
+    with pytest.raises(NotDiagonalizableError):
+        joint_eigenspaces(h1, h2)
 
 
 def test_commutator_sanity():
