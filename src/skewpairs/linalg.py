@@ -10,17 +10,18 @@ never become Fractions: rank() and integer_nullspace() stay on ints.
 
 Eigenvalues come from integers too.  With c the least common denominator
 of h, the characteristic polynomial of the integer matrix c h is monic over
-Z, so each rational eigenvalue of h is r / c for an integer r dividing its
-lowest nonzero coefficient.  A joint eigenspace of (h1, h2) is the kernel
-of the two shifted matrices stacked; the pair is diagonalizable over Q
-exactly when these kernels span the whole space.
+Z, so each rational eigenvalue of h is r / c for an integer root r, found
+by the rational root theorem on the characteristic polynomial of h itself.
+A joint eigenspace of (h1, h2) is the kernel of the two shifted matrices
+stacked; the pair is diagonalizable over Q exactly when these kernels span
+the whole space.
 """
 
 from __future__ import annotations
 
 import reprlib
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 Matrix = tuple
@@ -346,36 +347,33 @@ def charpoly(a: Matrix) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, c**k) for k, x in enumerate(_integer_charpoly(rows)))
 
 
-def _integer_eigenvalues(rows: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
-    """The distinct integer eigenvalues, ascending, of an integer matrix
-    given by its nonzero entries by row.
-
-    Its characteristic polynomial is monic over Z, so a nonzero integer root
-    divides the lowest nonzero coefficient, and no eigenvalue exceeds the
-    largest absolute row sum.
-    """
-    coeffs = _integer_charpoly(rows)
-    low = next(x for x in reversed(coeffs) if x)
-    bound = max((sum(abs(x) for _, x in row) for row in rows), default=0)
-    roots = [] if coeffs[-1] else [0]
-    for r in range(1, min(bound, abs(low)) + 1):
-        if low % r == 0:
-            for s in (r, -r):
-                acc = 0
-                for x in coeffs:
-                    acc = acc * s + x
-                if not acc:
-                    roots.append(s)
-    return sorted(roots)
-
-
 def _eigen_shifts(h: Matrix) -> list[tuple[Fraction, list[list[int]]]]:
     """(r / c, rows of c h - r I) for each integer eigenvalue r of c h, c the
-    least common denominator of h, ascending; ker(c h - r I) = ker(h - r / c)."""
+    least common denominator of h, ascending; ker(c h - r I) = ker(h - r / c).
+
+    Each r is c p / q for an eigenvalue p / q of h in lowest terms.  By the
+    rational root theorem on the primitive integer form of the characteristic
+    polynomial of h, p divides its lowest nonzero coefficient and q its
+    leading one, so the candidates depend on the eigenvalues of h, not on c.
+    No |r| exceeds the largest absolute row sum of c h.
+    """
     c, rows = integral_rows(h)
     n = len(rows)
+    coeffs = _integer_charpoly(rows)
+    scaled = [x * c ** (n - k) for k, x in enumerate(coeffs)]
+    g = gcd(*scaled)
+    lead, low = scaled[0] // g, abs(next(x for x in reversed(scaled) if x)) // g
+
+    def divisors(m: int) -> list[int]:
+        small = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
+        return small + [m // d for d in small]
+
+    bound = max((sum(abs(x) for _, x in row) for row in rows), default=0)
+    cands = {c * p // q for p in divisors(low) for q in divisors(lead) if c * p % q == 0 and c * p <= bound * q}
+    roots = [] if coeffs[-1] else [0]
+    roots += [s for r in cands for s in (r, -r) if not sum(x * s ** (n - k) for k, x in enumerate(coeffs))]
     out = []
-    for r in _integer_eigenvalues(rows):
+    for r in sorted(roots):
         shifted = [[0] * n for _ in range(n)]
         for i, row in enumerate(rows):
             for j, x in row:

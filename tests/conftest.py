@@ -129,6 +129,15 @@ def conjugated(r, rng):
     return None
 
 
+def scaled_shear(n):
+    """Diag of primes near 10^6 times a unit upper shear: a T in GL(n, Q)
+    whose inverse has six- and seven-digit denominators."""
+    primes = (999983, 1000003, 999979, 1000033, 999961)
+    shear = matrix([[int(j >= i) for j in range(n)] for i in range(n)])
+    scale = matrix([[primes[i % 5] if i == j else 0 for j in range(n)] for i in range(n)])
+    return mat_mul(scale, shear)
+
+
 def small_realizations():
     """Every distinguished and principal realization with dimV <= 6."""
     seen = set()

@@ -1,12 +1,13 @@
 """Centralizer engine: exact dimensions, gradings, predicates, round trips."""
 
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import conjugated, small_realizations
+from conftest import conjugated, scaled_shear, small_realizations
 from skewpairs.centralizer import (
     NormalFormError,
     _canonical_span,
@@ -375,6 +376,24 @@ def test_analyze_conjugated_realization_matches_diagonal():
         assert rep.flags == base.flags
         assert rep.biexponents == base.biexponents
         assert is_rectangular_pair(moved) == is_rectangular_pair(r)
+
+
+def test_analyze_large_denominator_conjugator_matches_diagonal():
+    # T^-1 has denominators near 10^6, so the common denominator of the
+    # moved h is large while its eigenvalues stay those of the diagonal h.
+    r = build_pair("A", zigzag_graph())
+    t = scaled_shear(r.spec.dimv)
+    ti = invert(t)
+
+    def conj(m):
+        return mat_mul(t, mat_mul(m, ti))
+
+    moved = replace(r, e1=conj(r.e1), e2=conj(r.e2), h1=conj(r.h1), h2=conj(r.h2))
+    start = time.perf_counter()
+    rep = analyze(moved)
+    assert time.perf_counter() - start < 10
+    base = analyze(r)
+    assert (rep.dimension, rep.flags, rep.biexponents) == (base.dimension, base.flags, base.biexponents)
 
 
 def test_rectangular_corollary_cases():

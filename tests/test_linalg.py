@@ -1,6 +1,7 @@
 """Exact linear algebra: unit cases plus agreement with the naive oracle."""
 
 import random
+import time
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import conjugated, naive_nullspace, naive_rref, small_realizations
+from conftest import conjugated, naive_nullspace, naive_rref, scaled_shear, small_realizations
 from skewpairs.linalg import (
     NotDiagonalizableError,
     charpoly,
@@ -292,10 +293,16 @@ def _conj_diag(*entries):
         pytest.param(_conj_diag(2, 2, 2, -1), _conj_diag(1, 0, -1, 0), id="repeated-nonzero-eigenvalue"),
         pytest.param(matrix([[F(3, 4)]]), matrix([[-2]]), id="one-by-one"),
         pytest.param(matrix([[0] * 4] * 4), _conj_diag(1, 1, -2, 0), id="zero-matrix"),
+        pytest.param(matrix([[F(1, 2), F(-1, 10**9)], [0, F(-1, 2)]]), matrix([[0, 0], [0, 0]]), id="denominator-1e9"),
+        pytest.param(matrix([[0, 10**12], [1, 0]]), matrix([[0, 0], [0, 0]]), id="eigenvalues-1e6"),
     ],
 )
 def test_eigen_layer_matches_oracle_on_hand_cases(h1, h2):
+    # The last two cases have eigenvalues +-1/2 under a common denominator of
+    # 10^9, and eigenvalues +-10^6 under entries up to 10^12.
+    start = time.perf_counter()
     assert_eigen_layer_matches_oracle(h1, h2)
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize(
@@ -312,6 +319,24 @@ def test_eigen_layer_and_oracle_reject(h1):
         oracle_joint_eigenspaces(h1, h2)
     with pytest.raises(NotDiagonalizableError):
         joint_eigenspaces(h1, h2)
+
+
+def test_eigen_layer_matches_oracle_with_large_denominator_conjugators():
+    # T^-1 has denominators near 10^6, so the common denominator c of each
+    # moved h is large; the root search must grow with the eigenvalues of h,
+    # not with c.
+    start = time.perf_counter()
+    moved_count = 0
+    for r in small_realizations():
+        n = r.spec.dimv
+        if r.spec.series == "A" and 2 <= n <= 5:
+            t = scaled_shear(n)
+            t_inv = invert(t)
+            h1, h2 = (mat_mul(t, mat_mul(h, t_inv)) for h in (r.h1, r.h2))
+            assert_eigen_layer_matches_oracle(h1, h2)
+            moved_count += 1
+    assert moved_count > 20
+    assert time.perf_counter() - start < 30
 
 
 def test_commutator_sanity():
