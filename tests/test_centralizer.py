@@ -1,13 +1,14 @@
 """Centralizer engine: exact dimensions, gradings, predicates, round trips."""
 
 import random
+import re
 import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import conjugated, scaled_shear, small_realizations
+from conftest import conjugated, iter_desk_graphs, scaled_shear, small_realizations
 from skewpairs.centralizer import (
     NormalFormError,
     _canonical_span,
@@ -445,6 +446,116 @@ def test_graph_from_pair_rejects_broken_relations():
     r = build_pair("A", rect_graph(2, 2))
     with pytest.raises(NormalFormError):
         graph_from_pair(r.spec, r.e1, r.e1, r.h1, r.h2)
+
+
+def _diag(*entries):
+    return matrix([[x if i == j else 0 for j, x in enumerate(entries)] for i in range(len(entries))])
+
+
+def _units(n, *positions):
+    """The n x n matrix with a 1 at each (row, column) position."""
+    return matrix([[int((i, j) in positions) for j in range(n)] for i in range(n)])
+
+
+def _d4_one_line(gram_positions):
+    """A series-D pair on V = V(-1,0) + V(0,0) + V(1,0), dim V(0,0) = 2, where
+    only e1 enters the (0,0)-eigenspace (on basis vector 1), under the Gram
+    matrix with a 1 at each of gram_positions."""
+    spec = replace(make_spec("D", 4), form=_units(4, *gram_positions))
+    zero = _diag(0, 0, 0, 0)
+    return spec, _units(4, (1, 0)), zero, _diag(-1, 0, 0, 1), zero
+
+
+@pytest.mark.parametrize(
+    "spec, h1, message",
+    [
+        pytest.param(make_spec("A", 3), _diag(F(1, 2), F(1, 2), -1),
+                     "eigenspace at (Fraction(1, 2), Fraction(0, 1)) has dimension 2", id="A-off-origin"),
+        pytest.param(make_spec("A", 2), _diag(0, 0),
+                     "eigenspace at (Fraction(0, 1), Fraction(0, 1)) has dimension 2", id="A-origin"),
+        pytest.param(make_spec("D", 4), _diag(0, 0, 0, 0),
+                     "eigenspace at (Fraction(0, 1), Fraction(0, 1)) has dimension 4", id="D-origin-too-big"),
+    ],
+)
+def test_graph_from_pair_rejects_fat_eigenspace_with_message(spec, h1, message):
+    z = _diag(*[0] * spec.dimv)
+    with pytest.raises(NormalFormError, match=re.escape(message + "; the pair is not in normal form")):
+        graph_from_pair(spec, z, z, h1, z)
+
+
+def test_graph_from_pair_rejects_unsplit_d_origin():
+    spec = make_spec("D", 2)
+    z = _diag(0, 0)
+    with pytest.raises(NormalFormError, match=re.escape("no e-image enters the (0,0)-eigenspace; not in normal form")):
+        graph_from_pair(spec, z, z, z, z)
+
+
+@pytest.mark.parametrize(
+    "gram_positions",
+    [
+        pytest.param(((0, 3), (3, 0), (1, 2), (2, 1)), id="isotropic-line"),
+        pytest.param(((0, 3), (3, 0)), id="zero-gram-block"),
+    ],
+)
+def test_graph_from_pair_rejects_degenerate_split(gram_positions):
+    with pytest.raises(NormalFormError, match=re.escape("degenerate (0,0)-eigenspace split")):
+        graph_from_pair(*_d4_one_line(gram_positions))
+
+
+def test_graph_from_pair_needs_a_form_to_split():
+    spec, e1, e2, h1, h2 = _d4_one_line(())
+    spec = replace(spec, form=None)
+    with pytest.raises(NormalFormError, match="cannot split the \\(0,0\\)-eigenspace without a bilinear form"):
+        graph_from_pair(spec, e1, e2, h1, h2)
+
+
+def test_graph_from_pair_rejects_component_with_repeated_node():
+    # The Gram-orthogonal complement of the hit line is basis vector 2, and
+    # e1 sends both (0,0)-lines to the (1,0) node.
+    spec, _, e2, h1, h2 = _d4_one_line(((0, 3), (3, 0), (1, 1), (2, 2)))
+    e1 = _units(4, (1, 0), (3, 1), (3, 2))
+    with pytest.raises(NormalFormError, match="a reconstructed component repeats a node; not in normal form"):
+        graph_from_pair(spec, e1, e2, h1, h2)
+
+
+def test_graph_from_pair_rejects_invalid_graph():
+    # Nodes (-1,0) -> (0,0) and (0,0) -> (0,1), one component on each
+    # (0,0)-line.  h is not traceless, so centring moves the shared node off
+    # the origin.
+    spec = replace(make_spec("D", 4), form=_units(4, (0, 3), (3, 0), (1, 1), (2, 2)))
+    with pytest.raises(
+        NormalFormError,
+        match=re.escape(
+            "reconstructed graph violates the axioms: components 0 and 1 share 1 nodes;"
+            " only a single shared node (0,0) is allowed"
+        ),
+    ):
+        graph_from_pair(spec, _units(4, (1, 0)), _units(4, (3, 2)), _diag(-1, 0, 0, 0), _diag(0, 0, 0, 1))
+
+
+def _distinguished_realizations(max_dimv):
+    for series, dimv, g in iter_desk_graphs():
+        if dimv <= max_dimv:
+            for sign in ("plus", "minus") if series == "D" and g.is_connected() else (None,):
+                yield build_pair(series, g, sign)
+
+
+def test_graph_from_pair_round_trips_conjugated_realizations():
+    rng = random.Random(20261020)
+    moved_count = 0
+    for r in _distinguished_realizations(8):
+        copies = [conjugated(r, rng) if r.spec.dimv > 1 else None]
+        if r.spec.series == "A":
+            t = scaled_shear(r.spec.dimv)
+            t_inv = invert(t)
+            copies.append(replace(r, **{k: mat_mul(t, mat_mul(getattr(r, k), t_inv)) for k in ("e1", "e2", "h1", "h2")}))
+        for c in copies:
+            if c is not None:
+                assert graph_from_pair(c.spec, c.e1, c.e2, c.h1, c.h2) == r.graph, (
+                    r.spec.series, graph_to_text(r.graph), r.orbit_sign
+                )
+                moved_count += 1
+    assert moved_count > 900
 
 
 # ---------------------------------------------------------------------------
