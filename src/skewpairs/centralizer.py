@@ -18,9 +18,10 @@ are each scaled to integers, which changes no commutant and no
 solvability.  Every block row is an int row; only the reduced bases and
 the reported bi-degrees are Fractions.
 
-centralizer() is the dense textbook route over an algebra basis.  It is
-public for callers with arbitrary elements, and the test suite uses it as
-the oracle for the graded solve.
+graph_from_pair() reads the skew-graph off the same frame: each basis
+vector is a node at its weight, and each nonzero entry of e1 or e2 joins
+two nodes.  bigrade() and is_rectangular_pair() use the frame too, so
+_eigenframe() is the one place that turns (h1, h2) into a basis.
 """
 
 from __future__ import annotations
@@ -36,22 +37,18 @@ from .liealg import (
     BasisLabel,
     PairRealization,
     _bracket_checks,
-    algebra_basis,
     verify_relations,
 )
 from .linalg import (
     Matrix,
     Vector,
-    commutator,
     integer_nullspace,
     integral_rows,
     invert,
     is_diagonal,
     joint_eigenspaces,
     mat_mul,
-    mat_vec,
     matrix,
-    nullspace,
     rank,
     rref,
     solve,
@@ -122,44 +119,6 @@ def _canonical_span(mats: Sequence[Matrix], n: int) -> tuple[Matrix, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Generic centralizer (algebra-basis coordinates)
-# ---------------------------------------------------------------------------
-
-def centralizer(spec: AlgebraSpec, elements: Sequence[Matrix]) -> tuple[Matrix, ...]:
-    """Basis of {x in g : [x, m] = 0 for all m}, in reduced echelon form."""
-    n = spec.dimv
-    elements = [matrix(m) for m in elements]
-    for m in elements:
-        if len(m) != n or any(len(row) != n for row in m):
-            raise ValueError("element dimension does not match the algebra")
-    basis = algebra_basis(spec)
-    rows = []
-    for m in elements:
-        comms = [commutator(b, m) for b in basis]
-        for i in range(n):
-            for j in range(n):
-                row = [c[i][j] for c in comms]
-                if any(row):
-                    rows.append(row)
-    coeff_vectors = nullspace(rows, len(basis)) if rows else tuple(
-        tuple(ONE if t == k else ZERO for t in range(len(basis))) for k in range(len(basis))
-    )
-    mats = []
-    for coeffs in coeff_vectors:
-        acc = [[ZERO] * n for _ in range(n)]
-        for c, b in zip(coeffs, basis):
-            if c:
-                for i in range(n):
-                    brow = b[i]
-                    arow = acc[i]
-                    for j in range(n):
-                        if brow[j]:
-                            arow[j] += c * brow[j]
-        mats.append(tuple(tuple(r) for r in acc))
-    return _canonical_span(mats, n)
-
-
-# ---------------------------------------------------------------------------
 # The eigenframe and the graded block systems
 # ---------------------------------------------------------------------------
 
@@ -184,6 +143,10 @@ class _Frame:
     def degree(self, d: tuple[int, int]) -> tuple[Fraction, Fraction]:
         """The exact bi-degree of an int degree d."""
         return Fraction(d[0], self.den), Fraction(d[1], self.den)
+
+    def to_input(self, m: Matrix) -> Matrix:
+        """T m T^-1: a matrix given in this basis, in the input basis (t set)."""
+        return mat_mul(self.t, mat_mul(m, self.t_inv))
 
 
 def _eigenframe(spec: AlgebraSpec, h1: Matrix, h2: Matrix, mats: Sequence[Matrix]):
@@ -293,7 +256,7 @@ def _graded_commutant(frame: _Frame, elements) -> dict:
     degree for the frame's weights.  Returns {degree: piece} for the
     nonzero graded pieces, each piece the reduced echelon basis of its
     block as (lead, matrix) pairs, lead the position of the leading 1.
-    Together the pieces span the same space as centralizer().
+    Together the pieces span z(elements) in g.
     """
     weights = frame.weights
     n = len(weights)
@@ -415,7 +378,7 @@ def is_rectangular_pair(r: PairRealization) -> bool:
 def analyze(r: PairRealization) -> CentralizerReport:
     """Centralizer dimensions, bi-exponents and all classification flags."""
     frame, (e1, e2) = _framed(r)
-    spec, weights, t, t_inv = frame.spec, frame.weights, frame.t, frame.t_inv
+    spec, weights = frame.spec, frame.weights
     n = spec.dimv
     pieces = _graded_commutant(frame, ((e1, (frame.den, 0)), (e2, (0, frame.den))))
 
@@ -423,9 +386,9 @@ def analyze(r: PairRealization) -> CentralizerReport:
         # Without a change of basis the blocks have disjoint supports and
         # list their positions in row-major order, so their reduced bases,
         # ordered by leading position, form the reduced basis of the span.
-        if t is None:
+        if frame.t is None:
             return tuple(m for _, m in sorted(lead_mats))
-        return _canonical_span([mat_mul(t, mat_mul(m, t_inv)) for _, m in lead_mats], n)
+        return _canonical_span([frame.to_input(m) for _, m in lead_mats], n)
 
     basis = span_in_input_basis([lm for piece in pieces.values() for lm in piece])
     # z(h) is the (0,0) block of g, and z(h) & z(e) the (0,0) piece of z(e).
@@ -643,21 +606,51 @@ def a_operator_matrix(pred: ClosedFormPrediction, r: PairRealization) -> Optiona
 # Graph reconstruction
 # ---------------------------------------------------------------------------
 
-def _line_key(vec: Vector) -> Vector:
-    reduced, _ = rref([vec])
-    return reduced[0]
+def _split_origin(frame: _Frame, moved, at: dict) -> list:
+    """e1, e2 with the (0,0)-eigenspace, frame vectors a and b, split in two lines:
+    the e-images from the (-1,0) and (0,-1) nodes, or the one hit line and its
+    Gram-orthogonal complement.  Columns a and b become the images of the
+    lines, and rows a and b the coordinates along them, up to one factor.
+    """
+    a, b = at[DEGREE_0]
+    lines = []
+    for m, src in zip(moved, ((-frame.den, 0), (0, -frame.den))):
+        if src in at:
+            img = (m[a][at[src][0]], m[b][at[src][0]])
+            if any(img) and all(img[0] * v[1] != img[1] * v[0] for v in lines):
+                lines.append(img)
+    if not lines:
+        raise NormalFormError("no e-image enters the (0,0)-eigenspace; not in normal form")
+    if len(lines) == 1:
+        if frame.gram is None:
+            raise NormalFormError("cannot split the (0,0)-eigenspace without a bilinear form")
+        # With (ga, gb) = u^T G on the eigenspace, v = (-gb, ga) spans the
+        # v with u^T G v = 0; it is the line of u when u is isotropic.
+        u = lines[0]
+        block = {(i, j): x for i in (a, b) for j, x in frame.gram[0][i]}
+        ga, gb = (u[0] * block.get((a, j), 0) + u[1] * block.get((b, j), 0) for j in (a, b))
+        if not (ga or gb) or ga * u[0] + gb * u[1] == 0:
+            raise NormalFormError("degenerate (0,0)-eigenspace split")
+        lines.append((-gb, ga))
+    (p, q), (r, s) = lines
+    out = [[list(row) for row in m] for m in moved]
+    for m, rows in zip(moved, out):
+        for row in rows:
+            row[a], row[b] = p * row[a] + q * row[b], r * row[a] + s * row[b]
+        rows[a] = [s * x - r * y for x, y in zip(m[a], m[b])]
+        rows[b] = [p * y - q * x for x, y in zip(m[a], m[b])]
+    return out
 
 
 def graph_from_pair(spec: AlgebraSpec, e1: Matrix, e2: Matrix, h1: Matrix, h2: Matrix) -> SkewGraph:
     """Skew-graph of a pair in normal form: nodes are the (h1,h2)-eigenvalues
     on V, arrows record where e1 and e2 act without vanishing.
 
-    Joint eigenspaces must be one-dimensional, except that series D allows a
-    two-dimensional (0,0)-eigenspace, which is split into two lines via the
-    incoming e-images (and the Gram-orthogonal complement when only one line
-    is hit).
+    In the eigenframe of (h1, h2) each basis vector is a node and each
+    nonzero entry of e1 or e2 an arrow.  Joint eigenspaces must be lines,
+    except that series D allows a two-dimensional (0,0)-eigenspace, which
+    _split_origin splits into two.
     """
-    n = spec.dimv
     e1, e2, h1, h2 = (matrix(m) for m in (e1, e2, h1, h2))
     checks = dict(_bracket_checks([integral_rows(m) for m in (e1, e2, h1, h2)]))
     if not checks.pop("e1_e2_commute"):
@@ -667,55 +660,18 @@ def graph_from_pair(spec: AlgebraSpec, e1: Matrix, e2: Matrix, h1: Matrix, h2: M
     if not all(checks.values()):
         raise NormalFormError("the grading relations [h_i, e_j] = delta_ij e_j fail")
 
-    spaces = joint_eigenspaces(h1, h2)
-    singles = {key: vecs[0] for key, vecs in spaces if len(vecs) == 1}
-    vertices: list[tuple[tuple[Fraction, Fraction], Vector]] = []
-    for key, vecs in spaces:
-        if len(vecs) == 1:
-            vertices.append((key, vecs[0]))
-            continue
-        if key != (ZERO, ZERO) or len(vecs) != 2 or spec.series != "D":
+    frame, moved = _eigenframe(spec, h1, h2, (e1, e2))
+    at: dict[tuple[int, int], list[int]] = {}
+    for i, w in enumerate(frame.weights):
+        at.setdefault(w, []).append(i)
+    for w in sorted(w for w in at if len(at[w]) > 1):
+        if w != DEGREE_0 or len(at[w]) != 2 or spec.series != "D":
             raise NormalFormError(
-                f"eigenspace at {key} has dimension {len(vecs)}; the pair is not in normal form"
+                f"eigenspace at {frame.degree(w)} has dimension {len(at[w])}; the pair is not in normal form"
             )
-        lines = []
-        for e, source_key in ((e1, (-ONE, ZERO)), (e2, (ZERO, -ONE))):
-            src = singles.get(source_key)
-            if src is None:
-                continue
-            img = mat_vec(e, src)
-            if any(img):
-                if _line_key(img) not in [_line_key(l) for l in lines]:
-                    lines.append(img)
-        if len(lines) == 2:
-            split = lines
-        elif len(lines) == 1:
-            if spec.form is None:
-                raise NormalFormError("cannot split the (0,0)-eigenspace without a bilinear form")
-            # Complete the hit line to a splitting with its Gram-orthogonal
-            # complement inside the eigenspace: v = a*vecs[0] + b*vecs[1]
-            # with (u, v) = 0.
-            u = lines[0]
-            gu = mat_vec(transpose(spec.form), u)
-            row = [sum((gu[t] * v[t] for t in range(n)), ZERO) for v in vecs]
-            coeff_space = nullspace([row], 2)
-            if len(coeff_space) != 1:
-                raise NormalFormError("degenerate (0,0)-eigenspace split")
-            a, b = coeff_space[0]
-            ortho = tuple(a * x + b * y for x, y in zip(vecs[0], vecs[1]))
-            if _line_key(ortho) == _line_key(u):
-                raise NormalFormError("degenerate (0,0)-eigenspace split")
-            split = [u, ortho]
-        else:
-            raise NormalFormError("no e-image enters the (0,0)-eigenspace; not in normal form")
-        for v in split:
-            vertices.append((key, v))
+        moved = _split_origin(frame, moved, at)
 
-    index_by_key: dict[tuple[Fraction, Fraction], list[int]] = {}
-    for i, (key, _) in enumerate(vertices):
-        index_by_key.setdefault(key, []).append(i)
-
-    parent = list(range(len(vertices)))
+    parent = list(range(len(frame.weights)))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -723,37 +679,19 @@ def graph_from_pair(spec: AlgebraSpec, e1: Matrix, e2: Matrix, h1: Matrix, h2: M
             a = parent[a]
         return a
 
-    def union(a: int, b: int) -> None:
-        parent[find(a)] = find(b)
+    for m in moved:
+        for i, row in enumerate(m):
+            for j, x in enumerate(row):
+                if x:
+                    parent[find(i)] = find(j)
 
-    for i, (key, vec) in enumerate(vertices):
-        for e, step in ((e1, (ONE, ZERO)), (e2, (ZERO, ONE))):
-            img = mat_vec(e, vec)
-            if not any(img):
-                continue
-            tkey = (key[0] + step[0], key[1] + step[1])
-            targets = index_by_key.get(tkey, [])
-            if not targets:
-                raise NormalFormError(f"e-image leaves the eigenspace decomposition at {key}")
-            if len(targets) == 1:
-                union(i, targets[0])
-                continue
-            cols = transpose(matrix([vertices[t][1] for t in targets]))
-            coords = solve(cols, img)
-            if coords is None or sum(1 for c in coords if c) != 1:
-                raise NormalFormError("an e-image mixes the two (0,0)-lines; not in normal form")
-            union(i, targets[next(t for t, c in enumerate(coords) if c)])
-
-    groups: dict[int, list[int]] = {}
-    for i in range(len(vertices)):
-        groups.setdefault(find(i), []).append(i)
-    node_sets = []
-    for members in groups.values():
-        keys = [vertices[i][0] for i in members]
-        if len(set(keys)) != len(keys):
-            raise NormalFormError("a reconstructed component repeats a node; not in normal form")
-        node_sets.append([Node(p, q) for p, q in keys])
-    graph = canonical_form(SkewGraph(tuple(component_from_nodes(s) for s in node_sets)))
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, w in enumerate(frame.weights):
+        groups.setdefault(find(i), []).append(w)
+    if any(len(set(ws)) != len(ws) for ws in groups.values()):
+        raise NormalFormError("a reconstructed component repeats a node; not in normal form")
+    comps = (component_from_nodes(Node(*frame.degree(w)) for w in ws) for ws in groups.values())
+    graph = canonical_form(SkewGraph(tuple(comps)))
     findings = validate(graph)
     if findings:
         raise NormalFormError("reconstructed graph violates the axioms: " + "; ".join(findings))

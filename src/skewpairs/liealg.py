@@ -12,14 +12,12 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .linalg import (
     Matrix,
     integral_rows,
     matrix,
-    nullspace,
     parse_fraction,
     rank,
     sparse_rows_cols,
@@ -93,15 +91,6 @@ def series_rank(series: str, dimv: int) -> int:
     if series == "B":
         return (dimv - 1) // 2
     return dimv // 2
-
-
-def algebra_dim(spec: AlgebraSpec) -> int:
-    n = spec.dimv
-    if spec.series == "A":
-        return n * n - 1
-    if spec.series == "C":
-        return n * (n + 1) // 2
-    return n * (n - 1) // 2
 
 
 def standard_form(series: str, dimv: int) -> Optional[Matrix]:
@@ -262,7 +251,7 @@ def _commutator_entries(a: list, b: list) -> dict[tuple[int, int], int]:
 
 
 def _in_algebra(spec: AlgebraSpec, rows: list, g_rows: list, g_cols: list) -> bool:
-    """in_algebra for the nonzero rows of a multiple of x, given those of G and G^T.
+    """Whether x is in g, from the nonzero rows of a multiple of x and those of G and G^T.
 
     Series A asks for trace 0.  Otherwise x[c][a] adds x[c][a] G[c][b] to
     entry (a, b) of x^T G and G[p][c] x[c][a] to entry (p, a) of G x, and
@@ -278,58 +267,6 @@ def _in_algebra(spec: AlgebraSpec, rows: list, g_rows: list, g_cols: list) -> bo
             for p, y in g_cols[c]:
                 out[p, a] = out.get((p, a), 0) + y * x
     return not any(out.values())
-
-
-def _gram_rows_cols(spec: AlgebraSpec) -> tuple[list, list]:
-    return ([], []) if spec.series == "A" else sparse_rows_cols(spec.form)
-
-
-def in_algebra(spec: AlgebraSpec, m: Matrix) -> bool:
-    return _in_algebra(spec, integral_rows(m)[1], *_gram_rows_cols(spec))
-
-
-@lru_cache(maxsize=None)
-def algebra_basis(spec: AlgebraSpec) -> tuple[Matrix, ...]:
-    """Ordered basis of the algebra inside the full matrix algebra.
-
-    Series A: elementary off-diagonal matrices then consecutive diagonal
-    differences.  B/C/D: canonical nullspace basis of the form-skewness
-    condition X^T G + G X = 0 over row-major matrix coordinates.
-    """
-    n = spec.dimv
-    if spec.series == "A":
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    rows = [[ZERO] * n for _ in range(n)]
-                    rows[i][j] = ONE
-                    out.append(tuple(tuple(r) for r in rows))
-        for k in range(n - 1):
-            rows = [[ZERO] * n for _ in range(n)]
-            rows[k][k] = ONE
-            rows[k + 1][k + 1] = -ONE
-            out.append(tuple(tuple(r) for r in rows))
-        return tuple(out)
-
-    g = spec.form
-    constraint_rows = []
-    for a in range(n):
-        for b in range(n):
-            row = [ZERO] * (n * n)
-            for c in range(n):
-                if g[c][b]:
-                    row[c * n + a] += g[c][b]
-                if g[a][c]:
-                    row[c * n + b] += g[a][c]
-            constraint_rows.append(row)
-    basis = []
-    for vec in nullspace(constraint_rows, n * n):
-        basis.append(tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n)))
-    expected = algebra_dim(spec)
-    if len(basis) != expected:
-        raise RuntimeError(f"form-skew basis has dimension {len(basis)}, expected {expected}")
-    return tuple(basis)
 
 
 def _bracket_checks(scaled: list) -> list[tuple[str, bool]]:
@@ -364,7 +301,7 @@ def verify_relations(r: PairRealization) -> RelationReport:
     """
     spec = r.spec
     scaled = [integral_rows(m) for m in (r.e1, r.e2, r.h1, r.h2)]
-    gram = _gram_rows_cols(spec)
+    gram = ([], []) if spec.series == "A" else sparse_rows_cols(spec.form)
     checks = _bracket_checks(scaled) + [
         (f"{name}_in_algebra", _in_algebra(spec, rows, *gram))
         for name, (_, rows) in zip(("e1", "e2", "h1", "h2"), scaled)

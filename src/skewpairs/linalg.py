@@ -15,6 +15,10 @@ by the rational root theorem on the characteristic polynomial of h itself.
 A joint eigenspace of (h1, h2) is the kernel of the two shifted matrices
 stacked; the pair is diagonalizable over Q exactly when these kernels span
 the whole space.
+
+Only routines that a package path calls live here.  Dense Fraction
+arithmetic (sums, powers, commutators, the characteristic polynomial as
+Fractions) serves the test suite alone, as its oracles.
 """
 
 from __future__ import annotations
@@ -51,30 +55,12 @@ def matrix(rows: Iterable[Iterable]) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def zeros(n: int, m: Optional[int] = None) -> Matrix:
-    m = n if m is None else m
-    return tuple((ZERO,) * m for _ in range(n))
-
-
 def identity(n: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -91,29 +77,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                     if y:
                         oi[j] += x * y
     return tuple(tuple(row) for row in out)
-
-
-def mat_vec(a: Matrix, v: Sequence) -> Vector:
-    return tuple(sum((x * y for x, y in zip(row, v) if x and y), ZERO) for row in a)
-
-
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    out = identity(len(a))
-    for _ in range(k):
-        out = mat_mul(out, a)
-    return out
-
-
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(not x for row in a for x in row)
-
-
-def trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), ZERO)
 
 
 def is_diagonal(a: Matrix) -> bool:
@@ -291,11 +254,6 @@ def invert(a: Matrix) -> Matrix:
     return tuple(tuple(red[i][n:]) for i in range(n))
 
 
-def span_rref(vectors: Iterable[Sequence]) -> Matrix:
-    """Canonical (RREF) basis of the span of the given vectors."""
-    return rref(vectors)[0]
-
-
 def in_span(basis_rref: Matrix, v: Sequence) -> bool:
     """Membership test against an RREF basis, by reduction.
 
@@ -337,16 +295,6 @@ def _integer_charpoly(rows: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
     return coeffs
 
 
-def charpoly(a: Matrix) -> tuple[Fraction, ...]:
-    """Characteristic polynomial coefficients, highest degree first (monic).
-
-    With c the least common denominator of a, the coefficient of x^(n-k)
-    is that of the integer matrix c a divided by c^k.
-    """
-    c, rows = integral_rows(a)
-    return tuple(Fraction(x, c**k) for k, x in enumerate(_integer_charpoly(rows)))
-
-
 def _eigen_shifts(h: Matrix) -> list[tuple[Fraction, list[list[int]]]]:
     """(r / c, rows of c h - r I) for each integer eigenvalue r of c h, c the
     least common denominator of h, ascending; ker(c h - r I) = ker(h - r / c).
@@ -369,7 +317,8 @@ def _eigen_shifts(h: Matrix) -> list[tuple[Fraction, list[list[int]]]]:
         return small + [m // d for d in small]
 
     bound = max((sum(abs(x) for _, x in row) for row in rows), default=0)
-    cands = {c * p // q for p in divisors(low) for q in divisors(lead) if c * p % q == 0 and c * p <= bound * q}
+    qs = divisors(lead)
+    cands = {c * p // q for p in divisors(low) for q in qs if c * p % q == 0 and c * p <= bound * q}
     roots = [] if coeffs[-1] else [0]
     roots += [s for r in cands for s in (r, -r) if not sum(x * s ** (n - k) for k, x in enumerate(coeffs))]
     out = []
@@ -393,15 +342,6 @@ def joint_eigenspaces(h1: Matrix, h2: Matrix) -> list[tuple[tuple[Fraction, Frac
     the joint eigenspaces span Q^n.
     """
     n = len(h1)
-    if is_diagonal(h1) and is_diagonal(h2):
-        spaces: dict[tuple[Fraction, Fraction], list[Vector]] = {}
-        for i in range(n):
-            key = (h1[i][i], h2[i][i])
-            e = [ZERO] * n
-            e[i] = ONE
-            spaces.setdefault(key, []).append(tuple(e))
-        return sorted((k, tuple(v)) for k, v in spaces.items())
-
     second = _eigen_shifts(h2)
     out = []
     for p, rows1 in _eigen_shifts(h1):

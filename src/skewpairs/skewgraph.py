@@ -652,8 +652,19 @@ def _node_text(nd: Node) -> str:
 
 
 def _node_from_text(text: str) -> Node:
-    xs, ys = text.split(",")
-    return Node(parse_fraction(xs), parse_fraction(ys))
+    coords = text.split(",")
+    if len(coords) != 2:
+        raise ValueError(f"node {text!r} is not two coordinates x,y")
+    return Node(parse_fraction(coords[0]), parse_fraction(coords[1]))
+
+
+def _read_component(nodes: list[Node]) -> Component:
+    """The component on nodes read from input; a repeated node is a ValueError."""
+    comp = component_from_nodes(nodes)
+    if len(comp) != len(nodes):
+        repeated = next(nd for nd in comp.nodes if nodes.count(nd) > 1)
+        raise ValueError(f"node {_node_text(repeated)} appears twice in one component")
+    return comp
 
 
 def graph_to_text(graph: SkewGraph) -> str:
@@ -667,7 +678,7 @@ def graph_from_text(text: str) -> SkewGraph:
         line = line.strip()
         if not line:
             continue
-        comps.append(component_from_nodes(_node_from_text(tok) for tok in line.split()))
+        comps.append(_read_component([_node_from_text(tok) for tok in line.split()]))
     if not comps:
         raise ValueError("no components in graph text")
     return SkewGraph(tuple(comps))
@@ -691,12 +702,17 @@ def graph_from_jsonable(data: dict) -> SkewGraph:
     comps = data["components"] if isinstance(data, dict) else None
     if not (isinstance(comps, list) and all(isinstance(nodes, list) for nodes in comps)):
         raise ValueError("a graph must be an object whose components are lists of nodes")
-    return SkewGraph(tuple(component_from_nodes(map(node_from_jsonable, nodes)) for nodes in comps))
+    return SkewGraph(tuple(_read_component(list(map(node_from_jsonable, nodes))) for nodes in comps))
 
 
 def render_ascii(graph: SkewGraph) -> str:
     """Draw skew-diagrams; components with a common half-integer offset are
-    drawn on separate grids, same-offset components share one grid."""
+    drawn on separate grids, same-offset components share one grid.
+
+    A grid may hold at most n x n cells for n nodes, which every connected
+    graph meets; a wider spread of nodes is a ValueError.
+    """
+    n = graph.n_nodes
     groups: dict[tuple[Fraction, Fraction], list[tuple[int, Component]]] = {}
     for idx, comp in enumerate(graph.components):
         anchor = comp.nodes[0]
@@ -712,6 +728,9 @@ def render_ascii(graph: SkewGraph) -> str:
                 cells[pos] = "*" if pos in cells else mark
         xs = sorted({p[0] for p in cells})
         ys = sorted({p[1] for p in cells})
+        width, height = xs[-1] - xs[0] + 1, ys[-1] - ys[0] + 1
+        if width * height > n * n:
+            raise ValueError(f"nodes spread over {width} x {height} cells, more than {n} x {n} for {n} nodes")
         lines = []
         y = ys[-1]
         while y >= ys[0]:

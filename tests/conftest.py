@@ -15,9 +15,10 @@ from typing import Optional
 
 import pytest
 
+from oracles import mat_add, mat_sub
 from skewpairs.centralizer import CentralizerReport, analyze
 from skewpairs.liealg import PairRealization, RelationReport, build_pair, verify_relations
-from skewpairs.linalg import identity, invert, is_diagonal, mat_add, mat_mul, mat_sub, matrix, transpose
+from skewpairs.linalg import identity, invert, is_diagonal, mat_mul, matrix, transpose
 from skewpairs.skewgraph import SkewGraph, enumerate_admissible, graph_key
 
 DESK_DIMS = (
@@ -136,6 +137,17 @@ def scaled_shear(n):
     shear = matrix([[int(j >= i) for j in range(n)] for i in range(n)])
     scale = matrix([[primes[i % 5] if i == j else 0 for j in range(n)] for i in range(n)])
     return mat_mul(scale, shear)
+
+
+def distinguished_realizations(max_dimv):
+    """Every distinguished realization with dimV <= max_dimv, both signs
+    for connected series-D graphs."""
+    for series, first, step in (("A", 1, 1), ("B", 1, 2), ("C", 2, 2), ("D", 2, 2)):
+        for dimv in range(first, max_dimv + 1, step):
+            for g in enumerate_admissible(series, dimv, "distinguished"):
+                signs = ("plus", "minus") if series == "D" and g.is_connected() else (None,)
+                for sign in signs:
+                    yield build_pair(series, g, sign)
 
 
 def small_realizations():

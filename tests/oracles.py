@@ -1,0 +1,194 @@
+"""Dense textbook routines that the package no longer calls.
+
+The tests use them as oracles for the graded and integer paths: matrix
+arithmetic over Fraction, the characteristic polynomial as Fractions, the
+algebra basis of g inside gl(V), membership in g by x^T G + G x, and the
+dense centralizer, a null space over the whole algebra basis.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from typing import Optional, Sequence
+
+from skewpairs.centralizer import _canonical_span
+from skewpairs.liealg import AlgebraSpec
+from skewpairs.linalg import (
+    Matrix,
+    Vector,
+    _integer_charpoly,
+    identity,
+    integral_rows,
+    mat_mul,
+    matrix,
+    nullspace,
+    rref,
+    transpose,
+)
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+# ---------------------------------------------------------------------------
+# Matrix arithmetic
+# ---------------------------------------------------------------------------
+
+def zeros(n: int, m: Optional[int] = None) -> Matrix:
+    m = n if m is None else m
+    return tuple((ZERO,) * m for _ in range(n))
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(c, a: Matrix) -> Matrix:
+    c = Fraction(c)
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def mat_vec(a: Matrix, v: Sequence) -> Vector:
+    return tuple(sum((x * y for x, y in zip(row, v) if x and y), ZERO) for row in a)
+
+
+def mat_pow(a: Matrix, k: int) -> Matrix:
+    out = identity(len(a))
+    for _ in range(k):
+        out = mat_mul(out, a)
+    return out
+
+
+def commutator(a: Matrix, b: Matrix) -> Matrix:
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
+def is_zero_matrix(a: Matrix) -> bool:
+    return all(not x for row in a for x in row)
+
+
+def trace(a: Matrix) -> Fraction:
+    return sum((a[i][i] for i in range(len(a))), ZERO)
+
+
+def span_rref(vectors) -> Matrix:
+    """Canonical (RREF) basis of the span of the given vectors."""
+    return rref(vectors)[0]
+
+
+def charpoly(a: Matrix) -> tuple[Fraction, ...]:
+    """Characteristic polynomial coefficients, highest degree first (monic).
+
+    With c the least common denominator of a, the coefficient of x^(n-k)
+    is that of the integer matrix c a divided by c^k.
+    """
+    c, rows = integral_rows(a)
+    return tuple(Fraction(x, c**k) for k, x in enumerate(_integer_charpoly(rows)))
+
+
+# ---------------------------------------------------------------------------
+# The algebra g inside gl(V)
+# ---------------------------------------------------------------------------
+
+def algebra_dim(spec: AlgebraSpec) -> int:
+    n = spec.dimv
+    if spec.series == "A":
+        return n * n - 1
+    if spec.series == "C":
+        return n * (n + 1) // 2
+    return n * (n - 1) // 2
+
+
+def in_algebra(spec: AlgebraSpec, m: Matrix) -> bool:
+    """Trace 0 for series A; x^T G + G x = 0 for B, C and D."""
+    if spec.series == "A":
+        return trace(m) == 0
+    g = spec.form
+    return is_zero_matrix(mat_add(mat_mul(transpose(m), g), mat_mul(g, m)))
+
+
+@lru_cache(maxsize=None)
+def algebra_basis(spec: AlgebraSpec) -> tuple[Matrix, ...]:
+    """Ordered basis of the algebra inside the full matrix algebra.
+
+    Series A: elementary off-diagonal matrices then consecutive diagonal
+    differences.  B/C/D: canonical nullspace basis of the form-skewness
+    condition X^T G + G X = 0 over row-major matrix coordinates.
+    """
+    n = spec.dimv
+    if spec.series == "A":
+        out = []
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    rows = [[ZERO] * n for _ in range(n)]
+                    rows[i][j] = ONE
+                    out.append(tuple(tuple(r) for r in rows))
+        for k in range(n - 1):
+            rows = [[ZERO] * n for _ in range(n)]
+            rows[k][k] = ONE
+            rows[k + 1][k + 1] = -ONE
+            out.append(tuple(tuple(r) for r in rows))
+        return tuple(out)
+
+    g = spec.form
+    constraint_rows = []
+    for a in range(n):
+        for b in range(n):
+            row = [ZERO] * (n * n)
+            for c in range(n):
+                if g[c][b]:
+                    row[c * n + a] += g[c][b]
+                if g[a][c]:
+                    row[c * n + b] += g[a][c]
+            constraint_rows.append(row)
+    basis = []
+    for vec in nullspace(constraint_rows, n * n):
+        basis.append(tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n)))
+    expected = algebra_dim(spec)
+    if len(basis) != expected:
+        raise RuntimeError(f"form-skew basis has dimension {len(basis)}, expected {expected}")
+    return tuple(basis)
+
+
+# ---------------------------------------------------------------------------
+# The dense centralizer
+# ---------------------------------------------------------------------------
+
+def centralizer(spec: AlgebraSpec, elements: Sequence[Matrix]) -> tuple[Matrix, ...]:
+    """Basis of {x in g : [x, m] = 0 for all m}, in reduced echelon form."""
+    n = spec.dimv
+    elements = [matrix(m) for m in elements]
+    for m in elements:
+        if len(m) != n or any(len(row) != n for row in m):
+            raise ValueError("element dimension does not match the algebra")
+    basis = algebra_basis(spec)
+    rows = []
+    for m in elements:
+        comms = [commutator(b, m) for b in basis]
+        for i in range(n):
+            for j in range(n):
+                row = [c[i][j] for c in comms]
+                if any(row):
+                    rows.append(row)
+    coeff_vectors = nullspace(rows, len(basis)) if rows else tuple(
+        tuple(ONE if t == k else ZERO for t in range(len(basis))) for k in range(len(basis))
+    )
+    mats = []
+    for coeffs in coeff_vectors:
+        acc = [[ZERO] * n for _ in range(n)]
+        for c, b in zip(coeffs, basis):
+            if c:
+                for i in range(n):
+                    brow = b[i]
+                    arow = acc[i]
+                    for j in range(n):
+                        if brow[j]:
+                            arow[j] += c * brow[j]
+        mats.append(tuple(tuple(r) for r in acc))
+    return _canonical_span(mats, n)

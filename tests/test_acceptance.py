@@ -9,9 +9,10 @@ import random
 from fractions import Fraction
 
 from conftest import naive_nullspace, oracle_connected_cellsets
+from oracles import commutator
 from skewpairs.catalog import _closed_form_matches, count_orbits
 from skewpairs.centralizer import _flatten, graph_from_pair
-from skewpairs.linalg import commutator, matrix, nullspace
+from skewpairs.linalg import matrix, nullspace
 from skewpairs.skewgraph import (
     SkewGraph,
     classify_component,

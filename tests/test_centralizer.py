@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import conjugated, iter_desk_graphs, scaled_shear, small_realizations
+from conftest import conjugated, distinguished_realizations, scaled_shear, small_realizations
+from oracles import algebra_basis, centralizer, commutator, mat_add, mat_scale, span_rref, zeros
 from skewpairs.centralizer import (
     NormalFormError,
     _canonical_span,
@@ -18,31 +19,13 @@ from skewpairs.centralizer import (
     a_operator_matrix,
     analyze,
     bigrade,
-    centralizer,
     closed_form_centralizer,
     graph_from_pair,
     is_rectangular_pair,
     report_to_jsonable,
 )
-from skewpairs.liealg import (
-    PairRealization,
-    algebra_basis,
-    build_pair,
-    make_spec,
-    verify_relations,
-)
-from skewpairs.linalg import (
-    commutator,
-    in_span,
-    invert,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    matrix,
-    solve,
-    span_rref,
-    zeros,
-)
+from skewpairs.liealg import PairRealization, build_pair, make_spec
+from skewpairs.linalg import in_span, invert, mat_mul, matrix, solve
 from skewpairs.skewgraph import (
     Node,
     SkewGraph,
@@ -438,7 +421,8 @@ def test_round_trip_nondiagonal_basis():
 def test_graph_from_pair_rejects_fat_eigenspace():
     spec = make_spec("A", 2)
     z = zeros(2)
-    with pytest.raises(NormalFormError):
+    message = "eigenspace at (Fraction(0, 1), Fraction(0, 1)) has dimension 2; the pair is not in normal form"
+    with pytest.raises(NormalFormError, match=re.escape(message)):
         graph_from_pair(spec, z, z, z, z)
 
 
@@ -471,8 +455,6 @@ def _d4_one_line(gram_positions):
     [
         pytest.param(make_spec("A", 3), _diag(F(1, 2), F(1, 2), -1),
                      "eigenspace at (Fraction(1, 2), Fraction(0, 1)) has dimension 2", id="A-off-origin"),
-        pytest.param(make_spec("A", 2), _diag(0, 0),
-                     "eigenspace at (Fraction(0, 1), Fraction(0, 1)) has dimension 2", id="A-origin"),
         pytest.param(make_spec("D", 4), _diag(0, 0, 0, 0),
                      "eigenspace at (Fraction(0, 1), Fraction(0, 1)) has dimension 4", id="D-origin-too-big"),
     ],
@@ -533,17 +515,10 @@ def test_graph_from_pair_rejects_invalid_graph():
         graph_from_pair(spec, _units(4, (1, 0)), _units(4, (3, 2)), _diag(-1, 0, 0, 0), _diag(0, 0, 0, 1))
 
 
-def _distinguished_realizations(max_dimv):
-    for series, dimv, g in iter_desk_graphs():
-        if dimv <= max_dimv:
-            for sign in ("plus", "minus") if series == "D" and g.is_connected() else (None,):
-                yield build_pair(series, g, sign)
-
-
 def test_graph_from_pair_round_trips_conjugated_realizations():
     rng = random.Random(20261020)
     moved_count = 0
-    for r in _distinguished_realizations(8):
+    for r in distinguished_realizations(8):
         copies = [conjugated(r, rng) if r.spec.dimv > 1 else None]
         if r.spec.series == "A":
             t = scaled_shear(r.spec.dimv)

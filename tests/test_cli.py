@@ -317,3 +317,49 @@ def test_verify_rejects_wrong_json_types(tmp_path, capsys, mutate):
     # Each of these once escaped as a TypeError traceback with exit 1.
     code, _ = _verify_mutated(tmp_path, capsys, mutate)
     assert code == 2
+
+
+def _build_error(tmp_path, capsys, text):
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text(text)
+    code, out, err = run_cli(capsys, "build", "--series", "A", "--input", str(graph_file))
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return code, err
+
+
+def test_build_rejects_repeated_node(tmp_path, capsys):
+    # Once merged without a word into a dimV-1 realization with exit 0.
+    code, err = _build_error(tmp_path, capsys, "1/1,0/1 1/1,0/1\n")
+    assert code == 2
+    assert "1/1,0/1 appears twice" in err
+
+
+def test_verify_rejects_repeated_graph_node(tmp_path, capsys):
+    def repeat_node(doc):
+        nodes = doc["graph"]["components"][0]
+        nodes.append(nodes[0])
+
+    code, err = _verify_mutated(tmp_path, capsys, repeat_node)
+    assert code == 2
+    assert "appears twice" in err
+
+
+@pytest.mark.parametrize(
+    "token",
+    [pytest.param("1/1", id="no-comma"), pytest.param("1/1,0/1,2/1", id="two-commas")],
+)
+def test_build_names_node_token_without_one_comma(tmp_path, capsys, token):
+    code, err = _build_error(tmp_path, capsys, f"-1/1,0/1 {token}\n")
+    assert code == 2
+    assert f"node '{token}' is not two coordinates" in err
+
+
+def test_render_rejects_nodes_spread_beyond_a_square(tmp_path, capsys):
+    # Drawing 0 and 10^12 on one grid once ran until it was killed.
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text("0/1,0/1\n1e12,0/1\n")
+    code, out, err = run_cli(capsys, "render", "--input", str(graph_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: nodes spread over 1000000000001 x 1 cells") and err.count("\n") == 1

@@ -1,0 +1,139 @@
+"""Input-boundary fuzzing: mutated `build` output fed back to the CLI.
+
+Each example edits a realization document, as JSON values or as text,
+and runs `verify` on it, or edits the graph text it was built from and runs
+`build` and `render`.  Whatever the input, the CLI must return 0, 1 or 2 and write at most
+one line to stderr: no exception may escape.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skewpairs.cli import main
+from skewpairs.liealg import build_pair, realization_to_jsonable
+from skewpairs.skewgraph import graph_from_text
+
+GRAPHS = (
+    ("A", "-1/1,1/2 0/1,1/2 0/1,-1/2 1/1,-1/2\n"),
+    ("B", "-1/1,0/1 0/1,0/1 1/1,0/1\n"),
+    ("C", "-3/2,0/1 -1/2,0/1 1/2,0/1 3/2,0/1\n"),
+    ("D", "-1/1,0/1 0/1,0/1 1/1,0/1\n0/1,-1/1 0/1,0/1 0/1,1/1\n"),
+)
+DOCUMENTS = tuple(
+    realization_to_jsonable(build_pair(series, graph_from_text(text)), fmt)
+    for series, text in GRAPHS
+    for fmt in ("dense", "sparse")
+)
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=12),
+    st.sampled_from([0.5, -1.0, 1e300, float("nan"), float("inf")]),
+    st.sampled_from(["0", "1", "-1", "1/2", "1/0", "x", "", "nan", "inf", "1e3", "A", "D", "plus"]),
+)
+json_values = st.recursive(
+    scalars,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["shape", "entries", "components", "node", "component"]), kids, max_size=2),
+    max_leaves=6,
+)
+json_edits = st.lists(
+    st.tuples(st.integers(min_value=0), st.sampled_from(["replace", "delete", "duplicate"]), json_values),
+    min_size=1,
+    max_size=3,
+)
+# At most four edits, each a character or a token of the formats.
+text_units = st.sampled_from(list("0123456789/,- \n\"[]{}:x.") + ["1e12", "1/0", "nan", "0/1,0/1", ",,"])
+text_edits = st.lists(
+    st.tuples(st.integers(min_value=0), st.sampled_from(["insert", "delete", "replace"]), text_units),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _paths(item, prefix + (index,))
+
+
+def _edit_json(doc, edits):
+    doc = json.loads(json.dumps(doc))
+    for where, op, value in edits:
+        paths = list(_paths(doc))
+        path = paths[where % len(paths)]
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if op == "replace":
+            parent[key] = value
+        elif op == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, parent[key])
+        else:
+            parent[key] = [parent[key], parent[key]]
+    return doc
+
+
+def _edit_text(text, edits):
+    for where, op, unit in edits:
+        i = where % (len(text) + 1)
+        if op == "insert":
+            text = text[:i] + unit + text[i:]
+        elif op == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + unit + text[i + 1:]
+    return text
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _run(workdir, text, *argv):
+    path = workdir / "input"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--input", str(path)])
+    assert code in (0, 1, 2), (argv, text)
+    assert err.getvalue().count("\n") <= 1, (argv, text, err.getvalue())
+    return code
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(DOCUMENTS), json_edits)
+def test_verify_survives_json_value_edits(workdir, doc, edits):
+    _run(workdir, json.dumps(_edit_json(doc, edits)), "verify")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(DOCUMENTS), text_edits)
+def test_verify_survives_json_text_edits(workdir, doc, edits):
+    _run(workdir, _edit_text(json.dumps(doc, indent=2), edits), "verify")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(GRAPHS), text_edits)
+def test_build_and_render_survive_text_edits(workdir, graph, edits):
+    series, text = graph
+    text = _edit_text(text, edits)
+    _run(workdir, text, "build", "--series", series)
+    _run(workdir, text, "render")

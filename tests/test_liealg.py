@@ -5,30 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import distinguished_realizations
+from oracles import algebra_basis, commutator, in_algebra, is_zero_matrix, mat_pow, mat_sub, trace
 from skewpairs.liealg import (
     NotAdmissibleError,
     RelationReport,
-    algebra_basis,
     build_pair,
-    in_algebra,
     make_spec,
     realization_from_jsonable,
     realization_to_jsonable,
     standard_form,
     verify_relations,
 )
-from skewpairs.linalg import (
-    commutator,
-    is_zero_matrix,
-    mat_add,
-    mat_mul,
-    mat_pow,
-    mat_sub,
-    matrix,
-    rank,
-    trace,
-    transpose,
-)
+from skewpairs.linalg import matrix, rank, transpose
 from skewpairs.skewgraph import (
     Node,
     SkewGraph,
@@ -224,13 +213,6 @@ def test_realization_json_rejects_sparse_entry_outside_shape():
 # dense oracle for the sparse relation checks
 # ---------------------------------------------------------------------------
 
-def _dense_in_algebra(spec, m):
-    if spec.series == "A":
-        return trace(m) == 0
-    g = spec.form
-    return is_zero_matrix(mat_add(mat_mul(transpose(m), g), mat_mul(g, m)))
-
-
 def _dense_relations(r):
     """verify_relations by dense Fraction commutators and x^T G + G x."""
     e1, e2, h1, h2 = r.e1, r.e2, r.h1, r.h2
@@ -241,27 +223,18 @@ def _dense_relations(r):
         ("h1_e2_grading", is_zero_matrix(commutator(h1, e2))),
         ("h2_e1_grading", is_zero_matrix(commutator(h2, e1))),
         ("h2_e2_grading", commutator(h2, e2) == e2),
-        ("e1_in_algebra", _dense_in_algebra(r.spec, e1)),
-        ("e2_in_algebra", _dense_in_algebra(r.spec, e2)),
-        ("h1_in_algebra", _dense_in_algebra(r.spec, h1)),
-        ("h2_in_algebra", _dense_in_algebra(r.spec, h2)),
+        ("e1_in_algebra", in_algebra(r.spec, e1)),
+        ("e2_in_algebra", in_algebra(r.spec, e2)),
+        ("h1_in_algebra", in_algebra(r.spec, h1)),
+        ("h2_in_algebra", in_algebra(r.spec, h2)),
         ("form_nondegenerate", r.spec.form is None or rank(r.spec.form) == r.spec.dimv),
     ]
     return RelationReport(tuple(checks))
 
 
-def _distinguished_realizations(max_dimv):
-    for series, first, step in (("A", 1, 1), ("B", 1, 2), ("C", 2, 2), ("D", 2, 2)):
-        for dimv in range(first, max_dimv + 1, step):
-            for g in enumerate_admissible(series, dimv, "distinguished"):
-                signs = ("plus", "minus") if series == "D" and g.is_connected() else (None,)
-                for sign in signs:
-                    yield build_pair(series, g, sign)
-
-
 def test_sparse_relations_match_dense_oracle():
     count = 0
-    for r in _distinguished_realizations(8):
+    for r in distinguished_realizations(8):
         assert verify_relations(r) == _dense_relations(r), (r.spec.series, r.graph)
         count += 1
     assert count > 500
@@ -277,7 +250,7 @@ def test_sparse_relations_match_dense_oracle_on_mutations():
     # Every single-entry change of e1, e2, h1, h2 or the Gram matrix to a
     # few values, on every distinguished realization with dimV <= 4.
     checks, failed = set(), set()
-    for r in _distinguished_realizations(4):
+    for r in distinguished_realizations(4):
         n = r.spec.dimv
         names = ("e1", "e2", "h1", "h2") + (() if r.spec.form is None else ("gram",))
         for name in names:

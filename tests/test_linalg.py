@@ -11,27 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import conjugated, naive_nullspace, naive_rref, scaled_shear, small_realizations
+from oracles import charpoly, commutator, mat_add, mat_scale, mat_sub, mat_vec, span_rref, trace
 from skewpairs.linalg import (
     NotDiagonalizableError,
-    charpoly,
-    commutator,
     identity,
     invert,
     in_span,
     is_diagonal,
     joint_eigenspaces,
-    mat_add,
     mat_mul,
-    mat_scale,
-    mat_sub,
-    mat_vec,
     matrix,
     nullspace,
     rank,
     rref,
     solve,
-    span_rref,
-    trace,
     transpose,
 )
 
