@@ -5,18 +5,27 @@ Realizations built by this package are already in such a basis.  Any other
 input, such as a hand-edited verify document, is conjugated once into the
 joint eigenbasis of h1 and h2, and its Gram matrix G becomes T^T G T.  In
 that frame ad h1 and ad h2 are diagonal on gl(V), e1 and e2 are
-bi-homogeneous, and the form pairs weight w only with -w.  So z(e1, e2)
-splits into small blocks indexed by bi-degree, and one graded solve gives
-the centralizer and its bi-grading.  The other two facts the flags need are
-read off without another solve: z(h) is the (0,0) block of g, and
-z(h) & z(e) is the (0,0) piece of z(e).  Bases are mapped back to the input
-coordinates and returned in reduced echelon form.
+bi-homogeneous, and the form pairs weight w only with -w, so every
+condition on x in z(e1, e2) & g lies in one bi-degree block of gl(V).
 
-The solve runs in integer units.  The weights are scaled by their common
-denominator, so bi-degrees are int pairs, and e1, e2 and the Gram matrix
-are each scaled to integers, which changes no commutant and no
-solvability.  Every block row is an int row; only the reduced bases and
-the reported bi-degrees are Fractions.
+On a built pair e1, e2 and G are signed monomial matrices, so almost every
+condition has one or two terms: x_u = 0 or a x_u + b x_v = 0.  One signed
+union-find pass over the n^2 positions of gl(V) solves those, and each live
+component is a basis vector of the centralizer.  Only the rows with three
+or more terms are eliminated, per block, in component variables: the
+series-A trace for dimV >= 3, and the rows of a frame in which e or G is
+not monomial.  The other two facts the flags need are read off without
+another solve: z(h) is the (0,0) block of g, and z(h) & z(e) is the (0,0)
+piece of z(e).  Bases are mapped back to the input coordinates and returned
+in reduced echelon form.
+
+The rows are built once, as sparse int rows, by _form_rows and
+_bracket_rows.  The weights are scaled by their common denominator, so
+bi-degrees are int pairs, and e1, e2 and the Gram matrix are each scaled to
+integers, which changes no commutant and no solvability.  The
+rectangularity test and the rank of the (0,0) block of g make the same rows
+dense over one block and eliminate them.  Only the reduced bases and the
+reported bi-degrees are Fractions.
 
 graph_from_pair() reads the skew-graph off the same frame: each basis
 vector is a node at its weight, and each nonzero entry of e1 or e2 joins
@@ -119,7 +128,7 @@ def _canonical_span(mats: Sequence[Matrix], n: int) -> tuple[Matrix, ...]:
 
 
 # ---------------------------------------------------------------------------
-# The eigenframe and the graded block systems
+# The eigenframe, the constraint rows and the union-find pass
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -182,104 +191,199 @@ def _eigenframe(spec: AlgebraSpec, h1: Matrix, h2: Matrix, mats: Sequence[Matrix
 
 @lru_cache(maxsize=4096)
 def _weight_tables(weights):
-    """Positions grouped by bi-degree, and index pairs grouped by weight sum."""
+    """Flat positions i * n + j of gl(V) grouped by bi-degree, and index
+    pairs (a, b) grouped by weight sum."""
     n = len(weights)
-    blocks: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    blocks: dict[tuple[int, int], list[int]] = {}
     sums: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i in range(n):
         wi = weights[i]
         for j in range(n):
             wj = weights[j]
-            blocks.setdefault((wi[0] - wj[0], wi[1] - wj[1]), []).append((i, j))
+            blocks.setdefault((wi[0] - wj[0], wi[1] - wj[1]), []).append(i * n + j)
             sums.setdefault((wi[0] + wj[0], wi[1] + wj[1]), []).append((i, j))
     return blocks, sums
 
 
-def _block_index(weights, delta) -> dict[tuple[int, int], int]:
+def _block_index(weights, delta) -> dict[int, int]:
     """Coordinates of the bi-degree-delta block of gl(V): position -> column."""
     return {p: t for t, p in enumerate(_weight_tables(weights)[0].get(delta, ()))}
 
 
-def _form_rows(frame: _Frame, delta, pidx) -> list[list[int]]:
-    """Rows of the condition x in g for x in the bi-degree-delta block.
+def _summed(terms: list) -> list:
+    """A sparse row from (position, coefficient) terms: equal positions summed,
+    zero coefficients dropped.  The terms come in two runs of distinct
+    positions, so two terms meet only across the runs."""
+    if len(terms) < 2 or (len(terms) == 2 and terms[0][0] != terms[1][0]):
+        return terms
+    acc: dict[int, int] = {}
+    for p, c in terms:
+        acc[p] = acc.get(p, 0) + c
+    return [(p, c) for p, c in acc.items() if c]
 
-    Series A has the trace, which only the (0,0) block meets.  B, C and D
-    have the entries (a, b) of x^T G + G x; since G pairs weight w only with
-    -w, the block reaches just those with weight sum -delta.
+
+def _form_rows(frame: _Frame, delta=None) -> list[list[tuple[int, int]]]:
+    """The condition x in g as sparse rows, all of them or those of the
+    bi-degree-delta block.
+
+    A sparse row lists (position, int coefficient) pairs, positions i * n + j
+    distinct and coefficients nonzero.  Series A has the trace, whose one row
+    lies in the (0,0) block.  B, C and D have the entries (a, b) of
+    x^T G + G x; since G pairs weight w only with -w, entry (a, b) is a row of
+    the block of degree -(w_a + w_b).
     """
-    k = len(pidx)
+    n = len(frame.weights)
     if frame.spec.series == "A":
-        return [[1 if i == j else 0 for (i, j) in pidx]] if delta == DEGREE_0 else []
+        return [[(i * n + i, 1) for i in range(n)]] if delta in (None, DEGREE_0) else []
     g_rows, g_cols = frame.gram
+    if delta is None:
+        pairs = ((a, b) for a in range(n) for b in range(n))
+    else:
+        pairs = _weight_tables(frame.weights)[1].get((-delta[0], -delta[1]), ())
     rows = []
-    for a, b in _weight_tables(frame.weights)[1].get((-delta[0], -delta[1]), ()):
-        row = [0] * k
-        for c, val in g_cols[b]:
-            t = pidx.get((c, a))
-            if t is not None:
-                row[t] += val
-        for c, val in g_rows[a]:
-            t = pidx.get((c, b))
-            if t is not None:
-                row[t] += val
-        if any(row):
+    for a, b in pairs:
+        row = _summed([(c * n + a, val) for c, val in g_cols[b]] + [(c * n + b, val) for c, val in g_rows[a]])
+        if row:
             rows.append(row)
     return rows
 
 
-def _bracket_rows(weights, sparse_m, dm, delta, pidx):
-    """(i, j, row) for each entry of [x, m] that x in the delta block reaches.
-
-    m is bi-homogeneous of degree dm and given by sparse_rows_cols, so the
-    entries lie in the block delta + dm; row is entry (i, j) as a linear
-    form in the block coordinates of x.
-    """
+def _bracket_rows(n: int, sparse_m, targets):
+    """(i, j, row) for each entry (i, j) in targets of [x, m], row the sparse
+    row of that entry in the coordinates of x; m is given by sparse_rows_cols."""
     m_rows, m_cols = sparse_m
-    k = len(pidx)
-    for i, j in _weight_tables(weights)[0].get((delta[0] + dm[0], delta[1] + dm[1]), ()):
-        row = [0] * k
-        for t, val in m_cols[j]:
-            pos = pidx.get((i, t))
-            if pos is not None:
-                row[pos] += val
-        for t, val in m_rows[i]:
-            pos = pidx.get((t, j))
-            if pos is not None:
-                row[pos] -= val
-        yield i, j, row
+    for i, j in targets:
+        yield i, j, _summed([(i * n + t, val) for t, val in m_cols[j]] + [(t * n + j, -val) for t, val in m_rows[i]])
+
+
+def _dense(row, pidx) -> list[int]:
+    """A sparse row as a dense one over the block coordinates pidx."""
+    out = [0] * len(pidx)
+    for p, c in row:
+        out[pidx[p]] = c
+    return out
 
 
 def _graded_commutant(frame: _Frame, elements) -> dict:
-    """Block-by-bi-degree solve for {x in g : [x, m] = 0 for all m}.
+    """{x in g : [x, m] = 0 for all m in elements} by one signed union-find
+    pass over the positions of gl(V).
 
-    elements holds (m, degree) pairs, each m bi-homogeneous of its int
-    degree for the frame's weights.  Returns {degree: piece} for the
-    nonzero graded pieces, each piece the reduced echelon basis of its
-    block as (lead, matrix) pairs, lead the position of the leading 1.
-    Together the pieces span z(elements) in g.
+    elements holds sparse_rows_cols forms of matrices m, each bi-homogeneous
+    for the frame's weights, so every row lies in one bi-degree block.  A row
+    a x_u + b x_v = 0 unites u and v with the ratio x_v / x_u = -a / b, an
+    int while the division is exact; a row with one term, or a cycle whose
+    ratios do not close, forces its component to 0.  A live component is
+    one kernel vector, and components have disjoint supports, so in a block
+    that only such rows meet, its components, each scaled to a leading 1
+    and ordered by leading position, are the reduced echelon basis of the
+    kernel.  Rows of three or more terms (the series-A trace, and rows of a
+    frame in which e or G is not monomial) are solved per block by
+    integer_nullspace, in the component variables of that block.
+
+    Returns {degree: piece} for the nonzero graded pieces, each piece the
+    reduced echelon basis of its block as (lead, matrix) pairs, lead the
+    position (i, j) of the leading 1.  Together the pieces span z(elements)
+    in g.
     """
     weights = frame.weights
     n = len(weights)
-    sparse = [(sparse_rows_cols(m), dm) for m, dm in elements]
+    rows = _form_rows(frame)
+    for m in elements:
+        m_rows, m_cols = m
+        targets = [(i, j) for i in range(n) for j in range(n) if m_rows[i] or m_cols[j]]
+        rows.extend(row for _, _, row in _bracket_rows(n, m, targets) if row)
+
+    # x_p = ratio[p] * x_parent[p]; a root has ratio 1.
+    parent = list(range(n * n))
+    ratio: list = [1] * (n * n)
+    dead = [False] * (n * n)
+
+    def find(p: int) -> int:
+        path = []
+        while parent[p] != p:
+            path.append(p)
+            p = parent[p]
+        for q in reversed(path):
+            up = parent[q]
+            if up != p:
+                ratio[q] *= ratio[up]
+                parent[q] = p
+        return p
+
+    long_rows = []
+    for row in rows:
+        if len(row) == 1:
+            dead[find(row[0][0])] = True
+        elif len(row) == 2:
+            (u, a), (v, b) = row
+            ru, rv = parent[u], parent[v]
+            if parent[ru] != ru:
+                ru = find(u)
+            if parent[rv] != rv:
+                rv = find(v)
+            a *= ratio[u]
+            b *= ratio[v]
+            if ru == rv:
+                if a + b:
+                    dead[ru] = True
+            else:
+                # a x_ru + b x_rv = 0
+                parent[rv] = ru
+                ratio[rv] = -a // b if type(a) is int and type(b) is int and a % b == 0 else Fraction(-a, b)
+                dead[ru] = dead[ru] or dead[rv]
+        else:
+            long_rows.append(row)
+
+    def degree(p: int) -> tuple[int, int]:
+        wi, wj = weights[p // n], weights[p % n]
+        return wi[0] - wj[0], wi[1] - wj[1]
+
+    supports: dict[int, list[int]] = {}
+    for p in range(n * n):
+        root = parent[p]
+        if parent[root] != root:
+            root = find(p)
+        if not dead[root]:
+            supports.setdefault(root, []).append(p)
+    by_degree: dict[tuple[int, int], list[list[int]]] = {}
+    for support in supports.values():
+        by_degree.setdefault(degree(support[0]), []).append(support)
+    long_by_degree: dict[tuple[int, int], list] = {}
+    for row in long_rows:
+        long_by_degree.setdefault(degree(row[0][0]), []).append(row)
+
+    def matrix_of(entries) -> Matrix:
+        out = [[ZERO] * n for _ in range(n)]
+        for p, x in entries:
+            out[p // n][p % n] = x
+        return tuple(tuple(row) for row in out)
+
     pieces = {}
-    for delta in sorted(_weight_tables(weights)[0]):
-        pidx = _block_index(weights, delta)
-        rows = _form_rows(frame, delta, pidx)
-        for sparse_m, dm in sparse:
-            rows.extend(row for _, _, row in _bracket_rows(weights, sparse_m, dm, delta, pidx) if any(row))
-        null = [v for _, v in integer_nullspace(rows, len(pidx))]
+    for delta in sorted(by_degree):
+        block = by_degree[delta]
+        if delta not in long_by_degree:
+            pieces[delta] = [
+                (divmod(s[0], n), matrix_of((p, Fraction(ratio[p], ratio[s[0]])) for p in s)) for s in block
+            ]
+            continue
+        col = {find(s[0]): k for k, s in enumerate(block)}
+        system = []
+        for row in long_by_degree[delta]:
+            dense = [0] * len(col)
+            for p, c in row:
+                k = col.get(find(p))
+                if k is not None:
+                    dense[k] += c * ratio[p]
+            system.append(dense)
+        null = integer_nullspace(system, len(col))
         if not null:
             continue
-        positions = list(pidx)
-        reduced, leads = rref(null)
-        piece = []
-        for vec, lead in zip(reduced, leads):
-            out = [[ZERO] * n for _ in range(n)]
-            for (i, j), x in zip(positions, vec):
-                if x:
-                    out[i][j] = x
-            piece.append((positions[lead], tuple(tuple(row) for row in out)))
-        pieces[delta] = piece
+        positions = sorted(p for s in block for p in s)
+        reduced, leads = rref([v[col[find(p)]] * ratio[p] for p in positions] for _, v in null)
+        pieces[delta] = [
+            (divmod(positions[lead], n), matrix_of((p, x) for p, x in zip(positions, vec) if x))
+            for vec, lead in zip(reduced, leads)
+        ]
     return pieces
 
 
@@ -323,30 +427,33 @@ def bigrade(spec: AlgebraSpec, h1: Matrix, h2: Matrix, subspace_basis: Sequence[
 # Rectangularity
 # ---------------------------------------------------------------------------
 
-def _graded_image_solvable(frame: _Frame, e: Matrix, side: int) -> bool:
+def _graded_image_solvable(frame: _Frame, e, side: int) -> bool:
     """Whether [e, x] = h for some x in g, in the eigenframe.
 
-    e is e1 (side 0) or e2 (side 1), of degree den along its side, and h the
-    matching h1 or h2: the diagonal matrix of that weight coordinate, which
-    is den * h.  ad e raises degree by de, so x can be sought in the degree
-    -de block; the system is [x, e] = -h on the (0,0) block that [x, e]
-    lands in.
+    e, given by sparse_rows_cols, is e1 (side 0) or e2 (side 1), of degree
+    den along its side, and h the matching h1 or h2: the diagonal matrix of
+    that weight coordinate, which is den * h.  ad e raises degree by de, so
+    x can be sought in the degree -de block; the system is [x, e] = -h on
+    the (0,0) block that [x, e] lands in.
     """
     weights = frame.weights
+    n = len(weights)
     de = (frame.den, 0) if side == 0 else (0, frame.den)
     delta = (-de[0], -de[1])
     pidx = _block_index(weights, delta)
-    rows = _form_rows(frame, delta, pidx)
+    rows = [_dense(row, pidx) for row in _form_rows(frame, delta)]
     rhs = [0] * len(rows)
-    for i, j, row in _bracket_rows(weights, sparse_rows_cols(e), de, delta, pidx):
+    targets = (divmod(p, n) for p in _weight_tables(weights)[0][DEGREE_0])
+    for i, j, row in _bracket_rows(n, e, targets):
         h = weights[i][side] if i == j else 0
-        if any(row) or h:
-            rows.append(row)
+        if row or h:
+            rows.append(_dense(row, pidx))
             rhs.append(-h)
     return solve(rows, rhs) is not None
 
 
-def _rectangularity(frame: _Frame, e1: Matrix, e2: Matrix) -> bool:
+def _rectangularity(frame: _Frame, e1, e2) -> bool:
+    """Both sides of the rectangularity test, e1 and e2 by sparse_rows_cols."""
     side1 = _graded_image_solvable(frame, e1, 0)
     side2 = _graded_image_solvable(frame, e2, 1)
     if side1 != side2:
@@ -355,11 +462,13 @@ def _rectangularity(frame: _Frame, e1: Matrix, e2: Matrix) -> bool:
 
 
 def _framed(r: PairRealization):
-    """verify_relations, then the eigenframe of r: (frame, (e1, e2)) in it."""
+    """verify_relations, then the eigenframe of r: (frame, (e1, e2)), e1 and
+    e2 in that frame by sparse_rows_cols."""
     rep = verify_relations(r)
     if not rep.ok:
         raise ValueError(f"relations fail: {', '.join(rep.failures)}")
-    return _eigenframe(r.spec, r.h1, r.h2, (r.e1, r.e2))
+    frame, moved = _eigenframe(r.spec, r.h1, r.h2, (r.e1, r.e2))
+    return frame, tuple(sparse_rows_cols(e) for e in moved)
 
 
 def is_rectangular_pair(r: PairRealization) -> bool:
@@ -380,7 +489,7 @@ def analyze(r: PairRealization) -> CentralizerReport:
     frame, (e1, e2) = _framed(r)
     spec, weights = frame.spec, frame.weights
     n = spec.dimv
-    pieces = _graded_commutant(frame, ((e1, (frame.den, 0)), (e2, (0, frame.den))))
+    pieces = _graded_commutant(frame, (e1, e2))
 
     def span_in_input_basis(lead_mats):
         # Without a change of basis the blocks have disjoint supports and
@@ -393,7 +502,7 @@ def analyze(r: PairRealization) -> CentralizerReport:
     basis = span_in_input_basis([lm for piece in pieces.values() for lm in piece])
     # z(h) is the (0,0) block of g, and z(h) & z(e) the (0,0) piece of z(e).
     zero_block = _block_index(weights, DEGREE_0)
-    cartan_h = len(zero_block) - rank(_form_rows(frame, DEGREE_0, zero_block)) == spec.rank
+    cartan_h = len(zero_block) - rank([_dense(row, zero_block) for row in _form_rows(frame, DEGREE_0)]) == spec.rank
     trivial = DEGREE_0 not in pieces
 
     table = tuple((frame.degree(d), len(pieces[d])) for d in sorted(pieces))

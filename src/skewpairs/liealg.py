@@ -393,6 +393,14 @@ def realization_from_jsonable(data: dict) -> PairRealization:
     series, n = data["series"], data["dimv"]
     if type(n) is not int or n < 1:
         raise ValueError(f"dimv must be a positive integer, got {n!r}")
+    # The labels are counted before any dimv x dimv matrix is filled, so a
+    # small document cannot claim a large dimv.
+    items = data["labels"]
+    if not (isinstance(items, list) and all(isinstance(item, dict) for item in items)):
+        raise ValueError("labels must be a list of {component, node} objects")
+    if len(items) != n:
+        raise ValueError(f"{len(items)} labels for dimv {n}")
+    labels = tuple(BasisLabel(item["component"], node_from_jsonable(item["node"])) for item in items)
     if data.get("gram") is None:
         if series != "A":
             raise ValueError(f"a series {series} realization needs its gram matrix")
@@ -400,12 +408,6 @@ def realization_from_jsonable(data: dict) -> PairRealization:
     else:
         form = _square(data["gram"], n, "gram")
     spec = make_spec(series, n, form)
-    items = data["labels"]
-    if not (isinstance(items, list) and all(isinstance(item, dict) for item in items)):
-        raise ValueError("labels must be a list of {component, node} objects")
-    labels = tuple(BasisLabel(item["component"], node_from_jsonable(item["node"])) for item in items)
-    if len(labels) != n:
-        raise ValueError(f"{len(labels)} labels for dimv {n}")
     e1, e2, h1, h2 = (_square(data[k], n, k) for k in ("e1", "e2", "h1", "h2"))
     return PairRealization(
         spec=spec,

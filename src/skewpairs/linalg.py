@@ -5,8 +5,10 @@ fraction-free: rows are scaled to primitive integer vectors (content
 reduction), eliminated with the two-row integer rule, and only normalized
 back to leading-one Fractions at the end.  Pivoting is by first nonzero
 column with ties broken by row order, so every result is deterministic.
-Rows that are ints already, such as the block systems of the graded solve,
-never become Fractions: rank() and integer_nullspace() stay on ints.
+Rows that are ints already never become Fractions: rank() and
+integer_nullspace() stay on ints.  The centralizer solve reaches elimination
+only for its rows of three or more terms, the rectangularity test and the
+rank of the (0,0) block of g; union-find solves the rest.
 
 Eigenvalues come from integers too.  With c the least common denominator
 of h, the characteristic polynomial of the integer matrix c h is monic over

@@ -17,7 +17,7 @@ import pytest
 
 from oracles import mat_add, mat_sub
 from skewpairs.centralizer import CentralizerReport, analyze
-from skewpairs.liealg import PairRealization, RelationReport, build_pair, verify_relations
+from skewpairs.liealg import PairRealization, RelationReport, build_pair, realization_to_jsonable, verify_relations
 from skewpairs.linalg import identity, invert, is_diagonal, mat_mul, matrix, transpose
 from skewpairs.skewgraph import SkewGraph, enumerate_admissible, graph_key
 
@@ -148,6 +148,16 @@ def distinguished_realizations(max_dimv):
                 signs = ("plus", "minus") if series == "D" and g.is_connected() else (None,)
                 for sign in signs:
                     yield build_pair(series, g, sign)
+
+
+def large_dimv_document():
+    """A 619-byte series-C realization document that claims dimv 2000 for
+    its 4 labels, with a sparse 2000 x 2000 Gram matrix."""
+    r = build_pair("C", enumerate_admissible("C", 4, "distinguished")[0])
+    data = realization_to_jsonable(r, "sparse")
+    data["dimv"] = 2000
+    data["gram"] = {"shape": 2000, "entries": []}
+    return data
 
 
 def small_realizations():

@@ -1,9 +1,10 @@
-"""Dense textbook routines that the package no longer calls.
+"""Routines that the package no longer calls.
 
 The tests use them as oracles for the graded and integer paths: matrix
 arithmetic over Fraction, the characteristic polynomial as Fractions, the
-algebra basis of g inside gl(V), membership in g by x^T G + G x, and the
-dense centralizer, a null space over the whole algebra basis.
+algebra basis of g inside gl(V), membership in g by x^T G + G x, the
+dense centralizer, a null space over the whole algebra basis, and the
+graded commutant by one elimination per bi-degree block of gl(V).
 """
 
 from __future__ import annotations
@@ -12,18 +13,20 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from skewpairs.centralizer import _canonical_span
+from skewpairs.centralizer import _canonical_span, _Frame
 from skewpairs.liealg import AlgebraSpec
 from skewpairs.linalg import (
     Matrix,
     Vector,
     _integer_charpoly,
     identity,
+    integer_nullspace,
     integral_rows,
     mat_mul,
     matrix,
     nullspace,
     rref,
+    sparse_rows_cols,
     transpose,
 )
 
@@ -192,3 +195,87 @@ def centralizer(spec: AlgebraSpec, elements: Sequence[Matrix]) -> tuple[Matrix, 
                             arow[j] += c * brow[j]
         mats.append(tuple(tuple(r) for r in acc))
     return _canonical_span(mats, n)
+
+
+# ---------------------------------------------------------------------------
+# The graded commutant, one elimination per bi-degree block
+# ---------------------------------------------------------------------------
+
+def _blocks(weights):
+    """Positions (i, j) grouped by bi-degree, and index pairs grouped by weight sum."""
+    n = len(weights)
+    blocks, sums = {}, {}
+    for i in range(n):
+        for j in range(n):
+            (a, b), (c, d) = weights[i], weights[j]
+            blocks.setdefault((a - c, b - d), []).append((i, j))
+            sums.setdefault((a + c, b + d), []).append((i, j))
+    return blocks, sums
+
+
+def _block_form_rows(frame: _Frame, sums, delta, pidx):
+    """Dense rows of x in g for x in the bi-degree-delta block."""
+    k = len(pidx)
+    if frame.spec.series == "A":
+        return [[1 if i == j else 0 for (i, j) in pidx]] if delta == (0, 0) else []
+    g_rows, g_cols = frame.gram
+    rows = []
+    for a, b in sums.get((-delta[0], -delta[1]), ()):
+        row = [0] * k
+        for c, val in g_cols[b]:
+            if (c, a) in pidx:
+                row[pidx[(c, a)]] += val
+        for c, val in g_rows[a]:
+            if (c, b) in pidx:
+                row[pidx[(c, b)]] += val
+        if any(row):
+            rows.append(row)
+    return rows
+
+
+def _block_bracket_rows(blocks, sparse_m, dm, delta, pidx):
+    """Dense rows of [x, m] = 0 for x in the bi-degree-delta block."""
+    m_rows, m_cols = sparse_m
+    k = len(pidx)
+    for i, j in blocks.get((delta[0] + dm[0], delta[1] + dm[1]), ()):
+        row = [0] * k
+        for t, val in m_cols[j]:
+            if (i, t) in pidx:
+                row[pidx[(i, t)]] += val
+        for t, val in m_rows[i]:
+            if (t, j) in pidx:
+                row[pidx[(t, j)]] -= val
+        if any(row):
+            yield row
+
+
+def blockwise_commutant(frame: _Frame, elements) -> dict:
+    """{degree: [(lead, matrix), ...]} for z(elements) in g, each block of
+    gl(V) solved on its own by integer_nullspace and rref.
+
+    elements holds (m, degree) pairs, m bi-homogeneous of its int degree.
+    """
+    weights = frame.weights
+    n = len(weights)
+    blocks, sums = _blocks(weights)
+    sparse = [(sparse_rows_cols(m), dm) for m, dm in elements]
+    pieces = {}
+    for delta in sorted(blocks):
+        positions = blocks[delta]
+        pidx = {p: t for t, p in enumerate(positions)}
+        rows = _block_form_rows(frame, sums, delta, pidx)
+        for sparse_m, dm in sparse:
+            rows.extend(_block_bracket_rows(blocks, sparse_m, dm, delta, pidx))
+        null = [v for _, v in integer_nullspace(rows, len(pidx))]
+        if not null:
+            continue
+        reduced, leads = rref(null)
+        piece = []
+        for vec, lead in zip(reduced, leads):
+            out = [[ZERO] * n for _ in range(n)]
+            for (i, j), x in zip(positions, vec):
+                if x:
+                    out[i][j] = x
+            piece.append((positions[lead], tuple(tuple(row) for row in out)))
+        pieces[delta] = piece
+    return pieces

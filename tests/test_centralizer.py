@@ -9,12 +9,23 @@ from fractions import Fraction
 import pytest
 
 from conftest import conjugated, distinguished_realizations, scaled_shear, small_realizations
-from oracles import algebra_basis, centralizer, commutator, mat_add, mat_scale, span_rref, zeros
+from oracles import (
+    algebra_basis,
+    blockwise_commutant,
+    centralizer,
+    commutator,
+    mat_add,
+    mat_scale,
+    span_rref,
+    zeros,
+)
 from skewpairs.centralizer import (
     NormalFormError,
     _canonical_span,
+    _bracket_rows,
     _eigenframe,
     _flatten,
+    _form_rows,
     _graded_commutant,
     a_operator_matrix,
     analyze,
@@ -25,7 +36,16 @@ from skewpairs.centralizer import (
     report_to_jsonable,
 )
 from skewpairs.liealg import PairRealization, build_pair, make_spec
-from skewpairs.linalg import in_span, invert, mat_mul, matrix, solve
+from skewpairs.linalg import (
+    in_span,
+    integer_nullspace,
+    invert,
+    mat_mul,
+    matrix,
+    solve,
+    sparse_rows_cols,
+    transpose,
+)
 from skewpairs.skewgraph import (
     Node,
     SkewGraph,
@@ -113,10 +133,144 @@ def test_graded_commutant_agrees_with_dense():
             [(r.h1, zero), (r.h2, zero)],
             [(r.h1, zero), (r.h2, zero), (r.e1, d1), (r.e2, d2)],
         ):
-            pieces = _graded_commutant(frame, elements)
+            pieces = _graded_commutant(frame, [sparse_rows_cols(m) for m, _ in elements])
             graded = _canonical_span([m for piece in pieces.values() for _, m in piece], r.spec.dimv)
             dense = centralizer(r.spec, [m for m, _ in elements])
             assert graded == dense, (series, graph_to_text(g))
+
+
+def _sheared(r):
+    """r in the basis of scaled_shear, its Gram matrix moved along."""
+    t = scaled_shear(r.spec.dimv)
+    t_inv = invert(t)
+    spec = r.spec
+    if spec.form is not None:
+        spec = replace(spec, form=mat_mul(transpose(t_inv), mat_mul(spec.form, t_inv)))
+    return replace(r, spec=spec, **{k: mat_mul(t, mat_mul(getattr(r, k), t_inv)) for k in ("e1", "e2", "h1", "h2")})
+
+
+def _both_commutants(r):
+    """_graded_commutant of (e1, e2) and the blockwise oracle's, in r's eigenframe."""
+    frame, (e1, e2) = _eigenframe(r.spec, r.h1, r.h2, (r.e1, r.e2))
+    pieces = _graded_commutant(frame, (sparse_rows_cols(e1), sparse_rows_cols(e2)))
+    return pieces, blockwise_commutant(frame, ((e1, (frame.den, 0)), (e2, (0, frame.den))))
+
+
+def _rows(frame, elements):
+    """Every sparse row of the union-find pass over elements."""
+    n = len(frame.weights)
+    targets = [(i, j) for i in range(n) for j in range(n)]
+    rows = _form_rows(frame)
+    for m in elements:
+        rows += [row for _, _, row in _bracket_rows(n, sparse_rows_cols(m), targets) if row]
+    return rows
+
+
+def test_graded_commutant_matches_blockwise_oracle():
+    # Piece for piece: degrees, leading positions and reduced matrices.  The
+    # conjugated and sheared copies have non-unit ratios, and where an
+    # eigenspace is not a line, rows of three or more terms.
+    rng = random.Random(20261019)
+    seen = set()
+    copies = 0
+    for series, first, step in (("A", 1, 1), ("B", 1, 2), ("C", 2, 2), ("D", 2, 2)):
+        for dimv in range(first, 9, step):
+            for kind in ("distinguished", "principal"):
+                for g in enumerate_admissible(series, dimv, kind):
+                    for sign in ("plus", "minus") if series == "D" and g.is_connected() else (None,):
+                        if (series, graph_key(g), sign) in seen:
+                            continue
+                        seen.add((series, graph_key(g), sign))
+                        r = build_pair(series, g, sign)
+                        moved = [conjugated(r, rng), _sheared(r)] if dimv > 1 else []
+                        for c in [r] + [m for m in moved if m is not None]:
+                            pieces, oracle = _both_commutants(c)
+                            assert pieces == oracle, (series, graph_to_text(g), sign, c is not r)
+                            copies += c is not r
+    assert len(seen) > 500 and copies > 1000
+
+
+def test_trace_row_at_dimv_1_2_and_3():
+    # One, two and three terms: x = 0 in sl(1), a union in sl(2) and an
+    # elimination in sl(3).
+    for dimv, dim_z in ((1, 0), (2, 1), (3, 2)):
+        r = build_pair("A", rect_graph(dimv, 1))
+        frame, _ = _eigenframe(r.spec, r.h1, r.h2, ())
+        assert [len(row) for row in _form_rows(frame)] == [dimv]
+        pieces, oracle = _both_commutants(r)
+        assert pieces == oracle
+        rep = analyze(r)
+        assert rep.basis == centralizer(r.spec, [r.e1, r.e2])
+        assert rep.dimension == dim_z
+
+
+def test_d_components_sharing_the_origin():
+    # Two basis vectors at weight (0,0).  On the built pair the form rows of
+    # their diagonal entries hold one position twice.  In the frame of the
+    # sheared copy the (0,0) eigenspace basis mixes the two, so e and G are
+    # not monomial there and rows grow longer.
+    r = build_pair("D", chains_graph())
+    sheared = _sheared(r)
+    frame, _ = _eigenframe(r.spec, r.h1, r.h2, ())
+    at_origin = [i for i, w in enumerate(frame.weights) if w == (0, 0)]
+    assert len(at_origin) == 2
+    n = r.spec.dimv
+    assert all([(a * n + a, 2)] in _form_rows(frame) for a in at_origin)
+    assert max(len(row) for row in _rows(frame, (r.e1, r.e2))) == 2
+    sheared_frame, sheared_e = _eigenframe(sheared.spec, sheared.h1, sheared.h2, (sheared.e1, sheared.e2))
+    assert max(len(row) for row in _rows(sheared_frame, sheared_e)) > 2
+    for c in (r, conjugated(r, random.Random(5)), sheared):
+        pieces, oracle = _both_commutants(c)
+        assert pieces == oracle
+        assert analyze(c).basis == centralizer(c.spec, [c.e1, c.e2])
+    assert analyze(r).dimension == 3
+
+
+def test_unbalanced_cycle_kills_its_component():
+    # In sl(2) with h = 0, commuting with the swap P gives x01 = x10 and
+    # x00 = x11; with J = [[0, 1], [-1, 0]] also x01 = -x10.  So the cycle
+    # x01 -> x10 -> x01 does not close, and neither does x00 -> x11 -> x00
+    # with the trace row x00 + x11 = 0: z(P, J) = 0, while z(P) and z(J)
+    # are lines.
+    spec = make_spec("A", 2)
+    frame, _ = _eigenframe(spec, zeros(2), zeros(2), ())
+    swap, turn = matrix([[0, 1], [1, 0]]), matrix([[0, 1], [-1, 0]])
+    assert all(len(row) == 2 for row in _rows(frame, (swap, turn)))
+    for elements in ((swap,), (turn,), (swap, turn)):
+        pieces = _graded_commutant(frame, [sparse_rows_cols(m) for m in elements])
+        assert pieces == blockwise_commutant(frame, [(m, (0, 0)) for m in elements])
+        assert [m for piece in pieces.values() for _, m in piece] == list(centralizer(spec, elements))
+    assert _graded_commutant(frame, [sparse_rows_cols(m) for m in (swap, turn)]) == {}
+    assert [m for _, m in _graded_commutant(frame, [sparse_rows_cols(turn)])[(0, 0)]] == [turn]
+
+
+def test_analyze_eliminates_only_blocks_with_long_rows(monkeypatch):
+    # On a built pair e1, e2 and the Gram matrix are signed monomial
+    # matrices, so the only row of three or more terms is the trace of
+    # sl(n), n >= 3: one integer_nullspace call in series A, none in B, C, D.
+    import skewpairs.centralizer as centralizer_module
+
+    calls = []
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return integer_nullspace(rows, ncols)
+
+    monkeypatch.setattr(centralizer_module, "integer_nullspace", counting)
+    count = 0
+    for r in distinguished_realizations(8):
+        frame, _ = _eigenframe(r.spec, r.h1, r.h2, ())
+        weights, n = frame.weights, r.spec.dimv
+        long_blocks = {
+            tuple(a - b for a, b in zip(weights[row[0][0] // n], weights[row[0][0] % n]))
+            for row in _rows(frame, (r.e1, r.e2))
+            if len(row) > 2
+        }
+        del calls[:]
+        analyze(r)
+        assert len(calls) == len(long_blocks) == (r.spec.series == "A" and n >= 3), (r.spec.series, r.graph)
+        count += 1
+    assert count > 500
 
 
 # ---------------------------------------------------------------------------

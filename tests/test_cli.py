@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import large_dimv_document
 from skewpairs.cli import main
 
 
@@ -245,6 +246,15 @@ def test_verify_rejects_label_without_two_coordinates(tmp_path, capsys):
 
     code, _ = _verify_mutated(tmp_path, capsys, shorten_label)
     assert code == 2
+
+
+def test_verify_rejects_large_dimv_with_few_labels(tmp_path, capsys):
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(json.dumps(large_dimv_document()))
+    code, out, err = run_cli(capsys, "verify", "--input", str(pair_file))
+    assert code == 2
+    assert out == ""
+    assert err == "error: 4 labels for dimv 2000\n"
 
 
 def test_catalog_verification_failure_is_a_finding(monkeypatch, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import distinguished_realizations
+from conftest import distinguished_realizations, large_dimv_document
 from oracles import algebra_basis, commutator, in_algebra, is_zero_matrix, mat_pow, mat_sub, trace
 from skewpairs.liealg import (
     NotAdmissibleError,
@@ -284,6 +284,22 @@ def test_realization_json_checks_sparse_shape_before_filling():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="gram"):
+            realization_from_jsonable(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_realization_json_counts_labels_before_filling():
+    # The label count is checked before any dimv x dimv matrix is filled;
+    # filling the Gram matrix first reached a 64 MB peak.
+    import tracemalloc
+
+    data = large_dimv_document()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="4 labels for dimv 2000"):
             realization_from_jsonable(data)
         _, peak = tracemalloc.get_traced_memory()
     finally:
