@@ -33,6 +33,7 @@ from .liealg import (
 from .linalg import identity, in_span, mat_mul
 from .skewgraph import (
     SkewGraph,
+    _admissible_cells,
     canonical_form,
     enumerate_admissible,
     graph_to_jsonable,
@@ -163,15 +164,16 @@ def classify(
 
 def count_orbits(series: str, dimv: int, kind: str, *, mode: str = "fast",
                  max_nodes: int = DEFAULT_MAX_NODES) -> int:
-    """Orbit count; "fast" counts graphs only, "full" runs the verified classify."""
+    """Orbit count; "fast" counts the integer graphs and builds no node, "full"
+    runs the verified classify."""
     if mode == "full":
         return len(classify(series, dimv, kind, max_nodes=max_nodes))
     if mode != "fast":
         raise ValueError(f"unknown count mode {mode!r}")
-    total = 0
-    for graph in enumerate_admissible(series, dimv, kind, max_nodes=max_nodes):
-        total += 2 if series == "D" and graph.is_connected() else 1
-    return total
+    return sum(
+        2 if series == "D" and len(graph) == 1 else 1
+        for graph in _admissible_cells(series, dimv, kind, max_nodes)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from .liealg import (
     BasisLabel,
     PairRealization,
     _bracket_checks,
-    verify_relations,
+    _scanned_relations,
 )
 from .linalg import (
     Matrix,
@@ -63,6 +63,7 @@ from .linalg import (
     solve,
     sparse_rows_cols,
     transpose,
+    with_columns,
 )
 from .skewgraph import (
     ORIGIN,
@@ -463,11 +464,15 @@ def _rectangularity(frame: _Frame, e1, e2) -> bool:
 
 def _framed(r: PairRealization):
     """verify_relations, then the eigenframe of r: (frame, (e1, e2)), e1 and
-    e2 in that frame by sparse_rows_cols."""
-    rep = verify_relations(r)
+    e2 in that frame by sparse_rows_cols.  When h1 and h2 are diagonal, e1
+    and e2 stay as they are, and their rows are the ones the relation check
+    scanned."""
+    rep, scaled = _scanned_relations(r)
     if not rep.ok:
         raise ValueError(f"relations fail: {', '.join(rep.failures)}")
     frame, moved = _eigenframe(r.spec, r.h1, r.h2, (r.e1, r.e2))
+    if frame.t is None:
+        return frame, tuple(with_columns(rows) for _, rows in scaled[:2])
     return frame, tuple(sparse_rows_cols(e) for e in moved)
 
 

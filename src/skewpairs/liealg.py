@@ -299,6 +299,11 @@ def verify_relations(r: PairRealization) -> RelationReport:
     integer multiples of the matrices; membership in g does not change under
     scaling either.
     """
+    return _scanned_relations(r)[0]
+
+
+def _scanned_relations(r: PairRealization) -> tuple[RelationReport, list]:
+    """verify_relations(r), and the integral_rows of e1, e2, h1 and h2 it read."""
     spec = r.spec
     scaled = [integral_rows(m) for m in (r.e1, r.e2, r.h1, r.h2)]
     gram = ([], []) if spec.series == "A" else sparse_rows_cols(spec.form)
@@ -307,7 +312,7 @@ def verify_relations(r: PairRealization) -> RelationReport:
         for name, (_, rows) in zip(("e1", "e2", "h1", "h2"), scaled)
     ]
     checks.append(("form_nondegenerate", spec.form is None or rank(spec.form) == spec.dimv))
-    return RelationReport(tuple(checks))
+    return RelationReport(tuple(checks)), scaled
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +330,9 @@ def matrix_to_jsonable(m: Matrix, fmt: str = "dense"):
     raise ValueError(f"unknown matrix format {fmt!r}")
 
 
-def matrix_from_jsonable(data) -> Matrix:
-    """Read a dense (list of rows) or sparse ({shape, entries}) matrix.
+def matrix_from_jsonable(data, parse) -> Matrix:
+    """Read a dense (list of rows) or sparse ({shape, entries}) matrix,
+    each entry by parse (parse_fraction, or _entry_parser() for a document).
 
     Raises ValueError for any other JSON value, an entry outside the shape,
     or an entry that is not a number.
@@ -342,18 +348,33 @@ def matrix_from_jsonable(data) -> Matrix:
             i, j, v = entry
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"sparse entry ({i}, {j}) lies outside a {n}x{n} matrix")
-            rows[i][j] = parse_fraction(v)
+            rows[i][j] = parse(v)
         return tuple(tuple(r) for r in rows)
     if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
         raise ValueError(f"a matrix must be a list of rows or a sparse object, got {type(data).__name__}")
-    return tuple(tuple(parse_fraction(x) for x in row) for row in data)
+    return tuple(tuple(parse(x) for x in row) for row in data)
 
 
-def _square(data, n: int, name: str) -> Matrix:
+def _entry_parser():
+    """parse_fraction that parses each distinct string once."""
+    parsed: dict[str, Fraction] = {}
+
+    def parse(value):
+        if type(value) is not str:
+            return parse_fraction(value)
+        x = parsed.get(value)
+        if x is None:
+            x = parsed[value] = parse_fraction(value)
+        return x
+
+    return parse
+
+
+def _square(data, n: int, name: str, parse) -> Matrix:
     """The n x n matrix in data; a sparse shape is checked before it is filled."""
     if isinstance(data, dict) and data.get("shape") != n:
         raise ValueError(f"{name} is not a {n}x{n} matrix")
-    m = matrix_from_jsonable(data)
+    m = matrix_from_jsonable(data, parse)
     if len(m) != n or any(len(row) != n for row in m):
         raise ValueError(f"{name} is not a {n}x{n} matrix")
     return m
@@ -401,14 +422,15 @@ def realization_from_jsonable(data: dict) -> PairRealization:
     if len(items) != n:
         raise ValueError(f"{len(items)} labels for dimv {n}")
     labels = tuple(BasisLabel(item["component"], node_from_jsonable(item["node"])) for item in items)
+    parse = _entry_parser()
     if data.get("gram") is None:
         if series != "A":
             raise ValueError(f"a series {series} realization needs its gram matrix")
         form = None
     else:
-        form = _square(data["gram"], n, "gram")
+        form = _square(data["gram"], n, "gram", parse)
     spec = make_spec(series, n, form)
-    e1, e2, h1, h2 = (_square(data[k], n, k) for k in ("e1", "e2", "h1", "h2"))
+    e1, e2, h1, h2 = (_square(data[k], n, k, parse) for k in ("e1", "e2", "h1", "h2"))
     return PairRealization(
         spec=spec,
         graph=graph_from_jsonable(data["graph"]),

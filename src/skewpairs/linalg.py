@@ -25,6 +25,7 @@ Fractions) serves the test suite alone, as its oracles.
 
 from __future__ import annotations
 
+import re
 import reprlib
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -37,12 +38,26 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# The interpreter's default limit on the digits of an int read from a string.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
 def parse_fraction(value) -> Fraction:
     """Fraction(value) for external input.
 
-    A zero denominator, an infinity, and a value that is neither a number
-    nor a string, is a ValueError.
+    A zero denominator, an infinity, a bool, a string whose decimal exponent
+    exceeds MAX_EXPONENT in magnitude (Fraction would build the power of ten,
+    which takes seconds and more), and a value that is neither a number nor
+    a string, is a ValueError.
     """
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number or a numeric string, got {value!r}")
+    if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ValueError(f"the exponent of {reprlib.repr(value)} exceeds {MAX_EXPONENT} in magnitude")
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -101,7 +116,11 @@ def sparse_rows_cols(m: Matrix) -> tuple[list[list[tuple[int, int]]], list[list[
 
     c > 0 is the least common denominator of m, as in integral_rows.
     """
-    rows = integral_rows(m)[1]
+    return with_columns(integral_rows(m)[1])
+
+
+def with_columns(rows: list[list[tuple[int, int]]]) -> tuple[list, list]:
+    """(rows, cols): the same nonzero entries of sparse rows, also by column."""
     cols: list[list[tuple[int, int]]] = [[] for _ in rows]
     for i, row in enumerate(rows):
         for j, x in row:

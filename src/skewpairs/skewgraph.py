@@ -16,6 +16,13 @@ Connected skew-graphs are exactly skew diagrams drawn in the convention
 where rows shift weakly left going up.  Components are allowed to share
 a single node (0,0) (two integral components only); this is the one
 overlap that actually occurs in the even orthogonal series.
+
+Enumeration works on integer cells.  A component of k nodes is the pair
+(k, cells), its cells k times its node coordinates about its barycentre, so
+every generator, the series-D shared-origin test included, is integer
+arithmetic.  Each generator emits its graphs in canonical form; the
+admissible graphs are sorted once by an integer key and become Nodes only
+at the end, and counting them builds no Node at all.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Optional
 
 from .linalg import parse_fraction
@@ -70,9 +78,6 @@ class Component:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-
-_POINT = Component((ORIGIN,))
 
 
 @dataclass(frozen=True)
@@ -214,19 +219,19 @@ _PARITY_SYMMETRY = {
 }
 
 
-def _cell_symmetry(cells: frozenset[tuple[int, int]]) -> str:
-    """Symmetry class of integer cells moved to centre their bounding box.
+def _symmetry(comp: tuple[int, tuple]) -> str:
+    """Symmetry class of an integer component (see _int_component).
 
-    The shape is centrally symmetric when reflection through the box centre
-    maps it to itself.  The centred coordinates are then integral or
-    half-integral by the parity of the box's width - 1 and height - 1,
-    which is the parity of min + max.
+    Its cells are about the barycentre, which is the centre of a centrally
+    symmetric shape, so the shape is symmetric when negation reverses the
+    sorted cells; its nodes are then integral or half-integral along each
+    axis by whether k divides that coordinate of one cell.
     """
-    sx = min(x for x, _ in cells) + max(x for x, _ in cells)
-    sy = min(y for _, y in cells) + max(y for _, y in cells)
-    if any((sx - x, sy - y) not in cells for x, y in cells):
+    k, cells = comp
+    if tuple((-x, -y) for x, y in reversed(cells)) != cells:
         return SYM_NOT_CS
-    return _PARITY_SYMMETRY[sx % 2, sy % 2]
+    x, y = cells[0]
+    return _PARITY_SYMMETRY[int(x % k != 0), int(y % k != 0)]
 
 
 def classify_component(comp: Component) -> ShapeClass:
@@ -268,7 +273,7 @@ def _cell_shape(cells: frozenset[tuple[int, int]], base: Node) -> ShapeClass:
         2 * base.x.numerator + (xs[0] + xs[-1]) * base.x.denominator == 0
         and 2 * base.y.numerator + (ys[0] + ys[-1]) * base.y.denominator == 0
     ):
-        symmetry = _cell_symmetry(cells)
+        symmetry = _symmetry(_int_component(cells))
 
     near = None
     if symmetry == SYM_NON_INTEGRAL and rectangle is None and len(cells) % 4 == 2:
@@ -316,21 +321,6 @@ def _near_rectangular_cellsets(width: int, height: int) -> tuple[tuple[str, froz
     return tuple(out)
 
 
-def _near_rectangular_components(n: int) -> list[Component]:
-    """The connected n-node near-rectangular components, centred on the origin.
-
-    Only the even boxes with n among their three cut sizes are built.
-    """
-    out = []
-    for w in range(2, n + 3, 2):
-        for h in range(2, n + 3, 2):
-            if n in (w * h - 2, w * h - 2 * (h - 1), w * h - 2 * (w - 1)):
-                for _, cells in _near_rectangular_cellsets(w, h):
-                    if len(cells) == n:
-                        out.append(_cells_to_component(cells))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Canonical form and enumeration
 # ---------------------------------------------------------------------------
@@ -361,32 +351,42 @@ def graph_key(graph: SkewGraph):
     return _key(canonical_form(graph))
 
 
-def _centred(cells) -> list[tuple[int, int]]:
-    """n times the coordinates of n cells about their barycentre, sorted."""
-    n = len(cells)
+def _int_component(cells) -> tuple[int, tuple]:
+    """The integer component of k cells: (k, k times each cell minus their
+    sum, sorted), that is k times the coordinates about the barycentre."""
+    k = len(cells)
     sx = sum(x for x, _ in cells)
     sy = sum(y for _, y in cells)
-    return sorted((n * x - sx, n * y - sy) for x, y in cells)
+    return k, tuple(sorted((k * x - sx, k * y - sy) for x, y in cells))
 
 
 @lru_cache(maxsize=None)
-def _connected_cellsets(n: int) -> tuple[frozenset, ...]:
-    """Each connected n-cell skew shape once, in the order of the canonical graphs.
+def _node(x: int, y: int, k: int) -> Node:
+    return Node(Fraction(x, k), Fraction(y, k))
 
-    Shapes have their min corner at the origin.  A connected skew shape is
-    a parallelogram polyomino: read left to right, its columns are intervals
-    whose bottoms and tops fall weakly, each overlapping the one before.
-    Choosing the columns in turn therefore produces each shape exactly once
-    (orderly generation in the manner of Redelmeier 1981, "Counting
-    polyominoes: yet another attack").
+
+def _to_component(comp: tuple[int, tuple]) -> Component:
+    """The Component of an integer component: the node (x / k, y / k) per cell."""
+    k, cells = comp
+    return Component(tuple(_node(x, y, k) for x, y in cells))
+
+
+@lru_cache(maxsize=None)
+def _connected_shapes(n: int) -> tuple[tuple[int, tuple], ...]:
+    """Each connected n-cell skew shape once, as an integer component, sorted.
+
+    A connected skew shape is a parallelogram polyomino: read left to right,
+    its columns are intervals whose bottoms and tops fall weakly, each
+    overlapping the one before.  Choosing the columns in turn therefore
+    produces each shape exactly once (orderly generation in the manner of
+    Redelmeier 1981, "Counting polyominoes: yet another attack").
     """
     shapes = []
 
     def extend(cols: list[tuple[int, int]], left: int) -> None:
         if not left:
-            y0 = cols[-1][0]
             shapes.append(
-                frozenset((x, y - y0) for x, (b, t) in enumerate(cols) for y in range(b, t + 1))
+                _int_component([(x, y) for x, (b, t) in enumerate(cols) for y in range(b, t + 1)])
             )
             return
         bottom, top = cols[-1]
@@ -396,71 +396,114 @@ def _connected_cellsets(n: int) -> tuple[frozenset, ...]:
 
     for height in range(1, n + 1):
         extend([(0, height - 1)], n - height)
-    return tuple(sorted(shapes, key=_centred))
+    return tuple(sorted(shapes))
 
 
-def _cells_to_component(cells) -> Component:
-    """The component of integer cells translated to barycentre the origin."""
-    n = len(cells)
-    return Component(tuple(Node(Fraction(x, n), Fraction(y, n)) for x, y in _centred(cells)))
+def _partitions(n: int, most: int):
+    """The partitions of n into parts no larger than most, parts falling."""
+    if not n:
+        yield ()
+    for part in range(min(n, most), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
 
 
-def enumerate_connected(n: int, *, max_nodes: int = DEFAULT_MAX_NODES) -> tuple[SkewGraph, ...]:
-    """All connected skew-graphs with n nodes, canonical, sorted, no duplicates."""
-    if n < 1:
-        raise ValueError("node count must be positive")
-    if n > max_nodes:
-        raise EnumerationLimitError(
-            f"enumeration of {n}-node graphs exceeds the configured bound of {max_nodes}"
-        )
-    return tuple(SkewGraph((_cells_to_component(c),)) for c in _connected_cellsets(n))
+def _young_shapes(n: int) -> list[tuple[int, tuple]]:
+    """The connected n-cell shapes with one source or one sink.
+
+    A column's bottom cell is a source unless the column before it starts
+    at the same height, so one source means one common bottom: column
+    heights falling left to right, the Young diagram of a partition.  One
+    sink likewise means one common top: such a diagram rotated by 180
+    degrees.  A rectangle is both and is built once, so there are
+    2 p(n) - d(n) shapes.
+    """
+    shapes = []
+    for heights in _partitions(n, n):
+        cells = [(x, y) for x, h in enumerate(heights) for y in range(h)]
+        shapes.append(_int_component(cells))
+        if heights[0] != heights[-1]:
+            shapes.append(_int_component([(-x, -y) for x, y in cells]))
+    return shapes
 
 
 @lru_cache(maxsize=None)
-def _cs_components(n: int, symmetry: str) -> tuple[Component, ...]:
-    return tuple(
-        _cells_to_component(c) for c in _connected_cellsets(n) if _cell_symmetry(c) == symmetry
-    )
+def _cs_shapes(n: int, symmetry: str) -> tuple[tuple[int, tuple], ...]:
+    """The connected n-cell shapes of one symmetry class, in _connected_shapes order."""
+    return tuple(comp for comp in _connected_shapes(n) if _symmetry(comp) == symmetry)
 
 
-def _rectangle_graphs(n: int, side_test) -> list[SkewGraph]:
-    out = []
-    for w in range(1, n + 1):
-        if n % w == 0 and side_test(w, n // w):
-            out.append(SkewGraph((component_from_nodes(rectangle_nodes(w, n // w)),)))
-    return out
+def _rectangle(width: int, height: int) -> tuple[int, tuple]:
+    return _int_component([(x, y) for x in range(width) for y in range(height)])
 
 
-def _d_integral_pair_sets(n: int) -> list[tuple[Component, ...]]:
+def _near_rectangles(n: int) -> list[tuple[int, tuple]]:
+    """The connected n-node near-rectangular components.
+
+    Only the even boxes with n among their three cut sizes are built.
+    """
+    return [
+        _int_component(cells)
+        for w in range(2, n + 3, 2)
+        for h in range(2, n + 3, 2)
+        if n in (w * h - 2, w * h - 2 * (h - 1), w * h - 2 * (w - 1))
+        for _, cells in _near_rectangular_cellsets(w, h)
+        if len(cells) == n
+    ]
+
+
+_POINT = (1, ((0, 0),))
+
+
+def _graph(*comps: tuple[int, tuple]) -> tuple:
+    """An integer graph: its components in canonical order, larger first, then by cells."""
+    return tuple(sorted(comps, key=lambda c: (-c[0], c[1])))
+
+
+def _d_integral_pairs(n: int) -> list[tuple]:
     """Series-D two-integral-component configurations with n nodes total.
 
     Either a component with at least three nodes plus the point component,
     or two components with at least three nodes each sharing exactly (0,0).
+    An integral centrally symmetric component holds the origin.  The cells
+    of a k-node component times m and those of an m-node one times k are
+    both their nodes times k * m, so the two meet where those products do.
     """
     if n % 2:
         return []
-    out = []
-    if n - 1 >= 3:
-        for comp in _cs_components(n - 1, SYM_INTEGRAL):
-            out.append((comp, _POINT))
+    out = [_graph(comp, _POINT) for comp in _cs_shapes(n - 1, SYM_INTEGRAL)] if n >= 4 else []
     for k in range(3, n // 2 + 1, 2):
         m = n - k
-        if m < 3:
-            continue
-        pool_a = _cs_components(k, SYM_INTEGRAL)
-        pool_b = _cs_components(m, SYM_INTEGRAL)
-        for i, ca in enumerate(pool_a):
-            start = i if k == m else 0
-            for cb in pool_b[start:]:
-                if ca.node_set & cb.node_set == frozenset({ORIGIN}):
-                    out.append((ca, cb))
+        pool_b = [(cb, {(x * k, y * k) for x, y in cb[1]}) for cb in _cs_shapes(m, SYM_INTEGRAL)]
+        for i, ca in enumerate(_cs_shapes(k, SYM_INTEGRAL)):
+            scaled_a = {(x * m, y * m) for x, y in ca[1]}
+            for cb, scaled_b in pool_b[i if k == m else 0:]:
+                if scaled_a & scaled_b == {(0, 0)}:
+                    out.append(_graph(ca, cb))
     return out
 
 
-def enumerate_admissible(
-    series: str, dimv: int, kind: str, *, max_nodes: int = DEFAULT_MAX_NODES
-) -> tuple[SkewGraph, ...]:
-    """Admissible skew-graphs for one classical series, dimension and kind."""
+def _principal_cells(series: str, n: int) -> list[tuple]:
+    """The principal graphs of series B, C or D with n nodes, as integer graphs."""
+    sides = [(w, n // w) for w in range(1, n + 1) if n % w == 0]
+    if series == "B":
+        return [(_rectangle(w, h),) for w, h in sides if w % 2 and h % 2]
+    if series == "C":
+        return [(_rectangle(w, h),) for w, h in sides if w % 2 != h % 2]
+    # D: an even x even rectangle or a near-rectangle, an odd rectangle plus
+    # the point, or a horizontal and a vertical chain of odd lengths.
+    graphs = [(_rectangle(w, h),) for w, h in sides if w % 2 == 0 and h % 2 == 0]
+    graphs += [(comp,) for comp in _near_rectangles(n)]
+    if n >= 4:
+        graphs += [_graph(_rectangle(w, (n - 1) // w), _POINT) for w in range(1, n, 2) if (n - 1) % w == 0]
+    graphs += [_graph(_rectangle(w, 1), _rectangle(1, n - w)) for w in range(3, n - 2, 2)]
+    return graphs
+
+
+def _admissible_cells(series: str, dimv: int, kind: str, max_nodes: int) -> list[tuple]:
+    """Each admissible graph once, unsorted, as a tuple of integer components
+    (k, cells) in canonical order: the k nodes of a component are the
+    cells divided by k."""
     if series not in SERIES:
         raise ValueError(f"unknown series {series!r}")
     if kind not in KINDS:
@@ -476,65 +519,60 @@ def enumerate_admissible(
             f"dimV {dimv} exceeds the configured bound of {max_nodes}"
         )
 
-    graphs: list[SkewGraph] = []
     if series == "A":
-        graphs = list(enumerate_connected(dimv, max_nodes=max_nodes))
-        if kind == "principal":
-            graphs = [g for g in graphs if classify_component(g.components[0]).young != "neither"]
-    elif series == "B":
-        if kind == "distinguished":
-            for comp in _cs_components(dimv, SYM_INTEGRAL):
-                graphs.append(SkewGraph((comp,)))
-            for k in range(1, dimv, 2):
-                for c0 in _cs_components(k, SYM_INTEGRAL):
-                    for c1 in _cs_components(dimv - k, SYM_NON_INTEGRAL):
-                        graphs.append(SkewGraph((c0, c1)))
-        else:
-            graphs = _rectangle_graphs(dimv, lambda w, h: w % 2 == 1 and h % 2 == 1)
+        shapes = _connected_shapes(dimv) if kind == "distinguished" else _young_shapes(dimv)
+        return [(comp,) for comp in shapes]
+    if kind == "principal":
+        return _principal_cells(series, dimv)
+    if series == "B":
+        graphs = [(comp,) for comp in _cs_shapes(dimv, SYM_INTEGRAL)]
+        for k in range(1, dimv, 2):
+            for c0 in _cs_shapes(k, SYM_INTEGRAL):
+                graphs.extend(_graph(c0, c1) for c1 in _cs_shapes(dimv - k, SYM_NON_INTEGRAL))
     elif series == "C":
-        if kind == "distinguished":
-            for sym in (SYM_SEMI_COLSORT, SYM_SEMI_ROWSORT):
-                for comp in _cs_components(dimv, sym):
-                    graphs.append(SkewGraph((comp,)))
-            for k in range(2, dimv - 1, 2):
-                for c0 in _cs_components(k, SYM_SEMI_COLSORT):
-                    for c1 in _cs_components(dimv - k, SYM_SEMI_ROWSORT):
-                        graphs.append(SkewGraph((c0, c1)))
-        else:
-            graphs = _rectangle_graphs(dimv, lambda w, h: (w % 2) != (h % 2))
+        graphs = [(comp,) for sym in (SYM_SEMI_COLSORT, SYM_SEMI_ROWSORT) for comp in _cs_shapes(dimv, sym)]
+        for k in range(2, dimv - 1, 2):
+            for c0 in _cs_shapes(k, SYM_SEMI_COLSORT):
+                graphs.extend(_graph(c0, c1) for c1 in _cs_shapes(dimv - k, SYM_SEMI_ROWSORT))
     else:
-        if kind == "distinguished":
-            for comp in _cs_components(dimv, SYM_NON_INTEGRAL):
-                graphs.append(SkewGraph((comp,)))
-            for comps in _d_integral_pair_sets(dimv):
-                graphs.append(SkewGraph(comps))
-            for j in range(4, dimv - 3, 2):
-                for c0 in _cs_components(j, SYM_NON_INTEGRAL):
-                    for comps in _d_integral_pair_sets(dimv - j):
-                        graphs.append(SkewGraph((c0,) + comps))
-        else:
-            graphs = _rectangle_graphs(dimv, lambda w, h: w % 2 == 0 and h % 2 == 0)
-            graphs.extend(SkewGraph((comp,)) for comp in _near_rectangular_components(dimv))
-            for w in range(1, dimv, 2):
-                h = (dimv - 1) // w
-                if w * h == dimv - 1 and h % 2 == 1 and dimv - 1 >= 3:
-                    graphs.append(
-                        SkewGraph((component_from_nodes(rectangle_nodes(w, h)), _POINT))
-                    )
-            for w in range(3, dimv - 2, 2):
-                h = dimv - w
-                if h >= 3 and h % 2 == 1:
-                    graphs.append(
-                        SkewGraph(
-                            (
-                                component_from_nodes(rectangle_nodes(w, 1)),
-                                component_from_nodes(rectangle_nodes(1, h)),
-                            )
-                        )
-                    )
+        graphs = [(comp,) for comp in _cs_shapes(dimv, SYM_NON_INTEGRAL)]
+        graphs += _d_integral_pairs(dimv)
+        for j in range(4, dimv - 3, 2):
+            pairs = _d_integral_pairs(dimv - j)
+            for c0 in _cs_shapes(j, SYM_NON_INTEGRAL):
+                graphs.extend(_graph(c0, *pair) for pair in pairs)
+    return graphs
 
-    canon = {_key(g): g for g in map(canonical_form, graphs)}
-    return tuple(canon[k] for k in sorted(canon))
+
+def _scaled_key(graph: tuple, scale: int) -> tuple:
+    """_key of the graph's nodes times scale, a multiple of every k: ints, same order."""
+    key = []
+    for k, cells in graph:
+        f = scale // k
+        key.append(tuple((x * f, y * f) for x, y in cells))
+    return tuple(key)
+
+
+def enumerate_connected(n: int, *, max_nodes: int = DEFAULT_MAX_NODES) -> tuple[SkewGraph, ...]:
+    """All connected skew-graphs with n nodes, canonical, sorted, no duplicates."""
+    if n < 1:
+        raise ValueError("node count must be positive")
+    if n > max_nodes:
+        raise EnumerationLimitError(
+            f"enumeration of {n}-node graphs exceeds the configured bound of {max_nodes}"
+        )
+    return tuple(SkewGraph((_to_component(comp),)) for comp in _connected_shapes(n))
+
+
+def enumerate_admissible(
+    series: str, dimv: int, kind: str, *, max_nodes: int = DEFAULT_MAX_NODES
+) -> tuple[SkewGraph, ...]:
+    """Admissible skew-graphs for one classical series, dimension and kind,
+    each in canonical form, in _key order."""
+    graphs = _admissible_cells(series, dimv, kind, max_nodes)
+    scale = lcm(*range(1, dimv + 1))
+    graphs.sort(key=lambda g: _scaled_key(g, scale))
+    return tuple(SkewGraph(tuple(map(_to_component, g))) for g in graphs)
 
 
 def is_admissible(series: str, graph: SkewGraph, kind: str) -> bool:

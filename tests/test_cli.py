@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, determinism, thin-adapter outputs."""
 
 import json
+import time
 
 import pytest
 
@@ -286,6 +287,13 @@ def _set_e1(value):
     return mutate
 
 
+def _set_e1_entry(value):
+    def mutate(doc):
+        doc["e1"][0][0] = value
+
+    return mutate
+
+
 def _set_label_node(value):
     def mutate(doc):
         doc["labels"][0]["node"] = value
@@ -321,6 +329,9 @@ def _set_key(key, value):
         pytest.param(_set_graph_node([None, "0"]), id="graph-coordinate-is-null"),
         pytest.param(_set_key("labels", 5), id="labels-is-a-number"),
         pytest.param(_set_key("components", 5), id="components-is-a-number"),
+        pytest.param(_set_label_node([True, False]), id="label-node-is-booleans"),
+        pytest.param(_set_e1_entry(True), id="matrix-entry-is-true"),
+        pytest.param(_set_e1_entry("1e40000000"), id="matrix-entry-has-a-huge-exponent"),
     ],
 )
 def test_verify_rejects_wrong_json_types(tmp_path, capsys, mutate):
@@ -363,6 +374,15 @@ def test_build_names_node_token_without_one_comma(tmp_path, capsys, token):
     code, err = _build_error(tmp_path, capsys, f"-1/1,0/1 {token}\n")
     assert code == 2
     assert f"node '{token}' is not two coordinates" in err
+
+
+def test_build_refuses_a_huge_exponent_at_once(tmp_path, capsys):
+    # Reading 10^40000000 as a Fraction once ran for minutes.
+    start = time.perf_counter()
+    code, err = _build_error(tmp_path, capsys, "0/1,0/1\n1e40000000,0/1\n")
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert "exponent of '1e40000000' exceeds 4300" in err
 
 
 def test_render_rejects_nodes_spread_beyond_a_square(tmp_path, capsys):

@@ -1,0 +1,97 @@
+"""Enumeration invariants and closed-count oracles.
+
+Every enumerated graph is canonical, admissible and strictly ordered by
+``_key``; the fast count equals the weighted enumeration, builds no node,
+and meets the closed principal counts of series A, B and C.
+"""
+
+import pytest
+
+from skewpairs import skewgraph
+from skewpairs.catalog import count_orbits
+from skewpairs.skewgraph import (
+    KINDS,
+    _key,
+    canonical_form,
+    classify_component,
+    enumerate_admissible,
+    enumerate_connected,
+    is_admissible,
+)
+
+
+def partition_counts(top: int) -> list[int]:
+    """p(0), ..., p(top) by the recurrence over the largest part allowed."""
+    p = [1] + [0] * top
+    for part in range(1, top + 1):
+        for n in range(part, top + 1):
+            p[n] += p[n - part]
+    return p
+
+
+def divisor_count(n: int) -> int:
+    return sum(n % d == 0 for d in range(1, n + 1))
+
+
+def odd_part(n: int) -> int:
+    while n % 2 == 0:
+        n //= 2
+    return n
+
+
+def test_partition_recurrence():
+    # OEIS A000041
+    assert partition_counts(16) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231]
+
+
+def _cases(top: int):
+    for series in "ABCD":
+        for dimv in range(1, top + 1):
+            if (series == "B" and dimv % 2 == 0) or (series in "CD" and dimv % 2):
+                continue
+            for kind in KINDS:
+                yield series, dimv, kind
+
+
+@pytest.mark.parametrize("series", "ABCD")
+def test_enumeration_is_canonical_admissible_and_strictly_ordered(series):
+    for s, dimv, kind in _cases(12):
+        if s != series:
+            continue
+        graphs = enumerate_admissible(series, dimv, kind)
+        keys = [_key(g) for g in graphs]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (dimv, kind)
+        for g in graphs:
+            assert canonical_form(g) == g, (dimv, kind, g)
+            assert is_admissible(series, g, kind), (dimv, kind, g)
+        weighted = sum(2 if series == "D" and g.is_connected() else 1 for g in graphs)
+        assert count_orbits(series, dimv, kind) == weighted, (dimv, kind)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_a_principal_count_is_two_partitions_less_divisors(n):
+    assert count_orbits("A", n, "principal", max_nodes=16) == 2 * partition_counts(n)[n] - divisor_count(n)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_a_principal_equals_young_filter_of_connected(n):
+    young = tuple(g for g in enumerate_connected(n) if classify_component(g.components[0]).young != "neither")
+    assert enumerate_admissible("A", n, "principal") == young
+
+
+def test_b_and_c_principal_closed_counts():
+    for n in range(1, 16, 2):
+        assert count_orbits("B", n, "principal", max_nodes=16) == divisor_count(n), n
+    for n in range(2, 17, 2):
+        assert count_orbits("C", n, "principal", max_nodes=16) == 2 * divisor_count(odd_part(n)), n
+
+
+def test_fast_count_builds_no_component(monkeypatch):
+    def refuse(comp):
+        raise AssertionError(f"a component was built: {comp}")
+
+    monkeypatch.setattr(skewgraph, "_to_component", refuse)
+    with pytest.raises(AssertionError):
+        enumerate_admissible("A", 3, "distinguished")
+    for series, dimv, kind in _cases(10):
+        count_orbits(series, dimv, kind)

@@ -22,6 +22,7 @@ from skewpairs.linalg import (
     mat_mul,
     matrix,
     nullspace,
+    parse_fraction,
     rank,
     rref,
     solve,
@@ -336,3 +337,17 @@ def test_commutator_sanity():
     e = matrix([[0, 1], [0, 0]])
     h = matrix([[F(1, 2), 0], [0, F(-1, 2)]])
     assert commutator(h, e) == e
+
+
+def test_parse_fraction_bounds_the_exponent_and_refuses_bool():
+    assert parse_fraction("1e4300") == 10**4300
+    assert parse_fraction("-1E-4_300") == F(-1, 10**4300)
+    assert parse_fraction("2.5e-0003") == F(1, 400)
+    start = time.perf_counter()
+    for text in ("1e4301", "1e-4301", "1e40000000", "1e" + "9" * 10000, "1e0_9999"):
+        with pytest.raises(ValueError, match="exceeds 4300 in magnitude"):
+            parse_fraction(text)
+    assert time.perf_counter() - start < 1
+    for value in (True, False):
+        with pytest.raises(ValueError, match="expected a number or a numeric string"):
+            parse_fraction(value)

@@ -17,11 +17,12 @@ from skewpairs.skewgraph import (
     Node,
     ShapeClass,
     SkewGraph,
-    _cells_to_component,
     _component_cells,
-    _cs_components,
+    _cs_shapes,
+    _int_component,
+    _near_rectangles,
     _near_rectangular_cellsets,
-    _near_rectangular_components,
+    _to_component,
     canonical_form,
     classify_component,
     component_from_nodes,
@@ -210,7 +211,7 @@ def test_symmetry_classes_match_negation_oracle():
         for c in comps:
             assert classify_component(c).symmetry == expected[c]
         for sym in (SYM_INTEGRAL, SYM_SEMI_COLSORT, SYM_SEMI_ROWSORT, SYM_NON_INTEGRAL):
-            assert list(_cs_components(n, sym)) == [c for c in comps if expected[c] == sym]
+            assert [_to_component(c) for c in _cs_shapes(n, sym)] == [c for c in comps if expected[c] == sym]
     # symmetry is about the origin: a translated copy is not centrally symmetric
     moved = component_from_nodes(nd.shifted(1, 0) for nd in rectangle_nodes(3, 3))
     assert classify_component(moved).symmetry == "not-cs"
@@ -363,13 +364,13 @@ def test_near_rectangle_size_guard_loses_nothing(dimv):
     # D principal builds only the boxes whose cut sizes include dimV; the
     # unguarded loop tries every even box up to (dimV + 2) x (dimV + 2).
     unguarded = [
-        _cells_to_component(cells)
+        _to_component(_int_component(cells))
         for w in range(2, dimv + 3, 2)
         for h in range(2, dimv + 3, 2)
         for _, cells in _near_rectangular_cellsets(w, h)
         if len(cells) == dimv
     ]
-    assert _near_rectangular_components(dimv) == unguarded
+    assert [_to_component(c) for c in _near_rectangles(dimv)] == unguarded
     admissible = {graph_key(g) for g in enumerate_admissible("D", dimv, "principal", max_nodes=14)}
     assert {graph_key(SkewGraph((c,))) for c in unguarded} <= admissible
 
