@@ -3,7 +3,10 @@
 analyze() works in one frame: a basis of V in which h1 and h2 are diagonal.
 Realizations built by this package are already in such a basis.  Any other
 input, such as a hand-edited verify document, is conjugated once into the
-joint eigenbasis of h1 and h2, and its Gram matrix G becomes T^T G T.  In
+joint eigenbasis of h1 and h2, and its Gram matrix G becomes T^T G T.  T has
+primitive integer columns, T^-1 comes scaled to ints by fraction-free
+elimination, and the moved e1, e2 and G are built as sparse int rows from
+the rows the relation check read, so no dense Fraction matrix is made.  In
 that frame ad h1 and ad h2 are diagonal on gl(V), e1 and e2 are
 bi-homogeneous, and the form pairs weight w only with -w, so every
 condition on x in z(e1, e2) & g lies in one bi-degree block of gl(V).
@@ -16,8 +19,11 @@ or more terms are eliminated, per block, in component variables: the
 series-A trace for dimV >= 3, and the rows of a frame in which e or G is
 not monomial.  The other two facts the flags need are read off without
 another solve: z(h) is the (0,0) block of g, and z(h) & z(e) is the (0,0)
-piece of z(e).  Bases are mapped back to the input coordinates and returned
-in reduced echelon form.
+piece of z(e).  Bases are returned in reduced echelon form in the input
+coordinates.  In a moved frame each basis matrix x is mapped back once, as
+the integer product T x T^-1 with both factors scaled to ints (a positive
+scale changes no span), and one rref over these rows gives the basis; the
+nonpositive witness is the first row of the rref of its own piece.
 
 The rows are built once, as sparse int rows, by _form_rows and
 _bracket_rows.  The weights are scaled by their common denominator, so
@@ -35,10 +41,10 @@ _eigenframe() is the one place that turns (h1, h2) into a basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .liealg import (
@@ -51,18 +57,15 @@ from .liealg import (
 from .linalg import (
     Matrix,
     Vector,
+    integer_inverse,
     integer_nullspace,
     integral_rows,
-    invert,
-    is_diagonal,
-    joint_eigenspaces,
-    mat_mul,
+    joint_eigenbasis,
     matrix,
     rank,
     rref,
     solve,
     sparse_rows_cols,
-    transpose,
     with_columns,
 )
 from .skewgraph import (
@@ -123,11 +126,6 @@ def _unflatten(vec: Sequence, n: int) -> Matrix:
     return tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n))
 
 
-def _canonical_span(mats: Sequence[Matrix], n: int) -> tuple[Matrix, ...]:
-    reduced, _ = rref([_flatten(m) for m in mats])
-    return tuple(_unflatten(v, n) for v in reduced)
-
-
 # ---------------------------------------------------------------------------
 # The eigenframe, the constraint rows and the union-find pass
 # ---------------------------------------------------------------------------
@@ -138,55 +136,94 @@ class _Frame:
 
     weights[i] is den times the eigenvalue pair of basis vector i, as ints,
     so every bi-degree is an int pair in units of 1/den.  gram holds the
-    nonzero rows and columns of the Gram matrix in this basis, scaled to
-    integers (None without a form).  t is the change of basis and t_inv its
-    inverse, both None when h1 and h2 were diagonal already.
+    nonzero rows and columns of a positive multiple of the Gram matrix in
+    this basis, as ints (None without a form).  t is the change of basis T,
+    whose columns are primitive integer vectors, and t_inv a positive
+    multiple of T^-1, both by dense rows of ints and both None when h1 and
+    h2 were diagonal already.
     """
 
     spec: AlgebraSpec
     den: int
     weights: tuple[tuple[int, int], ...]
     gram: Optional[tuple[list, list]]
-    t: Optional[Matrix]
-    t_inv: Optional[Matrix]
+    t: Optional[list[list[int]]]
+    t_inv: Optional[list[list[int]]]
 
     def degree(self, d: tuple[int, int]) -> tuple[Fraction, Fraction]:
         """The exact bi-degree of an int degree d."""
         return Fraction(d[0], self.den), Fraction(d[1], self.den)
 
-    def to_input(self, m: Matrix) -> Matrix:
-        """T m T^-1: a matrix given in this basis, in the input basis (t set)."""
-        return mat_mul(self.t, mat_mul(m, self.t_inv))
+
+def _sandwich(left, rows, right) -> list[list[int]]:
+    """The integer product L M R, M by its nonzero rows, L by dense rows and
+    R by its nonzero rows."""
+    n = len(left)
+    mr = {}
+    for i, row in enumerate(rows):
+        if row:
+            acc = [0] * n
+            for j, x in row:
+                for k, y in right[j]:
+                    acc[k] += x * y
+            mr[i] = acc
+    out = []
+    for lrow in left:
+        acc = [0] * n
+        for i, mrow in mr.items():
+            c = lrow[i]
+            if c:
+                for k, y in enumerate(mrow):
+                    if y:
+                        acc[k] += c * y
+        out.append(acc)
+    return out
 
 
-def _eigenframe(spec: AlgebraSpec, h1: Matrix, h2: Matrix, mats: Sequence[Matrix]):
+def _nonzero(m: list[list[int]]) -> list[list[tuple[int, int]]]:
+    """The nonzero entries of a dense matrix, by row."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+
+
+def _sparse_form(m: list[list[int]]):
+    """An integer matrix divided by its content, by sparse_rows_cols."""
+    g = gcd(*(x for row in m for x in row)) or 1
+    return with_columns(_nonzero([[x // g for x in row] for row in m]))
+
+
+def _eigenframe(spec: AlgebraSpec, h1, h2, mats, gram):
     """Change to a basis of V in which h1 and h2 are diagonal.
 
-    Returns (frame, moved): the columns of T are a joint eigenbasis of h1
-    and h2, each m in mats becomes T^-1 m T and the Gram matrix G becomes
-    T^T G T.  When h1 and h2 are already diagonal, mats come back unchanged.
-    Raises NotDiagonalizableError when h1, h2 have no rational joint eigenbasis.
+    h1, h2 and each m in mats come by integral_rows, gram by sparse_rows_cols
+    (None without a form).  Returns (frame, moved): the columns of T are a
+    joint eigenbasis of h1 and h2, each m in mats becomes a positive
+    multiple of T^-1 m T and the Gram matrix G one of T^T G T, all by
+    sparse_rows_cols and on ints.  When h1 and h2 are already diagonal, mats
+    and gram stay as they are.  Raises NotDiagonalizableError when h1, h2
+    have no rational joint eigenbasis.
     """
     t = t_inv = None
-    if is_diagonal(h1) and is_diagonal(h2):
-        pairs = [(h1[i][i], h2[i][i]) for i in range(len(h1))]
-        moved = tuple(mats)
+    (c1, rows1), (c2, rows2) = h1, h2
+    if all(j == i for rows in (rows1, rows2) for i, row in enumerate(rows) for j, _ in row):
+        pairs = [
+            (Fraction(r1[0][1] if r1 else 0, c1), Fraction(r2[0][1] if r2 else 0, c2)) for r1, r2 in zip(rows1, rows2)
+        ]
+        moved = tuple(with_columns(rows) for _, rows in mats)
     else:
-        cols: list[Vector] = []
-        pairs = []
-        for key, vecs in joint_eigenspaces(h1, h2):
+        cols, pairs = [], []
+        for key, vecs in joint_eigenbasis(h1, h2):
             cols.extend(vecs)
             pairs.extend([key] * len(vecs))
-        t = transpose(cols)
-        t_inv = invert(t)
-        if spec.form is not None:
-            spec = replace(spec, form=mat_mul(transpose(t), mat_mul(spec.form, t)))
-        moved = tuple(mat_mul(t_inv, mat_mul(m, t)) for m in mats)
+        t = [list(row) for row in zip(*cols)]
+        t_inv = integer_inverse(t)
+        t_rows = _nonzero(t)
+        moved = tuple(_sparse_form(_sandwich(t_inv, rows, t_rows)) for _, rows in mats)
+        if gram is not None:
+            gram = _sparse_form(_sandwich(cols, gram[0], t_rows))
     den = lcm(*(x.denominator for pair in pairs for x in pair))
     weights = tuple(
         (p.numerator * (den // p.denominator), q.numerator * (den // q.denominator)) for p, q in pairs
     )
-    gram = None if spec.form is None else sparse_rows_cols(spec.form)
     return _Frame(spec, den, weights, gram, t, t_inv), moved
 
 
@@ -401,17 +438,17 @@ def bigrade(spec: AlgebraSpec, h1: Matrix, h2: Matrix, subspace_basis: Sequence[
     mats = [matrix(m) for m in subspace_basis]
     if not mats:
         return BiGrading(table=(), total=0)
-    frame, moved = _eigenframe(spec, matrix(h1), matrix(h2), mats)
+    h1, h2 = (integral_rows(matrix(h)) for h in (h1, h2))
+    frame, moved = _eigenframe(spec, h1, h2, [integral_rows(m) for m in mats], None)
     weights = frame.weights
     n = len(weights)
     split: dict[tuple[int, int], list] = {}
-    for m in moved:
+    for rows, _ in moved:
         parts: dict[tuple[int, int], list] = {}
-        for i, row in enumerate(m):
-            for j, x in enumerate(row):
-                if x:
-                    d = (weights[i][0] - weights[j][0], weights[i][1] - weights[j][1])
-                    parts.setdefault(d, [ZERO] * (n * n))[i * n + j] = x
+        for i, row in enumerate(rows):
+            for j, x in row:
+                d = (weights[i][0] - weights[j][0], weights[i][1] - weights[j][1])
+                parts.setdefault(d, [0] * (n * n))[i * n + j] = x
         for d, flat in parts.items():
             split.setdefault(d, []).append(flat)
     table = tuple((frame.degree(d), rank(split[d])) for d in sorted(split))
@@ -454,26 +491,31 @@ def _graded_image_solvable(frame: _Frame, e, side: int) -> bool:
 
 
 def _rectangularity(frame: _Frame, e1, e2) -> bool:
-    """Both sides of the rectangularity test, e1 and e2 by sparse_rows_cols."""
+    """Both sides of the rectangularity test, e1 and e2 by sparse_rows_cols.
+
+    Raises NormalFormError when they disagree.
+    """
     side1 = _graded_image_solvable(frame, e1, 0)
     side2 = _graded_image_solvable(frame, e2, 1)
     if side1 != side2:
-        raise RuntimeError("internal consistency failure: h1- and h2-rectangularity tests disagree")
+        # Only a pair outside the classification gets here, such as a verify
+        # document whose e1 or e2 was edited.
+        raise NormalFormError(
+            f"the rectangularity tests disagree: h1 {'is' if side1 else 'is not'} in the image of ad e1, "
+            f"h2 {'is' if side2 else 'is not'} in that of ad e2"
+        )
     return side1
 
 
 def _framed(r: PairRealization):
     """verify_relations, then the eigenframe of r: (frame, (e1, e2)), e1 and
-    e2 in that frame by sparse_rows_cols.  When h1 and h2 are diagonal, e1
-    and e2 stay as they are, and their rows are the ones the relation check
-    scanned."""
-    rep, scaled = _scanned_relations(r)
+    e2 in that frame by sparse_rows_cols, from the rows and the Gram matrix
+    that the relation check scanned."""
+    rep, scaled, gram = _scanned_relations(r)
     if not rep.ok:
         raise ValueError(f"relations fail: {', '.join(rep.failures)}")
-    frame, moved = _eigenframe(r.spec, r.h1, r.h2, (r.e1, r.e2))
-    if frame.t is None:
-        return frame, tuple(with_columns(rows) for _, rows in scaled[:2])
-    return frame, tuple(sparse_rows_cols(e) for e in moved)
+    e1, e2, h1, h2 = scaled
+    return _eigenframe(r.spec, h1, h2, (e1, e2), gram)
 
 
 def is_rectangular_pair(r: PairRealization) -> bool:
@@ -496,15 +538,21 @@ def analyze(r: PairRealization) -> CentralizerReport:
     n = spec.dimv
     pieces = _graded_commutant(frame, (e1, e2))
 
-    def span_in_input_basis(lead_mats):
-        # Without a change of basis the blocks have disjoint supports and
-        # list their positions in row-major order, so their reduced bases,
-        # ordered by leading position, form the reduced basis of the span.
-        if frame.t is None:
-            return tuple(m for _, m in sorted(lead_mats))
-        return _canonical_span([frame.to_input(m) for _, m in lead_mats], n)
-
-    basis = span_in_input_basis([lm for piece in pieces.values() for lm in piece])
+    if frame.t is None:
+        # The blocks have disjoint supports and list their positions in
+        # row-major order, so their reduced bases, ordered by leading
+        # position, form the reduced basis of the span.
+        basis = tuple(m for _, m in sorted(lm for piece in pieces.values() for lm in piece))
+    else:
+        # x becomes T x T^-1; T and T^-1 are scaled to ints, which changes
+        # no span.
+        inv_rows = _nonzero(frame.t_inv)
+        mapped = {
+            d: [[x for row in _sandwich(frame.t, integral_rows(m)[1], inv_rows) for x in row] for _, m in piece]
+            for d, piece in pieces.items()
+        }
+        reduced, _ = rref(row for rows in mapped.values() for row in rows)
+        basis = tuple(_unflatten(v, n) for v in reduced)
     # z(h) is the (0,0) block of g, and z(h) & z(e) the (0,0) piece of z(e).
     zero_block = _block_index(weights, DEGREE_0)
     cartan_h = len(zero_block) - rank([_dense(row, zero_block) for row in _form_rows(frame, DEGREE_0)]) == spec.rank
@@ -519,7 +567,8 @@ def analyze(r: PairRealization) -> CentralizerReport:
     witness = None
     for d in sorted(pieces, key=lambda d: (d[1], d[0])):
         if d[0] < 0 or d[1] < 0:
-            witness = (span_in_input_basis(pieces[d])[0], frame.degree(d))
+            first = min(pieces[d])[1] if frame.t is None else _unflatten(rref(mapped[d])[0][0], n)
+            witness = (first, frame.degree(d))
             break
 
     flags = ReportFlags(
@@ -721,14 +770,23 @@ def a_operator_matrix(pred: ClosedFormPrediction, r: PairRealization) -> Optiona
 # ---------------------------------------------------------------------------
 
 def _split_origin(frame: _Frame, moved, at: dict) -> list:
-    """e1, e2 with the (0,0)-eigenspace, frame vectors a and b, split in two lines:
-    the e-images from the (-1,0) and (0,-1) nodes, or the one hit line and its
-    Gram-orthogonal complement.  Columns a and b become the images of the
-    lines, and rows a and b the coordinates along them, up to one factor.
+    """e1, e2, by their nonzero rows, with the (0,0)-eigenspace, frame vectors
+    a and b, split in two lines: the e-images from the (-1,0) and (0,-1)
+    nodes, or the one hit line and its Gram-orthogonal complement.  Columns a
+    and b become the images of the lines, and rows a and b the coordinates
+    along them, up to one factor.
     """
     a, b = at[DEGREE_0]
+    n = len(frame.weights)
+    dense = []
+    for rows in moved:
+        m = [[0] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            for j, x in row:
+                m[i][j] = x
+        dense.append(m)
     lines = []
-    for m, src in zip(moved, ((-frame.den, 0), (0, -frame.den))):
+    for m, src in zip(dense, ((-frame.den, 0), (0, -frame.den))):
         if src in at:
             img = (m[a][at[src][0]], m[b][at[src][0]])
             if any(img) and all(img[0] * v[1] != img[1] * v[0] for v in lines):
@@ -747,12 +805,14 @@ def _split_origin(frame: _Frame, moved, at: dict) -> list:
             raise NormalFormError("degenerate (0,0)-eigenspace split")
         lines.append((-gb, ga))
     (p, q), (r, s) = lines
-    out = [[list(row) for row in m] for m in moved]
-    for m, rows in zip(moved, out):
+    out = []
+    for m in dense:
+        rows = [list(row) for row in m]
         for row in rows:
             row[a], row[b] = p * row[a] + q * row[b], r * row[a] + s * row[b]
         rows[a] = [s * x - r * y for x, y in zip(m[a], m[b])]
         rows[b] = [p * y - q * x for x, y in zip(m[a], m[b])]
+        out.append(_nonzero(rows))
     return out
 
 
@@ -765,8 +825,8 @@ def graph_from_pair(spec: AlgebraSpec, e1: Matrix, e2: Matrix, h1: Matrix, h2: M
     except that series D allows a two-dimensional (0,0)-eigenspace, which
     _split_origin splits into two.
     """
-    e1, e2, h1, h2 = (matrix(m) for m in (e1, e2, h1, h2))
-    checks = dict(_bracket_checks([integral_rows(m) for m in (e1, e2, h1, h2)]))
+    scaled = [integral_rows(matrix(m)) for m in (e1, e2, h1, h2)]
+    checks = dict(_bracket_checks(scaled))
     if not checks.pop("e1_e2_commute"):
         raise NormalFormError("e1 and e2 do not commute")
     if not checks.pop("h1_h2_commute"):
@@ -774,7 +834,9 @@ def graph_from_pair(spec: AlgebraSpec, e1: Matrix, e2: Matrix, h1: Matrix, h2: M
     if not all(checks.values()):
         raise NormalFormError("the grading relations [h_i, e_j] = delta_ij e_j fail")
 
-    frame, moved = _eigenframe(spec, h1, h2, (e1, e2))
+    gram = None if spec.form is None else sparse_rows_cols(spec.form)
+    frame, moved = _eigenframe(spec, scaled[2], scaled[3], scaled[:2], gram)
+    moved = [rows for rows, _ in moved]
     at: dict[tuple[int, int], list[int]] = {}
     for i, w in enumerate(frame.weights):
         at.setdefault(w, []).append(i)
@@ -793,11 +855,10 @@ def graph_from_pair(spec: AlgebraSpec, e1: Matrix, e2: Matrix, h1: Matrix, h2: M
             a = parent[a]
         return a
 
-    for m in moved:
-        for i, row in enumerate(m):
-            for j, x in enumerate(row):
-                if x:
-                    parent[find(i)] = find(j)
+    for rows in moved:
+        for i, row in enumerate(rows):
+            for j, _ in row:
+                parent[find(i)] = find(j)
 
     groups: dict[int, list[tuple[int, int]]] = {}
     for i, w in enumerate(frame.weights):

@@ -250,8 +250,9 @@ def _commutator_entries(a: list, b: list) -> dict[tuple[int, int], int]:
     return {p: v for p, v in out.items() if v}
 
 
-def _in_algebra(spec: AlgebraSpec, rows: list, g_rows: list, g_cols: list) -> bool:
-    """Whether x is in g, from the nonzero rows of a multiple of x and those of G and G^T.
+def _in_algebra(spec: AlgebraSpec, rows: list, gram: Optional[tuple]) -> bool:
+    """Whether x is in g, from the nonzero rows of a multiple of x and the
+    sparse_rows_cols of G.
 
     Series A asks for trace 0.  Otherwise x[c][a] adds x[c][a] G[c][b] to
     entry (a, b) of x^T G and G[p][c] x[c][a] to entry (p, a) of G x, and
@@ -259,6 +260,7 @@ def _in_algebra(spec: AlgebraSpec, rows: list, g_rows: list, g_cols: list) -> bo
     """
     if spec.series == "A":
         return sum(x for i, row in enumerate(rows) for j, x in row if i == j) == 0
+    g_rows, g_cols = gram
     out: dict[tuple[int, int], int] = {}
     for c, row in enumerate(rows):
         for a, x in row:
@@ -302,17 +304,18 @@ def verify_relations(r: PairRealization) -> RelationReport:
     return _scanned_relations(r)[0]
 
 
-def _scanned_relations(r: PairRealization) -> tuple[RelationReport, list]:
-    """verify_relations(r), and the integral_rows of e1, e2, h1 and h2 it read."""
+def _scanned_relations(r: PairRealization) -> tuple[RelationReport, list, Optional[tuple]]:
+    """verify_relations(r), the integral_rows of e1, e2, h1 and h2 it read,
+    and the sparse_rows_cols of the Gram matrix (None without a form)."""
     spec = r.spec
     scaled = [integral_rows(m) for m in (r.e1, r.e2, r.h1, r.h2)]
-    gram = ([], []) if spec.series == "A" else sparse_rows_cols(spec.form)
+    gram = None if spec.form is None else sparse_rows_cols(spec.form)
     checks = _bracket_checks(scaled) + [
-        (f"{name}_in_algebra", _in_algebra(spec, rows, *gram))
+        (f"{name}_in_algebra", _in_algebra(spec, rows, gram))
         for name, (_, rows) in zip(("e1", "e2", "h1", "h2"), scaled)
     ]
     checks.append(("form_nondegenerate", spec.form is None or rank(spec.form) == spec.dimv))
-    return RelationReport(tuple(checks)), scaled
+    return RelationReport(tuple(checks)), scaled, gram
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,12 @@ Eigenvalues come from integers too.  With c the least common denominator
 of h, the characteristic polynomial of the integer matrix c h is monic over
 Z, so each rational eigenvalue of h is r / c for an integer root r, found
 by the rational root theorem on the characteristic polynomial of h itself.
-A joint eigenspace of (h1, h2) is the kernel of the two shifted matrices
-stacked; the pair is diagonalizable over Q exactly when these kernels span
-the whole space.
+The joint eigenspaces of (h1, h2) come from one kernel per eigenvalue of
+h1: the images under h2 of its integer basis give the restriction of h2
+to it without a solve, a line is then a joint eigenspace, and a larger
+space splits by the eigenvalues of the small restricted matrix.  The pair
+is diagonalizable over Q exactly when every eigenspace of h1 is h2-stable
+and the joint eigenspaces span the whole space.
 
 Only routines that a package path calls live here.  Dense Fraction
 arithmetic (sums, powers, commutators, the characteristic polynomial as
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import re
 import reprlib
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
@@ -48,7 +52,9 @@ def parse_fraction(value) -> Fraction:
 
     A zero denominator, an infinity, a bool, a string whose decimal exponent
     exceeds MAX_EXPONENT in magnitude (Fraction would build the power of ten,
-    which takes seconds and more), and a value that is neither a number nor
+    which takes seconds and more), a numerator or denominator with more
+    decimal digits than the interpreter converts to and from strings
+    (sys.get_int_max_str_digits()), and a value that is neither a number nor
     a string, is a ValueError.
     """
     if isinstance(value, bool):
@@ -58,14 +64,26 @@ def parse_fraction(value) -> Fraction:
         digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
             raise ValueError(f"the exponent of {reprlib.repr(value)} exceeds {MAX_EXPONENT} in magnitude")
+    limit = sys.get_int_max_str_digits()
     try:
-        return Fraction(value)
+        x = Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
     except OverflowError:
         raise ValueError(f"{value!r} is not a finite number") from None
     except TypeError:
         raise ValueError(f"expected a number or a numeric string, got {reprlib.repr(value)}") from None
+    except ValueError:
+        if limit and isinstance(value, str) and sum(c.isdigit() for c in value) > limit:
+            raise ValueError(f"{reprlib.repr(value)} has more than {limit} digits") from None
+        raise
+    big = max(abs(x.numerator), x.denominator)
+    # Below 8^limit a number has at most limit decimal digits.
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        # reprlib cannot show such a number itself, only the string it came from.
+        shown = reprlib.repr(value) if isinstance(value, str) else "a number"
+        raise ValueError(f"{shown} has more than {limit} digits")
+    return x
 
 
 def matrix(rows: Iterable[Iterable]) -> Matrix:
@@ -74,10 +92,6 @@ def matrix(rows: Iterable[Iterable]) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -94,10 +108,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                     if y:
                         oi[j] += x * y
     return tuple(tuple(row) for row in out)
-
-
-def is_diagonal(a: Matrix) -> bool:
-    return all(not x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
 
 
 def integral_rows(m: Matrix) -> tuple[int, list[list[tuple[int, int]]]]:
@@ -222,17 +232,14 @@ def rank(rows: Iterable[Sequence]) -> int:
     return len(_eliminate(rows)[1])
 
 
-def nullspace(rows: Iterable[Sequence], ncols: int) -> tuple[Vector, ...]:
-    """Canonical basis of the right nullspace (one vector per free column)."""
-    return tuple(
-        tuple(Fraction(x, v[free]) if x else ZERO for x in v)
-        for free, v in integer_nullspace(rows, ncols)
-    )
-
-
 def integer_nullspace(rows: Iterable[Sequence], ncols: int) -> list[tuple[int, list[int]]]:
-    """(free, v) per free column, v the nullspace() vector of that column
-    scaled to a primitive integer vector with v[free] > 0."""
+    """A basis of the right null space, one vector per free column.
+
+    Returns (free, v) pairs: v is 0 at the other free columns and a
+    primitive integer vector with v[free] > 0.  Divided by v[free], these
+    vectors are the canonical basis, the reduced echelon form of the kernel
+    with the column order reversed.
+    """
     work, pivots = _eliminate(rows)
     pivot_set = set(pivots)
     out = []
@@ -266,13 +273,19 @@ def solve(rows: Iterable[Sequence], rhs: Sequence) -> Optional[Vector]:
     return tuple(x)
 
 
-def invert(a: Matrix) -> Matrix:
-    n = len(a)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if tuple(pivots) != tuple(range(n)):
+def integer_inverse(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """A positive multiple of the inverse of an invertible integer matrix.
+
+    Fraction-free Gauss-Jordan on [A | I]: row i comes out as a primitive
+    (d_i e_i | d_i A^-1[i]) with d_i > 0, so lcm(d_i) A^-1 is an integer
+    matrix.
+    """
+    n = len(rows)
+    work, pivots = _eliminate([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
+    if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(red[i][n:]) for i in range(n))
+    scale = lcm(*(row[i] for i, row in enumerate(work)))
+    return [[x * (scale // row[i]) for x in row[n:]] for i, row in enumerate(work)]
 
 
 def in_span(basis_rref: Matrix, v: Sequence) -> bool:
@@ -316,17 +329,17 @@ def _integer_charpoly(rows: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
     return coeffs
 
 
-def _eigen_shifts(h: Matrix) -> list[tuple[Fraction, list[list[int]]]]:
-    """(r / c, rows of c h - r I) for each integer eigenvalue r of c h, c the
-    least common denominator of h, ascending; ker(c h - r I) = ker(h - r / c).
+def _eigen_shifts(c: int, rows: Sequence[Sequence[tuple[int, int]]]) -> list[tuple[Fraction, list[list[int]]]]:
+    """(r / c, rows of A - r I) for each integer eigenvalue r of A, ascending.
 
+    A is an integer matrix given by its nonzero entries by row, and A = c h
+    for a rational h and an int c > 0, so ker(A - r I) = ker(h - r / c).
     Each r is c p / q for an eigenvalue p / q of h in lowest terms.  By the
     rational root theorem on the primitive integer form of the characteristic
     polynomial of h, p divides its lowest nonzero coefficient and q its
     leading one, so the candidates depend on the eigenvalues of h, not on c.
-    No |r| exceeds the largest absolute row sum of c h.
+    No |r| exceeds the largest absolute row sum of A.
     """
-    c, rows = integral_rows(h)
     n = len(rows)
     coeffs = _integer_charpoly(rows)
     scaled = [x * c ** (n - k) for k, x in enumerate(coeffs)]
@@ -357,19 +370,64 @@ def joint_eigenspaces(h1: Matrix, h2: Matrix) -> list[tuple[tuple[Fraction, Frac
     """Simultaneous eigenspace decomposition of two commuting matrices.
 
     Returns sorted ((p, q), basis-of-V_{p,q}) entries, each basis the
-    canonical nullspace() basis of ker(h1 - p) & ker(h2 - q).  With c the
-    least common denominator of h, the eigenvalues of h in Q are r / c for
-    the integer eigenvalues r of c h.  Raises NotDiagonalizableError unless
-    the joint eigenspaces span Q^n.
+    canonical null space basis of ker(h1 - p) & ker(h2 - q): the vector of
+    each free column is 1 there and 0 at the others.  Raises
+    NotDiagonalizableError unless the joint eigenspaces span Q^n.
     """
-    n = len(h1)
-    second = _eigen_shifts(h2)
+    return [
+        (key, tuple(tuple(Fraction(x, next(y for y in reversed(v) if y)) for x in v) for v in vecs))
+        for key, vecs in joint_eigenbasis(integral_rows(h1), integral_rows(h2))
+    ]
+
+
+def joint_eigenbasis(h1, h2) -> list[tuple[tuple[Fraction, Fraction], list[list[int]]]]:
+    """joint_eigenspaces of h1 and h2 given by integral_rows, each basis
+    vector scaled to a primitive integer vector with its free entry, the
+    last nonzero one, positive.
+
+    One integer_nullspace per eigenvalue p of h1 gives ker(h1 - p), spanned
+    by primitive v_t, each v_t the one vector with an entry at its free
+    column f_t.  So c2 h2 v_t, if it lies in the space, is
+    sum_s (c2 h2 v_t)[f_s] / v_s[f_s] v_s: the restriction of h2 needs no
+    solve, only an exact check that the space is h2-stable.  A line is a
+    joint eigenspace on its own; a larger space splits by the eigenvalues of
+    the small restricted matrix.
+    """
+    c2, rows2 = h2
+    n = len(rows2)
     out = []
-    for p, rows1 in _eigen_shifts(h1):
-        for q, rows2 in second:
-            basis = nullspace(rows1 + rows2, n)
-            if basis:
-                out.append(((p, q), basis))
+    for p, shifted in _eigen_shifts(*h1):
+        space = integer_nullspace(shifted, n)
+        scale = lcm(*(v[f] for f, v in space))
+        restricted: list[list[tuple[int, int]]] = [[] for _ in space]
+        for t, (_, v) in enumerate(space):
+            image = [sum(x * v[j] for j, x in row) for row in rows2]
+            combo = [0] * n
+            for s, (f, u) in enumerate(space):
+                a = image[f] * (scale // u[f])
+                if a:
+                    restricted[s].append((t, a))
+                    combo = [x + a * y for x, y in zip(combo, u)]
+            if combo != [scale * x for x in image]:
+                raise NotDiagonalizableError(
+                    f"h1, h2 have no rational joint eigenbasis: h2 does not preserve the eigenspace of h1 at {p}"
+                )
+        if len(space) == 1:
+            out.append(((p, Fraction(sum(a for _, a in restricted[0]), scale * c2)), [space[0][1]]))
+            continue
+        # restricted holds scale c2 h2 in the coordinates of the v_s.  Each
+        # v_s is 0 after f_s, and a kernel vector of its shift is positive
+        # at its own free coordinate g and 0 at the other free ones and
+        # after g.  So its combination of the v_s is 0 at the other free
+        # columns and last nonzero, and positive, at f_g: the combinations
+        # are the canonical basis up to positive factors.
+        for q, small in _eigen_shifts(scale * c2, restricted):
+            vecs = []
+            for _, coords in integer_nullspace(small, len(space)):
+                u = [sum(a * v[i] for a, (_, v) in zip(coords, space) if a) for i in range(n)]
+                g = gcd(*u)
+                vecs.append([x // g for x in u])
+            out.append(((p, q), vecs))
     found = sum(len(basis) for _, basis in out)
     if found != n:
         raise NotDiagonalizableError(

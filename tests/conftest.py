@@ -15,10 +15,10 @@ from typing import Optional
 
 import pytest
 
-from oracles import mat_add, mat_sub
+from oracles import invert, is_diagonal, mat_add, mat_sub, transpose
 from skewpairs.centralizer import CentralizerReport, analyze
 from skewpairs.liealg import PairRealization, RelationReport, build_pair, realization_to_jsonable, verify_relations
-from skewpairs.linalg import identity, invert, is_diagonal, mat_mul, matrix, transpose
+from skewpairs.linalg import identity, mat_mul, matrix
 from skewpairs.skewgraph import SkewGraph, enumerate_admissible, graph_key
 
 DESK_DIMS = (
@@ -90,9 +90,9 @@ def principal_keys() -> dict:
 # Small realizations and their conjugated copies
 # ---------------------------------------------------------------------------
 
-def conjugated(r, rng):
-    """r moved by a seeded rational isometry T of its form (any T in GL(n, Q)
-    for series A), redrawn until h1 or h2 is no longer diagonal; None when
+def conjugator(r, rng):
+    """A seeded rational isometry T of r's form (any T in GL(n, Q) for
+    series A), redrawn until T moves h1 or h2 off the diagonal; None when
     twenty draws all leave h diagonal."""
     n = r.spec.dimv
     one = identity(n)
@@ -120,14 +120,25 @@ def conjugated(r, rng):
                 continue
             assert mat_mul(transpose(t), mat_mul(r.spec.form, t)) == r.spec.form
         t_inv = invert(t)
-
-        def conj(m):
-            return mat_mul(t, mat_mul(m, t_inv))
-
-        moved = replace(r, e1=conj(r.e1), e2=conj(r.e2), h1=conj(r.h1), h2=conj(r.h2))
-        if not (is_diagonal(moved.h1) and is_diagonal(moved.h2)):
-            return moved
+        if not all(is_diagonal(mat_mul(t, mat_mul(h, t_inv))) for h in (r.h1, r.h2)):
+            return t
     return None
+
+
+def moved_by(r, t):
+    """r in the basis of T: each of e1, e2, h1, h2 becomes T m T^-1 and the
+    Gram matrix G becomes T^-T G T^-1 (G itself when T is an isometry)."""
+    t_inv = invert(t)
+    spec = r.spec
+    if spec.form is not None:
+        spec = replace(spec, form=mat_mul(transpose(t_inv), mat_mul(spec.form, t_inv)))
+    return replace(r, spec=spec, **{k: mat_mul(t, mat_mul(getattr(r, k), t_inv)) for k in ("e1", "e2", "h1", "h2")})
+
+
+def conjugated(r, rng):
+    """r moved by conjugator(r, rng), or None."""
+    t = conjugator(r, rng)
+    return None if t is None else moved_by(r, t)
 
 
 def scaled_shear(n):

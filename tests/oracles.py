@@ -1,10 +1,12 @@
 """Routines that the package no longer calls.
 
 The tests use them as oracles for the graded and integer paths: matrix
-arithmetic over Fraction, the characteristic polynomial as Fractions, the
-algebra basis of g inside gl(V), membership in g by x^T G + G x, the
-dense centralizer, a null space over the whole algebra basis, and the
-graded commutant by one elimination per bi-degree block of gl(V).
+arithmetic over Fraction (transposes, inverses, canonical null spaces),
+the characteristic polynomial as Fractions, the reduced echelon span of
+matrices, the algebra basis of g inside gl(V), membership in g by
+x^T G + G x, the dense centralizer, a null space over the whole algebra
+basis, and the graded commutant by one elimination per bi-degree block of
+gl(V).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from skewpairs.centralizer import _canonical_span, _Frame
+from skewpairs.centralizer import _eigenframe, _Frame
 from skewpairs.liealg import AlgebraSpec
 from skewpairs.linalg import (
     Matrix,
@@ -24,10 +26,8 @@ from skewpairs.linalg import (
     integral_rows,
     mat_mul,
     matrix,
-    nullspace,
     rref,
     sparse_rows_cols,
-    transpose,
 )
 
 ZERO = Fraction(0)
@@ -37,6 +37,31 @@ ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 # Matrix arithmetic
 # ---------------------------------------------------------------------------
+
+def transpose(a: Matrix) -> Matrix:
+    return tuple(zip(*a))
+
+
+def is_diagonal(a: Matrix) -> bool:
+    return all(not x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
+
+
+def invert(a: Matrix) -> Matrix:
+    n = len(a)
+    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(a)]
+    red, pivots = rref(aug)
+    if tuple(pivots) != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(red[i][n:]) for i in range(n))
+
+
+def nullspace(rows, ncols: int) -> tuple[Vector, ...]:
+    """Canonical basis of the right null space (one vector per free column)."""
+    return tuple(
+        tuple(Fraction(x, v[free]) if x else ZERO for x in v)
+        for free, v in integer_nullspace(rows, ncols)
+    )
+
 
 def zeros(n: int, m: Optional[int] = None) -> Matrix:
     m = n if m is None else m
@@ -82,6 +107,12 @@ def trace(a: Matrix) -> Fraction:
 def span_rref(vectors) -> Matrix:
     """Canonical (RREF) basis of the span of the given vectors."""
     return rref(vectors)[0]
+
+
+def canonical_span(mats: Sequence[Matrix], n: int) -> tuple[Matrix, ...]:
+    """The reduced echelon basis of the span of n x n matrices, flattened row by row."""
+    reduced, _ = rref([tuple(x for row in m for x in row) for m in mats])
+    return tuple(tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n)) for v in reduced)
 
 
 def charpoly(a: Matrix) -> tuple[Fraction, ...]:
@@ -194,12 +225,19 @@ def centralizer(spec: AlgebraSpec, elements: Sequence[Matrix]) -> tuple[Matrix, 
                         if brow[j]:
                             arow[j] += c * brow[j]
         mats.append(tuple(tuple(r) for r in acc))
-    return _canonical_span(mats, n)
+    return canonical_span(mats, n)
 
 
 # ---------------------------------------------------------------------------
 # The graded commutant, one elimination per bi-degree block
 # ---------------------------------------------------------------------------
+
+def eigenframe(spec: AlgebraSpec, h1: Matrix, h2: Matrix, mats: Sequence[Matrix] = ()):
+    """The package's eigenframe from dense matrices: (frame, moved), each
+    moved matrix by sparse_rows_cols."""
+    gram = None if spec.form is None else sparse_rows_cols(spec.form)
+    return _eigenframe(spec, integral_rows(h1), integral_rows(h2), [integral_rows(m) for m in mats], gram)
+
 
 def _blocks(weights):
     """Positions (i, j) grouped by bi-degree, and index pairs grouped by weight sum."""
@@ -253,12 +291,13 @@ def blockwise_commutant(frame: _Frame, elements) -> dict:
     """{degree: [(lead, matrix), ...]} for z(elements) in g, each block of
     gl(V) solved on its own by integer_nullspace and rref.
 
-    elements holds (m, degree) pairs, m bi-homogeneous of its int degree.
+    elements holds (m, degree) pairs, m bi-homogeneous of its int degree and
+    given by sparse_rows_cols.
     """
     weights = frame.weights
     n = len(weights)
     blocks, sums = _blocks(weights)
-    sparse = [(sparse_rows_cols(m), dm) for m, dm in elements]
+    sparse = list(elements)
     pieces = {}
     for delta in sorted(blocks):
         positions = blocks[delta]

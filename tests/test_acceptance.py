@@ -9,10 +9,10 @@ import random
 from fractions import Fraction
 
 from conftest import naive_nullspace, oracle_connected_cellsets
-from oracles import commutator
+from oracles import commutator, nullspace
 from skewpairs.catalog import _closed_form_matches, count_orbits
 from skewpairs.centralizer import _flatten, graph_from_pair
-from skewpairs.linalg import matrix, nullspace
+from skewpairs.linalg import matrix
 from skewpairs.skewgraph import (
     SkewGraph,
     classify_component,

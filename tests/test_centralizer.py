@@ -8,12 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import conjugated, distinguished_realizations, scaled_shear, small_realizations
+from conftest import conjugated, conjugator, distinguished_realizations, moved_by, scaled_shear, small_realizations
 from oracles import (
     algebra_basis,
     blockwise_commutant,
+    canonical_span,
     centralizer,
     commutator,
+    eigenframe,
+    invert,
     mat_add,
     mat_scale,
     span_rref,
@@ -21,9 +24,7 @@ from oracles import (
 )
 from skewpairs.centralizer import (
     NormalFormError,
-    _canonical_span,
     _bracket_rows,
-    _eigenframe,
     _flatten,
     _form_rows,
     _graded_commutant,
@@ -39,12 +40,10 @@ from skewpairs.liealg import PairRealization, build_pair, make_spec
 from skewpairs.linalg import (
     in_span,
     integer_nullspace,
-    invert,
     mat_mul,
     matrix,
     solve,
     sparse_rows_cols,
-    transpose,
 )
 from skewpairs.skewgraph import (
     Node,
@@ -125,7 +124,7 @@ def test_graded_commutant_agrees_with_dense():
                 cases.append((series, g))
     for series, g in cases:
         r = build_pair(series, g)
-        frame, _ = _eigenframe(r.spec, r.h1, r.h2, ())
+        frame, _ = eigenframe(r.spec, r.h1, r.h2)
         # Degrees are int pairs in units of 1 / frame.den.
         zero, d1, d2 = (0, 0), (frame.den, 0), (0, frame.den)
         for elements in (
@@ -134,35 +133,30 @@ def test_graded_commutant_agrees_with_dense():
             [(r.h1, zero), (r.h2, zero), (r.e1, d1), (r.e2, d2)],
         ):
             pieces = _graded_commutant(frame, [sparse_rows_cols(m) for m, _ in elements])
-            graded = _canonical_span([m for piece in pieces.values() for _, m in piece], r.spec.dimv)
+            graded = canonical_span([m for piece in pieces.values() for _, m in piece], r.spec.dimv)
             dense = centralizer(r.spec, [m for m, _ in elements])
             assert graded == dense, (series, graph_to_text(g))
 
 
 def _sheared(r):
     """r in the basis of scaled_shear, its Gram matrix moved along."""
-    t = scaled_shear(r.spec.dimv)
-    t_inv = invert(t)
-    spec = r.spec
-    if spec.form is not None:
-        spec = replace(spec, form=mat_mul(transpose(t_inv), mat_mul(spec.form, t_inv)))
-    return replace(r, spec=spec, **{k: mat_mul(t, mat_mul(getattr(r, k), t_inv)) for k in ("e1", "e2", "h1", "h2")})
+    return moved_by(r, scaled_shear(r.spec.dimv))
 
 
 def _both_commutants(r):
     """_graded_commutant of (e1, e2) and the blockwise oracle's, in r's eigenframe."""
-    frame, (e1, e2) = _eigenframe(r.spec, r.h1, r.h2, (r.e1, r.e2))
-    pieces = _graded_commutant(frame, (sparse_rows_cols(e1), sparse_rows_cols(e2)))
+    frame, (e1, e2) = eigenframe(r.spec, r.h1, r.h2, (r.e1, r.e2))
+    pieces = _graded_commutant(frame, (e1, e2))
     return pieces, blockwise_commutant(frame, ((e1, (frame.den, 0)), (e2, (0, frame.den))))
 
 
 def _rows(frame, elements):
-    """Every sparse row of the union-find pass over elements."""
+    """Every sparse row of the union-find pass over elements, each by sparse_rows_cols."""
     n = len(frame.weights)
     targets = [(i, j) for i in range(n) for j in range(n)]
     rows = _form_rows(frame)
     for m in elements:
-        rows += [row for _, _, row in _bracket_rows(n, sparse_rows_cols(m), targets) if row]
+        rows += [row for _, _, row in _bracket_rows(n, m, targets) if row]
     return rows
 
 
@@ -195,7 +189,7 @@ def test_trace_row_at_dimv_1_2_and_3():
     # elimination in sl(3).
     for dimv, dim_z in ((1, 0), (2, 1), (3, 2)):
         r = build_pair("A", rect_graph(dimv, 1))
-        frame, _ = _eigenframe(r.spec, r.h1, r.h2, ())
+        frame, _ = eigenframe(r.spec, r.h1, r.h2)
         assert [len(row) for row in _form_rows(frame)] == [dimv]
         pieces, oracle = _both_commutants(r)
         assert pieces == oracle
@@ -211,13 +205,13 @@ def test_d_components_sharing_the_origin():
     # not monomial there and rows grow longer.
     r = build_pair("D", chains_graph())
     sheared = _sheared(r)
-    frame, _ = _eigenframe(r.spec, r.h1, r.h2, ())
+    frame, (e1, e2) = eigenframe(r.spec, r.h1, r.h2, (r.e1, r.e2))
     at_origin = [i for i, w in enumerate(frame.weights) if w == (0, 0)]
     assert len(at_origin) == 2
     n = r.spec.dimv
     assert all([(a * n + a, 2)] in _form_rows(frame) for a in at_origin)
-    assert max(len(row) for row in _rows(frame, (r.e1, r.e2))) == 2
-    sheared_frame, sheared_e = _eigenframe(sheared.spec, sheared.h1, sheared.h2, (sheared.e1, sheared.e2))
+    assert max(len(row) for row in _rows(frame, (e1, e2))) == 2
+    sheared_frame, sheared_e = eigenframe(sheared.spec, sheared.h1, sheared.h2, (sheared.e1, sheared.e2))
     assert max(len(row) for row in _rows(sheared_frame, sheared_e)) > 2
     for c in (r, conjugated(r, random.Random(5)), sheared):
         pieces, oracle = _both_commutants(c)
@@ -233,12 +227,12 @@ def test_unbalanced_cycle_kills_its_component():
     # with the trace row x00 + x11 = 0: z(P, J) = 0, while z(P) and z(J)
     # are lines.
     spec = make_spec("A", 2)
-    frame, _ = _eigenframe(spec, zeros(2), zeros(2), ())
+    frame, _ = eigenframe(spec, zeros(2), zeros(2))
     swap, turn = matrix([[0, 1], [1, 0]]), matrix([[0, 1], [-1, 0]])
-    assert all(len(row) == 2 for row in _rows(frame, (swap, turn)))
+    assert all(len(row) == 2 for row in _rows(frame, [sparse_rows_cols(m) for m in (swap, turn)]))
     for elements in ((swap,), (turn,), (swap, turn)):
         pieces = _graded_commutant(frame, [sparse_rows_cols(m) for m in elements])
-        assert pieces == blockwise_commutant(frame, [(m, (0, 0)) for m in elements])
+        assert pieces == blockwise_commutant(frame, [(sparse_rows_cols(m), (0, 0)) for m in elements])
         assert [m for piece in pieces.values() for _, m in piece] == list(centralizer(spec, elements))
     assert _graded_commutant(frame, [sparse_rows_cols(m) for m in (swap, turn)]) == {}
     assert [m for _, m in _graded_commutant(frame, [sparse_rows_cols(turn)])[(0, 0)]] == [turn]
@@ -259,11 +253,11 @@ def test_analyze_eliminates_only_blocks_with_long_rows(monkeypatch):
     monkeypatch.setattr(centralizer_module, "integer_nullspace", counting)
     count = 0
     for r in distinguished_realizations(8):
-        frame, _ = _eigenframe(r.spec, r.h1, r.h2, ())
+        frame, e = eigenframe(r.spec, r.h1, r.h2, (r.e1, r.e2))
         weights, n = frame.weights, r.spec.dimv
         long_blocks = {
             tuple(a - b for a, b in zip(weights[row[0][0] // n], weights[row[0][0] % n]))
-            for row in _rows(frame, (r.e1, r.e2))
+            for row in _rows(frame, e)
             if len(row) > 2
         }
         del calls[:]
@@ -532,6 +526,31 @@ def test_analyze_large_denominator_conjugator_matches_diagonal():
     assert time.perf_counter() - start < 10
     base = analyze(r)
     assert (rep.dimension, rep.flags, rep.biexponents) == (base.dimension, base.flags, base.biexponents)
+
+
+def test_analyze_commutes_with_a_change_of_basis_to_dimv_8():
+    # Every distinguished realization with dimV <= 8, moved by a seeded
+    # isometry and by scaled_shear, the Gram matrix moved along: the same
+    # invariants, and z(e) moved along as a span.
+    start = time.perf_counter()
+    rng = random.Random(20261021)
+    copies = 0
+    for r in distinguished_realizations(8):
+        base = analyze(r)
+        n = r.spec.dimv
+        for t in (conjugator(r, rng) if n > 1 else None, scaled_shear(n)):
+            if t is None:
+                continue
+            rep = analyze(moved_by(r, t))
+            where = (r.spec.series, graph_to_text(r.graph), r.orbit_sign, t[0][0])
+            assert (rep.dimension, rep.grading, rep.biexponents, rep.flags) == (
+                base.dimension, base.grading, base.biexponents, base.flags
+            ), where
+            t_inv = invert(t)
+            assert rep.basis == canonical_span([mat_mul(t, mat_mul(x, t_inv)) for x in base.basis], n), where
+            copies += 1
+    assert copies > 1000
+    assert time.perf_counter() - start < 120
 
 
 def test_rectangular_corollary_cases():

@@ -1,6 +1,8 @@
 """CLI behaviour: exit codes, determinism, thin-adapter outputs."""
 
 import json
+import pathlib
+import reprlib
 import time
 
 import pytest
@@ -332,6 +334,8 @@ def _set_key(key, value):
         pytest.param(_set_label_node([True, False]), id="label-node-is-booleans"),
         pytest.param(_set_e1_entry(True), id="matrix-entry-is-true"),
         pytest.param(_set_e1_entry("1e40000000"), id="matrix-entry-has-a-huge-exponent"),
+        pytest.param(_set_e1_entry("1e4300"), id="matrix-entry-has-4301-digits"),
+        pytest.param(_set_e1_entry("1" * 5000), id="matrix-entry-has-5000-digits"),
     ],
 )
 def test_verify_rejects_wrong_json_types(tmp_path, capsys, mutate):
@@ -393,3 +397,60 @@ def test_render_rejects_nodes_spread_beyond_a_square(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: nodes spread over 1000000000001 x 1 cells") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "token", [pytest.param("1e4300", id="4301-digits"), pytest.param("1" * 5000, id="5000-digits")]
+)
+def test_render_names_a_number_too_long_to_print(tmp_path, capsys, token):
+    # Once read without a word, then refused on output by the interpreter's
+    # digit limit, in a message that named neither the token nor the input.
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text(f"0/1,0/1\n{token},0/1\n")
+    code, out, err = run_cli(capsys, "render", "--input", str(graph_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{reprlib.repr(token)} has more than 4300 digits" in err
+
+
+def test_verify_reports_disagreeing_rectangularity_sides_as_finding(tmp_path, capsys):
+    # A series-C chain with the middle entry of e1 deleted: the relations
+    # hold, but h1 is not in the image of ad e1 while h2 = 0 is in that of
+    # ad e2 = 0.  This once escaped as a RuntimeError traceback.
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text("-3/2,0/1 -1/2,0/1 1/2,0/1 3/2,0/1\n")
+    pair_file = tmp_path / "pair.json"
+    run_cli(capsys, "build", "--series", "C", "--format", "sparse", "--input", str(graph_file), "--output", str(pair_file))
+    doc = json.loads(pair_file.read_text())
+    doc["e1"]["entries"] = [e for e in doc["e1"]["entries"] if e[:2] != [2, 1]]
+    assert len(doc["e1"]["entries"]) == 2
+    pair_file.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--input", str(pair_file))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "finding: the rectangularity tests disagree: h1 is not in the image of ad e1, h2 is in that of ad e2\n"
+    )
+
+
+def test_verify_committed_conjugated_document(tmp_path, capsys):
+    # tests/data/conjugated-d6-chains.json is the D6 graph of two chains
+    # sharing the origin, moved by a seeded isometry (conjugated(r,
+    # random.Random(2026))) so that h1 and h2 are not diagonal.  CI verifies
+    # it with the installed package too.
+    path = pathlib.Path(__file__).parent / "data" / "conjugated-d6-chains.json"
+    doc = json.loads(path.read_text())
+    assert any(entry[0] != entry[1] for name in ("h1", "h2") for entry in doc[name]["entries"])
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text("-1/1,0/1 0/1,0/1 1/1,0/1\n0/1,-1/1 0/1,0/1 0/1,1/1\n")
+    pair_file = tmp_path / "pair.json"
+    run_cli(capsys, "build", "--series", "D", "--input", str(graph_file), "--output", str(pair_file))
+    reports = []
+    for source in (pair_file, path):
+        code, out, err = run_cli(capsys, "verify", "--input", str(source))
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out)["report"])
+    diag, conj = reports
+    assert diag["dimension"] == conj["dimension"] == 3
+    assert diag["flags"] == conj["flags"]

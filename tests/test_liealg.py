@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import distinguished_realizations, large_dimv_document
-from oracles import algebra_basis, commutator, in_algebra, is_zero_matrix, mat_pow, mat_sub, trace
+from oracles import algebra_basis, commutator, in_algebra, is_zero_matrix, mat_pow, mat_sub, trace, transpose
 from skewpairs.liealg import (
     NotAdmissibleError,
     RelationReport,
@@ -17,7 +17,7 @@ from skewpairs.liealg import (
     standard_form,
     verify_relations,
 )
-from skewpairs.linalg import matrix, rank, transpose
+from skewpairs.linalg import matrix, rank
 from skewpairs.skewgraph import (
     Node,
     SkewGraph,

@@ -1,6 +1,9 @@
 """Exact linear algebra: unit cases plus agreement with the naive oracle."""
 
 import random
+import re
+import reprlib
+import sys
 import time
 from fractions import Fraction
 from math import gcd
@@ -10,23 +13,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import conjugated, naive_nullspace, naive_rref, scaled_shear, small_realizations
-from oracles import charpoly, commutator, mat_add, mat_scale, mat_sub, mat_vec, span_rref, trace
+from conftest import (
+    conjugated,
+    distinguished_realizations,
+    naive_nullspace,
+    naive_rref,
+    scaled_shear,
+    small_realizations,
+)
+from oracles import (
+    charpoly,
+    commutator,
+    invert,
+    is_diagonal,
+    mat_add,
+    mat_scale,
+    mat_sub,
+    mat_vec,
+    nullspace,
+    span_rref,
+    trace,
+    transpose,
+)
 from skewpairs.linalg import (
     NotDiagonalizableError,
     identity,
-    invert,
     in_span,
-    is_diagonal,
+    integer_nullspace,
     joint_eigenspaces,
     mat_mul,
     matrix,
-    nullspace,
     parse_fraction,
     rank,
     rref,
     solve,
-    transpose,
 )
 
 F = Fraction
@@ -248,12 +268,19 @@ def oracle_joint_eigenspaces(h1, h2):
     return sorted((k, tuple(v)) for k, v in out.items())
 
 
+def canonical_basis(vecs):
+    """The canonical null space basis of a span: its reduced echelon form
+    with the column order reversed."""
+    return tuple(tuple(row[::-1]) for row in reversed(span_rref([v[::-1] for v in vecs])))
+
+
 def assert_eigen_layer_matches_oracle(h1, h2):
     assert charpoly(h1) == oracle_charpoly(h1)
     assert charpoly(h2) == oracle_charpoly(h2)
     ours, theirs = joint_eigenspaces(h1, h2), oracle_joint_eigenspaces(h1, h2)
     assert [key for key, _ in ours] == [key for key, _ in theirs]
     assert [span_rref(vecs) for _, vecs in ours] == [span_rref(vecs) for _, vecs in theirs]
+    assert [vecs for _, vecs in ours] == [canonical_basis(vecs) for _, vecs in theirs]
 
 
 def test_eigen_layer_matches_oracle_on_conjugated_realizations():
@@ -340,8 +367,8 @@ def test_commutator_sanity():
 
 
 def test_parse_fraction_bounds_the_exponent_and_refuses_bool():
-    assert parse_fraction("1e4300") == 10**4300
-    assert parse_fraction("-1E-4_300") == F(-1, 10**4300)
+    assert parse_fraction("1e4299") == 10**4299
+    assert parse_fraction("-1E-4_299") == F(-1, 10**4299)
     assert parse_fraction("2.5e-0003") == F(1, 400)
     start = time.perf_counter()
     for text in ("1e4301", "1e-4301", "1e40000000", "1e" + "9" * 10000, "1e0_9999"):
@@ -351,3 +378,80 @@ def test_parse_fraction_bounds_the_exponent_and_refuses_bool():
     for value in (True, False):
         with pytest.raises(ValueError, match="expected a number or a numeric string"):
             parse_fraction(value)
+
+
+def test_parse_fraction_refuses_numbers_too_long_to_print():
+    # Each would parse, but str() of it fails on the interpreter's digit limit.
+    limit = sys.get_int_max_str_digits()
+    assert parse_fraction("1e%d" % (limit - 1)) == 10 ** (limit - 1)
+    assert parse_fraction("9" * limit) == 10**limit - 1
+    for text in ("1e%d" % limit, "-1e-%d" % limit, "1" * (limit + 700), "1/" + "3" * (limit + 1)):
+        with pytest.raises(ValueError, match=re.escape(f"{reprlib.repr(text)} has more than {limit} digits")):
+            parse_fraction(text)
+    with pytest.raises(ValueError, match=f"has more than {limit} digits"):
+        parse_fraction(10**limit)
+
+
+# ---------------------------------------------------------------------------
+# The eigen layer: restriction of h2 to the eigenspaces of h1
+# ---------------------------------------------------------------------------
+
+def test_eigenspace_of_h1_split_by_h2_into_a_line_and_a_plane():
+    # h1 = 1 on a three-dimensional space, on which h2 takes 2 once and -1 twice.
+    h1 = _conj_diag(1, 1, 1, 0)
+    h2 = _conj_diag(2, -1, -1, 5)
+    spaces = joint_eigenspaces(h1, h2)
+    assert [(key, len(vecs)) for key, vecs in spaces] == [((0, 5), 1), ((1, -1), 2), ((1, 2), 1)]
+    assert_eigen_layer_matches_oracle(h1, h2)
+    for (p, q), vecs in spaces:
+        for v in vecs:
+            assert mat_vec(h1, v) == tuple(p * x for x in v)
+            assert mat_vec(h2, v) == tuple(q * x for x in v)
+
+
+def test_eigen_layer_matches_oracle_under_a_scaled_shear():
+    # T^-1 has six- and seven-digit denominators; the h1-eigenspaces of
+    # dimension >= 2 are split by h2.
+    for n in (6, 7):
+        t = scaled_shear(n)
+        t_inv = invert(t)
+        d1 = matrix([[F((1, 1, 1, -1, -1, 0, 2)[i]) if i == j else 0 for j in range(n)] for i in range(n)])
+        d2 = matrix([[F((1, 0, -1, 1, 0, 3, 3)[i], 2) if i == j else 0 for j in range(n)] for i in range(n)])
+        assert_eigen_layer_matches_oracle(*(mat_mul(t, mat_mul(d, t_inv)) for d in (d1, d2)))
+
+
+def test_diagonalizable_non_commuting_pair_is_not_diagonalizable_jointly():
+    # h1 and h2 are each diagonalizable over Q, but h2 moves the eigenspaces
+    # of h1, so the restriction check fails.
+    h1 = _conj_diag(1, 1, 0, 0)
+    h2 = matrix([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]])
+    assert mat_mul(h1, h2) != mat_mul(h2, h1)
+    for a, b in ((h1, h2), (h2, h1)):
+        with pytest.raises(NotDiagonalizableError, match="joint eigenbasis"):
+            joint_eigenspaces(a, b)
+        with pytest.raises(ValueError):
+            oracle_joint_eigenspaces(a, b)
+
+
+def test_joint_eigenspaces_never_solves_for_an_empty_kernel(monkeypatch):
+    # One null space per eigenvalue of h1, and one per eigenvalue of each
+    # restriction of h2 to a space of dimension >= 2: every one is nonempty.
+    import skewpairs.linalg as linalg_module
+
+    results = []
+
+    def recording(rows, ncols):
+        out = integer_nullspace(rows, ncols)
+        results.append(len(out))
+        return out
+
+    monkeypatch.setattr(linalg_module, "integer_nullspace", recording)
+    rng = random.Random(20261020)
+    moved_count = 0
+    for r in distinguished_realizations(8):
+        moved = conjugated(r, rng) if r.spec.dimv > 1 else None
+        if moved is not None:
+            joint_eigenspaces(moved.h1, moved.h2)
+            moved_count += 1
+    assert moved_count > 500
+    assert results and min(results) > 0
