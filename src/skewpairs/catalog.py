@@ -3,8 +3,9 @@
 classify() walks the admissible graphs for one (series, dimV, kind), builds
 both sign representatives for connected even-orthogonal graphs, verifies the
 defining relations and the kind's flag for every entry, and cross-checks
-principal entries against the closed-form centralizer description.  Output
-order is canonical, so two runs serialize identically.
+principal entries against the closed-form centralizer description, exactly
+and on sparse ints.  Output order is canonical, so two runs serialize
+identically.
 """
 
 from __future__ import annotations
@@ -18,22 +19,24 @@ from typing import Optional, Sequence
 
 from .centralizer import (
     CentralizerReport,
-    _flatten,
-    a_operator_matrix,
+    ClosedFormPrediction,
+    _closed_form,
     analyze,
-    closed_form_centralizer,
     report_to_jsonable,
 )
 from .liealg import (
+    HALF,
     AlgebraSpec,
     PairRealization,
-    build_pair,
+    _realize,
     matrix_to_jsonable,
 )
-from .linalg import identity, in_span, mat_mul
+from .linalg import integral_rows
 from .skewgraph import (
+    Node,
     SkewGraph,
     _admissible_cells,
+    _admissible_shapes,
     canonical_form,
     enumerate_admissible,
     graph_to_jsonable,
@@ -62,6 +65,8 @@ CSV_COLUMNS = (
     "closed_form_match",
 )
 
+_SIGN_SUFFIX = {None: "", "plus": "+", "minus": "-"}
+
 
 class CatalogVerificationError(RuntimeError):
     """Internal verification failed for a graph that should be admissible."""
@@ -86,34 +91,96 @@ class CatalogEntry:
 
 def graph_hash(graph: SkewGraph) -> str:
     """Stable 12-hex-digit identifier: sha256 of the canonical text form."""
-    text = graph_to_text(canonical_form(graph))
+    return _text_hash(graph_to_text(canonical_form(graph)))
+
+
+def _text_hash(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:12]
 
 
-def _powers(e, top: int) -> list:
-    """[e^0, e^1, ..., e^top], each the product of the one before with e."""
-    out = [identity(len(e))]
-    for _ in range(top):
-        out.append(mat_mul(out[-1], e))
+def _sparse_product(a: list, b: list) -> list:
+    """The nonzero rows of ab, a and b given by their nonzero rows.  On signed
+    partial permutations, such as e1 and e2 of a built pair, it costs O(n)."""
+    out = []
+    for row in a:
+        acc: dict[int, int] = {}
+        for t, x in row:
+            for j, y in b[t]:
+                acc[j] = acc.get(j, 0) + x * y
+        out.append([(j, v) for j, v in acc.items() if v])
     return out
 
 
-def _closed_form_matches(series: str, r: PairRealization, report: CentralizerReport) -> bool:
-    pred = closed_form_centralizer(series, r.graph)
+def _powers(e, top: int) -> list:
+    """[e^0, e^1, ..., e^top] by nonzero rows, each times a positive int,
+    which changes no span."""
+    rows = integral_rows(e)[1]
+    out = [[[(i, 1)] for i in range(len(rows))]]
+    for _ in range(top):
+        out.append(_sparse_product(out[-1], rows))
+    return out
+
+
+def _in_span(rows: dict, v: dict) -> bool:
+    """Whether v, {position: value}, lies in the span of rows, an echelon
+    basis as {lead position: (lead value, other (position, value) pairs)} in
+    order of increasing lead.  v is consumed.
+
+    Each row in turn cancels v at its lead, fraction-free: v becomes
+    lead v - v[p] row.  A row is 0 before its lead, so no later row touches
+    a position already passed, and v is in the span when nothing is left.
+    """
+    for p, (lead, rest) in rows.items():
+        f = v.pop(p, 0)
+        if f:
+            if lead != 1:
+                v = {q: lead * x for q, x in v.items()}
+            for q, y in rest:
+                v[q] = v.get(q, 0) - f * y
+    return not any(v.values())
+
+
+def _predicted_in_span(pred: ClosedFormPrediction, r: PairRealization, basis) -> bool:
+    """Whether every predicted power e1^k e2^l, and the A operator when there
+    is one, lies in the span of basis, an echelon basis of matrices.
+
+    Matrices are read as sparse int rows over the positions i * n + j, the
+    basis once, keyed by leading position.
+    """
+    n = r.spec.dimv
+    rows = {}
+    for m in basis:
+        (p, lead), *rest = [(i * n + j, x) for i, row in enumerate(integral_rows(m)[1]) for j, x in row]
+        rows[p] = (lead, rest)
+    e1_powers = _powers(r.e1, max((k for k, _ in pred.powers), default=0))
+    e2_powers = _powers(r.e2, max((l for _, l in pred.powers), default=0))
+    for k, l in sorted(pred.powers):
+        product = _sparse_product(e1_powers[k], e2_powers[l])
+        if not _in_span(rows, {i * n + j: x for i, row in enumerate(product) for j, x in row}):
+            return False
+    if pred.a_operator is None:
+        return True
+    # A minus representative is the plus one conjugated by the swap of the
+    # basis vectors at (1/2,1/2) and (-1/2,-1/2), so A moves by that swap.
+    index = {(lb.component_index, lb.node): i for i, lb in enumerate(r.labels)}
+    if r.orbit_sign == "minus":
+        i, j = index[0, Node(HALF, HALF)], index[0, Node(-HALF, -HALF)]
+        index = {key: {i: j, j: i}.get(t, t) for key, t in index.items()}
+    return _in_span(rows, {
+        index[dst.component_index, dst.node] * n + index[src.component_index, src.node]: c
+        for src, dst, c in pred.a_operator.actions
+    })
+
+
+def _closed_form_matches(pred: ClosedFormPrediction, r: PairRealization, report: CentralizerReport) -> bool:
+    """Whether the closed-form prediction describes r's centralizer: its rank,
+    its bi-exponents, and every predicted element inside the reported span."""
     if pred.rank != report.dimension:
         return False
     if tuple(sorted(pred.biexponents)) != tuple(sorted(report.biexponents)):
         return False
-    basis = [_flatten(m) for m in report.basis]  # analyze() returns it in reduced echelon form
-    e1_powers = _powers(r.e1, max((k for k, _ in pred.powers), default=0))
-    e2_powers = _powers(r.e2, max((l for _, l in pred.powers), default=0))
-    for k, l in sorted(pred.powers):
-        if not in_span(basis, _flatten(mat_mul(e1_powers[k], e2_powers[l]))):
-            return False
-    a_mat = a_operator_matrix(pred, r)
-    if a_mat is not None and not in_span(basis, _flatten(a_mat)):
-        return False
-    return True
+    # analyze() returns the basis in reduced echelon form.
+    return _predicted_in_span(pred, r, report.basis)
 
 
 def classify(
@@ -122,11 +189,18 @@ def classify(
     """All orbits of the requested kind, one verified entry per orbit."""
     entries = []
     for graph in enumerate_admissible(series, dimv, kind, max_nodes=max_nodes):
+        # Enumerated graphs are canonical: each is validated once, and its
+        # own text gives the label.
+        shapes = _admissible_shapes(series, graph, kind)
+        if shapes is None:
+            raise CatalogVerificationError("graph is not admissible", graph)
+        pred = _closed_form(series, graph, shapes) if kind == "principal" else None
+        label = _text_hash(graph_to_text(graph))
         signs: tuple[Optional[str], ...] = (None,)
         if series == "D" and graph.is_connected():
             signs = ("plus", "minus")
         for sign in signs:
-            r = build_pair(series, graph, sign)
+            r = _realize(series, graph, shapes, sign)
             try:
                 report = analyze(r)
             except ValueError as exc:  # analyze rejects failing relations
@@ -136,22 +210,17 @@ def classify(
             if kind == "principal" and not report.flags.principal:
                 raise CatalogVerificationError("entry is not principal", graph)
             closed_match = None
-            if kind == "principal":
-                closed_match = _closed_form_matches(series, r, report)
+            if pred is not None:
+                closed_match = _closed_form_matches(pred, r, report)
                 if not closed_match:
                     raise CatalogVerificationError(
                         "closed-form centralizer mismatch", graph
                     )
-            label = graph_hash(graph)
-            if sign == "plus":
-                label += "+"
-            elif sign == "minus":
-                label += "-"
             entries.append(
                 CatalogEntry(
                     spec=r.spec,
                     graph=graph,
-                    orbit_label=label,
+                    orbit_label=label + _SIGN_SUFFIX[sign],
                     kind=kind,
                     orbit_sign=sign,
                     report=report,

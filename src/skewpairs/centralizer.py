@@ -61,7 +61,6 @@ from .linalg import (
     integer_nullspace,
     integral_rows,
     joint_eigenbasis,
-    matrix,
     rank,
     rref,
     solve,
@@ -433,13 +432,13 @@ def bigrade(spec: AlgebraSpec, h1: Matrix, h2: Matrix, subspace_basis: Sequence[
     """Decompose a subspace into joint ad-(h1,h2) eigenspaces.
 
     The subspace must be stable under both ad h1 and ad h2; otherwise the
-    decomposition does not exist and a ValueError is raised.
+    decomposition does not exist and a ValueError is raised.  Matrix
+    entries are read as they are, ints or Fractions.
     """
-    mats = [matrix(m) for m in subspace_basis]
+    mats = list(subspace_basis)
     if not mats:
         return BiGrading(table=(), total=0)
-    h1, h2 = (integral_rows(matrix(h)) for h in (h1, h2))
-    frame, moved = _eigenframe(spec, h1, h2, [integral_rows(m) for m in mats], None)
+    frame, moved = _eigenframe(spec, integral_rows(h1), integral_rows(h2), [integral_rows(m) for m in mats], None)
     weights = frame.weights
     n = len(weights)
     split: dict[tuple[int, int], list] = {}
@@ -616,7 +615,11 @@ class ClosedFormPrediction:
         return tuple(sorted(degs))
 
 
-def _power_set_from_source(nodes: frozenset[Node], src: Node, parity: Optional[int]) -> frozenset[tuple[int, int]]:
+def _powers_from_source(nodes: frozenset[Node], parity: Optional[int]) -> frozenset[tuple[int, int]]:
+    """The offsets (k, l) != (0, 0) of the nodes from the source, the node
+    with no left or lower neighbour, that are nonnegative ints, with k + l of
+    the given parity unless it is None."""
+    src = next(nd for nd in nodes if nd.shifted(-1, 0) not in nodes and nd.shifted(0, -1) not in nodes)
     out = set()
     for nd in nodes:
         k, l = nd.x - src.x, nd.y - src.y
@@ -641,32 +644,27 @@ def closed_form_centralizer(series: str, graph: SkewGraph) -> ClosedFormPredicti
     shapes = _admissible_shapes(series, graph, "principal")
     if shapes is None:
         raise ValueError("graph is outside the closed-form (principal) case list")
+    return _closed_form(series, graph, shapes)
+
+
+def _closed_form(series: str, graph: SkewGraph, shapes: list) -> ClosedFormPrediction:
+    """closed_form_centralizer of a canonical principal graph, given the
+    ShapeClass of each component."""
     comps = graph.components
     n_total = graph.n_nodes
 
     if series == "A":
-        comp, shape = comps[0], shapes[0]
-        nodes = comp.node_set
-        if shape.young in ("sw", "both"):
-            sources = [nd for nd in nodes if nd.shifted(-1, 0) not in nodes and nd.shifted(0, -1) not in nodes]
-            powers = _power_set_from_source(nodes, sources[0], None)
-            return ClosedFormPrediction("young-sw", powers, None, n_total - 1)
-        sinks = [nd for nd in nodes if nd.shifted(1, 0) not in nodes and nd.shifted(0, 1) not in nodes]
-        sink = sinks[0]
-        out = set()
-        for nd in nodes:
-            k, l = sink.x - nd.x, sink.y - nd.y
-            if k.denominator == 1 and l.denominator == 1 and (k, l) != (0, 0) and k >= 0 and l >= 0:
-                out.add((int(k), int(l)))
-        return ClosedFormPrediction("young-ne", frozenset(out), None, n_total - 1)
+        nodes = comps[0].node_set
+        if shapes[0].young in ("sw", "both"):
+            return ClosedFormPrediction("young-sw", _powers_from_source(nodes, None), None, n_total - 1)
+        # The sink of a north-east diagram is the source of its point reflection.
+        flipped = frozenset(-nd for nd in nodes)
+        return ClosedFormPrediction("young-ne", _powers_from_source(flipped, None), None, n_total - 1)
 
     rank_g = (n_total - 1) // 2 if series == "B" else n_total // 2
 
     if len(comps) == 1 and shapes[0].rectangle is not None:
-        comp = comps[0]
-        nodes = comp.node_set
-        sources = [nd for nd in nodes if nd.shifted(-1, 0) not in nodes and nd.shifted(0, -1) not in nodes]
-        powers = _power_set_from_source(nodes, sources[0], 1)
+        powers = _powers_from_source(comps[0].node_set, 1)
         return ClosedFormPrediction("rectangular", powers, None, rank_g)
 
     if len(comps) == 1:
@@ -741,30 +739,6 @@ def closed_form_centralizer(series: str, graph: SkewGraph) -> ClosedFormPredicti
     return ClosedFormPrediction("chains", frozenset(powers), a_op, rank_g)
 
 
-def a_operator_matrix(pred: ClosedFormPrediction, r: PairRealization) -> Optional[Matrix]:
-    """Materialize the predicted A operator in the realization's labeled basis.
-
-    Minus orbit representatives are conjugated realizations, so A is
-    conjugated by the same basis swap.
-    """
-    if pred.a_operator is None:
-        return None
-    n = r.spec.dimv
-    index = {(lb.component_index, lb.node): i for i, lb in enumerate(r.labels)}
-    rows = [[ZERO] * n for _ in range(n)]
-    for src, dst, coeff in pred.a_operator.actions:
-        rows[index[(dst.component_index, dst.node)]][index[(src.component_index, src.node)]] = coeff
-    mat = tuple(tuple(row) for row in rows)
-    if r.orbit_sign == "minus":
-        from .liealg import _conjugate_by_swap
-
-        half = Fraction(1, 2)
-        i = index[(0, Node(half, half))]
-        j = index[(0, Node(-half, -half))]
-        mat = _conjugate_by_swap(mat, i, j)
-    return mat
-
-
 # ---------------------------------------------------------------------------
 # Graph reconstruction
 # ---------------------------------------------------------------------------
@@ -823,9 +797,10 @@ def graph_from_pair(spec: AlgebraSpec, e1: Matrix, e2: Matrix, h1: Matrix, h2: M
     In the eigenframe of (h1, h2) each basis vector is a node and each
     nonzero entry of e1 or e2 an arrow.  Joint eigenspaces must be lines,
     except that series D allows a two-dimensional (0,0)-eigenspace, which
-    _split_origin splits into two.
+    _split_origin splits into two.  Matrix entries are read as they are,
+    ints or Fractions.
     """
-    scaled = [integral_rows(matrix(m)) for m in (e1, e2, h1, h2)]
+    scaled = [integral_rows(m) for m in (e1, e2, h1, h2)]
     checks = dict(_bracket_checks(scaled))
     if not checks.pop("e1_e2_commute"):
         raise NormalFormError("e1 and e2 do not commute")

@@ -166,8 +166,7 @@ def build_pair(series: str, graph: SkewGraph, orbit_sign: Optional[str] = None) 
     shapes = _admissible_shapes(series, graph, "distinguished")
     if shapes is None:
         raise NotAdmissibleError(f"graph is not admissible for series {series}")
-    connected = graph.is_connected()
-    if series == "D" and connected:
+    if series == "D" and graph.is_connected():
         sign = orbit_sign or "plus"
         if sign not in ("plus", "minus"):
             raise ValueError(f"unknown orbit sign {orbit_sign!r}")
@@ -175,7 +174,12 @@ def build_pair(series: str, graph: SkewGraph, orbit_sign: Optional[str] = None) 
         if orbit_sign is not None:
             raise ValueError("orbit_sign is only meaningful for connected series-D graphs")
         sign = None
+    return _realize(series, graph, shapes, sign)
 
+
+def _realize(series: str, graph: SkewGraph, shapes: list, sign: Optional[str]) -> PairRealization:
+    """build_pair of a canonical admissible graph, given the ShapeClass of
+    each component and the orbit sign ("plus", "minus" or None) it resolved."""
     labels = tuple(
         BasisLabel(ci, nd) for ci, comp in enumerate(graph.components) for nd in comp.nodes
     )

@@ -22,8 +22,9 @@ is diagonalizable over Q exactly when every eigenspace of h1 is h2-stable
 and the joint eigenspaces span the whole space.
 
 Only routines that a package path calls live here.  Dense Fraction
-arithmetic (sums, powers, commutators, the characteristic polynomial as
-Fractions) serves the test suite alone, as its oracles.
+arithmetic (products, sums, powers, commutators, span membership, the
+characteristic polynomial as Fractions) serves the test suite alone, as its
+oracles.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ Matrix = tuple
 Vector = tuple
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # The interpreter's default limit on the digits of an int read from a string.
@@ -88,26 +88,6 @@ def parse_fraction(value) -> Fraction:
 
 def matrix(rows: Iterable[Iterable]) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def identity(n: int) -> Matrix:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    # Zero-skipping: the shift and diagonal matrices in this package are
-    # extremely sparse and dense n^3 products would dominate the runtime.
-    n, k = len(a), len(b[0])
-    out = [[ZERO] * k for _ in range(n)]
-    for i, row in enumerate(a):
-        oi = out[i]
-        for t, x in enumerate(row):
-            if x:
-                bt = b[t]
-                for j, y in enumerate(bt):
-                    if y:
-                        oi[j] += x * y
-    return tuple(tuple(row) for row in out)
 
 
 def integral_rows(m: Matrix) -> tuple[int, list[list[tuple[int, int]]]]:
@@ -286,22 +266,6 @@ def integer_inverse(rows: Sequence[Sequence[int]]) -> list[list[int]]:
         raise ValueError("matrix is singular")
     scale = lcm(*(row[i] for i, row in enumerate(work)))
     return [[x * (scale // row[i]) for x in row[n:]] for i, row in enumerate(work)]
-
-
-def in_span(basis_rref: Matrix, v: Sequence) -> bool:
-    """Membership test against an RREF basis, by reduction.
-
-    Only the nonzero entries of a basis row take part in its step.
-    """
-    v = list(v)
-    for row in basis_rref:
-        lead = next(i for i, x in enumerate(row) if x)
-        f = v[lead]
-        if f:
-            for i in range(lead, len(row)):
-                if row[i]:
-                    v[i] -= f * row[i]
-    return not any(v)
 
 
 class NotDiagonalizableError(ValueError):

@@ -15,10 +15,10 @@ from typing import Optional
 
 import pytest
 
-from oracles import invert, is_diagonal, mat_add, mat_sub, transpose
+from oracles import identity, invert, is_diagonal, mat_add, mat_mul, mat_sub, transpose
 from skewpairs.centralizer import CentralizerReport, analyze
 from skewpairs.liealg import PairRealization, RelationReport, build_pair, realization_to_jsonable, verify_relations
-from skewpairs.linalg import identity, mat_mul, matrix
+from skewpairs.linalg import matrix
 from skewpairs.skewgraph import SkewGraph, enumerate_admissible, graph_key
 
 DESK_DIMS = (

@@ -5,8 +5,8 @@ arithmetic over Fraction (transposes, inverses, canonical null spaces),
 the characteristic polynomial as Fractions, the reduced echelon span of
 matrices, the algebra basis of g inside gl(V), membership in g by
 x^T G + G x, the dense centralizer, a null space over the whole algebra
-basis, and the graded commutant by one elimination per bi-degree block of
-gl(V).
+basis, the graded commutant by one elimination per bi-degree block of
+gl(V), and the closed-form check by dense powers and reduction.
 """
 
 from __future__ import annotations
@@ -15,20 +15,19 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from skewpairs.centralizer import _eigenframe, _Frame
-from skewpairs.liealg import AlgebraSpec
+from skewpairs.centralizer import ClosedFormPrediction, _eigenframe, _Frame, _flatten
+from skewpairs.liealg import AlgebraSpec, PairRealization, _conjugate_by_swap
 from skewpairs.linalg import (
     Matrix,
     Vector,
     _integer_charpoly,
-    identity,
     integer_nullspace,
     integral_rows,
-    mat_mul,
     matrix,
     rref,
     sparse_rows_cols,
 )
+from skewpairs.skewgraph import Node
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -61,6 +60,38 @@ def nullspace(rows, ncols: int) -> tuple[Vector, ...]:
         tuple(Fraction(x, v[free]) if x else ZERO for x in v)
         for free, v in integer_nullspace(rows, ncols)
     )
+
+
+def identity(n: int) -> Matrix:
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    # Zero-skipping keeps the products of the sparse shift and diagonal
+    # matrices of the suite fast.
+    n, k = len(a), len(b[0])
+    out = [[ZERO] * k for _ in range(n)]
+    for i, row in enumerate(a):
+        oi = out[i]
+        for t, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b[t]):
+                    if y:
+                        oi[j] += x * y
+    return tuple(tuple(row) for row in out)
+
+
+def in_span(basis_rref: Matrix, v: Sequence) -> bool:
+    """Membership test against an RREF basis, by reduction."""
+    v = list(v)
+    for row in basis_rref:
+        lead = next(i for i, x in enumerate(row) if x)
+        f = v[lead]
+        if f:
+            for i in range(lead, len(row)):
+                if row[i]:
+                    v[i] -= f * row[i]
+    return not any(v)
 
 
 def zeros(n: int, m: Optional[int] = None) -> Matrix:
@@ -318,3 +349,39 @@ def blockwise_commutant(frame: _Frame, elements) -> dict:
             piece.append((positions[lead], tuple(tuple(row) for row in out)))
         pieces[delta] = piece
     return pieces
+
+
+# ---------------------------------------------------------------------------
+# The closed-form check, dense
+# ---------------------------------------------------------------------------
+
+def a_operator_matrix(pred: ClosedFormPrediction, r: PairRealization) -> Optional[Matrix]:
+    """The predicted A operator in the realization's labeled basis.
+
+    Minus orbit representatives are conjugated realizations, so A is
+    conjugated by the same basis swap.
+    """
+    if pred.a_operator is None:
+        return None
+    n = r.spec.dimv
+    index = {(lb.component_index, lb.node): i for i, lb in enumerate(r.labels)}
+    rows = [[ZERO] * n for _ in range(n)]
+    for src, dst, coeff in pred.a_operator.actions:
+        rows[index[(dst.component_index, dst.node)]][index[(src.component_index, src.node)]] = coeff
+    mat = tuple(tuple(row) for row in rows)
+    if r.orbit_sign == "minus":
+        half = Fraction(1, 2)
+        mat = _conjugate_by_swap(mat, index[(0, Node(half, half))], index[(0, Node(-half, -half))])
+    return mat
+
+
+def closed_form_in_span(pred: ClosedFormPrediction, r: PairRealization, basis: Sequence[Matrix]) -> bool:
+    """Whether every predicted e1^k e2^l, and the A operator, lies in the span
+    of basis, a reduced echelon basis of matrices: powers by mat_mul,
+    membership by in_span."""
+    flat = [_flatten(m) for m in basis]
+    for k, l in sorted(pred.powers):
+        if not in_span(flat, _flatten(mat_mul(mat_pow(r.e1, k), mat_pow(r.e2, l)))):
+            return False
+    a = a_operator_matrix(pred, r)
+    return a is None or in_span(flat, _flatten(a))

@@ -10,8 +10,8 @@ from fractions import Fraction
 
 from conftest import naive_nullspace, oracle_connected_cellsets
 from oracles import commutator, nullspace
-from skewpairs.catalog import _closed_form_matches, count_orbits
-from skewpairs.centralizer import _flatten, graph_from_pair
+from skewpairs.catalog import CatalogVerificationError, _closed_form_matches, classify, count_orbits
+from skewpairs.centralizer import _flatten, closed_form_centralizer, graph_from_pair
 from skewpairs.linalg import matrix
 from skewpairs.skewgraph import (
     SkewGraph,
@@ -103,6 +103,10 @@ def test_criterion_04_centralizer_dimensions(desk_records):
     _report(4, "dim z(e) = rk g for every principal entry incl. pinned sl4/so9/so6 cases", failures)
 
 
+# The principal catalogs beyond the desk range: 763 entries (756 graphs).
+WIDE_PRINCIPAL = (("A", (11, 12, 13, 14)), ("B", (11, 13)), ("C", (12, 14)), ("D", (12, 14)))
+
+
 def test_criterion_05_closed_form_match(desk_records):
     failures = []
     checked = 0
@@ -110,9 +114,28 @@ def test_criterion_05_closed_form_match(desk_records):
         if not rec.report.flags.principal:
             continue
         checked += 1
-        if not _closed_form_matches(rec.series, rec.realization, rec.report):
+        pred = closed_form_centralizer(rec.series, rec.graph)
+        if not _closed_form_matches(pred, rec.realization, rec.report):
             failures.append(_rec_id(rec))
-    _report(5, f"closed-form centralizer descriptions match on all {checked} principal entries", failures)
+    # classify checks every principal entry against its closed form.
+    wide = 0
+    for series, dims in WIDE_PRINCIPAL:
+        for dimv in dims:
+            try:
+                entries = classify(series, dimv, "principal", max_nodes=14)
+            except CatalogVerificationError as exc:
+                failures.append(f"{series} dimV={dimv}: {exc}")
+                continue
+            wide += len(entries)
+            failures.extend(f"{series} dimV={dimv} {e.orbit_label}" for e in entries if e.closed_form_match is not True)
+    if wide != 763:
+        failures.append(f"{wide} principal entries with dimV 11-14, expected 763")
+    _report(
+        5,
+        f"closed-form centralizer descriptions match on all {checked} principal entries with dimV <= 10"
+        f" and {wide} with dimV 11-14",
+        failures,
+    )
 
 
 def test_criterion_06_biexponent_positivity(desk_records):

@@ -1,25 +1,34 @@
 """Catalog assembly, counting, determinism, export formats, JSON schema."""
 
 import json
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from oracles import closed_form_in_span, mat_mul, mat_pow, mat_scale
+from skewpairs import catalog, centralizer, liealg, skewgraph
 from skewpairs.catalog import (
     CSV_COLUMNS,
+    _in_span,
+    _predicted_in_span,
     classify,
     count_orbits,
     export_catalog_document,
     export_entries,
     graph_hash,
 )
+from skewpairs.centralizer import AOperator, closed_form_centralizer
 from skewpairs.skewgraph import (
     canonical_form,
     classify_component,
     enumerate_admissible,
     graph_key,
 )
+
+F = Fraction
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "catalog.schema.json").read_text())
 
@@ -157,3 +166,82 @@ def test_every_entry_flag_consistency():
                 assert e.report.flags.principal
                 assert e.closed_form_match is True
                 assert len(e.report.biexponents) == e.spec.rank
+
+
+def test_classify_validates_each_graph_once(monkeypatch):
+    calls = []
+
+    def counted(series, graph, kind):
+        calls.append(graph)
+        return skewgraph._admissible_shapes(series, graph, kind)
+
+    for module in (catalog, liealg, centralizer):
+        monkeypatch.setattr(module, "_admissible_shapes", counted)
+    for series, dimv, kind in [("D", 6, "principal"), ("D", 6, "distinguished"), ("A", 5, "principal")]:
+        calls.clear()
+        entries = classify(series, dimv, kind)
+        graphs = enumerate_admissible(series, dimv, kind)
+        assert calls == list(graphs)
+        assert [e.orbit_label for e in entries] == [
+            graph_hash(g) + sign for g in graphs for sign in (("+", "-") if series == "D" and g.is_connected() else ("",))
+        ]
+
+
+def test_in_span_reduces_every_position_it_reaches():
+    # Rows (1, 1, 0, 0) and (0, 0, 2, 1), keyed by leading position.
+    rows = {0: (1, [(1, 1)]), 2: (2, [(3, 1)])}
+    assert _in_span(rows, {0: 3, 1: 3, 2: 4, 3: 2})
+    assert _in_span(rows, {2: F(1, 2), 3: F(1, 4)})
+    assert not _in_span(rows, {0: 1})  # the remainder lies where v was 0
+    assert not _in_span(rows, {1: 1})
+    assert not _in_span(rows, {2: 2, 3: 2})
+    assert _in_span(rows, {})
+
+
+def _wrong_parity_power(r):
+    """The least (k, l) != (0, 0) with k + l even and e1^k e2^l != 0, or None."""
+    n = r.spec.dimv
+    for total in range(2, 2 * n, 2):
+        for k in range(total + 1):
+            if any(any(row) for row in mat_mul(mat_pow(r.e1, k), mat_pow(r.e2, total - k))):
+                return k, total - k
+    return None
+
+
+def _sign_flipped(a: AOperator) -> AOperator:
+    (src, dst, coeff), *rest = a.actions
+    return replace(a, actions=((src, dst, -coeff), *rest))
+
+
+def test_sparse_closed_form_check_matches_dense_oracle(desk_records):
+    """On every principal realization with dimV <= 10 the sparse membership
+    check agrees with the dense one (mat_mul powers, in_span), on the
+    prediction and on four mutations that each must fail.  The sparse check
+    takes any echelon basis, so it also holds with the basis matrices scaled
+    to leads other than 1."""
+    principal = [rec for rec in desk_records if rec.report.flags.principal]
+    mutated = {"identity": 0, "parity": 0, "a-sign": 0, "dropped": 0}
+    parity_series = set()
+    for rec in principal:
+        r, basis = rec.realization, rec.report.basis
+        pred = closed_form_centralizer(rec.series, rec.graph)
+        where = (rec.series, rec.dimv, rec.sign, rec.graph)
+        assert _predicted_in_span(pred, r, basis) is closed_form_in_span(pred, r, basis) is True, where
+        scaled = [mat_scale(F(-2, 3) if i % 2 else F(3, 2), m) for i, m in enumerate(basis)]
+        assert _predicted_in_span(pred, r, scaled), where
+        if scaled:
+            assert not _predicted_in_span(pred, r, scaled[1:]), where
+        cases = [("identity", replace(pred, powers=pred.powers | {(0, 0)}), basis)]
+        wrong = _wrong_parity_power(r) if rec.series != "A" else None
+        if wrong is not None:
+            cases.append(("parity", replace(pred, powers=pred.powers | {wrong}), basis))
+            parity_series.add(rec.series)
+        if pred.a_operator is not None:
+            cases.append(("a-sign", replace(pred, a_operator=_sign_flipped(pred.a_operator)), basis))
+        cases.extend(("dropped", pred, basis[:i] + basis[i + 1:]) for i in range(len(basis)))
+        for name, p, b in cases:
+            mutated[name] += 1
+            assert _predicted_in_span(p, r, b) is closed_form_in_span(p, r, b) is False, (name, where)
+    assert len(principal) > 100
+    assert min(mutated.values()) > 10, mutated
+    assert parity_series == {"B", "C", "D"}

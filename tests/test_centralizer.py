@@ -10,14 +10,17 @@ import pytest
 
 from conftest import conjugated, conjugator, distinguished_realizations, moved_by, scaled_shear, small_realizations
 from oracles import (
+    a_operator_matrix,
     algebra_basis,
     blockwise_commutant,
     canonical_span,
     centralizer,
     commutator,
     eigenframe,
+    in_span,
     invert,
     mat_add,
+    mat_mul,
     mat_scale,
     span_rref,
     zeros,
@@ -28,7 +31,6 @@ from skewpairs.centralizer import (
     _flatten,
     _form_rows,
     _graded_commutant,
-    a_operator_matrix,
     analyze,
     bigrade,
     closed_form_centralizer,
@@ -38,9 +40,7 @@ from skewpairs.centralizer import (
 )
 from skewpairs.liealg import PairRealization, build_pair, make_spec
 from skewpairs.linalg import (
-    in_span,
     integer_nullspace,
-    mat_mul,
     matrix,
     solve,
     sparse_rows_cols,

@@ -24,9 +24,12 @@ from conftest import (
 from oracles import (
     charpoly,
     commutator,
+    identity,
+    in_span,
     invert,
     is_diagonal,
     mat_add,
+    mat_mul,
     mat_scale,
     mat_sub,
     mat_vec,
@@ -37,11 +40,8 @@ from oracles import (
 )
 from skewpairs.linalg import (
     NotDiagonalizableError,
-    identity,
-    in_span,
     integer_nullspace,
     joint_eigenspaces,
-    mat_mul,
     matrix,
     parse_fraction,
     rank,
