@@ -29,9 +29,8 @@ from .liealg import (
     AlgebraSpec,
     PairRealization,
     _realize,
-    matrix_to_jsonable,
+    matrices_to_jsonable,
 )
-from .linalg import integral_rows
 from .skewgraph import (
     Node,
     SkewGraph,
@@ -111,10 +110,9 @@ def _sparse_product(a: list, b: list) -> list:
     return out
 
 
-def _powers(e, top: int) -> list:
-    """[e^0, e^1, ..., e^top] by nonzero rows, each times a positive int,
-    which changes no span."""
-    rows = integral_rows(e)[1]
+def _powers(rows: list, top: int) -> list:
+    """[e^0, e^1, ..., e^top] by nonzero rows, from those of a positive
+    multiple of e: each a positive multiple, which changes no span."""
     out = [[[(i, 1)] for i in range(len(rows))]]
     for _ in range(top):
         out.append(_sparse_product(out[-1], rows))
@@ -142,18 +140,19 @@ def _in_span(rows: dict, v: dict) -> bool:
 
 def _predicted_in_span(pred: ClosedFormPrediction, r: PairRealization, basis) -> bool:
     """Whether every predicted power e1^k e2^l, and the A operator when there
-    is one, lies in the span of basis, an echelon basis of matrices.
-
-    Matrices are read as sparse int rows over the positions i * n + j, the
-    basis once, keyed by leading position.
+    is one, lies in the span of basis, an echelon basis of matrices given
+    by integral_rows (any nonzero multiples).  Matrices are read as sparse
+    int rows over the positions i * n + j, the basis keyed by leading
+    position, and e1 and e2 from the sparse forms of r.
     """
     n = r.spec.dimv
     rows = {}
-    for m in basis:
-        (p, lead), *rest = [(i * n + j, x) for i, row in enumerate(integral_rows(m)[1]) for j, x in row]
+    for _, m in basis:
+        (p, lead), *rest = [(i * n + j, x) for i, row in enumerate(m) for j, x in row]
         rows[p] = (lead, rest)
-    e1_powers = _powers(r.e1, max((k for k, _ in pred.powers), default=0))
-    e2_powers = _powers(r.e2, max((l for _, l in pred.powers), default=0))
+    (_, e1), (_, e2), _, _ = r._scaled()
+    e1_powers = _powers(e1, max((k for k, _ in pred.powers), default=0))
+    e2_powers = _powers(e2, max((l for _, l in pred.powers), default=0))
     for k, l in sorted(pred.powers):
         product = _sparse_product(e1_powers[k], e2_powers[l])
         if not _in_span(rows, {i * n + j: x for i, row in enumerate(product) for j, x in row}):
@@ -180,7 +179,7 @@ def _closed_form_matches(pred: ClosedFormPrediction, r: PairRealization, report:
     if tuple(sorted(pred.biexponents)) != tuple(sorted(report.biexponents)):
         return False
     # analyze() returns the basis in reduced echelon form.
-    return _predicted_in_span(pred, r, report.basis)
+    return _predicted_in_span(pred, r, report._scaled()[0])
 
 
 def classify(
@@ -262,15 +261,7 @@ def entry_to_jsonable(entry: CatalogEntry, include_matrices: bool = False) -> di
         "closed_form_match": entry.closed_form_match,
     }
     if include_matrices:
-        data["matrices"] = {
-            "gram": None
-            if entry.spec.form is None
-            else matrix_to_jsonable(entry.spec.form, "sparse"),
-            "e1": matrix_to_jsonable(entry.realization.e1, "sparse"),
-            "e2": matrix_to_jsonable(entry.realization.e2, "sparse"),
-            "h1": matrix_to_jsonable(entry.realization.h1, "sparse"),
-            "h2": matrix_to_jsonable(entry.realization.h2, "sparse"),
-        }
+        data["matrices"] = matrices_to_jsonable(entry.spec, entry.realization, "sparse")
     return data
 
 

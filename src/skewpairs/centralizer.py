@@ -22,16 +22,20 @@ another solve: z(h) is the (0,0) block of g, and z(h) & z(e) is the (0,0)
 piece of z(e).  Bases are returned in reduced echelon form in the input
 coordinates.  In a moved frame each basis matrix x is mapped back once, as
 the integer product T x T^-1 with both factors scaled to ints (a positive
-scale changes no span), and one rref over these rows gives the basis; the
-nonpositive witness is the first row of the rref of its own piece.
+scale changes no span), and one fraction-free elimination over these rows
+gives the basis; the nonpositive witness is the first row of the
+elimination of its own piece.
 
 The rows are built once, as sparse int rows, by _form_rows and
 _bracket_rows.  The weights are scaled by their common denominator, so
 bi-degrees are int pairs, and e1, e2 and the Gram matrix are each scaled to
 integers, which changes no commutant and no solvability.  The
 rectangularity test and the rank of the (0,0) block of g make the same rows
-dense over one block and eliminate them.  Only the reduced bases and the
-reported bi-degrees are Fractions.
+dense over one block and eliminate them.
+
+The report keeps its basis and witness as integral_rows, each scaled by its
+value at the lead, for the closed-form check and JSON export; the dense
+Fraction basis and nonpositive_witness are built when a caller reads them.
 
 graph_from_pair() reads the skew-graph off the same frame: each basis
 vector is a node at its weight, and each nonzero entry of e1 or e2 joins
@@ -41,7 +45,7 @@ _eigenframe() is the one place that turns (h1, h2) into a basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -52,19 +56,23 @@ from .liealg import (
     BasisLabel,
     PairRealization,
     _bracket_checks,
+    _deferred,
     _scanned_relations,
+    _Sparse,
+    scaled_to_jsonable,
 )
 from .linalg import (
     Matrix,
     Vector,
+    _eliminate,
+    _primitive,
+    dense_matrix,
     integer_inverse,
     integer_nullspace,
     integral_rows,
     joint_eigenbasis,
     rank,
-    rref,
     solve,
-    sparse_rows_cols,
     with_columns,
 )
 from .skewgraph import (
@@ -108,21 +116,38 @@ class ReportFlags:
 
 
 @dataclass(frozen=True)
-class CentralizerReport:
+class CentralizerReport(_Sparse):
     dimension: int
     basis: tuple[Matrix, ...]
     grading: BiGrading
     biexponents: tuple[tuple[Fraction, Fraction], ...]
     flags: ReportFlags
     nonpositive_witness: Optional[tuple[Matrix, tuple[Fraction, Fraction]]]
+    # (basis, witness) with each matrix as integral_rows: read it by _scaled().
+    _sparse: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def _build(self, name: str):
+        basis, witness = self._sparse
+        if name == "basis":
+            return tuple(dense_matrix(m) for m in basis)
+        return None if witness is None else (dense_matrix(witness[0]), witness[1])
+
+    def _scan(self):
+        w = self.nonpositive_witness
+        return tuple(map(integral_rows, self.basis)), None if w is None else (integral_rows(w[0]), w[1])
 
 
 def _flatten(m: Matrix) -> Vector:
     return tuple(x for row in m for x in row)
 
 
-def _unflatten(vec: Sequence, n: int) -> Matrix:
-    return tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n))
+def _by_rows(n: int, entries) -> tuple[int, list]:
+    """(c, rows) of the n x n matrix with these nonzero entries, (i * n + j, int)
+    in increasing position; c is the first, positive value, so the lead is 1."""
+    rows: list = [()] * n
+    for p, x in entries:
+        rows[p // n] += ((p % n, x),)
+    return entries[0][1], rows
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +210,7 @@ def _nonzero(m: list[list[int]]) -> list[list[tuple[int, int]]]:
 
 
 def _sparse_form(m: list[list[int]]):
-    """An integer matrix divided by its content, by sparse_rows_cols."""
+    """An integer matrix divided by its content, by with_columns."""
     g = gcd(*(x for row in m for x in row)) or 1
     return with_columns(_nonzero([[x // g for x in row] for row in m]))
 
@@ -193,11 +218,11 @@ def _sparse_form(m: list[list[int]]):
 def _eigenframe(spec: AlgebraSpec, h1, h2, mats, gram):
     """Change to a basis of V in which h1 and h2 are diagonal.
 
-    h1, h2 and each m in mats come by integral_rows, gram by sparse_rows_cols
+    h1, h2 and each m in mats come by integral_rows, gram by with_columns
     (None without a form).  Returns (frame, moved): the columns of T are a
     joint eigenbasis of h1 and h2, each m in mats becomes a positive
     multiple of T^-1 m T and the Gram matrix G one of T^T G T, all by
-    sparse_rows_cols and on ints.  When h1 and h2 are already diagonal, mats
+    with_columns and on ints.  When h1 and h2 are already diagonal, mats
     and gram stay as they are.  Raises NotDiagonalizableError when h1, h2
     have no rational joint eigenbasis.
     """
@@ -287,7 +312,7 @@ def _form_rows(frame: _Frame, delta=None) -> list[list[tuple[int, int]]]:
 
 def _bracket_rows(n: int, sparse_m, targets):
     """(i, j, row) for each entry (i, j) in targets of [x, m], row the sparse
-    row of that entry in the coordinates of x; m is given by sparse_rows_cols."""
+    row of that entry in the coordinates of x; m is given by with_columns."""
     m_rows, m_cols = sparse_m
     for i, j in targets:
         yield i, j, _summed([(i * n + t, val) for t, val in m_cols[j]] + [(t * n + j, -val) for t, val in m_rows[i]])
@@ -305,7 +330,7 @@ def _graded_commutant(frame: _Frame, elements) -> dict:
     """{x in g : [x, m] = 0 for all m in elements} by one signed union-find
     pass over the positions of gl(V).
 
-    elements holds sparse_rows_cols forms of matrices m, each bi-homogeneous
+    elements holds with_columns forms of matrices m, each bi-homogeneous
     for the frame's weights, so every row lies in one bi-degree block.  A row
     a x_u + b x_v = 0 unites u and v with the ratio x_v / x_u = -a / b, an
     int while the division is exact; a row with one term, or a cycle whose
@@ -318,9 +343,10 @@ def _graded_commutant(frame: _Frame, elements) -> dict:
     integer_nullspace, in the component variables of that block.
 
     Returns {degree: piece} for the nonzero graded pieces, each piece the
-    reduced echelon basis of its block as (lead, matrix) pairs, lead the
-    position (i, j) of the leading 1.  Together the pieces span z(elements)
-    in g.
+    reduced echelon basis of its block as (lead, (c, rows)) pairs in order of
+    lead, the position (i, j) of the leading 1: the basis matrix is given by
+    its integral_rows, its int entries over c, which is the entry at lead.
+    Together the pieces span z(elements) in g.
     """
     weights = frame.weights
     n = len(weights)
@@ -389,18 +415,12 @@ def _graded_commutant(frame: _Frame, elements) -> dict:
     for row in long_rows:
         long_by_degree.setdefault(degree(row[0][0]), []).append(row)
 
-    def matrix_of(entries) -> Matrix:
-        out = [[ZERO] * n for _ in range(n)]
-        for p, x in entries:
-            out[p // n][p % n] = x
-        return tuple(tuple(row) for row in out)
-
     pieces = {}
     for delta in sorted(by_degree):
         block = by_degree[delta]
         if delta not in long_by_degree:
             pieces[delta] = [
-                (divmod(s[0], n), matrix_of((p, Fraction(ratio[p], ratio[s[0]])) for p in s)) for s in block
+                (divmod(s[0], n), _by_rows(n, list(zip(s, _primitive([ratio[p] for p in s]))))) for s in block
             ]
             continue
         col = {find(s[0]): k for k, s in enumerate(block)}
@@ -416,9 +436,9 @@ def _graded_commutant(frame: _Frame, elements) -> dict:
         if not null:
             continue
         positions = sorted(p for s in block for p in s)
-        reduced, leads = rref([v[col[find(p)]] * ratio[p] for p in positions] for _, v in null)
+        reduced, leads = _eliminate([v[col[find(p)]] * ratio[p] for p in positions] for _, v in null)
         pieces[delta] = [
-            (divmod(positions[lead], n), matrix_of((p, x) for p, x in zip(positions, vec) if x))
+            (divmod(positions[lead], n), _by_rows(n, [(p, x) for p, x in zip(positions, vec) if x]))
             for vec, lead in zip(reduced, leads)
         ]
     return pieces
@@ -467,7 +487,7 @@ def bigrade(spec: AlgebraSpec, h1: Matrix, h2: Matrix, subspace_basis: Sequence[
 def _graded_image_solvable(frame: _Frame, e, side: int) -> bool:
     """Whether [e, x] = h for some x in g, in the eigenframe.
 
-    e, given by sparse_rows_cols, is e1 (side 0) or e2 (side 1), of degree
+    e, given by with_columns, is e1 (side 0) or e2 (side 1), of degree
     den along its side, and h the matching h1 or h2: the diagonal matrix of
     that weight coordinate, which is den * h.  ad e raises degree by de, so
     x can be sought in the degree -de block; the system is [x, e] = -h on
@@ -490,7 +510,7 @@ def _graded_image_solvable(frame: _Frame, e, side: int) -> bool:
 
 
 def _rectangularity(frame: _Frame, e1, e2) -> bool:
-    """Both sides of the rectangularity test, e1 and e2 by sparse_rows_cols.
+    """Both sides of the rectangularity test, e1 and e2 by with_columns.
 
     Raises NormalFormError when they disagree.
     """
@@ -508,7 +528,7 @@ def _rectangularity(frame: _Frame, e1, e2) -> bool:
 
 def _framed(r: PairRealization):
     """verify_relations, then the eigenframe of r: (frame, (e1, e2)), e1 and
-    e2 in that frame by sparse_rows_cols, from the rows and the Gram matrix
+    e2 in that frame by with_columns, from the rows and the Gram matrix
     that the relation check scanned."""
     rep, scaled, gram = _scanned_relations(r)
     if not rep.ok:
@@ -547,11 +567,11 @@ def analyze(r: PairRealization) -> CentralizerReport:
         # no span.
         inv_rows = _nonzero(frame.t_inv)
         mapped = {
-            d: [[x for row in _sandwich(frame.t, integral_rows(m)[1], inv_rows) for x in row] for _, m in piece]
+            d: [[x for row in _sandwich(frame.t, rows, inv_rows) for x in row] for _, (_, rows) in piece]
             for d, piece in pieces.items()
         }
-        reduced, _ = rref(row for rows in mapped.values() for row in rows)
-        basis = tuple(_unflatten(v, n) for v in reduced)
+        reduced, _ = _eliminate(row for rows in mapped.values() for row in rows)
+        basis = tuple(_by_rows(n, [(p, x) for p, x in enumerate(v) if x]) for v in reduced)
     # z(h) is the (0,0) block of g, and z(h) & z(e) the (0,0) piece of z(e).
     zero_block = _block_index(weights, DEGREE_0)
     cartan_h = len(zero_block) - rank([_dense(row, zero_block) for row in _form_rows(frame, DEGREE_0)]) == spec.rank
@@ -566,7 +586,10 @@ def analyze(r: PairRealization) -> CentralizerReport:
     witness = None
     for d in sorted(pieces, key=lambda d: (d[1], d[0])):
         if d[0] < 0 or d[1] < 0:
-            first = min(pieces[d])[1] if frame.t is None else _unflatten(rref(mapped[d])[0][0], n)
+            if frame.t is None:
+                first = pieces[d][0][1]
+            else:
+                first = _by_rows(n, [(p, x) for p, x in enumerate(_eliminate(mapped[d])[0][0]) if x])
             witness = (first, frame.degree(d))
             break
 
@@ -578,13 +601,13 @@ def analyze(r: PairRealization) -> CentralizerReport:
         principal=len(basis) == spec.rank,
         rectangular=_rectangularity(frame, e1, e2),
     )
-    return CentralizerReport(
+    return _deferred(
+        CentralizerReport,
+        (basis, witness),
         dimension=len(basis),
-        basis=basis,
         grading=grading,
         biexponents=biexponents,
         flags=flags,
-        nonpositive_witness=witness,
     )
 
 
@@ -752,13 +775,7 @@ def _split_origin(frame: _Frame, moved, at: dict) -> list:
     """
     a, b = at[DEGREE_0]
     n = len(frame.weights)
-    dense = []
-    for rows in moved:
-        m = [[0] * n for _ in range(n)]
-        for i, row in enumerate(rows):
-            for j, x in row:
-                m[i][j] = x
-        dense.append(m)
+    dense = [[[d.get(j, 0) for j in range(n)] for d in map(dict, rows)] for rows in moved]
     lines = []
     for m, src in zip(dense, ((-frame.den, 0), (0, -frame.den))):
         if src in at:
@@ -809,8 +826,8 @@ def graph_from_pair(spec: AlgebraSpec, e1: Matrix, e2: Matrix, h1: Matrix, h2: M
     if not all(checks.values()):
         raise NormalFormError("the grading relations [h_i, e_j] = delta_ij e_j fail")
 
-    gram = None if spec.form is None else sparse_rows_cols(spec.form)
-    frame, moved = _eigenframe(spec, scaled[2], scaled[3], scaled[:2], gram)
+    gram = spec._scaled()
+    frame, moved = _eigenframe(spec, scaled[2], scaled[3], scaled[:2], None if gram is None else with_columns(gram[1]))
     moved = [rows for rows, _ in moved]
     at: dict[tuple[int, int], list[int]] = {}
     for i, w in enumerate(frame.weights):
@@ -853,31 +870,18 @@ def graph_from_pair(spec: AlgebraSpec, e1: Matrix, e2: Matrix, h1: Matrix, h2: M
 # ---------------------------------------------------------------------------
 
 def report_to_jsonable(report: CentralizerReport, include_basis: bool = False) -> dict:
-    from .liealg import matrix_to_jsonable
-
+    """The report as JSON; matrices are written sparse, from the sparse forms."""
+    basis, witness = report._scaled()
     data = {
         "dimension": report.dimension,
-        "grading": [
-            {"p": str(p), "q": str(q), "dim": dim} for (p, q), dim in report.grading.table
-        ],
+        "grading": [{"p": str(p), "q": str(q), "dim": dim} for (p, q), dim in report.grading.table],
         "biexponents": [[str(p), str(q)] for p, q in report.biexponents],
-        "flags": {
-            "relations_ok": report.flags.relations_ok,
-            "cartan_h": report.flags.cartan_h,
-            "trivial_intersection": report.flags.trivial_intersection,
-            "distinguished": report.flags.distinguished,
-            "principal": report.flags.principal,
-            "rectangular": report.flags.rectangular,
-        },
+        "flags": asdict(report.flags),
         "nonpositive_witness": None,
     }
-    if report.nonpositive_witness is not None:
-        m, (p, q) = report.nonpositive_witness
-        data["nonpositive_witness"] = {
-            "p": str(p),
-            "q": str(q),
-            "matrix": matrix_to_jsonable(m, "sparse"),
-        }
+    if witness is not None:
+        m, (p, q) = witness
+        data["nonpositive_witness"] = {"p": str(p), "q": str(q), "matrix": scaled_to_jsonable(m)}
     if include_basis:
-        data["basis"] = [matrix_to_jsonable(m, "sparse") for m in report.basis]
+        data["basis"] = [scaled_to_jsonable(m) for m in basis]
     return data

@@ -5,22 +5,30 @@ per (component, node) label: e1 and e2 shift labels right and up with the
 series-specific signs, h1 and h2 are diagonal with the node coordinates as
 eigenvalues, and series B/C/D carry the invariant bilinear form that pairs
 a label with its antipode inside the same component.
+
+The sparse form lives here: build_pair makes e1, e2, h1, h2 and the Gram
+matrix as integral_rows (c, rows) from the integer cells, a realization
+document is read into that form, and the relation check, analyze(), the
+catalog and sparse export read it.  The dense Fraction fields (e1, ..., h2,
+AlgebraSpec.form) are built when a caller first reads them.  An instance
+made by its constructor or dataclasses.replace() is scanned once instead.
 """
 
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .linalg import (
     Matrix,
+    dense_matrix,
     integral_rows,
-    matrix,
     parse_fraction,
     rank,
-    sparse_rows_cols,
+    scaled_rows,
+    with_columns,
 )
 from .skewgraph import (
     SYM_SEMI_COLSORT,
@@ -36,22 +44,58 @@ from .skewgraph import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 HALF = Fraction(1, 2)
+_MATRICES = ("e1", "e2", "h1", "h2")
 
 
 class NotAdmissibleError(ValueError):
     """The graph is not admissible for the requested series."""
 
 
+class _Sparse:
+    """Mixin of a frozen dataclass whose fields missing from an instance made
+    by _deferred() are built by _build() from its _sparse forms on first
+    read.  dataclasses.replace() gives an instance whose _sparse is None, so
+    no stale sparse form is carried: _scaled() rescans its dense fields."""
+
+    def __getattr__(self, name: str):
+        # Called only for an attribute that the instance lacks.
+        if name not in self.__dataclass_fields__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__[name] = value = self._build(name)
+        return value
+
+    def _scaled(self):
+        """The sparse forms this instance was built from, else those of its
+        dense fields, scanned once."""
+        if self._sparse is None:
+            self.__dict__["_sparse"] = self._scan()
+        return self._sparse
+
+
+def _deferred(cls, sparse, **fields):
+    """An instance of the _Sparse dataclass cls with these sparse forms and fields."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields, _sparse=sparse)
+    return obj
+
+
 @dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(_Sparse):
     """A classical algebra inside gl(V): series, dimension, rank, bilinear form."""
 
     series: str
     dimv: int
     rank: int
     form: Optional[Matrix]
+    # integral_rows of form, or None: read it by _scaled().
+    _sparse: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def _build(self, name: str):
+        return None if self._sparse is None else dense_matrix(self._sparse)
+
+    def _scan(self):
+        return None if self.form is None else integral_rows(self.form)
 
 
 @dataclass(frozen=True)
@@ -61,7 +105,7 @@ class BasisLabel:
 
 
 @dataclass(frozen=True)
-class PairRealization:
+class PairRealization(_Sparse):
     spec: AlgebraSpec
     graph: SkewGraph
     labels: tuple[BasisLabel, ...]
@@ -70,6 +114,14 @@ class PairRealization:
     h1: Matrix
     h2: Matrix
     orbit_sign: Optional[str] = None
+    # integral_rows of e1, e2, h1 and h2: read them by _scaled().
+    _sparse: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def _build(self, name: str):
+        return dense_matrix(self._sparse[_MATRICES.index(name)])
+
+    def _scan(self):
+        return tuple(integral_rows(getattr(self, name)) for name in _MATRICES)
 
 
 @dataclass(frozen=True)
@@ -93,33 +145,35 @@ def series_rank(series: str, dimv: int) -> int:
     return dimv // 2
 
 
+def _standard_rows(series: str, dimv: int) -> list:
+    """The nonzero rows of the standard Gram matrix of series B, C or D."""
+    return [((dimv - 1 - i, -1 if series == "C" and i >= dimv - 1 - i else 1),) for i in range(dimv)]
+
+
 def standard_form(series: str, dimv: int) -> Optional[Matrix]:
     """Antidiagonal Gram matrix: symmetric for B/D, alternating for C."""
-    if series == "A":
-        return None
-    rows = [[ZERO] * dimv for _ in range(dimv)]
-    for i in range(dimv):
-        j = dimv - 1 - i
-        if series == "C":
-            rows[i][j] = ONE if i < j else -ONE
-        else:
-            rows[i][j] = ONE
-    return matrix(rows)
+    return None if series == "A" else dense_matrix((1, _standard_rows(series, dimv)))
 
 
 def make_spec(series: str, dimv: int, form: Optional[Matrix] = None) -> AlgebraSpec:
+    if form is not None:
+        return _sparse_spec(series, dimv, integral_rows(form), form=form)
+    return _sparse_spec(series, dimv, None if series == "A" else (1, _standard_rows(series, dimv)))
+
+
+def _sparse_spec(series: str, dimv: int, gram: Optional[tuple], **form) -> AlgebraSpec:
+    """make_spec with the Gram matrix given by its integral_rows (None without
+    a form); form, unless given, is built on first read."""
     if series not in ("A", "B", "C", "D"):
         raise ValueError(f"unknown series {series!r}")
     if series == "B" and dimv % 2 == 0:
         raise ValueError("series B requires odd dimV")
     if series in ("C", "D") and dimv % 2:
         raise ValueError(f"series {series} requires even dimV")
-    if form is None and series != "A":
-        form = standard_form(series, dimv)
-    return AlgebraSpec(series=series, dimv=dimv, rank=series_rank(series, dimv), form=form)
+    return _deferred(AlgebraSpec, gram, series=series, dimv=dimv, rank=series_rank(series, dimv), **form)
 
 
-def _shift_signs(series: str, symmetry: str, x2: int, y2: int) -> tuple[Fraction, Fraction]:
+def _shift_signs(series: str, symmetry: str, x2: int, y2: int) -> tuple[int, int]:
     """Signs of the e1 and e2 arrows leaving the node (x2 / 2, y2 / 2).
 
     Series B, C and D components are centred on the origin, so twice a
@@ -127,31 +181,23 @@ def _shift_signs(series: str, symmetry: str, x2: int, y2: int) -> tuple[Fraction
     series C colsort (rowsort) nodes an integral x (y).
     """
     if series == "A":
-        return ONE, ONE
+        return 1, 1
     if series in ("B", "D"):
-        s = ONE if (x2 + y2) % 4 == 0 else -ONE
+        s = 1 if (x2 + y2) % 4 == 0 else -1
         return s, -s
     if symmetry == SYM_SEMI_COLSORT:
         if y2 > 0:
-            return -ONE, ONE
+            return -1, 1
         if y2 == -1:
-            return ONE, (ONE if x2 % 4 == 0 else -ONE)
-        return ONE, -ONE
+            return 1, (1 if x2 % 4 == 0 else -1)
+        return 1, -1
     if symmetry == SYM_SEMI_ROWSORT:
         if x2 > 0:
-            return ONE, -ONE
+            return 1, -1
         if x2 == -1:
-            return (ONE if y2 % 4 == 0 else -ONE), ONE
-        return -ONE, ONE
+            return (1 if y2 % 4 == 0 else -1), 1
+        return -1, 1
     raise ValueError(f"series C component with unexpected symmetry {symmetry!r}")
-
-
-def _conjugate_by_swap(m: Matrix, i: int, j: int) -> Matrix:
-    rows = [list(r) for r in m]
-    rows[i], rows[j] = rows[j], rows[i]
-    for r in rows:
-        r[i], r[j] = r[j], r[i]
-    return tuple(tuple(r) for r in rows)
 
 
 def build_pair(series: str, graph: SkewGraph, orbit_sign: Optional[str] = None) -> PairRealization:
@@ -179,16 +225,13 @@ def build_pair(series: str, graph: SkewGraph, orbit_sign: Optional[str] = None) 
 
 def _realize(series: str, graph: SkewGraph, shapes: list, sign: Optional[str]) -> PairRealization:
     """build_pair of a canonical admissible graph, given the ShapeClass of
-    each component and the orbit sign ("plus", "minus" or None) it resolved."""
-    labels = tuple(
-        BasisLabel(ci, nd) for ci, comp in enumerate(graph.components) for nd in comp.nodes
-    )
+    each component and the orbit sign ("plus", "minus" or None) it resolved.
+    All five matrices are made as integral_rows; e1, e2 and G have scale 1."""
+    labels = tuple(BasisLabel(ci, nd) for ci, comp in enumerate(graph.components) for nd in comp.nodes)
     n = len(labels)
-    e1 = [[ZERO] * n for _ in range(n)]
-    e2 = [[ZERO] * n for _ in range(n)]
-    h1 = [[ZERO] * n for _ in range(n)]
-    h2 = [[ZERO] * n for _ in range(n)]
-    g = None if series == "A" else [[ZERO] * n for _ in range(n)]
+    e1, e2 = [()] * n, [()] * n
+    xs, ys = [ZERO] * n, [ZERO] * n
+    g: Optional[list] = None if series == "A" else [None] * n
     start = 0
     for comp, shape in zip(graph.components, shapes):
         # Arrows and antipodes are found on integer cells.  Twice a node's
@@ -200,44 +243,28 @@ def _realize(series: str, graph: SkewGraph, shapes: list, sign: Optional[str]) -
         sy = min(dy for _, dy in offsets) + max(dy for _, dy in offsets)
         for (dx, dy), nd in zip(offsets, comp.nodes):
             i = index[dx, dy]
-            h1[i][i] = nd.x
-            h2[i][i] = nd.y
+            xs[i], ys[i] = nd.x, nd.y
             x2, y2 = 2 * dx - sx, 2 * dy - sy
             s1, s2 = _shift_signs(series, shape.symmetry, x2, y2)
             right = index.get((dx + 1, dy))
             if right is not None:
-                e1[right][i] = s1
+                e1[right] = ((i, s1),)
             up = index.get((dx, dy + 1))
             if up is not None:
-                e2[up][i] = s2
+                e2[up] = ((i, s2),)
             if g is not None:
-                antipode = index[sx - dx, sy - dy]
-                if series in ("B", "D"):
-                    g[i][antipode] = ONE
-                elif shape.symmetry == SYM_SEMI_COLSORT:
-                    g[i][antipode] = ONE if y2 > 0 else -ONE
-                else:
-                    g[i][antipode] = ONE if x2 > 0 else -ONE
+                positive = series in ("B", "D") or (y2 if shape.symmetry == SYM_SEMI_COLSORT else x2) > 0
+                g[i] = ((index[sx - dx, sy - dy], 1 if positive else -1),)
         start += len(offsets)
-    form = None if g is None else tuple(tuple(r) for r in g)
 
-    mats = [tuple(tuple(r) for r in m) for m in (e1, e2, h1, h2)]
+    scaled = [(1, e1), (1, e2)] + [scaled_rows([[(i, x)] if x else [] for i, x in enumerate(v)]) for v in (xs, ys)]
     if sign == "minus":
-        i = labels.index(BasisLabel(0, Node(HALF, HALF)))
-        j = labels.index(BasisLabel(0, Node(-HALF, -HALF)))
-        mats = [_conjugate_by_swap(m, i, j) for m in mats]
-
-    spec = make_spec(series, n, form)
-    return PairRealization(
-        spec=spec,
-        graph=graph,
-        labels=labels,
-        e1=mats[0],
-        e2=mats[1],
-        h1=mats[2],
-        h2=mats[3],
-        orbit_sign=sign,
-    )
+        # P m P for the swap P of the basis vectors at (1/2,1/2) and (-1/2,-1/2).
+        i, j = (labels.index(BasisLabel(0, Node(v, v))) for v in (HALF, -HALF))
+        moved = [{i: j, j: i}.get(t, t) for t in range(n)]
+        scaled = [(c, [tuple(sorted((moved[k], x) for k, x in rows[t])) for t in moved]) for c, rows in scaled]
+    spec = _sparse_spec(series, n, None if g is None else (1, g))
+    return _deferred(PairRealization, tuple(scaled), spec=spec, graph=graph, labels=labels, orbit_sign=sign)
 
 
 def _commutator_entries(a: list, b: list) -> dict[tuple[int, int], int]:
@@ -256,7 +283,7 @@ def _commutator_entries(a: list, b: list) -> dict[tuple[int, int], int]:
 
 def _in_algebra(spec: AlgebraSpec, rows: list, gram: Optional[tuple]) -> bool:
     """Whether x is in g, from the nonzero rows of a multiple of x and the
-    sparse_rows_cols of G.
+    nonzero entries of a multiple of G by row and by column (with_columns).
 
     Series A asks for trace 0.  Otherwise x[c][a] adds x[c][a] G[c][b] to
     entry (a, b) of x^T G and G[p][c] x[c][a] to entry (p, a) of G x, and
@@ -310,56 +337,49 @@ def verify_relations(r: PairRealization) -> RelationReport:
 
 def _scanned_relations(r: PairRealization) -> tuple[RelationReport, list, Optional[tuple]]:
     """verify_relations(r), the integral_rows of e1, e2, h1 and h2 it read,
-    and the sparse_rows_cols of the Gram matrix (None without a form)."""
+    and the Gram matrix's nonzero entries by row and by column (None without
+    a form), all from the sparse forms of r and its spec."""
     spec = r.spec
-    scaled = [integral_rows(m) for m in (r.e1, r.e2, r.h1, r.h2)]
-    gram = None if spec.form is None else sparse_rows_cols(spec.form)
+    scaled = list(r._scaled())
+    gram = spec._scaled()
+    gram_rows_cols = None if gram is None else with_columns(gram[1])
     checks = _bracket_checks(scaled) + [
-        (f"{name}_in_algebra", _in_algebra(spec, rows, gram))
-        for name, (_, rows) in zip(("e1", "e2", "h1", "h2"), scaled)
+        (f"{name}_in_algebra", _in_algebra(spec, rows, gram_rows_cols))
+        for name, (_, rows) in zip(_MATRICES, scaled)
     ]
-    checks.append(("form_nondegenerate", spec.form is None or rank(spec.form) == spec.dimv))
-    return RelationReport(tuple(checks)), scaled, gram
+    checks.append(("form_nondegenerate", gram is None or _nondegenerate(gram[1], spec.dimv)))
+    return RelationReport(tuple(checks)), scaled, gram_rows_cols
+
+
+def _nondegenerate(rows: list, n: int) -> bool:
+    """Whether the matrix of these nonzero rows has rank n: at once when it
+    is monomial (one entry in each row and column), else by elimination."""
+    monomial = len(rows) == n and all(len(row) == 1 for row in rows) and len({row[0][0] for row in rows}) == n
+    return monomial or rank([[d.get(j, 0) for j in range(len(rows))] for d in map(dict, rows)]) == n
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
-def matrix_to_jsonable(m: Matrix, fmt: str = "dense"):
-    if fmt == "dense":
-        return [[str(x) for x in row] for row in m]
+def scaled_to_jsonable(scaled) -> dict:
+    """A sparse ({shape, entries}) matrix document of m given by its
+    integral_rows, each row in increasing column order."""
+    c, rows = scaled
+    return {"shape": len(rows), "entries": [[i, j, str(Fraction(x, c))] for i, row in enumerate(rows) for j, x in row]}
+
+
+def matrices_to_jsonable(spec: AlgebraSpec, r: PairRealization, fmt: str) -> dict:
+    """The gram, e1, e2, h1 and h2 of a document in the dense (lists of rows)
+    or sparse format, the sparse one written from the sparse forms."""
+    names = ("gram",) + _MATRICES
     if fmt == "sparse":
-        return {
-            "shape": len(m),
-            "entries": [[i, j, str(x)] for i, row in enumerate(m) for j, x in enumerate(row) if x],
-        }
-    raise ValueError(f"unknown matrix format {fmt!r}")
-
-
-def matrix_from_jsonable(data, parse) -> Matrix:
-    """Read a dense (list of rows) or sparse ({shape, entries}) matrix,
-    each entry by parse (parse_fraction, or _entry_parser() for a document).
-
-    Raises ValueError for any other JSON value, an entry outside the shape,
-    or an entry that is not a number.
-    """
-    if isinstance(data, dict):
-        n, entries = data.get("shape"), data.get("entries")
-        if type(n) is not int or n < 0 or not isinstance(entries, list):
-            raise ValueError("a sparse matrix needs an integer shape and a list of entries")
-        rows = [[ZERO] * n for _ in range(n)]
-        for entry in entries:
-            if not (isinstance(entry, list) and len(entry) == 3 and all(type(k) is int for k in entry[:2])):
-                raise ValueError(f"sparse entry {reprlib.repr(entry)} is not [row, column, value]")
-            i, j, v = entry
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"sparse entry ({i}, {j}) lies outside a {n}x{n} matrix")
-            rows[i][j] = parse(v)
-        return tuple(tuple(r) for r in rows)
-    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
-        raise ValueError(f"a matrix must be a list of rows or a sparse object, got {type(data).__name__}")
-    return tuple(tuple(parse(x) for x in row) for row in data)
+        mats = (spec._scaled(),) + r._scaled()
+        return {name: None if m is None else scaled_to_jsonable(m) for name, m in zip(names, mats)}
+    if fmt != "dense":
+        raise ValueError(f"unknown matrix format {fmt!r}")
+    mats = [spec.form] + [getattr(r, name) for name in _MATRICES]
+    return {name: None if m is None else [[str(x) for x in row] for row in m] for name, m in zip(names, mats)}
 
 
 def _entry_parser():
@@ -377,14 +397,33 @@ def _entry_parser():
     return parse
 
 
-def _square(data, n: int, name: str, parse) -> Matrix:
-    """The n x n matrix in data; a sparse shape is checked before it is filled."""
-    if isinstance(data, dict) and data.get("shape") != n:
-        raise ValueError(f"{name} is not a {n}x{n} matrix")
-    m = matrix_from_jsonable(data, parse)
+def _square(data, n: int, name: str, parse) -> tuple[Optional[Matrix], tuple]:
+    """(m, integral_rows(m)) for the n x n matrix m in data, each entry read
+    by parse: m as read from a list of rows, or None for a sparse {shape,
+    entries} object, which is never filled in (a later entry at a place
+    wins).  Raises ValueError for another JSON value or size, an entry
+    outside the shape, or an entry that is not a number."""
+    if isinstance(data, dict):
+        entries = data.get("entries")
+        if data.get("shape") != n:
+            raise ValueError(f"{name} is not a {n}x{n} matrix")
+        if type(data["shape"]) is not int or not isinstance(entries, list):
+            raise ValueError("a sparse matrix needs an integer shape and a list of entries")
+        rows: list[dict] = [{} for _ in range(n)]
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == 3 and all(type(k) is int for k in entry[:2])):
+                raise ValueError(f"sparse entry {reprlib.repr(entry)} is not [row, column, value]")
+            i, j, v = entry
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"sparse entry ({i}, {j}) lies outside a {n}x{n} matrix")
+            rows[i][j] = parse(v)
+        return None, scaled_rows([sorted((j, x) for j, x in row.items() if x) for row in rows])
+    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+        raise ValueError(f"a matrix must be a list of rows or a sparse object, got {type(data).__name__}")
+    m = tuple(tuple(parse(x) for x in row) for row in data)
     if len(m) != n or any(len(row) != n for row in m):
         raise ValueError(f"{name} is not a {n}x{n} matrix")
-    return m
+    return m, integral_rows(m)
 
 
 def realization_to_jsonable(r: PairRealization, fmt: str = "dense") -> dict:
@@ -399,11 +438,7 @@ def realization_to_jsonable(r: PairRealization, fmt: str = "dense") -> dict:
             for lb in r.labels
         ],
         "format": fmt,
-        "gram": None if r.spec.form is None else matrix_to_jsonable(r.spec.form, fmt),
-        "e1": matrix_to_jsonable(r.e1, fmt),
-        "e2": matrix_to_jsonable(r.e2, fmt),
-        "h1": matrix_to_jsonable(r.h1, fmt),
-        "h2": matrix_to_jsonable(r.h2, fmt),
+        **matrices_to_jsonable(r.spec, r, fmt),
     }
 
 
@@ -413,7 +448,8 @@ def realization_from_jsonable(data: dict) -> PairRealization:
     Raises ValueError when a value has the wrong JSON type, when a matrix is
     not dimV x dimV, when the label count differs from dimV, when series B,
     C or D comes without a Gram matrix, or when a number has a zero
-    denominator.
+    denominator.  Sparse matrices stay sparse: their dense fields are built
+    only when read.
     """
 
     if not isinstance(data, dict):
@@ -421,8 +457,8 @@ def realization_from_jsonable(data: dict) -> PairRealization:
     series, n = data["series"], data["dimv"]
     if type(n) is not int or n < 1:
         raise ValueError(f"dimv must be a positive integer, got {n!r}")
-    # The labels are counted before any dimv x dimv matrix is filled, so a
-    # small document cannot claim a large dimv.
+    # The labels are counted before any matrix is read, so a small document
+    # cannot claim a large dimv.
     items = data["labels"]
     if not (isinstance(items, list) and all(isinstance(item, dict) for item in items)):
         raise ValueError("labels must be a list of {component, node} objects")
@@ -430,21 +466,14 @@ def realization_from_jsonable(data: dict) -> PairRealization:
         raise ValueError(f"{len(items)} labels for dimv {n}")
     labels = tuple(BasisLabel(item["component"], node_from_jsonable(item["node"])) for item in items)
     parse = _entry_parser()
-    if data.get("gram") is None:
-        if series != "A":
-            raise ValueError(f"a series {series} realization needs its gram matrix")
-        form = None
-    else:
-        form = _square(data["gram"], n, "gram", parse)
-    spec = make_spec(series, n, form)
-    e1, e2, h1, h2 = (_square(data[k], n, k, parse) for k in ("e1", "e2", "h1", "h2"))
-    return PairRealization(
-        spec=spec,
-        graph=graph_from_jsonable(data["graph"]),
-        labels=labels,
-        e1=e1,
-        e2=e2,
-        h1=h1,
-        h2=h2,
-        orbit_sign=data.get("orbit_sign"),
-    )
+    form = gram = None
+    if data.get("gram") is not None:
+        form, gram = _square(data["gram"], n, "gram", parse)
+    elif series != "A":
+        raise ValueError(f"a series {series} realization needs its gram matrix")
+    spec = _sparse_spec(series, n, gram, **({} if form is None else {"form": form}))
+    mats = [_square(data[name], n, name, parse) for name in _MATRICES]
+    dense = {name: m for name, (m, _) in zip(_MATRICES, mats) if m is not None}
+    graph = graph_from_jsonable(data["graph"])
+    return _deferred(PairRealization, tuple(s for _, s in mats), spec=spec, graph=graph, labels=labels,
+                     orbit_sign=data.get("orbit_sign"), **dense)

@@ -1,14 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Matrices are immutable tuples of tuples of Fraction.  Row reduction is
-fraction-free: rows are scaled to primitive integer vectors (content
-reduction), eliminated with the two-row integer rule, and only normalized
-back to leading-one Fractions at the end.  Pivoting is by first nonzero
-column with ties broken by row order, so every result is deterministic.
-Rows that are ints already never become Fractions: rank() and
-integer_nullspace() stay on ints.  The centralizer solve reaches elimination
-only for its rows of three or more terms, the rectangularity test and the
-rank of the (0,0) block of g; union-find solves the rest.
+Dense matrices are tuples of tuples of Fraction; the package mostly passes
+sparse ones, as (c, rows) from integral_rows().  Row reduction is
+fraction-free: rows are scaled to primitive integer vectors and eliminated
+with the two-row integer rule, so the reduced echelon form comes out as
+primitive integer rows, each positive at its pivot.  Pivoting is by first
+nonzero column, ties broken by row order, so every result is
+deterministic.  The centralizer solve reaches elimination only for its
+rows of three or more terms, the rectangularity test and the rank of the
+(0,0) block of g; union-find solves the rest.
 
 Eigenvalues come from integers too.  With c the least common denominator
 of h, the characteristic polynomial of the integer matrix c h is monic over
@@ -23,8 +23,8 @@ and the joint eigenspaces span the whole space.
 
 Only routines that a package path calls live here.  Dense Fraction
 arithmetic (products, sums, powers, commutators, span membership, the
-characteristic polynomial as Fractions) serves the test suite alone, as its
-oracles.
+reduced echelon form and the characteristic polynomial as Fractions)
+serves the test suite alone, as its oracles.
 """
 
 from __future__ import annotations
@@ -86,27 +86,31 @@ def parse_fraction(value) -> Fraction:
     return x
 
 
-def matrix(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def integral_rows(m: Matrix) -> tuple[int, list[list[tuple[int, int]]]]:
-    """(c, rows): rows[i] lists the (j, c * m[i][j]) with m[i][j] != 0.
+def integral_rows(m: Matrix) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
+    """(c, rows): rows[i] is the tuple of (j, c * m[i][j]) with m[i][j] != 0.
 
     c > 0 is the least common denominator of the entries, so the values are
-    ints.
+    ints.  Empty rows are the one empty tuple, so a held form costs memory
+    by its nonzero entries.
     """
-    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in m]
+    return scaled_rows([[(j, x) for j, x in enumerate(row) if x] for row in m])
+
+
+def dense_matrix(scaled) -> Matrix:
+    """The Fraction matrix m of scaled = (c, rows), as integral_rows gives it."""
+    c, rows = scaled
+    out = [[ZERO] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            out[i][j] = Fraction(x, c)
+    return tuple(map(tuple, out))
+
+
+def scaled_rows(nonzero: list) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
+    """integral_rows of the matrix whose nonzero rows, (j, x) pairs with x an
+    int or a Fraction, are given."""
     c = lcm(*(x.denominator for row in nonzero for _, x in row))
-    return c, [[(j, x.numerator * (c // x.denominator)) for j, x in row] for row in nonzero]
-
-
-def sparse_rows_cols(m: Matrix) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
-    """The nonzero entries of c * m by row and by column, as (index, int) pairs.
-
-    c > 0 is the least common denominator of m, as in integral_rows.
-    """
-    return with_columns(integral_rows(m)[1])
+    return c, [tuple([(j, x.numerator * (c // x.denominator)) for j, x in row]) for row in nonzero]
 
 
 def with_columns(rows: list[list[tuple[int, int]]]) -> tuple[list, list]:
@@ -159,7 +163,8 @@ def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int]]:
 
     Returns (work, pivots): zero rows are dropped, and work[i] is a
     primitive integer row whose only nonzero entry in a pivot column is at
-    pivots[i].
+    pivots[i].  work[i] is 0 before pivots[i] and positive there, so
+    work[i] / work[i][pivots[i]] is row i of the reduced echelon form.
     """
     work = []
     for row in rows:
@@ -191,21 +196,6 @@ def _eliminate(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int]]:
         if r == len(work):
             break
     return work[:r], pivots
-
-
-def rref(rows: Iterable[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form with the pivot columns.
-
-    Fraction-free elimination on content-reduced integer rows; zero rows are
-    dropped and pivots are normalized to 1 at the end, when only the nonzero
-    entries become Fractions.
-    """
-    work, pivots = _eliminate(rows)
-    reduced = []
-    for row, c in zip(work, pivots):
-        piv = row[c]
-        reduced.append(tuple(Fraction(x, piv) if x else ZERO for x in row))
-    return tuple(reduced), tuple(pivots)
 
 
 def rank(rows: Iterable[Sequence]) -> int:
@@ -330,24 +320,12 @@ def _eigen_shifts(c: int, rows: Sequence[Sequence[tuple[int, int]]]) -> list[tup
     return out
 
 
-def joint_eigenspaces(h1: Matrix, h2: Matrix) -> list[tuple[tuple[Fraction, Fraction], tuple[Vector, ...]]]:
-    """Simultaneous eigenspace decomposition of two commuting matrices.
-
-    Returns sorted ((p, q), basis-of-V_{p,q}) entries, each basis the
-    canonical null space basis of ker(h1 - p) & ker(h2 - q): the vector of
-    each free column is 1 there and 0 at the others.  Raises
-    NotDiagonalizableError unless the joint eigenspaces span Q^n.
-    """
-    return [
-        (key, tuple(tuple(Fraction(x, next(y for y in reversed(v) if y)) for x in v) for v in vecs))
-        for key, vecs in joint_eigenbasis(integral_rows(h1), integral_rows(h2))
-    ]
-
-
 def joint_eigenbasis(h1, h2) -> list[tuple[tuple[Fraction, Fraction], list[list[int]]]]:
-    """joint_eigenspaces of h1 and h2 given by integral_rows, each basis
-    vector scaled to a primitive integer vector with its free entry, the
-    last nonzero one, positive.
+    """Simultaneous eigenspace decomposition of two commuting matrices h1 and
+    h2, given by integral_rows: sorted ((p, q), basis of V_{p,q}) entries,
+    each basis vector a primitive integer vector whose last nonzero entry,
+    at its free column, is positive.  Raises NotDiagonalizableError unless
+    the joint eigenspaces span Q^n.
 
     One integer_nullspace per eigenvalue p of h1 gives ker(h1 - p), spanned
     by primitive v_t, each v_t the one vector with an entry at its free

@@ -342,15 +342,6 @@ def canonical_form(graph: SkewGraph) -> SkewGraph:
     return SkewGraph(tuple(comps))
 
 
-def _key(graph: SkewGraph):
-    return tuple(tuple((nd.x, nd.y) for nd in c.nodes) for c in graph.components)
-
-
-def graph_key(graph: SkewGraph):
-    """Hashable identity of a graph in canonical form."""
-    return _key(canonical_form(graph))
-
-
 def _int_component(cells) -> tuple[int, tuple]:
     """The integer component of k cells: (k, k times each cell minus their
     sum, sorted), that is k times the coordinates about the barycentre."""
@@ -545,7 +536,8 @@ def _admissible_cells(series: str, dimv: int, kind: str, max_nodes: int) -> list
 
 
 def _scaled_key(graph: tuple, scale: int) -> tuple:
-    """_key of the graph's nodes times scale, a multiple of every k: ints, same order."""
+    """The node coordinates of each component, times scale, a multiple of
+    every k: ints, in the order of the Fraction coordinates."""
     key = []
     for k, cells in graph:
         f = scale // k
@@ -568,7 +560,8 @@ def enumerate_admissible(
     series: str, dimv: int, kind: str, *, max_nodes: int = DEFAULT_MAX_NODES
 ) -> tuple[SkewGraph, ...]:
     """Admissible skew-graphs for one classical series, dimension and kind,
-    each in canonical form, in _key order."""
+    each in canonical form, ordered by the coordinates of their nodes,
+    component by component."""
     graphs = _admissible_cells(series, dimv, kind, max_nodes)
     scale = lcm(*range(1, dimv + 1))
     graphs.sort(key=lambda g: _scaled_key(g, scale))

@@ -15,11 +15,20 @@ from typing import Optional
 
 import pytest
 
-from oracles import identity, invert, is_diagonal, mat_add, mat_mul, mat_sub, transpose
+from oracles import (
+    graph_key,
+    identity,
+    invert,
+    is_diagonal,
+    mat_add,
+    mat_mul,
+    mat_sub,
+    matrix,
+    transpose,
+)
 from skewpairs.centralizer import CentralizerReport, analyze
 from skewpairs.liealg import PairRealization, RelationReport, build_pair, realization_to_jsonable, verify_relations
-from skewpairs.linalg import matrix
-from skewpairs.skewgraph import SkewGraph, enumerate_admissible, graph_key
+from skewpairs.skewgraph import SkewGraph, enumerate_admissible
 
 DESK_DIMS = (
     ("A", tuple(range(1, 11))),
@@ -75,8 +84,6 @@ def desk_records() -> tuple[DeskRecord, ...]:
 @pytest.fixture(scope="session")
 def principal_keys() -> dict:
     """graph_key sets of the principal-admissible graphs per (series, dimV)."""
-    from skewpairs.skewgraph import graph_key
-
     keys = {}
     for series, dims in DESK_DIMS:
         for dimv in dims:
@@ -306,3 +313,26 @@ def graph_to_cellset(graph: SkewGraph) -> frozenset:
     cells = frozenset((int(nd.x - mx), int(nd.y - my)) for nd in nodes)
     assert len(cells) == len(nodes)
     return cells
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: closed principal counts
+# ---------------------------------------------------------------------------
+
+def partition_counts(top: int) -> list[int]:
+    """p(0), ..., p(top) by the recurrence over the largest part allowed."""
+    p = [1] + [0] * top
+    for part in range(1, top + 1):
+        for n in range(part, top + 1):
+            p[n] += p[n - part]
+    return p
+
+
+def divisor_count(n: int) -> int:
+    return sum(n % d == 0 for d in range(1, n + 1))
+
+
+def odd_part(n: int) -> int:
+    while n % 2 == 0:
+        n //= 2
+    return n

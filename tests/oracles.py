@@ -1,7 +1,9 @@
 """Routines that the package no longer calls.
 
 The tests use them as oracles for the graded and integer paths: matrix
-arithmetic over Fraction (transposes, inverses, canonical null spaces),
+arithmetic over Fraction (the matrix constructor, the reduced echelon form,
+transposes, inverses, canonical null spaces, joint eigenspaces, brackets
+with a sparse algebra basis element),
 the characteristic polynomial as Fractions, the reduced echelon span of
 matrices, the algebra basis of g inside gl(V), membership in g by
 x^T G + G x, the dense centralizer, a null space over the whole algebra
@@ -16,18 +18,18 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from skewpairs.centralizer import ClosedFormPrediction, _eigenframe, _Frame, _flatten
-from skewpairs.liealg import AlgebraSpec, PairRealization, _conjugate_by_swap
+from skewpairs.liealg import AlgebraSpec, PairRealization
 from skewpairs.linalg import (
     Matrix,
     Vector,
+    _eliminate,
     _integer_charpoly,
     integer_nullspace,
     integral_rows,
-    matrix,
-    rref,
-    sparse_rows_cols,
+    joint_eigenbasis,
+    with_columns,
 )
-from skewpairs.skewgraph import Node
+from skewpairs.skewgraph import Node, SkewGraph, canonical_form
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -36,6 +38,48 @@ ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 # Matrix arithmetic
 # ---------------------------------------------------------------------------
+
+def matrix(rows) -> Matrix:
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def rref(rows) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form with the pivot columns: each row of the
+    package's fraction-free elimination divided by its pivot entry."""
+    work, pivots = _eliminate(rows)
+    reduced = tuple(tuple(Fraction(x, row[c]) if x else ZERO for x in row) for row, c in zip(work, pivots))
+    return reduced, tuple(pivots)
+
+
+def sparse_rows_cols(m: Matrix):
+    """The nonzero entries of integral_rows(m) by row and by column."""
+    return with_columns(integral_rows(m)[1])
+
+
+def conjugate_by_swap(m: Matrix, i: int, j: int) -> Matrix:
+    """P m P for the swap P of basis vectors i and j."""
+    rows = [list(r) for r in m]
+    rows[i], rows[j] = rows[j], rows[i]
+    for r in rows:
+        r[i], r[j] = r[j], r[i]
+    return tuple(tuple(r) for r in rows)
+
+
+def joint_eigenspaces(h1: Matrix, h2: Matrix) -> list:
+    """Sorted ((p, q), basis of V_{p,q}) entries for two commuting matrices,
+    each basis the canonical null space basis of ker(h1 - p) & ker(h2 - q):
+    the package's joint_eigenbasis with each vector scaled to 1 at its free
+    column, its last nonzero entry."""
+    return [
+        (key, tuple(tuple(Fraction(x, next(y for y in reversed(v) if y)) for x in v) for v in vecs))
+        for key, vecs in joint_eigenbasis(integral_rows(h1), integral_rows(h2))
+    ]
+
+
+def graph_key(graph: SkewGraph):
+    """Hashable identity of a graph in canonical form."""
+    return tuple(tuple((nd.x, nd.y) for nd in c.nodes) for c in canonical_form(graph).components)
+
 
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
@@ -225,6 +269,25 @@ def algebra_basis(spec: AlgebraSpec) -> tuple[Matrix, ...]:
 # The dense centralizer
 # ---------------------------------------------------------------------------
 
+def bracket(b: Matrix, m: Matrix) -> Matrix:
+    """[b, m] = b m - m b from the nonzero entries of b, over Fraction: an
+    entry x = b[i][j] adds x times row j of m to row i of b m, and x times
+    column i of m to column j of m b.  For the standard and built forms an
+    algebra basis element has one or two nonzero entries, so this costs
+    O(n) where commutator costs n^3."""
+    n = len(m)
+    out = [[ZERO] * n for _ in range(n)]
+    for i, row in enumerate(b):
+        for j, x in enumerate(row):
+            if x:
+                for k in range(n):
+                    if m[j][k]:
+                        out[i][k] += x * m[j][k]
+                    if m[k][i]:
+                        out[k][j] -= m[k][i] * x
+    return tuple(tuple(row) for row in out)
+
+
 def centralizer(spec: AlgebraSpec, elements: Sequence[Matrix]) -> tuple[Matrix, ...]:
     """Basis of {x in g : [x, m] = 0 for all m}, in reduced echelon form."""
     n = spec.dimv
@@ -235,7 +298,7 @@ def centralizer(spec: AlgebraSpec, elements: Sequence[Matrix]) -> tuple[Matrix, 
     basis = algebra_basis(spec)
     rows = []
     for m in elements:
-        comms = [commutator(b, m) for b in basis]
+        comms = [bracket(b, m) for b in basis]
         for i in range(n):
             for j in range(n):
                 row = [c[i][j] for c in comms]
@@ -371,7 +434,7 @@ def a_operator_matrix(pred: ClosedFormPrediction, r: PairRealization) -> Optiona
     mat = tuple(tuple(row) for row in rows)
     if r.orbit_sign == "minus":
         half = Fraction(1, 2)
-        mat = _conjugate_by_swap(mat, index[(0, Node(half, half))], index[(0, Node(-half, -half))])
+        mat = conjugate_by_swap(mat, index[(0, Node(half, half))], index[(0, Node(-half, -half))])
     return mat
 
 

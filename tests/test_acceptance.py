@@ -8,16 +8,14 @@ import itertools
 import random
 from fractions import Fraction
 
-from conftest import naive_nullspace, oracle_connected_cellsets
-from oracles import commutator, nullspace
+from conftest import divisor_count, naive_nullspace, odd_part, oracle_connected_cellsets, partition_counts
+from oracles import commutator, graph_key, matrix, nullspace
 from skewpairs.catalog import CatalogVerificationError, _closed_form_matches, classify, count_orbits
 from skewpairs.centralizer import _flatten, closed_form_centralizer, graph_from_pair
-from skewpairs.linalg import matrix
 from skewpairs.skewgraph import (
     SkewGraph,
     classify_component,
     component_from_nodes,
-    graph_key,
     graph_to_text,
     rectangle_nodes,
 )
@@ -198,9 +196,19 @@ def test_criterion_08_counting_oracles():
         got = count_orbits(series, dimv, kind)
         if got != oracle:
             failures.append(f"({series},{dimv},{kind}): count {got} != oracle {oracle}")
+    # The whole principal range to dimV 14 against closed formulas: A has
+    # 2 p(n) - d(n) orbits, B (odd n) d(n), C (even n) 2 d(odd part of n).
+    p = partition_counts(14)
+    for n in range(1, 15):
+        closed = {"A": 2 * p[n] - divisor_count(n)}
+        closed["B" if n % 2 else "C"] = divisor_count(n) if n % 2 else 2 * divisor_count(odd_part(n))
+        for series, oracle in closed.items():
+            got = count_orbits(series, n, "principal", max_nodes=14)
+            if got != oracle:
+                failures.append(f"({series},{n},principal): count {got} != closed formula {oracle}")
     if (oracle_a4p, oracle_b9p, oracle_c4p, oracle_a3d) != (7, 3, 2, 4):
         failures.append("oracle values drifted from the frozen expectations")
-    _report(8, "orbit counts match the independent enumeration oracles", failures)
+    _report(8, "orbit counts match the enumeration oracles and the closed principal counts to dimV 14", failures)
 
 
 def test_criterion_09_round_trip(desk_records):

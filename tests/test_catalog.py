@@ -8,8 +8,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from oracles import closed_form_in_span, mat_mul, mat_pow, mat_scale
-from skewpairs import catalog, centralizer, liealg, skewgraph
+from oracles import closed_form_in_span, graph_key, mat_mul, mat_pow, mat_scale
+from skewpairs import catalog, centralizer, liealg, linalg, skewgraph
 from skewpairs.catalog import (
     CSV_COLUMNS,
     _in_span,
@@ -21,11 +21,11 @@ from skewpairs.catalog import (
     graph_hash,
 )
 from skewpairs.centralizer import AOperator, closed_form_centralizer
+from skewpairs.linalg import integral_rows
 from skewpairs.skewgraph import (
     canonical_form,
     classify_component,
     enumerate_admissible,
-    graph_key,
 )
 
 F = Fraction
@@ -187,6 +187,34 @@ def test_classify_validates_each_graph_once(monkeypatch):
         ]
 
 
+def test_built_matrices_are_never_rescanned(monkeypatch):
+    # The desk path (build_pair, verify_relations, analyze over the bench's
+    # distinguished graphs) and the six bench catalog cases, classified and
+    # exported with their matrices, read the sparse forms they were built
+    # with: integral_rows, the scan of a dense matrix, is never called.
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return linalg.integral_rows(m)
+
+    for module in (catalog, centralizer, liealg, linalg):
+        monkeypatch.setattr(module, "integral_rows", counted, raising=False)
+    realizations = 0
+    for series, top in (("A", 7), ("B", 7), ("C", 8), ("D", 8)):
+        for dimv in range(1 if series in "AB" else 2, top + 1, 1 if series == "A" else 2):
+            for g in enumerate_admissible(series, dimv, "distinguished"):
+                for sign in ("plus", "minus") if series == "D" and g.is_connected() else (None,):
+                    r = liealg.build_pair(series, g, sign)
+                    assert liealg.verify_relations(r).ok and centralizer.analyze(r).flags.distinguished
+                    realizations += 1
+    for case in ("A:7:principal", "A:8:principal", "D:10:principal", "D:12:principal", "B:7:distinguished",
+                 "D:8:distinguished"):
+        series, dimv, kind = case.split(":")
+        export_entries(classify(series, int(dimv), kind), "json", include_matrices=True)
+    assert realizations == 305 and calls == []
+
+
 def test_in_span_reduces_every_position_it_reaches():
     # Rows (1, 1, 0, 0) and (0, 0, 2, 1), keyed by leading position.
     rows = {0: (1, [(1, 1)]), 2: (2, [(3, 1)])}
@@ -213,6 +241,11 @@ def _sign_flipped(a: AOperator) -> AOperator:
     return replace(a, actions=((src, dst, -coeff), *rest))
 
 
+def _sparse(basis) -> list:
+    """The integral_rows of each matrix, the form _predicted_in_span reads."""
+    return [integral_rows(m) for m in basis]
+
+
 def test_sparse_closed_form_check_matches_dense_oracle(desk_records):
     """On every principal realization with dimV <= 10 the sparse membership
     check agrees with the dense one (mat_mul powers, in_span), on the
@@ -226,11 +259,11 @@ def test_sparse_closed_form_check_matches_dense_oracle(desk_records):
         r, basis = rec.realization, rec.report.basis
         pred = closed_form_centralizer(rec.series, rec.graph)
         where = (rec.series, rec.dimv, rec.sign, rec.graph)
-        assert _predicted_in_span(pred, r, basis) is closed_form_in_span(pred, r, basis) is True, where
+        assert _predicted_in_span(pred, r, _sparse(basis)) is closed_form_in_span(pred, r, basis) is True, where
         scaled = [mat_scale(F(-2, 3) if i % 2 else F(3, 2), m) for i, m in enumerate(basis)]
-        assert _predicted_in_span(pred, r, scaled), where
+        assert _predicted_in_span(pred, r, _sparse(scaled)), where
         if scaled:
-            assert not _predicted_in_span(pred, r, scaled[1:]), where
+            assert not _predicted_in_span(pred, r, _sparse(scaled[1:])), where
         cases = [("identity", replace(pred, powers=pred.powers | {(0, 0)}), basis)]
         wrong = _wrong_parity_power(r) if rec.series != "A" else None
         if wrong is not None:
@@ -241,7 +274,7 @@ def test_sparse_closed_form_check_matches_dense_oracle(desk_records):
         cases.extend(("dropped", pred, basis[:i] + basis[i + 1:]) for i in range(len(basis)))
         for name, p, b in cases:
             mutated[name] += 1
-            assert _predicted_in_span(p, r, b) is closed_form_in_span(p, r, b) is False, (name, where)
+            assert _predicted_in_span(p, r, _sparse(b)) is closed_form_in_span(p, r, b) is False, (name, where)
     assert len(principal) > 100
     assert min(mutated.values()) > 10, mutated
     assert parity_series == {"B", "C", "D"}

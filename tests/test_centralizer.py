@@ -13,16 +13,20 @@ from oracles import (
     a_operator_matrix,
     algebra_basis,
     blockwise_commutant,
+    bracket,
     canonical_span,
     centralizer,
     commutator,
     eigenframe,
+    graph_key,
     in_span,
     invert,
     mat_add,
     mat_mul,
     mat_scale,
+    matrix,
     span_rref,
+    sparse_rows_cols,
     zeros,
 )
 from skewpairs.centralizer import (
@@ -40,17 +44,15 @@ from skewpairs.centralizer import (
 )
 from skewpairs.liealg import PairRealization, build_pair, make_spec
 from skewpairs.linalg import (
+    dense_matrix,
     integer_nullspace,
-    matrix,
     solve,
-    sparse_rows_cols,
 )
 from skewpairs.skewgraph import (
     Node,
     SkewGraph,
     component_from_nodes,
     enumerate_admissible,
-    graph_key,
     graph_to_text,
     rectangle_nodes,
 )
@@ -116,6 +118,41 @@ def test_centralizer_so6_near_rectangular():
     assert len(centralizer(r.spec, [r.e1, r.e2])) == 3
 
 
+def test_bracket_oracle_matches_full_products():
+    # The oracle forms [b, m] from the nonzero entries of b.  Pinned to two
+    # full products on every realization with dimV <= 4, as built and in the
+    # basis of scaled_shear, where the algebra basis of the moved form is
+    # denser.
+    count = 0
+    for r in small_realizations():
+        if r.spec.dimv > 4:
+            continue
+        for c in (r, _sheared(r)):
+            for b in algebra_basis(c.spec):
+                for m in (c.e1, c.e2, c.h1, c.h2):
+                    assert bracket(b, m) == commutator(b, m), (c.spec.series, r.graph)
+        count += 1
+    assert count > 20
+
+
+def test_report_basis_is_the_dense_oracle_and_survives_replace():
+    # analyze() keeps the basis sparse and builds the dense one on first
+    # read; a report changed by dataclasses.replace keeps that basis, and its
+    # export reads it back from the dense fields.
+    count = 0
+    for r in small_realizations():
+        rep = analyze(r)
+        basis = centralizer(r.spec, [r.e1, r.e2])
+        assert rep.basis == basis and rep.basis is rep.basis, r.graph
+        flipped = replace(rep, flags=replace(rep.flags, rectangular=not rep.flags.rectangular))
+        assert flipped.basis == basis and flipped.nonpositive_witness == rep.nonpositive_witness, r.graph
+        data, back = report_to_jsonable(rep, include_basis=True), report_to_jsonable(flipped, include_basis=True)
+        data["flags"]["rectangular"] = not data["flags"]["rectangular"]
+        assert back == data, r.graph
+        count += rep.nonpositive_witness is not None
+    assert count > 10
+
+
 def test_graded_commutant_agrees_with_dense():
     cases = []
     for series, dims in [("A", (2, 3, 4, 5)), ("B", (3, 5)), ("C", (2, 4)), ("D", (4, 6))]:
@@ -132,7 +169,7 @@ def test_graded_commutant_agrees_with_dense():
             [(r.h1, zero), (r.h2, zero)],
             [(r.h1, zero), (r.h2, zero), (r.e1, d1), (r.e2, d2)],
         ):
-            pieces = _graded_commutant(frame, [sparse_rows_cols(m) for m, _ in elements])
+            pieces = _dense_pieces(_graded_commutant(frame, [sparse_rows_cols(m) for m, _ in elements]))
             graded = canonical_span([m for piece in pieces.values() for _, m in piece], r.spec.dimv)
             dense = centralizer(r.spec, [m for m, _ in elements])
             assert graded == dense, (series, graph_to_text(g))
@@ -143,10 +180,17 @@ def _sheared(r):
     return moved_by(r, scaled_shear(r.spec.dimv))
 
 
+def _dense_pieces(pieces) -> dict:
+    """_graded_commutant pieces with each basis matrix made dense, as the
+    blockwise oracle gives them."""
+    return {d: [(lead, dense_matrix(m)) for lead, m in piece] for d, piece in pieces.items()}
+
+
 def _both_commutants(r):
-    """_graded_commutant of (e1, e2) and the blockwise oracle's, in r's eigenframe."""
+    """_graded_commutant of (e1, e2), made dense, and the blockwise oracle's,
+    in r's eigenframe."""
     frame, (e1, e2) = eigenframe(r.spec, r.h1, r.h2, (r.e1, r.e2))
-    pieces = _graded_commutant(frame, (e1, e2))
+    pieces = _dense_pieces(_graded_commutant(frame, (e1, e2)))
     return pieces, blockwise_commutant(frame, ((e1, (frame.den, 0)), (e2, (0, frame.den))))
 
 
@@ -231,11 +275,11 @@ def test_unbalanced_cycle_kills_its_component():
     swap, turn = matrix([[0, 1], [1, 0]]), matrix([[0, 1], [-1, 0]])
     assert all(len(row) == 2 for row in _rows(frame, [sparse_rows_cols(m) for m in (swap, turn)]))
     for elements in ((swap,), (turn,), (swap, turn)):
-        pieces = _graded_commutant(frame, [sparse_rows_cols(m) for m in elements])
+        pieces = _dense_pieces(_graded_commutant(frame, [sparse_rows_cols(m) for m in elements]))
         assert pieces == blockwise_commutant(frame, [(sparse_rows_cols(m), (0, 0)) for m in elements])
         assert [m for piece in pieces.values() for _, m in piece] == list(centralizer(spec, elements))
     assert _graded_commutant(frame, [sparse_rows_cols(m) for m in (swap, turn)]) == {}
-    assert [m for _, m in _graded_commutant(frame, [sparse_rows_cols(turn)])[(0, 0)]] == [turn]
+    assert [dense_matrix(m) for _, m in _graded_commutant(frame, [sparse_rows_cols(turn)])[(0, 0)]] == [turn]
 
 
 def test_analyze_eliminates_only_blocks_with_long_rows(monkeypatch):

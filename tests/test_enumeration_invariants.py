@@ -1,42 +1,24 @@
 """Enumeration invariants and closed-count oracles.
 
 Every enumerated graph is canonical, admissible and strictly ordered by
-``_key``; the fast count equals the weighted enumeration, builds no node,
+``graph_key``; the fast count equals the weighted enumeration, builds no node,
 and meets the closed principal counts of series A, B and C.
 """
 
 import pytest
 
+from conftest import divisor_count, odd_part, partition_counts
+from oracles import graph_key
 from skewpairs import skewgraph
 from skewpairs.catalog import count_orbits
 from skewpairs.skewgraph import (
     KINDS,
-    _key,
     canonical_form,
     classify_component,
     enumerate_admissible,
     enumerate_connected,
     is_admissible,
 )
-
-
-def partition_counts(top: int) -> list[int]:
-    """p(0), ..., p(top) by the recurrence over the largest part allowed."""
-    p = [1] + [0] * top
-    for part in range(1, top + 1):
-        for n in range(part, top + 1):
-            p[n] += p[n - part]
-    return p
-
-
-def divisor_count(n: int) -> int:
-    return sum(n % d == 0 for d in range(1, n + 1))
-
-
-def odd_part(n: int) -> int:
-    while n % 2 == 0:
-        n //= 2
-    return n
 
 
 def test_partition_recurrence():
@@ -59,7 +41,7 @@ def test_enumeration_is_canonical_admissible_and_strictly_ordered(series):
         if s != series:
             continue
         graphs = enumerate_admissible(series, dimv, kind)
-        keys = [_key(g) for g in graphs]
+        keys = [graph_key(g) for g in graphs]
         assert all(a < b for a, b in zip(keys, keys[1:])), (dimv, kind)
         for g in graphs:
             assert canonical_form(g) == g, (dimv, kind, g)

@@ -6,8 +6,22 @@ from fractions import Fraction
 import pytest
 
 from conftest import distinguished_realizations, large_dimv_document
-from oracles import algebra_basis, commutator, in_algebra, is_zero_matrix, mat_pow, mat_sub, trace, transpose
+from oracles import (
+    algebra_basis,
+    commutator,
+    conjugate_by_swap,
+    in_algebra,
+    is_zero_matrix,
+    mat_pow,
+    mat_scale,
+    mat_sub,
+    matrix,
+    trace,
+    transpose,
+)
+from skewpairs.centralizer import analyze
 from skewpairs.liealg import (
+    BasisLabel,
     NotAdmissibleError,
     RelationReport,
     build_pair,
@@ -17,7 +31,7 @@ from skewpairs.liealg import (
     standard_form,
     verify_relations,
 )
-from skewpairs.linalg import matrix, rank
+from skewpairs.linalg import integral_rows, rank
 from skewpairs.skewgraph import (
     Node,
     SkewGraph,
@@ -305,3 +319,59 @@ def test_realization_json_counts_labels_before_filling():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+# ---------------------------------------------------------------------------
+# The sparse forms carried by a realization
+# ---------------------------------------------------------------------------
+
+def test_built_sparse_forms_are_the_dense_fields_scanned():
+    # build_pair makes integral_rows straight from the cells, scale included:
+    # h1 and h2 hold the node coordinates, half-integral in series B, C, D.
+    half = 0
+    for r in distinguished_realizations(7):
+        assert r._scaled() == tuple(integral_rows(m) for m in (r.e1, r.e2, r.h1, r.h2)), r.graph
+        assert r.spec._scaled() == (None if r.spec.form is None else integral_rows(r.spec.form)), r.graph
+        h1 = tuple(tuple(lb.node.x if i == j else F(0) for j in range(len(r.labels))) for i, lb in enumerate(r.labels))
+        if r.orbit_sign == "minus":
+            i, j = (r.labels.index(BasisLabel(0, Node(v, v))) for v in (F(1, 2), F(-1, 2)))
+            h1 = conjugate_by_swap(h1, i, j)
+        assert r.h1 == h1, r.graph
+        half += any(x.denominator == 2 for row in h1 for x in row)
+    assert half > 30
+
+
+def test_replace_never_carries_a_stale_sparse_form():
+    # dataclasses.replace gives a pair whose relations are checked on its own
+    # matrices, after the sparse forms of the original were in use.
+    count = 0
+    for r in distinguished_realizations(6):
+        if is_zero_matrix(r.e1):
+            continue
+        assert verify_relations(r).ok
+        doubled = replace(r, h1=mat_scale(2, r.h1))
+        assert verify_relations(doubled).failures == ("h1_e1_grading",), r.graph
+        twice = replace(r, e2=r.e1)
+        assert verify_relations(twice).failures == ("h1_e2_grading", "h2_e2_grading"), r.graph
+        with pytest.raises(ValueError, match="relations fail"):
+            analyze(twice)
+        count += 1
+    assert count > 100
+
+
+def test_sparse_document_stays_sparse():
+    # A sparse document is read and checked without any dense matrix: at
+    # dimV 301 one dense matrix alone takes about 1.5 MB.
+    import tracemalloc
+
+    r = build_pair("B", rect_graph(301, 1))
+    data = realization_to_jsonable(r, "sparse")
+    tracemalloc.start()
+    try:
+        back = realization_from_jsonable(data)
+        assert verify_relations(back).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert back == r and realization_to_jsonable(back, "dense") == realization_to_jsonable(r, "dense")

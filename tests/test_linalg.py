@@ -28,12 +28,15 @@ from oracles import (
     in_span,
     invert,
     is_diagonal,
+    joint_eigenspaces,
     mat_add,
     mat_mul,
     mat_scale,
     mat_sub,
     mat_vec,
+    matrix,
     nullspace,
+    rref,
     span_rref,
     trace,
     transpose,
@@ -41,11 +44,8 @@ from oracles import (
 from skewpairs.linalg import (
     NotDiagonalizableError,
     integer_nullspace,
-    joint_eigenspaces,
-    matrix,
     parse_fraction,
     rank,
-    rref,
     solve,
 )
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_to_cellset, oracle_connected_cellsets, oracle_connected_counts
+from oracles import graph_key
 from skewpairs.skewgraph import (
     SYM_INTEGRAL,
     SYM_NON_INTEGRAL,
@@ -30,7 +31,6 @@ from skewpairs.skewgraph import (
     enumerate_connected,
     graph_from_jsonable,
     graph_from_text,
-    graph_key,
     graph_to_jsonable,
     graph_to_text,
     is_admissible,
@@ -439,7 +439,7 @@ def test_admissible_validates_clean():
 
 
 def test_is_admissible_matches_enumeration():
-    from skewpairs.skewgraph import graph_key as key
+    from oracles import graph_key as key
 
     for series, dimv in [("A", 4), ("B", 5), ("C", 6), ("D", 6)]:
         dist = {key(g) for g in enumerate_admissible(series, dimv, "distinguished")}
