@@ -17,21 +17,21 @@ union-find pass over the n^2 positions of gl(V) solves those, and each live
 component is a basis vector of the centralizer.  Only the rows with three
 or more terms are eliminated, per block, in component variables: the
 series-A trace for dimV >= 3, and the rows of a frame in which e or G is
-not monomial.  The other two facts the flags need are read off without
-another solve: z(h) is the (0,0) block of g, and z(h) & z(e) is the (0,0)
-piece of z(e).  Bases are returned in reduced echelon form in the input
-coordinates.  In a moved frame each basis matrix x is mapped back once, as
-the integer product T x T^-1 with both factors scaled to ints (a positive
-scale changes no span), and one fraction-free elimination over these rows
-gives the basis; the nonpositive witness is the first row of the
-elimination of its own piece.
+not monomial.  Bases are returned in reduced echelon form in the input
+coordinates: in a moved frame each basis matrix x is mapped back once, as
+the integer product T x T^-1 with both factors scaled to ints, and one
+fraction-free elimination over these rows gives the basis.
 
-The rows are built once, as sparse int rows, by _form_rows and
-_bracket_rows.  The weights are scaled by their common denominator, so
-bi-degrees are int pairs, and e1, e2 and the Gram matrix are each scaled to
-integers, which changes no commutant and no solvability.  The
-rectangularity test and the rank of the (0,0) block of g make the same rows
-dense over one block and eliminate them.
+The flags need no other solve.  z(h) & z(e) is the (0,0) piece of z(e),
+and z(h) the (0,0) block of g, found by the same union-find pass on the
+O(n) positions of that block.  Rectangularity (Ginzburg: h_i in [e_i, g])
+follows by duality (Kostant): the trace form is invariant and
+nondegenerate on g, so [e, g] is the orthogonal of z_g(e), and h lies in
+it exactly when tr(h z) vanishes on the (0,0) block of z_g(e), again one
+union-find pass.  The rows are built once, as sparse int rows, by
+_form_rows and _bracket_rows.  The weights are scaled by their common
+denominator, so bi-degrees are int pairs, and e1, e2 and the Gram matrix
+are each scaled to integers, which changes no commutant and no image.
 
 The report keeps its basis and witness as integral_rows, each scaled by its
 value at the lead, for the closed-form check and JSON export; the dense
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -56,10 +56,11 @@ from .liealg import (
     BasisLabel,
     PairRealization,
     _bracket_checks,
+    _checked_form,
     _deferred,
-    _scanned_relations,
     _Sparse,
     scaled_to_jsonable,
+    verify_relations,
 )
 from .linalg import (
     Matrix,
@@ -72,7 +73,6 @@ from .linalg import (
     integral_rows,
     joint_eigenbasis,
     rank,
-    solve,
     with_columns,
 )
 from .skewgraph import (
@@ -178,6 +178,19 @@ class _Frame:
         """The exact bi-degree of an int degree d."""
         return Fraction(d[0], self.den), Fraction(d[1], self.den)
 
+    @cached_property
+    def at(self) -> dict[tuple[int, int], list[int]]:
+        """The basis indices grouped by weight, in increasing order."""
+        at: dict[tuple[int, int], list[int]] = {}
+        for i, w in enumerate(self.weights):
+            at.setdefault(w, []).append(i)
+        return at
+
+    def block(self, delta: tuple[int, int]) -> list[int]:
+        """The positions i * n + j of gl(V) with w_i - w_j = delta."""
+        n, (d0, d1) = len(self.weights), delta
+        return [i * n + j for w, left in self.at.items() for i in left for j in self.at.get((w[0] - d0, w[1] - d1), ())]
+
 
 def _sandwich(left, rows, right) -> list[list[int]]:
     """The integer product L M R, M by its nonzero rows, L by dense rows and
@@ -251,27 +264,6 @@ def _eigenframe(spec: AlgebraSpec, h1, h2, mats, gram):
     return _Frame(spec, den, weights, gram, t, t_inv), moved
 
 
-@lru_cache(maxsize=4096)
-def _weight_tables(weights):
-    """Flat positions i * n + j of gl(V) grouped by bi-degree, and index
-    pairs (a, b) grouped by weight sum."""
-    n = len(weights)
-    blocks: dict[tuple[int, int], list[int]] = {}
-    sums: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i in range(n):
-        wi = weights[i]
-        for j in range(n):
-            wj = weights[j]
-            blocks.setdefault((wi[0] - wj[0], wi[1] - wj[1]), []).append(i * n + j)
-            sums.setdefault((wi[0] + wj[0], wi[1] + wj[1]), []).append((i, j))
-    return blocks, sums
-
-
-def _block_index(weights, delta) -> dict[int, int]:
-    """Coordinates of the bi-degree-delta block of gl(V): position -> column."""
-    return {p: t for t, p in enumerate(_weight_tables(weights)[0].get(delta, ()))}
-
-
 def _summed(terms: list) -> list:
     """A sparse row from (position, coefficient) terms: equal positions summed,
     zero coefficients dropped.  The terms come in two runs of distinct
@@ -284,9 +276,9 @@ def _summed(terms: list) -> list:
     return [(p, c) for p, c in acc.items() if c]
 
 
-def _form_rows(frame: _Frame, delta=None) -> list[list[tuple[int, int]]]:
+def _form_rows(frame: _Frame, zero_block: bool = False) -> list[list[tuple[int, int]]]:
     """The condition x in g as sparse rows, all of them or those of the
-    bi-degree-delta block.
+    (0,0) block.
 
     A sparse row lists (position, int coefficient) pairs, positions i * n + j
     distinct and coefficients nonzero.  Series A has the trace, whose one row
@@ -296,12 +288,13 @@ def _form_rows(frame: _Frame, delta=None) -> list[list[tuple[int, int]]]:
     """
     n = len(frame.weights)
     if frame.spec.series == "A":
-        return [[(i * n + i, 1) for i in range(n)]] if delta in (None, DEGREE_0) else []
+        return [[(i * n + i, 1) for i in range(n)]]
     g_rows, g_cols = frame.gram
-    if delta is None:
-        pairs = ((a, b) for a in range(n) for b in range(n))
+    if zero_block:
+        at = frame.at
+        pairs = ((a, b) for w, left in at.items() for a in left for b in at.get((-w[0], -w[1]), ()))
     else:
-        pairs = _weight_tables(frame.weights)[1].get((-delta[0], -delta[1]), ())
+        pairs = ((a, b) for a in range(n) for b in range(n))
     rows = []
     for a, b in pairs:
         row = _summed([(c * n + a, val) for c, val in g_cols[b]] + [(c * n + b, val) for c, val in g_rows[a]])
@@ -318,48 +311,18 @@ def _bracket_rows(n: int, sparse_m, targets):
         yield i, j, _summed([(i * n + t, val) for t, val in m_cols[j]] + [(t * n + j, -val) for t, val in m_rows[i]])
 
 
-def _dense(row, pidx) -> list[int]:
-    """A sparse row as a dense one over the block coordinates pidx."""
-    out = [0] * len(pidx)
-    for p, c in row:
-        out[pidx[p]] = c
-    return out
+def _unite(positions, rows) -> tuple[list, list]:
+    """One signed union-find pass of sparse rows over these positions.
 
-
-def _graded_commutant(frame: _Frame, elements) -> dict:
-    """{x in g : [x, m] = 0 for all m in elements} by one signed union-find
-    pass over the positions of gl(V).
-
-    elements holds with_columns forms of matrices m, each bi-homogeneous
-    for the frame's weights, so every row lies in one bi-degree block.  A row
-    a x_u + b x_v = 0 unites u and v with the ratio x_v / x_u = -a / b, an
-    int while the division is exact; a row with one term, or a cycle whose
-    ratios do not close, forces its component to 0.  A live component is
-    one kernel vector, and components have disjoint supports, so in a block
-    that only such rows meet, its components, each scaled to a leading 1
-    and ordered by leading position, are the reduced echelon basis of the
-    kernel.  Rows of three or more terms (the series-A trace, and rows of a
-    frame in which e or G is not monomial) are solved per block by
-    integer_nullspace, in the component variables of that block.
-
-    Returns {degree: piece} for the nonzero graded pieces, each piece the
-    reduced echelon basis of its block as (lead, (c, rows)) pairs in order of
-    lead, the position (i, j) of the leading 1: the basis matrix is given by
-    its integral_rows, its int entries over c, which is the entry at lead.
-    Together the pieces span z(elements) in g.
-    """
-    weights = frame.weights
-    n = len(weights)
-    rows = _form_rows(frame)
-    for m in elements:
-        m_rows, m_cols = m
-        targets = [(i, j) for i in range(n) for j in range(n) if m_rows[i] or m_cols[j]]
-        rows.extend(row for _, _, row in _bracket_rows(n, m, targets) if row)
-
-    # x_p = ratio[p] * x_parent[p]; a root has ratio 1.
-    parent = list(range(n * n))
-    ratio: list = [1] * (n * n)
-    dead = [False] * (n * n)
+    A row a x_u + b x_v = 0 unites u and v with the ratio x_v / x_u = -a / b,
+    an int while the division is exact; a row with one term, or a cycle
+    whose ratios do not close, forces its component to 0.  Returns
+    (components, rows of three or more terms): each live component, a
+    kernel vector of the shorter rows, by its (position, x_p / x_root)
+    pairs in the order of positions, ordered by first position."""
+    parent = {p: p for p in positions}
+    ratio = dict.fromkeys(parent, 1)
+    dead = set()
 
     def find(p: int) -> int:
         path = []
@@ -376,7 +339,7 @@ def _graded_commutant(frame: _Frame, elements) -> dict:
     long_rows = []
     for row in rows:
         if len(row) == 1:
-            dead[find(row[0][0])] = True
+            dead.add(find(row[0][0]))
         elif len(row) == 2:
             (u, a), (v, b) = row
             ru, rv = parent[u], parent[v]
@@ -388,29 +351,74 @@ def _graded_commutant(frame: _Frame, elements) -> dict:
             b *= ratio[v]
             if ru == rv:
                 if a + b:
-                    dead[ru] = True
+                    dead.add(ru)
             else:
                 # a x_ru + b x_rv = 0
                 parent[rv] = ru
                 ratio[rv] = -a // b if type(a) is int and type(b) is int and a % b == 0 else Fraction(-a, b)
-                dead[ru] = dead[ru] or dead[rv]
+                if rv in dead:
+                    dead.add(ru)
         else:
             long_rows.append(row)
+
+    components: dict[int, list] = {}
+    for p, root in parent.items():
+        if parent[root] != root:
+            root = find(p)
+        if root not in dead:
+            components.setdefault(root, []).append((p, ratio[p]))
+    return list(components.values()), long_rows
+
+
+def _component_rows(components, rows) -> tuple[dict, list[list]]:
+    """(owner, rows in the coordinates y_k of the components): x_p = ratio y_k
+    on component k, owner maps p to (k, ratio), so a row sum c x_p becomes
+    sum c ratio y_k, and positions outside every component drop out."""
+    owner = {p: (k, x) for k, comp in enumerate(components) for p, x in comp}
+    system = []
+    for row in rows:
+        dense = [0] * len(components)
+        for p, c in row:
+            hit = owner.get(p)
+            if hit is not None:
+                dense[hit[0]] += c * hit[1]
+        system.append(dense)
+    return owner, system
+
+
+def _graded_commutant(frame: _Frame, elements) -> dict:
+    """{x in g : [x, m] = 0 for all m in elements} by one signed union-find
+    pass over the positions of gl(V).
+
+    elements holds with_columns forms of matrices m, each bi-homogeneous
+    for the frame's weights, so every row lies in one bi-degree block.  The
+    components of _unite have disjoint supports, so in a block without long
+    rows they are, each scaled to a leading 1, the reduced echelon basis of
+    the kernel; long rows are solved per block by integer_nullspace in
+    component variables.
+
+    Returns {degree: piece} for the nonzero graded pieces, each piece the
+    reduced echelon basis of its block as (lead, (c, rows)) pairs in order of
+    lead, the position (i, j) of the leading 1: the basis matrix is given by
+    its integral_rows, its int entries over c, which is the entry at lead.
+    Together the pieces span z(elements) in g.
+    """
+    weights = frame.weights
+    n = len(weights)
+    rows = _form_rows(frame)
+    for m in elements:
+        m_rows, m_cols = m
+        targets = [(i, j) for i in range(n) for j in range(n) if m_rows[i] or m_cols[j]]
+        rows.extend(row for _, _, row in _bracket_rows(n, m, targets) if row)
+    components, long_rows = _unite(range(n * n), rows)
 
     def degree(p: int) -> tuple[int, int]:
         wi, wj = weights[p // n], weights[p % n]
         return wi[0] - wj[0], wi[1] - wj[1]
 
-    supports: dict[int, list[int]] = {}
-    for p in range(n * n):
-        root = parent[p]
-        if parent[root] != root:
-            root = find(p)
-        if not dead[root]:
-            supports.setdefault(root, []).append(p)
-    by_degree: dict[tuple[int, int], list[list[int]]] = {}
-    for support in supports.values():
-        by_degree.setdefault(degree(support[0]), []).append(support)
+    by_degree: dict[tuple[int, int], list] = {}
+    for comp in components:
+        by_degree.setdefault(degree(comp[0][0]), []).append(comp)
     long_by_degree: dict[tuple[int, int], list] = {}
     for row in long_rows:
         long_by_degree.setdefault(degree(row[0][0]), []).append(row)
@@ -420,23 +428,16 @@ def _graded_commutant(frame: _Frame, elements) -> dict:
         block = by_degree[delta]
         if delta not in long_by_degree:
             pieces[delta] = [
-                (divmod(s[0], n), _by_rows(n, list(zip(s, _primitive([ratio[p] for p in s]))))) for s in block
+                (divmod(comp[0][0], n), _by_rows(n, list(zip((p for p, _ in comp), _primitive([x for _, x in comp])))))
+                for comp in block
             ]
             continue
-        col = {find(s[0]): k for k, s in enumerate(block)}
-        system = []
-        for row in long_by_degree[delta]:
-            dense = [0] * len(col)
-            for p, c in row:
-                k = col.get(find(p))
-                if k is not None:
-                    dense[k] += c * ratio[p]
-            system.append(dense)
-        null = integer_nullspace(system, len(col))
+        owner, system = _component_rows(block, long_by_degree[delta])
+        null = integer_nullspace(system, len(block))
         if not null:
             continue
-        positions = sorted(p for s in block for p in s)
-        reduced, leads = _eliminate([v[col[find(p)]] * ratio[p] for p in positions] for _, v in null)
+        positions = sorted(owner)
+        reduced, leads = _eliminate([v[owner[p][0]] * owner[p][1] for p in positions] for _, v in null)
         pieces[delta] = [
             (divmod(positions[lead], n), _by_rows(n, [(p, x) for p, x in zip(positions, vec) if x]))
             for vec, lead in zip(reduced, leads)
@@ -484,29 +485,37 @@ def bigrade(spec: AlgebraSpec, h1: Matrix, h2: Matrix, subspace_basis: Sequence[
 # Rectangularity
 # ---------------------------------------------------------------------------
 
-def _graded_image_solvable(frame: _Frame, e, side: int) -> bool:
-    """Whether [e, x] = h for some x in g, in the eigenframe.
+def _zero_block(frame: _Frame, e=None, side: int = 0) -> tuple[list, list]:
+    """The (0,0) block of g, or of z_g(e) for e1 (side 0) or e2 (side 1) by
+    with_columns, as (components of _unite, long rows in their coordinates):
+    the kernel is {sum y_k component_k : the long rows vanish at y}.  [x, e]
+    lands in the block of e's degree, den along its side."""
+    n = len(frame.weights)
+    rows = _form_rows(frame, zero_block=True)
+    if e is not None:
+        targets = (divmod(p, n) for p in frame.block((frame.den, 0) if side == 0 else (0, frame.den)))
+        rows.extend(row for _, _, row in _bracket_rows(n, e, targets) if row)
+    components, long_rows = _unite(frame.block(DEGREE_0), rows)
+    return components, _component_rows(components, long_rows)[1] if long_rows else []
 
-    e, given by with_columns, is e1 (side 0) or e2 (side 1), of degree
-    den along its side, and h the matching h1 or h2: the diagonal matrix of
-    that weight coordinate, which is den * h.  ad e raises degree by de, so
-    x can be sought in the degree -de block; the system is [x, e] = -h on
-    the (0,0) block that [x, e] lands in.
+
+def _h_in_image(frame: _Frame, e, side: int) -> bool:
+    """Whether [e, x] = h for some x in g; e by with_columns is e1 (side 0)
+    or e2 (side 1), and h the matching h1 or h2.
+
+    The trace form is nondegenerate and invariant on g, so h lies in the
+    image of ad e exactly when tr(h z) = 0 for every z in z_g(e).  den h is
+    diagonal with the weights along its side, and the form pairs bi-degree
+    d only with -d, so phi(z) = sum_i w_i z_ii must vanish on the (0,0)
+    block of z_g(e): on each component, or, when long rows cut that kernel
+    down, on each vector of its basis in component coordinates.
     """
-    weights = frame.weights
-    n = len(weights)
-    de = (frame.den, 0) if side == 0 else (0, frame.den)
-    delta = (-de[0], -de[1])
-    pidx = _block_index(weights, delta)
-    rows = [_dense(row, pidx) for row in _form_rows(frame, delta)]
-    rhs = [0] * len(rows)
-    targets = (divmod(p, n) for p in _weight_tables(weights)[0][DEGREE_0])
-    for i, j, row in _bracket_rows(n, e, targets):
-        h = weights[i][side] if i == j else 0
-        if row or h:
-            rows.append(_dense(row, pidx))
-            rhs.append(-h)
-    return solve(rows, rhs) is not None
+    n = len(frame.weights)
+    components, system = _zero_block(frame, e, side)
+    phi = [sum(frame.weights[p // n][side] * x for p, x in comp if p % (n + 1) == 0) for comp in components]
+    if not system:
+        return not any(phi)
+    return not any(sum(a * b for a, b in zip(phi, v)) for _, v in integer_nullspace(system, len(components)))
 
 
 def _rectangularity(frame: _Frame, e1, e2) -> bool:
@@ -514,8 +523,8 @@ def _rectangularity(frame: _Frame, e1, e2) -> bool:
 
     Raises NormalFormError when they disagree.
     """
-    side1 = _graded_image_solvable(frame, e1, 0)
-    side2 = _graded_image_solvable(frame, e2, 1)
+    side1 = _h_in_image(frame, e1, 0)
+    side2 = _h_in_image(frame, e2, 1)
     if side1 != side2:
         # Only a pair outside the classification gets here, such as a verify
         # document whose e1 or e2 was edited.
@@ -527,14 +536,17 @@ def _rectangularity(frame: _Frame, e1, e2) -> bool:
 
 
 def _framed(r: PairRealization):
-    """verify_relations, then the eigenframe of r: (frame, (e1, e2)), e1 and
-    e2 in that frame by with_columns, from the rows and the Gram matrix
-    that the relation check scanned."""
-    rep, scaled, gram = _scanned_relations(r)
+    """The relation report verify_relations kept on r (else a new one), then
+    the eigenframe of r: (frame, (e1, e2)), e1 and e2 in that frame by
+    with_columns, from the sparse forms of r and its Gram matrix.  Raises
+    ValueError when a relation fails or the Gram matrix is not symmetric
+    (B, D) or alternating (C)."""
+    rep = r._relations or verify_relations(r)
     if not rep.ok:
         raise ValueError(f"relations fail: {', '.join(rep.failures)}")
-    e1, e2, h1, h2 = scaled
-    return _eigenframe(r.spec, h1, h2, (e1, e2), gram)
+    gram = _checked_form(r.spec.series, r.spec._scaled())
+    e1, e2, h1, h2 = r._scaled()
+    return _eigenframe(r.spec, h1, h2, (e1, e2), None if gram is None else with_columns(gram[1]))
 
 
 def is_rectangular_pair(r: PairRealization) -> bool:
@@ -553,8 +565,7 @@ def is_rectangular_pair(r: PairRealization) -> bool:
 def analyze(r: PairRealization) -> CentralizerReport:
     """Centralizer dimensions, bi-exponents and all classification flags."""
     frame, (e1, e2) = _framed(r)
-    spec, weights = frame.spec, frame.weights
-    n = spec.dimv
+    spec, n = frame.spec, r.spec.dimv
     pieces = _graded_commutant(frame, (e1, e2))
 
     if frame.t is None:
@@ -573,8 +584,8 @@ def analyze(r: PairRealization) -> CentralizerReport:
         reduced, _ = _eliminate(row for rows in mapped.values() for row in rows)
         basis = tuple(_by_rows(n, [(p, x) for p, x in enumerate(v) if x]) for v in reduced)
     # z(h) is the (0,0) block of g, and z(h) & z(e) the (0,0) piece of z(e).
-    zero_block = _block_index(weights, DEGREE_0)
-    cartan_h = len(zero_block) - rank([_dense(row, zero_block) for row in _form_rows(frame, DEGREE_0)]) == spec.rank
+    components, system = _zero_block(frame)
+    cartan_h = len(components) - (rank(system) if system else 0) == spec.rank
     trivial = DEGREE_0 not in pieces
 
     table = tuple((frame.degree(d), len(pieces[d])) for d in sorted(pieces))
@@ -766,13 +777,14 @@ def _closed_form(series: str, graph: SkewGraph, shapes: list) -> ClosedFormPredi
 # Graph reconstruction
 # ---------------------------------------------------------------------------
 
-def _split_origin(frame: _Frame, moved, at: dict) -> list:
+def _split_origin(frame: _Frame, moved) -> list:
     """e1, e2, by their nonzero rows, with the (0,0)-eigenspace, frame vectors
     a and b, split in two lines: the e-images from the (-1,0) and (0,-1)
     nodes, or the one hit line and its Gram-orthogonal complement.  Columns a
     and b become the images of the lines, and rows a and b the coordinates
     along them, up to one factor.
     """
+    at = frame.at
     a, b = at[DEGREE_0]
     n = len(frame.weights)
     dense = [[[d.get(j, 0) for j in range(n)] for d in map(dict, rows)] for rows in moved]
@@ -829,35 +841,21 @@ def graph_from_pair(spec: AlgebraSpec, e1: Matrix, e2: Matrix, h1: Matrix, h2: M
     gram = spec._scaled()
     frame, moved = _eigenframe(spec, scaled[2], scaled[3], scaled[:2], None if gram is None else with_columns(gram[1]))
     moved = [rows for rows, _ in moved]
-    at: dict[tuple[int, int], list[int]] = {}
-    for i, w in enumerate(frame.weights):
-        at.setdefault(w, []).append(i)
+    at = frame.at
     for w in sorted(w for w in at if len(at[w]) > 1):
         if w != DEGREE_0 or len(at[w]) != 2 or spec.series != "D":
             raise NormalFormError(
                 f"eigenspace at {frame.degree(w)} has dimension {len(at[w])}; the pair is not in normal form"
             )
-        moved = _split_origin(frame, moved, at)
+        moved = _split_origin(frame, moved)
 
-    parent = list(range(len(frame.weights)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for rows in moved:
-        for i, row in enumerate(rows):
-            for j, _ in row:
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for i, w in enumerate(frame.weights):
-        groups.setdefault(find(i), []).append(w)
-    if any(len(set(ws)) != len(ws) for ws in groups.values()):
+    # Each arrow i -> j is the row x_i - x_j = 0, so the live components of
+    # _unite, in the order of their first index, are the graph's components.
+    arrows = [[(i, 1), (j, -1)] for rows in moved for i, row in enumerate(rows) for j, _ in row]
+    groups = [[frame.weights[i] for i, _ in comp] for comp in _unite(range(len(frame.weights)), arrows)[0]]
+    if any(len(set(ws)) != len(ws) for ws in groups):
         raise NormalFormError("a reconstructed component repeats a node; not in normal form")
-    comps = (component_from_nodes(Node(*frame.degree(w)) for w in ws) for ws in groups.values())
+    comps = (component_from_nodes(Node(*frame.degree(w)) for w in ws) for ws in groups)
     graph = canonical_form(SkewGraph(tuple(comps)))
     findings = validate(graph)
     if findings:

@@ -116,6 +116,8 @@ class PairRealization(_Sparse):
     orbit_sign: Optional[str] = None
     # integral_rows of e1, e2, h1 and h2: read them by _scaled().
     _sparse: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # verify_relations(self), kept by its first call.
+    _relations: Optional[RelationReport] = field(default=None, init=False, repr=False, compare=False)
 
     def _build(self, name: str):
         return dense_matrix(self._sparse[_MATRICES.index(name)])
@@ -330,25 +332,34 @@ def verify_relations(r: PairRealization) -> RelationReport:
 
     The brackets and x^T G + G x are computed from the nonzero entries of
     integer multiples of the matrices; membership in g does not change under
-    scaling either.
+    scaling either.  The report is kept on r for analyze() to read; an
+    instance made by dataclasses.replace() is checked afresh.
     """
-    return _scanned_relations(r)[0]
+    if r._relations is None:
+        spec, scaled = r.spec, r._scaled()
+        gram = spec._scaled()
+        gram_rows_cols = None if gram is None else with_columns(gram[1])
+        checks = _bracket_checks(scaled) + [
+            (f"{name}_in_algebra", _in_algebra(spec, rows, gram_rows_cols))
+            for name, (_, rows) in zip(_MATRICES, scaled)
+        ]
+        checks.append(("form_nondegenerate", gram is None or _nondegenerate(gram[1], spec.dimv)))
+        r.__dict__["_relations"] = RelationReport(tuple(checks))
+    return r._relations
 
 
-def _scanned_relations(r: PairRealization) -> tuple[RelationReport, list, Optional[tuple]]:
-    """verify_relations(r), the integral_rows of e1, e2, h1 and h2 it read,
-    and the Gram matrix's nonzero entries by row and by column (None without
-    a form), all from the sparse forms of r and its spec."""
-    spec = r.spec
-    scaled = list(r._scaled())
-    gram = spec._scaled()
-    gram_rows_cols = None if gram is None else with_columns(gram[1])
-    checks = _bracket_checks(scaled) + [
-        (f"{name}_in_algebra", _in_algebra(spec, rows, gram_rows_cols))
-        for name, (_, rows) in zip(_MATRICES, scaled)
-    ]
-    checks.append(("form_nondegenerate", gram is None or _nondegenerate(gram[1], spec.dimv)))
-    return RelationReport(tuple(checks)), scaled, gram_rows_cols
+def _checked_form(series: str, gram: Optional[tuple]) -> Optional[tuple]:
+    """gram, integral_rows of a Gram matrix or None, if it is symmetric (B, D)
+    or alternating (C), else ValueError: the rectangularity test needs g to
+    be so(G) or sp(G), on which the trace form is nondegenerate."""
+    if gram is None or series == "A":
+        return gram
+    sign = -1 if series == "C" else 1
+    entries = {(i, j): x for i, row in enumerate(gram[1]) for j, x in row}
+    if any(entries.get((j, i)) != sign * x for (i, j), x in entries.items()):
+        kind = "alternating" if sign < 0 else "symmetric"
+        raise ValueError(f"the gram matrix of a series {series} realization must be {kind}")
+    return gram
 
 
 def _nondegenerate(rows: list, n: int) -> bool:
@@ -447,9 +458,9 @@ def realization_from_jsonable(data: dict) -> PairRealization:
 
     Raises ValueError when a value has the wrong JSON type, when a matrix is
     not dimV x dimV, when the label count differs from dimV, when series B,
-    C or D comes without a Gram matrix, or when a number has a zero
-    denominator.  Sparse matrices stay sparse: their dense fields are built
-    only when read.
+    C or D comes without a Gram matrix or with one that is not symmetric
+    (B, D) or alternating (C), or when a number has a zero denominator.
+    Sparse matrices stay sparse: their dense fields are built only when read.
     """
 
     if not isinstance(data, dict):
@@ -472,6 +483,7 @@ def realization_from_jsonable(data: dict) -> PairRealization:
     elif series != "A":
         raise ValueError(f"a series {series} realization needs its gram matrix")
     spec = _sparse_spec(series, n, gram, **({} if form is None else {"form": form}))
+    _checked_form(series, gram)
     mats = [_square(data[name], n, name, parse) for name in _MATRICES]
     dense = {name: m for name, (m, _) in zip(_MATRICES, mats) if m is not None}
     graph = graph_from_jsonable(data["graph"])

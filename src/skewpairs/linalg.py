@@ -6,9 +6,10 @@ fraction-free: rows are scaled to primitive integer vectors and eliminated
 with the two-row integer rule, so the reduced echelon form comes out as
 primitive integer rows, each positive at its pivot.  Pivoting is by first
 nonzero column, ties broken by row order, so every result is
-deterministic.  The centralizer solve reaches elimination only for its
-rows of three or more terms, the rectangularity test and the rank of the
-(0,0) block of g; union-find solves the rest.
+deterministic.  The centralizer, the rectangularity test and the rank of
+the (0,0) block of g reach elimination only for their rows of three or
+more terms; union-find solves the rest, and no inhomogeneous system is
+solved.
 
 Eigenvalues come from integers too.  With c the least common denominator
 of h, the characteristic polynomial of the integer matrix c h is monic over
@@ -34,7 +35,7 @@ import reprlib
 import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 Matrix = tuple
 Vector = tuple
@@ -225,22 +226,6 @@ def integer_nullspace(rows: Iterable[Sequence], ncols: int) -> list[tuple[int, l
         g = gcd(*v)
         out.append((free, [x // g for x in v] if g > 1 else v))
     return out
-
-
-def solve(rows: Iterable[Sequence], rhs: Sequence) -> Optional[Vector]:
-    """One solution of A x = b (free variables set to 0), or None if inconsistent."""
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    if not aug:
-        return ()
-    ncols = len(aug[0]) - 1
-    work, pivots = _eliminate(aug)
-    if ncols in pivots:
-        return None
-    x = [ZERO] * ncols
-    for row, p in zip(work, pivots):
-        if row[ncols]:
-            x[p] = Fraction(row[ncols], row[p])
-    return tuple(x)
 
 
 def integer_inverse(rows: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .linalg import parse_fraction
 
@@ -143,6 +143,16 @@ def _cell_offsets(comp: Component) -> Optional[list[tuple[int, int]]]:
     return out
 
 
+def _coordinate_sums(nodes: Sequence[Node]) -> tuple[Fraction, Fraction]:
+    """The exact sums of the x and of the y coordinates of these nodes: the
+    numerators are added as ints over their least common denominator."""
+    sums = []
+    for xs in ([nd.x for nd in nodes], [nd.y for nd in nodes]):
+        d = lcm(*(x.denominator for x in xs))
+        sums.append(Fraction(sum(x.numerator * (d // x.denominator) for x in xs), d))
+    return sums[0], sums[1]
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -183,8 +193,7 @@ def _validated(graph: SkewGraph) -> tuple[list[str], list[Optional[frozenset]]]:
         comp_cells, comp_findings = _component_cells(i, comp)
         cells.append(comp_cells)
         findings.extend(comp_findings)
-    sx = sum((nd.x for c in graph.components for nd in c.nodes), Fraction(0))
-    sy = sum((nd.y for c in graph.components for nd in c.nodes), Fraction(0))
+    sx, sy = _coordinate_sums([nd for c in graph.components for nd in c.nodes])
     if sx or sy:
         findings.append(f"barycentre is ({sx},{sy}), not the origin")
     # Components may share only (0,0), and at most two may hold it.
@@ -328,8 +337,8 @@ def _near_rectangular_cellsets(width: int, height: int) -> tuple[tuple[str, froz
 def canonical_form(graph: SkewGraph) -> SkewGraph:
     """Translate the multiset barycentre to the origin and sort everything."""
     n = graph.n_nodes
-    sx = sum((nd.x for c in graph.components for nd in c.nodes), Fraction(0)) / n
-    sy = sum((nd.y for c in graph.components for nd in c.nodes), Fraction(0)) / n
+    sx, sy = _coordinate_sums([nd for c in graph.components for nd in c.nodes])
+    sx, sy = sx / n, sy / n
     if sx or sy:
         comps = [component_from_nodes(nd.shifted(-sx, -sy) for nd in c.nodes) for c in graph.components]
     else:
@@ -596,12 +605,7 @@ def _shapes_admissible(series: str, graph: SkewGraph, kind: str, shapes: list[Sh
             return False
         return kind == "distinguished" or shapes[0].young != "neither"
 
-    centered = all(
-        sum((nd.x for nd in c.nodes), Fraction(0)) == 0
-        and sum((nd.y for nd in c.nodes), Fraction(0)) == 0
-        for c in comps
-    )
-    if not centered:
+    if any(_coordinate_sums(c.nodes) != (0, 0) for c in comps):
         return False
 
     if series == "B":

@@ -2,8 +2,8 @@
 
 The tests use them as oracles for the graded and integer paths: matrix
 arithmetic over Fraction (the matrix constructor, the reduced echelon form,
-transposes, inverses, canonical null spaces, joint eigenspaces, brackets
-with a sparse algebra basis element),
+transposes, inverses, canonical null spaces, one solution of A x = b,
+joint eigenspaces, brackets with a sparse algebra basis element),
 the characteristic polynomial as Fractions, the reduced echelon span of
 matrices, the algebra basis of g inside gl(V), membership in g by
 x^T G + G x, the dense centralizer, a null space over the whole algebra
@@ -104,6 +104,22 @@ def nullspace(rows, ncols: int) -> tuple[Vector, ...]:
         tuple(Fraction(x, v[free]) if x else ZERO for x in v)
         for free, v in integer_nullspace(rows, ncols)
     )
+
+
+def solve(rows, rhs: Sequence) -> Optional[Vector]:
+    """One solution of A x = b (free variables set to 0), or None if inconsistent."""
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    if not aug:
+        return ()
+    ncols = len(aug[0]) - 1
+    work, pivots = _eliminate(aug)
+    if ncols in pivots:
+        return None
+    x = [ZERO] * ncols
+    for row, p in zip(work, pivots):
+        if row[ncols]:
+            x[p] = Fraction(row[ncols], row[p])
+    return tuple(x)
 
 
 def identity(n: int) -> Matrix:

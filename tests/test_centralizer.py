@@ -25,6 +25,7 @@ from oracles import (
     mat_mul,
     mat_scale,
     matrix,
+    solve,
     span_rref,
     sparse_rows_cols,
     zeros,
@@ -46,7 +47,6 @@ from skewpairs.liealg import PairRealization, build_pair, make_spec
 from skewpairs.linalg import (
     dense_matrix,
     integer_nullspace,
-    solve,
 )
 from skewpairs.skewgraph import (
     Node,
@@ -285,16 +285,28 @@ def test_unbalanced_cycle_kills_its_component():
 def test_analyze_eliminates_only_blocks_with_long_rows(monkeypatch):
     # On a built pair e1, e2 and the Gram matrix are signed monomial
     # matrices, so the only row of three or more terms is the trace of
-    # sl(n), n >= 3: one integer_nullspace call in series A, none in B, C, D.
+    # sl(n), n >= 3: in series A one integer_nullspace call for its block of
+    # the centralizer and one for each side of the rectangularity test, none
+    # in B, C, D.  The rectangularity test and the rank of the (0,0) block
+    # of g take the same union-find pass, so in B, C and D nothing is
+    # eliminated at all.
     import skewpairs.centralizer as centralizer_module
+    import skewpairs.linalg as linalg_module
 
-    calls = []
+    calls, eliminations = [], []
 
     def counting(rows, ncols):
         calls.append(ncols)
         return integer_nullspace(rows, ncols)
 
+    def eliminating(rows):
+        eliminations.append(1)
+        return eliminate(rows)
+
+    eliminate = linalg_module._eliminate
     monkeypatch.setattr(centralizer_module, "integer_nullspace", counting)
+    monkeypatch.setattr(centralizer_module, "_eliminate", eliminating)
+    monkeypatch.setattr(linalg_module, "_eliminate", eliminating)
     count = 0
     for r in distinguished_realizations(8):
         frame, e = eigenframe(r.spec, r.h1, r.h2, (r.e1, r.e2))
@@ -304,9 +316,12 @@ def test_analyze_eliminates_only_blocks_with_long_rows(monkeypatch):
             for row in _rows(frame, e)
             if len(row) > 2
         }
-        del calls[:]
+        del calls[:], eliminations[:]
         analyze(r)
-        assert len(calls) == len(long_blocks) == (r.spec.series == "A" and n >= 3), (r.spec.series, r.graph)
+        trace_rows = r.spec.series == "A" and n >= 3
+        assert (len(calls), len(long_blocks)) == (3 * trace_rows, trace_rows), (r.spec.series, r.graph)
+        if r.spec.series != "A":
+            assert eliminations == [], (r.spec.series, r.graph)
         count += 1
     assert count > 500
 

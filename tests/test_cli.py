@@ -434,6 +434,23 @@ def test_verify_reports_disagreeing_rectangularity_sides_as_finding(tmp_path, ca
     )
 
 
+def test_verify_rejects_a_gram_matrix_of_the_wrong_symmetry(tmp_path, capsys):
+    # The rectangularity test reads [e, g] as the orthogonal of z_g(e) under
+    # the trace form, which holds on so(G) and sp(G) only; a series-B Gram
+    # matrix that is not symmetric is malformed input.
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text("-2/1,0/1 -1/1,0/1 0/1,0/1 1/1,0/1 2/1,0/1\n")
+    pair_file = tmp_path / "pair.json"
+    run_cli(capsys, "build", "--series", "B", "--format", "sparse", "--input", str(graph_file), "--output", str(pair_file))
+    doc = json.loads(pair_file.read_text())
+    assert [0, 4, "1"] in doc["gram"]["entries"]
+    doc["gram"]["entries"] = [[0, 4, "2"] if e[:2] == [0, 4] else e for e in doc["gram"]["entries"]]
+    pair_file.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--input", str(pair_file))
+    assert (code, out) == (2, "")
+    assert err == "error: the gram matrix of a series B realization must be symmetric\n"
+
+
 def test_verify_committed_conjugated_document(tmp_path, capsys):
     # tests/data/conjugated-d6-chains.json is the D6 graph of two chains
     # sharing the origin, moved by a seeded isometry (conjugated(r,

@@ -19,10 +19,11 @@ from oracles import (
     trace,
     transpose,
 )
-from skewpairs.centralizer import analyze
+from skewpairs.centralizer import analyze, is_rectangular_pair
 from skewpairs.liealg import (
     BasisLabel,
     NotAdmissibleError,
+    PairRealization,
     RelationReport,
     build_pair,
     make_spec,
@@ -375,3 +376,59 @@ def test_sparse_document_stays_sparse():
         tracemalloc.stop()
     assert peak < 1_000_000
     assert back == r and realization_to_jsonable(back, "dense") == realization_to_jsonable(r, "dense")
+
+
+def test_relation_check_runs_once_on_the_desk_path(monkeypatch):
+    # build_pair, verify_relations, analyze: analyze reads the report that
+    # verify_relations kept on the realization.  dataclasses.replace gives
+    # an instance without it, whose relations are checked afresh.
+    import skewpairs.liealg as liealg_module
+
+    calls = []
+    checks = liealg_module._bracket_checks
+
+    def counting(scaled):
+        calls.append(1)
+        return checks(scaled)
+
+    monkeypatch.setattr(liealg_module, "_bracket_checks", counting)
+    count = 0
+    for r in distinguished_realizations(6):
+        del calls[:]
+        assert verify_relations(r).ok
+        analyze(r)
+        assert verify_relations(r) is verify_relations(r)
+        assert len(calls) == 1, r.graph
+        if is_zero_matrix(r.h1):
+            continue
+        broken = replace(r, e1=r.h1)
+        assert "h1_e1_grading" in verify_relations(broken).failures, r.graph
+        assert len(calls) == 2
+        with pytest.raises(ValueError, match="relations fail"):
+            analyze(broken)
+        assert len(calls) == 2
+        count += 1
+    assert count > 100
+
+
+@pytest.mark.parametrize("series, form, kind", [("B", [[0, 0, 1], [0, 1, 0], [2, 0, 0]], "symmetric"),
+                                                ("C", [[1, -1], [1, 0]], "alternating")])
+def test_gram_matrix_of_the_wrong_symmetry_is_refused(series, form, kind):
+    # A Gram matrix that is not symmetric (B, D) or alternating (C) is
+    # refused where a document is read, and by analyze for a realization
+    # made in code: the zero pair satisfies every relation under any
+    # nondegenerate form, so only this check stops it.
+    message = f"the gram matrix of a series {series} realization must be {kind}"
+    dimv = len(form)
+    graph = enumerate_admissible(series, dimv, "distinguished")[0]
+    data = realization_to_jsonable(build_pair(series, graph), "sparse")
+    data["gram"] = {"shape": dimv, "entries": [[i, j, str(x)] for i, row in enumerate(form) for j, x in enumerate(row) if x]}
+    with pytest.raises(ValueError, match=message):
+        realization_from_jsonable(data)
+    zero = matrix([[0] * dimv] * dimv)
+    r = PairRealization(make_spec(series, dimv, matrix(form)), graph, (), zero, zero, zero, zero)
+    assert verify_relations(r).ok
+    with pytest.raises(ValueError, match=message):
+        analyze(r)
+    with pytest.raises(ValueError, match=message):
+        is_rectangular_pair(r)

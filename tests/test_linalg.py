@@ -37,6 +37,7 @@ from oracles import (
     matrix,
     nullspace,
     rref,
+    solve,
     span_rref,
     trace,
     transpose,
@@ -46,7 +47,6 @@ from skewpairs.linalg import (
     integer_nullspace,
     parse_fraction,
     rank,
-    solve,
 )
 
 F = Fraction

@@ -76,6 +76,25 @@ def test_validate_barycentre():
     assert any("barycentre" in f for f in validate(g))
 
 
+def test_barycentre_sums_coordinates_of_mixed_denominators():
+    # B5 has a point at the origin and a 2x2 square about it: its nodes have
+    # denominators 1 and 2, so the coordinate sums need a common one.
+    mixed = 0
+    for series, dimv in (("B", 5), ("C", 6), ("D", 6)):
+        for g in enumerate_admissible(series, dimv, "distinguished"):
+            nodes = [nd for c in g.components for nd in c.nodes]
+            mixed += len({nd.x.denominator for nd in nodes}) > 1
+            for dx, dy in ((1, 0), (Fraction(1, 3), Fraction(-2, 5))):
+                shifted = SkewGraph(
+                    tuple(component_from_nodes(nd.shifted(dx, dy) for nd in c.nodes) for c in g.components)
+                )
+                sx = sum(nd.x + dx for nd in nodes)
+                sy = sum(nd.y + dy for nd in nodes)
+                assert f"barycentre is ({sx},{sy}), not the origin" in validate(shifted)
+                assert canonical_form(shifted) == g
+    assert mixed > 0
+
+
 def test_validate_shared_node_rules():
     chain_h = component_from_nodes(nodes_of((-1, 0), (0, 0), (1, 0)))
     chain_v = component_from_nodes(nodes_of((0, -1), (0, 0), (0, 1)))
