@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from .centralizer import (
     CentralizerReport,
     ClosedFormPrediction,
+    ReportFlags,
     _closed_form,
     analyze,
     report_to_jsonable,
@@ -38,6 +39,7 @@ from .skewgraph import (
     _admissible_shapes,
     canonical_form,
     enumerate_admissible,
+    graph_from_jsonable,
     graph_to_jsonable,
     graph_to_text,
     render_ascii,
@@ -188,18 +190,18 @@ def classify(
     """All orbits of the requested kind, one verified entry per orbit."""
     entries = []
     for graph in enumerate_admissible(series, dimv, kind, max_nodes=max_nodes):
-        # Enumerated graphs are canonical: each is validated once, and its
-        # own text gives the label.
-        shapes = _admissible_shapes(series, graph, kind)
-        if shapes is None:
+        # Enumerated graphs are canonical: each is validated once, its
+        # cells are read once for both signs, and its own text gives the label.
+        found = _admissible_shapes(series, graph, kind)
+        if found is None:
             raise CatalogVerificationError("graph is not admissible", graph)
-        pred = _closed_form(series, graph, shapes) if kind == "principal" else None
+        pred = _closed_form(series, graph, found) if kind == "principal" else None
         label = _text_hash(graph_to_text(graph))
         signs: tuple[Optional[str], ...] = (None,)
         if series == "D" and graph.is_connected():
             signs = ("plus", "minus")
         for sign in signs:
-            r = _realize(series, graph, shapes, sign)
+            r = _realize(series, graph, found, sign)
             try:
                 report = analyze(r)
             except ValueError as exc:  # analyze rejects failing relations
@@ -265,36 +267,20 @@ def entry_to_jsonable(entry: CatalogEntry, include_matrices: bool = False) -> di
     return data
 
 
-def _catalog_header(entries: Sequence[CatalogEntry]) -> dict:
-    header = {"schema": SCHEMA_NAME, "schema_version": SCHEMA_VERSION}
-    if entries:
-        header["series"] = entries[0].spec.series
-        header["dimv"] = entries[0].spec.dimv
-        header["kind"] = entries[0].kind
-    return header
-
-
 def _entry_csv_row(data: dict) -> list:
     report = data["report"]
     return [
-        data["series"],
-        data["dimv"],
-        data["kind"],
-        data["orbit_label"],
+        *(data[key] for key in CSV_COLUMNS[:4]),
         data["orbit_sign"] or "",
         len(data["graph"]["components"]),
         report["dimension"],
-        report["flags"]["cartan_h"],
-        report["flags"]["trivial_intersection"],
-        report["flags"]["distinguished"],
-        report["flags"]["principal"],
-        report["flags"]["rectangular"],
+        *(report["flags"][flag] for flag in CSV_COLUMNS[7:12]),
         ";".join(f"({p},{q})" for p, q in report["biexponents"]),
         "" if data["closed_form_match"] is None else data["closed_form_match"],
     ]
 
 
-def _jsonable_entries_to_csv(header: dict, entries: Sequence[dict]) -> str:
+def _jsonable_entries_to_csv(entries: Sequence[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -304,13 +290,8 @@ def _jsonable_entries_to_csv(header: dict, entries: Sequence[dict]) -> str:
 
 
 def _jsonable_entries_to_table(header: dict, entries: Sequence[dict]) -> str:
-    from .skewgraph import graph_from_jsonable
-
     title = "{} catalog: series {}, dimV {}, {} entries".format(
-        header.get("schema", SCHEMA_NAME),
-        header.get("series", "?"),
-        header.get("dimv", "?"),
-        len(entries),
+        header.get("schema", SCHEMA_NAME), header.get("series", "?"), header.get("dimv", "?"), len(entries)
     )
     lines = [title, "=" * len(title)]
     for data in entries:
@@ -334,33 +315,60 @@ def _jsonable_entries_to_table(header: dict, entries: Sequence[dict]) -> str:
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
-def export_entries(
-    entries: Sequence[CatalogEntry],
-    fmt: str,
-    *,
-    include_matrices: bool = False,
-) -> str:
-    """Serialize entries as json, csv or text-table, deterministically."""
-    header = _catalog_header(entries)
-    jsonable = [entry_to_jsonable(e, include_matrices) for e in entries]
-    if fmt == "json":
-        doc = dict(header)
-        doc["entry_count"] = len(jsonable)
-        doc["entries"] = jsonable
-        return json.dumps(doc, indent=2) + "\n"
+def _export_jsonable(header: dict, entries: Sequence[dict], fmt: str) -> str:
     if fmt == "csv":
-        return _jsonable_entries_to_csv(header, jsonable)
-    if fmt in ("table", "text-table"):
-        return _jsonable_entries_to_table(header, jsonable)
-    raise ValueError(f"unknown export format {fmt!r}")
-
-
-def export_catalog_document(doc: dict, fmt: str) -> str:
-    """Re-export a parsed catalog JSON document as csv or text-table."""
-    header = {k: doc.get(k) for k in ("schema", "schema_version", "series", "dimv", "kind")}
-    entries = doc.get("entries", [])
-    if fmt == "csv":
-        return _jsonable_entries_to_csv(header, entries)
+        return _jsonable_entries_to_csv(entries)
     if fmt in ("table", "text-table"):
         return _jsonable_entries_to_table(header, entries)
     raise ValueError(f"unknown export format {fmt!r}")
+
+
+def export_entries(entries: Sequence[CatalogEntry], fmt: str, *, include_matrices: bool = False) -> str:
+    """Serialize entries as json, csv or text-table, deterministically."""
+    header = {"schema": SCHEMA_NAME, "schema_version": SCHEMA_VERSION}
+    if entries:
+        header.update(series=entries[0].spec.series, dimv=entries[0].spec.dimv, kind=entries[0].kind)
+    jsonable = [entry_to_jsonable(e, include_matrices) for e in entries]
+    if fmt == "json":
+        return json.dumps({**header, "entry_count": len(jsonable), "entries": jsonable}, indent=2) + "\n"
+    return _export_jsonable(header, jsonable, fmt)
+
+
+_NULL = type(None)
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer", bool: "a boolean", _NULL: "null"}
+
+
+def _check_fields(obj, where: str, **types) -> None:
+    """A ValueError, naming the field, unless obj is an object whose named
+    fields all hold a value of one of their JSON types (true is no integer)."""
+    if type(obj) is not dict:
+        raise ValueError(f"{where} must be an object")
+    for key, allowed in types.items():
+        if key not in obj:
+            raise ValueError(f"{where} has no field {key!r}")
+        if type(obj[key]) not in allowed:
+            raise ValueError(f"{where}.{key} must be {' or '.join(_JSON_TYPES[t] for t in allowed)}")
+
+
+def export_catalog_document(doc: dict, fmt: str) -> str:
+    """Re-export a parsed catalog JSON document as csv or text-table.  Each
+    field that catalog.schema.json requires is checked by JSON type, down to
+    the flags, the biexponent pairs and the node lists of each graph."""
+    _check_fields(doc, "catalog", schema=(str,), schema_version=(int,), entry_count=(int,), entries=(list,))
+    for i, entry in enumerate(doc["entries"]):
+        where = f"entries[{i}]"
+        _check_fields(entry, where, orbit_label=(str,), orbit_sign=(str, _NULL), kind=(str,), series=(str,),
+                      dimv=(int,), rank=(int,), graph=(dict,), report=(dict,), closed_form_match=(bool, _NULL))
+        _check_fields(entry["graph"], f"{where}.graph", components=(list,))
+        report = entry["report"]
+        _check_fields(report, f"{where}.report", dimension=(int,), grading=(list,), biexponents=(list,),
+                      flags=(dict,), nonpositive_witness=(dict, _NULL))
+        flags = dict.fromkeys(ReportFlags.__dataclass_fields__, (bool,))
+        _check_fields(report["flags"], f"{where}.report.flags", **flags)
+        comps = entry["graph"]["components"]
+        if not comps or not all(type(nodes) is list and nodes for nodes in comps):
+            raise ValueError(f"{where}.graph.components must be a nonempty list of nonempty node lists")
+        if not all(type(d) is list and len(d) == 2 and all(type(x) is str for x in d) for d in report["biexponents"]):
+            raise ValueError(f"{where}.report.biexponents must be a list of pairs of strings")
+    header = {k: doc.get(k) for k in ("schema", "schema_version", "series", "dimv", "kind")}
+    return _export_jsonable(header, doc["entries"], fmt)

@@ -28,10 +28,12 @@ O(n) positions of that block.  Rectangularity (Ginzburg: h_i in [e_i, g])
 follows by duality (Kostant): the trace form is invariant and
 nondegenerate on g, so [e, g] is the orthogonal of z_g(e), and h lies in
 it exactly when tr(h z) vanishes on the (0,0) block of z_g(e), again one
-union-find pass.  The rows are built once, as sparse int rows, by
-_form_rows and _bracket_rows.  The weights are scaled by their common
-denominator, so bi-degrees are int pairs, and e1, e2 and the Gram matrix
-are each scaled to integers, which changes no commutant and no image.
+union-find pass.  Each row is built once, as a sparse int row: _form_rows
+keeps a <= b of the (anti)symmetric x^T G + G x, and the (0,0)-block rows
+serve z(h) and both rectangularity sides.  The weights are scaled by their
+common denominator, so bi-degrees are int pairs, and e1, e2 and the Gram
+matrix are each scaled to integers, which changes no commutant and no
+image.
 
 The report keeps its basis and witness as integral_rows, each scaled by its
 value at the lead, for the closed-form check and JSON export; the dense
@@ -191,6 +193,11 @@ class _Frame:
         n, (d0, d1) = len(self.weights), delta
         return [i * n + j for w, left in self.at.items() for i in left for j in self.at.get((w[0] - d0, w[1] - d1), ())]
 
+    @cached_property
+    def zero(self) -> tuple[list[int], list]:
+        """The (0,0)-block positions and form rows: cartan_h and both rectangularity sides read them."""
+        return self.block(DEGREE_0), _form_rows(self, zero_block=True)
+
 
 def _sandwich(left, rows, right) -> list[list[int]]:
     """The integer product L M R, M by its nonzero rows, L by dense rows and
@@ -242,21 +249,21 @@ def _eigenframe(spec: AlgebraSpec, h1, h2, mats, gram):
     t = t_inv = None
     (c1, rows1), (c2, rows2) = h1, h2
     if all(j == i for rows in (rows1, rows2) for i, row in enumerate(rows) for j, _ in row):
-        pairs = [
-            (Fraction(r1[0][1] if r1 else 0, c1), Fraction(r2[0][1] if r2 else 0, c2)) for r1, r2 in zip(rows1, rows2)
-        ]
-        moved = tuple(with_columns(rows) for _, rows in mats)
-    else:
-        cols, pairs = [], []
-        for key, vecs in joint_eigenbasis(h1, h2):
-            cols.extend(vecs)
-            pairs.extend([key] * len(vecs))
-        t = [list(row) for row in zip(*cols)]
-        t_inv = integer_inverse(t)
-        t_rows = _nonzero(t)
-        moved = tuple(_sparse_form(_sandwich(t_inv, rows, t_rows)) for _, rows in mats)
-        if gram is not None:
-            gram = _sparse_form(_sandwich(cols, gram[0], t_rows))
+        # The diagonal entries are ints over c1 and c2.
+        den = lcm(c1, c2)
+        f1, f2 = den // c1, den // c2
+        weights = tuple((r1[0][1] * f1 if r1 else 0, r2[0][1] * f2 if r2 else 0) for r1, r2 in zip(rows1, rows2))
+        return _Frame(spec, den, weights, gram, t, t_inv), tuple(with_columns(rows) for _, rows in mats)
+    cols, pairs = [], []
+    for key, vecs in joint_eigenbasis(h1, h2):
+        cols.extend(vecs)
+        pairs.extend([key] * len(vecs))
+    t = [list(row) for row in zip(*cols)]
+    t_inv = integer_inverse(t)
+    t_rows = _nonzero(t)
+    moved = tuple(_sparse_form(_sandwich(t_inv, rows, t_rows)) for _, rows in mats)
+    if gram is not None:
+        gram = _sparse_form(_sandwich(cols, gram[0], t_rows))
     den = lcm(*(x.denominator for pair in pairs for x in pair))
     weights = tuple(
         (p.numerator * (den // p.denominator), q.numerator * (den // q.denominator)) for p, q in pairs
@@ -284,17 +291,18 @@ def _form_rows(frame: _Frame, zero_block: bool = False) -> list[list[tuple[int, 
     distinct and coefficients nonzero.  Series A has the trace, whose one row
     lies in the (0,0) block.  B, C and D have the entries (a, b) of
     x^T G + G x; since G pairs weight w only with -w, entry (a, b) is a row of
-    the block of degree -(w_a + w_b).
-    """
+    the block of degree -(w_a + w_b).  G is symmetric or alternating
+    (_checked_form), so entry (b, a) is entry (a, b) up to sign: only a <= b
+    is built."""
     n = len(frame.weights)
     if frame.spec.series == "A":
         return [[(i * n + i, 1) for i in range(n)]]
     g_rows, g_cols = frame.gram
     if zero_block:
         at = frame.at
-        pairs = ((a, b) for w, left in at.items() for a in left for b in at.get((-w[0], -w[1]), ()))
+        pairs = ((a, b) for w, left in at.items() for a in left for b in at.get((-w[0], -w[1]), ()) if a <= b)
     else:
-        pairs = ((a, b) for a in range(n) for b in range(n))
+        pairs = ((a, b) for a in range(n) for b in range(a, n))
     rows = []
     for a, b in pairs:
         row = _summed([(c * n + a, val) for c, val in g_cols[b]] + [(c * n + b, val) for c, val in g_rows[a]])
@@ -491,11 +499,11 @@ def _zero_block(frame: _Frame, e=None, side: int = 0) -> tuple[list, list]:
     the kernel is {sum y_k component_k : the long rows vanish at y}.  [x, e]
     lands in the block of e's degree, den along its side."""
     n = len(frame.weights)
-    rows = _form_rows(frame, zero_block=True)
+    positions, rows = frame.zero
     if e is not None:
         targets = (divmod(p, n) for p in frame.block((frame.den, 0) if side == 0 else (0, frame.den)))
-        rows.extend(row for _, _, row in _bracket_rows(n, e, targets) if row)
-    components, long_rows = _unite(frame.block(DEGREE_0), rows)
+        rows = rows + [row for _, _, row in _bracket_rows(n, e, targets) if row]
+    components, long_rows = _unite(positions, rows)
     return components, _component_rows(components, long_rows)[1] if long_rows else []
 
 
@@ -604,22 +612,11 @@ def analyze(r: PairRealization) -> CentralizerReport:
             witness = (first, frame.degree(d))
             break
 
-    flags = ReportFlags(
-        relations_ok=True,
-        cartan_h=cartan_h,
-        trivial_intersection=trivial,
-        distinguished=cartan_h and trivial,
-        principal=len(basis) == spec.rank,
-        rectangular=_rectangularity(frame, e1, e2),
-    )
-    return _deferred(
-        CentralizerReport,
-        (basis, witness),
-        dimension=len(basis),
-        grading=grading,
-        biexponents=biexponents,
-        flags=flags,
-    )
+    flags = ReportFlags(relations_ok=True, cartan_h=cartan_h, trivial_intersection=trivial,
+                        distinguished=cartan_h and trivial, principal=len(basis) == spec.rank,
+                        rectangular=_rectangularity(frame, e1, e2))
+    return _deferred(CentralizerReport, (basis, witness), dimension=len(basis), grading=grading,
+                     biexponents=biexponents, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -675,15 +672,22 @@ def closed_form_centralizer(series: str, graph: SkewGraph) -> ClosedFormPredicti
     is given by its basis-label actions and bi-degree.
     """
     graph = canonical_form(graph)
-    shapes = _admissible_shapes(series, graph, "principal")
-    if shapes is None:
+    found = _admissible_shapes(series, graph, "principal")
+    if found is None:
         raise ValueError("graph is outside the closed-form (principal) case list")
-    return _closed_form(series, graph, shapes)
+    return _closed_form(series, graph, found)
 
 
-def _closed_form(series: str, graph: SkewGraph, shapes: list) -> ClosedFormPrediction:
+def _a_operator(bidegree, x, z, u, y) -> AOperator:
+    """The A operator of this bi-degree that sends basis label x to z and u
+    to -y, each label given as (component index, node)."""
+    return AOperator(bidegree, ((BasisLabel(*x), BasisLabel(*z), ONE), (BasisLabel(*u), BasisLabel(*y), -ONE)))
+
+
+def _closed_form(series: str, graph: SkewGraph, found: list) -> ClosedFormPrediction:
     """closed_form_centralizer of a canonical principal graph, given the
-    ShapeClass of each component."""
+    (ShapeClass, cells) of each component."""
+    shapes = [shape for shape, _ in found]
     comps = graph.components
     n_total = graph.n_nodes
 
@@ -712,14 +716,12 @@ def _closed_form(series: str, graph: SkewGraph, shapes: list) -> ClosedFormPredi
         half_h = int(top - bottom + 1) // 2
         name = shape.near_rectangular_shape
         if name == "first":
-            powers = {(k, l) for k in range(2 * half_w - 2) for l in range(2 * half_h)
-                      if (k + l) % 2 == 1}
+            powers = {(k, l) for k in range(2 * half_w - 2) for l in range(2 * half_h) if (k + l) % 2 == 1}
             deg = (Fraction(2 * half_w - 2), ZERO)
             x, z = Node(left, top), Node(left + 2 * half_w - 2, top)
             u, y = Node(left + 1, bottom), Node(right, bottom)
         elif name == "second":
-            powers = {(k, l) for k in range(2 * half_w) for l in range(2 * half_h - 2)
-                      if (k + l) % 2 == 1}
+            powers = {(k, l) for k in range(2 * half_w) for l in range(2 * half_h - 2) if (k + l) % 2 == 1}
             deg = (ZERO, Fraction(2 * half_h - 2))
             x, z = Node(right, bottom), Node(right, bottom + 2 * half_h - 2)
             u, y = Node(left, bottom + 1), Node(left, top)
@@ -732,13 +734,7 @@ def _closed_form(series: str, graph: SkewGraph, shapes: list) -> ClosedFormPredi
             u, y = Node(left + 1, bottom), Node(right, top - 1)
         else:
             raise ValueError("graph is outside the closed-form (principal) case list")
-        a_op = AOperator(
-            bidegree=deg,
-            actions=(
-                (BasisLabel(0, x), BasisLabel(0, z), ONE),
-                (BasisLabel(0, u), BasisLabel(0, y), -ONE),
-            ),
-        )
+        a_op = _a_operator(deg, (0, x), (0, z), (0, u), (0, y))
         return ClosedFormPrediction(f"near-rectangular-{name}", frozenset(powers), a_op, rank_g)
 
     # two components: rectangle plus point, or horizontal plus vertical chain
@@ -749,13 +745,8 @@ def _closed_form(series: str, graph: SkewGraph, shapes: list) -> ClosedFormPredi
         w, h = shapes[rect_i].rectangle
         a, b = (w - 1) // 2, (h - 1) // 2
         powers = {(k, l) for k in range(w) for l in range(h) if (k + l) % 2 == 1}
-        a_op = AOperator(
-            bidegree=(Fraction(a), Fraction(b)),
-            actions=(
-                (BasisLabel(rect_i, Node(Fraction(-a), Fraction(-b))), BasisLabel(pt_i, ORIGIN), ONE),
-                (BasisLabel(pt_i, ORIGIN), BasisLabel(rect_i, Node(Fraction(a), Fraction(b))), -ONE),
-            ),
-        )
+        corner = Node(Fraction(a), Fraction(b))
+        a_op = _a_operator((corner.x, corner.y), (rect_i, -corner), (pt_i, ORIGIN), (pt_i, ORIGIN), (rect_i, corner))
         return ClosedFormPrediction("rectangle-plus-point", frozenset(powers), a_op, rank_g)
 
     horiz_i = next(i for i, s in enumerate(shapes) if s.rectangle[1] == 1)
@@ -763,13 +754,8 @@ def _closed_form(series: str, graph: SkewGraph, shapes: list) -> ClosedFormPredi
     a = (shapes[horiz_i].rectangle[0] - 1) // 2
     b = (shapes[vert_i].rectangle[1] - 1) // 2
     powers = {(k, 0) for k in range(1, 2 * a, 2)} | {(0, l) for l in range(1, 2 * b, 2)}
-    a_op = AOperator(
-        bidegree=(Fraction(a), Fraction(b)),
-        actions=(
-            (BasisLabel(horiz_i, Node(Fraction(-a), ZERO)), BasisLabel(vert_i, Node(ZERO, Fraction(b))), ONE),
-            (BasisLabel(vert_i, Node(ZERO, Fraction(-b))), BasisLabel(horiz_i, Node(Fraction(a), ZERO)), -ONE),
-        ),
-    )
+    right, top = Node(Fraction(a), ZERO), Node(ZERO, Fraction(b))
+    a_op = _a_operator((right.x, top.y), (horiz_i, -right), (vert_i, top), (vert_i, -top), (horiz_i, right))
     return ClosedFormPrediction("chains", frozenset(powers), a_op, rank_g)
 
 

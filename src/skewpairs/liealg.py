@@ -7,11 +7,12 @@ eigenvalues, and series B/C/D carry the invariant bilinear form that pairs
 a label with its antipode inside the same component.
 
 The sparse form lives here: build_pair makes e1, e2, h1, h2 and the Gram
-matrix as integral_rows (c, rows) from the integer cells, a realization
-document is read into that form, and the relation check, analyze(), the
-catalog and sparse export read it.  The dense Fraction fields (e1, ..., h2,
-AlgebraSpec.form) are built when a caller first reads them.  An instance
-made by its constructor or dataclasses.replace() is scanned once instead.
+matrix as integral_rows (c, rows) from the cells validation read, h1 and
+h2 as int weights.  A realization document is read into that form, and
+the relation check, analyze(), the catalog and sparse export read it.
+The dense Fraction fields (e1, ..., h2, AlgebraSpec.form) are built when a
+caller first reads them.  An instance made by its constructor or
+dataclasses.replace() is scanned once instead.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .linalg import (
@@ -36,14 +38,13 @@ from .skewgraph import (
     Node,
     SkewGraph,
     _admissible_shapes,
-    _cell_offsets,
+    _is_canonical,
     canonical_form,
     graph_from_jsonable,
     graph_to_jsonable,
     node_from_jsonable,
 )
 
-ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 _MATRICES = ("e1", "e2", "h1", "h2")
 
@@ -210,56 +211,63 @@ def build_pair(series: str, graph: SkewGraph, orbit_sign: Optional[str] = None) 
     the plus one conjugated by the determinant -1 isometry swapping the dual
     basis vectors at (1/2,1/2) and (-1/2,-1/2).
     """
-    graph = canonical_form(graph)
-    shapes = _admissible_shapes(series, graph, "distinguished")
-    if shapes is None:
+    found = _admissible_shapes(series, graph, "distinguished")
+    if found is None or not _is_canonical(graph, found):
+        # Only input not in canonical form is moved and validated again.
+        graph = canonical_form(graph)
+        found = _admissible_shapes(series, graph, "distinguished")
+    if found is None:
         raise NotAdmissibleError(f"graph is not admissible for series {series}")
+    sign = None
     if series == "D" and graph.is_connected():
         sign = orbit_sign or "plus"
         if sign not in ("plus", "minus"):
             raise ValueError(f"unknown orbit sign {orbit_sign!r}")
-    else:
-        if orbit_sign is not None:
-            raise ValueError("orbit_sign is only meaningful for connected series-D graphs")
-        sign = None
-    return _realize(series, graph, shapes, sign)
+    elif orbit_sign is not None:
+        raise ValueError("orbit_sign is only meaningful for connected series-D graphs")
+    return _realize(series, graph, found, sign)
 
 
-def _realize(series: str, graph: SkewGraph, shapes: list, sign: Optional[str]) -> PairRealization:
-    """build_pair of a canonical admissible graph, given the ShapeClass of
-    each component and the orbit sign ("plus", "minus" or None) it resolved.
-    All five matrices are made as integral_rows; e1, e2 and G have scale 1."""
-    labels = tuple(BasisLabel(ci, nd) for ci, comp in enumerate(graph.components) for nd in comp.nodes)
+def _realize(series: str, graph: SkewGraph, found: list, sign: Optional[str]) -> PairRealization:
+    """build_pair of a canonical admissible graph, given the (ShapeClass,
+    cells) of each component as _admissible_shapes finds them and the orbit
+    sign ("plus", "minus" or None) it resolved.  All five matrices are made
+    as integral_rows from the cells: e1, e2 and G have scale 1, and h1 and
+    h2 the least common denominator of the coordinates along their axis."""
+    comps = graph.components
+    labels = tuple(BasisLabel(ci, nd) for ci, comp in enumerate(comps) for nd in comp.nodes)
     n = len(labels)
-    e1, e2 = [()] * n, [()] * n
-    xs, ys = [ZERO] * n, [ZERO] * n
+    e1, e2, h1, h2 = [()] * n, [()] * n, [()] * n, [()] * n
+    # A component's nodes share the reduced denominators of its first node.
+    c1 = lcm(*(comp.nodes[0].x.denominator for comp in comps))
+    c2 = lcm(*(comp.nodes[0].y.denominator for comp in comps))
     g: Optional[list] = None if series == "A" else [None] * n
     start = 0
-    for comp, shape in zip(graph.components, shapes):
+    for comp, (shape, cells) in zip(comps, found):
         # Arrows and antipodes are found on integer cells.  Twice a node's
         # coordinates are 2 * offset - (min + max offset) once the component
-        # is centred on the origin, which series B, C and D components are.
-        offsets = _cell_offsets(comp)
-        index = {d: start + k for k, d in enumerate(offsets)}
-        sx = min(dx for dx, _ in offsets) + max(dx for dx, _ in offsets)
-        sy = min(dy for _, dy in offsets) + max(dy for _, dy in offsets)
-        for (dx, dy), nd in zip(offsets, comp.nodes):
-            i = index[dx, dy]
-            xs[i], ys[i] = nd.x, nd.y
+        # is centred on the origin (series B, C, D); c1 x = c1 base.x + c1 dx.
+        base = comp.nodes[0]
+        bx, by = base.x.numerator * (c1 // base.x.denominator), base.y.numerator * (c2 // base.y.denominator)
+        sx = min(dx for dx, _ in cells) + max(dx for dx, _ in cells)
+        sy = min(dy for _, dy in cells) + max(dy for _, dy in cells)
+        for (dx, dy), k in cells.items():
+            i, x, y = start + k, bx + c1 * dx, by + c2 * dy
+            h1[i], h2[i] = ((i, x),) if x else (), ((i, y),) if y else ()
             x2, y2 = 2 * dx - sx, 2 * dy - sy
             s1, s2 = _shift_signs(series, shape.symmetry, x2, y2)
-            right = index.get((dx + 1, dy))
+            right = cells.get((dx + 1, dy))
             if right is not None:
-                e1[right] = ((i, s1),)
-            up = index.get((dx, dy + 1))
+                e1[start + right] = ((i, s1),)
+            up = cells.get((dx, dy + 1))
             if up is not None:
-                e2[up] = ((i, s2),)
+                e2[start + up] = ((i, s2),)
             if g is not None:
                 positive = series in ("B", "D") or (y2 if shape.symmetry == SYM_SEMI_COLSORT else x2) > 0
-                g[i] = ((index[sx - dx, sy - dy], 1 if positive else -1),)
-        start += len(offsets)
+                g[i] = ((start + cells[sx - dx, sy - dy], 1 if positive else -1),)
+        start += len(cells)
 
-    scaled = [(1, e1), (1, e2)] + [scaled_rows([[(i, x)] if x else [] for i, x in enumerate(v)]) for v in (xs, ys)]
+    scaled = [(1, e1), (1, e2), (c1, h1), (c2, h2)]
     if sign == "minus":
         # P m P for the swap P of the basis vectors at (1/2,1/2) and (-1/2,-1/2).
         i, j = (labels.index(BasisLabel(0, Node(v, v))) for v in (HALF, -HALF))
@@ -459,7 +467,9 @@ def realization_from_jsonable(data: dict) -> PairRealization:
     Raises ValueError when a value has the wrong JSON type, when a matrix is
     not dimV x dimV, when the label count differs from dimV, when series B,
     C or D comes without a Gram matrix or with one that is not symmetric
-    (B, D) or alternating (C), or when a number has a zero denominator.
+    (B, D) or alternating (C), when a number has a zero denominator, when
+    orbit_sign is not null, "plus" or "minus", or when a label's component
+    is not the int index of a graph component.
     Sparse matrices stay sparse: their dense fields are built only when read.
     """
 
@@ -487,5 +497,11 @@ def realization_from_jsonable(data: dict) -> PairRealization:
     mats = [_square(data[name], n, name, parse) for name in _MATRICES]
     dense = {name: m for name, (m, _) in zip(_MATRICES, mats) if m is not None}
     graph = graph_from_jsonable(data["graph"])
+    sign, k = data.get("orbit_sign"), len(graph.components)
+    if sign not in (None, "plus", "minus"):
+        raise ValueError(f"orbit_sign must be null, plus or minus, got {reprlib.repr(sign)}")
+    bad = [c for c in (lb.component_index for lb in labels) if type(c) is not int or not 0 <= c < k]
+    if bad:
+        raise ValueError(f"label component {reprlib.repr(bad[0])} is not the index of one of the {k} graph components")
     return _deferred(PairRealization, tuple(s for _, s in mats), spec=spec, graph=graph, labels=labels,
-                     orbit_sign=data.get("orbit_sign"), **dense)
+                     orbit_sign=sign, **dense)

@@ -121,8 +121,9 @@ def _is_connected(cells: frozenset[tuple[int, int]]) -> bool:
     return len(seen) == len(cells)
 
 
-def _cell_offsets(comp: Component) -> Optional[list[tuple[int, int]]]:
-    """Integer offsets of comp's nodes from its first node, in node order.
+def _cell_offsets(comp: Component) -> Optional[dict[tuple[int, int], int]]:
+    """The integer offset of each of comp's nodes from its first node, mapped
+    to the node's place in comp, in node order.
 
     None when some node is off by a non-integral vector.  x - x0 is an
     integer exactly when the reduced fractions x and x0 share a denominator
@@ -130,8 +131,8 @@ def _cell_offsets(comp: Component) -> Optional[list[tuple[int, int]]]:
     """
     x0, y0 = comp.nodes[0].x, comp.nodes[0].y
     px, qx, py, qy = x0.numerator, x0.denominator, y0.numerator, y0.denominator
-    out = []
-    for nd in comp.nodes:
+    out = {}
+    for k, nd in enumerate(comp.nodes):
         x, y = nd.x, nd.y
         if x.denominator != qx or y.denominator != qy:
             return None
@@ -139,7 +140,7 @@ def _cell_offsets(comp: Component) -> Optional[list[tuple[int, int]]]:
         dy, ry = divmod(y.numerator - py, qy)
         if rx or ry:
             return None
-        out.append((dx, dy))
+        out[dx, dy] = k
     return out
 
 
@@ -157,8 +158,8 @@ def _coordinate_sums(nodes: Sequence[Node]) -> tuple[Fraction, Fraction]:
 # Validation
 # ---------------------------------------------------------------------------
 
-def _component_cells(index: int, comp: Component) -> tuple[Optional[frozenset], list[str]]:
-    """comp as integer cells (offsets from its first node) and its findings.
+def _component_cells(index: int, comp: Component) -> tuple[Optional[dict], list[str]]:
+    """comp as integer cells, its _cell_offsets, and its findings.
 
     The cells are None when the component is empty or not on one integer
     lattice; the component is valid iff the findings are empty.
@@ -166,10 +167,9 @@ def _component_cells(index: int, comp: Component) -> tuple[Optional[frozenset], 
     tag = f"component {index}"
     if not comp.nodes:
         return None, [f"{tag}: empty node set"]
-    offsets = _cell_offsets(comp)
-    if offsets is None:
+    cells = _cell_offsets(comp)
+    if cells is None:
         return None, [f"{tag}: nodes do not all differ by integer vectors"]
-    cells = frozenset(offsets)
     base = comp.nodes[0]
     findings = []
     for x, y in sorted(cells):
@@ -185,15 +185,23 @@ def _component_cells(index: int, comp: Component) -> tuple[Optional[frozenset], 
     return cells, findings
 
 
-def _validated(graph: SkewGraph) -> tuple[list[str], list[Optional[frozenset]]]:
+def _validated(graph: SkewGraph) -> tuple[list[str], list[Optional[dict]]]:
     """validate(graph), and each component's integer cells."""
     findings = []
     cells = []
+    sx = sy = 0
     for i, comp in enumerate(graph.components):
         comp_cells, comp_findings = _component_cells(i, comp)
         cells.append(comp_cells)
         findings.extend(comp_findings)
-    sx, sy = _coordinate_sums([nd for c in graph.components for nd in c.nodes])
+        # A component's coordinate sums are k times its first node plus the
+        # offset sums of its k cells.
+        if comp_cells is None or len(comp_cells) != len(comp):
+            x, y = _coordinate_sums(comp.nodes)
+        else:
+            x = comp.nodes[0].x * len(comp) + sum(dx for dx, _ in comp_cells)
+            y = comp.nodes[0].y * len(comp) + sum(dy for _, dy in comp_cells)
+        sx, sy = sx + x, sy + y
     if sx or sy:
         findings.append(f"barycentre is ({sx},{sy}), not the origin")
     # Components may share only (0,0), and at most two may hold it.
@@ -255,7 +263,7 @@ def classify_component(comp: Component) -> ShapeClass:
     return _cell_shape(cells, comp.nodes[0])
 
 
-def _cell_shape(cells: frozenset[tuple[int, int]], base: Node) -> ShapeClass:
+def _cell_shape(cells, base: Node) -> ShapeClass:
     """classify_component for a valid component given as cells offset from base."""
     sources = [(x, y) for x, y in cells if (x - 1, y) not in cells and (x, y - 1) not in cells]
     sinks = [(x, y) for x, y in cells if (x + 1, y) not in cells and (x, y + 1) not in cells]
@@ -582,79 +590,67 @@ def is_admissible(series: str, graph: SkewGraph, kind: str) -> bool:
     return _admissible_shapes(series, graph, kind) is not None
 
 
-def _admissible_shapes(series: str, graph: SkewGraph, kind: str) -> Optional[list[ShapeClass]]:
-    """The ShapeClass of each component when the graph is admissible, else None.
-
-    The graph is validated once; its components are classified from the
-    integer cells that validation built.
-    """
+def _admissible_shapes(series: str, graph: SkewGraph, kind: str) -> Optional[list[tuple[ShapeClass, dict]]]:
+    """The ShapeClass and the integer cells (_cell_offsets) of each component
+    when the graph is admissible, else None.  The graph is validated once;
+    the shapes come from the cells validation read, which _realize reads too."""
     if series not in SERIES or kind not in KINDS:
         raise ValueError("unknown series or kind")
     findings, cells = _validated(graph)
     if findings:
         return None
     shapes = [_cell_shape(c, comp.nodes[0]) for c, comp in zip(cells, graph.components)]
-    return shapes if _shapes_admissible(series, graph, kind, shapes) else None
+    return list(zip(shapes, cells)) if _shapes_admissible(series, graph, kind, shapes) else None
+
+
+def _is_canonical(graph: SkewGraph, found: list) -> bool:
+    """Whether a valid graph, with the (ShapeClass, cells) of its components,
+    is canonical: each one's offsets, so its nodes, strictly increasing, and
+    the components in order."""
+    comps = graph.components
+    if any(len(c) != len(cells) or list(cells) != sorted(cells) for c, (_, cells) in zip(comps, found)):
+        return False
+    return all((-len(a), a.nodes) <= (-len(b), b.nodes) for a, b in zip(comps, comps[1:]))
 
 
 def _shapes_admissible(series: str, graph: SkewGraph, kind: str, shapes: list[ShapeClass]) -> bool:
-    """Admissibility of a valid graph, given the shapes of its components."""
+    """Admissibility of a valid graph, given the shapes of its components.
+
+    B, C and D admit only components symmetric about the origin: each has
+    its barycentre there, and an odd number of nodes, the origin among them,
+    exactly when integral.  So neither barycentres nor the parity of dimV
+    need a check, and two integral components share exactly (0,0)."""
     comps = list(graph.components)
     if series == "A":
         if len(comps) != 1:
             return False
         return kind == "distinguished" or shapes[0].young != "neither"
 
-    if any(_coordinate_sums(c.nodes) != (0, 0) for c in comps):
-        return False
-
+    syms = sorted(s.symmetry for s in shapes)
+    rectangle = len(comps) == 1 and shapes[0].rectangle is not None
     if series == "B":
-        if graph.n_nodes % 2 == 0:
-            return False
-        syms = sorted(s.symmetry for s in shapes)
         if kind == "distinguished":
             return syms == [SYM_INTEGRAL] or syms == [SYM_INTEGRAL, SYM_NON_INTEGRAL]
-        return (
-            len(comps) == 1
-            and shapes[0].symmetry == SYM_INTEGRAL
-            and shapes[0].rectangle is not None
-        )
+        return rectangle and syms == [SYM_INTEGRAL]
 
     if series == "C":
-        if graph.n_nodes % 2:
-            return False
-        syms = sorted(s.symmetry for s in shapes)
         if kind == "distinguished":
             return syms in ([SYM_SEMI_COLSORT], [SYM_SEMI_ROWSORT], [SYM_SEMI_COLSORT, SYM_SEMI_ROWSORT])
-        return (
-            len(comps) == 1
-            and shapes[0].symmetry in (SYM_SEMI_COLSORT, SYM_SEMI_ROWSORT)
-            and shapes[0].rectangle is not None
-        )
+        return rectangle and syms[0] in (SYM_SEMI_COLSORT, SYM_SEMI_ROWSORT)
 
-    if graph.n_nodes % 2:
-        return False
     nonint = [i for i, s in enumerate(shapes) if s.symmetry == SYM_NON_INTEGRAL]
     ints = [i for i, s in enumerate(shapes) if s.symmetry == SYM_INTEGRAL]
     if len(nonint) + len(ints) != len(comps) or len(nonint) > 1 or len(ints) not in (0, 2):
         return False
     if kind == "distinguished":
-        if ints:
-            a, b = ints
-            sizes = sorted((len(comps[a]), len(comps[b])))
-            if comps[a].node_set & comps[b].node_set != frozenset({ORIGIN}):
-                return False
-            if not (sizes[0] >= 3 or (sizes[0] == 1 and sizes[1] >= 3)):
-                return False
-        return len(nonint) == 1 or len(ints) == 2
+        sizes = sorted(len(comps[i]) for i in ints)
+        return sizes[0] >= 3 or (sizes[0] == 1 and sizes[1] >= 3) if sizes else len(nonint) == 1
 
     # principal: single non-integral rectangle or near-rectangle, or rectangle
     # plus point, or a horizontal and a vertical chain.
     if len(comps) == 1:
         s = shapes[0]
-        return s.symmetry == SYM_NON_INTEGRAL and (
-            s.rectangle is not None or s.near_rectangular_shape is not None
-        )
+        return s.symmetry == SYM_NON_INTEGRAL and (s.rectangle is not None or s.near_rectangular_shape is not None)
     if len(comps) == 2 and len(ints) == 2:
         sa, sb = shapes
         ca, cb = comps
@@ -662,16 +658,10 @@ def _shapes_admissible(series: str, graph: SkewGraph, kind: str, shapes: list[Sh
             return sa.rectangle is not None and len(ca) >= 3
         if len(ca) == 1:
             return sb.rectangle is not None and len(cb) >= 3
-        rect_a, rect_b = sa.rectangle, sb.rectangle
-        if rect_a is None or rect_b is None:
+        if sa.rectangle is None or sb.rectangle is None:
             return False
-        chains = sorted([rect_a, rect_b])
-        return (
-            len(ca) >= 3
-            and len(cb) >= 3
-            and chains[0][0] == 1
-            and chains[1][1] == 1
-        )
+        chains = sorted([sa.rectangle, sb.rectangle])
+        return len(ca) >= 3 and len(cb) >= 3 and chains[0][0] == 1 and chains[1][1] == 1
     return False
 
 

@@ -204,6 +204,40 @@ def _rows(frame, elements):
     return rows
 
 
+def test_analyze_builds_each_constraint_row_once(monkeypatch):
+    # The rows of x in g are built once for a <= b, as entry (b, a) of
+    # x^T G + G x is entry (a, b) up to sign: no two rows share their
+    # positions.  cartan_h and both rectangularity sides share one set of
+    # (0,0)-block positions and rows: two _form_rows and three blocks per
+    # analyze.
+    import skewpairs.centralizer as centralizer_module
+
+    calls, blocks = [], []
+    block = centralizer_module._Frame.block
+
+    def counted_rows(frame, zero_block=False):
+        calls.append(zero_block)
+        return _form_rows(frame, zero_block)
+
+    def counted_block(frame, delta):
+        blocks.append(delta)
+        return block(frame, delta)
+
+    monkeypatch.setattr(centralizer_module, "_form_rows", counted_rows)
+    monkeypatch.setattr(centralizer_module._Frame, "block", counted_block)
+    count = 0
+    for r in distinguished_realizations(8):
+        del calls[:], blocks[:]
+        analyze(r)
+        assert calls == [False, True] and len(blocks) == 3, r.graph
+        if r.spec.series != "A":
+            frame, _ = eigenframe(r.spec, r.h1, r.h2)
+            supports = [frozenset(p for p, _ in row) for row in _form_rows(frame)]
+            assert len(set(supports)) == len(supports), r.graph
+            count += 1
+    assert count > 100
+
+
 def test_graded_commutant_matches_blockwise_oracle():
     # Piece for piece: degrees, leading positions and reduced matrices.  The
     # conjugated and sheared copies have non-unit ratios, and where an

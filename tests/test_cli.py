@@ -471,3 +471,83 @@ def test_verify_committed_conjugated_document(tmp_path, capsys):
     diag, conj = reports
     assert diag["dimension"] == conj["dimension"] == 3
     assert diag["flags"] == conj["flags"]
+
+
+def _set_label_component(value):
+    def mutate(doc):
+        doc["labels"][-1]["component"] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        pytest.param(_set_key("orbit_sign", "zz"), "orbit_sign must be null, plus or minus, got 'zz'", id="orbit-sign-zz"),
+        pytest.param(_set_key("orbit_sign", 1), "orbit_sign must be null, plus or minus, got 1", id="orbit-sign-1"),
+        pytest.param(_set_label_component("a"), "label component 'a' is not the index of one of the 2 graph components",
+                     id="component-a"),
+        pytest.param(_set_label_component(True), "label component True is not the index of one of the 2 graph components",
+                     id="component-true"),
+        pytest.param(_set_label_component(2), "label component 2 is not the index of one of the 2 graph components",
+                     id="component-2"),
+        pytest.param(_set_label_component(7), "label component 7 is not the index of one of the 2 graph components",
+                     id="component-7"),
+        pytest.param(_set_label_component(-1), "label component -1 is not the index of one of the 2 graph components",
+                     id="component-minus-1"),
+    ],
+)
+def test_verify_rejects_a_bad_orbit_sign_or_label_component(tmp_path, capsys, mutate, message):
+    # Each of these was once read without a word, and verify exited 0.
+    code, err = _verify_mutated(tmp_path, capsys, mutate)
+    assert (code, err) == (2, f"error: {message}\n")
+
+
+def _drop_series(doc):
+    del doc["entries"][1]["series"]
+    return doc
+
+
+def _set_entry(index, key, value):
+    def mutate(doc):
+        doc["entries"][index][key] = value
+        return doc
+
+    return mutate
+
+
+def _set_first_flag(doc):
+    doc["entries"][0]["report"]["flags"]["principal"] = "yes"
+    return doc
+
+
+def _set_first_biexponent(doc):
+    doc["entries"][0]["report"]["biexponents"][0] = 7
+    return doc
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        pytest.param(lambda doc: doc["entries"], "catalog must be an object", id="top-level-array"),
+        pytest.param(lambda doc: {**doc, "entries": {"0": 1}}, "catalog.entries must be a list", id="entries-an-object"),
+        pytest.param(lambda doc: {**doc, "entries": [5]}, "entries[0] must be an object", id="entry-a-number"),
+        pytest.param(_drop_series, "entries[1] has no field 'series'", id="missing-series"),
+        pytest.param(_set_entry(0, "dimv", True), "entries[0].dimv must be an integer", id="dimv-true"),
+        pytest.param(_set_entry(1, "graph", {"components": [[]]}),
+                     "entries[1].graph.components must be a nonempty list of nonempty node lists", id="empty-component"),
+        pytest.param(_set_first_flag, "entries[0].report.flags.principal must be a boolean", id="flag-a-string"),
+        pytest.param(_set_first_biexponent, "entries[0].report.biexponents must be a list of pairs of strings",
+                     id="biexponent-a-number"),
+    ],
+)
+def test_export_names_the_malformed_field(tmp_path, capsys, mutate, message, fmt):
+    # The first three once escaped as tracebacks with exit 1, and a missing
+    # field printed only its name.
+    code, out, _ = run_cli(capsys, "classify", "--series", "D", "--dimv", "6", "--kind", "distinguished")
+    assert code == 0
+    catalog_file = tmp_path / "catalog.json"
+    catalog_file.write_text(json.dumps(mutate(json.loads(out))))
+    code, out, err = run_cli(capsys, "export", "--input", str(catalog_file), "--format", fmt)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -1,9 +1,10 @@
-"""Input-boundary fuzzing: mutated `build` output fed back to the CLI.
+"""Input-boundary fuzzing: mutated `build` and `classify` output fed back to the CLI.
 
 Each example edits a realization document, as JSON values or as text,
 and runs `verify` on it, or edits the graph text it was built from and runs
-`build` and `render`.  Whatever the input, the CLI must return 0, 1 or 2 and write at most
-one line to stderr: no exception may escape.
+`build` and `render`, or edits the JSON values of a catalog and runs
+`export`.  Whatever the input, the CLI must return 0, 1 or 2 (`export` 0 or
+2) and write at most one line to stderr: no exception may escape.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewpairs.catalog import classify, export_entries
 from skewpairs.cli import main
 from skewpairs.liealg import build_pair, realization_to_jsonable
 from skewpairs.skewgraph import graph_from_text
@@ -28,6 +30,11 @@ DOCUMENTS = tuple(
     realization_to_jsonable(build_pair(series, graph_from_text(text)), fmt)
     for series, text in GRAPHS
     for fmt in ("dense", "sparse")
+)
+
+CATALOGS = tuple(
+    json.loads(export_entries(classify(series, dimv, kind), "json"))
+    for series, dimv, kind in (("A", 3, "principal"), ("C", 4, "distinguished"), ("D", 6, "distinguished"))
 )
 
 scalars = st.one_of(
@@ -137,3 +144,9 @@ def test_build_and_render_survive_text_edits(workdir, graph, edits):
     text = _edit_text(text, edits)
     _run(workdir, text, "build", "--series", series)
     _run(workdir, text, "render")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CATALOGS), json_edits, st.sampled_from(["csv", "table"]))
+def test_export_survives_json_value_edits(workdir, doc, edits, fmt):
+    assert _run(workdir, json.dumps(_edit_json(doc, edits)), "export", "--format", fmt) in (0, 2)

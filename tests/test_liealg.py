@@ -1,6 +1,6 @@
 """Matrix realizations: the defining relations and the sign conventions."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -19,12 +19,15 @@ from oracles import (
     trace,
     transpose,
 )
+from skewpairs import skewgraph
+from skewpairs.catalog import classify
 from skewpairs.centralizer import analyze, is_rectangular_pair
 from skewpairs.liealg import (
     BasisLabel,
     NotAdmissibleError,
     PairRealization,
     RelationReport,
+    _realize,
     build_pair,
     make_spec,
     realization_from_jsonable,
@@ -34,11 +37,15 @@ from skewpairs.liealg import (
 )
 from skewpairs.linalg import integral_rows, rank
 from skewpairs.skewgraph import (
+    Component,
     Node,
     SkewGraph,
+    _admissible_shapes,
+    canonical_form,
     classify_component,
     component_from_nodes,
     enumerate_admissible,
+    graph_from_text,
     rectangle_nodes,
 )
 
@@ -172,6 +179,84 @@ def test_build_pair_rejects_inadmissible():
         build_pair("B", rect_graph(2, 2))
     with pytest.raises(NotAdmissibleError):
         build_pair("D", rect_graph(3, 1))
+
+
+def _moved(g, shift=(F(1, 3), F(-2))):
+    """g with the nodes of each component and the components themselves in
+    reverse order, every node shifted by shift."""
+    comps = (Component(tuple(nd.shifted(*shift) for nd in reversed(c.nodes))) for c in reversed(g.components))
+    return SkewGraph(tuple(comps))
+
+
+def _diagonal(values):
+    return tuple(tuple(x if i == j else F(0) for j in range(len(values))) for i, x in enumerate(values))
+
+
+def test_one_pass_build_matches_the_canonical_route():
+    # build_pair validates a graph that is canonical already once and reads
+    # each component's cells once.  The old route canonicalizes first and
+    # validates the result; a moved copy goes through canonical_form.  h1
+    # and h2, made as int rows from the cells, are also checked against the
+    # node coordinates of the labels.
+    count = 0
+    for series, first, step in (("A", 1, 1), ("B", 1, 2), ("C", 2, 2), ("D", 2, 2)):
+        for dimv in range(first, 9, step):
+            for g in enumerate_admissible(series, dimv, "distinguished"):
+                canon = canonical_form(g)
+                found = _admissible_shapes(series, canon, "distinguished")
+                for sign in ("plus", "minus") if series == "D" and g.is_connected() else (None,):
+                    expected = _realize(series, canon, found, sign)
+                    for graph in (g, _moved(g), _moved(g, (0, 0))):
+                        r = build_pair(series, graph, sign)
+                        for name in (f.name for f in fields(PairRealization) if f.compare):
+                            assert getattr(r, name) == getattr(expected, name), (name, series, g)
+                        assert r._scaled() == expected._scaled() and r.spec._scaled() == expected.spec._scaled()
+                        count += 1
+                    if sign != "minus":
+                        assert expected.h1 == _diagonal([lb.node.x for lb in expected.labels])
+                        assert expected.h2 == _diagonal([lb.node.y for lb in expected.labels])
+    assert count > 600
+
+
+@pytest.mark.parametrize(
+    "series, text",
+    [
+        pytest.param("A", "0/1,0/1 0/1,1/1 1/1,1/1", id="axiom-iv"),
+        pytest.param("A", "0/1,0/1 2/1,0/1", id="not-connected"),
+        pytest.param("A", "0/1,0/1 1/2,0/1", id="off-the-integer-lattice"),
+        pytest.param("A", "0/1,0/1\n1/1,1/1", id="two-components-in-series-a"),
+        pytest.param("B", "-1/2,0/1 1/2,0/1", id="even-dimv-in-series-b"),
+        pytest.param("D", "-1/1,0/1 0/1,0/1 1/1,0/1", id="one-integral-component-in-series-d"),
+    ],
+)
+def test_build_pair_refuses_invalid_and_moved_copies_alike(series, text):
+    g = graph_from_text(text)
+    for graph in (g, _moved(g), _moved(g, (0, 0))):
+        with pytest.raises(NotAdmissibleError, match=f"^graph is not admissible for series {series}$"):
+            build_pair(series, graph)
+
+
+def test_build_pair_reads_each_component_once(monkeypatch):
+    # On an enumerated (canonical) graph: one _cell_offsets per component,
+    # in build_pair and once per graph in classify, for both D signs, and
+    # no _coordinate_sums, the barycentre of canonical_form.
+    offsets, sums = [], []
+    cell_offsets, coordinate_sums = skewgraph._cell_offsets, skewgraph._coordinate_sums
+    monkeypatch.setattr(skewgraph, "_cell_offsets", lambda comp: offsets.append(comp) or cell_offsets(comp))
+    monkeypatch.setattr(skewgraph, "_coordinate_sums", lambda nodes: sums.append(nodes) or coordinate_sums(nodes))
+    for series, dimv in (("A", 5), ("B", 7), ("C", 6), ("D", 8)):
+        graphs = enumerate_admissible(series, dimv, "distinguished")
+        for g in graphs:
+            for sign in ("plus", "minus") if series == "D" and g.is_connected() else (None,):
+                del offsets[:]
+                build_pair(series, g, sign)
+                assert offsets == list(g.components)
+        del offsets[:]
+        classify(series, dimv, "distinguished")
+        assert offsets == [c for g in graphs for c in g.components]
+    assert sums == []
+    build_pair(series, _moved(graphs[0], (0, 0)))
+    assert len(sums) == 1
 
 
 def test_orbit_sign_usage():
