@@ -32,6 +32,7 @@ from .liealg import (
     _realize,
     matrices_to_jsonable,
 )
+from .linalg import _entry_parser
 from .skewgraph import (
     Node,
     SkewGraph,
@@ -294,6 +295,7 @@ def _jsonable_entries_to_table(header: dict, entries: Sequence[dict]) -> str:
         header.get("schema", SCHEMA_NAME), header.get("series", "?"), header.get("dimv", "?"), len(entries)
     )
     lines = [title, "=" * len(title)]
+    parse = _entry_parser()
     for data in entries:
         report = data["report"]
         flags = report["flags"]
@@ -305,7 +307,7 @@ def _jsonable_entries_to_table(header: dict, entries: Sequence[dict]) -> str:
             str(flags["rectangular"]).lower(),
             ";".join(f"({p},{q})" for p, q in report["biexponents"]) or "-",
         )
-        diagram = render_ascii(graph_from_jsonable(data["graph"])).splitlines()
+        diagram = render_ascii(graph_from_jsonable(data["graph"], parse)).splitlines()
         pad = " " * len(info)
         if not diagram:
             lines.append(info)

@@ -25,9 +25,9 @@ from typing import Optional
 
 from .linalg import (
     Matrix,
+    _entry_parser,
     dense_matrix,
     integral_rows,
-    parse_fraction,
     rank,
     scaled_rows,
     with_columns,
@@ -401,21 +401,6 @@ def matrices_to_jsonable(spec: AlgebraSpec, r: PairRealization, fmt: str) -> dic
     return {name: None if m is None else [[str(x) for x in row] for row in m] for name, m in zip(names, mats)}
 
 
-def _entry_parser():
-    """parse_fraction that parses each distinct string once."""
-    parsed: dict[str, Fraction] = {}
-
-    def parse(value):
-        if type(value) is not str:
-            return parse_fraction(value)
-        x = parsed.get(value)
-        if x is None:
-            x = parsed[value] = parse_fraction(value)
-        return x
-
-    return parse
-
-
 def _square(data, n: int, name: str, parse) -> tuple[Optional[Matrix], tuple]:
     """(m, integral_rows(m)) for the n x n matrix m in data, each entry read
     by parse: m as read from a list of rows, or None for a sparse {shape,
@@ -439,10 +424,32 @@ def _square(data, n: int, name: str, parse) -> tuple[Optional[Matrix], tuple]:
         return None, scaled_rows([sorted((j, x) for j, x in row.items() if x) for row in rows])
     if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
         raise ValueError(f"a matrix must be a list of rows or a sparse object, got {type(data).__name__}")
-    m = tuple(tuple(parse(x) for x in row) for row in data)
+    m = tuple(tuple(map(parse, row)) for row in data)
     if len(m) != n or any(len(row) != n for row in m):
         raise ValueError(f"{name} is not a {n}x{n} matrix")
     return m, integral_rows(m)
+
+
+def _check_labels(labels: tuple, graph: SkewGraph) -> None:
+    """ValueError, naming the first bad label, unless each label is a
+    distinct (component, node) pair of the graph: its component the int
+    index of a graph component, and its node a node of that component."""
+    k = len(graph.components)
+    for c in (lb.component_index for lb in labels):
+        if type(c) is not int or not 0 <= c < k:
+            raise ValueError(f"label component {reprlib.repr(c)} is not the index of one of the {k} graph components")
+    pairs = [BasisLabel(c, nd) for c, comp in enumerate(graph.components) for nd in comp.nodes]
+    if list(labels) == pairs:
+        # The order build_pair writes, checked without hashing a Fraction.
+        return
+    pairs, seen = set(pairs), set()
+    for i, lb in enumerate(labels):
+        c, nd = lb.component_index, lb.node
+        if lb not in pairs:
+            raise ValueError(f"label {i}: node ({nd.x}, {nd.y}) is not a node of graph component {c}")
+        if lb in seen:
+            raise ValueError(f"label {i} repeats component {c}, node ({nd.x}, {nd.y})")
+        seen.add(lb)
 
 
 def realization_to_jsonable(r: PairRealization, fmt: str = "dense") -> dict:
@@ -468,8 +475,10 @@ def realization_from_jsonable(data: dict) -> PairRealization:
     not dimV x dimV, when the label count differs from dimV, when series B,
     C or D comes without a Gram matrix or with one that is not symmetric
     (B, D) or alternating (C), when a number has a zero denominator, when
-    orbit_sign is not null, "plus" or "minus", or when a label's component
-    is not the int index of a graph component.
+    orbit_sign is not null, "plus" or "minus", or when the labels are not
+    distinct (component, node) pairs of the graph (_check_labels).  One
+    _entry_parser reads every number: the label nodes, the graph nodes and
+    the matrix entries, so each distinct string is parsed once.
     Sparse matrices stay sparse: their dense fields are built only when read.
     """
 
@@ -485,8 +494,8 @@ def realization_from_jsonable(data: dict) -> PairRealization:
         raise ValueError("labels must be a list of {component, node} objects")
     if len(items) != n:
         raise ValueError(f"{len(items)} labels for dimv {n}")
-    labels = tuple(BasisLabel(item["component"], node_from_jsonable(item["node"])) for item in items)
     parse = _entry_parser()
+    labels = tuple(BasisLabel(item["component"], node_from_jsonable(item["node"], parse)) for item in items)
     form = gram = None
     if data.get("gram") is not None:
         form, gram = _square(data["gram"], n, "gram", parse)
@@ -496,12 +505,10 @@ def realization_from_jsonable(data: dict) -> PairRealization:
     _checked_form(series, gram)
     mats = [_square(data[name], n, name, parse) for name in _MATRICES]
     dense = {name: m for name, (m, _) in zip(_MATRICES, mats) if m is not None}
-    graph = graph_from_jsonable(data["graph"])
-    sign, k = data.get("orbit_sign"), len(graph.components)
+    graph = graph_from_jsonable(data["graph"], parse)
+    sign = data.get("orbit_sign")
     if sign not in (None, "plus", "minus"):
         raise ValueError(f"orbit_sign must be null, plus or minus, got {reprlib.repr(sign)}")
-    bad = [c for c in (lb.component_index for lb in labels) if type(c) is not int or not 0 <= c < k]
-    if bad:
-        raise ValueError(f"label component {reprlib.repr(bad[0])} is not the index of one of the {k} graph components")
+    _check_labels(labels, graph)
     return _deferred(PairRealization, tuple(s for _, s in mats), spec=spec, graph=graph, labels=labels,
                      orbit_sign=sign, **dense)

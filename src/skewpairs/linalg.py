@@ -87,6 +87,24 @@ def parse_fraction(value) -> Fraction:
     return x
 
 
+def _entry_parser():
+    """parse_fraction that parses each distinct string once: one such reader
+    serves every number of a document."""
+    parsed: dict[str, Fraction] = {}
+
+    def parse(value):
+        try:
+            return parsed[value]
+        except (KeyError, TypeError):
+            # Not yet read, or not a string: only strings are kept.
+            x = parse_fraction(value)
+            if type(value) is str:
+                parsed[value] = x
+            return x
+
+    return parse
+
+
 def integral_rows(m: Matrix) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
     """(c, rows): rows[i] is the tuple of (j, c * m[i][j]) with m[i][j] != 0.
 
@@ -259,7 +277,14 @@ def _integer_charpoly(rows: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
     coeffs = [1]
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        am = [[sum(x * m[t][j] for t, x in row) for j in range(n)] for row in rows]
+        # Row i of A M is the combination sum_t x M[t] over the entries (t, x)
+        # of row i of A.
+        am = []
+        for row in rows:
+            acc = [0] * n
+            for t, x in row:
+                acc = [a + x * b for a, b in zip(acc, m[t])]
+            am.append(acc)
         c = -sum(am[i][i] for i in range(n)) // k
         coeffs.append(c)
         for i in range(n):

@@ -345,6 +345,8 @@ def _near_rectangular_cellsets(width: int, height: int) -> tuple[tuple[str, froz
 def canonical_form(graph: SkewGraph) -> SkewGraph:
     """Translate the multiset barycentre to the origin and sort everything."""
     n = graph.n_nodes
+    if not n:
+        return graph
     sx, sy = _coordinate_sums([nd for c in graph.components for nd in c.nodes])
     sx, sy = sx / n, sy / n
     if sx or sy:
@@ -715,19 +717,26 @@ def graph_to_jsonable(graph: SkewGraph) -> dict:
     }
 
 
-def node_from_jsonable(pair) -> Node:
-    """A node from a JSON pair of numbers or numeric strings (ValueError otherwise)."""
+def node_from_jsonable(pair, parse=parse_fraction) -> Node:
+    """A node from a JSON pair of numbers or numeric strings, each read by
+    parse (ValueError otherwise)."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"a node must be a pair of coordinates, got {reprlib.repr(pair)}")
     x, y = pair
-    return Node(parse_fraction(x), parse_fraction(y))
+    return Node(parse(x), parse(y))
 
 
-def graph_from_jsonable(data: dict) -> SkewGraph:
+def graph_from_jsonable(data: dict, parse=parse_fraction) -> SkewGraph:
+    """A graph from a JSON object, each coordinate read by parse.  As in
+    graph_from_text, a graph needs a component and a component a node."""
     comps = data["components"] if isinstance(data, dict) else None
     if not (isinstance(comps, list) and all(isinstance(nodes, list) for nodes in comps)):
         raise ValueError("a graph must be an object whose components are lists of nodes")
-    return SkewGraph(tuple(_read_component(list(map(node_from_jsonable, nodes))) for nodes in comps))
+    if not comps:
+        raise ValueError("no components in graph")
+    if not all(comps):
+        raise ValueError(f"graph component {comps.index([])} has no node")
+    return SkewGraph(tuple(_read_component([node_from_jsonable(nd, parse) for nd in nodes]) for nodes in comps))
 
 
 def render_ascii(graph: SkewGraph) -> str:

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import large_dimv_document
 from skewpairs.cli import main
+from skewpairs.liealg import realization_from_jsonable
 
 
 def run_cli(capsys, *argv):
@@ -471,6 +472,79 @@ def test_verify_committed_conjugated_document(tmp_path, capsys):
     diag, conj = reports
     assert diag["dimension"] == conj["dimension"] == 3
     assert diag["flags"] == conj["flags"]
+
+
+def _b3_sparse_document(tmp_path, capsys) -> dict:
+    graph_file = tmp_path / "b3.txt"
+    graph_file.write_text("-1/1,0/1 0/1,0/1 1/1,0/1\n")
+    code, out, _ = run_cli(capsys, "build", "--series", "B", "--format", "sparse", "--input", str(graph_file))
+    assert code == 0
+    return json.loads(out)
+
+
+def _verify_document(tmp_path, capsys, doc):
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(json.dumps(doc))
+    return run_cli(capsys, "verify", "--input", str(pair_file))
+
+
+def _move_label(doc):
+    doc["labels"][0]["node"] = ["5", "7"]
+
+
+def _repeat_label(doc):
+    doc["labels"][2] = dict(doc["labels"][1])
+
+
+def _append_empty_component(doc):
+    doc["graph"]["components"].append([])
+
+
+def _drop_components(doc):
+    doc["graph"]["components"] = []
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        pytest.param(_move_label, "label 0: node (5, 7) is not a node of graph component 0", id="label-off-the-graph"),
+        pytest.param(_repeat_label, "label 2 repeats component 0, node (0, 0)", id="label-repeated"),
+        pytest.param(_append_empty_component, "graph component 1 has no node", id="empty-component"),
+        pytest.param(_drop_components, "no components in graph", id="no-component"),
+    ],
+)
+def test_verify_refuses_labels_or_components_that_describe_no_graph(tmp_path, capsys, mutate, message):
+    # Each of these once verified with exit 0 and a full report.
+    doc = _b3_sparse_document(tmp_path, capsys)
+    mutate(doc)
+    assert _verify_document(tmp_path, capsys, doc) == (2, "", f"error: {message}\n")
+
+
+def test_verify_reads_one_number_spelled_four_ways_as_one(tmp_path, capsys):
+    # The B5 graph of a 2x2 square and the point: its coordinates and h1, h2
+    # hold +-1/2, here spelled "2/4" in the labels, "0.5" in the graph, the
+    # number 0.5 in h1 and "1/2" in h2.
+    graph_file = tmp_path / "b5.txt"
+    graph_file.write_text("-1/2,-1/2 -1/2,1/2 1/2,-1/2 1/2,1/2\n0/1,0/1\n")
+    code, out, _ = run_cli(capsys, "build", "--series", "B", "--input", str(graph_file))
+    assert code == 0
+    canonical = json.loads(out)
+    doc = json.loads(out)
+
+    def respell(values, half):
+        return [{"1/2": half, "-1/2": "-" + half if isinstance(half, str) else -half}.get(x, x) for x in values]
+
+    for item in doc["labels"]:
+        item["node"] = respell(item["node"], "2/4")
+    doc["graph"]["components"] = [[respell(nd, "0.5") for nd in nodes] for nodes in doc["graph"]["components"]]
+    doc["h1"] = [respell(row, 0.5) for row in doc["h1"]]
+    assert "2/4" in str(doc["labels"]) and "0.5" in str(doc["graph"]) and 0.5 in sum(doc["h1"], [])
+    assert "1/2" in str(doc["h2"])
+    r, back = realization_from_jsonable(canonical), realization_from_jsonable(doc)
+    assert back.labels == r.labels and back.graph == r.graph and back._scaled() == r._scaled()
+    expected = _verify_document(tmp_path, capsys, canonical)
+    assert expected[0] == 0
+    assert _verify_document(tmp_path, capsys, doc) == expected
 
 
 def _set_label_component(value):

@@ -1,11 +1,12 @@
 """Matrix realizations: the defining relations and the sign conventions."""
 
+import random
 from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import distinguished_realizations, large_dimv_document
+from conftest import conjugated, distinguished_realizations, large_dimv_document
 from oracles import (
     algebra_basis,
     commutator,
@@ -181,6 +182,13 @@ def test_build_pair_rejects_inadmissible():
         build_pair("D", rect_graph(3, 1))
 
 
+@pytest.mark.parametrize("series", "ABCD")
+def test_build_pair_refuses_the_graph_without_a_node(series):
+    # Once a ZeroDivisionError from canonical_form.
+    with pytest.raises(NotAdmissibleError):
+        build_pair(series, SkewGraph(()))
+
+
 def _moved(g, shift=(F(1, 3), F(-2))):
     """g with the nodes of each component and the components themselves in
     reverse order, every node shifted by shift."""
@@ -298,6 +306,58 @@ def test_realization_json_round_trip():
         assert back.h1 == r.h1 and back.h2 == r.h2
         assert back.spec == r.spec
         assert back.labels == r.labels
+
+
+def _numbers(doc) -> list:
+    """Every coordinate and matrix entry of a realization document, in order."""
+    out = [x for item in doc["labels"] for x in item["node"]]
+    out += [x for nodes in doc["graph"]["components"] for nd in nodes for x in nd]
+    for name in ("gram", "e1", "e2", "h1", "h2"):
+        m = doc[name]
+        if isinstance(m, dict):
+            out += [v for _, _, v in m["entries"]]
+        elif m is not None:
+            out += [x for row in m for x in row]
+    return out
+
+
+@pytest.mark.parametrize("fmt", ["dense", "sparse"])
+def test_realization_json_parses_each_distinct_string_once(monkeypatch, fmt):
+    # One reader serves the label nodes, the graph nodes and the matrix entries.
+    from skewpairs import linalg
+
+    seen = []
+    parse = linalg.parse_fraction
+    monkeypatch.setattr(linalg, "parse_fraction", lambda value: seen.append(value) or parse(value))
+    built = [
+        build_pair(series, g)
+        for series, dimv in (("B", 7), ("C", 6))
+        for g in enumerate_admissible(series, dimv, "distinguished")[:3]
+    ]
+    rng = random.Random(14)
+    moved = [conjugated(r, rng) for r in built]
+    assert all(moved)
+    for r in built + moved:
+        doc = realization_to_jsonable(r, fmt)
+        seen.clear()
+        back = realization_from_jsonable(doc)
+        assert sorted(seen) == sorted(set(_numbers(doc)))
+        assert back.labels == r.labels and back.graph == r.graph and back._scaled() == r._scaled()
+
+
+def test_realization_json_reads_labels_in_any_order():
+    # The basis reversed, labels and matrices alike, is the same pair in
+    # another basis: each label still names a distinct node of the graph.
+    r = build_pair("B", graph_from_text("-1/2,-1/2 -1/2,1/2 1/2,-1/2 1/2,1/2\n0/1,0/1\n"))
+    doc = realization_to_jsonable(r, "sparse")
+    n = len(doc["labels"])
+    doc["labels"].reverse()
+    for name in ("gram", "e1", "e2", "h1", "h2"):
+        doc[name]["entries"] = sorted([n - 1 - i, n - 1 - j, v] for i, j, v in doc[name]["entries"])
+    back = realization_from_jsonable(doc)
+    assert back.labels == r.labels[::-1]
+    assert verify_relations(back).ok
+    assert analyze(back).flags == analyze(r).flags
 
 
 def test_realization_json_rejects_sparse_entry_outside_shape():

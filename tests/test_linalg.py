@@ -44,6 +44,8 @@ from oracles import (
 )
 from skewpairs.linalg import (
     NotDiagonalizableError,
+    _entry_parser,
+    _integer_charpoly,
     integer_nullspace,
     parse_fraction,
     rank,
@@ -167,6 +169,22 @@ def oracle_charpoly(a):
         coeffs.append(c)
         m = mat_add(am, mat_scale(c, identity(n)))
     return tuple(coeffs)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_integer_charpoly_matches_the_oracle_with_zero_rows(n):
+    # Each product A M is built from the rows of M named by the nonzero
+    # entries of A: sparse and dense matrices, with some rows all zero.
+    rng = random.Random(n)
+    for density in (0.2, 1.0):
+        for _ in range(6):
+            zero_rows = set(rng.sample(range(n), rng.randint(0, n)))
+            a = [
+                [0 if i in zero_rows or rng.random() > density else rng.randint(-9, 9) for _ in range(n)]
+                for i in range(n)
+            ]
+            rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
+            assert tuple(_integer_charpoly(rows)) == oracle_charpoly(matrix(a))
 
 
 def _oracle_divisors(n):
@@ -378,6 +396,15 @@ def test_parse_fraction_bounds_the_exponent_and_refuses_bool():
     for value in (True, False):
         with pytest.raises(ValueError, match="expected a number or a numeric string"):
             parse_fraction(value)
+
+
+def test_entry_parser_keeps_strings_only_and_refuses_what_parse_fraction_refuses():
+    parse = _entry_parser()
+    assert parse("1/2") is parse("1/2") == parse("2/4") == parse(0.5) == F(1, 2)
+    assert parse(3) == 3
+    for value in (True, [1], None, "1/0", float("inf")):
+        with pytest.raises(ValueError):
+            parse(value)
 
 
 def test_parse_fraction_refuses_numbers_too_long_to_print():

@@ -532,6 +532,13 @@ def test_json_round_trip():
         assert graph_key(graph_from_jsonable(data)) == graph_key(g)
 
 
+@pytest.mark.parametrize("comps", [[], [[["0", "0"]], []], [[]]], ids=["no-component", "empty-second", "empty-only"])
+def test_graph_from_jsonable_refuses_what_graph_from_text_cannot_hold(comps):
+    # Each once read as a graph that verify accepted and render_ascii could not draw.
+    with pytest.raises(ValueError, match="no components in graph|graph component 1 has no node|graph component 0 has no node"):
+        graph_from_jsonable({"components": comps})
+
+
 def test_render_single_component():
     art = render_ascii(one_component((F(-1, 2), 0), (F(1, 2), 0)))
     assert art == "##"
