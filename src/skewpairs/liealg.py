@@ -438,11 +438,8 @@ def _check_labels(labels: tuple, graph: SkewGraph) -> None:
     for c in (lb.component_index for lb in labels):
         if type(c) is not int or not 0 <= c < k:
             raise ValueError(f"label component {reprlib.repr(c)} is not the index of one of the {k} graph components")
-    pairs = [BasisLabel(c, nd) for c, comp in enumerate(graph.components) for nd in comp.nodes]
-    if list(labels) == pairs:
-        # The order build_pair writes, checked without hashing a Fraction.
-        return
-    pairs, seen = set(pairs), set()
+    pairs = {BasisLabel(c, nd) for c, comp in enumerate(graph.components) for nd in comp.nodes}
+    seen = set()
     for i, lb in enumerate(labels):
         c, nd = lb.component_index, lb.node
         if lb not in pairs:

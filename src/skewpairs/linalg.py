@@ -93,14 +93,12 @@ def _entry_parser():
     parsed: dict[str, Fraction] = {}
 
     def parse(value):
-        try:
-            return parsed[value]
-        except (KeyError, TypeError):
-            # Not yet read, or not a string: only strings are kept.
-            x = parse_fraction(value)
-            if type(value) is str:
-                parsed[value] = x
-            return x
+        if type(value) is not str:
+            return parse_fraction(value)
+        x = parsed.get(value)
+        if x is None:
+            x = parsed[value] = parse_fraction(value)
+        return x
 
     return parse
 

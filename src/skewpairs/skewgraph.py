@@ -717,16 +717,17 @@ def graph_to_jsonable(graph: SkewGraph) -> dict:
     }
 
 
-def node_from_jsonable(pair, parse=parse_fraction) -> Node:
+def node_from_jsonable(pair, parse) -> Node:
     """A node from a JSON pair of numbers or numeric strings, each read by
-    parse (ValueError otherwise)."""
+    parse: parse_fraction, or an _entry_parser() shared by a whole document
+    (ValueError otherwise)."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"a node must be a pair of coordinates, got {reprlib.repr(pair)}")
     x, y = pair
     return Node(parse(x), parse(y))
 
 
-def graph_from_jsonable(data: dict, parse=parse_fraction) -> SkewGraph:
+def graph_from_jsonable(data: dict, parse) -> SkewGraph:
     """A graph from a JSON object, each coordinate read by parse.  As in
     graph_from_text, a graph needs a component and a component a node."""
     comps = data["components"] if isinstance(data, dict) else None

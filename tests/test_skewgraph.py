@@ -38,6 +38,7 @@ from skewpairs.skewgraph import (
     render_ascii,
     validate,
 )
+from skewpairs.linalg import parse_fraction
 
 F = Fraction
 
@@ -529,14 +530,14 @@ def test_text_format_explicit_denominators():
 def test_json_round_trip():
     for g in enumerate_admissible("B", 5, "distinguished"):
         data = graph_to_jsonable(g)
-        assert graph_key(graph_from_jsonable(data)) == graph_key(g)
+        assert graph_key(graph_from_jsonable(data, parse_fraction)) == graph_key(g)
 
 
 @pytest.mark.parametrize("comps", [[], [[["0", "0"]], []], [[]]], ids=["no-component", "empty-second", "empty-only"])
 def test_graph_from_jsonable_refuses_what_graph_from_text_cannot_hold(comps):
     # Each once read as a graph that verify accepted and render_ascii could not draw.
     with pytest.raises(ValueError, match="no components in graph|graph component 1 has no node|graph component 0 has no node"):
-        graph_from_jsonable({"components": comps})
+        graph_from_jsonable({"components": comps}, parse_fraction)
 
 
 def test_render_single_component():
