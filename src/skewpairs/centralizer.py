@@ -12,15 +12,16 @@ bi-homogeneous, and the form pairs weight w only with -w, so every
 condition on x in z(e1, e2) & g lies in one bi-degree block of gl(V).
 
 On a built pair e1, e2 and G are signed monomial matrices, so almost every
-condition has one or two terms: x_u = 0 or a x_u + b x_v = 0.  One signed
-union-find pass over the n^2 positions of gl(V) solves those, and each live
-component is a basis vector of the centralizer.  Only the rows with three
-or more terms are eliminated, per block, in component variables: the
-series-A trace for dimV >= 3, and the rows of a frame in which e or G is
-not monomial.  Bases are returned in reduced echelon form in the input
-coordinates: in a moved frame each basis matrix x is mapped back once, as
-the integer product T x T^-1 with both factors scaled to ints, and one
-fraction-free elimination over these rows gives the basis.
+condition has one or two terms: x_u = 0 or a x_u + b x_v = 0.  One kernel,
+_unite, solves those in every pass: a signed union-find that reads each
+entry of [x, m] off one column and one row of m.  Over the n^2 positions
+of gl(V) each live component is a basis vector of the centralizer.  Only
+rows with three or more terms are eliminated, per block, in component
+variables: the series-A trace for dimV >= 3, and the rows of a frame in
+which e or G is not monomial.  Bases are returned in reduced echelon form
+in the input coordinates: in a moved frame each basis matrix x is mapped
+back once, as the integer product T x T^-1 with both factors scaled to
+ints, and one fraction-free elimination over these rows gives the basis.
 
 The flags need no other solve.  z(h) & z(e) is the (0,0) piece of z(e),
 and z(h) the (0,0) block of g, found by the same union-find pass on the
@@ -28,12 +29,13 @@ O(n) positions of that block.  Rectangularity (Ginzburg: h_i in [e_i, g])
 follows by duality (Kostant): the trace form is invariant and
 nondegenerate on g, so [e, g] is the orthogonal of z_g(e), and h lies in
 it exactly when tr(h z) vanishes on the (0,0) block of z_g(e), again one
-union-find pass.  Each row is built once, as a sparse int row: _form_rows
-keeps a <= b of the (anti)symmetric x^T G + G x, and the (0,0)-block rows
-serve z(h) and both rectangularity sides.  The weights are scaled by their
-common denominator, so bi-degrees are int pairs, and e1, e2 and the Gram
-matrix are each scaled to integers, which changes no commutant and no
-image.
+union-find pass.  In series A these passes drop the trace row and find the
+block of gl(V): that of sl(V) plus the line of I, with tr(h I) = 0, and
+nothing left to eliminate.  Each row is built once: _form_rows keeps
+a <= b of the (anti)symmetric x^T G + G x, and the (0,0)-block rows serve
+z(h) and both rectangularity sides.  The weights are scaled by their common
+denominator, so bi-degrees are int pairs, and e1, e2 and the Gram matrix
+are each scaled to integers, which changes no commutant and no image.
 
 The report keeps its basis and witness as integral_rows, each scaled by its
 value at the lead, for the closed-form check and JSON export; the dense
@@ -195,8 +197,9 @@ class _Frame:
 
     @cached_property
     def zero(self) -> tuple[list[int], list]:
-        """The (0,0)-block positions and form rows: cartan_h and both rectangularity sides read them."""
-        return self.block(DEGREE_0), _form_rows(self, zero_block=True)
+        """The (0,0)-block positions and form rows, without the trace in
+        series A: cartan_h and both rectangularity sides read them."""
+        return self.block(DEGREE_0), [] if self.spec.series == "A" else _form_rows(self, zero_block=True)
 
 
 def _sandwich(left, rows, right) -> list[list[int]]:
@@ -311,26 +314,22 @@ def _form_rows(frame: _Frame, zero_block: bool = False) -> list[list[tuple[int, 
     return rows
 
 
-def _bracket_rows(n: int, sparse_m, targets):
-    """(i, j, row) for each entry (i, j) in targets of [x, m], row the sparse
-    row of that entry in the coordinates of x; m is given by with_columns."""
-    m_rows, m_cols = sparse_m
-    for i, j in targets:
-        yield i, j, _summed([(i * n + t, val) for t, val in m_cols[j]] + [(t * n + j, -val) for t, val in m_rows[i]])
-
-
-def _unite(positions, rows) -> tuple[list, list]:
-    """One signed union-find pass of sparse rows over these positions.
+def _unite(positions, rows, brackets=()) -> tuple[list, list]:
+    """One signed union-find pass over these positions, of the sparse rows
+    and of entry (i, j) of [x, m] for each (m, targets) in brackets, m by
+    with_columns and each (i, j) in targets.
 
     A row a x_u + b x_v = 0 unites u and v with the ratio x_v / x_u = -a / b,
     an int while the division is exact; a row with one term, or a cycle
-    whose ratios do not close, forces its component to 0.  Returns
-    (components, rows of three or more terms): each live component, a
-    kernel vector of the shorter rows, by its (position, x_p / x_root)
-    pairs in the order of positions, ordered by first position."""
-    parent = {p: p for p in positions}
-    ratio = dict.fromkeys(parent, 1)
-    dead = set()
+    whose ratios do not close, forces its component to 0.  Entry (i, j) of
+    [x, m], sum_t m_tj x_it - sum_t m_it x_tj, is read off column j and row
+    i of m: one union or one kill while each holds at most one entry (with
+    m_jj and m_ii both nonzero, x_ij meets itself), a row by _summed when one
+    holds two.  Returns (components, rows of three or more terms): each live
+    component, a kernel vector of the shorter rows, by its (position,
+    x_p / x_root) pairs in the order of positions, ordered by first position."""
+    size = max(positions, default=-1) + 1
+    parent, ratio, dead, long_rows = list(range(size)), [1] * size, [False] * size, []
 
     def find(p: int) -> int:
         path = []
@@ -344,36 +343,49 @@ def _unite(positions, rows) -> tuple[list, list]:
                 parent[q] = p
         return p
 
-    long_rows = []
-    for row in rows:
-        if len(row) == 1:
-            dead.add(find(row[0][0]))
-        elif len(row) == 2:
-            (u, a), (v, b) = row
-            ru, rv = parent[u], parent[v]
-            if parent[ru] != ru:
-                ru = find(u)
-            if parent[rv] != rv:
-                rv = find(v)
-            a *= ratio[u]
-            b *= ratio[v]
-            if ru == rv:
-                if a + b:
-                    dead.add(ru)
-            else:
-                # a x_ru + b x_rv = 0
-                parent[rv] = ru
-                ratio[rv] = -a // b if type(a) is int and type(b) is int and a % b == 0 else Fraction(-a, b)
-                if rv in dead:
-                    dead.add(ru)
+    def join(u: int, a, v: int, b) -> None:
+        ru, rv = parent[u], parent[v]
+        if parent[ru] != ru:
+            ru = find(u)
+        if parent[rv] != rv:
+            rv = find(v)
+        a, b = a * ratio[u], b * ratio[v]
+        if ru == rv:
+            if a + b:
+                dead[ru] = True
         else:
+            # a x_ru + b x_rv = 0
+            parent[rv] = ru
+            ratio[rv] = -a // b if type(a) is int and type(b) is int and a % b == 0 else Fraction(-a, b)
+            dead[ru] = dead[ru] or dead[rv]
+
+    def take(row) -> None:
+        if len(row) == 2:
+            join(row[0][0], row[0][1], row[1][0], row[1][1])
+        elif len(row) == 1:
+            dead[find(row[0][0])] = True
+        elif row:
             long_rows.append(row)
 
+    for row in rows:
+        take(row)
+    for (m_rows, m_cols), targets in brackets:
+        n = len(m_rows)
+        for i, j in targets:
+            col, row = m_cols[j], m_rows[i]
+            if len(col) > 1 or len(row) > 1:
+                take(_summed([(i * n + t, c) for t, c in col] + [(t * n + j, -c) for t, c in row]))
+            elif col and row:
+                join(i * n + col[0][0], col[0][1], row[0][0] * n + j, -row[0][1])
+            elif col or row:
+                dead[find(i * n + col[0][0] if col else row[0][0] * n + j)] = True
+
     components: dict[int, list] = {}
-    for p, root in parent.items():
+    for p in positions:
+        root = parent[p]
         if parent[root] != root:
             root = find(p)
-        if root not in dead:
+        if not dead[root]:
             components.setdefault(root, []).append((p, ratio[p]))
     return list(components.values()), long_rows
 
@@ -413,12 +425,8 @@ def _graded_commutant(frame: _Frame, elements) -> dict:
     """
     weights = frame.weights
     n = len(weights)
-    rows = _form_rows(frame)
-    for m in elements:
-        m_rows, m_cols = m
-        targets = [(i, j) for i in range(n) for j in range(n) if m_rows[i] or m_cols[j]]
-        rows.extend(row for _, _, row in _bracket_rows(n, m, targets) if row)
-    components, long_rows = _unite(range(n * n), rows)
+    brackets = [(m, [(i, j) for i in range(n) for j in range(n) if m[0][i] or m[1][j]]) for m in elements]
+    components, long_rows = _unite(range(n * n), _form_rows(frame), brackets)
 
     def degree(p: int) -> tuple[int, int]:
         wi, wj = weights[p // n], weights[p % n]
@@ -498,12 +506,10 @@ def _zero_block(frame: _Frame, e=None, side: int = 0) -> tuple[list, list]:
     with_columns, as (components of _unite, long rows in their coordinates):
     the kernel is {sum y_k component_k : the long rows vanish at y}.  [x, e]
     lands in the block of e's degree, den along its side."""
-    n = len(frame.weights)
-    positions, rows = frame.zero
-    if e is not None:
-        targets = (divmod(p, n) for p in frame.block((frame.den, 0) if side == 0 else (0, frame.den)))
-        rows = rows + [row for _, _, row in _bracket_rows(n, e, targets) if row]
-    components, long_rows = _unite(positions, rows)
+    n, (positions, rows) = len(frame.weights), frame.zero
+    delta = (frame.den, 0) if side == 0 else (0, frame.den)
+    brackets = () if e is None else [(e, [divmod(p, n) for p in frame.block(delta)])]
+    components, long_rows = _unite(positions, rows, brackets)
     return components, _component_rows(components, long_rows)[1] if long_rows else []
 
 
@@ -516,7 +522,9 @@ def _h_in_image(frame: _Frame, e, side: int) -> bool:
     diagonal with the weights along its side, and the form pairs bi-degree
     d only with -d, so phi(z) = sum_i w_i z_ii must vanish on the (0,0)
     block of z_g(e): on each component, or, when long rows cut that kernel
-    down, on each vector of its basis in component coordinates.
+    down, on each vector of its basis in component coordinates.  In series A
+    the pass has no trace row, so it finds the (0,0) block of z_gl(e): that
+    of z_sl(e) plus the line of I, as tr I = n != 0, and phi(I) = den tr h = 0.
     """
     n = len(frame.weights)
     components, system = _zero_block(frame, e, side)
@@ -591,9 +599,10 @@ def analyze(r: PairRealization) -> CentralizerReport:
         }
         reduced, _ = _eliminate(row for rows in mapped.values() for row in rows)
         basis = tuple(_by_rows(n, [(p, x) for p, x in enumerate(v) if x]) for v in reduced)
-    # z(h) is the (0,0) block of g, and z(h) & z(e) the (0,0) piece of z(e).
+    # z(h) is the (0,0) block of g, less I in series A (_Frame.zero), and
+    # z(h) & z(e) the (0,0) piece of z(e).
     components, system = _zero_block(frame)
-    cartan_h = len(components) - (rank(system) if system else 0) == spec.rank
+    cartan_h = len(components) - (rank(system) if system else 0) - (spec.series == "A") == spec.rank
     trivial = DEGREE_0 not in pieces
 
     table = tuple((frame.degree(d), len(pieces[d])) for d in sorted(pieces))

@@ -24,6 +24,7 @@ from math import lcm
 from typing import Optional
 
 from .linalg import (
+    ZERO,
     Matrix,
     _entry_parser,
     dense_matrix,
@@ -403,10 +404,10 @@ def matrices_to_jsonable(spec: AlgebraSpec, r: PairRealization, fmt: str) -> dic
 
 def _square(data, n: int, name: str, parse) -> tuple[Optional[Matrix], tuple]:
     """(m, integral_rows(m)) for the n x n matrix m in data, each entry read
-    by parse: m as read from a list of rows, or None for a sparse {shape,
-    entries} object, which is never filled in (a later entry at a place
-    wins).  Raises ValueError for another JSON value or size, an entry
-    outside the shape, or an entry that is not a number."""
+    by parse, an _entry_parser, so each 0 is ZERO: m as read from a list of
+    rows, or None for a sparse {shape, entries} object, which is never filled
+    in (a later entry at a place wins).  Raises ValueError for another JSON
+    value or size, an entry outside the shape, or an entry not a number."""
     if isinstance(data, dict):
         entries = data.get("entries")
         if data.get("shape") != n:
@@ -427,7 +428,7 @@ def _square(data, n: int, name: str, parse) -> tuple[Optional[Matrix], tuple]:
     m = tuple(tuple(map(parse, row)) for row in data)
     if len(m) != n or any(len(row) != n for row in m):
         raise ValueError(f"{name} is not a {n}x{n} matrix")
-    return m, integral_rows(m)
+    return m, scaled_rows([[(j, x) for j, x in enumerate(row) if x is not ZERO] for row in m])
 
 
 def _check_labels(labels: tuple, graph: SkewGraph) -> None:

@@ -88,16 +88,16 @@ def parse_fraction(value) -> Fraction:
 
 
 def _entry_parser():
-    """parse_fraction that parses each distinct string once: one such reader
-    serves every number of a document."""
+    """parse_fraction that parses each distinct string once and returns each
+    zero as ZERO: one such reader serves every number of a document."""
     parsed: dict[str, Fraction] = {}
 
     def parse(value):
         if type(value) is not str:
-            return parse_fraction(value)
+            return parse_fraction(value) or ZERO
         x = parsed.get(value)
         if x is None:
-            x = parsed[value] = parse_fraction(value)
+            x = parsed[value] = parse_fraction(value) or ZERO
         return x
 
     return parse

@@ -345,6 +345,28 @@ def test_realization_json_parses_each_distinct_string_once(monkeypatch, fmt):
         assert back.labels == r.labels and back.graph == r.graph and back._scaled() == r._scaled()
 
 
+def test_dense_document_tests_no_matrix_entry_for_zero(monkeypatch):
+    # The reader gives every zero, however spelled, as the one ZERO, so the
+    # nonzero entries of each dense row are kept by identity as it is read:
+    # Fraction.__bool__ runs once per distinct string and once per JSON
+    # number the reader parses, not once per matrix entry.
+    r = build_pair("C", rect_graph(3, 2))
+    doc = realization_to_jsonable(r, "dense")
+    zeros = iter(["0", "0/5", "-0", 0, 0.0, "0e3", "-0.0"] * 40)
+    for name in ("gram", "e1", "e2", "h1", "h2"):
+        doc[name] = [[next(zeros) if x == "0" else x for x in row] for row in doc[name]]
+    numbers = _numbers(doc)
+    calls = []
+    boolean = Fraction.__bool__
+    monkeypatch.setattr(Fraction, "__bool__", lambda x: calls.append(x) or boolean(x))
+    back = realization_from_jsonable(doc)
+    monkeypatch.undo()
+    assert len(calls) == len({x for x in numbers if type(x) is str}) + sum(type(x) is not str for x in numbers)
+    assert len(calls) < 5 * r.spec.dimv**2 / 3
+    assert back._scaled() == r._scaled() and back.spec._scaled() == r.spec._scaled()
+    assert (back.e1, back.e2, back.h1, back.h2, back.spec) == (r.e1, r.e2, r.h1, r.h2, r.spec)
+
+
 def test_realization_json_reads_labels_in_any_order():
     # The basis reversed, labels and matrices alike, is the same pair in
     # another basis: each label still names a distinct node of the graph.

@@ -43,6 +43,7 @@ from oracles import (
     transpose,
 )
 from skewpairs.linalg import (
+    ZERO,
     NotDiagonalizableError,
     _entry_parser,
     _integer_charpoly,
@@ -402,6 +403,7 @@ def test_entry_parser_keeps_strings_only_and_refuses_what_parse_fraction_refuses
     parse = _entry_parser()
     assert parse("1/2") is parse("1/2") == parse("2/4") == parse(0.5) == F(1, 2)
     assert parse(3) == 3
+    assert parse("0") is parse("0/7") is parse("-0.0") is parse(0) is parse(0.0) is ZERO
     for value in (True, [1], None, "1/0", float("inf")):
         with pytest.raises(ValueError):
             parse(value)
