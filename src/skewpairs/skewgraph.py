@@ -20,9 +20,13 @@ overlap that actually occurs in the even orthogonal series.
 Enumeration works on integer cells.  A component of k nodes is the pair
 (k, cells), its cells k times its node coordinates about its barycentre, so
 every generator, the series-D shared-origin test included, is integer
-arithmetic.  Each generator emits its graphs in canonical form; the
-admissible graphs are sorted once by an integer key and become Nodes only
-at the end, and counting them builds no Node at all.
+arithmetic.  Series A builds every connected shape column by column.
+Series B, C and D admit only shapes symmetric about their centre and build
+just those: the left columns are chosen and the rest is their half turn,
+so the symmetry class is read off the width and the centre, and no
+asymmetric shape is built.  Each generator emits its graphs in canonical
+form; the admissible graphs are sorted once by an integer key and become
+Nodes only at the end, and counting them builds no Node at all.
 """
 
 from __future__ import annotations
@@ -438,9 +442,48 @@ def _young_shapes(n: int) -> list[tuple[int, tuple]]:
 
 
 @lru_cache(maxsize=None)
+def _symmetric_shapes(n: int) -> dict[str, tuple[tuple[int, tuple], ...]]:
+    """The centrally symmetric connected n-cell shapes by symmetry class,
+    each class in _connected_shapes order.
+
+    A half turn reverses the columns and sends a column (b, t) to
+    (c - t, c - b), c twice the centre's height, and it keeps the columns
+    falling as _connected_shapes chooses them.  So a symmetric shape is its
+    left columns (s cells), then either a middle column of n - 2s cells, or,
+    when 2s = n, a c from 2b to b + t at the last left column (b, t), then
+    the turned left columns; only the left columns are chosen.  Its nodes
+    are integral along x when it has an odd number of columns, along y when
+    c is even.
+    """
+    classes: dict[str, list] = {}
+
+    def close(left: list, middle: list, c: int) -> None:
+        cols = left + middle + [(c - t, c - b) for b, t in reversed(left)]
+        comp = _int_component([(x, y) for x, (b, t) in enumerate(cols) for y in range(b, t + 1)])
+        classes.setdefault(_PARITY_SYMMETRY[1 - len(cols) % 2, c % 2], []).append(comp)
+
+    def extend(left: list, s: int) -> None:
+        bottom, top = left[-1]
+        h = n - 2 * s
+        if not h:
+            for c in range(2 * bottom, bottom + top + 1):
+                close(left, [], c)
+            return
+        for t in range(bottom, min(top, bottom + h - 1) + 1):
+            close(left, [(t - h + 1, t)], 2 * t - h + 1)
+        for t in range(bottom, top + 1):
+            for b in range(t - h // 2 + 1, bottom + 1):
+                extend(left + [(b, t)], s + t - b + 1)
+
+    close([], [(0, n - 1)], n - 1)
+    for height in range(1, n // 2 + 1):
+        extend([(0, height - 1)], height)
+    return {sym: tuple(sorted(shapes)) for sym, shapes in classes.items()}
+
+
 def _cs_shapes(n: int, symmetry: str) -> tuple[tuple[int, tuple], ...]:
     """The connected n-cell shapes of one symmetry class, in _connected_shapes order."""
-    return tuple(comp for comp in _connected_shapes(n) if _symmetry(comp) == symmetry)
+    return _symmetric_shapes(n).get(symmetry, ())
 
 
 def _rectangle(width: int, height: int) -> tuple[int, tuple]:

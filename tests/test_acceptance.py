@@ -11,11 +11,13 @@ from fractions import Fraction
 from conftest import divisor_count, naive_nullspace, odd_part, oracle_connected_cellsets, partition_counts
 from oracles import commutator, graph_key, matrix, nullspace
 from skewpairs.catalog import CatalogVerificationError, _closed_form_matches, classify, count_orbits
-from skewpairs.centralizer import _flatten, closed_form_centralizer, graph_from_pair
+from skewpairs.centralizer import _flatten, analyze, closed_form_centralizer, graph_from_pair
+from skewpairs.liealg import build_pair, verify_relations
 from skewpairs.skewgraph import (
     SkewGraph,
     classify_component,
     component_from_nodes,
+    enumerate_admissible,
     graph_to_text,
     rectangle_nodes,
 )
@@ -254,3 +256,27 @@ def test_criterion_10_solver_oracle():
         if ours != ref:
             failures.append(f"trial {trial}: solver disagreement")
     _report(10, "echelon nullspace agrees with naive elimination on 200 commutator systems", failures)
+
+
+def test_criterion_11_streamed_b13_c14_d14():
+    """Criteria 1 and 2 on every distinguished realization of B13, C14 and
+    D14 (both sign representatives of a connected series-D graph), each
+    checked as it is built and then dropped, so no record is held."""
+    failures = []
+    checked = 0
+    for series, dimv in (("B", 13), ("C", 14), ("D", 14)):
+        for graph in enumerate_admissible(series, dimv, "distinguished", max_nodes=14):
+            for sign in ("plus", "minus") if series == "D" and graph.is_connected() else (None,):
+                checked += 1
+                r = build_pair(series, graph, sign)
+                relations = verify_relations(r)
+                case = f"{series} dimV={dimv} sign={sign} graph={graph_to_text(graph)!r}"
+                if not relations.ok:
+                    failures.append(f"{case}: {relations.failures}")
+                    continue
+                flags = analyze(r).flags
+                if not (flags.cartan_h and flags.trivial_intersection):
+                    failures.append(f"{case}: not distinguished")
+    if checked != 232 + 612 + 447:
+        failures.append(f"{checked} realizations, not 1,291")
+    _report(11, f"relations hold and the pair is distinguished on all {checked} B13, C14, D14 realizations", failures)

@@ -3,13 +3,16 @@
 Each digest is the sha256 of the enumerated graphs' text forms
 (``graph_to_text``) joined by blank lines, recorded from the grow-and-
 deduplicate enumerator that the orderly generator replaced.  A change in
-the content or the order of any enumeration fails here.
+the content or the order of any enumeration fails here.  The pins past
+dimV 10 were recorded from the filter over every connected shape that the
+left-half generator of the symmetric shapes replaced.
 """
 
 import hashlib
 
 import pytest
 
+from skewpairs.catalog import count_orbits
 from skewpairs.skewgraph import enumerate_admissible, enumerate_connected, graph_to_text
 
 CONNECTED_DIGESTS = {
@@ -78,6 +81,17 @@ ADMISSIBLE_DIGESTS = {
     ("D", 10, "principal"): "81983d226a9401465558f1cca8299a624741f0d33ead828d6716d10cefa58f45",
 }
 
+# Distinguished graphs past dimV 10: (graph count, orbit count, digest); a
+# connected series-D graph names two orbits.
+WIDE_DISTINGUISHED_DIGESTS = {
+    ("B", 11): (90, 90, "ab0f7e399b00f1363b7efc25cd93702bbd2a2dd6d63d22b6cb2b94036048bec2"),
+    ("B", 13): (232, 232, "c81b63752f226f21300409141964a7349a68be893db1ce15598c3790407f3e15"),
+    ("C", 12): (241, 241, "9737f8c1f34ce21d7410a0d040a325ba4236e213b2ca1461c0737088361df6eb"),
+    ("C", 14): (612, 612, "96e3fe2a37f96ec8c3c870b78efc230a01356e6d0c143bc6f2969f39d3dce36f"),
+    ("D", 12): (145, 177, "eb74320507a7756fb0ca2d4d2ec690b5463f68f2a949eeafe1b4f9df3b612bbc"),
+    ("D", 14): (374, 447, "eefeb207e001e2172b501dcb044ff476ba2abb1e959da36bb13bba94360eec4a"),
+}
+
 
 def _digest(graphs) -> str:
     text = "\n\n".join(graph_to_text(g) for g in graphs)
@@ -94,3 +108,10 @@ def test_admissible_enumeration_pinned(series):
     for (s, dimv, kind), expected in sorted(ADMISSIBLE_DIGESTS.items()):
         if s == series:
             assert _digest(enumerate_admissible(s, dimv, kind)) == expected, (dimv, kind)
+
+
+@pytest.mark.parametrize("series, dimv", sorted(WIDE_DISTINGUISHED_DIGESTS))
+def test_wide_distinguished_enumeration_pinned(series, dimv):
+    graphs = enumerate_admissible(series, dimv, "distinguished", max_nodes=14)
+    orbits = count_orbits(series, dimv, "distinguished", max_nodes=14)
+    assert (len(graphs), orbits, _digest(graphs)) == WIDE_DISTINGUISHED_DIGESTS[series, dimv]

@@ -19,10 +19,13 @@ from skewpairs.skewgraph import (
     ShapeClass,
     SkewGraph,
     _component_cells,
+    _connected_shapes,
     _cs_shapes,
     _int_component,
     _near_rectangles,
     _near_rectangular_cellsets,
+    _symmetric_shapes,
+    _symmetry,
     _to_component,
     canonical_form,
     classify_component,
@@ -232,9 +235,22 @@ def test_symmetry_classes_match_negation_oracle():
             assert classify_component(c).symmetry == expected[c]
         for sym in (SYM_INTEGRAL, SYM_SEMI_COLSORT, SYM_SEMI_ROWSORT, SYM_NON_INTEGRAL):
             assert [_to_component(c) for c in _cs_shapes(n, sym)] == [c for c in comps if expected[c] == sym]
+    # Past n = 10, against every connected shape filtered by _symmetry, order included.
+    for n in range(11, 14):
+        for sym in (SYM_INTEGRAL, SYM_SEMI_COLSORT, SYM_SEMI_ROWSORT, SYM_NON_INTEGRAL):
+            assert list(_cs_shapes(n, sym)) == [c for c in _connected_shapes(n) if _symmetry(c) == sym], (n, sym)
     # symmetry is about the origin: a translated copy is not centrally symmetric
     moved = component_from_nodes(nd.shifted(1, 0) for nd in rectangle_nodes(3, 3))
     assert classify_component(moved).symmetry == "not-cs"
+
+
+def test_series_b_c_d_build_no_asymmetric_shape():
+    _connected_shapes.cache_clear()
+    _symmetric_shapes.cache_clear()
+    for series, dimv in (("B", 13), ("C", 14), ("D", 14)):
+        for kind in ("distinguished", "principal"):
+            assert enumerate_admissible(series, dimv, kind, max_nodes=14)
+    assert _connected_shapes.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
