@@ -35,7 +35,9 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import lcm
+from operator import itemgetter, sub
 from typing import Iterable, Optional, Sequence
 
 from .linalg import parse_fraction
@@ -394,23 +396,43 @@ def _connected_shapes(n: int) -> tuple[tuple[int, tuple], ...]:
     overlapping the one before.  Choosing the columns in turn therefore
     produces each shape exactly once (orderly generation in the manner of
     Redelmeier 1981, "Counting polyominoes: yet another attack").
+
+    Shapes that share their first columns share the work on them: xs and
+    ys hold n times the coordinates of the cells chosen so far, column by
+    column and bottom up, which is sorted order, and sx, sy their sums, so
+    a finished shape is _int_component of its cells with no sort.  Each
+    column is chosen by its bottom upwards, then by its top downwards, the
+    first column tallest first; the shapes then come in the order of their
+    cells measured from the bottom cell of the first column.  About the
+    barycentre that cell is (-sx, -sy), so a stable sort by it, as one
+    integer, puts the shapes in sorted order.
     """
     shapes = []
+    xs: list[int] = []
+    ys: list[int] = []
+    scale = 2 * n * n + 1  # exceeds twice any |sy|
 
-    def extend(cols: list[tuple[int, int]], left: int) -> None:
+    def extend(x: int, bottom: int, top: int, left: int, sx: int, sy: int) -> None:
         if not left:
-            shapes.append(
-                _int_component([(x, y) for x, (b, t) in enumerate(cols) for y in range(b, t + 1)])
-            )
+            cells = tuple(zip(map(sub, xs, repeat(sx)), map(sub, ys, repeat(sy))))
+            shapes.append((-sx * scale - sy, (n, cells)))
             return
-        bottom, top = cols[-1]
-        for t in range(bottom, top + 1):
-            for b in range(t - left + 1, bottom + 1):
-                extend(cols + [(b, t)], left - (t - b + 1))
+        chosen = len(xs)
+        for b in range(bottom - left + 1, bottom + 1):
+            for t in range(min(top, b + left - 1), bottom - 1, -1):
+                h = t - b + 1
+                xs.extend(repeat(n * x, h))
+                ys.extend(range(n * b, n * t + 1, n))
+                extend(x + 1, b, t, left - h, sx + x * h, sy + (b + t) * h // 2)
+                del xs[chosen:], ys[chosen:]
 
-    for height in range(1, n + 1):
-        extend([(0, height - 1)], n - height)
-    return tuple(sorted(shapes))
+    for height in range(n, 0, -1):
+        xs.extend(repeat(0, height))
+        ys.extend(range(0, n * height, n))
+        extend(1, 0, height - 1, n - height, 0, (height - 1) * height // 2)
+        del xs[:], ys[:]
+    shapes.sort(key=itemgetter(0))
+    return tuple(shape for _, shape in shapes)
 
 
 def _partitions(n: int, most: int):

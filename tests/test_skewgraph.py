@@ -213,6 +213,15 @@ def test_connected_counts_match_count_oracle():
     assert [len(enumerate_connected(n)) for n in range(1, 13)] == oracle_connected_counts(12)
 
 
+def test_connected_shapes_come_sorted():
+    # The generator sorts by the first cell only and relies on the order it
+    # chooses columns in for the rest; past the pinned n, check the order.
+    for n in range(1, 13):
+        shapes = _connected_shapes(n)
+        assert list(shapes) == sorted(set(shapes)), n
+        assert all(list(cells) == sorted(cells) for _, cells in shapes), n
+
+
 def _negation_symmetry(comp) -> str:
     """Central symmetry read off Fraction nodes: closed under negation about
     the origin, class from whether one node's coordinates are integers."""
