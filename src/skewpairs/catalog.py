@@ -32,7 +32,7 @@ from .liealg import (
     _realize,
     matrices_to_jsonable,
 )
-from .linalg import _entry_parser
+from .linalg import _entry_parser, sparse_product
 from .skewgraph import (
     Node,
     SkewGraph,
@@ -100,25 +100,12 @@ def _text_hash(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:12]
 
 
-def _sparse_product(a: list, b: list) -> list:
-    """The nonzero rows of ab, a and b given by their nonzero rows.  On signed
-    partial permutations, such as e1 and e2 of a built pair, it costs O(n)."""
-    out = []
-    for row in a:
-        acc: dict[int, int] = {}
-        for t, x in row:
-            for j, y in b[t]:
-                acc[j] = acc.get(j, 0) + x * y
-        out.append([(j, v) for j, v in acc.items() if v])
-    return out
-
-
 def _powers(rows: list, top: int) -> list:
     """[e^0, e^1, ..., e^top] by nonzero rows, from those of a positive
     multiple of e: each a positive multiple, which changes no span."""
     out = [[[(i, 1)] for i in range(len(rows))]]
     for _ in range(top):
-        out.append(_sparse_product(out[-1], rows))
+        out.append(sparse_product(out[-1], rows))
     return out
 
 
@@ -157,7 +144,7 @@ def _predicted_in_span(pred: ClosedFormPrediction, r: PairRealization, basis) ->
     e1_powers = _powers(e1, max((k for k, _ in pred.powers), default=0))
     e2_powers = _powers(e2, max((l for _, l in pred.powers), default=0))
     for k, l in sorted(pred.powers):
-        product = _sparse_product(e1_powers[k], e2_powers[l])
+        product = sparse_product(e1_powers[k], e2_powers[l])
         if not _in_span(rows, {i * n + j: x for i, row in enumerate(product) for j, x in row}):
             return False
     if pred.a_operator is None:
@@ -182,7 +169,7 @@ def _closed_form_matches(pred: ClosedFormPrediction, r: PairRealization, report:
     if tuple(sorted(pred.biexponents)) != tuple(sorted(report.biexponents)):
         return False
     # analyze() returns the basis in reduced echelon form.
-    return _predicted_in_span(pred, r, report._scaled()[0])
+    return _predicted_in_span(pred, r, report.scaled_basis)
 
 
 def classify(

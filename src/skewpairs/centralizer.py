@@ -5,11 +5,12 @@ Realizations built by this package are already in such a basis.  Any other
 input, such as a hand-edited verify document, is conjugated once into the
 joint eigenbasis of h1 and h2, and its Gram matrix G becomes T^T G T.  T has
 primitive integer columns, T^-1 comes scaled to ints by fraction-free
-elimination, and the moved e1, e2 and G are built as sparse int rows from
-the rows the relation check read, so no dense Fraction matrix is made.  In
-that frame ad h1 and ad h2 are diagonal on gl(V), e1 and e2 are
-bi-homogeneous, and the form pairs weight w only with -w, so every
-condition on x in z(e1, e2) & g lies in one bi-degree block of gl(V).
+elimination, and T, T^-1 and the moved e1, e2 and G are sparse int rows,
+multiplied by linalg.sparse_product from the rows the relation check
+read, so no dense Fraction matrix is made.  In that frame ad h1 and ad h2
+are diagonal on gl(V), e1 and e2 are bi-homogeneous, and the form pairs
+weight w only with -w, so every condition on x in z(e1, e2) & g lies in
+one bi-degree block of gl(V).
 
 On a built pair e1, e2 and G are signed monomial matrices, so almost every
 condition has one or two terms: x_u = 0 or a x_u + b x_v = 0.  One kernel,
@@ -37,9 +38,9 @@ z(h) and both rectangularity sides.  The weights are scaled by their common
 denominator, so bi-degrees are int pairs, and e1, e2 and the Gram matrix
 are each scaled to integers, which changes no commutant and no image.
 
-The report keeps its basis and witness as integral_rows, each scaled by its
-value at the lead, for the closed-form check and JSON export; the dense
-Fraction basis and nonpositive_witness are built when a caller reads them.
+The report stores its basis and witness only as integral_rows, each scaled
+by its value at the lead, for the closed-form check and JSON export; the
+dense Fraction basis and nonpositive_witness are views built on first read.
 
 graph_from_pair() reads the skew-graph off the same frame: each basis
 vector is a node at its weight, and each nonzero entry of e1 or e2 joins
@@ -49,7 +50,7 @@ _eigenframe() is the one place that turns (h1, h2) into a basis.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -61,8 +62,6 @@ from .liealg import (
     PairRealization,
     _bracket_checks,
     _checked_form,
-    _deferred,
-    _Sparse,
     scaled_to_jsonable,
     verify_relations,
 )
@@ -77,6 +76,7 @@ from .linalg import (
     integral_rows,
     joint_eigenbasis,
     rank,
+    sparse_product,
     with_columns,
 )
 from .skewgraph import (
@@ -120,38 +120,48 @@ class ReportFlags:
 
 
 @dataclass(frozen=True)
-class CentralizerReport(_Sparse):
+class CentralizerReport:
+    """scaled_basis holds each basis matrix, and scaled_witness the witness
+    matrix and its bi-degree (None without one), by integral_rows with rows
+    as tuples; basis and nonpositive_witness are their dense views."""
+
     dimension: int
-    basis: tuple[Matrix, ...]
+    scaled_basis: tuple[tuple, ...]
     grading: BiGrading
     biexponents: tuple[tuple[Fraction, Fraction], ...]
     flags: ReportFlags
-    nonpositive_witness: Optional[tuple[Matrix, tuple[Fraction, Fraction]]]
-    # (basis, witness) with each matrix as integral_rows: read it by _scaled().
-    _sparse: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    scaled_witness: Optional[tuple[tuple, tuple[Fraction, Fraction]]]
 
-    def _build(self, name: str):
-        basis, witness = self._sparse
-        if name == "basis":
-            return tuple(dense_matrix(m) for m in basis)
-        return None if witness is None else (dense_matrix(witness[0]), witness[1])
+    @cached_property
+    def basis(self) -> tuple[Matrix, ...]:
+        return tuple(map(dense_matrix, self.scaled_basis))
 
-    def _scan(self):
-        w = self.nonpositive_witness
-        return tuple(map(integral_rows, self.basis)), None if w is None else (integral_rows(w[0]), w[1])
+    @cached_property
+    def nonpositive_witness(self) -> Optional[tuple[Matrix, tuple[Fraction, Fraction]]]:
+        w = self.scaled_witness
+        return None if w is None else (dense_matrix(w[0]), w[1])
 
 
 def _flatten(m: Matrix) -> Vector:
     return tuple(x for row in m for x in row)
 
 
-def _by_rows(n: int, entries) -> tuple[int, list]:
+def _by_rows(n: int, entries) -> tuple[int, tuple]:
     """(c, rows) of the n x n matrix with these nonzero entries, (i * n + j, int)
     in increasing position; c is the first, positive value, so the lead is 1."""
     rows: list = [()] * n
     for p, x in entries:
         rows[p // n] += ((p % n, x),)
-    return entries[0][1], rows
+    return entries[0][1], tuple(rows)
+
+
+def _flat(n: int, rows) -> list[int]:
+    """The row-major entries of the n x n matrix with these nonzero rows."""
+    out = [0] * (n * n)
+    for i, row in enumerate(rows):
+        for j, x in row:
+            out[i * n + j] = x
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +177,16 @@ class _Frame:
     nonzero rows and columns of a positive multiple of the Gram matrix in
     this basis, as ints (None without a form).  t is the change of basis T,
     whose columns are primitive integer vectors, and t_inv a positive
-    multiple of T^-1, both by dense rows of ints and both None when h1 and
-    h2 were diagonal already.
+    multiple of T^-1, both by their nonzero rows of ints and both None when
+    h1 and h2 were diagonal already.
     """
 
     spec: AlgebraSpec
     den: int
     weights: tuple[tuple[int, int], ...]
     gram: Optional[tuple[list, list]]
-    t: Optional[list[list[int]]]
-    t_inv: Optional[list[list[int]]]
+    t: Optional[list[list[tuple[int, int]]]]
+    t_inv: Optional[list[list[tuple[int, int]]]]
 
     def degree(self, d: tuple[int, int]) -> tuple[Fraction, Fraction]:
         """The exact bi-degree of an int degree d."""
@@ -202,40 +212,16 @@ class _Frame:
         return self.block(DEGREE_0), [] if self.spec.series == "A" else _form_rows(self, zero_block=True)
 
 
-def _sandwich(left, rows, right) -> list[list[int]]:
-    """The integer product L M R, M by its nonzero rows, L by dense rows and
-    R by its nonzero rows."""
-    n = len(left)
-    mr = {}
-    for i, row in enumerate(rows):
-        if row:
-            acc = [0] * n
-            for j, x in row:
-                for k, y in right[j]:
-                    acc[k] += x * y
-            mr[i] = acc
-    out = []
-    for lrow in left:
-        acc = [0] * n
-        for i, mrow in mr.items():
-            c = lrow[i]
-            if c:
-                for k, y in enumerate(mrow):
-                    if y:
-                        acc[k] += c * y
-        out.append(acc)
-    return out
-
-
 def _nonzero(m: list[list[int]]) -> list[list[tuple[int, int]]]:
     """The nonzero entries of a dense matrix, by row."""
     return [[(j, x) for j, x in enumerate(row) if x] for row in m]
 
 
-def _sparse_form(m: list[list[int]]):
-    """An integer matrix divided by its content, by with_columns."""
-    g = gcd(*(x for row in m for x in row)) or 1
-    return with_columns(_nonzero([[x // g for x in row] for row in m]))
+def _sparse_form(rows: list[list[tuple[int, int]]]):
+    """An integer matrix, by its nonzero rows, divided by its content, by
+    with_columns."""
+    g = gcd(*(x for row in rows for _, x in row)) or 1
+    return with_columns([[(j, x // g) for j, x in row] for row in rows])
 
 
 def _eigenframe(spec: AlgebraSpec, h1, h2, mats, gram):
@@ -261,12 +247,11 @@ def _eigenframe(spec: AlgebraSpec, h1, h2, mats, gram):
     for key, vecs in joint_eigenbasis(h1, h2):
         cols.extend(vecs)
         pairs.extend([key] * len(vecs))
-    t = [list(row) for row in zip(*cols)]
-    t_inv = integer_inverse(t)
-    t_rows = _nonzero(t)
-    moved = tuple(_sparse_form(_sandwich(t_inv, rows, t_rows)) for _, rows in mats)
+    dense_t = [list(row) for row in zip(*cols)]
+    t, t_inv = _nonzero(dense_t), _nonzero(integer_inverse(dense_t))
+    moved = tuple(_sparse_form(sparse_product(t_inv, sparse_product(rows, t))) for _, rows in mats)
     if gram is not None:
-        gram = _sparse_form(_sandwich(cols, gram[0], t_rows))
+        gram = _sparse_form(sparse_product(_nonzero(cols), sparse_product(gram[0], t)))
     den = lcm(*(x.denominator for pair in pairs for x in pair))
     weights = tuple(
         (p.numerator * (den // p.denominator), q.numerator * (den // q.denominator)) for p, q in pairs
@@ -560,7 +545,7 @@ def _framed(r: PairRealization):
     rep = r._relations or verify_relations(r)
     if not rep.ok:
         raise ValueError(f"relations fail: {', '.join(rep.failures)}")
-    gram = _checked_form(r.spec.series, r.spec._scaled())
+    gram = _checked_form(r.spec.series, r.spec.gram)
     e1, e2, h1, h2 = r._scaled()
     return _eigenframe(r.spec, h1, h2, (e1, e2), None if gram is None else with_columns(gram[1]))
 
@@ -592,9 +577,9 @@ def analyze(r: PairRealization) -> CentralizerReport:
     else:
         # x becomes T x T^-1; T and T^-1 are scaled to ints, which changes
         # no span.
-        inv_rows = _nonzero(frame.t_inv)
+        t, t_inv = frame.t, frame.t_inv
         mapped = {
-            d: [[x for row in _sandwich(frame.t, rows, inv_rows) for x in row] for _, (_, rows) in piece]
+            d: [_flat(n, sparse_product(t, sparse_product(rows, t_inv))) for _, (_, rows) in piece]
             for d, piece in pieces.items()
         }
         reduced, _ = _eliminate(row for rows in mapped.values() for row in rows)
@@ -624,8 +609,8 @@ def analyze(r: PairRealization) -> CentralizerReport:
     flags = ReportFlags(relations_ok=True, cartan_h=cartan_h, trivial_intersection=trivial,
                         distinguished=cartan_h and trivial, principal=len(basis) == spec.rank,
                         rectangular=_rectangularity(frame, e1, e2))
-    return _deferred(CentralizerReport, (basis, witness), dimension=len(basis), grading=grading,
-                     biexponents=biexponents, flags=flags)
+    return CentralizerReport(dimension=len(basis), scaled_basis=basis, grading=grading, biexponents=biexponents,
+                             flags=flags, scaled_witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -782,11 +767,10 @@ def _split_origin(frame: _Frame, moved) -> list:
     at = frame.at
     a, b = at[DEGREE_0]
     n = len(frame.weights)
-    dense = [[[d.get(j, 0) for j in range(n)] for d in map(dict, rows)] for rows in moved]
     lines = []
-    for m, src in zip(dense, ((-frame.den, 0), (0, -frame.den))):
+    for rows, src in zip(moved, ((-frame.den, 0), (0, -frame.den))):
         if src in at:
-            img = (m[a][at[src][0]], m[b][at[src][0]])
+            img = tuple(dict(rows[i]).get(at[src][0], 0) for i in (a, b))
             if any(img) and all(img[0] * v[1] != img[1] * v[0] for v in lines):
                 lines.append(img)
     if not lines:
@@ -802,16 +786,13 @@ def _split_origin(frame: _Frame, moved) -> list:
         if not (ga or gb) or ga * u[0] + gb * u[1] == 0:
             raise NormalFormError("degenerate (0,0)-eigenspace split")
         lines.append((-gb, ga))
+    # m becomes L m R, R sending columns a and b to p m_a + q m_b and
+    # r m_a + s m_b, and L rows a and b to s m_a - r m_b and p m_b - q m_a.
     (p, q), (r, s) = lines
-    out = []
-    for m in dense:
-        rows = [list(row) for row in m]
-        for row in rows:
-            row[a], row[b] = p * row[a] + q * row[b], r * row[a] + s * row[b]
-        rows[a] = [s * x - r * y for x, y in zip(m[a], m[b])]
-        rows[b] = [p * y - q * x for x, y in zip(m[a], m[b])]
-        out.append(_nonzero(rows))
-    return out
+    left, right = [[(i, 1)] for i in range(n)], [[(i, 1)] for i in range(n)]
+    left[a], left[b] = [(a, s), (b, -r)], [(a, -q), (b, p)]
+    right[a], right[b] = [(a, p), (b, r)], [(a, q), (b, s)]
+    return [sparse_product(left, sparse_product(rows, right)) for rows in moved]
 
 
 def graph_from_pair(spec: AlgebraSpec, e1: Matrix, e2: Matrix, h1: Matrix, h2: Matrix) -> SkewGraph:
@@ -833,7 +814,7 @@ def graph_from_pair(spec: AlgebraSpec, e1: Matrix, e2: Matrix, h1: Matrix, h2: M
     if not all(checks.values()):
         raise NormalFormError("the grading relations [h_i, e_j] = delta_ij e_j fail")
 
-    gram = spec._scaled()
+    gram = spec.gram
     frame, moved = _eigenframe(spec, scaled[2], scaled[3], scaled[:2], None if gram is None else with_columns(gram[1]))
     moved = [rows for rows, _ in moved]
     at = frame.at
@@ -864,7 +845,7 @@ def graph_from_pair(spec: AlgebraSpec, e1: Matrix, e2: Matrix, h1: Matrix, h2: M
 
 def report_to_jsonable(report: CentralizerReport, include_basis: bool = False) -> dict:
     """The report as JSON; matrices are written sparse, from the sparse forms."""
-    basis, witness = report._scaled()
+    basis, witness = report.scaled_basis, report.scaled_witness
     data = {
         "dimension": report.dimension,
         "grading": [{"p": str(p), "q": str(q), "dim": dim} for (p, q), dim in report.grading.table],

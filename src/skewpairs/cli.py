@@ -2,13 +2,15 @@
 
 Thin adapters only: every verb maps onto one library operation and streams
 its canonical serialization.  Exit status 0 on success, 1 when verification
-reports findings, 2 on usage errors.
+reports findings, 2 on usage errors, and 141 when the reader closes stdout
+early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -33,6 +35,8 @@ from .skewgraph import (
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
+# 128 + SIGPIPE: what a shell reports for a filter cut off by `head`.
+EXIT_BROKEN_PIPE = 141
 
 
 def _read_input(path: str) -> str:
@@ -172,7 +176,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.verb](args)
+        status = _COMMANDS[args.verb](args)
+        # A closed stdout shows at the flush: inside the try, not at exit.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed the pipe, as `| head` does: the rest is unwanted.
+        # Python flushes stdout at exit: point it at devnull so that the
+        # flush prints nothing (the Python signal docs, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (
         NotAdmissibleError, NormalFormError, NotDiagonalizableError, catalog_mod.CatalogVerificationError
     ) as exc:

@@ -10,9 +10,12 @@ The sparse form lives here: build_pair makes e1, e2, h1, h2 and the Gram
 matrix as integral_rows (c, rows) from the cells validation read, h1 and
 h2 as int weights.  A realization document is read into that form, and
 the relation check, analyze(), the catalog and sparse export read it.
-The dense Fraction fields (e1, ..., h2, AlgebraSpec.form) are built when a
-caller first reads them.  An instance made by its constructor or
-dataclasses.replace() is scanned once instead.
+AlgebraSpec stores only that form of the Gram matrix, and its dense form
+is a view built on first read.  PairRealization alone keeps both forms,
+since it may be made from dense matrices by dataclasses.replace(): the
+dense e1, ..., h2 of a built or read pair are built when a caller first
+reads them, and a pair made by its constructor or replace() is scanned
+once instead.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Optional
 
@@ -54,50 +58,20 @@ class NotAdmissibleError(ValueError):
     """The graph is not admissible for the requested series."""
 
 
-class _Sparse:
-    """Mixin of a frozen dataclass whose fields missing from an instance made
-    by _deferred() are built by _build() from its _sparse forms on first
-    read.  dataclasses.replace() gives an instance whose _sparse is None, so
-    no stale sparse form is carried: _scaled() rescans its dense fields."""
-
-    def __getattr__(self, name: str):
-        # Called only for an attribute that the instance lacks.
-        if name not in self.__dataclass_fields__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.__dict__[name] = value = self._build(name)
-        return value
-
-    def _scaled(self):
-        """The sparse forms this instance was built from, else those of its
-        dense fields, scanned once."""
-        if self._sparse is None:
-            self.__dict__["_sparse"] = self._scan()
-        return self._sparse
-
-
-def _deferred(cls, sparse, **fields):
-    """An instance of the _Sparse dataclass cls with these sparse forms and fields."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields, _sparse=sparse)
-    return obj
-
-
 @dataclass(frozen=True)
-class AlgebraSpec(_Sparse):
-    """A classical algebra inside gl(V): series, dimension, rank, bilinear form."""
+class AlgebraSpec:
+    """A classical algebra inside gl(V): series, dimension, rank, and the
+    Gram matrix by its integral_rows with rows as tuples, or None (series A)."""
 
     series: str
     dimv: int
     rank: int
-    form: Optional[Matrix]
-    # integral_rows of form, or None: read it by _scaled().
-    _sparse: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    gram: Optional[tuple]
 
-    def _build(self, name: str):
-        return None if self._sparse is None else dense_matrix(self._sparse)
-
-    def _scan(self):
-        return None if self.form is None else integral_rows(self.form)
+    @cached_property
+    def form(self) -> Optional[Matrix]:
+        """The Gram matrix as a dense Fraction matrix, or None."""
+        return None if self.gram is None else dense_matrix(self.gram)
 
 
 @dataclass(frozen=True)
@@ -107,7 +81,12 @@ class BasisLabel:
 
 
 @dataclass(frozen=True)
-class PairRealization(_Sparse):
+class PairRealization:
+    """An instance made by _sparse_pair() holds e1, e2, h1 and h2 as sparse
+    forms and builds each dense field on first read.  One made by the
+    constructor or dataclasses.replace() has _sparse None: _scaled() scans
+    its dense fields once, so no stale sparse form is carried."""
+
     spec: AlgebraSpec
     graph: SkewGraph
     labels: tuple[BasisLabel, ...]
@@ -121,11 +100,26 @@ class PairRealization(_Sparse):
     # verify_relations(self), kept by its first call.
     _relations: Optional[RelationReport] = field(default=None, init=False, repr=False, compare=False)
 
-    def _build(self, name: str):
-        return dense_matrix(self._sparse[_MATRICES.index(name)])
+    def __getattr__(self, name: str):
+        # Called only for an attribute that the instance lacks.
+        if name not in _MATRICES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__[name] = value = dense_matrix(self._sparse[_MATRICES.index(name)])
+        return value
 
-    def _scan(self):
-        return tuple(integral_rows(getattr(self, name)) for name in _MATRICES)
+    def _scaled(self) -> tuple:
+        """The sparse forms this instance was built from, else those of its
+        dense fields, scanned once."""
+        if self._sparse is None:
+            self.__dict__["_sparse"] = tuple(integral_rows(getattr(self, name)) for name in _MATRICES)
+        return self._sparse
+
+
+def _sparse_pair(scaled: tuple, **fields) -> PairRealization:
+    """A PairRealization with these sparse forms of e1, e2, h1, h2 and fields."""
+    obj = object.__new__(PairRealization)
+    obj.__dict__.update(fields, _sparse=scaled)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -161,20 +155,20 @@ def standard_form(series: str, dimv: int) -> Optional[Matrix]:
 
 def make_spec(series: str, dimv: int, form: Optional[Matrix] = None) -> AlgebraSpec:
     if form is not None:
-        return _sparse_spec(series, dimv, integral_rows(form), form=form)
+        return _sparse_spec(series, dimv, integral_rows(form))
     return _sparse_spec(series, dimv, None if series == "A" else (1, _standard_rows(series, dimv)))
 
 
-def _sparse_spec(series: str, dimv: int, gram: Optional[tuple], **form) -> AlgebraSpec:
+def _sparse_spec(series: str, dimv: int, gram: Optional[tuple]) -> AlgebraSpec:
     """make_spec with the Gram matrix given by its integral_rows (None without
-    a form); form, unless given, is built on first read."""
+    a form), its rows kept as a tuple so that the spec hashes."""
     if series not in ("A", "B", "C", "D"):
         raise ValueError(f"unknown series {series!r}")
     if series == "B" and dimv % 2 == 0:
         raise ValueError("series B requires odd dimV")
     if series in ("C", "D") and dimv % 2:
         raise ValueError(f"series {series} requires even dimV")
-    return _deferred(AlgebraSpec, gram, series=series, dimv=dimv, rank=series_rank(series, dimv), **form)
+    return AlgebraSpec(series, dimv, series_rank(series, dimv), None if gram is None else (gram[0], tuple(gram[1])))
 
 
 def _shift_signs(series: str, symmetry: str, x2: int, y2: int) -> tuple[int, int]:
@@ -275,7 +269,7 @@ def _realize(series: str, graph: SkewGraph, found: list, sign: Optional[str]) ->
         moved = [{i: j, j: i}.get(t, t) for t in range(n)]
         scaled = [(c, [tuple(sorted((moved[k], x) for k, x in rows[t])) for t in moved]) for c, rows in scaled]
     spec = _sparse_spec(series, n, None if g is None else (1, g))
-    return _deferred(PairRealization, tuple(scaled), spec=spec, graph=graph, labels=labels, orbit_sign=sign)
+    return _sparse_pair(tuple(scaled), spec=spec, graph=graph, labels=labels, orbit_sign=sign)
 
 
 def _commutator_entries(a: list, b: list) -> dict[tuple[int, int], int]:
@@ -346,7 +340,7 @@ def verify_relations(r: PairRealization) -> RelationReport:
     """
     if r._relations is None:
         spec, scaled = r.spec, r._scaled()
-        gram = spec._scaled()
+        gram = spec.gram
         gram_rows_cols = None if gram is None else with_columns(gram[1])
         checks = _bracket_checks(scaled) + [
             (f"{name}_in_algebra", _in_algebra(spec, rows, gram_rows_cols))
@@ -394,7 +388,7 @@ def matrices_to_jsonable(spec: AlgebraSpec, r: PairRealization, fmt: str) -> dic
     or sparse format, the sparse one written from the sparse forms."""
     names = ("gram",) + _MATRICES
     if fmt == "sparse":
-        mats = (spec._scaled(),) + r._scaled()
+        mats = (spec.gram,) + r._scaled()
         return {name: None if m is None else scaled_to_jsonable(m) for name, m in zip(names, mats)}
     if fmt != "dense":
         raise ValueError(f"unknown matrix format {fmt!r}")
@@ -473,8 +467,10 @@ def realization_from_jsonable(data: dict) -> PairRealization:
     not dimV x dimV, when the label count differs from dimV, when series B,
     C or D comes without a Gram matrix or with one that is not symmetric
     (B, D) or alternating (C), when a number has a zero denominator, when
-    orbit_sign is not null, "plus" or "minus", or when the labels are not
-    distinct (component, node) pairs of the graph (_check_labels).  One
+    orbit_sign is not null, "plus" or "minus", when it is not null on a
+    graph other than a connected series-D one (build_pair refuses such a
+    sign too), or when the labels are not distinct (component, node) pairs
+    of the graph (_check_labels).  One
     _entry_parser reads every number: the label nodes, the graph nodes and
     the matrix entries, so each distinct string is parsed once.
     Sparse matrices stay sparse: their dense fields are built only when read.
@@ -494,12 +490,12 @@ def realization_from_jsonable(data: dict) -> PairRealization:
         raise ValueError(f"{len(items)} labels for dimv {n}")
     parse = _entry_parser()
     labels = tuple(BasisLabel(item["component"], node_from_jsonable(item["node"], parse)) for item in items)
-    form = gram = None
+    gram = None
     if data.get("gram") is not None:
-        form, gram = _square(data["gram"], n, "gram", parse)
+        gram = _square(data["gram"], n, "gram", parse)[1]
     elif series != "A":
         raise ValueError(f"a series {series} realization needs its gram matrix")
-    spec = _sparse_spec(series, n, gram, **({} if form is None else {"form": form}))
+    spec = _sparse_spec(series, n, gram)
     _checked_form(series, gram)
     mats = [_square(data[name], n, name, parse) for name in _MATRICES]
     dense = {name: m for name, (m, _) in zip(_MATRICES, mats) if m is not None}
@@ -507,6 +503,7 @@ def realization_from_jsonable(data: dict) -> PairRealization:
     sign = data.get("orbit_sign")
     if sign not in (None, "plus", "minus"):
         raise ValueError(f"orbit_sign must be null, plus or minus, got {reprlib.repr(sign)}")
+    if sign is not None and not (series == "D" and graph.is_connected()):
+        raise ValueError("orbit_sign is only meaningful for connected series-D graphs")
     _check_labels(labels, graph)
-    return _deferred(PairRealization, tuple(s for _, s in mats), spec=spec, graph=graph, labels=labels,
-                     orbit_sign=sign, **dense)
+    return _sparse_pair(tuple(s for _, s in mats), spec=spec, graph=graph, labels=labels, orbit_sign=sign, **dense)

@@ -130,6 +130,20 @@ def scaled_rows(nonzero: list) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
     return c, [tuple([(j, x.numerator * (c // x.denominator)) for j, x in row]) for row in nonzero]
 
 
+def sparse_product(a: Sequence, b: Sequence) -> list[list[tuple[int, int]]]:
+    """The nonzero rows of ab, a and b given by their nonzero rows of ints,
+    each row's entries in no fixed order.  On signed partial permutations,
+    such as e1 and e2 of a built pair, it costs O(n)."""
+    out = []
+    for row in a:
+        acc: dict[int, int] = {}
+        for t, x in row:
+            for j, y in b[t]:
+                acc[j] = acc.get(j, 0) + x * y
+        out.append([(j, v) for j, v in acc.items() if v])
+    return out
+
+
 def with_columns(rows: list[list[tuple[int, int]]]) -> tuple[list, list]:
     """(rows, cols): the same nonzero entries of sparse rows, also by column."""
     cols: list[list[tuple[int, int]]] = [[] for _ in rows]

@@ -27,7 +27,14 @@ from oracles import (
     transpose,
 )
 from skewpairs.centralizer import CentralizerReport, analyze
-from skewpairs.liealg import PairRealization, RelationReport, build_pair, realization_to_jsonable, verify_relations
+from skewpairs.liealg import (
+    PairRealization,
+    RelationReport,
+    build_pair,
+    make_spec,
+    realization_to_jsonable,
+    verify_relations,
+)
 from skewpairs.skewgraph import SkewGraph, enumerate_admissible
 
 DESK_DIMS = (
@@ -138,7 +145,7 @@ def moved_by(r, t):
     t_inv = invert(t)
     spec = r.spec
     if spec.form is not None:
-        spec = replace(spec, form=mat_mul(transpose(t_inv), mat_mul(spec.form, t_inv)))
+        spec = make_spec(spec.series, spec.dimv, mat_mul(transpose(t_inv), mat_mul(spec.form, t_inv)))
     return replace(r, spec=spec, **{k: mat_mul(t, mat_mul(getattr(r, k), t_inv)) for k in ("e1", "e2", "h1", "h2")})
 
 

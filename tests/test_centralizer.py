@@ -43,7 +43,7 @@ from skewpairs.centralizer import (
     is_rectangular_pair,
     report_to_jsonable,
 )
-from skewpairs.liealg import PairRealization, build_pair, make_spec
+from skewpairs.liealg import PairRealization, build_pair, make_spec, realization_from_jsonable, realization_to_jsonable
 from skewpairs.linalg import (
     dense_matrix,
     integer_nullspace,
@@ -137,8 +137,8 @@ def test_bracket_oracle_matches_full_products():
 
 def test_report_basis_is_the_dense_oracle_and_survives_replace():
     # analyze() keeps the basis sparse and builds the dense one on first
-    # read; a report changed by dataclasses.replace keeps that basis, and its
-    # export reads it back from the dense fields.
+    # read; a report changed by dataclasses.replace keeps that basis, its
+    # witness and its export.
     count = 0
     for r in small_realizations():
         rep = analyze(r)
@@ -151,6 +151,23 @@ def test_report_basis_is_the_dense_oracle_and_survives_replace():
         assert back == data, r.graph
         count += rep.nonpositive_witness is not None
     assert count > 10
+
+
+def test_reports_are_hashable_and_equal_by_value():
+    # The report stores its basis and witness as int rows held in tuples, so
+    # it hashes, and the report of a pair read back from JSON, dense or
+    # sparse, equals that of the built pair, with one hash.
+    count = witnessed = 0
+    for g in enumerate_admissible("D", 8, "distinguished"):
+        if g.is_connected():
+            r = build_pair("D", g, "minus")
+            rep = analyze(r)
+            for fmt in ("dense", "sparse"):
+                back = analyze(realization_from_jsonable(realization_to_jsonable(r, fmt)))
+                assert back == rep and hash(back) == hash(rep), (fmt, g)
+            count += 1
+            witnessed += rep.nonpositive_witness is not None
+    assert (count, witnessed) == (6, 4)
 
 
 def test_graded_commutant_agrees_with_dense():
@@ -756,7 +773,7 @@ def _d4_one_line(gram_positions):
     """A series-D pair on V = V(-1,0) + V(0,0) + V(1,0), dim V(0,0) = 2, where
     only e1 enters the (0,0)-eigenspace (on basis vector 1), under the Gram
     matrix with a 1 at each of gram_positions."""
-    spec = replace(make_spec("D", 4), form=_units(4, *gram_positions))
+    spec = make_spec("D", 4, _units(4, *gram_positions))
     zero = _diag(0, 0, 0, 0)
     return spec, _units(4, (1, 0)), zero, _diag(-1, 0, 0, 1), zero
 
@@ -797,7 +814,7 @@ def test_graph_from_pair_rejects_degenerate_split(gram_positions):
 
 def test_graph_from_pair_needs_a_form_to_split():
     spec, e1, e2, h1, h2 = _d4_one_line(())
-    spec = replace(spec, form=None)
+    spec = replace(spec, gram=None)
     with pytest.raises(NormalFormError, match="cannot split the \\(0,0\\)-eigenspace without a bilinear form"):
         graph_from_pair(spec, e1, e2, h1, h2)
 
@@ -815,7 +832,7 @@ def test_graph_from_pair_rejects_invalid_graph():
     # Nodes (-1,0) -> (0,0) and (0,0) -> (0,1), one component on each
     # (0,0)-line.  h is not traceless, so centring moves the shared node off
     # the origin.
-    spec = replace(make_spec("D", 4), form=_units(4, (0, 3), (3, 0), (1, 1), (2, 2)))
+    spec = make_spec("D", 4, _units(4, (0, 3), (3, 0), (1, 1), (2, 2)))
     with pytest.raises(
         NormalFormError,
         match=re.escape(
@@ -949,7 +966,9 @@ def test_analyze_ignores_scalar_factors_of_e_and_the_form():
         for c in copies:
             base = analyze(c)
             for c1, c2, cg in ((F(2), F(2), F(1)), (F(6), F(-4), F(3)), (F(2, 3), F(5, 7), F(-1, 2))):
-                spec = c.spec if c.spec.form is None else replace(c.spec, form=mat_scale(cg, c.spec.form))
+                spec = c.spec
+                if spec.form is not None:
+                    spec = make_spec(spec.series, spec.dimv, mat_scale(cg, spec.form))
                 scaled = replace(c, spec=spec, e1=mat_scale(c1, c.e1), e2=mat_scale(c2, c.e2))
                 rep = analyze(scaled)
                 assert (

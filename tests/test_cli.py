@@ -186,11 +186,36 @@ def test_module_entry_point():
     assert proc.stdout == "2\n"
 
 
-def _verify_mutated(tmp_path, capsys, mutate):
+def test_closed_stdout_exits_141_without_a_message():
+    # A reader that stops after one line, as `skewpairs enumerate 12 | head -1`
+    # does, once gave "error: [Errno 32] Broken pipe" and exit 2.
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skewpairs.cli", "enumerate", "12"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"-11/2,0/1 ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+# The B3 chain and the D6 graph of two chains sharing the origin.
+_VERIFY_GRAPHS = {
+    "B": "-1/1,0/1 0/1,0/1 1/1,0/1\n",
+    "D": "-1/1,0/1 0/1,0/1 1/1,0/1\n0/1,-1/1 0/1,0/1 0/1,1/1\n",
+}
+
+
+def _verify_mutated(tmp_path, capsys, mutate, series="D"):
     graph_file = tmp_path / "graph.txt"
-    graph_file.write_text("-1/1,0/1 0/1,0/1 1/1,0/1\n0/1,-1/1 0/1,0/1 0/1,1/1\n")
+    graph_file.write_text(_VERIFY_GRAPHS[series])
     pair_file = tmp_path / "pair.json"
-    run_cli(capsys, "build", "--series", "D", "--input", str(graph_file), "--output", str(pair_file))
+    run_cli(capsys, "build", "--series", series, "--input", str(graph_file), "--output", str(pair_file))
     doc = json.loads(pair_file.read_text())
     mutate(doc)
     pair_file.write_text(json.dumps(doc))
@@ -554,26 +579,33 @@ def _set_label_component(value):
     return mutate
 
 
+_SIGN_ONLY_FOR_D = "orbit_sign is only meaningful for connected series-D graphs"
+
+
 @pytest.mark.parametrize(
-    "mutate, message",
+    "series, mutate, message",
     [
-        pytest.param(_set_key("orbit_sign", "zz"), "orbit_sign must be null, plus or minus, got 'zz'", id="orbit-sign-zz"),
-        pytest.param(_set_key("orbit_sign", 1), "orbit_sign must be null, plus or minus, got 1", id="orbit-sign-1"),
-        pytest.param(_set_label_component("a"), "label component 'a' is not the index of one of the 2 graph components",
-                     id="component-a"),
-        pytest.param(_set_label_component(True), "label component True is not the index of one of the 2 graph components",
-                     id="component-true"),
-        pytest.param(_set_label_component(2), "label component 2 is not the index of one of the 2 graph components",
-                     id="component-2"),
-        pytest.param(_set_label_component(7), "label component 7 is not the index of one of the 2 graph components",
-                     id="component-7"),
-        pytest.param(_set_label_component(-1), "label component -1 is not the index of one of the 2 graph components",
-                     id="component-minus-1"),
+        pytest.param("D", _set_key("orbit_sign", "zz"), "orbit_sign must be null, plus or minus, got 'zz'",
+                     id="orbit-sign-zz"),
+        pytest.param("D", _set_key("orbit_sign", 1), "orbit_sign must be null, plus or minus, got 1",
+                     id="orbit-sign-1"),
+        pytest.param("B", _set_key("orbit_sign", "plus"), _SIGN_ONLY_FOR_D, id="orbit-sign-plus-on-b3"),
+        pytest.param("D", _set_key("orbit_sign", "minus"), _SIGN_ONLY_FOR_D, id="orbit-sign-minus-on-d6-chains"),
+        pytest.param("D", _set_label_component("a"),
+                     "label component 'a' is not the index of one of the 2 graph components", id="component-a"),
+        pytest.param("D", _set_label_component(True),
+                     "label component True is not the index of one of the 2 graph components", id="component-true"),
+        pytest.param("D", _set_label_component(2),
+                     "label component 2 is not the index of one of the 2 graph components", id="component-2"),
+        pytest.param("D", _set_label_component(7),
+                     "label component 7 is not the index of one of the 2 graph components", id="component-7"),
+        pytest.param("D", _set_label_component(-1),
+                     "label component -1 is not the index of one of the 2 graph components", id="component-minus-1"),
     ],
 )
-def test_verify_rejects_a_bad_orbit_sign_or_label_component(tmp_path, capsys, mutate, message):
+def test_verify_rejects_a_bad_orbit_sign_or_label_component(tmp_path, capsys, series, mutate, message):
     # Each of these was once read without a word, and verify exited 0.
-    code, err = _verify_mutated(tmp_path, capsys, mutate)
+    code, err = _verify_mutated(tmp_path, capsys, mutate, series)
     assert (code, err) == (2, f"error: {message}\n")
 
 

@@ -218,7 +218,7 @@ def test_one_pass_build_matches_the_canonical_route():
                         r = build_pair(series, graph, sign)
                         for name in (f.name for f in fields(PairRealization) if f.compare):
                             assert getattr(r, name) == getattr(expected, name), (name, series, g)
-                        assert r._scaled() == expected._scaled() and r.spec._scaled() == expected.spec._scaled()
+                        assert r._scaled() == expected._scaled() and r.spec.gram == expected.spec.gram
                         count += 1
                     if sign != "minus":
                         assert expected.h1 == _diagonal([lb.node.x for lb in expected.labels])
@@ -363,7 +363,7 @@ def test_dense_document_tests_no_matrix_entry_for_zero(monkeypatch):
     monkeypatch.undo()
     assert len(calls) == len({x for x in numbers if type(x) is str}) + sum(type(x) is not str for x in numbers)
     assert len(calls) < 5 * r.spec.dimv**2 / 3
-    assert back._scaled() == r._scaled() and back.spec._scaled() == r.spec._scaled()
+    assert back._scaled() == r._scaled() and back.spec.gram == r.spec.gram
     assert (back.e1, back.e2, back.h1, back.h2, back.spec) == (r.e1, r.e2, r.h1, r.h2, r.spec)
 
 
@@ -444,7 +444,7 @@ def test_sparse_relations_match_dense_oracle_on_mutations():
                             continue
                         moved = _with_entry(m, i, j, value)
                         if name == "gram":
-                            mutant = replace(r, spec=replace(r.spec, form=moved))
+                            mutant = replace(r, spec=make_spec(r.spec.series, n, moved))
                         else:
                             mutant = replace(r, **{name: moved})
                         rep = verify_relations(mutant)
@@ -499,7 +499,8 @@ def test_built_sparse_forms_are_the_dense_fields_scanned():
     half = 0
     for r in distinguished_realizations(7):
         assert r._scaled() == tuple(integral_rows(m) for m in (r.e1, r.e2, r.h1, r.h2)), r.graph
-        assert r.spec._scaled() == (None if r.spec.form is None else integral_rows(r.spec.form)), r.graph
+        scanned = None if r.spec.form is None else integral_rows(r.spec.form)
+        assert r.spec.gram == (scanned and (scanned[0], tuple(scanned[1]))), r.graph
         h1 = tuple(tuple(lb.node.x if i == j else F(0) for j in range(len(r.labels))) for i, lb in enumerate(r.labels))
         if r.orbit_sign == "minus":
             i, j = (r.labels.index(BasisLabel(0, Node(v, v))) for v in (F(1, 2), F(-1, 2)))
@@ -507,6 +508,23 @@ def test_built_sparse_forms_are_the_dense_fields_scanned():
         assert r.h1 == h1, r.graph
         half += any(x.denominator == 2 for row in h1 for x in row)
     assert half > 30
+
+
+def test_specs_are_hashable_and_equal_by_value():
+    # A spec stores its Gram matrix once, as int rows held in tuples, so it
+    # hashes, and specs of one form are equal with one hash however made:
+    # from the standard rows, from a dense form, built or read from JSON.
+    standard, dense = make_spec("D", 6), make_spec("D", 6, standard_form("D", 6))
+    assert standard == dense and hash(standard) == hash(dense)
+    count = 0
+    for g in enumerate_admissible("D", 8, "distinguished"):
+        if g.is_connected():
+            r = build_pair("D", g, "minus")
+            specs = [realization_from_jsonable(realization_to_jsonable(r, fmt)).spec for fmt in ("dense", "sparse")]
+            specs.append(make_spec("D", 8, r.spec.form))
+            assert all(s == r.spec and hash(s) == hash(r.spec) for s in specs), g
+            count += 1
+    assert count == 6
 
 
 def test_replace_never_carries_a_stale_sparse_form():

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from conftest import (
     conjugated,
+    conjugator,
     distinguished_realizations,
+    moved_by,
     naive_nullspace,
     naive_rref,
     scaled_shear,
@@ -31,6 +33,7 @@ from oracles import (
     joint_eigenspaces,
     mat_add,
     mat_mul,
+    mat_pow,
     mat_scale,
     mat_sub,
     mat_vec,
@@ -48,9 +51,13 @@ from skewpairs.linalg import (
     _entry_parser,
     _integer_charpoly,
     integer_nullspace,
+    integral_rows,
     parse_fraction,
     rank,
+    sparse_product,
 )
+from skewpairs.liealg import build_pair
+from skewpairs.skewgraph import enumerate_admissible
 
 F = Fraction
 
@@ -311,6 +318,57 @@ def test_eigen_layer_matches_oracle_on_conjugated_realizations():
             assert_eigen_layer_matches_oracle(moved.h1, moved.h2)
             moved_count += 1
     assert moved_count > 50
+
+
+def _dense(n, rows):
+    """The n x n matrix with these nonzero rows."""
+    return matrix([[dict(row).get(j, 0) for j in range(n)] for row in rows])
+
+
+def test_sparse_product_matches_dense_oracle_on_powers_of_e():
+    # e1^k e2^l of every principal realization with dimV <= 8, formed as the
+    # closed-form check forms them: powers of each e, then one product.
+    count = 0
+    for series, dims in (("A", range(1, 9)), ("B", (1, 3, 5, 7)), ("C", (2, 4, 6, 8)), ("D", (2, 4, 6, 8))):
+        for dimv in dims:
+            for g in enumerate_admissible(series, dimv, "principal"):
+                for sign in ("plus", "minus") if series == "D" and g.is_connected() else (None,):
+                    r = build_pair(series, g, sign)
+                    (c1, e1), (c2, e2) = r._scaled()[:2]
+                    assert c1 == c2 == 1
+                    powers = []
+                    for e in (e1, e2):
+                        powers.append([[[(i, 1)] for i in range(dimv)]])
+                        for _ in range(1, dimv):
+                            powers[-1].append(sparse_product(powers[-1][-1], e))
+                    for k in range(dimv):
+                        for l in range(dimv):
+                            expected = mat_mul(mat_pow(r.e1, k), mat_pow(r.e2, l))
+                            assert _dense(dimv, sparse_product(powers[0][k], powers[1][l])) == expected, (g, k, l)
+                    count += 1
+    assert count > 50
+
+
+def test_sparse_product_matches_dense_oracle_on_a_change_of_basis():
+    # T^-1 m T, formed as the eigenframe forms it, for each of e1, e2, h1, h2
+    # of the conjugated realizations with dimV <= 6, each matrix scaled to
+    # ints: it is the dense product, and m of the realization before the move
+    # times the three scales.
+    rng = random.Random(20261021)
+    count = 0
+    for r in small_realizations():
+        t = conjugator(r, rng) if r.spec.dimv > 1 else None
+        if t is None:
+            continue
+        n, moved = r.spec.dimv, moved_by(r, t)
+        (ct, t_rows), (ci, inv_rows) = integral_rows(t), integral_rows(invert(t))
+        for name in ("e1", "e2", "h1", "h2"):
+            cm, rows = integral_rows(getattr(moved, name))
+            product = _dense(n, sparse_product(inv_rows, sparse_product(rows, t_rows)))
+            assert product == mat_mul(_dense(n, inv_rows), mat_mul(_dense(n, rows), _dense(n, t_rows))), r.graph
+            assert product == mat_scale(ci * cm * ct, getattr(r, name)), r.graph
+        count += 1
+    assert count > 50
 
 
 _T = matrix([[1, 1, 0, 0], [0, 1, 2, 0], [0, 0, 1, -1], [1, 0, 0, 1]])

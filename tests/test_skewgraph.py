@@ -206,11 +206,11 @@ def test_enumeration_matches_subset_oracle_n6():
 
 
 def test_count_oracle_is_a006958():
-    assert oracle_connected_counts(12) == [1, 2, 4, 9, 20, 46, 105, 242, 557, 1285, 2964, 6842]
+    assert oracle_connected_counts(14) == [1, 2, 4, 9, 20, 46, 105, 242, 557, 1285, 2964, 6842, 15793, 36463]
 
 
 def test_connected_counts_match_count_oracle():
-    assert [len(enumerate_connected(n)) for n in range(1, 13)] == oracle_connected_counts(12)
+    assert [len(enumerate_connected(n, max_nodes=14)) for n in range(1, 15)] == oracle_connected_counts(14)
 
 
 def test_connected_shapes_come_sorted():
