@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,10 +29,13 @@ from .liealg import (
     AlgebraSpec,
     PairRealization,
     _realize,
+    json_text,
     matrices_to_jsonable,
 )
 from .linalg import _entry_parser, sparse_product
 from .skewgraph import (
+    KINDS,
+    SERIES,
     Node,
     SkewGraph,
     _admissible_cells,
@@ -319,7 +321,7 @@ def export_entries(entries: Sequence[CatalogEntry], fmt: str, *, include_matrice
         header.update(series=entries[0].spec.series, dimv=entries[0].spec.dimv, kind=entries[0].kind)
     jsonable = [entry_to_jsonable(e, include_matrices) for e in entries]
     if fmt == "json":
-        return json.dumps({**header, "entry_count": len(jsonable), "entries": jsonable}, indent=2) + "\n"
+        return json_text({**header, "entry_count": len(jsonable), "entries": jsonable}) + "\n"
     return _export_jsonable(header, jsonable, fmt)
 
 
@@ -327,27 +329,35 @@ _NULL = type(None)
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer", bool: "a boolean", _NULL: "null"}
 
 
-def _check_fields(obj, where: str, **types) -> None:
+_NAMING = {"series": SERIES, "dimv": (int,), "kind": KINDS}  # optional in a header, required in an entry
+
+
+def _check_fields(obj, where: str, **allowed) -> None:
     """A ValueError, naming the field, unless obj is an object whose named
-    fields all hold a value of one of their JSON types (true is no integer)."""
+    fields each hold one of their allowed values or JSON types (true is no
+    integer), a dimv or schema_version at least 1."""
     if type(obj) is not dict:
         raise ValueError(f"{where} must be an object")
-    for key, allowed in types.items():
+    for key, ok in allowed.items():
         if key not in obj:
             raise ValueError(f"{where} has no field {key!r}")
-        if type(obj[key]) not in allowed:
-            raise ValueError(f"{where}.{key} must be {' or '.join(_JSON_TYPES[t] for t in allowed)}")
+        if type(obj[key]) not in ok and obj[key] not in ok:
+            raise ValueError(f"{where}.{key} must be {' or '.join(str(_JSON_TYPES.get(t, t)) for t in ok)}")
+        if key in ("dimv", "schema_version") and obj[key] < 1:
+            raise ValueError(f"{where}.{key} must be at least 1")
 
 
 def export_catalog_document(doc: dict, fmt: str) -> str:
     """Re-export a parsed catalog JSON document as csv or text-table.  Each
     field that catalog.schema.json requires is checked by JSON type, down to
-    the flags, the biexponent pairs and the node lists of each graph."""
-    _check_fields(doc, "catalog", schema=(str,), schema_version=(int,), entry_count=(int,), entries=(list,))
+    the flags, the biexponent pairs and the node lists of each graph, and by
+    value where the schema fixes more: the schema name, the series, kind and
+    dimV of header and entries, each orbit sign, and entry_count."""
+    _check_fields(doc, "catalog", schema=(SCHEMA_NAME,), schema_version=(int,), entry_count=(int,), entries=(list,))
     for i, entry in enumerate(doc["entries"]):
         where = f"entries[{i}]"
-        _check_fields(entry, where, orbit_label=(str,), orbit_sign=(str, _NULL), kind=(str,), series=(str,),
-                      dimv=(int,), rank=(int,), graph=(dict,), report=(dict,), closed_form_match=(bool, _NULL))
+        _check_fields(entry, where, orbit_label=(str,), orbit_sign=(_NULL, "plus", "minus"), **_NAMING, rank=(int,),
+                      graph=(dict,), report=(dict,), closed_form_match=(bool, _NULL))
         _check_fields(entry["graph"], f"{where}.graph", components=(list,))
         report = entry["report"]
         _check_fields(report, f"{where}.report", dimension=(int,), grading=(list,), biexponents=(list,),
@@ -359,5 +369,7 @@ def export_catalog_document(doc: dict, fmt: str) -> str:
             raise ValueError(f"{where}.graph.components must be a nonempty list of nonempty node lists")
         if not all(type(d) is list and len(d) == 2 and all(type(x) is str for x in d) for d in report["biexponents"]):
             raise ValueError(f"{where}.report.biexponents must be a list of pairs of strings")
+    _check_fields(doc, "catalog", entry_count=(len(doc["entries"]),),
+                  **{key: ok for key, ok in _NAMING.items() if key in doc})
     header = {k: doc.get(k) for k in ("schema", "schema_version", "series", "dimv", "kind")}
     return _export_jsonable(header, doc["entries"], fmt)

@@ -19,6 +19,7 @@ from .centralizer import NormalFormError, analyze, report_to_jsonable
 from .liealg import (
     NotAdmissibleError,
     build_pair,
+    json_text,
     realization_from_jsonable,
     realization_to_jsonable,
     verify_relations,
@@ -115,7 +116,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_build(args) -> int:
     graph = graph_from_text(_read_input(args.input))
     r = build_pair(args.series, graph, args.orbit_sign)
-    _write_output(json.dumps(realization_to_jsonable(r, args.format), indent=2), args.output)
+    _write_output(json_text(realization_to_jsonable(r, args.format)), args.output)
     return EXIT_OK
 
 
@@ -129,7 +130,7 @@ def _cmd_verify(args) -> int:
     else:
         doc["report"] = None
         status = EXIT_FINDINGS
-    _write_output(json.dumps(doc, indent=2), args.output)
+    _write_output(json_text(doc), args.output)
     return status
 
 

@@ -20,11 +20,13 @@ once instead.
 
 from __future__ import annotations
 
+import json
 import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from json.encoder import encode_basestring_ascii
+from math import gcd, lcm
 from typing import Optional
 
 from .linalg import (
@@ -376,11 +378,44 @@ def _nondegenerate(rows: list, n: int) -> bool:
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _ratio_text(x: int, c: int) -> str:
+    """str(Fraction(x, c)) for ints x and c > 0, without making the Fraction."""
+    g = gcd(x, c)
+    return str(x // g) if g == c else f"{x // g}/{c // g}"
+
+
 def scaled_to_jsonable(scaled) -> dict:
     """A sparse ({shape, entries}) matrix document of m given by its
     integral_rows, each row in increasing column order."""
     c, rows = scaled
-    return {"shape": len(rows), "entries": [[i, j, str(Fraction(x, c))] for i, row in enumerate(rows) for j, x in row]}
+    return {"shape": len(rows), "entries": [[i, j, _ratio_text(x, c)] for i, row in enumerate(rows) for j, x in row]}
+
+
+def json_text(obj) -> str:
+    """json.dumps(obj, indent=2) by one walk, each str by the C encoder; an obj
+    holding what the walk does not write (a float, an int key) goes to json.dumps."""
+    try:
+        return _json_text(obj, "\n")
+    except TypeError:
+        return json.dumps(obj, indent=2)
+
+
+def _json_text(obj, indent: str) -> str:
+    t = type(obj)
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if obj is None or t is bool:
+        return {None: "null", True: "true", False: "false"}[obj]
+    inner = indent + "  "
+    if t is dict:  # a key that is no str is a TypeError here
+        items, brackets = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in obj.items()], "{}"
+    elif t is list or t is tuple:
+        items, brackets = [_json_text(v, inner) for v in obj], "[]"
+    else:
+        raise TypeError(f"{t.__name__} is left to json.dumps")
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1] if items else brackets
 
 
 def matrices_to_jsonable(spec: AlgebraSpec, r: PairRealization, fmt: str) -> dict:

@@ -809,8 +809,10 @@ def render_ascii(graph: SkewGraph) -> str:
     """Draw skew-diagrams; components with a common half-integer offset are
     drawn on separate grids, same-offset components share one grid.
 
-    A grid may hold at most n x n cells for n nodes, which every connected
-    graph meets; a wider spread of nodes is a ValueError.
+    A grid is drawn on int cells, x times the least common denominator dx
+    of its x coordinates (y likewise), so that its columns lie dx apart.  It
+    may hold at most n x n cells for n nodes, which every connected graph
+    meets; a wider spread of nodes is a ValueError.
     """
     n = graph.n_nodes
     groups: dict[tuple[Fraction, Fraction], list[tuple[int, Component]]] = {}
@@ -820,26 +822,20 @@ def render_ascii(graph: SkewGraph) -> str:
     multi = len(graph.components) > 1
     blocks = []
     for key in sorted(groups):
-        cells: dict[tuple[Fraction, Fraction], str] = {}
+        nodes = [nd for _, comp in groups[key] for nd in comp.nodes]
+        dx, dy = lcm(*(nd.x.denominator for nd in nodes)), lcm(*(nd.y.denominator for nd in nodes))
+        cells: dict[tuple[int, int], str] = {}
         for idx, comp in groups[key]:
             mark = chr(ord("a") + idx) if multi else "#"
             for nd in comp.nodes:
-                pos = (nd.x, nd.y)
+                pos = (nd.x.numerator * (dx // nd.x.denominator), nd.y.numerator * (dy // nd.y.denominator))
                 cells[pos] = "*" if pos in cells else mark
-        xs = sorted({p[0] for p in cells})
-        ys = sorted({p[1] for p in cells})
-        width, height = xs[-1] - xs[0] + 1, ys[-1] - ys[0] + 1
-        if width * height > n * n:
+        x0, x1 = min(x for x, _ in cells), max(x for x, _ in cells)
+        y0, y1 = min(y for _, y in cells), max(y for _, y in cells)
+        width, height = x1 - x0 + dx, y1 - y0 + dy
+        if width * height > n * n * dx * dy:
+            width, height = Fraction(width, dx), Fraction(height, dy)
             raise ValueError(f"nodes spread over {width} x {height} cells, more than {n} x {n} for {n} nodes")
-        lines = []
-        y = ys[-1]
-        while y >= ys[0]:
-            x = xs[0]
-            row = []
-            while x <= xs[-1]:
-                row.append(cells.get((x, y), "."))
-                x += 1
-            lines.append("".join(row))
-            y -= 1
-        blocks.append("\n".join(lines))
+        columns = range(x0, x1 + 1, dx)
+        blocks.append("\n".join("".join([cells.get((x, y), ".") for x in columns]) for y in range(y1, y0 - 1, -dy)))
     return "\n\n".join(blocks)

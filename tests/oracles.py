@@ -8,7 +8,8 @@ the characteristic polynomial as Fractions, the reduced echelon span of
 matrices, the algebra basis of g inside gl(V), membership in g by
 x^T G + G x, the dense centralizer, a null space over the whole algebra
 basis, the graded commutant by one elimination per bi-degree block of
-gl(V), and the closed-form check by dense powers and reduction.
+gl(V), the closed-form check by dense powers and reduction, and the
+skew-diagram drawing on Fraction coordinates.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from skewpairs.linalg import (
     joint_eigenbasis,
     with_columns,
 )
-from skewpairs.skewgraph import Node, SkewGraph, canonical_form
+from skewpairs.skewgraph import Component, Node, SkewGraph, canonical_form
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -464,3 +465,44 @@ def closed_form_in_span(pred: ClosedFormPrediction, r: PairRealization, basis: S
             return False
     a = a_operator_matrix(pred, r)
     return a is None or in_span(flat, _flatten(a))
+
+
+# ---------------------------------------------------------------------------
+# Drawing
+# ---------------------------------------------------------------------------
+
+def render_ascii(graph: SkewGraph) -> str:
+    """skewgraph.render_ascii stepping Fraction coordinates cell by cell:
+    each grid runs from its least x and its greatest y in unit steps, and
+    a node off those steps is not drawn."""
+    n = graph.n_nodes
+    groups: dict[tuple[Fraction, Fraction], list[tuple[int, Component]]] = {}
+    for idx, comp in enumerate(graph.components):
+        anchor = comp.nodes[0]
+        groups.setdefault((anchor.x % 1, anchor.y % 1), []).append((idx, comp))
+    multi = len(graph.components) > 1
+    blocks = []
+    for key in sorted(groups):
+        cells: dict[tuple[Fraction, Fraction], str] = {}
+        for idx, comp in groups[key]:
+            mark = chr(ord("a") + idx) if multi else "#"
+            for nd in comp.nodes:
+                pos = (nd.x, nd.y)
+                cells[pos] = "*" if pos in cells else mark
+        xs = sorted({p[0] for p in cells})
+        ys = sorted({p[1] for p in cells})
+        width, height = xs[-1] - xs[0] + 1, ys[-1] - ys[0] + 1
+        if width * height > n * n:
+            raise ValueError(f"nodes spread over {width} x {height} cells, more than {n} x {n} for {n} nodes")
+        lines = []
+        y = ys[-1]
+        while y >= ys[0]:
+            x = xs[0]
+            row = []
+            while x <= xs[-1]:
+                row.append(cells.get((x, y), "."))
+                x += 1
+            lines.append("".join(row))
+            y -= 1
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks)

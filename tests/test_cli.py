@@ -2,14 +2,17 @@
 
 import json
 import pathlib
+import random
 import reprlib
 import time
 
 import pytest
 
-from conftest import large_dimv_document
+from conftest import conjugated, large_dimv_document, small_realizations
+from skewpairs import cli
 from skewpairs.cli import main
-from skewpairs.liealg import realization_from_jsonable
+from skewpairs.liealg import json_text, realization_from_jsonable, realization_to_jsonable
+from skewpairs.skewgraph import graph_to_text
 
 
 def run_cli(capsys, *argv):
@@ -632,6 +635,15 @@ def _set_first_biexponent(doc):
     return doc
 
 
+def _set_values_the_schema_forbids(doc):
+    # The edits of one catalog that export once printed with exit 0: the
+    # first one is named.
+    doc.update(schema="nope", entry_count=3, series="Q", dimv=-3)
+    doc["entries"][0]["orbit_sign"] = "sideways"
+    doc["entries"][1]["kind"] = "weird"
+    return doc
+
+
 @pytest.mark.parametrize("fmt", ["csv", "table"])
 @pytest.mark.parametrize(
     "mutate, message",
@@ -646,14 +658,69 @@ def _set_first_biexponent(doc):
         pytest.param(_set_first_flag, "entries[0].report.flags.principal must be a boolean", id="flag-a-string"),
         pytest.param(_set_first_biexponent, "entries[0].report.biexponents must be a list of pairs of strings",
                      id="biexponent-a-number"),
+        pytest.param(_set_values_the_schema_forbids, "catalog.schema must be skewpairs-catalog", id="forbidden-values"),
+        pytest.param(lambda doc: {**doc, "schema_version": 0}, "catalog.schema_version must be at least 1",
+                     id="schema-version-0"),
+        pytest.param(lambda doc: {**doc, "entry_count": 3}, "catalog.entry_count must be 9", id="entry-count-3"),
+        pytest.param(lambda doc: {**doc, "series": "Q"}, "catalog.series must be A or B or C or D", id="series-Q"),
+        pytest.param(lambda doc: {**doc, "dimv": -3}, "catalog.dimv must be at least 1", id="dimv-minus-3"),
+        pytest.param(lambda doc: {**doc, "dimv": "6"}, "catalog.dimv must be an integer", id="dimv-a-string"),
+        pytest.param(lambda doc: {**doc, "kind": None}, "catalog.kind must be distinguished or principal",
+                     id="kind-null"),
+        pytest.param(_set_entry(0, "orbit_sign", "sideways"), "entries[0].orbit_sign must be null or plus or minus",
+                     id="orbit-sign-sideways"),
+        pytest.param(_set_entry(1, "kind", "weird"), "entries[1].kind must be distinguished or principal",
+                     id="entry-kind-weird"),
+        pytest.param(_set_entry(2, "series", "Q"), "entries[2].series must be A or B or C or D", id="entry-series-Q"),
+        pytest.param(_set_entry(3, "dimv", 0), "entries[3].dimv must be at least 1", id="entry-dimv-0"),
     ],
 )
 def test_export_names_the_malformed_field(tmp_path, capsys, mutate, message, fmt):
     # The first three once escaped as tracebacks with exit 1, and a missing
-    # field printed only its name.
+    # field printed only its name.  From forbidden-values on, each was once
+    # exported with exit 0, the table titled "series Q, dimV -3" and so on.
     code, out, _ = run_cli(capsys, "classify", "--series", "D", "--dimv", "6", "--kind", "distinguished")
     assert code == 0
     catalog_file = tmp_path / "catalog.json"
     catalog_file.write_text(json.dumps(mutate(json.loads(out))))
     code, out, err = run_cli(capsys, "export", "--input", str(catalog_file), "--format", fmt)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_build_and_verify_write_what_json_dumps_writes(tmp_path, capsys, monkeypatch):
+    # Every build (dense and sparse) and verify document to dimV 6, verify
+    # also on a conjugated copy and on a pair whose relations fail (exit 1).
+    written = []
+
+    def recording(obj):
+        written.append(obj)
+        return json_text(obj)
+
+    monkeypatch.setattr(cli, "json_text", recording)
+    graph_file, pair_file = tmp_path / "graph.txt", tmp_path / "pair.json"
+    rng = random.Random(20261019)
+    checked = 0
+    for r in small_realizations():
+        graph_file.write_text(graph_to_text(r.graph))
+        sign = ("--orbit-sign", r.orbit_sign) if r.orbit_sign else ()
+        docs = []
+        for fmt in ("dense", "sparse"):
+            code, out, _ = run_cli(capsys, "build", "--series", r.spec.series, "--format", fmt,
+                                   "--input", str(graph_file), *sign)
+            assert (code, out) == (0, json.dumps(written[-1], indent=2) + "\n")
+            docs.append(out)
+        moved = conjugated(r, rng) if r.spec.dimv > 1 else None
+        if moved is not None:
+            docs.append(json.dumps(realization_to_jsonable(moved)))
+        broken = json.loads(docs[0])
+        broken["e2"] = broken["e1"]
+        docs.append(json.dumps(broken))
+        for doc in docs:
+            pair_file.write_text(doc)
+            code, out, err = run_cli(capsys, "verify", "--input", str(pair_file))
+            if err.startswith("finding: "):
+                assert (code, out) == (1, "")
+                continue
+            assert code in (0, 1) and out == json.dumps(written[-1], indent=2) + "\n"
+            checked += 1
+    assert checked > 300

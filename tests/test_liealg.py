@@ -1,10 +1,13 @@
 """Matrix realizations: the defining relations and the sign conventions."""
 
+import json
 import random
 from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import conjugated, distinguished_realizations, large_dimv_document
 from oracles import (
@@ -21,15 +24,17 @@ from oracles import (
     transpose,
 )
 from skewpairs import skewgraph
-from skewpairs.catalog import classify
+from skewpairs.catalog import SCHEMA_NAME, SCHEMA_VERSION, classify, entry_to_jsonable, export_entries
 from skewpairs.centralizer import analyze, is_rectangular_pair
 from skewpairs.liealg import (
     BasisLabel,
     NotAdmissibleError,
     PairRealization,
     RelationReport,
+    _ratio_text,
     _realize,
     build_pair,
+    json_text,
     make_spec,
     realization_from_jsonable,
     realization_to_jsonable,
@@ -617,3 +622,54 @@ def test_gram_matrix_of_the_wrong_symmetry_is_refused(series, form, kind):
         analyze(r)
     with pytest.raises(ValueError, match=message):
         is_rectangular_pair(r)
+
+
+@given(st.integers(), st.integers(min_value=1))
+def test_ratio_text_is_the_text_of_the_fraction(x, c):
+    assert _ratio_text(x, c) == str(Fraction(x, c))
+
+
+# Keys and strings with non-ASCII and control characters and lone surrogates.
+_json_strings = st.text(st.characters(codec=None, exclude_categories=()))
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | _json_strings,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_json_strings, inner),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_json_values)
+def test_json_text_is_json_dumps_with_indent_2(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        pytest.param([[], {}, [[]], {"": {}}], id="empty-lists-and-dicts"),
+        pytest.param([True, 1, False, 0, None, -1, -(10**40)], id="bools-beside-ints"),
+        # Values the walk does not write, left to json.dumps.
+        pytest.param({"k": 1.5}, id="float"),
+        pytest.param([float("nan")], id="nan"),
+        pytest.param({"a": [{"b": [0.25]}]}, id="nested-float"),
+        pytest.param({1: "x"}, id="int-key"),
+        pytest.param({None: True}, id="null-key"),
+    ],
+)
+def test_json_text_matches_json_dumps_on_edge_values(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_writes_every_full_matrix_catalog_to_dimv_8():
+    dims = {"A": range(1, 9), "B": range(1, 9, 2), "C": range(2, 9, 2), "D": range(2, 9, 2)}
+    for series, ds in dims.items():
+        for dimv in ds:
+            for kind in ("distinguished", "principal"):
+                entries = classify(series, dimv, kind)
+                doc = {"schema": SCHEMA_NAME, "schema_version": SCHEMA_VERSION}
+                if entries:
+                    doc.update(series=series, dimv=dimv, kind=kind)
+                jsonable = [entry_to_jsonable(e, include_matrices=True) for e in entries]
+                doc.update(entry_count=len(jsonable), entries=jsonable)
+                text = export_entries(entries, "json", include_matrices=True)
+                assert text == json.dumps(doc, indent=2) + "\n", (series, dimv, kind)

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import graph_to_cellset, oracle_connected_cellsets, oracle_connected_counts
 from oracles import graph_key
+from oracles import render_ascii as oracle_render_ascii
 from skewpairs.skewgraph import (
+    KINDS,
     SYM_INTEGRAL,
     SYM_NON_INTEGRAL,
     SYM_SEMI_COLSORT,
@@ -582,3 +584,64 @@ def test_render_zigzag():
         one_component((-1, F(1, 2)), (0, F(1, 2)), (0, F(-1, 2)), (1, F(-1, 2)))
     )
     assert art == "##.\n.##"
+
+
+def _render_both(graph: SkewGraph) -> tuple:
+    """(text or ValueError message) of render_ascii and of its Fraction oracle."""
+    out = []
+    for render in (render_ascii, oracle_render_ascii):
+        try:
+            out.append(render(graph))
+        except ValueError as exc:
+            out.append(f"ValueError: {exc}")
+    return tuple(out)
+
+
+def test_render_on_int_cells_matches_the_fraction_oracle():
+    dims = {"A": range(1, 11), "B": range(1, 11, 2), "C": range(2, 11, 2), "D": range(2, 11, 2)}
+    graphs = [g for series, ds in dims.items() for dimv in ds for kind in KINDS
+              for g in enumerate_admissible(series, dimv, kind)]
+    assert len(graphs) == 2860
+    for g in graphs:
+        new, old = _render_both(g)
+        assert new == old, graph_to_text(g)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # Chains at integer and half-integer offsets: one grid per offset,
+        # in the order of the offsets, shared by the chains of one offset.
+        pytest.param("-1/1,0/1 0/1,0/1 1/1,0/1\n-1/2,-1/2 -1/2,1/2\n1/2,-1/2 1/2,1/2", "aaa\n\nbc\nbc",
+                     id="integer-and-half-chains"),
+        pytest.param("-1/2,0/1 1/2,0/1\n0/1,-1/2 0/1,1/2\n-1/1,-1/1 0/1,-1/1", "cc\n\nb\nb\n\naa", id="three-offsets"),
+        pytest.param("-1/1,0/1 0/1,0/1 1/1,0/1\n0/1,-1/1 0/1,0/1 0/1,1/1\n-1/2,-1/2 1/2,-1/2",
+                     ".b.\na*a\n.b.\n\ncc", id="shared-origin-and-half-chain"),
+        # A third of a cell off: a grid of its own, with its own d.
+        pytest.param("-1/3,0/1 2/3,0/1\n0/1,1/3 1/1,1/3", "bb\n\naa", id="third-offsets"),
+        # Two integer components a row apart: the empty row is drawn.
+        pytest.param("0/1,-1/1 0/1,0/1\n1/2,1/2\n0/1,2/1", "c\n.\na\na\n\nb", id="empty-row"),
+        # A node half a cell off its component spreads the grid by a Fraction.
+        pytest.param("0/1,0/1 9/2,0/1", "ValueError: nodes spread over 11/2 x 1 cells, more than 2 x 2 for 2 nodes",
+                     id="spread-by-a-half"),
+        pytest.param("0/1,0/1\n7/1,0/1", "ValueError: nodes spread over 8 x 1 cells, more than 2 x 2 for 2 nodes",
+                     id="spread-two-components"),
+    ],
+)
+def test_render_multi_offset_graphs_and_spread(text, expected):
+    new, old = _render_both(graph_from_text(text))
+    assert new == old == expected
+
+
+_coordinate = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 1, 2, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=6, unique=True),
+                min_size=1, max_size=3))
+def test_render_matches_the_fraction_oracle_on_any_nodes(comps):
+    # Nodes anywhere, of one offset or of several within a component: a node
+    # off the steps of its grid is left out by both, not drawn by one.
+    graph = SkewGraph(tuple(component_from_nodes(Node(x, y) for x, y in nodes) for nodes in comps))
+    new, old = _render_both(graph)
+    assert new == old
