@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -25,7 +26,7 @@ from .centralizer import (
     report_to_jsonable,
 )
 from .liealg import (
-    HALF,
+    _SWAPPED,
     AlgebraSpec,
     PairRealization,
     _realize,
@@ -36,7 +37,6 @@ from .linalg import _entry_parser, sparse_product
 from .skewgraph import (
     KINDS,
     SERIES,
-    Node,
     SkewGraph,
     _admissible_cells,
     _admissible_shapes,
@@ -155,7 +155,7 @@ def _predicted_in_span(pred: ClosedFormPrediction, r: PairRealization, basis) ->
     # basis vectors at (1/2,1/2) and (-1/2,-1/2), so A moves by that swap.
     index = {(lb.component_index, lb.node): i for i, lb in enumerate(r.labels)}
     if r.orbit_sign == "minus":
-        i, j = index[0, Node(HALF, HALF)], index[0, Node(-HALF, -HALF)]
+        i, j = (index[0, nd] for nd in _SWAPPED)
         index = {key: {i: j, j: i}.get(t, t) for key, t in index.items()}
     return _in_span(rows, {
         index[dst.component_index, dst.node] * n + index[src.component_index, src.node]: c
@@ -330,12 +330,16 @@ _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an inte
 
 
 _NAMING = {"series": SERIES, "dimv": (int,), "kind": KINDS}  # optional in a header, required in an entry
+# The least value of each integer field that catalog.schema.json bounds, and its orbit_label pattern.
+_MINIMUM = {"schema_version": 1, "dimv": 1, "rank": 0, "dimension": 0}
+_LABEL = re.compile("[0-9a-f]{12}[+-]?")
 
 
 def _check_fields(obj, where: str, **allowed) -> None:
     """A ValueError, naming the field, unless obj is an object whose named
     fields each hold one of their allowed values or JSON types (true is no
-    integer), a dimv or schema_version at least 1."""
+    integer), an integer no less than its _MINIMUM and an orbit_label that
+    matches _LABEL."""
     if type(obj) is not dict:
         raise ValueError(f"{where} must be an object")
     for key, ok in allowed.items():
@@ -343,16 +347,19 @@ def _check_fields(obj, where: str, **allowed) -> None:
             raise ValueError(f"{where} has no field {key!r}")
         if type(obj[key]) not in ok and obj[key] not in ok:
             raise ValueError(f"{where}.{key} must be {' or '.join(str(_JSON_TYPES.get(t, t)) for t in ok)}")
-        if key in ("dimv", "schema_version") and obj[key] < 1:
-            raise ValueError(f"{where}.{key} must be at least 1")
+        if key in _MINIMUM and obj[key] < _MINIMUM[key]:
+            raise ValueError(f"{where}.{key} must be at least {_MINIMUM[key]}")
+        if key == "orbit_label" and not _LABEL.fullmatch(obj[key]):
+            raise ValueError(f"{where}.orbit_label must be 12 hex digits and an optional sign + or -")
 
 
 def export_catalog_document(doc: dict, fmt: str) -> str:
     """Re-export a parsed catalog JSON document as csv or text-table.  Each
     field that catalog.schema.json requires is checked by JSON type, down to
     the flags, the biexponent pairs and the node lists of each graph, and by
-    value where the schema fixes more: the schema name, the series, kind and
-    dimV of header and entries, each orbit sign, and entry_count."""
+    value where the schema fixes more: the schema name and version, the
+    series, kind and dimV of header and entries, each orbit label, orbit
+    sign, rank and report dimension, and entry_count."""
     _check_fields(doc, "catalog", schema=(SCHEMA_NAME,), schema_version=(int,), entry_count=(int,), entries=(list,))
     for i, entry in enumerate(doc["entries"]):
         where = f"entries[{i}]"

@@ -25,16 +25,17 @@ back once, as the integer product T x T^-1 with both factors scaled to
 ints, and one fraction-free elimination over these rows gives the basis.
 
 The flags need no other solve.  z(h) & z(e) is the (0,0) piece of z(e),
-and z(h) the (0,0) block of g, found by the same union-find pass on the
-O(n) positions of that block.  Rectangularity (Ginzburg: h_i in [e_i, g])
-follows by duality (Kostant): the trace form is invariant and
-nondegenerate on g, so [e, g] is the orthogonal of z_g(e), and h lies in
-it exactly when tr(h z) vanishes on the (0,0) block of z_g(e), again one
-union-find pass.  In series A these passes drop the trace row and find the
-block of gl(V): that of sl(V) plus the line of I, with tr(h I) = 0, and
-nothing left to eliminate.  Each row is built once: _form_rows keeps
-a <= b of the (anti)symmetric x^T G + G x, and the (0,0)-block rows serve
-z(h) and both rectangularity sides.  The weights are scaled by their common
+and z(h), the (0,0) block of g, needs no pass at all: its dimension is
+read off the weight multiplicities of the frame (_Frame.cartan_dimension).
+Rectangularity (Ginzburg: h_i in [e_i, g]) follows by duality (Kostant):
+the trace form is invariant and nondegenerate on g, so [e, g] is the
+orthogonal of z_g(e), and h lies in it exactly when tr(h z) vanishes on the
+(0,0) block of z_g(e), one union-find pass on the O(n) positions of that
+block.  In series A these passes drop the trace row and find the block of
+gl(V): that of sl(V) plus the line of I, with tr(h I) = 0, and nothing
+left to eliminate.  Each row is built once: _form_rows keeps a <= b of the
+(anti)symmetric x^T G + G x, and the (0,0)-block rows serve both
+rectangularity sides.  The weights are scaled by their common
 denominator, so bi-degrees are int pairs, and e1, e2 and the Gram matrix
 are each scaled to integers, which changes no commutant and no image.
 
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -189,8 +190,8 @@ class _Frame:
     t_inv: Optional[list[list[tuple[int, int]]]]
 
     def degree(self, d: tuple[int, int]) -> tuple[Fraction, Fraction]:
-        """The exact bi-degree of an int degree d."""
-        return Fraction(d[0], self.den), Fraction(d[1], self.den)
+        """The exact bi-degree of an int degree d, each Fraction made once."""
+        return _ratio(d[0], self.den), _ratio(d[1], self.den)
 
     @cached_property
     def at(self) -> dict[tuple[int, int], list[int]]:
@@ -200,16 +201,34 @@ class _Frame:
             at.setdefault(w, []).append(i)
         return at
 
-    def block(self, delta: tuple[int, int]) -> list[int]:
-        """The positions i * n + j of gl(V) with w_i - w_j = delta."""
-        n, (d0, d1) = len(self.weights), delta
-        return [i * n + j for w, left in self.at.items() for i in left for j in self.at.get((w[0] - d0, w[1] - d1), ())]
+    def block(self, delta: tuple[int, int]) -> list:
+        """The positions (i, j) of gl(V) with w_i - w_j = delta, as the
+        columns j of each row i."""
+        d0, d1 = delta
+        return [self.at.get((w[0] - d0, w[1] - d1), ()) for w in self.weights]
 
     @cached_property
     def zero(self) -> tuple[list[int], list]:
-        """The (0,0)-block positions and form rows, without the trace in
-        series A: cartan_h and both rectangularity sides read them."""
-        return self.block(DEGREE_0), [] if self.spec.series == "A" else _form_rows(self, zero_block=True)
+        """The (0,0)-block positions i * n + j and form rows, without the
+        trace in series A: both rectangularity sides read them."""
+        n = len(self.weights)
+        positions = [i * n + j for i, cols in enumerate(self.block(DEGREE_0)) for j in cols]
+        return positions, [] if self.spec.series == "A" else _form_rows(self, zero_block=True)
+
+    def cartan_dimension(self) -> int:
+        """dim z_g(h) from the weight multiplicities m_w: z_gl(h) is the sum
+        of the gl(V_w), less the line of I in series A.  In B, C and D, h lies
+        in g, so G pairs V_w with V_-w nondegenerately: each pair +-w != 0
+        adds m_w^2, and V_0 adds so(m_0) (B, D) or sp(m_0) (C)."""
+        squares = [len(basis) ** 2 for basis in self.at.values()]
+        if self.spec.series == "A":
+            return sum(squares) - 1
+        m0 = len(self.at.get(DEGREE_0, ()))
+        return (sum(squares) - m0 * m0) // 2 + (m0 * (m0 + 1) if self.spec.series == "C" else m0 * (m0 - 1)) // 2
+
+
+# Fraction(p, den), each made once per process, as skewgraph._node makes nodes.
+_ratio = lru_cache(maxsize=None)(Fraction)
 
 
 def _nonzero(m: list[list[int]]) -> list[list[tuple[int, int]]]:
@@ -302,7 +321,7 @@ def _form_rows(frame: _Frame, zero_block: bool = False) -> list[list[tuple[int, 
 def _unite(positions, rows, brackets=()) -> tuple[list, list]:
     """One signed union-find pass over these positions, of the sparse rows
     and of entry (i, j) of [x, m] for each (m, targets) in brackets, m by
-    with_columns and each (i, j) in targets.
+    with_columns and targets[i] the columns j of row i.
 
     A row a x_u + b x_v = 0 unites u and v with the ratio x_v / x_u = -a / b,
     an int while the division is exact; a row with one term, or a cycle
@@ -356,14 +375,16 @@ def _unite(positions, rows, brackets=()) -> tuple[list, list]:
         take(row)
     for (m_rows, m_cols), targets in brackets:
         n = len(m_rows)
-        for i, j in targets:
-            col, row = m_cols[j], m_rows[i]
-            if len(col) > 1 or len(row) > 1:
-                take(_summed([(i * n + t, c) for t, c in col] + [(t * n + j, -c) for t, c in row]))
-            elif col and row:
-                join(i * n + col[0][0], col[0][1], row[0][0] * n + j, -row[0][1])
-            elif col or row:
-                dead[find(i * n + col[0][0] if col else row[0][0] * n + j)] = True
+        for i, cols in enumerate(targets):
+            row = m_rows[i]
+            for j in cols:
+                col = m_cols[j]
+                if len(col) > 1 or len(row) > 1:
+                    take(_summed([(i * n + t, c) for t, c in col] + [(t * n + j, -c) for t, c in row]))
+                elif col and row:
+                    join(i * n + col[0][0], col[0][1], row[0][0] * n + j, -row[0][1])
+                elif col or row:
+                    dead[find(i * n + col[0][0] if col else row[0][0] * n + j)] = True
 
     components: dict[int, list] = {}
     for p in positions:
@@ -410,8 +431,8 @@ def _graded_commutant(frame: _Frame, elements) -> dict:
     """
     weights = frame.weights
     n = len(weights)
-    brackets = [(m, [(i, j) for i in range(n) for j in range(n) if m[0][i] or m[1][j]]) for m in elements]
-    components, long_rows = _unite(range(n * n), _form_rows(frame), brackets)
+    every = [range(n)] * n
+    components, long_rows = _unite(range(n * n), _form_rows(frame), [(m, every) for m in elements])
 
     def degree(p: int) -> tuple[int, int]:
         wi, wj = weights[p // n], weights[p % n]
@@ -486,18 +507,6 @@ def bigrade(spec: AlgebraSpec, h1: Matrix, h2: Matrix, subspace_basis: Sequence[
 # Rectangularity
 # ---------------------------------------------------------------------------
 
-def _zero_block(frame: _Frame, e=None, side: int = 0) -> tuple[list, list]:
-    """The (0,0) block of g, or of z_g(e) for e1 (side 0) or e2 (side 1) by
-    with_columns, as (components of _unite, long rows in their coordinates):
-    the kernel is {sum y_k component_k : the long rows vanish at y}.  [x, e]
-    lands in the block of e's degree, den along its side."""
-    n, (positions, rows) = len(frame.weights), frame.zero
-    delta = (frame.den, 0) if side == 0 else (0, frame.den)
-    brackets = () if e is None else [(e, [divmod(p, n) for p in frame.block(delta)])]
-    components, long_rows = _unite(positions, rows, brackets)
-    return components, _component_rows(components, long_rows)[1] if long_rows else []
-
-
 def _h_in_image(frame: _Frame, e, side: int) -> bool:
     """Whether [e, x] = h for some x in g; e by with_columns is e1 (side 0)
     or e2 (side 1), and h the matching h1 or h2.
@@ -506,16 +515,22 @@ def _h_in_image(frame: _Frame, e, side: int) -> bool:
     image of ad e exactly when tr(h z) = 0 for every z in z_g(e).  den h is
     diagonal with the weights along its side, and the form pairs bi-degree
     d only with -d, so phi(z) = sum_i w_i z_ii must vanish on the (0,0)
-    block of z_g(e): on each component, or, when long rows cut that kernel
-    down, on each vector of its basis in component coordinates.  In series A
-    the pass has no trace row, so it finds the (0,0) block of z_gl(e): that
-    of z_sl(e) plus the line of I, as tr I = n != 0, and phi(I) = den tr h = 0.
+    block of z_g(e), one _unite pass over the (0,0) block of gl(V): [x, e]
+    lands in the block of e's degree, den along its side.  phi must vanish
+    on each component, or, when long rows cut that kernel down, on each
+    vector of its basis in component coordinates.  In series A the pass has
+    no trace row, so it finds the (0,0) block of z_gl(e): that of z_sl(e)
+    plus the line of I, as tr I = n != 0, and phi(I) = den tr h = 0.  The
+    (0,0) block of g itself, z_g(h), needs no pass: _Frame.cartan_dimension
+    reads its dimension off the weights.
     """
-    n = len(frame.weights)
-    components, system = _zero_block(frame, e, side)
+    n, (positions, rows) = len(frame.weights), frame.zero
+    delta = (frame.den, 0) if side == 0 else (0, frame.den)
+    components, long_rows = _unite(positions, rows, [(e, frame.block(delta))])
     phi = [sum(frame.weights[p // n][side] * x for p, x in comp if p % (n + 1) == 0) for comp in components]
-    if not system:
+    if not long_rows:
         return not any(phi)
+    system = _component_rows(components, long_rows)[1]
     return not any(sum(a * b for a, b in zip(phi, v)) for _, v in integer_nullspace(system, len(components)))
 
 
@@ -584,10 +599,8 @@ def analyze(r: PairRealization) -> CentralizerReport:
         }
         reduced, _ = _eliminate(row for rows in mapped.values() for row in rows)
         basis = tuple(_by_rows(n, [(p, x) for p, x in enumerate(v) if x]) for v in reduced)
-    # z(h) is the (0,0) block of g, less I in series A (_Frame.zero), and
-    # z(h) & z(e) the (0,0) piece of z(e).
-    components, system = _zero_block(frame)
-    cartan_h = len(components) - (rank(system) if system else 0) - (spec.series == "A") == spec.rank
+    # z(h) & z(e) is the (0,0) piece of z(e).
+    cartan_h = frame.cartan_dimension() == spec.rank
     trivial = DEGREE_0 not in pieces
 
     table = tuple((frame.degree(d), len(pieces[d])) for d in sorted(pieces))

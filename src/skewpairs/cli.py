@@ -27,10 +27,12 @@ from .liealg import (
 from .linalg import NotDiagonalizableError
 from .skewgraph import (
     DEFAULT_MAX_NODES,
+    canonical_form,
     enumerate_connected,
     graph_from_text,
     graph_to_text,
     render_ascii,
+    validate,
 )
 
 EXIT_OK = 0
@@ -157,7 +159,12 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    # The input is drawn where it lies; its canonical form must be a skew-graph.
     graph = graph_from_text(_read_input(args.input))
+    findings = validate(canonical_form(graph))
+    if findings:
+        sys.stderr.write(f"finding: the graph violates the axioms: {'; '.join(findings)}\n")
+        return EXIT_FINDINGS
     _write_output(render_ascii(graph), args.output)
     return EXIT_OK
 

@@ -53,6 +53,8 @@ from .skewgraph import (
 )
 
 HALF = Fraction(1, 2)
+# The nodes (1/2,1/2) and (-1/2,-1/2) whose basis vectors a minus-sign build swaps.
+_SWAPPED = (Node(HALF, HALF), Node(-HALF, -HALF))
 _MATRICES = ("e1", "e2", "h1", "h2")
 
 
@@ -267,7 +269,7 @@ def _realize(series: str, graph: SkewGraph, found: list, sign: Optional[str]) ->
     scaled = [(1, e1), (1, e2), (c1, h1), (c2, h2)]
     if sign == "minus":
         # P m P for the swap P of the basis vectors at (1/2,1/2) and (-1/2,-1/2).
-        i, j = (labels.index(BasisLabel(0, Node(v, v))) for v in (HALF, -HALF))
+        i, j = (labels.index(BasisLabel(0, nd)) for nd in _SWAPPED)
         moved = [{i: j, j: i}.get(t, t) for t in range(n)]
         scaled = [(c, [tuple(sorted((moved[k], x) for k, x in rows[t])) for t in moved]) for c, rows in scaled]
     spec = _sparse_spec(series, n, None if g is None else (1, g))

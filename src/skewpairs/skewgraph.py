@@ -150,14 +150,21 @@ def _cell_offsets(comp: Component) -> Optional[dict[tuple[int, int], int]]:
     return out
 
 
-def _coordinate_sums(nodes: Sequence[Node]) -> tuple[Fraction, Fraction]:
-    """The exact sums of the x and of the y coordinates of these nodes: the
-    numerators are added as ints over their least common denominator."""
+def _coordinate_sums(nodes: Sequence[Node]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The exact sums of the x and of the y coordinates of these nodes, each
+    as (numerator, denominator): the numerators are added as ints over their
+    least common denominator."""
     sums = []
     for xs in ([nd.x for nd in nodes], [nd.y for nd in nodes]):
         d = lcm(*(x.denominator for x in xs))
-        sums.append(Fraction(sum(x.numerator * (d // x.denominator) for x in xs), d))
+        sums.append((sum(x.numerator * (d // x.denominator) for x in xs), d))
     return sums[0], sums[1]
+
+
+def _plus(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a + b for (numerator, denominator) pairs, over the lcm of the two."""
+    d = lcm(a[1], b[1])
+    return a[0] * (d // a[1]) + b[0] * (d // b[1]), d
 
 
 # ---------------------------------------------------------------------------
@@ -195,21 +202,22 @@ def _validated(graph: SkewGraph) -> tuple[list[str], list[Optional[dict]]]:
     """validate(graph), and each component's integer cells."""
     findings = []
     cells = []
-    sx = sy = 0
+    sx = sy = (0, 1)
     for i, comp in enumerate(graph.components):
         comp_cells, comp_findings = _component_cells(i, comp)
         cells.append(comp_cells)
         findings.extend(comp_findings)
         # A component's coordinate sums are k times its first node plus the
-        # offset sums of its k cells.
+        # offset sums of its k cells, over the first node's denominators.
         if comp_cells is None or len(comp_cells) != len(comp):
             x, y = _coordinate_sums(comp.nodes)
         else:
-            x = comp.nodes[0].x * len(comp) + sum(dx for dx, _ in comp_cells)
-            y = comp.nodes[0].y * len(comp) + sum(dy for _, dy in comp_cells)
-        sx, sy = sx + x, sy + y
-    if sx or sy:
-        findings.append(f"barycentre is ({sx},{sy}), not the origin")
+            k, (bx, by) = len(comp), (comp.nodes[0].x, comp.nodes[0].y)
+            x = (bx.numerator * k + bx.denominator * sum(dx for dx, _ in comp_cells), bx.denominator)
+            y = (by.numerator * k + by.denominator * sum(dy for _, dy in comp_cells), by.denominator)
+        sx, sy = _plus(sx, x), _plus(sy, y)
+    if sx[0] or sy[0]:
+        findings.append(f"barycentre is ({Fraction(*sx)},{Fraction(*sy)}), not the origin")
     # Components may share only (0,0), and at most two may hold it.
     node_sets = [c.node_set for c in graph.components] if len(graph.components) > 1 else []
     for i, nodes in enumerate(node_sets):
@@ -353,8 +361,8 @@ def canonical_form(graph: SkewGraph) -> SkewGraph:
     n = graph.n_nodes
     if not n:
         return graph
-    sx, sy = _coordinate_sums([nd for c in graph.components for nd in c.nodes])
-    sx, sy = sx / n, sy / n
+    (px, dx), (py, dy) = _coordinate_sums([nd for c in graph.components for nd in c.nodes])
+    sx, sy = Fraction(px, dx * n), Fraction(py, dy * n)
     if sx or sy:
         comps = [component_from_nodes(nd.shifted(-sx, -sy) for nd in c.nodes) for c in graph.components]
     else:

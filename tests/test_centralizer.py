@@ -43,7 +43,14 @@ from skewpairs.centralizer import (
     is_rectangular_pair,
     report_to_jsonable,
 )
-from skewpairs.liealg import PairRealization, build_pair, make_spec, realization_from_jsonable, realization_to_jsonable
+from skewpairs.liealg import (
+    PairRealization,
+    build_pair,
+    make_spec,
+    realization_from_jsonable,
+    realization_to_jsonable,
+    verify_relations,
+)
 from skewpairs.linalg import (
     dense_matrix,
     integer_nullspace,
@@ -234,10 +241,11 @@ def _rows(frame, elements):
 def test_analyze_builds_each_constraint_row_once(monkeypatch):
     # The rows of x in g are built once for a <= b, as entry (b, a) of
     # x^T G + G x is entry (a, b) up to sign: no two rows share their
-    # positions.  cartan_h and both rectangularity sides share one set of
-    # (0,0)-block positions and rows: two _form_rows and three blocks per
-    # analyze.  Series A has no form, and the (0,0)-block passes leave out
-    # its trace row, so there it is one _form_rows, for z(e1, e2).
+    # positions.  Both rectangularity sides share one set of (0,0)-block
+    # positions and rows, and cartan_h reads no row, only the weights: two
+    # _form_rows and three blocks per analyze, the (0,0) one and that of
+    # each side's e.  Series A has no form, and the (0,0)-block passes leave
+    # out its trace row, so there it is one _form_rows, for z(e1, e2).
     import skewpairs.centralizer as centralizer_module
 
     calls, blocks = [], []
@@ -264,6 +272,58 @@ def test_analyze_builds_each_constraint_row_once(monkeypatch):
             assert len(set(supports)) == len(supports), r.graph
             count += 1
     assert count > 100
+
+
+def test_cartan_dimension_matches_the_dense_centralizer_of_h():
+    # dim z_g(h) is read off the weight multiplicities, with no pass over
+    # gl(V).  Pinned as a number against the dense centralizer of h1 and h2:
+    # every small realization as built and conjugated, h1 = h2 = 0 in each
+    # series, where z(h) = g, and a series-D graph whose two components
+    # share the origin, so that the (0,0) weight space is a plane.
+    rng = random.Random(20261020)
+    cases = []
+    for r in small_realizations():
+        moved = conjugated(r, rng) if r.spec.dimv > 1 else None
+        cases += [r] if moved is None else [r, moved]
+    chains = build_pair("D", chains_graph())
+    cases += [chains, conjugated(chains, rng)]
+    for c in cases:
+        frame, _ = eigenframe(c.spec, c.h1, c.h2)
+        dim = frame.cartan_dimension()
+        assert dim == len(centralizer(c.spec, [c.h1, c.h2])), (c.spec.series, graph_to_text(c.graph))
+        assert analyze(c).flags.cartan_h == (dim == c.spec.rank)
+    frame, _ = eigenframe(chains.spec, chains.h1, chains.h2)
+    assert (len(frame.at[0, 0]), frame.cartan_dimension()) == (2, 3)
+    for series, dimv, dim_g in (("A", 1, 0), ("A", 4, 15), ("B", 1, 0), ("B", 5, 10), ("C", 2, 3), ("C", 4, 10),
+                                ("D", 2, 1), ("D", 6, 15)):
+        spec, zero = make_spec(series, dimv), zeros(dimv)
+        frame, _ = eigenframe(spec, zero, zero)
+        assert frame.cartan_dimension() == len(centralizer(spec, [zero, zero])) == dim_g, (series, dimv)
+        r = replace(build_pair("A", rect_graph(1, 1)), spec=spec, e1=zero, e2=zero, h1=zero, h2=zero)
+        assert analyze(r).flags.cartan_h == (dim_g == spec.rank)
+
+
+def test_a_warm_pass_makes_no_fraction(monkeypatch):
+    # Bi-degrees come from a process-wide cache, the barycentre is summed on
+    # ints and the minus-sign swap reads constant nodes, so once the cache
+    # is warm, build_pair, verify_relations and analyze make no Fraction on
+    # any distinguished realization to dimV 8.
+    pairs = [(r.spec.series, r.graph, r.orbit_sign) for r in distinguished_realizations(8)]
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    for warm in (True, False):
+        if not warm:
+            monkeypatch.setattr(Fraction, "__new__", counted)
+        for series, graph, sign in pairs:
+            r = build_pair(series, graph, sign)
+            verify_relations(r)
+            analyze(r)
+    assert len(pairs) > 500 and made == []
 
 
 def test_graded_commutant_matches_blockwise_oracle():
@@ -348,7 +408,7 @@ def test_unite_reads_each_bracket_entry_off_a_row_and_a_column_of_m():
         n = len(frame.weights)
         ms = [m for m, _ in elements]
         everywhere = [(i, j) for i in range(n) for j in range(n)]
-        fast = _unite(range(n * n), _form_rows(frame), [(m, everywhere) for m in ms])
+        fast = _unite(range(n * n), _form_rows(frame), [(m, [range(n)] * n) for m in ms])
         assert fast == _unite(range(n * n), _rows(frame, ms))
         assert _dense_pieces(_graded_commutant(frame, ms)) == blockwise_commutant(frame, elements)
         two_terms += any(len(line) > 1 for m_rows, m_cols in ms for line in list(m_rows) + m_cols)

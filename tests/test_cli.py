@@ -155,6 +155,35 @@ def test_render_subcommand(tmp_path, capsys):
     assert out == "###.\n.###\n"
 
 
+@pytest.mark.parametrize(
+    "text, finding",
+    [
+        pytest.param("0/1,0/1 1/2,0/1\n", "component 0: nodes do not all differ by integer vectors",
+                     id="half-step"),
+        pytest.param("0/1,0/1 1/1,1/1\n", "component 0: axiom (iv) fails at square -1/2,-1/2: -1/2,1/2 is missing;"
+                     " component 0: axiom (iv) fails at square -1/2,-1/2: 1/2,-1/2 is missing; component 0: not connected",
+                     id="diagonal-pair"),
+        pytest.param("0/1,0/1 1/1,0/1\n1/1,0/1 2/1,0/1 3/1,0/1\n",
+                     "components 0 and 1 share 1 nodes; only a single shared node (0,0) is allowed", id="overlap"),
+    ],
+)
+def test_render_refuses_a_graph_that_is_no_skew_graph(tmp_path, capsys, text, finding):
+    # Each was once drawn with exit 0, the first as "#".  The canonical form
+    # of the input is validated, as build does, and its finding is one line.
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text(text)
+    code, out, err = run_cli(capsys, "render", "--input", str(graph_file))
+    assert (code, out, err) == (1, "", f"finding: the graph violates the axioms: {finding}\n")
+
+
+def test_render_draws_a_valid_graph_where_it_lies(tmp_path, capsys):
+    # A graph off the origin is valid once moved there, and is drawn as given.
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text("0/1,0/1 1/1,0/1\n1/1,0/1 2/1,0/1\n")
+    code, out, _ = run_cli(capsys, "render", "--input", str(graph_file))
+    assert (code, out) == (0, "a*b\n")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--series", "E", "--dimv", "4", "--kind", "principal"])
@@ -644,6 +673,25 @@ def _set_values_the_schema_forbids(doc):
     return doc
 
 
+_BAD_LABEL = "entries[{}].orbit_label must be 12 hex digits and an optional sign + or -"
+
+
+def _set_first_dimension(value):
+    def mutate(doc):
+        doc["entries"][0]["report"]["dimension"] = value
+        return doc
+
+    return mutate
+
+
+def _set_label_rank_and_dimension(doc):
+    # Values of the right JSON types that catalog.schema.json forbids: the
+    # first one is named.
+    doc["entries"][0].update(orbit_label="not a label\nsecond line", rank=-5)
+    doc["entries"][0]["report"]["dimension"] = -1
+    return doc
+
+
 @pytest.mark.parametrize("fmt", ["csv", "table"])
 @pytest.mark.parametrize(
     "mutate, message",
@@ -673,12 +721,19 @@ def _set_values_the_schema_forbids(doc):
                      id="entry-kind-weird"),
         pytest.param(_set_entry(2, "series", "Q"), "entries[2].series must be A or B or C or D", id="entry-series-Q"),
         pytest.param(_set_entry(3, "dimv", 0), "entries[3].dimv must be at least 1", id="entry-dimv-0"),
+        pytest.param(_set_label_rank_and_dimension, _BAD_LABEL.format(0), id="label-two-lines-rank-dimension"),
+        pytest.param(_set_entry(1, "orbit_label", "ABCDEF012345"), _BAD_LABEL.format(1), id="label-upper-case"),
+        pytest.param(_set_entry(1, "orbit_label", "0123456789ab\n"), _BAD_LABEL.format(1), id="label-newline"),
+        pytest.param(_set_entry(1, "orbit_label", "0123456789abc"), _BAD_LABEL.format(1), id="label-13-digits"),
+        pytest.param(_set_entry(2, "rank", -5), "entries[2].rank must be at least 0", id="rank-minus-5"),
+        pytest.param(_set_first_dimension(-1), "entries[0].report.dimension must be at least 0", id="dimension-minus-1"),
     ],
 )
 def test_export_names_the_malformed_field(tmp_path, capsys, mutate, message, fmt):
     # The first three once escaped as tracebacks with exit 1, and a missing
     # field printed only its name.  From forbidden-values on, each was once
-    # exported with exit 0, the table titled "series Q, dimV -3" and so on.
+    # exported with exit 0, the table titled "series Q, dimV -3" and so on;
+    # a two-line label once printed a table row broken in two.
     code, out, _ = run_cli(capsys, "classify", "--series", "D", "--dimv", "6", "--kind", "distinguished")
     assert code == 0
     catalog_file = tmp_path / "catalog.json"
