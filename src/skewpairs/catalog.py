@@ -38,7 +38,7 @@ from .skewgraph import (
     KINDS,
     SERIES,
     SkewGraph,
-    _admissible_cells,
+    _admissible_count,
     _admissible_shapes,
     canonical_form,
     enumerate_admissible,
@@ -224,16 +224,14 @@ def classify(
 
 def count_orbits(series: str, dimv: int, kind: str, *, mode: str = "fast",
                  max_nodes: int = DEFAULT_MAX_NODES) -> int:
-    """Orbit count; "fast" counts the integer graphs and builds no node, "full"
-    runs the verified classify."""
+    """Orbit count; "fast" counts by column-height recurrences and builds only
+    series D's origin-sharing pairs and the principal graphs, "full" runs the
+    verified classify."""
     if mode == "full":
         return len(classify(series, dimv, kind, max_nodes=max_nodes))
     if mode != "fast":
         raise ValueError(f"unknown count mode {mode!r}")
-    return sum(
-        2 if series == "D" and len(graph) == 1 else 1
-        for graph in _admissible_cells(series, dimv, kind, max_nodes)
-    )
+    return _admissible_count(series, dimv, kind, max_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +329,9 @@ _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an inte
 
 _NAMING = {"series": SERIES, "dimv": (int,), "kind": KINDS}  # optional in a header, required in an entry
 # The least value of each integer field that catalog.schema.json bounds, and its orbit_label pattern.
-_MINIMUM = {"schema_version": 1, "dimv": 1, "rank": 0, "dimension": 0}
+_MINIMUM = {"schema_version": 1, "dimv": 1, "rank": 0, "dimension": 0, "dim": 1}
 _LABEL = re.compile("[0-9a-f]{12}[+-]?")
+_RATIONAL = re.compile("-?[0-9]+(/-?[0-9]+)?")  # the schema's rational
 
 
 def _check_fields(obj, where: str, **allowed) -> None:
@@ -353,14 +352,34 @@ def _check_fields(obj, where: str, **allowed) -> None:
             raise ValueError(f"{where}.orbit_label must be 12 hex digits and an optional sign + or -")
 
 
+def _rational(x, known: set) -> bool:
+    """Whether x is a string that matches _RATIONAL.  known holds the
+    strings of the document already matched, so that each distinct string
+    is matched once."""
+    if type(x) is str and (x in known or _RATIONAL.fullmatch(x)):
+        known.add(x)
+        return True
+    return False
+
+
+def _check_pairs(pairs: list, where: str, known: set) -> None:
+    """A ValueError naming the first of pairs that is not a pair of
+    rationals, the schema's node."""
+    for k, pair in enumerate(pairs):
+        if type(pair) is not list or len(pair) != 2 or not (_rational(pair[0], known) and _rational(pair[1], known)):
+            raise ValueError(f"{where}[{k}] must be a pair of rationals, strings n or n/d")
+
+
 def export_catalog_document(doc: dict, fmt: str) -> str:
     """Re-export a parsed catalog JSON document as csv or text-table.  Each
     field that catalog.schema.json requires is checked by JSON type, down to
     the flags, the biexponent pairs and the node lists of each graph, and by
     value where the schema fixes more: the schema name and version, the
     series, kind and dimV of header and entries, each orbit label, orbit
-    sign, rank and report dimension, and entry_count."""
+    sign, rank and report dimension, each grading cell, each node coordinate
+    and bi-exponent (a rational string), and entry_count."""
     _check_fields(doc, "catalog", schema=(SCHEMA_NAME,), schema_version=(int,), entry_count=(int,), entries=(list,))
+    known: set = set()
     for i, entry in enumerate(doc["entries"]):
         where = f"entries[{i}]"
         _check_fields(entry, where, orbit_label=(str,), orbit_sign=(_NULL, "plus", "minus"), **_NAMING, rank=(int,),
@@ -374,8 +393,16 @@ def export_catalog_document(doc: dict, fmt: str) -> str:
         comps = entry["graph"]["components"]
         if not comps or not all(type(nodes) is list and nodes for nodes in comps):
             raise ValueError(f"{where}.graph.components must be a nonempty list of nonempty node lists")
-        if not all(type(d) is list and len(d) == 2 and all(type(x) is str for x in d) for d in report["biexponents"]):
-            raise ValueError(f"{where}.report.biexponents must be a list of pairs of strings")
+        for j, nodes in enumerate(comps):
+            _check_pairs(nodes, f"{where}.graph.components[{j}]", known)
+        _check_pairs(report["biexponents"], f"{where}.report.biexponents", known)
+        for j, cell in enumerate(report["grading"]):
+            # The schema's grading_cell: rational p and q, and dim an int >= 1.
+            if not (type(cell) is dict and type(cell.get("dim")) is int and cell["dim"] >= 1
+                    and _rational(cell.get("p"), known) and _rational(cell.get("q"), known)):
+                at = f"{where}.report.grading[{j}]"
+                _check_fields(cell, at, p=(str,), q=(str,), dim=(int,))  # a field missing, mistyped or dim < 1
+                raise ValueError(f"{at}.{'q' if _rational(cell['p'], known) else 'p'} must be a rational, a string n or n/d")
     _check_fields(doc, "catalog", entry_count=(len(doc["entries"]),),
                   **{key: ok for key, ok in _NAMING.items() if key in doc})
     header = {k: doc.get(k) for k in ("schema", "schema_version", "series", "dimv", "kind")}

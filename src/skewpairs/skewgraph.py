@@ -26,7 +26,9 @@ just those: the left columns are chosen and the rest is their half turn,
 so the symmetry class is read off the width and the centre, and no
 asymmetric shape is built.  Each generator emits its graphs in canonical
 form; the admissible graphs are sorted once by an integer key and become
-Nodes only at the end, and counting them builds no Node at all.
+Nodes only at the end.  Counting them builds no Node and, but for series
+D's origin-sharing pairs and the principal graphs, no shape: class sizes
+follow from column-height recurrences.
 """
 
 from __future__ import annotations
@@ -443,6 +445,17 @@ def _connected_shapes(n: int) -> tuple[tuple[int, tuple], ...]:
     return tuple(shape for _, shape in shapes)
 
 
+def _column_counts(n: int) -> list[list[int]]:
+    """counts[s][h], s <= n: how many connected s-cell shapes end in a column
+    of h cells.  As _connected_shapes chooses the columns, one of h' cells
+    follows one of h cells in min(h, h') ways (OEIS A006958)."""
+    counts = [[0]]
+    for s in range(1, n + 1):
+        row = [sum(min(h, last) * ways for h, ways in enumerate(counts[s - last])) for last in range(1, s)]
+        counts.append([0, *row, 1])
+    return counts
+
+
 def _partitions(n: int, most: int):
     """The partitions of n into parts no larger than most, parts falling."""
     if not n:
@@ -516,6 +529,27 @@ def _cs_shapes(n: int, symmetry: str) -> tuple[tuple[int, tuple], ...]:
     return _symmetric_shapes(n).get(symmetry, ())
 
 
+def _class_sizes(n: int) -> dict[str, int]:
+    """len(_cs_shapes(n, symmetry)) for each symmetry class, counted on the
+    left columns that _symmetric_shapes chooses, with no shape built.
+
+    Left columns of s cells ending in a column of h cells are a connected
+    shape (_column_counts).  With m = n - 2s > 0 they close with a middle
+    column in min(h, m) ways, an odd number of columns and c = m + 1 = n + 1
+    mod 2; with m = 0 in h ways, ceil(h / 2) of them with c even.  The
+    single column closes no left column.
+    """
+    counts = _column_counts(n // 2)
+    sizes = dict.fromkeys(_PARITY_SYMMETRY.values(), 0)
+    sizes[_PARITY_SYMMETRY[0, (n + 1) % 2]] = 1 + sum(
+        min(h, n - 2 * s) * ways for s in range(1, (n + 1) // 2) for h, ways in enumerate(counts[s])
+    )
+    if n % 2 == 0:
+        sizes[SYM_SEMI_ROWSORT] = sum((h + 1) // 2 * ways for h, ways in enumerate(counts[n // 2]))
+        sizes[SYM_NON_INTEGRAL] = sum(h // 2 * ways for h, ways in enumerate(counts[n // 2]))
+    return sizes
+
+
 def _rectangle(width: int, height: int) -> tuple[int, tuple]:
     return _int_component([(x, y) for x in range(width) for y in range(height)])
 
@@ -583,10 +617,9 @@ def _principal_cells(series: str, n: int) -> list[tuple]:
     return graphs
 
 
-def _admissible_cells(series: str, dimv: int, kind: str, max_nodes: int) -> list[tuple]:
-    """Each admissible graph once, unsorted, as a tuple of integer components
-    (k, cells) in canonical order: the k nodes of a component are the
-    cells divided by k."""
+def _check_request(series: str, dimv: int, kind: str, max_nodes: int) -> None:
+    """A ValueError unless series and kind are known and dimV is positive, of
+    the series' parity and within max_nodes (EnumerationLimitError)."""
     if series not in SERIES:
         raise ValueError(f"unknown series {series!r}")
     if kind not in KINDS:
@@ -602,6 +635,12 @@ def _admissible_cells(series: str, dimv: int, kind: str, max_nodes: int) -> list
             f"dimV {dimv} exceeds the configured bound of {max_nodes}"
         )
 
+
+def _admissible_cells(series: str, dimv: int, kind: str, max_nodes: int) -> list[tuple]:
+    """Each admissible graph once, unsorted, as a tuple of integer components
+    (k, cells) in canonical order: the k nodes of a component are the
+    cells divided by k."""
+    _check_request(series, dimv, kind, max_nodes)
     if series == "A":
         shapes = _connected_shapes(dimv) if kind == "distinguished" else _young_shapes(dimv)
         return [(comp,) for comp in shapes]
@@ -625,6 +664,36 @@ def _admissible_cells(series: str, dimv: int, kind: str, max_nodes: int) -> list
             for c0 in _cs_shapes(j, SYM_NON_INTEGRAL):
                 graphs.extend(_graph(c0, *pair) for pair in pairs)
     return graphs
+
+
+def _admissible_count(series: str, dimv: int, kind: str, max_nodes: int) -> int:
+    """The orbits of _admissible_cells: its graphs, each connected one of
+    series D twice (two signs), with its refusals.
+
+    A distinguished graph is a connected shape (A) or symmetric shapes of
+    fixed classes, one per component (B, C, D).  So the count is a sum of
+    products of class sizes, and only what has no size is built: the
+    series-D pairs that share the origin, which must meet nowhere else, and
+    the short lists of principal graphs.
+    """
+    if kind == "principal":
+        return sum(2 if series == "D" and len(g) == 1 else 1 for g in _admissible_cells(series, dimv, kind, max_nodes))
+    _check_request(series, dimv, kind, max_nodes)
+    n = dimv
+    if series == "A":
+        return sum(_column_counts(n)[n])
+    size = {k: _class_sizes(k) for k in range(1, n + 1)}
+    if series == "B":
+        return size[n][SYM_INTEGRAL] + sum(
+            size[k][SYM_INTEGRAL] * size[n - k][SYM_NON_INTEGRAL] for k in range(1, n, 2)
+        )
+    if series == "C":
+        return size[n][SYM_SEMI_COLSORT] + size[n][SYM_SEMI_ROWSORT] + sum(
+            size[k][SYM_SEMI_COLSORT] * size[n - k][SYM_SEMI_ROWSORT] for k in range(2, n - 1, 2)
+        )
+    return 2 * size[n][SYM_NON_INTEGRAL] + len(_d_integral_pairs(n)) + sum(
+        size[j][SYM_NON_INTEGRAL] * len(_d_integral_pairs(n - j)) for j in range(4, n - 3, 2)
+    )
 
 
 def _scaled_key(graph: tuple, scale: int) -> tuple:

@@ -664,6 +664,25 @@ def _set_first_biexponent(doc):
     return doc
 
 
+def _set_report(field, value):
+    def mutate(doc):
+        doc["entries"][0]["report"][field] = value
+        return doc
+
+    return mutate
+
+
+def _set_first_node(value):
+    def mutate(doc):
+        doc["entries"][0]["graph"]["components"][0][0] = value
+        return doc
+
+    return mutate
+
+
+_NOT_A_PAIR = "entries[0].{}[0] must be a pair of rationals, strings n or n/d"
+
+
 def _set_values_the_schema_forbids(doc):
     # The edits of one catalog that export once printed with exit 0: the
     # first one is named.
@@ -704,8 +723,7 @@ def _set_label_rank_and_dimension(doc):
         pytest.param(_set_entry(1, "graph", {"components": [[]]}),
                      "entries[1].graph.components must be a nonempty list of nonempty node lists", id="empty-component"),
         pytest.param(_set_first_flag, "entries[0].report.flags.principal must be a boolean", id="flag-a-string"),
-        pytest.param(_set_first_biexponent, "entries[0].report.biexponents must be a list of pairs of strings",
-                     id="biexponent-a-number"),
+        pytest.param(_set_first_biexponent, _NOT_A_PAIR.format("report.biexponents"), id="biexponent-a-number"),
         pytest.param(_set_values_the_schema_forbids, "catalog.schema must be skewpairs-catalog", id="forbidden-values"),
         pytest.param(lambda doc: {**doc, "schema_version": 0}, "catalog.schema_version must be at least 1",
                      id="schema-version-0"),
@@ -727,13 +745,35 @@ def _set_label_rank_and_dimension(doc):
         pytest.param(_set_entry(1, "orbit_label", "0123456789abc"), _BAD_LABEL.format(1), id="label-13-digits"),
         pytest.param(_set_entry(2, "rank", -5), "entries[2].rank must be at least 0", id="rank-minus-5"),
         pytest.param(_set_first_dimension(-1), "entries[0].report.dimension must be at least 0", id="dimension-minus-1"),
+        pytest.param(_set_report("biexponents", [["one", "1/0"]]), _NOT_A_PAIR.format("report.biexponents"),
+                     id="biexponent-one"),
+        pytest.param(_set_report("biexponents", [["1", "0"], ["1 ", "0"]]),
+                     "entries[0].report.biexponents[1] must be a pair of rationals, strings n or n/d",
+                     id="biexponent-with-a-space"),
+        pytest.param(_set_report("grading", [{"p": "x", "dim": -3}, 7]), "entries[0].report.grading[0] has no field 'q'",
+                     id="grading-p-x-dim-minus-3"),
+        pytest.param(_set_report("grading", [{"p": "x", "q": "0", "dim": 1}]),
+                     "entries[0].report.grading[0].p must be a rational, a string n or n/d", id="grading-p-x"),
+        pytest.param(_set_report("grading", [{"p": "1", "q": "1/2/3", "dim": 1}]),
+                     "entries[0].report.grading[0].q must be a rational, a string n or n/d", id="grading-q-two-slashes"),
+        pytest.param(_set_report("grading", [{"p": "1", "q": "0", "dim": 0}]),
+                     "entries[0].report.grading[0].dim must be at least 1", id="grading-dim-0"),
+        pytest.param(_set_report("grading", [{"p": "1", "q": "0", "dim": 1}, 7]),
+                     "entries[0].report.grading[1] must be an object", id="grading-cell-a-number"),
+        pytest.param(_set_first_node(["zero", "1/0"]), _NOT_A_PAIR.format("graph.components[0]"), id="node-zero"),
+        pytest.param(_set_first_node([0, 0]), _NOT_A_PAIR.format("graph.components[0]"), id="node-numbers"),
+        pytest.param(_set_first_node(["0", "0", "0"]), _NOT_A_PAIR.format("graph.components[0]"),
+                     id="node-three-coordinates"),
     ],
 )
 def test_export_names_the_malformed_field(tmp_path, capsys, mutate, message, fmt):
     # The first three once escaped as tracebacks with exit 1, and a missing
     # field printed only its name.  From forbidden-values on, each was once
     # exported with exit 0, the table titled "series Q, dimV -3" and so on;
-    # a two-line label once printed a table row broken in two.
+    # a two-line label once printed a table row broken in two.  Each
+    # bi-exponent, grading and csv node edit from biexponent-one on was once
+    # exported with exit 0 too; a table once refused a node by its Fraction
+    # parse, without naming the field.
     code, out, _ = run_cli(capsys, "classify", "--series", "D", "--dimv", "6", "--kind", "distinguished")
     assert code == 0
     catalog_file = tmp_path / "catalog.json"

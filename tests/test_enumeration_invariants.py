@@ -1,8 +1,9 @@
 """Enumeration invariants and closed-count oracles.
 
 Every enumerated graph is canonical, admissible and strictly ordered by
-``graph_key``; the fast count equals the weighted enumeration, builds no node,
-and meets the closed principal counts of series A, B and C.
+``graph_key``; the fast count equals the weighted enumeration, builds no node
+and no distinguished shape but series D's origin-sharing pairs, and meets the
+closed principal counts of series A, B and C.
 """
 
 import pytest
@@ -77,3 +78,15 @@ def test_fast_count_builds_no_component(monkeypatch):
         enumerate_admissible("A", 3, "distinguished")
     for series, dimv, kind in _cases(10):
         count_orbits(series, dimv, kind)
+    # A distinguished count of series A, B or C builds no shape at all; series
+    # D builds only symmetric shapes, for its origin-sharing pairs.
+    skewgraph._connected_shapes.cache_clear()
+    skewgraph._symmetric_shapes.cache_clear()
+    for series, dimv, kind in _cases(12):
+        if kind == "distinguished" and series != "D":
+            count_orbits(series, dimv, kind)
+    assert skewgraph._connected_shapes.cache_info().currsize == 0
+    assert skewgraph._symmetric_shapes.cache_info().currsize == 0
+    for dimv in range(2, 13, 2):
+        count_orbits("D", dimv, "distinguished")
+    assert skewgraph._connected_shapes.cache_info().currsize == 0

@@ -20,6 +20,8 @@ from skewpairs.skewgraph import (
     Node,
     ShapeClass,
     SkewGraph,
+    _admissible_count,
+    _class_sizes,
     _component_cells,
     _connected_shapes,
     _cs_shapes,
@@ -212,7 +214,10 @@ def test_count_oracle_is_a006958():
 
 
 def test_connected_counts_match_count_oracle():
-    assert [len(enumerate_connected(n, max_nodes=14)) for n in range(1, 15)] == oracle_connected_counts(14)
+    built = [len(enumerate_connected(n, max_nodes=14)) for n in range(1, 15)]
+    assert built == oracle_connected_counts(14)
+    # The fast count runs the column-height recurrence, A13 and A14 included.
+    assert [_admissible_count("A", n, "distinguished", 14) for n in range(1, 15)] == built
 
 
 def test_connected_shapes_come_sorted():
@@ -250,6 +255,9 @@ def test_symmetry_classes_match_negation_oracle():
     for n in range(11, 14):
         for sym in (SYM_INTEGRAL, SYM_SEMI_COLSORT, SYM_SEMI_ROWSORT, SYM_NON_INTEGRAL):
             assert list(_cs_shapes(n, sym)) == [c for c in _connected_shapes(n) if _symmetry(c) == sym], (n, sym)
+    # The class sizes the fast count multiplies, from the left-column recurrence.
+    for n in range(1, 15):
+        assert _class_sizes(n) == {sym: len(_cs_shapes(n, sym)) for sym in _class_sizes(n)}, n
     # symmetry is about the origin: a translated copy is not centrally symmetric
     moved = component_from_nodes(nd.shifted(1, 0) for nd in rectangle_nodes(3, 3))
     assert classify_component(moved).symmetry == "not-cs"
