@@ -331,7 +331,7 @@ _NAMING = {"series": SERIES, "dimv": (int,), "kind": KINDS}  # optional in a hea
 # The least value of each integer field that catalog.schema.json bounds, and its orbit_label pattern.
 _MINIMUM = {"schema_version": 1, "dimv": 1, "rank": 0, "dimension": 0, "dim": 1}
 _LABEL = re.compile("[0-9a-f]{12}[+-]?")
-_RATIONAL = re.compile("-?[0-9]+(/-?[0-9]+)?")  # the schema's rational
+_RATIONAL = re.compile("-?[0-9]+(/-?[0-9]*[1-9][0-9]*)?")  # the schema's rational: no zero denominator
 
 
 def _check_fields(obj, where: str, **allowed) -> None:

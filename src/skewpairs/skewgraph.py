@@ -29,6 +29,12 @@ form; the admissible graphs are sorted once by an integer key and become
 Nodes only at the end.  Counting them builds no Node and, but for series
 D's origin-sharing pairs and the principal graphs, no shape: class sizes
 follow from column-height recurrences.
+
+The distinguished graphs of B, C and D are listed once, by the classes of
+their components, in _distinguished_types.  Enumeration builds each type,
+the count multiplies its class sizes, and the admissibility check matches a
+graph's classes against it; a principal graph is a distinguished one of a
+principal shape.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from math import lcm
+from itertools import product, repeat
+from math import lcm, prod
 from operator import itemgetter, sub
 from typing import Iterable, Optional, Sequence
 
@@ -636,6 +642,35 @@ def _check_request(series: str, dimv: int, kind: str, max_nodes: int) -> None:
         )
 
 
+def _distinguished_types(series: str, n: int) -> list[tuple]:
+    """The distinguished graphs of series B, C or D with n nodes, by type.
+
+    A type is a tuple of factors, each one k-node shape of class sym, (k,
+    sym), or in series D two integral components of k nodes in all that
+    share the origin, (k, None).  B takes an integral shape and at most one
+    non-integral one; C one semi-integral shape of each sort, or one alone;
+    D one non-integral shape, or two integral components, or both.  Integral
+    shapes have an odd number of nodes and the others an even one, so a
+    factor of the wrong parity has no shape.
+    """
+    if series == "B":
+        return [((n, SYM_INTEGRAL),)] + [((k, SYM_INTEGRAL), (n - k, SYM_NON_INTEGRAL)) for k in range(1, n, 2)]
+    if series == "C":
+        semi = [((n, SYM_SEMI_COLSORT),), ((n, SYM_SEMI_ROWSORT),)]
+        return semi + [((k, SYM_SEMI_COLSORT), (n - k, SYM_SEMI_ROWSORT)) for k in range(2, n - 1, 2)]
+    return [((n, SYM_NON_INTEGRAL),), ((n, None),)] + [((j, SYM_NON_INTEGRAL), (n - j, None)) for j in range(4, n - 3, 2)]
+
+
+@lru_cache(maxsize=None)
+def _distinguished_classes(series: str, n: int) -> frozenset[tuple[str, ...]]:
+    """The sorted classes of the components of each of _distinguished_types,
+    a pair factor two integral ones; cached, as the check reads it per graph."""
+    return frozenset(
+        tuple(sorted(c for _, sym in graph_type for c in ((sym,) if sym else (SYM_INTEGRAL,) * 2)))
+        for graph_type in _distinguished_types(series, n)
+    )
+
+
 def _admissible_cells(series: str, dimv: int, kind: str, max_nodes: int) -> list[tuple]:
     """Each admissible graph once, unsorted, as a tuple of integer components
     (k, cells) in canonical order: the k nodes of a component are the
@@ -646,23 +681,10 @@ def _admissible_cells(series: str, dimv: int, kind: str, max_nodes: int) -> list
         return [(comp,) for comp in shapes]
     if kind == "principal":
         return _principal_cells(series, dimv)
-    if series == "B":
-        graphs = [(comp,) for comp in _cs_shapes(dimv, SYM_INTEGRAL)]
-        for k in range(1, dimv, 2):
-            for c0 in _cs_shapes(k, SYM_INTEGRAL):
-                graphs.extend(_graph(c0, c1) for c1 in _cs_shapes(dimv - k, SYM_NON_INTEGRAL))
-    elif series == "C":
-        graphs = [(comp,) for sym in (SYM_SEMI_COLSORT, SYM_SEMI_ROWSORT) for comp in _cs_shapes(dimv, sym)]
-        for k in range(2, dimv - 1, 2):
-            for c0 in _cs_shapes(k, SYM_SEMI_COLSORT):
-                graphs.extend(_graph(c0, c1) for c1 in _cs_shapes(dimv - k, SYM_SEMI_ROWSORT))
-    else:
-        graphs = [(comp,) for comp in _cs_shapes(dimv, SYM_NON_INTEGRAL)]
-        graphs += _d_integral_pairs(dimv)
-        for j in range(4, dimv - 3, 2):
-            pairs = _d_integral_pairs(dimv - j)
-            for c0 in _cs_shapes(j, SYM_NON_INTEGRAL):
-                graphs.extend(_graph(c0, *pair) for pair in pairs)
+    graphs = []
+    for graph_type in _distinguished_types(series, dimv):
+        factors = [[(c,) for c in _cs_shapes(k, sym)] if sym else _d_integral_pairs(k) for k, sym in graph_type]
+        graphs.extend(_graph(*sum(parts, ())) for parts in product(*factors))
     return graphs
 
 
@@ -670,30 +692,23 @@ def _admissible_count(series: str, dimv: int, kind: str, max_nodes: int) -> int:
     """The orbits of _admissible_cells: its graphs, each connected one of
     series D twice (two signs), with its refusals.
 
-    A distinguished graph is a connected shape (A) or symmetric shapes of
-    fixed classes, one per component (B, C, D).  So the count is a sum of
-    products of class sizes, and only what has no size is built: the
-    series-D pairs that share the origin, which must meet nowhere else, and
-    the short lists of principal graphs.
+    A distinguished graph is a connected shape (A) or of one type of
+    _distinguished_types (B, C, D).  So the count is a sum of products of
+    class sizes, and only what has no size is built: the series-D pairs
+    that share the origin, which must meet nowhere else, and the short lists
+    of principal graphs.
     """
     if kind == "principal":
         return sum(2 if series == "D" and len(g) == 1 else 1 for g in _admissible_cells(series, dimv, kind, max_nodes))
     _check_request(series, dimv, kind, max_nodes)
-    n = dimv
     if series == "A":
-        return sum(_column_counts(n)[n])
-    size = {k: _class_sizes(k) for k in range(1, n + 1)}
-    if series == "B":
-        return size[n][SYM_INTEGRAL] + sum(
-            size[k][SYM_INTEGRAL] * size[n - k][SYM_NON_INTEGRAL] for k in range(1, n, 2)
-        )
-    if series == "C":
-        return size[n][SYM_SEMI_COLSORT] + size[n][SYM_SEMI_ROWSORT] + sum(
-            size[k][SYM_SEMI_COLSORT] * size[n - k][SYM_SEMI_ROWSORT] for k in range(2, n - 1, 2)
-        )
-    return 2 * size[n][SYM_NON_INTEGRAL] + len(_d_integral_pairs(n)) + sum(
-        size[j][SYM_NON_INTEGRAL] * len(_d_integral_pairs(n - j)) for j in range(4, n - 3, 2)
-    )
+        return sum(_column_counts(dimv)[dimv])
+    connected = ((dimv, SYM_NON_INTEGRAL),) if series == "D" else None
+    total = 0
+    for graph_type in _distinguished_types(series, dimv):
+        ways = prod(_class_sizes(k)[sym] if sym else len(_d_integral_pairs(k)) for k, sym in graph_type)
+        total += 2 * ways if graph_type == connected else ways
+    return total
 
 
 def _scaled_key(graph: tuple, scale: int) -> tuple:
@@ -760,53 +775,30 @@ def _is_canonical(graph: SkewGraph, found: list) -> bool:
 def _shapes_admissible(series: str, graph: SkewGraph, kind: str, shapes: list[ShapeClass]) -> bool:
     """Admissibility of a valid graph, given the shapes of its components.
 
-    B, C and D admit only components symmetric about the origin: each has
-    its barycentre there, and an odd number of nodes, the origin among them,
-    exactly when integral.  So neither barycentres nor the parity of dimV
-    need a check, and two integral components share exactly (0,0)."""
-    comps = list(graph.components)
+    A graph of B, C or D is distinguished when the sorted classes of its
+    components are those of one of _distinguished_types and no two of them
+    are points.  Its components are then symmetric about the origin: each
+    has its barycentre there, and an odd number of nodes, the origin among
+    them, exactly when integral.  So neither barycentres nor the parity of
+    dimV need a check, and two integral components share exactly (0,0).  A
+    principal graph is a distinguished one of a principal shape, so no class
+    is checked twice."""
+    comps = graph.components
     if series == "A":
-        if len(comps) != 1:
-            return False
-        return kind == "distinguished" or shapes[0].young != "neither"
-
-    syms = sorted(s.symmetry for s in shapes)
-    rectangle = len(comps) == 1 and shapes[0].rectangle is not None
-    if series == "B":
-        if kind == "distinguished":
-            return syms == [SYM_INTEGRAL] or syms == [SYM_INTEGRAL, SYM_NON_INTEGRAL]
-        return rectangle and syms == [SYM_INTEGRAL]
-
-    if series == "C":
-        if kind == "distinguished":
-            return syms in ([SYM_SEMI_COLSORT], [SYM_SEMI_ROWSORT], [SYM_SEMI_COLSORT, SYM_SEMI_ROWSORT])
-        return rectangle and syms[0] in (SYM_SEMI_COLSORT, SYM_SEMI_ROWSORT)
-
-    nonint = [i for i, s in enumerate(shapes) if s.symmetry == SYM_NON_INTEGRAL]
-    ints = [i for i, s in enumerate(shapes) if s.symmetry == SYM_INTEGRAL]
-    if len(nonint) + len(ints) != len(comps) or len(nonint) > 1 or len(ints) not in (0, 2):
+        return len(comps) == 1 and (kind == "distinguished" or shapes[0].young != "neither")
+    classes = tuple(sorted(s.symmetry for s in shapes))
+    sizes = [len(c) for c in comps]
+    if classes not in _distinguished_classes(series, sum(sizes)) or sizes.count(1) > 1:
         return False
     if kind == "distinguished":
-        sizes = sorted(len(comps[i]) for i in ints)
-        return sizes[0] >= 3 or (sizes[0] == 1 and sizes[1] >= 3) if sizes else len(nonint) == 1
-
-    # principal: single non-integral rectangle or near-rectangle, or rectangle
-    # plus point, or a horizontal and a vertical chain.
+        return True
+    # Principal: one rectangle, or one near-rectangle (non-integral, so of
+    # series D); or in series D a rectangle and the point, or a vertical and
+    # a horizontal chain.
     if len(comps) == 1:
-        s = shapes[0]
-        return s.symmetry == SYM_NON_INTEGRAL and (s.rectangle is not None or s.near_rectangular_shape is not None)
-    if len(comps) == 2 and len(ints) == 2:
-        sa, sb = shapes
-        ca, cb = comps
-        if len(cb) == 1:
-            return sa.rectangle is not None and len(ca) >= 3
-        if len(ca) == 1:
-            return sb.rectangle is not None and len(cb) >= 3
-        if sa.rectangle is None or sb.rectangle is None:
-            return False
-        chains = sorted([sa.rectangle, sb.rectangle])
-        return len(ca) >= 3 and len(cb) >= 3 and chains[0][0] == 1 and chains[1][1] == 1
-    return False
+        return shapes[0].rectangle is not None or shapes[0].near_rectangular_shape is not None
+    sides = sorted(s.rectangle for s in shapes if s.rectangle)
+    return series == "D" and len(sides) == len(comps) == 2 and (sides[0] == (1, 1) or sides[0][0] == sides[1][1] == 1)
 
 
 # ---------------------------------------------------------------------------

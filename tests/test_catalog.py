@@ -1,6 +1,7 @@
 """Catalog assembly, counting, determinism, export formats, JSON schema."""
 
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -143,6 +144,23 @@ def test_export_json_schema_and_matrices():
         e for e in doc_full["entries"] if not e["report"]["flags"]["rectangular"]
     ]
     assert near_rows and all(e["orbit_sign"] in ("plus", "minus") for e in near_rows)
+
+
+def test_schema_and_export_refuse_a_zero_denominator():
+    # The schema's rational and the pattern export checks read the same strings.
+    pattern = re.compile(SCHEMA["definitions"]["rational"]["pattern"])
+    accepted = ("0", "-7", "1/2", "-3/-20", "10/01", "4/100")
+    for text in (*accepted, "1/0", "1/-0", "-1/-00", "5/000", "1/", "/2", "1/2/3", "1 ", "x"):
+        assert bool(pattern.search(text)) == bool(catalog._RATIONAL.fullmatch(text)) == (text in accepted), text
+    doc = json.loads(export_entries(classify("A", 2, "principal"), "json"))
+    jsonschema.validate(doc, SCHEMA)
+    report, nodes = doc["entries"][0]["report"], doc["entries"][0]["graph"]["components"][0]
+    for place, key, value in ((report["biexponents"], 0, ["1/0", "0"]), (report["grading"][0], "p", "1/0"),
+                              (nodes, 0, ["0", "1/0"])):
+        kept, place[key] = place[key], value
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, SCHEMA)
+        place[key] = kept
 
 
 def test_export_table_contains_diagrams():

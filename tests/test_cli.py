@@ -764,6 +764,14 @@ def _set_label_rank_and_dimension(doc):
         pytest.param(_set_first_node([0, 0]), _NOT_A_PAIR.format("graph.components[0]"), id="node-numbers"),
         pytest.param(_set_first_node(["0", "0", "0"]), _NOT_A_PAIR.format("graph.components[0]"),
                      id="node-three-coordinates"),
+        pytest.param(_set_report("biexponents", [["1/0", "0"]]), _NOT_A_PAIR.format("report.biexponents"),
+                     id="biexponent-zero-denominator"),
+        pytest.param(_set_report("grading", [{"p": "1/0", "q": "0", "dim": 1}]),
+                     "entries[0].report.grading[0].p must be a rational, a string n or n/d", id="grading-p-zero-denominator"),
+        pytest.param(_set_report("grading", [{"p": "1", "q": "-1/-00", "dim": 1}]),
+                     "entries[0].report.grading[0].q must be a rational, a string n or n/d", id="grading-q-zero-denominator"),
+        pytest.param(_set_first_node(["0", "1/0"]), _NOT_A_PAIR.format("graph.components[0]"),
+                     id="node-zero-denominator"),
     ],
 )
 def test_export_names_the_malformed_field(tmp_path, capsys, mutate, message, fmt):
@@ -773,7 +781,8 @@ def test_export_names_the_malformed_field(tmp_path, capsys, mutate, message, fmt
     # a two-line label once printed a table row broken in two.  Each
     # bi-exponent, grading and csv node edit from biexponent-one on was once
     # exported with exit 0 too; a table once refused a node by its Fraction
-    # parse, without naming the field.
+    # parse, without naming the field.  The zero denominators, last, were
+    # once exported as written, "(1/0,0)".
     code, out, _ = run_cli(capsys, "classify", "--series", "D", "--dimv", "6", "--kind", "distinguished")
     assert code == 0
     catalog_file = tmp_path / "catalog.json"

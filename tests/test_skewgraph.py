@@ -445,6 +445,52 @@ def test_enumerated_graphs_are_valid_and_distinct():
             assert validate(g) == []
 
 
+# The paper's distinguished pairs of so and sp: components symmetric about
+# the origin, of these classes, sorted; in series D two integral components
+# share the origin, and are not both the point.
+_DISTINGUISHED_CLASSES = {
+    "B": ([SYM_INTEGRAL], [SYM_INTEGRAL, SYM_NON_INTEGRAL]),
+    "C": ([SYM_SEMI_COLSORT], [SYM_SEMI_ROWSORT], [SYM_SEMI_COLSORT, SYM_SEMI_ROWSORT]),
+    "D": ([SYM_NON_INTEGRAL], [SYM_INTEGRAL, SYM_INTEGRAL], [SYM_INTEGRAL, SYM_INTEGRAL, SYM_NON_INTEGRAL]),
+}
+
+
+def test_admissibility_check_is_the_rule_on_graphs_not_enumerated():
+    # Every valid multiset of up to four centrally symmetric connected shapes
+    # with at most 10 nodes in all, most of which no generator makes: the
+    # check accepts exactly what the rule does, which is what is enumerated.
+    shapes = [
+        (c, _negation_symmetry(c)) for n in range(1, 11) for g in enumerate_connected(n) for c in g.components
+    ]
+    shapes = [(c, sym) for c, sym in shapes if sym != "not-cs"]
+    candidates = []
+
+    def extend(chosen: list, start: int, nodes: int) -> None:
+        if chosen:
+            graph = SkewGraph(tuple(c for c, _ in chosen))
+            if not validate(graph):
+                candidates.append((graph, sorted(sym for _, sym in chosen)))
+        if len(chosen) < 4:
+            for i in range(start, len(shapes)):
+                if nodes + len(shapes[i][0]) <= 10:
+                    extend(chosen + [shapes[i]], i, nodes + len(shapes[i][0]))
+
+    extend([], 0, 0)
+    assert len(candidates) == 683
+    for series, parity in (("B", 1), ("C", 0), ("D", 0)):
+        accepted = {kind: set() for kind in KINDS}
+        for graph, classes in candidates:
+            points = sum(len(c) == 1 for c in graph.components)
+            rule = classes in _DISTINGUISHED_CLASSES[series] and points < 2
+            assert is_admissible(series, graph, "distinguished") == rule, (series, graph)
+            for kind in KINDS:
+                if is_admissible(series, graph, kind):
+                    accepted[kind].add(graph_key(graph))
+        for kind in KINDS:
+            enumerated = {graph_key(g) for n in range(2 - parity, 11, 2) for g in enumerate_admissible(series, n, kind)}
+            assert accepted[kind] == enumerated, (series, kind)
+
+
 def test_admissible_example_counts():
     assert len(enumerate_admissible("A", 4, "principal")) == 7
     assert len(enumerate_admissible("B", 9, "principal")) == 3
