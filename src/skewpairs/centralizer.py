@@ -14,23 +14,24 @@ one bi-degree block of gl(V).
 
 On a built pair e1, e2 and G are signed monomial matrices, so almost every
 condition has one or two terms: x_u = 0 or a x_u + b x_v = 0.  One kernel,
-_unite, solves those in every pass: a signed union-find that reads each
-entry of [x, m] off one column and one row of m.  Over the n^2 positions
-of gl(V) each live component is a basis vector of the centralizer.  Only
-rows with three or more terms are eliminated, per block, in component
-variables: the series-A trace for dimV >= 3, and the rows of a frame in
-which e or G is not monomial.  Bases are returned in reduced echelon form
-in the input coordinates: in a moved frame each basis matrix x is mapped
-back once, as the integer product T x T^-1 with both factors scaled to
-ints, and one fraction-free elimination over these rows gives the basis.
+_graded_commutant, solves every pass over the positions, rows and brackets
+it is given.  Its signed union-find, _unite, reads each entry of [x, m]
+off one column and one row of m, and each live component is a kernel
+vector.  Only rows with three or more terms are eliminated, per block, in
+component variables: the series-A trace for dimV >= 3, and the rows of a
+frame in which e or G is not monomial.  analyze() runs the kernel over the
+n^2 positions of gl(V).  Bases are returned in reduced echelon form in the
+input coordinates: in a moved frame each basis matrix x is mapped back
+once, as the integer product T x T^-1 with both factors scaled to ints,
+and one fraction-free elimination over these rows gives the basis.
 
-The flags need no other solve.  z(h) & z(e) is the (0,0) piece of z(e),
+The flags need no other solver.  z(h) & z(e) is the (0,0) piece of z(e),
 and z(h), the (0,0) block of g, needs no pass at all: its dimension is
 read off the weight multiplicities of the frame (_Frame.cartan_dimension).
 Rectangularity (Ginzburg: h_i in [e_i, g]) follows by duality (Kostant):
 the trace form is invariant and nondegenerate on g, so [e, g] is the
 orthogonal of z_g(e), and h lies in it exactly when tr(h z) vanishes on the
-(0,0) block of z_g(e), one union-find pass on the O(n) positions of that
+(0,0) block of z_g(e), one kernel pass on the O(n) positions of that
 block.  In series A these passes drop the trace row and find the block of
 gl(V): that of sl(V) plus the line of I, with tr(h I) = 0, and nothing
 left to eliminate.  Each row is built once: _form_rows keeps a <= b of the
@@ -68,7 +69,6 @@ from .liealg import (
 )
 from .linalg import (
     Matrix,
-    Vector,
     _eliminate,
     _primitive,
     dense_matrix,
@@ -143,17 +143,15 @@ class CentralizerReport:
         return None if w is None else (dense_matrix(w[0]), w[1])
 
 
-def _flatten(m: Matrix) -> Vector:
-    return tuple(x for row in m for x in row)
-
-
-def _by_rows(n: int, entries) -> tuple[int, tuple]:
-    """(c, rows) of the n x n matrix with these nonzero entries, (i * n + j, int)
-    in increasing position; c is the first, positive value, so the lead is 1."""
+def _by_rows(n: int, vec) -> tuple[int, tuple]:
+    """(c, rows) of the n x n matrix with these nonzero entries, (i * n + j,
+    int or Fraction) in increasing position, scaled to primitive ints: c is
+    the first, positive value, so the lead is 1."""
+    values = _primitive([x for _, x in vec])
     rows: list = [()] * n
-    for p, x in entries:
+    for (p, _), x in zip(vec, values):
         rows[p // n] += ((p % n, x),)
-    return entries[0][1], tuple(rows)
+    return values[0], tuple(rows)
 
 
 def _flat(n: int, rows) -> list[int]:
@@ -243,18 +241,18 @@ def _sparse_form(rows: list[list[tuple[int, int]]]):
     return with_columns([[(j, x // g) for j, x in row] for row in rows])
 
 
-def _eigenframe(spec: AlgebraSpec, h1, h2, mats, gram):
+def _eigenframe(spec: AlgebraSpec, h1, h2, mats):
     """Change to a basis of V in which h1 and h2 are diagonal.
 
-    h1, h2 and each m in mats come by integral_rows, gram by with_columns
-    (None without a form).  Returns (frame, moved): the columns of T are a
-    joint eigenbasis of h1 and h2, each m in mats becomes a positive
-    multiple of T^-1 m T and the Gram matrix G one of T^T G T, all by
-    with_columns and on ints.  When h1 and h2 are already diagonal, mats
-    and gram stay as they are.  Raises NotDiagonalizableError when h1, h2
-    have no rational joint eigenbasis.
+    h1, h2 and each m in mats come by integral_rows.  Returns (frame,
+    moved): the columns of T are a joint eigenbasis of h1 and h2, each m in
+    mats becomes a positive multiple of T^-1 m T and the Gram matrix G of
+    spec one of T^T G T, all by with_columns and on ints.  When h1 and h2
+    are already diagonal, mats and G stay as they are.  Raises
+    NotDiagonalizableError when h1, h2 have no rational joint eigenbasis.
     """
     t = t_inv = None
+    gram = None if spec.gram is None else with_columns(spec.gram[1])
     (c1, rows1), (c2, rows2) = h1, h2
     if all(j == i for rows in (rows1, rows2) for i, row in enumerate(rows) for j, _ in row):
         # The diagonal entries are ints over c1 and c2.
@@ -396,75 +394,58 @@ def _unite(positions, rows, brackets=()) -> tuple[list, list]:
     return list(components.values()), long_rows
 
 
-def _component_rows(components, rows) -> tuple[dict, list[list]]:
-    """(owner, rows in the coordinates y_k of the components): x_p = ratio y_k
-    on component k, owner maps p to (k, ratio), so a row sum c x_p becomes
-    sum c ratio y_k, and positions outside every component drop out."""
-    owner = {p: (k, x) for k, comp in enumerate(components) for p, x in comp}
-    system = []
-    for row in rows:
-        dense = [0] * len(components)
-        for p, c in row:
-            hit = owner.get(p)
-            if hit is not None:
-                dense[hit[0]] += c * hit[1]
-        system.append(dense)
-    return owner, system
+def _graded_commutant(frame: _Frame, positions, rows, brackets) -> dict:
+    """The solver of every centralizer pass: the kernel, over these
+    positions of gl(V), of the sparse rows and of the entries of [x, m] for
+    each (m, targets) in brackets, as _unite reads them.
 
+    Every row lies in one bi-degree block: each m is bi-homogeneous for the
+    frame's weights.  The components of _unite have disjoint supports, so in
+    a block without long rows they are the reduced echelon basis of its
+    kernel, up to scale; long rows are solved per block by integer_nullspace
+    in component variables, and its vectors, mapped to positions, are
+    eliminated once.
 
-def _graded_commutant(frame: _Frame, elements) -> dict:
-    """{x in g : [x, m] = 0 for all m in elements} by one signed union-find
-    pass over the positions of gl(V).
-
-    elements holds with_columns forms of matrices m, each bi-homogeneous
-    for the frame's weights, so every row lies in one bi-degree block.  The
-    components of _unite have disjoint supports, so in a block without long
-    rows they are, each scaled to a leading 1, the reduced echelon basis of
-    the kernel; long rows are solved per block by integer_nullspace in
-    component variables.
-
-    Returns {degree: piece} for the nonzero graded pieces, each piece the
-    reduced echelon basis of its block as (lead, (c, rows)) pairs in order of
-    lead, the position (i, j) of the leading 1: the basis matrix is given by
-    its integral_rows, its int entries over c, which is the entry at lead.
-    Together the pieces span z(elements) in g.
+    Returns {degree: piece} for the nonzero graded pieces, each piece a basis
+    of its block's kernel in order of leading position, each vector by its
+    nonzero (position, value) pairs in the order of positions: a component's
+    ratios x_p / x_root, ints or Fractions, or a primitive int row of the
+    reduced echelon form.
     """
     weights = frame.weights
     n = len(weights)
-    every = [range(n)] * n
-    components, long_rows = _unite(range(n * n), _form_rows(frame), [(m, every) for m in elements])
+    components, long_rows = _unite(positions, rows, brackets)
 
     def degree(p: int) -> tuple[int, int]:
         wi, wj = weights[p // n], weights[p % n]
         return wi[0] - wj[0], wi[1] - wj[1]
 
-    by_degree: dict[tuple[int, int], list] = {}
+    pieces: dict[tuple[int, int], list] = {}
     for comp in components:
-        by_degree.setdefault(degree(comp[0][0]), []).append(comp)
+        pieces.setdefault(degree(comp[0][0]), []).append(comp)
     long_by_degree: dict[tuple[int, int], list] = {}
     for row in long_rows:
         long_by_degree.setdefault(degree(row[0][0]), []).append(row)
 
-    pieces = {}
-    for delta in sorted(by_degree):
-        block = by_degree[delta]
-        if delta not in long_by_degree:
-            pieces[delta] = [
-                (divmod(comp[0][0], n), _by_rows(n, list(zip((p for p, _ in comp), _primitive([x for _, x in comp])))))
-                for comp in block
-            ]
-            continue
-        owner, system = _component_rows(block, long_by_degree[delta])
+    for delta in pieces.keys() & long_by_degree.keys():
+        block = pieces.pop(delta)
+        # x_p = ratio y_k on component k, so a row sum c x_p becomes
+        # sum c ratio y_k, and positions outside every component drop out.
+        owner = {p: (k, x) for k, comp in enumerate(block) for p, x in comp}
+        system = []
+        for row in long_by_degree[delta]:
+            dense = [0] * len(block)
+            for p, c in row:
+                hit = owner.get(p)
+                if hit is not None:
+                    dense[hit[0]] += c * hit[1]
+            system.append(dense)
         null = integer_nullspace(system, len(block))
-        if not null:
-            continue
-        positions = sorted(owner)
-        reduced, leads = _eliminate([v[owner[p][0]] * owner[p][1] for p in positions] for _, v in null)
-        pieces[delta] = [
-            (divmod(positions[lead], n), _by_rows(n, [(p, x) for p, x in zip(positions, vec) if x]))
-            for vec, lead in zip(reduced, leads)
-        ]
-    return pieces
+        if null:
+            spots = sorted(owner)
+            reduced, _ = _eliminate([v[owner[p][0]] * owner[p][1] for p in spots] for _, v in null)
+            pieces[delta] = [[(p, x) for p, x in zip(spots, vec) if x] for vec in reduced]
+    return {d: pieces[d] for d in sorted(pieces)}
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +462,7 @@ def bigrade(spec: AlgebraSpec, h1: Matrix, h2: Matrix, subspace_basis: Sequence[
     mats = list(subspace_basis)
     if not mats:
         return BiGrading(table=(), total=0)
-    frame, moved = _eigenframe(spec, integral_rows(h1), integral_rows(h2), [integral_rows(m) for m in mats], None)
+    frame, moved = _eigenframe(spec, integral_rows(h1), integral_rows(h2), [integral_rows(m) for m in mats])
     weights = frame.weights
     n = len(weights)
     split: dict[tuple[int, int], list] = {}
@@ -495,7 +476,8 @@ def bigrade(spec: AlgebraSpec, h1: Matrix, h2: Matrix, subspace_basis: Sequence[
             split.setdefault(d, []).append(flat)
     table = tuple((frame.degree(d), rank(split[d])) for d in sorted(split))
     total = sum(dim for _, dim in table)
-    span_dim = rank([_flatten(m) for m in mats])
+    # Each moved matrix is a positive multiple of T^-1 m T: the same rank.
+    span_dim = rank(_flat(n, rows) for rows, _ in moved)
     if total != span_dim:
         raise ValueError(
             f"subspace is not ad-stable: graded dimensions sum to {total}, span has dimension {span_dim}"
@@ -515,23 +497,19 @@ def _h_in_image(frame: _Frame, e, side: int) -> bool:
     image of ad e exactly when tr(h z) = 0 for every z in z_g(e).  den h is
     diagonal with the weights along its side, and the form pairs bi-degree
     d only with -d, so phi(z) = sum_i w_i z_ii must vanish on the (0,0)
-    block of z_g(e), one _unite pass over the (0,0) block of gl(V): [x, e]
-    lands in the block of e's degree, den along its side.  phi must vanish
-    on each component, or, when long rows cut that kernel down, on each
-    vector of its basis in component coordinates.  In series A the pass has
-    no trace row, so it finds the (0,0) block of z_gl(e): that of z_sl(e)
-    plus the line of I, as tr I = n != 0, and phi(I) = den tr h = 0.  The
-    (0,0) block of g itself, z_g(h), needs no pass: _Frame.cartan_dimension
-    reads its dimension off the weights.
+    block of z_g(e).  _graded_commutant, the solver of z(e1, e2), finds that
+    block from the (0,0) positions and form rows alone: [x, e] lands in the
+    block of e's degree, den along its side.  phi must vanish on each vector
+    it returns.  In series A the pass has no trace row, so it finds the
+    (0,0) block of z_gl(e): that of z_sl(e) plus the line of I, as
+    tr I = n != 0, and phi(I) = den tr h = 0.  The (0,0) block of g itself,
+    z_g(h), needs no pass: _Frame.cartan_dimension reads its dimension off
+    the weights.
     """
     n, (positions, rows) = len(frame.weights), frame.zero
     delta = (frame.den, 0) if side == 0 else (0, frame.den)
-    components, long_rows = _unite(positions, rows, [(e, frame.block(delta))])
-    phi = [sum(frame.weights[p // n][side] * x for p, x in comp if p % (n + 1) == 0) for comp in components]
-    if not long_rows:
-        return not any(phi)
-    system = _component_rows(components, long_rows)[1]
-    return not any(sum(a * b for a, b in zip(phi, v)) for _, v in integer_nullspace(system, len(components)))
+    piece = _graded_commutant(frame, positions, rows, [(e, frame.block(delta))]).get(DEGREE_0, ())
+    return not any(sum(frame.weights[p // n][side] * x for p, x in vec if p % (n + 1) == 0) for vec in piece)
 
 
 def _rectangularity(frame: _Frame, e1, e2) -> bool:
@@ -560,9 +538,9 @@ def _framed(r: PairRealization):
     rep = r._relations or verify_relations(r)
     if not rep.ok:
         raise ValueError(f"relations fail: {', '.join(rep.failures)}")
-    gram = _checked_form(r.spec.series, r.spec.gram)
+    _checked_form(r.spec.series, r.spec.gram)
     e1, e2, h1, h2 = r._scaled()
-    return _eigenframe(r.spec, h1, h2, (e1, e2), None if gram is None else with_columns(gram[1]))
+    return _eigenframe(r.spec, h1, h2, (e1, e2))
 
 
 def is_rectangular_pair(r: PairRealization) -> bool:
@@ -582,7 +560,10 @@ def analyze(r: PairRealization) -> CentralizerReport:
     """Centralizer dimensions, bi-exponents and all classification flags."""
     frame, (e1, e2) = _framed(r)
     spec, n = frame.spec, r.spec.dimv
-    pieces = _graded_commutant(frame, (e1, e2))
+    every = [range(n)] * n
+    commutant = _graded_commutant(frame, range(n * n), _form_rows(frame), [(m, every) for m in (e1, e2)])
+    # Each basis matrix with its leading position, scaled to ints.
+    pieces = {d: [(vec[0][0], _by_rows(n, vec)) for vec in piece] for d, piece in commutant.items()}
 
     if frame.t is None:
         # The blocks have disjoint supports and list their positions in
@@ -827,8 +808,7 @@ def graph_from_pair(spec: AlgebraSpec, e1: Matrix, e2: Matrix, h1: Matrix, h2: M
     if not all(checks.values()):
         raise NormalFormError("the grading relations [h_i, e_j] = delta_ij e_j fail")
 
-    gram = spec.gram
-    frame, moved = _eigenframe(spec, scaled[2], scaled[3], scaled[:2], None if gram is None else with_columns(gram[1]))
+    frame, moved = _eigenframe(spec, scaled[2], scaled[3], scaled[:2])
     moved = [rows for rows, _ in moved]
     at = frame.at
     for w in sorted(w for w in at if len(at[w]) > 1):

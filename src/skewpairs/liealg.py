@@ -501,13 +501,14 @@ def realization_from_jsonable(data: dict) -> PairRealization:
     """Read a realization document.
 
     Raises ValueError when a value has the wrong JSON type, when a matrix is
-    not dimV x dimV, when the label count differs from dimV, when series B,
-    C or D comes without a Gram matrix or with one that is not symmetric
-    (B, D) or alternating (C), when a number has a zero denominator, when
-    orbit_sign is not null, "plus" or "minus", when it is not null on a
-    graph other than a connected series-D one (build_pair refuses such a
-    sign too), or when the labels are not distinct (component, node) pairs
-    of the graph (_check_labels).  One
+    not dimV x dimV, when the label count differs from dimV, when the series
+    is unknown, when series B, C or D comes without a Gram matrix or with
+    one that is not symmetric (B, D) or alternating (C), when a number has
+    a zero denominator, when orbit_sign is not null, "plus" or "minus", when
+    it is not null on a graph other than a connected series-D one
+    (build_pair refuses such a sign too) or null on a connected series-D
+    one (build_pair writes plus or minus there), or when the labels are not
+    distinct (component, node) pairs of the graph (_check_labels).  One
     _entry_parser reads every number: the label nodes, the graph nodes and
     the matrix entries, so each distinct string is parsed once.
     Sparse matrices stay sparse: their dense fields are built only when read.
@@ -527,12 +528,12 @@ def realization_from_jsonable(data: dict) -> PairRealization:
         raise ValueError(f"{len(items)} labels for dimv {n}")
     parse = _entry_parser()
     labels = tuple(BasisLabel(item["component"], node_from_jsonable(item["node"], parse)) for item in items)
-    gram = None
-    if data.get("gram") is not None:
-        gram = _square(data["gram"], n, "gram", parse)[1]
-    elif series != "A":
-        raise ValueError(f"a series {series} realization needs its gram matrix")
+    gram = data.get("gram")
+    if gram is not None:
+        gram = _square(gram, n, "gram", parse)[1]
     spec = _sparse_spec(series, n, gram)
+    if gram is None and series != "A":
+        raise ValueError(f"a series {series} realization needs its gram matrix")
     _checked_form(series, gram)
     mats = [_square(data[name], n, name, parse) for name in _MATRICES]
     dense = {name: m for name, (m, _) in zip(_MATRICES, mats) if m is not None}
@@ -542,5 +543,7 @@ def realization_from_jsonable(data: dict) -> PairRealization:
         raise ValueError(f"orbit_sign must be null, plus or minus, got {reprlib.repr(sign)}")
     if sign is not None and not (series == "D" and graph.is_connected()):
         raise ValueError("orbit_sign is only meaningful for connected series-D graphs")
+    if sign is None and series == "D" and graph.is_connected():
+        raise ValueError("a connected series-D graph needs its orbit_sign, plus or minus")
     _check_labels(labels, graph)
     return _sparse_pair(tuple(s for _, s in mats), spec=spec, graph=graph, labels=labels, orbit_sign=sign, **dense)

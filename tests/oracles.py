@@ -1,14 +1,14 @@
 """Routines that the package no longer calls.
 
 The tests use them as oracles for the graded and integer paths: matrix
-arithmetic over Fraction (the matrix constructor, the reduced echelon form,
-transposes, inverses, canonical null spaces, one solution of A x = b,
-joint eigenspaces, brackets with a sparse algebra basis element),
-the characteristic polynomial as Fractions, the reduced echelon span of
-matrices, the algebra basis of g inside gl(V), membership in g by
-x^T G + G x, the dense centralizer, a null space over the whole algebra
-basis, the graded commutant by one elimination per bi-degree block of
-gl(V), the closed-form check by dense powers and reduction, and the
+arithmetic over Fraction (the matrix constructor, the row-major entries,
+the reduced echelon form, transposes, inverses, canonical null spaces, one
+solution of A x = b, joint eigenspaces, brackets with a sparse algebra
+basis element), the characteristic polynomial as Fractions, the reduced
+echelon span of matrices, the algebra basis of g inside gl(V), membership
+in g by x^T G + G x, the dense centralizer, a null space over the whole
+algebra basis, the graded commutant by one elimination per bi-degree block
+of gl(V), the closed-form check by dense powers and reduction, and the
 skew-diagram drawing on Fraction coordinates.
 """
 
@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from skewpairs.centralizer import ClosedFormPrediction, _eigenframe, _Frame, _flatten
+from skewpairs.centralizer import ClosedFormPrediction, _eigenframe, _Frame
 from skewpairs.liealg import AlgebraSpec, PairRealization
 from skewpairs.linalg import (
     Matrix,
@@ -42,6 +42,10 @@ ONE = Fraction(1)
 
 def matrix(rows) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def _flatten(m: Matrix) -> Vector:
+    return tuple(x for row in m for x in row)
 
 
 def rref(rows) -> tuple[Matrix, tuple[int, ...]]:
@@ -346,8 +350,7 @@ def centralizer(spec: AlgebraSpec, elements: Sequence[Matrix]) -> tuple[Matrix, 
 def eigenframe(spec: AlgebraSpec, h1: Matrix, h2: Matrix, mats: Sequence[Matrix] = ()):
     """The package's eigenframe from dense matrices: (frame, moved), each
     moved matrix by sparse_rows_cols."""
-    gram = None if spec.form is None else sparse_rows_cols(spec.form)
-    return _eigenframe(spec, integral_rows(h1), integral_rows(h2), [integral_rows(m) for m in mats], gram)
+    return _eigenframe(spec, integral_rows(h1), integral_rows(h2), [integral_rows(m) for m in mats])
 
 
 def _blocks(weights):

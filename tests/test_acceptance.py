@@ -9,9 +9,9 @@ import random
 from fractions import Fraction
 
 from conftest import divisor_count, naive_nullspace, odd_part, oracle_connected_cellsets, partition_counts
-from oracles import commutator, graph_key, matrix, nullspace
+from oracles import _flatten, commutator, graph_key, matrix, nullspace
 from skewpairs.catalog import CatalogVerificationError, _closed_form_matches, classify, count_orbits
-from skewpairs.centralizer import _flatten, analyze, closed_form_centralizer, graph_from_pair
+from skewpairs.centralizer import analyze, closed_form_centralizer, graph_from_pair
 from skewpairs.liealg import build_pair, verify_relations
 from skewpairs.skewgraph import (
     SkewGraph,

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import conjugated, conjugator, distinguished_realizations, moved_by, scaled_shear, small_realizations
 from oracles import (
+    _flatten,
     a_operator_matrix,
     algebra_basis,
     blockwise_commutant,
@@ -32,7 +33,7 @@ from oracles import (
 )
 from skewpairs.centralizer import (
     NormalFormError,
-    _flatten,
+    _by_rows,
     _form_rows,
     _graded_commutant,
     _unite,
@@ -193,7 +194,8 @@ def test_graded_commutant_agrees_with_dense():
             [(r.h1, zero), (r.h2, zero)],
             [(r.h1, zero), (r.h2, zero), (r.e1, d1), (r.e2, d2)],
         ):
-            pieces = _dense_pieces(_graded_commutant(frame, [sparse_rows_cols(m) for m, _ in elements]))
+            ms = [sparse_rows_cols(m) for m, _ in elements]
+            pieces = _dense_pieces(frame, _graded_commutant(frame, *_everywhere(frame, ms)))
             graded = canonical_span([m for piece in pieces.values() for _, m in piece], r.spec.dimv)
             dense = centralizer(r.spec, [m for m, _ in elements])
             assert graded == dense, (series, graph_to_text(g))
@@ -204,17 +206,27 @@ def _sheared(r):
     return moved_by(r, scaled_shear(r.spec.dimv))
 
 
-def _dense_pieces(pieces) -> dict:
-    """_graded_commutant pieces with each basis matrix made dense, as the
-    blockwise oracle gives them."""
-    return {d: [(lead, dense_matrix(m)) for lead, m in piece] for d, piece in pieces.items()}
+def _everywhere(frame, ms) -> tuple:
+    """The _graded_commutant arguments of z(ms) in g: every position of
+    gl(V), the form rows and the whole of each bracket [x, m]."""
+    n = len(frame.weights)
+    return range(n * n), _form_rows(frame), [(m, [range(n)] * n) for m in ms]
+
+
+def _dense_pieces(frame, pieces) -> dict:
+    """_graded_commutant pieces as the blockwise oracle gives them: each
+    vector by its leading (i, j) and its matrix, scaled to a leading 1."""
+    n = len(frame.weights)
+    return {
+        d: [(divmod(vec[0][0], n), dense_matrix(_by_rows(n, vec))) for vec in piece] for d, piece in pieces.items()
+    }
 
 
 def _both_commutants(r):
     """_graded_commutant of (e1, e2), made dense, and the blockwise oracle's,
     in r's eigenframe."""
     frame, (e1, e2) = eigenframe(r.spec, r.h1, r.h2, (r.e1, r.e2))
-    pieces = _dense_pieces(_graded_commutant(frame, (e1, e2)))
+    pieces = _dense_pieces(frame, _graded_commutant(frame, *_everywhere(frame, (e1, e2))))
     return pieces, blockwise_commutant(frame, ((e1, (frame.den, 0)), (e2, (0, frame.den))))
 
 
@@ -408,9 +420,10 @@ def test_unite_reads_each_bracket_entry_off_a_row_and_a_column_of_m():
         n = len(frame.weights)
         ms = [m for m, _ in elements]
         everywhere = [(i, j) for i in range(n) for j in range(n)]
-        fast = _unite(range(n * n), _form_rows(frame), [(m, [range(n)] * n) for m in ms])
+        fast = _unite(*_everywhere(frame, ms))
         assert fast == _unite(range(n * n), _rows(frame, ms))
-        assert _dense_pieces(_graded_commutant(frame, ms)) == blockwise_commutant(frame, elements)
+        pieces = _dense_pieces(frame, _graded_commutant(frame, *_everywhere(frame, ms)))
+        assert pieces == blockwise_commutant(frame, elements)
         two_terms += any(len(line) > 1 for m_rows, m_cols in ms for line in list(m_rows) + m_cols)
         cancelled += any(
             i != j and dict(m_rows[i]).get(i) == dict(m_rows[j]).get(j) is not None
@@ -431,21 +444,23 @@ def test_unbalanced_cycle_kills_its_component():
     swap, turn = matrix([[0, 1], [1, 0]]), matrix([[0, 1], [-1, 0]])
     assert all(len(row) == 2 for row in _rows(frame, [sparse_rows_cols(m) for m in (swap, turn)]))
     for elements in ((swap,), (turn,), (swap, turn)):
-        pieces = _dense_pieces(_graded_commutant(frame, [sparse_rows_cols(m) for m in elements]))
+        ms = [sparse_rows_cols(m) for m in elements]
+        pieces = _dense_pieces(frame, _graded_commutant(frame, *_everywhere(frame, ms)))
         assert pieces == blockwise_commutant(frame, [(sparse_rows_cols(m), (0, 0)) for m in elements])
         assert [m for piece in pieces.values() for _, m in piece] == list(centralizer(spec, elements))
-    assert _graded_commutant(frame, [sparse_rows_cols(m) for m in (swap, turn)]) == {}
-    assert [dense_matrix(m) for _, m in _graded_commutant(frame, [sparse_rows_cols(turn)])[(0, 0)]] == [turn]
+    assert _graded_commutant(frame, *_everywhere(frame, [sparse_rows_cols(m) for m in (swap, turn)])) == {}
+    pieces = _dense_pieces(frame, _graded_commutant(frame, *_everywhere(frame, [sparse_rows_cols(turn)])))
+    assert [m for _, m in pieces[(0, 0)]] == [turn]
 
 
 def test_analyze_eliminates_only_blocks_with_long_rows(monkeypatch):
     # On a built pair e1, e2 and the Gram matrix are signed monomial
     # matrices, so the only row of three or more terms is the trace of
     # sl(n), n >= 3: in series A one integer_nullspace call for its block of
-    # the centralizer, none in B, C, D.  The rectangularity test and the
-    # rank of the (0,0) block of g take the same union-find pass, which in
-    # series A runs without the trace row, so they eliminate nothing, and
-    # in B, C and D nothing is eliminated at all.
+    # the centralizer, none in B, C, D.  Both rectangularity sides run the
+    # same kernel on the (0,0) block, which in series A leaves out the trace
+    # row, so they eliminate nothing, and in B, C and D nothing is
+    # eliminated at all.
     import skewpairs.centralizer as centralizer_module
     import skewpairs.linalg as linalg_module
 

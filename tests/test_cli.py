@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, determinism, thin-adapter outputs."""
 
+import hashlib
 import json
 import pathlib
 import random
@@ -240,6 +241,8 @@ def test_closed_stdout_exits_141_without_a_message():
 _VERIFY_GRAPHS = {
     "B": "-1/1,0/1 0/1,0/1 1/1,0/1\n",
     "D": "-1/1,0/1 0/1,0/1 1/1,0/1\n0/1,-1/1 0/1,0/1 0/1,1/1\n",
+    # The D4 square, a connected series-D graph: build writes its orbit sign.
+    "D4": "-1/2,-1/2 -1/2,1/2 1/2,-1/2 1/2,1/2\n",
 }
 
 
@@ -247,7 +250,7 @@ def _verify_mutated(tmp_path, capsys, mutate, series="D"):
     graph_file = tmp_path / "graph.txt"
     graph_file.write_text(_VERIFY_GRAPHS[series])
     pair_file = tmp_path / "pair.json"
-    run_cli(capsys, "build", "--series", series, "--input", str(graph_file), "--output", str(pair_file))
+    run_cli(capsys, "build", "--series", series[0], "--input", str(graph_file), "--output", str(pair_file))
     doc = json.loads(pair_file.read_text())
     mutate(doc)
     pair_file.write_text(json.dumps(doc))
@@ -281,6 +284,17 @@ def test_verify_rejects_missing_gram(tmp_path, capsys):
     code, err = _verify_mutated(tmp_path, capsys, drop_gram)
     assert code == 2
     assert "gram" in err
+
+
+@pytest.mark.parametrize("gram", [True, False], ids=["with-gram", "without-gram"])
+def test_verify_names_an_unknown_series(tmp_path, capsys, gram):
+    # Without a Gram matrix this was once refused as a series that needs one.
+    def rename(doc):
+        doc["series"] = "Z"
+        if not gram:
+            doc["gram"] = None
+
+    assert _verify_mutated(tmp_path, capsys, rename) == (2, "error: unknown series 'Z'\n")
 
 
 def test_build_rejects_zero_denominator(tmp_path, capsys):
@@ -531,6 +545,32 @@ def test_verify_committed_conjugated_document(tmp_path, capsys):
     assert diag["flags"] == conj["flags"]
 
 
+def test_verify_committed_conjugated_document_with_a_witness(tmp_path, capsys):
+    # tests/data/conjugated-c4-zigzag.json is the C4 zigzag, distinguished
+    # and not principal, moved by conjugated(r, random.Random(2026)).  Its
+    # report has a nonpositive witness, mapped back to the document's
+    # coordinates; CI pins the sha256 of the same stdout.
+    path = pathlib.Path(__file__).parent / "data" / "conjugated-c4-zigzag.json"
+    doc = json.loads(path.read_text())
+    assert any(entry[0] != entry[1] for name in ("h1", "h2") for entry in doc[name]["entries"])
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text("-1/1,1/2 0/1,-1/2 0/1,1/2 1/1,-1/2\n")
+    pair_file = tmp_path / "pair.json"
+    run_cli(capsys, "build", "--series", "C", "--input", str(graph_file), "--output", str(pair_file))
+    outs = []
+    for source in (pair_file, path):
+        code, out, err = run_cli(capsys, "verify", "--input", str(source))
+        assert (code, err) == (0, "")
+        outs.append(out)
+    digest = hashlib.sha256(outs[1].encode()).hexdigest()
+    assert digest == "7c28914bb2285a51b24017c1a0445c3060fb37b5f3284c1a74543c1500036ba4"
+    diag, conj = (json.loads(out)["report"] for out in outs)
+    diag.pop("nonpositive_witness")
+    witness = conj.pop("nonpositive_witness")
+    assert diag == conj and not conj["flags"]["principal"]
+    assert (witness["p"], witness["q"]) == ("2", "-1")
+
+
 def _b3_sparse_document(tmp_path, capsys) -> dict:
     graph_file = tmp_path / "b3.txt"
     graph_file.write_text("-1/1,0/1 0/1,0/1 1/1,0/1\n")
@@ -623,6 +663,8 @@ _SIGN_ONLY_FOR_D = "orbit_sign is only meaningful for connected series-D graphs"
                      id="orbit-sign-1"),
         pytest.param("B", _set_key("orbit_sign", "plus"), _SIGN_ONLY_FOR_D, id="orbit-sign-plus-on-b3"),
         pytest.param("D", _set_key("orbit_sign", "minus"), _SIGN_ONLY_FOR_D, id="orbit-sign-minus-on-d6-chains"),
+        pytest.param("D4", _set_key("orbit_sign", None),
+                     "a connected series-D graph needs its orbit_sign, plus or minus", id="orbit-sign-null-on-d4-square"),
         pytest.param("D", _set_label_component("a"),
                      "label component 'a' is not the index of one of the 2 graph components", id="component-a"),
         pytest.param("D", _set_label_component(True),

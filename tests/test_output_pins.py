@@ -10,7 +10,10 @@ any byte of these outputs fails here:
 - ``report_to_jsonable(analyze(r), include_basis=True)`` and the text of
   ``graph_from_pair`` for every distinguished or principal realization
   with dimV <= 6 and for a seeded conjugated copy of each, grouped by
-  (series, dimV).
+  (series, dimV);
+- the same for every distinguished realization with dimV 7 or 8 and a
+  seeded conjugated copy of each, where most of the moved frames have a
+  nonpositive witness.
 """
 
 import hashlib
@@ -19,7 +22,7 @@ import random
 
 import pytest
 
-from conftest import conjugated, small_realizations
+from conftest import conjugated, distinguished_realizations, small_realizations
 from skewpairs.catalog import classify, export_entries
 from skewpairs.centralizer import analyze, graph_from_pair, report_to_jsonable
 from skewpairs.skewgraph import graph_to_text
@@ -84,6 +87,14 @@ ANALYSIS_DIGESTS = {
     ("D", 6): "a31e74f532b5caad2487d2062aab769899b12d35ac06610ad464d418a17d741f",
 }
 
+ANALYSIS_DIGESTS_7_8 = {
+    ("A", 7): "4b380c6004108b9fee208f5aabe0efce1e89da1550b3dff078a508d6a9fe1ce4",
+    ("A", 8): "995451e1030490c4c6023967353aba335d418dcfb64bc2b09ae0ef62b70e9fa4",
+    ("B", 7): "744350ceb047a273072e44cd38d459ad4ad1b3f76f8e2aa21cb322d9ef7e5520",
+    ("C", 8): "a37724d8fe843cafc5f9fa923964968c6d5dc62f1b92360cb24fc77794ef421f",
+    ("D", 8): "a91d47820530181d64fb598e05cf9c5df98c5c5823568cb93f27549ff331de0c",
+}
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
@@ -93,13 +104,13 @@ def catalog_digest(series: str, dimv: int, kind: str) -> str:
     return _sha(export_entries(classify(series, dimv, kind), "json", include_matrices=True))
 
 
-def analysis_digests() -> dict:
+def analysis_digests(realizations) -> dict:
     """(series, dimV) -> digest of the analysis texts of that group's
     realizations and their conjugated copies, in enumeration order.  Each
     group draws its conjugations from its own seeded generator."""
     texts: dict = {}
     rngs: dict = {}
-    for r in small_realizations():
+    for r in realizations:
         key = (r.spec.series, r.spec.dimv)
         rng = rngs.setdefault(key, random.Random(f"pins {key[0]}{key[1]}"))
         copies = [r]
@@ -121,4 +132,11 @@ def test_catalog_output_pinned(series):
 
 
 def test_analysis_output_pinned():
-    assert analysis_digests() == ANALYSIS_DIGESTS
+    assert analysis_digests(small_realizations()) == ANALYSIS_DIGESTS
+
+
+def test_analysis_output_pinned_at_dimv_7_and_8():
+    # The range of the verify bench documents: 423 realizations, each with a
+    # conjugated copy, 334 of which have a nonpositive witness.
+    realizations = (r for r in distinguished_realizations(8) if r.spec.dimv >= 7)
+    assert analysis_digests(realizations) == ANALYSIS_DIGESTS_7_8
