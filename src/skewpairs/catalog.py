@@ -312,11 +312,16 @@ def _export_jsonable(header: dict, entries: Sequence[dict], fmt: str) -> str:
     raise ValueError(f"unknown export format {fmt!r}")
 
 
-def export_entries(entries: Sequence[CatalogEntry], fmt: str, *, include_matrices: bool = False) -> str:
-    """Serialize entries as json, csv or text-table, deterministically."""
+def export_entries(entries: Sequence[CatalogEntry], fmt: str, *, include_matrices: bool = False,
+                   request: Optional[tuple[str, int, str]] = None) -> str:
+    """Serialize entries as json, csv or text-table, deterministically.  The
+    header names the request, (series, dimv, kind), or else the first
+    entry's, so an empty catalog is named only by its request."""
     header = {"schema": SCHEMA_NAME, "schema_version": SCHEMA_VERSION}
-    if entries:
-        header.update(series=entries[0].spec.series, dimv=entries[0].spec.dimv, kind=entries[0].kind)
+    if entries and request is None:
+        request = entries[0].spec.series, entries[0].spec.dimv, entries[0].kind
+    if request is not None:
+        header.update(zip(("series", "dimv", "kind"), request))
     jsonable = [entry_to_jsonable(e, include_matrices) for e in entries]
     if fmt == "json":
         return json_text({**header, "entry_count": len(jsonable), "entries": jsonable}) + "\n"

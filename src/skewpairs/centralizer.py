@@ -20,10 +20,12 @@ off one column and one row of m, and each live component is a kernel
 vector.  Only rows with three or more terms are eliminated, per block, in
 component variables: the series-A trace for dimV >= 3, and the rows of a
 frame in which e or G is not monomial.  analyze() runs the kernel over the
-n^2 positions of gl(V).  Bases are returned in reduced echelon form in the
-input coordinates: in a moved frame each basis matrix x is mapped back
-once, as the integer product T x T^-1 with both factors scaled to ints,
-and one fraction-free elimination over these rows gives the basis.
+n^2 positions of gl(V).  The report keeps the graded pieces it returns and
+reads every invariant off them: T is invertible, so each piece has the
+same dimension in the input coordinates.  Only a read of the basis or the
+witness maps them back, each matrix x as the integer product T x T^-1 with
+both factors scaled to ints, and one fraction-free elimination over these
+rows gives the reduced echelon basis; the witness maps its own piece.
 
 The flags need no other solver.  z(h) & z(e) is the (0,0) piece of z(e),
 and z(h), the (0,0) block of g, needs no pass at all: its dimension is
@@ -40,9 +42,10 @@ rectangularity sides.  The weights are scaled by their common
 denominator, so bi-degrees are int pairs, and e1, e2 and the Gram matrix
 are each scaled to integers, which changes no commutant and no image.
 
-The report stores its basis and witness only as integral_rows, each scaled
-by its value at the lead, for the closed-form check and JSON export; the
-dense Fraction basis and nonpositive_witness are views built on first read.
+The report stores its pieces only as integral_rows, each scaled by its
+value at the lead; the basis and witness in the input coordinates, for the
+closed-form check and JSON export, and their dense Fraction forms are views
+built on first read.
 
 graph_from_pair() reads the skew-graph off the same frame: each basis
 vector is a node at its weight, and each nonzero entry of e1 or e2 joins
@@ -122,16 +125,43 @@ class ReportFlags:
 
 @dataclass(frozen=True)
 class CentralizerReport:
-    """scaled_basis holds each basis matrix, and scaled_witness the witness
-    matrix and its bi-degree (None without one), by integral_rows with rows
-    as tuples; basis and nonpositive_witness are their dense views."""
+    """scaled_pieces[k] is the basis of the graded piece grading.table[k] in
+    the eigenframe, each matrix by integral_rows with rows as tuples, in
+    order of leading position.  frame_change is (T, a positive multiple of
+    T^-1), by their nonzero rows of ints, or None when h1 and h2 came in
+    diagonal.  scaled_basis, the reduced echelon basis in the input
+    coordinates, and scaled_witness, the witness matrix there and its
+    bi-degree (None without one), are views built on first read, as are
+    their dense forms basis and nonpositive_witness."""
 
     dimension: int
-    scaled_basis: tuple[tuple, ...]
+    scaled_pieces: tuple[tuple[tuple, ...], ...]
+    frame_change: Optional[tuple[tuple, tuple]]
     grading: BiGrading
     biexponents: tuple[tuple[Fraction, Fraction], ...]
     flags: ReportFlags
-    scaled_witness: Optional[tuple[tuple, tuple[Fraction, Fraction]]]
+
+    @cached_property
+    def scaled_basis(self) -> tuple[tuple, ...]:
+        every = [m for piece in self.scaled_pieces for m in piece]
+        if self.frame_change is None:
+            # The blocks have disjoint supports and list their positions in
+            # row-major order, so their reduced bases, ordered by leading
+            # position, form the reduced basis of the span.
+            return tuple(sorted(every, key=lambda m: next((i, row[0][0]) for i, row in enumerate(m[1]) if row)))
+        return _mapped_back(self.frame_change, every)
+
+    @cached_property
+    def scaled_witness(self) -> Optional[tuple[tuple, tuple[Fraction, Fraction]]]:
+        # Witness search prefers the most negative q (the column-style
+        # disqualifier the sl/so/sp arguments construct), then p.
+        table = self.grading.table
+        found = [(q, p, k) for k, ((p, q), _) in enumerate(table) if p.numerator < 0 or q.numerator < 0]
+        if not found:
+            return None
+        q, p, k = min(found)
+        piece = self.scaled_pieces[k]
+        return (piece[0] if self.frame_change is None else _mapped_back(self.frame_change, piece)[0]), (p, q)
 
     @cached_property
     def basis(self) -> tuple[Matrix, ...]:
@@ -163,6 +193,16 @@ def _flat(n: int, rows) -> list[int]:
     return out
 
 
+def _mapped_back(change: tuple[tuple, tuple], mats) -> tuple:
+    """The reduced echelon basis, by integral_rows, of the span of T x T^-1
+    for x in mats, by one fraction-free elimination.  change is T and a
+    positive multiple of T^-1, which changes no span, by nonzero int rows."""
+    t, t_inv = change
+    n = len(t)
+    reduced, _ = _eliminate(_flat(n, sparse_product(t, sparse_product(rows, t_inv))) for _, rows in mats)
+    return tuple(_by_rows(n, [(p, x) for p, x in enumerate(v) if x]) for v in reduced)
+
+
 # ---------------------------------------------------------------------------
 # The eigenframe, the constraint rows and the union-find pass
 # ---------------------------------------------------------------------------
@@ -184,8 +224,8 @@ class _Frame:
     den: int
     weights: tuple[tuple[int, int], ...]
     gram: Optional[tuple[list, list]]
-    t: Optional[list[list[tuple[int, int]]]]
-    t_inv: Optional[list[list[tuple[int, int]]]]
+    t: Optional[tuple[tuple[tuple[int, int], ...], ...]]
+    t_inv: Optional[tuple[tuple[tuple[int, int], ...], ...]]
 
     def degree(self, d: tuple[int, int]) -> tuple[Fraction, Fraction]:
         """The exact bi-degree of an int degree d, each Fraction made once."""
@@ -229,9 +269,9 @@ class _Frame:
 _ratio = lru_cache(maxsize=None)(Fraction)
 
 
-def _nonzero(m: list[list[int]]) -> list[list[tuple[int, int]]]:
+def _nonzero(m: list[list[int]]) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The nonzero entries of a dense matrix, by row."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m)
 
 
 def _sparse_form(rows: list[list[tuple[int, int]]]):
@@ -562,49 +602,22 @@ def analyze(r: PairRealization) -> CentralizerReport:
     spec, n = frame.spec, r.spec.dimv
     every = [range(n)] * n
     commutant = _graded_commutant(frame, range(n * n), _form_rows(frame), [(m, every) for m in (e1, e2)])
-    # Each basis matrix with its leading position, scaled to ints.
-    pieces = {d: [(vec[0][0], _by_rows(n, vec)) for vec in piece] for d, piece in commutant.items()}
-
-    if frame.t is None:
-        # The blocks have disjoint supports and list their positions in
-        # row-major order, so their reduced bases, ordered by leading
-        # position, form the reduced basis of the span.
-        basis = tuple(m for _, m in sorted(lm for piece in pieces.values() for lm in piece))
-    else:
-        # x becomes T x T^-1; T and T^-1 are scaled to ints, which changes
-        # no span.
-        t, t_inv = frame.t, frame.t_inv
-        mapped = {
-            d: [_flat(n, sparse_product(t, sparse_product(rows, t_inv))) for _, (_, rows) in piece]
-            for d, piece in pieces.items()
-        }
-        reduced, _ = _eliminate(row for rows in mapped.values() for row in rows)
-        basis = tuple(_by_rows(n, [(p, x) for p, x in enumerate(v) if x]) for v in reduced)
+    # Each basis matrix scaled to ints; T is invertible, so the pieces'
+    # sizes are the dimensions in the input coordinates too.
+    pieces = tuple(tuple(_by_rows(n, vec) for vec in piece) for piece in commutant.values())
+    table = tuple((frame.degree(d), len(piece)) for d, piece in commutant.items())
+    biexponents = tuple(d for d, dim in table for _ in range(dim))
+    dimension = len(biexponents)
     # z(h) & z(e) is the (0,0) piece of z(e).
     cartan_h = frame.cartan_dimension() == spec.rank
-    trivial = DEGREE_0 not in pieces
-
-    table = tuple((frame.degree(d), len(pieces[d])) for d in sorted(pieces))
-    grading = BiGrading(table=table, total=len(basis))
-    biexponents = tuple(d for d, dim in table for _ in range(dim))
-
-    # Witness search prefers the most negative q (the column-style
-    # disqualifier the sl/so/sp arguments construct), then p.
-    witness = None
-    for d in sorted(pieces, key=lambda d: (d[1], d[0])):
-        if d[0] < 0 or d[1] < 0:
-            if frame.t is None:
-                first = pieces[d][0][1]
-            else:
-                first = _by_rows(n, [(p, x) for p, x in enumerate(_eliminate(mapped[d])[0][0]) if x])
-            witness = (first, frame.degree(d))
-            break
+    trivial = DEGREE_0 not in commutant
+    change = None if frame.t is None else (frame.t, frame.t_inv)
 
     flags = ReportFlags(relations_ok=True, cartan_h=cartan_h, trivial_intersection=trivial,
-                        distinguished=cartan_h and trivial, principal=len(basis) == spec.rank,
+                        distinguished=cartan_h and trivial, principal=dimension == spec.rank,
                         rectangular=_rectangularity(frame, e1, e2))
-    return CentralizerReport(dimension=len(basis), scaled_basis=basis, grading=grading, biexponents=biexponents,
-                             flags=flags, scaled_witness=witness)
+    return CentralizerReport(dimension=dimension, scaled_pieces=pieces, frame_change=change,
+                             grading=BiGrading(table=table, total=dimension), biexponents=biexponents, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +851,7 @@ def graph_from_pair(spec: AlgebraSpec, e1: Matrix, e2: Matrix, h1: Matrix, h2: M
 
 def report_to_jsonable(report: CentralizerReport, include_basis: bool = False) -> dict:
     """The report as JSON; matrices are written sparse, from the sparse forms."""
-    basis, witness = report.scaled_basis, report.scaled_witness
+    witness = report.scaled_witness
     data = {
         "dimension": report.dimension,
         "grading": [{"p": str(p), "q": str(q), "dim": dim} for (p, q), dim in report.grading.table],
@@ -850,5 +863,5 @@ def report_to_jsonable(report: CentralizerReport, include_basis: bool = False) -
         m, (p, q) = witness
         data["nonpositive_witness"] = {"p": str(p), "q": str(q), "matrix": scaled_to_jsonable(m)}
     if include_basis:
-        data["basis"] = [scaled_to_jsonable(m) for m in basis]
+        data["basis"] = [scaled_to_jsonable(m) for m in report.scaled_basis]
     return data

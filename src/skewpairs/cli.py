@@ -139,7 +139,8 @@ def _cmd_verify(args) -> int:
 def _cmd_classify(args) -> int:
     entries = catalog_mod.classify(args.series, args.dimv, args.kind, max_nodes=args.max_nodes)
     fmt = "text-table" if args.format == "table" else args.format
-    text = catalog_mod.export_entries(entries, fmt, include_matrices=args.full_matrices)
+    text = catalog_mod.export_entries(entries, fmt, include_matrices=args.full_matrices,
+                                      request=(args.series, args.dimv, args.kind))
     _write_output(text, args.output)
     return EXIT_OK
 

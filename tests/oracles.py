@@ -458,13 +458,40 @@ def a_operator_matrix(pred: ClosedFormPrediction, r: PairRealization) -> Optiona
     return mat
 
 
+def _power_rows(m: Matrix, top: int) -> list:
+    """[m^0, ..., m^top] by nonzero rows (j, x), over Fraction: each power
+    once, row i of p m summed from the nonzero entries x = p[i][t] and
+    those of row t of m, as bracket forms [b, m]."""
+    step = [[(j, y) for j, y in enumerate(row) if y] for row in m]
+    out = [[[(i, ONE)] for i in range(len(m))]]
+    for _ in range(top):
+        rows = []
+        for row in out[-1]:
+            acc: dict[int, Fraction] = {}
+            for t, x in row:
+                for j, y in step[t]:
+                    acc[j] = acc.get(j, ZERO) + x * y
+            rows.append([(j, x) for j, x in acc.items() if x])
+        out.append(rows)
+    return out
+
+
 def closed_form_in_span(pred: ClosedFormPrediction, r: PairRealization, basis: Sequence[Matrix]) -> bool:
     """Whether every predicted e1^k e2^l, and the A operator, lies in the span
-    of basis, a reduced echelon basis of matrices: powers by mat_mul,
-    membership by in_span."""
+    of basis, a reduced echelon basis of matrices: each power of e1 and e2
+    formed once by _power_rows, each product e1^k e2^l from their nonzero
+    entries, and membership by in_span."""
+    n = len(r.e1)
     flat = [_flatten(m) for m in basis]
+    e1_powers = _power_rows(r.e1, max((k for k, _ in pred.powers), default=0))
+    e2_powers = _power_rows(r.e2, max((l for _, l in pred.powers), default=0))
     for k, l in sorted(pred.powers):
-        if not in_span(flat, _flatten(mat_mul(mat_pow(r.e1, k), mat_pow(r.e2, l)))):
+        v = [ZERO] * (n * n)
+        for i, row in enumerate(e1_powers[k]):
+            for t, x in row:
+                for j, y in e2_powers[l][t]:
+                    v[i * n + j] += x * y
+        if not in_span(flat, v):
             return False
     a = a_operator_matrix(pred, r)
     return a is None or in_span(flat, _flatten(a))

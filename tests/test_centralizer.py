@@ -178,6 +178,79 @@ def test_reports_are_hashable_and_equal_by_value():
     assert (count, witnessed) == (6, 4)
 
 
+def _moved_distinguished():
+    """The conjugated copy of each distinguished realization with 2 <= dimV
+    <= 6 that a draw moves off the diagonal, all from one seeded stream."""
+    rng = random.Random(20261019)
+    for r in distinguished_realizations(6):
+        c = conjugated(r, rng) if r.spec.dimv > 1 else None
+        if c is not None:
+            yield c
+
+
+def test_moved_reports_are_equal_by_value_before_and_after_the_basis_is_read():
+    # A moved report stores its eigenframe pieces and the frame change, and
+    # maps them to the input coordinates on first read; reading them
+    # changes neither equality nor the hash.
+    count = witnessed = 0
+    for c in _moved_distinguished():
+        rep, again = analyze(c), analyze(c)
+        assert rep.frame_change is not None and rep == again and hash(rep) == hash(again), c.graph
+        assert len(rep.basis) == rep.dimension and rep.nonpositive_witness is rep.nonpositive_witness
+        assert rep == again and hash(rep) == hash(again), c.graph
+        assert again.basis == rep.basis and again.nonpositive_witness == rep.nonpositive_witness, c.graph
+        count += 1
+        witnessed += rep.nonpositive_witness is not None
+    assert count > 50 and witnessed > 10, (count, witnessed)
+
+
+def test_moved_report_survives_replace():
+    # dataclasses.replace keeps the pieces and the frame change, so the
+    # copy maps back the same basis, witness and export.
+    for c in _moved_distinguished():
+        rep = analyze(c)
+        flipped = replace(rep, flags=replace(rep.flags, rectangular=not rep.flags.rectangular))
+        data, back = report_to_jsonable(rep, include_basis=True), report_to_jsonable(flipped, include_basis=True)
+        assert flipped.basis == rep.basis and flipped.nonpositive_witness == rep.nonpositive_witness, c.graph
+        data["flags"]["rectangular"] = not data["flags"]["rectangular"]
+        assert back == data, c.graph
+
+
+def test_moved_report_maps_back_only_what_is_read(monkeypatch):
+    # analyze and the report's export run no elimination over the n^2
+    # positions of gl(V) unless the report has a witness, and then one over
+    # the rows of the witness's piece; the basis is mapped back, in one
+    # elimination over all its rows, only when it is read.  Only the
+    # module's own calls are counted: integer_inverse eliminates 2n columns
+    # inside linalg, as many as n^2 at n = 2.
+    import skewpairs.centralizer as centralizer_module
+    from skewpairs.linalg import _eliminate as eliminate
+
+    widths = []
+
+    def eliminating(rows):
+        rows = list(rows)
+        widths.append((len(rows[0]) if rows else 0, len(rows)))
+        return eliminate(rows)
+
+    monkeypatch.setattr(centralizer_module, "_eliminate", eliminating)
+    count = witnessed = 0
+    for c in _moved_distinguished():
+        n = c.spec.dimv
+        del widths[:]
+        rep = analyze(c)
+        report_to_jsonable(rep)
+        wide = [rows for cols, rows in widths if cols == n * n]
+        witness = rep.scaled_witness
+        assert wide == ([] if witness is None else [rep.grading.as_dict()[witness[1]]]), c.graph
+        del widths[:]
+        assert len(rep.scaled_basis) == rep.dimension
+        assert widths == [(n * n, rep.dimension)], c.graph
+        count += 1
+        witnessed += witness is not None
+    assert count > 50 and witnessed > 10, (count, witnessed)
+
+
 def test_graded_commutant_agrees_with_dense():
     cases = []
     for series, dims in [("A", (2, 3, 4, 5)), ("B", (3, 5)), ("C", (2, 4)), ("D", (4, 6))]:

@@ -148,6 +148,25 @@ def test_export_subcommand(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+@pytest.mark.parametrize("kind", ["distinguished", "principal"])
+def test_an_empty_catalog_names_its_request(tmp_path, capsys, kind):
+    # D2 has no orbit of either kind: the header and the table title name
+    # the request, and export of the json writes the same table.
+    request = ("classify", "--series", "D", "--dimv", "2", "--kind", kind)
+    catalog_file = tmp_path / "catalog.json"
+    assert run_cli(capsys, *request, "--format", "json", "--output", str(catalog_file))[0] == 0
+    doc = json.loads(catalog_file.read_text())
+    assert {k: doc.get(k) for k in ("series", "dimv", "kind", "entry_count")} == {
+        "series": "D", "dimv": 2, "kind": kind, "entry_count": 0
+    }
+    code, out, _ = run_cli(capsys, *request, "--format", "csv")
+    assert (code, out.count("\n"), out.startswith("series,dimv,kind,")) == (0, 1, True)
+    code, table, _ = run_cli(capsys, *request, "--format", "table")
+    title = "skewpairs-catalog catalog: series D, dimV 2, 0 entries"
+    assert (code, table) == (0, f"{title}\n{'=' * len(title)}\n")
+    assert run_cli(capsys, "export", "--input", str(catalog_file), "--format", "table") == (0, table, "")
+
+
 def test_render_subcommand(tmp_path, capsys):
     graph_file = tmp_path / "graph.txt"
     graph_file.write_text("-3/2,1/2 -1/2,-1/2 -1/2,1/2 1/2,-1/2 1/2,1/2 3/2,-1/2\n")
@@ -540,6 +559,8 @@ def test_verify_committed_conjugated_document(tmp_path, capsys):
         code, out, err = run_cli(capsys, "verify", "--input", str(source))
         assert (code, err) == (0, "")
         reports.append(json.loads(out)["report"])
+    # No witness: the report maps nothing back.  CI pins the same sha256.
+    assert hashlib.sha256(out.encode()).hexdigest() == "95ece0a56e95f308ef7aa99cf3db10ae837be4e6d65b7d73f0ead6060dc15495"
     diag, conj = reports
     assert diag["dimension"] == conj["dimension"] == 3
     assert diag["flags"] == conj["flags"]
