@@ -84,16 +84,15 @@ from .linalg import (
     with_columns,
 )
 from .skewgraph import (
-    ORIGIN,
     Node,
     SkewGraph,
     _admissible_shapes,
+    _principal_case,
     canonical_form,
     component_from_nodes,
     validate,
 )
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 DEGREE_0 = (0, 0)
 
@@ -647,25 +646,6 @@ class ClosedFormPrediction:
         return tuple(sorted(degs))
 
 
-def _powers_from_source(nodes: frozenset[Node], parity: Optional[int]) -> frozenset[tuple[int, int]]:
-    """The offsets (k, l) != (0, 0) of the nodes from the source, the node
-    with no left or lower neighbour, that are nonnegative ints, with k + l of
-    the given parity unless it is None."""
-    src = next(nd for nd in nodes if nd.shifted(-1, 0) not in nodes and nd.shifted(0, -1) not in nodes)
-    out = set()
-    for nd in nodes:
-        k, l = nd.x - src.x, nd.y - src.y
-        if k.denominator != 1 or l.denominator != 1:
-            continue
-        k, l = int(k), int(l)
-        if k < 0 or l < 0 or (k, l) == (0, 0):
-            continue
-        if parity is not None and (k + l) % 2 != parity:
-            continue
-        out.add((k, l))
-    return frozenset(out)
-
-
 def closed_form_centralizer(series: str, graph: SkewGraph) -> ClosedFormPrediction:
     """Symbolic centralizer basis for a principal-class graph.
 
@@ -679,85 +659,55 @@ def closed_form_centralizer(series: str, graph: SkewGraph) -> ClosedFormPredicti
     return _closed_form(series, graph, found)
 
 
-def _a_operator(bidegree, x, z, u, y) -> AOperator:
-    """The A operator of this bi-degree that sends basis label x to z and u
-    to -y, each label given as (component index, node)."""
-    return AOperator(bidegree, ((BasisLabel(*x), BasisLabel(*z), ONE), (BasisLabel(*u), BasisLabel(*y), -ONE)))
+def _a_operator(x, z, u, y) -> AOperator:
+    """The A operator that sends basis label x to z and u to -y, each label
+    given as (component index, 2 * its node's x, 2 * its node's y); its
+    bi-degree is z - x."""
+    def label(index: int, x2: int, y2: int) -> BasisLabel:
+        return BasisLabel(index, Node(Fraction(x2, 2), Fraction(y2, 2)))
+
+    bidegree = (Fraction(z[1] - x[1], 2), Fraction(z[2] - x[2], 2))
+    return AOperator(bidegree, ((label(*x), label(*z), ONE), (label(*u), label(*y), -ONE)))
 
 
 def _closed_form(series: str, graph: SkewGraph, found: list) -> ClosedFormPrediction:
     """closed_form_centralizer of a canonical principal graph, given the
     (ShapeClass, cells) of each component."""
-    shapes = [shape for shape, _ in found]
-    comps = graph.components
-    n_total = graph.n_nodes
-
+    n = graph.n_nodes
     if series == "A":
-        nodes = comps[0].node_set
-        if shapes[0].young in ("sw", "both"):
-            return ClosedFormPrediction("young-sw", _powers_from_source(nodes, None), None, n_total - 1)
-        # The sink of a north-east diagram is the source of its point reflection.
-        flipped = frozenset(-nd for nd in nodes)
-        return ClosedFormPrediction("young-ne", _powers_from_source(flipped, None), None, n_total - 1)
+        # The powers are the offsets of the cells from the source, or to the sink.
+        ((shape, cells),) = found
+        sign = 1 if shape.young in ("sw", "both") else -1
+        x0, y0 = min(sign * x for x, _ in cells), min(sign * y for _, y in cells)
+        powers = frozenset((sign * x - x0, sign * y - y0) for x, y in cells) - {(0, 0)}
+        return ClosedFormPrediction("young-sw" if sign == 1 else "young-ne", powers, None, n - 1)
 
-    rank_g = (n_total - 1) // 2 if series == "B" else n_total // 2
-
-    if len(comps) == 1 and shapes[0].rectangle is not None:
-        powers = _powers_from_source(comps[0].node_set, 1)
-        return ClosedFormPrediction("rectangular", powers, None, rank_g)
-
-    if len(comps) == 1:
-        # near-rectangular (series D)
-        shape = shapes[0]
-        nodes = comps[0].node_set
-        xs = sorted({nd.x for nd in nodes})
-        ys = sorted({nd.y for nd in nodes})
-        left, right, bottom, top = xs[0], xs[-1], ys[0], ys[-1]
-        half_w = int(right - left + 1) // 2
-        half_h = int(top - bottom + 1) // 2
-        name = shape.near_rectangular_shape
-        if name == "first":
-            powers = {(k, l) for k in range(2 * half_w - 2) for l in range(2 * half_h) if (k + l) % 2 == 1}
-            deg = (Fraction(2 * half_w - 2), ZERO)
-            x, z = Node(left, top), Node(left + 2 * half_w - 2, top)
-            u, y = Node(left + 1, bottom), Node(right, bottom)
-        elif name == "second":
-            powers = {(k, l) for k in range(2 * half_w) for l in range(2 * half_h - 2) if (k + l) % 2 == 1}
-            deg = (ZERO, Fraction(2 * half_h - 2))
-            x, z = Node(right, bottom), Node(right, bottom + 2 * half_h - 2)
-            u, y = Node(left, bottom + 1), Node(left, top)
-        elif name == "third":
-            cut = 2 * half_w + 2 * half_h - 3
-            powers = {(k, l) for k in range(2 * half_w) for l in range(2 * half_h)
-                      if (k + l) % 2 == 1 and k + l != cut}
-            deg = (Fraction(2 * half_w - 2), Fraction(2 * half_h - 2))
-            x, z = Node(left, bottom + 1), Node(right - 1, top)
-            u, y = Node(left + 1, bottom), Node(right, top - 1)
-        else:
-            raise ValueError("graph is outside the closed-form (principal) case list")
-        a_op = _a_operator(deg, (0, x), (0, z), (0, u), (0, y))
-        return ClosedFormPrediction(f"near-rectangular-{name}", frozenset(powers), a_op, rank_g)
-
-    # two components: rectangle plus point, or horizontal plus vertical chain
-    sizes = [len(c) for c in comps]
-    if 1 in sizes:
-        rect_i = sizes.index(max(sizes))
-        pt_i = 1 - rect_i
-        w, h = shapes[rect_i].rectangle
-        a, b = (w - 1) // 2, (h - 1) // 2
-        powers = {(k, l) for k in range(w) for l in range(h) if (k + l) % 2 == 1}
-        corner = Node(Fraction(a), Fraction(b))
-        a_op = _a_operator((corner.x, corner.y), (rect_i, -corner), (pt_i, ORIGIN), (pt_i, ORIGIN), (rect_i, corner))
-        return ClosedFormPrediction("rectangle-plus-point", frozenset(powers), a_op, rank_g)
-
-    horiz_i = next(i for i, s in enumerate(shapes) if s.rectangle[1] == 1)
-    vert_i = 1 - horiz_i
-    a = (shapes[horiz_i].rectangle[0] - 1) // 2
-    b = (shapes[vert_i].rectangle[1] - 1) // 2
-    powers = {(k, 0) for k in range(1, 2 * a, 2)} | {(0, l) for l in range(1, 2 * b, 2)}
-    right, top = Node(Fraction(a), ZERO), Node(ZERO, Fraction(b))
-    a_op = _a_operator((right.x, top.y), (horiz_i, -right), (vert_i, top), (vert_i, -top), (horiz_i, right))
-    return ClosedFormPrediction("chains", frozenset(powers), a_op, rank_g)
+    rank_g = (n - 1) // 2 if series == "B" else n // 2
+    case, w, h = _principal_case(series, *zip(*found))
+    # The powers are the odd cells of the w x h box, cut per case.
+    keep = {
+        "near-rectangular-first": lambda k, l: k < w - 2,
+        "near-rectangular-second": lambda k, l: l < h - 2,
+        "near-rectangular-third": lambda k, l: k + l != w + h - 3,
+        "chains": lambda k, l: k * l == 0,
+    }.get(case, lambda k, l: True)
+    powers = frozenset((k, l) for k in range(w) for l in range(h) if (k + l) % 2 and keep(k, l))
+    if case == "rectangular":
+        return ClosedFormPrediction(case, powers, None, rank_g)
+    # Every component is centred, so the ends of the box, doubled, are at
+    # +-(w - 1) and +-(h - 1).  In canonical order the rectangle comes
+    # before the point, and the horizontal chain first unless the vertical
+    # one is longer.
+    W, H = w - 1, h - 1
+    i, j = (1, 0) if h > w else (0, 1)
+    x, z, u, y = {
+        "near-rectangular-first": ((0, -W, H), (0, W - 2, H), (0, 2 - W, -H), (0, W, -H)),
+        "near-rectangular-second": ((0, W, -H), (0, W, H - 2), (0, -W, 2 - H), (0, -W, H)),
+        "near-rectangular-third": ((0, -W, 2 - H), (0, W - 2, H), (0, 2 - W, -H), (0, W, H - 2)),
+        "rectangle-plus-point": ((0, -W, -H), (1, 0, 0), (1, 0, 0), (0, W, H)),
+        "chains": ((i, -W, 0), (j, 0, H), (j, 0, -H), (i, W, 0)),
+    }[case]
+    return ClosedFormPrediction(case, powers, _a_operator(x, z, u, y), rank_g)
 
 
 # ---------------------------------------------------------------------------

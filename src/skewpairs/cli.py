@@ -50,10 +50,11 @@ def _read_input(path: str) -> str:
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
+    """text to stdout or to the file at path, ending in a newline either way."""
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

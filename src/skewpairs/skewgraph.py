@@ -33,8 +33,8 @@ follow from column-height recurrences.
 The distinguished graphs of B, C and D are listed once, by the classes of
 their components, in _distinguished_types.  Enumeration builds each type,
 the count multiplies its class sizes, and the admissibility check matches a
-graph's classes against it; a principal graph is a distinguished one of a
-principal shape.
+graph's classes against it.  A principal graph is a distinguished one with
+a _principal_case, whose case and sides the closed-form centralizer reads.
 """
 
 from __future__ import annotations
@@ -759,7 +759,7 @@ def _admissible_shapes(series: str, graph: SkewGraph, kind: str) -> Optional[lis
     if findings:
         return None
     shapes = [_cell_shape(c, comp.nodes[0]) for c, comp in zip(cells, graph.components)]
-    return list(zip(shapes, cells)) if _shapes_admissible(series, graph, kind, shapes) else None
+    return list(zip(shapes, cells)) if _shapes_admissible(series, graph, kind, shapes, cells) else None
 
 
 def _is_canonical(graph: SkewGraph, found: list) -> bool:
@@ -772,8 +772,39 @@ def _is_canonical(graph: SkewGraph, found: list) -> bool:
     return all((-len(a), a.nodes) <= (-len(b), b.nodes) for a, b in zip(comps, comps[1:]))
 
 
-def _shapes_admissible(series: str, graph: SkewGraph, kind: str, shapes: list[ShapeClass]) -> bool:
-    """Admissibility of a valid graph, given the shapes of its components.
+def _principal_case(series: str, shapes: list[ShapeClass], cells: list[dict]) -> Optional[tuple[str, int, int]]:
+    """The case of a graph of B, C or D whose component classes are those of
+    a distinguished graph, with its sides w and h; None when not principal.
+
+    - "rectangular": one w x h rectangle;
+    - "near-rectangular-first", "-second" or "-third": one near-rectangle
+      cut from a w x h box (non-integral, so of series D);
+    - series D only, "rectangle-plus-point": a w x h rectangle and the point;
+    - series D only, "chains": a horizontal chain of w nodes and a vertical
+      one of h.
+
+    The classes fix every parity, so no side is tested."""
+    if len(shapes) == 1:
+        rectangle, near = shapes[0].rectangle, shapes[0].near_rectangular_shape
+        if rectangle:
+            return ("rectangular", *rectangle)
+        if near:
+            xs, ys = zip(*cells[0])
+            return f"near-rectangular-{near}", max(xs) - min(xs) + 1, max(ys) - min(ys) + 1
+        return None
+    sides = sorted(s.rectangle for s in shapes if s.rectangle)
+    if series == "D" and len(sides) == len(shapes) == 2:
+        (w0, h0), (w1, h1) = sides
+        if (w0, h0) == (1, 1):
+            return "rectangle-plus-point", w1, h1
+        if w0 == h1 == 1:
+            return "chains", w1, h0
+    return None
+
+
+def _shapes_admissible(series: str, graph: SkewGraph, kind: str, shapes: list[ShapeClass], cells: list[dict]) -> bool:
+    """Admissibility of a valid graph, given the shapes and cells of its
+    components.
 
     A graph of B, C or D is distinguished when the sorted classes of its
     components are those of one of _distinguished_types and no two of them
@@ -781,8 +812,8 @@ def _shapes_admissible(series: str, graph: SkewGraph, kind: str, shapes: list[Sh
     has its barycentre there, and an odd number of nodes, the origin among
     them, exactly when integral.  So neither barycentres nor the parity of
     dimV need a check, and two integral components share exactly (0,0).  A
-    principal graph is a distinguished one of a principal shape, so no class
-    is checked twice."""
+    principal graph is a distinguished one with a _principal_case, so no
+    class is checked twice."""
     comps = graph.components
     if series == "A":
         return len(comps) == 1 and (kind == "distinguished" or shapes[0].young != "neither")
@@ -790,15 +821,7 @@ def _shapes_admissible(series: str, graph: SkewGraph, kind: str, shapes: list[Sh
     sizes = [len(c) for c in comps]
     if classes not in _distinguished_classes(series, sum(sizes)) or sizes.count(1) > 1:
         return False
-    if kind == "distinguished":
-        return True
-    # Principal: one rectangle, or one near-rectangle (non-integral, so of
-    # series D); or in series D a rectangle and the point, or a vertical and
-    # a horizontal chain.
-    if len(comps) == 1:
-        return shapes[0].rectangle is not None or shapes[0].near_rectangular_shape is not None
-    sides = sorted(s.rectangle for s in shapes if s.rectangle)
-    return series == "D" and len(sides) == len(comps) == 2 and (sides[0] == (1, 1) or sides[0][0] == sides[1][1] == 1)
+    return kind == "distinguished" or _principal_case(series, shapes, cells) is not None
 
 
 # ---------------------------------------------------------------------------

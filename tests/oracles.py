@@ -148,15 +148,27 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def in_span(basis_rref: Matrix, v: Sequence) -> bool:
     """Membership test against an RREF basis, by reduction."""
-    v = list(v)
+    return _reduces_to_zero(_lead_rows(basis_rref), dict(enumerate(v)))
+
+
+def _lead_rows(basis_rref: Matrix) -> list:
+    """Each row of an RREF basis as its lead and its nonzero entries (i, x)."""
+    rows = []
     for row in basis_rref:
-        lead = next(i for i, x in enumerate(row) if x)
-        f = v[lead]
+        entries = [(i, x) for i, x in enumerate(row) if x]
+        rows.append((entries[0][0], entries))
+    return rows
+
+
+def _reduces_to_zero(rows: list, v: dict) -> bool:
+    """Whether v, by its entries {i: x}, reduces to 0 by the _lead_rows of
+    an RREF basis."""
+    for lead, entries in rows:
+        f = v.get(lead)
         if f:
-            for i in range(lead, len(row)):
-                if row[i]:
-                    v[i] -= f * row[i]
-    return not any(v)
+            for i, x in entries:
+                v[i] = v.get(i, 0) - f * x
+    return not any(v.values())
 
 
 def zeros(n: int, m: Optional[int] = None) -> Matrix:
@@ -480,21 +492,21 @@ def closed_form_in_span(pred: ClosedFormPrediction, r: PairRealization, basis: S
     """Whether every predicted e1^k e2^l, and the A operator, lies in the span
     of basis, a reduced echelon basis of matrices: each power of e1 and e2
     formed once by _power_rows, each product e1^k e2^l from their nonzero
-    entries, and membership by in_span."""
+    entries, and membership by reduction, the basis read once by _lead_rows."""
     n = len(r.e1)
-    flat = [_flatten(m) for m in basis]
+    rows = _lead_rows([_flatten(m) for m in basis])
     e1_powers = _power_rows(r.e1, max((k for k, _ in pred.powers), default=0))
     e2_powers = _power_rows(r.e2, max((l for _, l in pred.powers), default=0))
     for k, l in sorted(pred.powers):
-        v = [ZERO] * (n * n)
+        v: dict = {}
         for i, row in enumerate(e1_powers[k]):
             for t, x in row:
                 for j, y in e2_powers[l][t]:
-                    v[i * n + j] += x * y
-        if not in_span(flat, v):
+                    v[i * n + j] = v.get(i * n + j, ZERO) + x * y
+        if not _reduces_to_zero(rows, v):
             return False
     a = a_operator_matrix(pred, r)
-    return a is None or in_span(flat, _flatten(a))
+    return a is None or _reduces_to_zero(rows, dict(enumerate(_flatten(a))))
 
 
 # ---------------------------------------------------------------------------

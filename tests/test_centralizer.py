@@ -908,6 +908,20 @@ def test_graph_from_pair_rejects_broken_relations():
         graph_from_pair(r.spec, r.e1, r.e1, r.h1, r.h2)
 
 
+@pytest.mark.parametrize(
+    "e2, h2, message",
+    [
+        pytest.param([[0, 0], [1, 0]], [[0, 0], [0, 0]], "e1 and e2 do not commute", id="e"),
+        pytest.param([[0, 0], [0, 0]], [[0, 1], [0, 0]], "h1 and h2 do not commute", id="h"),
+    ],
+)
+def test_graph_from_pair_names_the_commutator_that_fails(e2, h2, message):
+    e1, h1 = matrix([[0, 1], [0, 0]]), _diag(1, -1)
+    with pytest.raises(NormalFormError) as exc:
+        graph_from_pair(make_spec("A", 2), e1, matrix(e2), h1, matrix(h2))
+    assert exc.value.args == (message,)
+
+
 def _diag(*entries):
     return matrix([[x if i == j else 0 for j, x in enumerate(entries)] for i in range(len(entries))])
 

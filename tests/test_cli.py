@@ -316,6 +316,58 @@ def test_verify_names_an_unknown_series(tmp_path, capsys, gram):
     assert _verify_mutated(tmp_path, capsys, rename) == (2, "error: unknown series 'Z'\n")
 
 
+@pytest.mark.parametrize(
+    "graph, series, message",
+    [
+        pytest.param("D4", "B", "series B requires odd dimV", id="B4"),
+        pytest.param("B", "C", "series C requires even dimV", id="C3"),
+        pytest.param("B", "D", "series D requires even dimV", id="D3"),
+    ],
+)
+def test_verify_refuses_a_series_of_the_wrong_parity(tmp_path, capsys, graph, series, message):
+    def rename(doc):
+        doc["series"] = series
+        doc["orbit_sign"] = None
+
+    assert _verify_mutated(tmp_path, capsys, rename, graph) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("verb", ["count", "classify"])
+@pytest.mark.parametrize(
+    "dimv, message",
+    [
+        pytest.param("0", "dimV must be positive", id="dimv-0"),
+        pytest.param("13", "dimV 13 exceeds the configured bound of 12", id="dimv-13"),
+    ],
+)
+def test_a_dimv_out_of_range_is_refused_by_name(capsys, verb, dimv, message):
+    # 12 is the default --max-nodes.
+    request = (verb, "--series", "A", "--dimv", dimv, "--kind", "distinguished")
+    assert run_cli(capsys, *request) == (2, "", f"error: {message}\n")
+
+
+def test_output_files_hold_the_bytes_stdout_prints(tmp_path, capsys):
+    # build, verify and render once wrote their files without the newline
+    # that ends what they print.
+    graph, pair, catalog = tmp_path / "graph.txt", tmp_path / "pair.json", tmp_path / "catalog.json"
+    graph.write_text("-1/2,0/1 1/2,0/1\n")
+    requests = [
+        ("build", "--series", "A", "--input", str(graph)),
+        ("verify", "--input", str(pair)),
+        ("classify", "--series", "C", "--dimv", "4", "--kind", "principal"),
+        ("classify", "--series", "C", "--dimv", "4", "--kind", "principal", "--format", "table"),
+        ("export", "--input", str(catalog), "--format", "csv"),
+        ("render", "--input", str(graph)),
+    ]
+    pair.write_text(run_cli(capsys, *requests[0])[1])
+    catalog.write_text(run_cli(capsys, *requests[2])[1])
+    for argv in requests:
+        code, out, err = run_cli(capsys, *argv)
+        target = tmp_path / "out"
+        assert run_cli(capsys, *argv, "--output", str(target)) == (code, "", err) == (0, "", "")
+        assert out.endswith("\n") and target.read_bytes() == out.encode()
+
+
 def test_build_rejects_zero_denominator(tmp_path, capsys):
     graph_file = tmp_path / "graph.txt"
     graph_file.write_text("-1/2,0/1 1/0,0/1\n")

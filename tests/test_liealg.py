@@ -290,6 +290,12 @@ def test_orbit_sign_usage():
         build_pair("D", chains, "minus")
 
 
+def test_build_pair_names_an_unknown_orbit_sign():
+    with pytest.raises(ValueError) as exc:
+        build_pair("D", rect_graph(2, 2), "sideways")
+    assert exc.value.args == ("unknown orbit sign 'sideways'",)
+
+
 def test_minus_representative_is_an_isometry_conjugate():
     # The conjugating swap is an isometry, so the Gram matrix is unchanged
     # and the relations survive.

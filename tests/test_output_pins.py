@@ -14,6 +14,10 @@ any byte of these outputs fails here:
 - the same for every distinguished realization with dimV 7 or 8 and a
   seeded conjugated copy of each, where most of the moved frames have a
   nonpositive witness.
+
+The closed forms are pinned by value: ``closed_form_centralizer`` of every
+principal graph with dimV <= 14, and ``is_admissible(..., "principal")`` of
+every distinguished graph with dimV <= 12 (series A: dimV <= 9).
 """
 
 import hashlib
@@ -24,8 +28,8 @@ import pytest
 
 from conftest import conjugated, distinguished_realizations, small_realizations
 from skewpairs.catalog import classify, export_entries
-from skewpairs.centralizer import analyze, graph_from_pair, report_to_jsonable
-from skewpairs.skewgraph import graph_to_text
+from skewpairs.centralizer import analyze, closed_form_centralizer, graph_from_pair, report_to_jsonable
+from skewpairs.skewgraph import SERIES, enumerate_admissible, graph_to_text, is_admissible
 
 CATALOG_DIGESTS = {
     ("A", 1, "distinguished"): "8418c61d0310eb70956fbadc85478496065f851b97f54b7998d97e7639b20cb3",
@@ -95,6 +99,11 @@ ANALYSIS_DIGESTS_7_8 = {
     ("D", 8): "a91d47820530181d64fb598e05cf9c5df98c5c5823568cb93f27549ff331de0c",
 }
 
+CLOSED_FORM_DIGESTS = {
+    "closed_form": "a7237cb08091537f2fc72a204f1de03c39f5318692380f51f62ce47a86459598",
+    "principal_check": "c26542647cd27aa89b7b130789633341060bd9ec512501d4b7ef0af7d9858db4",
+}
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
@@ -140,3 +149,26 @@ def test_analysis_output_pinned_at_dimv_7_and_8():
     # conjugated copy, 334 of which have a nonpositive witness.
     realizations = (r for r in distinguished_realizations(8) if r.spec.dimv >= 7)
     assert analysis_digests(realizations) == ANALYSIS_DIGESTS_7_8
+
+
+def _graphs(series: str, top: int, kind: str):
+    """The admissible graphs of series and kind with dimV <= top, by dimV."""
+    for dimv in range(1 + (series in "CD"), top + 1, 1 if series == "A" else 2):
+        yield from enumerate_admissible(series, dimv, kind, max_nodes=top)
+
+
+def closed_form_digests() -> dict:
+    """Each closed form as (case, sorted powers, A operator, rank), as the
+    powers' frozenset has no stable order; and the principal check."""
+    forms, checks = [], []
+    for series in SERIES:
+        for g in _graphs(series, 14, "principal"):
+            pred = closed_form_centralizer(series, g)
+            forms.append(repr((pred.case, sorted(pred.powers), pred.a_operator, pred.rank)))
+        distinguished = _graphs(series, 9 if series == "A" else 12, "distinguished")
+        checks += [str(int(is_admissible(series, g, "principal"))) for g in distinguished]
+    return {"closed_form": _sha("\n".join(forms)), "principal_check": _sha("".join(checks))}
+
+
+def test_closed_forms_pinned_by_value():
+    assert closed_form_digests() == CLOSED_FORM_DIGESTS

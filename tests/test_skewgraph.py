@@ -436,6 +436,26 @@ def test_enumeration_limit():
     assert len(enumerate_connected(3, max_nodes=3)) == 4
 
 
+@pytest.mark.parametrize(
+    "series, dimv, kind, error, message",
+    [
+        pytest.param("Z", 4, "distinguished", ValueError, "unknown series 'Z'", id="series"),
+        pytest.param("A", 4, "regular", ValueError, "unknown kind 'regular'", id="kind"),
+        pytest.param("A", 0, "principal", ValueError, "dimV must be positive", id="dimv-0"),
+        pytest.param("B", 4, "distinguished", ValueError, "series B requires odd dimV", id="B4"),
+        pytest.param("D", 5, "principal", ValueError, "series D requires even dimV", id="D5"),
+        pytest.param("A", 13, "distinguished", EnumerationLimitError, "dimV 13 exceeds the configured bound of 12",
+                     id="A13"),
+    ],
+)
+def test_an_admissible_request_out_of_range_is_refused_by_name(series, dimv, kind, error, message):
+    # Enumeration and the count check a request alike.
+    for request in (enumerate_admissible, lambda *args: _admissible_count(*args, 12)):
+        with pytest.raises(ValueError) as exc:
+            request(series, dimv, kind)
+        assert (type(exc.value), exc.value.args) == (error, (message,))
+
+
 def test_enumerated_graphs_are_valid_and_distinct():
     for n in range(1, 8):
         graphs = enumerate_connected(n)
