@@ -9,10 +9,13 @@ early.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
+import shutil
 import sys
-from typing import Optional, Sequence
+import tempfile
+from typing import Iterable, Optional, Sequence
 
 from . import catalog as catalog_mod
 from .centralizer import NormalFormError, analyze, report_to_jsonable
@@ -49,15 +52,43 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
-    """text to stdout or to the file at path, ending in a newline either way."""
-    if not text.endswith("\n"):
-        text += "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
+def _write(chunks: Iterable[str], path: Optional[str]) -> None:
+    """chunks to stdout or to the file at path, published only after the
+    last: a failure before it leaves stdout empty and path as it was.
+
+    The chunks go to a temporary file beside a regular or missing path,
+    which then replaces it (or the file a symlink at path names) with its
+    mode, or else to an unnamed one, which is copied to stdout or to what
+    path names, a device or a pipe.  A file the user may not write is
+    refused before anything is made, as opening it would be."""
+    if path not in (None, "-") and (os.path.isfile(path) or not os.path.exists(path)):
+        target = os.path.realpath(path)
+        exists = os.path.exists(target)
+        if exists and not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        tmp = f"{target}.{os.getpid()}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError as exc:  # name the file asked for, not the temporary one
+            raise OSError(exc.errno, exc.strerror, path) from None
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+            if exists:
+                shutil.copymode(target, tmp)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as fh:
+        fh.writelines(chunks)
+        fh.seek(0)
+        if path in (None, "-"):
+            shutil.copyfileobj(fh, sys.stdout)
+            return
+        with open(path, "w", encoding="utf-8") as out:
+            shutil.copyfileobj(fh, out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,7 +150,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_build(args) -> int:
     graph = graph_from_text(_read_input(args.input))
     r = build_pair(args.series, graph, args.orbit_sign)
-    _write_output(json_text(realization_to_jsonable(r, args.format)), args.output)
+    _write((json_text(realization_to_jsonable(r, args.format)), "\n"), args.output)
     return EXIT_OK
 
 
@@ -133,16 +164,14 @@ def _cmd_verify(args) -> int:
     else:
         doc["report"] = None
         status = EXIT_FINDINGS
-    _write_output(json_text(doc), args.output)
+    _write((json_text(doc), "\n"), args.output)
     return status
 
 
 def _cmd_classify(args) -> int:
-    entries = catalog_mod.classify(args.series, args.dimv, args.kind, max_nodes=args.max_nodes)
-    fmt = "text-table" if args.format == "table" else args.format
-    text = catalog_mod.export_entries(entries, fmt, include_matrices=args.full_matrices,
-                                      request=(args.series, args.dimv, args.kind))
-    _write_output(text, args.output)
+    chunks = catalog_mod.classify_chunks(args.series, args.dimv, args.kind, args.format,
+                                         include_matrices=args.full_matrices, max_nodes=args.max_nodes)
+    _write(chunks, args.output)
     return EXIT_OK
 
 
@@ -156,7 +185,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_export(args) -> int:
     doc = json.loads(_read_input(args.input))
-    _write_output(catalog_mod.export_catalog_document(doc, args.format), args.output)
+    _write((catalog_mod.export_catalog_document(doc, args.format),), args.output)
     return EXIT_OK
 
 
@@ -167,7 +196,7 @@ def _cmd_render(args) -> int:
     if findings:
         sys.stderr.write(f"finding: the graph violates the axioms: {'; '.join(findings)}\n")
         return EXIT_FINDINGS
-    _write_output(render_ascii(graph), args.output)
+    _write((render_ascii(graph), "\n"), args.output)
     return EXIT_OK
 
 

@@ -193,6 +193,9 @@ def _component_cells(index: int, comp: Component) -> tuple[Optional[dict], list[
         return None, [f"{tag}: nodes do not all differ by integer vectors"]
     base = comp.nodes[0]
     findings = []
+    if len(cells) != len(comp):
+        repeated = next(nd for nd in comp.nodes if comp.nodes.count(nd) > 1)
+        findings.append(f"{tag}: node {_node_text(repeated)} appears twice")
     for x, y in sorted(cells):
         if (x + 1, y + 1) in cells:
             for req in ((x, y + 1), (x + 1, y)):
@@ -365,18 +368,19 @@ def _near_rectangular_cellsets(width: int, height: int) -> tuple[tuple[str, froz
 # ---------------------------------------------------------------------------
 
 def canonical_form(graph: SkewGraph) -> SkewGraph:
-    """Translate the multiset barycentre to the origin and sort everything."""
+    """Translate the multiset barycentre to the origin and sort everything.
+    A node repeated in a component stays repeated, for validate to name."""
     n = graph.n_nodes
     if not n:
         return graph
     (px, dx), (py, dy) = _coordinate_sums([nd for c in graph.components for nd in c.nodes])
     sx, sy = Fraction(px, dx * n), Fraction(py, dy * n)
     if sx or sy:
-        comps = [component_from_nodes(nd.shifted(-sx, -sy) for nd in c.nodes) for c in graph.components]
+        comps = [Component(tuple(sorted(nd.shifted(-sx, -sy) for nd in c.nodes))) for c in graph.components]
     else:
         # Already centred: keep each component whose nodes are strictly sorted.
         comps = [
-            c if all(a < b for a, b in zip(c.nodes, c.nodes[1:])) else component_from_nodes(c.nodes)
+            c if all(a < b for a, b in zip(c.nodes, c.nodes[1:])) else Component(tuple(sorted(c.nodes)))
             for c in graph.components
         ]
     comps.sort(key=lambda c: (-len(c), c.nodes))

@@ -548,3 +548,24 @@ def render_ascii(graph: SkewGraph) -> str:
             y -= 1
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks)
+
+
+def catalog_table(series: str, dimv: int, entries) -> str:
+    """The text table of a catalog of CatalogEntry objects, built whole: the
+    title, then each entry's line with its diagram (render_ascii above)
+    beside it and a blank line, all lines joined once, ending in one newline."""
+    title = f"skewpairs-catalog catalog: series {series}, dimV {dimv}, {len(entries)} entries"
+    lines = [title, "=" * len(title)]
+    for e in entries:
+        flags = e.report.flags
+        info = "{:<14} {:<13} dim={:<3} principal={:<5} rectangular={:<5} biexp={}".format(
+            e.orbit_label, e.kind, e.report.dimension, str(flags.principal).lower(),
+            str(flags.rectangular).lower(), ";".join(f"({p},{q})" for p, q in e.report.biexponents) or "-",
+        )
+        diagram = render_ascii(e.graph).splitlines()
+        if not diagram:
+            lines.append(info)
+        for i, dline in enumerate(diagram):
+            lines.append((info if i == 0 else " " * len(info)) + "  | " + dline)
+        lines.append("")
+    return "\n".join(lines).rstrip("\n") + "\n"

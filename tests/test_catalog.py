@@ -1,7 +1,10 @@
 """Catalog assembly, counting, determinism, export formats, JSON schema."""
 
+import csv
+import io
 import json
 import re
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -9,14 +12,16 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from oracles import closed_form_in_span, graph_key, mat_mul, mat_pow, mat_scale
+from oracles import catalog_table, closed_form_in_span, graph_key, mat_mul, mat_pow, mat_scale
 from skewpairs import catalog, centralizer, liealg, linalg, skewgraph
 from skewpairs.catalog import (
     CSV_COLUMNS,
     _in_span,
     _predicted_in_span,
     classify,
+    classify_chunks,
     count_orbits,
+    entry_to_jsonable,
     export_catalog_document,
     export_entries,
     graph_hash,
@@ -24,6 +29,7 @@ from skewpairs.catalog import (
 from skewpairs.centralizer import AOperator, closed_form_centralizer
 from skewpairs.linalg import integral_rows
 from skewpairs.skewgraph import (
+    KINDS,
     canonical_form,
     classify_component,
     enumerate_admissible,
@@ -51,6 +57,92 @@ def test_fast_and_full_counts_agree():
         ("D", 6, "distinguished"),
     ]:
         assert count_orbits(series, dimv, kind) == count_orbits(series, dimv, kind, mode="full")
+
+
+# Every (series, dimV <= 8, kind) that has a catalog.
+REQUESTS = [
+    (series, dimv, kind)
+    for series, first, step in (("A", 1, 1), ("B", 1, 2), ("C", 2, 2), ("D", 2, 2))
+    for dimv in range(first, 9, step)
+    for kind in KINDS
+]
+
+
+def _oracle_csv(entries) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for e in entries:
+        flags = e.report.flags
+        writer.writerow([
+            e.spec.series, e.spec.dimv, e.kind, e.orbit_label, e.orbit_sign or "", len(e.graph.components),
+            e.report.dimension, flags.cartan_h, flags.trivial_intersection, flags.distinguished,
+            flags.principal, flags.rectangular, ";".join(f"({p},{q})" for p, q in e.report.biexponents),
+            "" if e.closed_form_match is None else e.closed_form_match,
+        ])
+    return buf.getvalue()
+
+
+def test_catalog_chunks_equal_independent_oracles(monkeypatch):
+    # Each catalog streamed entry by entry from classify_chunks (json with
+    # matrices), and its entries joined by export_entries in every format,
+    # equal json.dumps of the whole document, a csv.writer rendering and
+    # the table built whole with the oracle's diagrams.  The command line
+    # streams every format (test_cli).
+    made, kept = catalog._classified, []
+
+    def keeping(*args):
+        for entry in made(*args):
+            kept.append(entry)
+            yield entry
+
+    monkeypatch.setattr(catalog, "_classified", keeping)
+    for series, dimv, kind in REQUESTS:
+        kept.clear()
+        streamed = "".join(classify_chunks(series, dimv, kind, "json", include_matrices=True))
+        entries = tuple(kept)
+        request = (series, dimv, kind)
+        header = {"schema": "skewpairs-catalog", "schema_version": 1, "series": series, "dimv": dimv, "kind": kind}
+        full = [entry_to_jsonable(e, include_matrices=True) for e in entries]
+        expected = {
+            ("json", True): json.dumps({**header, "entry_count": len(full), "entries": full}, indent=2) + "\n",
+            ("json", False): json.dumps({**header, "entry_count": len(full), "entries": [
+                {k: v for k, v in data.items() if k != "matrices"} for data in full
+            ]}, indent=2) + "\n",
+            ("csv", False): _oracle_csv(entries),
+            ("table", False): catalog_table(series, dimv, entries),
+        }
+        assert streamed == expected["json", True], request
+        for (fmt, include_matrices), text in expected.items():
+            joined = export_entries(entries, fmt, include_matrices=include_matrices, request=request)
+            assert joined == text, (request, fmt, include_matrices)
+
+
+def test_the_writer_and_the_full_count_hold_one_entry_at_a_time(monkeypatch):
+    made = catalog._classified
+    refs, alive = [], []
+
+    def tracked(*args):
+        for entry in made(*args):
+            # The entries made before this one that are still reachable.
+            alive.append(sum(ref() is not None for ref in refs))
+            refs.append(weakref.ref(entry))
+            yield entry
+
+    monkeypatch.setattr(catalog, "_classified", tracked)
+    for fmt in ("json", "csv", "table"):
+        refs.clear()
+        # When each chunk is handed out, only the entry it was written from lives.
+        held = [sum(ref() is not None for ref in refs) for _ in classify_chunks("A", 6, "distinguished", fmt)]
+        assert len(refs) == 46 and max(held) == 1, fmt
+    refs.clear()
+    alive.clear()
+    assert count_orbits("A", 6, "distinguished", mode="full") == 46
+    assert max(alive) == 1
+    # classify keeps them all, which is what the two above do not do.
+    refs.clear()
+    alive.clear()
+    assert len(classify("A", 6, "distinguished")) == 46 and alive[-1] == 45
 
 
 def test_d6_principal_catalog_contents():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import pathlib
 import random
 import reprlib
@@ -10,7 +11,8 @@ import time
 import pytest
 
 from conftest import conjugated, large_dimv_document, small_realizations
-from skewpairs import cli
+from skewpairs import catalog, cli
+from skewpairs.catalog import classify, export_entries
 from skewpairs.cli import main
 from skewpairs.liealg import json_text, realization_from_jsonable, realization_to_jsonable
 from skewpairs.skewgraph import graph_to_text
@@ -423,6 +425,74 @@ def test_catalog_verification_failure_is_a_finding(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("finding: entry is not distinguished") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("series, dimv, kind, flags", [
+    pytest.param("D", "2", "distinguished", (), id="D2-empty"),
+    pytest.param("D", "6", "principal", (), id="D6-principal"),
+    pytest.param("C", "8", "distinguished", (), id="C8-distinguished"),
+    pytest.param("A", "8", "principal", ("--full-matrices",), id="A8-principal-full-matrices"),
+])
+def test_classify_publishes_the_catalog_whole(tmp_path, capsys, series, dimv, kind, flags):
+    # Streamed through a temporary file: copied to stdout, or renamed onto
+    # --output in place of an older file, with nothing else left beside it.
+    entries = classify(series, int(dimv), kind)
+    target = tmp_path / "catalog"
+    for fmt in ("json", "csv", "table"):
+        target.write_text("an older catalog\n")
+        expected = export_entries(entries, fmt, include_matrices=bool(flags), request=(series, int(dimv), kind))
+        argv = ("classify", "--series", series, "--dimv", dimv, "--kind", kind, "--format", fmt, *flags)
+        assert run_cli(capsys, *argv) == (0, expected, "")
+        assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
+        assert target.read_bytes() == expected.encode() and os.listdir(tmp_path) == ["catalog"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+def test_a_failure_midway_publishes_nothing(tmp_path, capsys, monkeypatch, fmt, to_file):
+    # The third of D6's 7 principal entries fails after two were written.
+    real_analyze, analyzed = catalog.analyze, []
+
+    def third_fails(r):
+        analyzed.append(r)
+        if len(analyzed) == 3:
+            raise ValueError("relations fail")
+        return real_analyze(r)
+
+    monkeypatch.setattr(catalog, "analyze", third_fails)
+    target = tmp_path / "catalog"
+    target.write_bytes(b"an older catalog\n")
+    output = ("--output", str(target)) if to_file else ()
+    code, out, err = run_cli(capsys, "classify", "--series", "D", "--dimv", "6", "--kind", "principal",
+                             "--format", fmt, *output)
+    assert (code, out, err.count("\n")) == (1, "", 1) and len(analyzed) == 3
+    assert err.startswith("finding: relations fail; offending graph: ")
+    assert target.read_bytes() == b"an older catalog\n" and os.listdir(tmp_path) == ["catalog"]
+
+
+@pytest.mark.parametrize("count", [6, 8])
+def test_a_count_the_entries_do_not_meet_is_a_finding(tmp_path, capsys, monkeypatch, count):
+    # The header is written from the count before the 7 D6 principal
+    # entries are made; they are counted after the last.
+    monkeypatch.setattr(catalog, "_admissible_count", lambda *request: count)
+    target = tmp_path / "catalog.json"
+    request = ("classify", "--series", "D", "--dimv", "6", "--kind", "principal", "--output", str(target))
+    assert run_cli(capsys, *request) == (1, "", f"finding: 7 entries were written where the count is {count}\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_output_through_a_symlink_or_to_a_device(tmp_path, capsys):
+    # A symlink's file is replaced and the link kept; a device, which cannot
+    # be replaced, gets a copy.
+    request = ("classify", "--series", "C", "--dimv", "4", "--kind", "principal", "--format", "csv")
+    expected = run_cli(capsys, *request)[1]
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("an older catalog\n")
+    link.symlink_to(real)
+    assert run_cli(capsys, *request, "--output", str(link)) == (0, "", "")
+    assert link.is_symlink() and real.read_text() == expected
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv"]
+    assert run_cli(capsys, *request, "--output", os.devnull) == (0, "", "")
 
 
 def _set_e1(value):

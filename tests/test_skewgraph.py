@@ -45,6 +45,7 @@ from skewpairs.skewgraph import (
     render_ascii,
     validate,
 )
+from skewpairs.liealg import NotAdmissibleError, build_pair
 from skewpairs.linalg import parse_fraction
 
 F = Fraction
@@ -77,6 +78,22 @@ def test_validate_horizontal_domino():
     assert validate(g) == []
     left, right = g.components[0].nodes
     assert left.shifted(1, 0) == right  # the one implied arrow
+
+
+@pytest.mark.parametrize("shift", [0, 1], ids=["centred", "moved"])
+def test_a_node_repeated_in_a_component_is_named(shift):
+    # Two copies of one node once validated as one: is_admissible held and
+    # build_pair, which canonical_form merged them for, built dimV 1 for
+    # a graph of 2 nodes.
+    node = Node(F(shift), F(0))
+    g = SkewGraph((Component((node, node)),))
+    assert g.n_nodes == 2
+    assert f"component 0: node {shift}/1,0/1 appears twice" in validate(g)
+    assert validate(canonical_form(g)) == ["component 0: node 0/1,0/1 appears twice"]
+    for kind in KINDS:
+        assert not is_admissible("A", g, kind)
+    with pytest.raises(NotAdmissibleError, match="^graph is not admissible for series A$"):
+        build_pair("A", g)
 
 
 def test_validate_barycentre():
