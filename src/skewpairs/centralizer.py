@@ -47,7 +47,8 @@ value at the lead; the basis and witness in the input coordinates, for the
 closed-form check and JSON export, and their dense Fraction forms are views
 built on first read.
 
-graph_from_pair() reads the skew-graph off the same frame: each basis
+graph_from_pair() checks the relations, then _frame_graph reads the
+skew-graph off the same frame, centred and sorted on ints: each basis
 vector is a node at its weight, and each nonzero entry of e1 or e2 joins
 two nodes.  bigrade() and is_rectangular_pair() use the frame too, so
 _eigenframe() is the one place that turns (h1, h2) into a basis.
@@ -87,9 +88,9 @@ from .skewgraph import (
     Node,
     SkewGraph,
     _admissible_shapes,
+    _centred_graph,
     _principal_case,
     canonical_form,
-    component_from_nodes,
     validate,
 )
 
@@ -756,11 +757,8 @@ def graph_from_pair(spec: AlgebraSpec, e1: Matrix, e2: Matrix, h1: Matrix, h2: M
     """Skew-graph of a pair in normal form: nodes are the (h1,h2)-eigenvalues
     on V, arrows record where e1 and e2 act without vanishing.
 
-    In the eigenframe of (h1, h2) each basis vector is a node and each
-    nonzero entry of e1 or e2 an arrow.  Joint eigenspaces must be lines,
-    except that series D allows a two-dimensional (0,0)-eigenspace, which
-    _split_origin splits into two.  Matrix entries are read as they are,
-    ints or Fractions.
+    The relations are checked here, and _frame_graph reads the graph off
+    the eigenframe.  Matrix entries are read as they are, ints or Fractions.
     """
     scaled = [integral_rows(m) for m in (e1, e2, h1, h2)]
     checks = dict(_bracket_checks(scaled))
@@ -770,25 +768,34 @@ def graph_from_pair(spec: AlgebraSpec, e1: Matrix, e2: Matrix, h1: Matrix, h2: M
         raise NormalFormError("h1 and h2 do not commute")
     if not all(checks.values()):
         raise NormalFormError("the grading relations [h_i, e_j] = delta_ij e_j fail")
+    return _frame_graph(*_eigenframe(spec, scaled[2], scaled[3], scaled[:2]))
 
-    frame, moved = _eigenframe(spec, scaled[2], scaled[3], scaled[:2])
+
+def _frame_graph(frame: _Frame, moved) -> SkewGraph:
+    """The skew-graph of e1 and e2, moved into frame by with_columns: each
+    basis vector is a node at its weight and each nonzero entry an arrow.
+
+    Joint eigenspaces must be lines, except that series D allows a
+    two-dimensional (0,0)-eigenspace, which _split_origin splits into two.
+    _centred_graph centres and sorts the weights, ints over den, and the
+    graph is validated once.
+    """
     moved = [rows for rows, _ in moved]
     at = frame.at
     for w in sorted(w for w in at if len(at[w]) > 1):
-        if w != DEGREE_0 or len(at[w]) != 2 or spec.series != "D":
+        if w != DEGREE_0 or len(at[w]) != 2 or frame.spec.series != "D":
             raise NormalFormError(
                 f"eigenspace at {frame.degree(w)} has dimension {len(at[w])}; the pair is not in normal form"
             )
         moved = _split_origin(frame, moved)
 
     # Each arrow i -> j is the row x_i - x_j = 0, so the live components of
-    # _unite, in the order of their first index, are the graph's components.
+    # _unite are the graph's components.
     arrows = [[(i, 1), (j, -1)] for rows in moved for i, row in enumerate(rows) for j, _ in row]
     groups = [[frame.weights[i] for i, _ in comp] for comp in _unite(range(len(frame.weights)), arrows)[0]]
     if any(len(set(ws)) != len(ws) for ws in groups):
         raise NormalFormError("a reconstructed component repeats a node; not in normal form")
-    comps = (component_from_nodes(Node(*frame.degree(w)) for w in ws) for ws in groups)
-    graph = canonical_form(SkewGraph(tuple(comps)))
+    graph = _centred_graph(frame.den, groups)
     findings = validate(graph)
     if findings:
         raise NormalFormError("reconstructed graph violates the axioms: " + "; ".join(findings))

@@ -470,15 +470,18 @@ def _check_labels(labels: tuple, graph: SkewGraph) -> None:
     for c in (lb.component_index for lb in labels):
         if type(c) is not int or not 0 <= c < k:
             raise ValueError(f"label component {reprlib.repr(c)} is not the index of one of the {k} graph components")
-    pairs = {BasisLabel(c, nd) for c, comp in enumerate(graph.components) for nd in comp.nodes}
+    # A (component, node) pair is matched as ints: the node in lowest terms.
+    pairs = {(c, nd.x.numerator, nd.x.denominator, nd.y.numerator, nd.y.denominator)
+             for c, comp in enumerate(graph.components) for nd in comp.nodes}
     seen = set()
     for i, lb in enumerate(labels):
         c, nd = lb.component_index, lb.node
-        if lb not in pairs:
+        pair = c, nd.x.numerator, nd.x.denominator, nd.y.numerator, nd.y.denominator
+        if pair not in pairs:
             raise ValueError(f"label {i}: node ({nd.x}, {nd.y}) is not a node of graph component {c}")
-        if lb in seen:
+        if pair in seen:
             raise ValueError(f"label {i} repeats component {c}, node ({nd.x}, {nd.y})")
-        seen.add(lb)
+        seen.add(pair)
 
 
 def realization_to_jsonable(r: PairRealization, fmt: str = "dense") -> dict:

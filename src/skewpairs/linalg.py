@@ -14,7 +14,8 @@ solved.
 Eigenvalues come from integers too.  With c the least common denominator
 of h, the characteristic polynomial of the integer matrix c h is monic over
 Z, so each rational eigenvalue of h is r / c for an integer root r, found
-by the rational root theorem on the characteristic polynomial of h itself.
+by Newton's method down from a bound on |r|, in a number of steps that
+grows with the bit length of that bound, not with r.
 The joint eigenspaces of (h1, h2) come from one kernel per eigenvalue of
 h1: the images under h2 of its integer basis give the restriction of h2
 to it without a solve, a line is then a joint eigenspace, and a larger
@@ -34,7 +35,8 @@ import re
 import reprlib
 import sys
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from itertools import accumulate
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Matrix = tuple
@@ -305,34 +307,52 @@ def _integer_charpoly(rows: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
     return coeffs
 
 
+def _value_and_slope(f: Sequence[int], x: int) -> tuple[int, int]:
+    """f(x) and f'(x) by Horner, f by its coefficients, highest degree first."""
+    value = slope = 0
+    for a in f:
+        value, slope = value * x + a, slope * x + value
+    return value, slope
+
+
+def _integer_roots(f: list[int], bound: int) -> list[int]:
+    """The distinct roots, ascending, of a monic integer polynomial f whose
+    roots are integers in [-bound, bound]; NotDiagonalizableError otherwise.
+
+    Newton's method steps down from x = bound by max(1, f(x) // f'(x)),
+    dividing out each root found.  While f splits over Z, f / f' lies
+    between (x - r_max) / m and x - r_max for m roots left: no step passes
+    the largest root, and each shrinks the gap by 1 / m of itself or more.
+    So f(x) < 0, f'(x) <= 0, or more than n^2 (bound.bit_length() + 2)
+    evaluations for degree n, show that f does not split.
+    """
+    budget = (len(f) - 1) ** 2 * (bound.bit_length() + 2)
+    roots, x = [], bound
+    while len(f) > 1:
+        value, slope = _value_and_slope(f, x)
+        budget -= 1
+        if value == 0:
+            roots.append(x)
+            f = list(accumulate(f[:-1], lambda q, a: q * x + a))
+        elif value < 0 or slope <= 0 or budget < 0:
+            raise NotDiagonalizableError("h1, h2 have no rational joint eigenbasis: an eigenvalue is not rational")
+        else:
+            x -= max(1, value // slope)
+    return sorted(set(roots))
+
+
 def _eigen_shifts(c: int, rows: Sequence[Sequence[tuple[int, int]]]) -> list[tuple[Fraction, list[list[int]]]]:
     """(r / c, rows of A - r I) for each integer eigenvalue r of A, ascending.
 
     A is an integer matrix given by its nonzero entries by row, and A = c h
     for a rational h and an int c > 0, so ker(A - r I) = ker(h - r / c).
-    Each r is c p / q for an eigenvalue p / q of h in lowest terms.  By the
-    rational root theorem on the primitive integer form of the characteristic
-    polynomial of h, p divides its lowest nonzero coefficient and q its
-    leading one, so the candidates depend on the eigenvalues of h, not on c.
-    No |r| exceeds the largest absolute row sum of A.
+    Its characteristic polynomial is monic over Z, so its rational roots are
+    integers, none above the largest absolute row sum of A in size.
     """
     n = len(rows)
-    coeffs = _integer_charpoly(rows)
-    scaled = [x * c ** (n - k) for k, x in enumerate(coeffs)]
-    g = gcd(*scaled)
-    lead, low = scaled[0] // g, abs(next(x for x in reversed(scaled) if x)) // g
-
-    def divisors(m: int) -> list[int]:
-        small = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
-        return small + [m // d for d in small]
-
     bound = max((sum(abs(x) for _, x in row) for row in rows), default=0)
-    qs = divisors(lead)
-    cands = {c * p // q for p in divisors(low) for q in qs if c * p % q == 0 and c * p <= bound * q}
-    roots = [] if coeffs[-1] else [0]
-    roots += [s for r in cands for s in (r, -r) if not sum(x * s ** (n - k) for k, x in enumerate(coeffs))]
     out = []
-    for r in sorted(roots):
+    for r in _integer_roots(_integer_charpoly(rows), bound):
         shifted = [[0] * n for _ in range(n)]
         for i, row in enumerate(rows):
             for j, x in row:

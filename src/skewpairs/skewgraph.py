@@ -30,6 +30,11 @@ Nodes only at the end.  Counting them builds no Node and, but for series
 D's origin-sharing pairs and the principal graphs, no shape: class sizes
 follow from column-height recurrences.
 
+Nodes are compared on int keys (_keys): each node times the lcm of the
+denominators of the nodes it is compared with.  Deduplication, the canonical
+form, and the barycentre and shared nodes of validation all run on them;
+_centred_graph, shared with graph_from_pair, centres and sorts on ints.
+
 The distinguished graphs of B, C and D are listed once, by the classes of
 their components, in _distinguished_types.  Enumeration builds each type,
 the count multiplies its class sizes, and the admissibility check matches a
@@ -77,9 +82,6 @@ class Node:
         return Node(-self.x, -self.y)
 
 
-ORIGIN = Node(Fraction(0), Fraction(0))
-
-
 @dataclass(frozen=True)
 class Component:
     """One connected piece: its sorted node tuple (arrows join adjacent nodes)."""
@@ -115,9 +117,21 @@ class ShapeClass:
     young: str
 
 
+def _keys(comps: Sequence[Sequence[Node]]) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(d, keys): d the lcm of the denominators of the nodes of comps, and
+    each node times d as an int pair, by component.  Keys order and compare
+    as the nodes do."""
+    d = lcm(*{q for c in comps for nd in c for q in (nd.x.denominator, nd.y.denominator)})
+    return d, [[(nd.x.numerator * (d // nd.x.denominator), nd.y.numerator * (d // nd.y.denominator)) for nd in c]
+               for c in comps]
+
+
 def component_from_nodes(nodes: Iterable[Node]) -> Component:
-    """The component on these nodes; its arrows are implied by adjacency."""
-    return Component(nodes=tuple(sorted(frozenset(nodes))))
+    """The component on these nodes, each once, sorted on int keys; its
+    arrows are implied by adjacency."""
+    nodes = tuple(nodes)
+    by_key = dict(zip(_keys([nodes])[1][0], nodes))
+    return Component(tuple(by_key[k] for k in sorted(by_key)))
 
 
 def _is_connected(cells: frozenset[tuple[int, int]]) -> bool:
@@ -158,23 +172,6 @@ def _cell_offsets(comp: Component) -> Optional[dict[tuple[int, int], int]]:
     return out
 
 
-def _coordinate_sums(nodes: Sequence[Node]) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The exact sums of the x and of the y coordinates of these nodes, each
-    as (numerator, denominator): the numerators are added as ints over their
-    least common denominator."""
-    sums = []
-    for xs in ([nd.x for nd in nodes], [nd.y for nd in nodes]):
-        d = lcm(*(x.denominator for x in xs))
-        sums.append((sum(x.numerator * (d // x.denominator) for x in xs), d))
-    return sums[0], sums[1]
-
-
-def _plus(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """a + b for (numerator, denominator) pairs, over the lcm of the two."""
-    d = lcm(a[1], b[1])
-    return a[0] * (d // a[1]) + b[0] * (d // b[1]), d
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -211,35 +208,26 @@ def _component_cells(index: int, comp: Component) -> tuple[Optional[dict], list[
 
 def _validated(graph: SkewGraph) -> tuple[list[str], list[Optional[dict]]]:
     """validate(graph), and each component's integer cells."""
-    findings = []
-    cells = []
-    sx = sy = (0, 1)
+    findings, cells = [], []
     for i, comp in enumerate(graph.components):
         comp_cells, comp_findings = _component_cells(i, comp)
         cells.append(comp_cells)
         findings.extend(comp_findings)
-        # A component's coordinate sums are k times its first node plus the
-        # offset sums of its k cells, over the first node's denominators.
-        if comp_cells is None or len(comp_cells) != len(comp):
-            x, y = _coordinate_sums(comp.nodes)
-        else:
-            k, (bx, by) = len(comp), (comp.nodes[0].x, comp.nodes[0].y)
-            x = (bx.numerator * k + bx.denominator * sum(dx for dx, _ in comp_cells), bx.denominator)
-            y = (by.numerator * k + by.denominator * sum(dy for _, dy in comp_cells), by.denominator)
-        sx, sy = _plus(sx, x), _plus(sy, y)
-    if sx[0] or sy[0]:
-        findings.append(f"barycentre is ({Fraction(*sx)},{Fraction(*sy)}), not the origin")
+    d, keys = _keys([c.nodes for c in graph.components])
+    sx, sy = sum(x for c in keys for x, _ in c), sum(y for c in keys for _, y in c)
+    if sx or sy:
+        findings.append(f"barycentre is ({Fraction(sx, d)},{Fraction(sy, d)}), not the origin")
     # Components may share only (0,0), and at most two may hold it.
-    node_sets = [c.node_set for c in graph.components] if len(graph.components) > 1 else []
+    node_sets = [frozenset(c) for c in keys] if len(keys) > 1 else []
     for i, nodes in enumerate(node_sets):
         for j in range(i + 1, len(node_sets)):
             inter = nodes & node_sets[j]
-            if inter and inter != frozenset({ORIGIN}):
+            if inter and inter != {(0, 0)}:
                 findings.append(
                     f"components {i} and {j} share {len(inter)} nodes;"
                     " only a single shared node (0,0) is allowed"
                 )
-    if sum(ORIGIN in nodes for nodes in node_sets) > 2:
+    if sum((0, 0) in nodes for nodes in node_sets) > 2:
         findings.append("more than two components contain the node (0,0)")
     return findings, cells
 
@@ -368,23 +356,20 @@ def _near_rectangular_cellsets(width: int, height: int) -> tuple[tuple[str, froz
 # ---------------------------------------------------------------------------
 
 def canonical_form(graph: SkewGraph) -> SkewGraph:
-    """Translate the multiset barycentre to the origin and sort everything.
-    A node repeated in a component stays repeated, for validate to name."""
-    n = graph.n_nodes
-    if not n:
-        return graph
-    (px, dx), (py, dy) = _coordinate_sums([nd for c in graph.components for nd in c.nodes])
-    sx, sy = Fraction(px, dx * n), Fraction(py, dy * n)
-    if sx or sy:
-        comps = [Component(tuple(sorted(nd.shifted(-sx, -sy) for nd in c.nodes))) for c in graph.components]
-    else:
-        # Already centred: keep each component whose nodes are strictly sorted.
-        comps = [
-            c if all(a < b for a, b in zip(c.nodes, c.nodes[1:])) else Component(tuple(sorted(c.nodes)))
-            for c in graph.components
-        ]
-    comps.sort(key=lambda c: (-len(c), c.nodes))
-    return SkewGraph(tuple(comps))
+    """Translate the multiset barycentre to the origin and sort everything,
+    on int keys.  A node repeated in a component stays, for validate to name."""
+    return _centred_graph(*_keys([c.nodes for c in graph.components]))
+
+
+def _centred_graph(d: int, comps: list[list[tuple[int, int]]]) -> SkewGraph:
+    """The canonical graph whose components have these nodes, each an int
+    pair over d.  For n nodes, a pair p becomes the cell n p - sum p over
+    n d, so the graph is centred, and its components sorted (larger first,
+    then by cells), on ints; Nodes are made last, by _node."""
+    n = sum(map(len, comps))
+    sx, sy = sum(x for c in comps for x, _ in c), sum(y for c in comps for _, y in c)
+    cells = sorted((sorted((n * x - sx, n * y - sy) for x, y in c) for c in comps), key=lambda c: (-len(c), c))
+    return SkewGraph(tuple(Component(tuple(_node(x, y, n * d) for x, y in c)) for c in cells))
 
 
 def _int_component(cells) -> tuple[int, tuple]:

@@ -8,14 +8,17 @@ basis element), the characteristic polynomial as Fractions, the reduced
 echelon span of matrices, the algebra basis of g inside gl(V), membership
 in g by x^T G + G x, the dense centralizer, a null space over the whole
 algebra basis, the graded commutant by one elimination per bi-degree block
-of gl(V), the closed-form check by dense powers and reduction, and the
-skew-diagram drawing on Fraction coordinates.
+of gl(V), the closed-form check by dense powers and reduction, node
+deduplication, the canonical form and the whole-graph findings of
+validation by comparing and hashing Fractions, and the skew-diagram
+drawing on Fraction coordinates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Optional, Sequence
 
 from skewpairs.centralizer import ClosedFormPrediction, _eigenframe, _Frame
@@ -30,7 +33,8 @@ from skewpairs.linalg import (
     joint_eigenbasis,
     with_columns,
 )
-from skewpairs.skewgraph import Component, Node, SkewGraph, canonical_form
+from skewpairs import skewgraph
+from skewpairs.skewgraph import Component, Node, SkewGraph
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -83,7 +87,7 @@ def joint_eigenspaces(h1: Matrix, h2: Matrix) -> list:
 
 def graph_key(graph: SkewGraph):
     """Hashable identity of a graph in canonical form."""
-    return tuple(tuple((nd.x, nd.y) for nd in c.nodes) for c in canonical_form(graph).components)
+    return tuple(tuple((nd.x, nd.y) for nd in c.nodes) for c in skewgraph.canonical_form(graph).components)
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -507,6 +511,43 @@ def closed_form_in_span(pred: ClosedFormPrediction, r: PairRealization, basis: S
             return False
     a = a_operator_matrix(pred, r)
     return a is None or _reduces_to_zero(rows, dict(enumerate(_flatten(a))))
+
+
+# ---------------------------------------------------------------------------
+# Nodes compared as Fractions
+# ---------------------------------------------------------------------------
+
+def component_from_nodes(nodes) -> Component:
+    """skewgraph.component_from_nodes by hashing and sorting Fractions."""
+    return Component(tuple(sorted(frozenset(nodes))))
+
+
+def canonical_form(graph: SkewGraph) -> SkewGraph:
+    """skewgraph.canonical_form on Fractions: every node moved by the
+    barycentre, each component sorted, then the components by (-size,
+    nodes).  A repeated node stays repeated."""
+    nodes = [nd for c in graph.components for nd in c.nodes]
+    if not nodes:
+        return graph
+    sx, sy = (sum(coords, ZERO) / len(nodes) for coords in zip(*((nd.x, nd.y) for nd in nodes)))
+    comps = [Component(tuple(sorted(nd.shifted(-sx, -sy) for nd in c.nodes))) for c in graph.components]
+    return SkewGraph(tuple(sorted(comps, key=lambda c: (-len(c), c.nodes))))
+
+
+def graph_findings(graph: SkewGraph) -> list[str]:
+    """The findings of skewgraph.validate on the graph as a whole, the
+    barycentre and the shared nodes, from sums and sets of Fractions."""
+    nodes = [nd for c in graph.components for nd in c.nodes]
+    sx, sy = (sum(coords, ZERO) for coords in zip(*((nd.x, nd.y) for nd in nodes))) if nodes else (0, 0)
+    findings = [f"barycentre is ({sx},{sy}), not the origin"] if sx or sy else []
+    origin = Node(ZERO, ZERO)
+    sets = [c.node_set for c in graph.components] if len(graph.components) > 1 else []
+    for (i, a), (j, b) in combinations(enumerate(sets), 2):
+        if a & b and a & b != {origin}:
+            findings.append(f"components {i} and {j} share {len(a & b)} nodes; only a single shared node (0,0) is allowed")
+    if sum(origin in nodes for nodes in sets) > 2:
+        findings.append("more than two components contain the node (0,0)")
+    return findings
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import skewpairs
 from conftest import conjugated, conjugator, distinguished_realizations, moved_by, scaled_shear, small_realizations
 from oracles import (
     _flatten,
@@ -31,6 +32,8 @@ from oracles import (
     sparse_rows_cols,
     zeros,
 )
+from skewpairs import catalog, cli, liealg, skewgraph
+from skewpairs import centralizer as centralizer_module
 from skewpairs.centralizer import (
     NormalFormError,
     _by_rows,
@@ -1005,22 +1008,45 @@ def test_graph_from_pair_rejects_invalid_graph():
         graph_from_pair(spec, _units(4, (1, 0)), _units(4, (3, 2)), _diag(-1, 0, 0, 0), _diag(0, 0, 0, 1))
 
 
-def test_graph_from_pair_round_trips_conjugated_realizations():
+def _conjugated_round_trips():
+    """(copy, r) for each distinguished realization r with dimV <= 8 and each
+    copy of it moved by a seeded isometry, and in series A by a scaled shear."""
     rng = random.Random(20261020)
-    moved_count = 0
     for r in distinguished_realizations(8):
         copies = [conjugated(r, rng) if r.spec.dimv > 1 else None]
         if r.spec.series == "A":
             t = scaled_shear(r.spec.dimv)
             t_inv = invert(t)
             copies.append(replace(r, **{k: mat_mul(t, mat_mul(getattr(r, k), t_inv)) for k in ("e1", "e2", "h1", "h2")}))
-        for c in copies:
-            if c is not None:
-                assert graph_from_pair(c.spec, c.e1, c.e2, c.h1, c.h2) == r.graph, (
-                    r.spec.series, graph_to_text(r.graph), r.orbit_sign
-                )
-                moved_count += 1
+        yield from ((c, r) for c in copies if c is not None)
+
+
+def test_graph_from_pair_round_trips_conjugated_realizations():
+    moved_count = 0
+    for c, r in _conjugated_round_trips():
+        assert graph_from_pair(c.spec, c.e1, c.e2, c.h1, c.h2) == r.graph, (
+            r.spec.series, graph_to_text(r.graph), r.orbit_sign
+        )
+        moved_count += 1
     assert moved_count > 900
+
+
+def test_graph_from_pair_calls_neither_canonical_form_nor_component_from_nodes(monkeypatch, desk_records):
+    # The graph is centred and sorted on the frame's int weights: with both
+    # Fraction-node routines refusing, every desk record with dimV <= 8 and
+    # every conjugated round trip above still gives back its graph.
+    def refuse(*args):
+        raise AssertionError("graph_from_pair compared Fraction nodes")
+
+    for module in (skewgraph, centralizer_module, liealg, catalog, cli, skewpairs):
+        for name in ("canonical_form", "component_from_nodes"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    pairs = [(rec.realization, rec.graph) for rec in desk_records if rec.dimv <= 8]
+    pairs += [(c, r.graph) for c, r in _conjugated_round_trips()]
+    for r, graph in pairs:
+        assert graph_from_pair(r.spec, r.e1, r.e2, r.h1, r.h2) == graph, (r.spec.series, graph_to_text(graph))
+    assert len(pairs) > 1500
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,24 @@ def test_verify_reports_missing_joint_eigenbasis_as_finding(tmp_path, capsys, h1
     assert "joint eigenbasis" in err
 
 
+@pytest.mark.parametrize("b", [10**12, 10**40], ids=["1e12", "1e40"])
+def test_verify_of_large_eigenvalues_is_a_finding(tmp_path, capsys, b):
+    # h1 = [[0, b], [b, 0]] with e1 = e2 = h2 = 0: the eigenvalues +-b are
+    # found in a few Newton steps (a divisor search of b^2 once hung), and
+    # h1 is not in the image of ad e1 = 0 while h2 = 0 is in that of ad e2.
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text("-1/2,0/1 1/2,0/1\n")
+    pair_file = tmp_path / "pair.json"
+    run_cli(capsys, "build", "--series", "A", "--input", str(graph_file), "--output", str(pair_file))
+    doc = json.loads(pair_file.read_text())
+    zero = [["0", "0"], ["0", "0"]]
+    doc.update(e1=zero, e2=zero, h1=[["0", str(b)], [str(b), "0"]], h2=zero)
+    pair_file.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--input", str(pair_file))
+    assert (code, out) == (1, "")
+    assert err == "finding: the rectangularity tests disagree: h1 is not in the image of ad e1, h2 is in that of ad e2\n"
+
+
 def test_build_sparse_format(tmp_path, capsys):
     graph_file = tmp_path / "graph.txt"
     graph_file.write_text("-1/2,0/1 1/2,0/1\n")
@@ -758,6 +776,27 @@ def test_verify_refuses_labels_or_components_that_describe_no_graph(tmp_path, ca
     doc = _b3_sparse_document(tmp_path, capsys)
     mutate(doc)
     assert _verify_document(tmp_path, capsys, doc) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("node", [["1/2", "1/3"], ["1/3", "1/2"], ["-1/2", "1/2"]], ids=["y", "x", "sign"])
+def test_verify_refuses_a_label_that_differs_from_its_node_in_one_part(tmp_path, capsys, node):
+    # The labels are matched to the graph's nodes as ints, each coordinate
+    # in lowest terms: the label of the B5 node (1/2, 1/2) moved to a node
+    # with the same numerators, or to another node of the square, which
+    # then appears twice.
+    graph_file = tmp_path / "b5.txt"
+    graph_file.write_text("-1/2,-1/2 -1/2,1/2 1/2,-1/2 1/2,1/2\n0/1,0/1\n")
+    code, out, _ = run_cli(capsys, "build", "--series", "B", "--format", "sparse", "--input", str(graph_file))
+    doc = json.loads(out)
+    (i,) = [k for k, item in enumerate(doc["labels"]) if item["node"] == ["1/2", "1/2"]]
+    doc["labels"][i]["node"] = node
+    code, out, err = _verify_document(tmp_path, capsys, doc)
+    assert (code, out) == (2, "")
+    if node[0] == "-1/2":
+        j = next(k for k, item in enumerate(doc["labels"]) if item["node"] == node and k != i)
+        assert err == f"error: label {max(i, j)} repeats component 0, node (-1/2, 1/2)\n"
+    else:
+        assert err == f"error: label {i}: node ({node[0]}, {node[1]}) is not a node of graph component 0\n"
 
 
 def test_verify_reads_one_number_spelled_four_ways_as_one(tmp_path, capsys):

@@ -32,6 +32,9 @@ DOCUMENTS = tuple(
     for fmt in ("dense", "sparse")
 )
 
+# The A2 domino, whose h1 the large-eigenvalue case replaces.
+DOMINO = realization_to_jsonable(build_pair("A", graph_from_text("-1/2,0/1 1/2,0/1\n")))
+
 CATALOGS = tuple(
     json.loads(export_entries(classify(series, dimv, kind), "json"))
     for series, dimv, kind in (("A", 3, "principal"), ("C", 4, "distinguished"), ("D", 6, "distinguished"))
@@ -135,6 +138,19 @@ def test_verify_survives_json_value_edits(workdir, doc, edits):
 @given(st.sampled_from(DOCUMENTS), text_edits)
 def test_verify_survives_json_text_edits(workdir, doc, edits):
     _run(workdir, _edit_text(json.dumps(doc, indent=2), edits), "verify")
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(
+    st.integers(min_value=-10**40, max_value=10**40),
+    st.builds(lambda k, sign: sign * 10**k, st.integers(min_value=0, max_value=40), st.sampled_from([1, -1])),
+))
+def test_verify_survives_large_eigenvalues(workdir, b):
+    # h1 = [[0, b], [b, 0]] with e1 = e2 = h2 = 0: eigenvalues +-b, which a
+    # search by trial division did not find within 20 s at b = 10^12.
+    zero = [["0", "0"], ["0", "0"]]
+    doc = dict(DOMINO, e1=zero, e2=zero, h1=[["0", str(b)], [str(b), "0"]], h2=zero)
+    assert _run(workdir, json.dumps(doc), "verify") in (0, 1)
 
 
 @settings(max_examples=100, deadline=None)

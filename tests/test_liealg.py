@@ -252,11 +252,11 @@ def test_build_pair_refuses_invalid_and_moved_copies_alike(series, text):
 def test_build_pair_reads_each_component_once(monkeypatch):
     # On an enumerated (canonical) graph: one _cell_offsets per component,
     # in build_pair and once per graph in classify, for both D signs, and
-    # no _coordinate_sums, the barycentre of canonical_form.
+    # no _centred_graph, the barycentre of canonical_form.
     offsets, sums = [], []
-    cell_offsets, coordinate_sums = skewgraph._cell_offsets, skewgraph._coordinate_sums
+    cell_offsets, centred_graph = skewgraph._cell_offsets, skewgraph._centred_graph
     monkeypatch.setattr(skewgraph, "_cell_offsets", lambda comp: offsets.append(comp) or cell_offsets(comp))
-    monkeypatch.setattr(skewgraph, "_coordinate_sums", lambda nodes: sums.append(nodes) or coordinate_sums(nodes))
+    monkeypatch.setattr(skewgraph, "_centred_graph", lambda d, comps: sums.append(comps) or centred_graph(d, comps))
     for series, dimv in (("A", 5), ("B", 7), ("C", 6), ("D", 8)):
         graphs = enumerate_admissible(series, dimv, "distinguished")
         for g in graphs:

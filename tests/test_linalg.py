@@ -1,5 +1,7 @@
 """Exact linear algebra: unit cases plus agreement with the naive oracle."""
 
+import json
+import pathlib
 import random
 import re
 import reprlib
@@ -44,19 +46,22 @@ from oracles import (
     span_rref,
     trace,
     transpose,
+    zeros,
 )
+import skewpairs.linalg as linalg_module
 from skewpairs.linalg import (
     ZERO,
     NotDiagonalizableError,
     _entry_parser,
     _integer_charpoly,
+    _integer_roots,
     integer_nullspace,
     integral_rows,
     parse_fraction,
     rank,
     sparse_product,
 )
-from skewpairs.liealg import build_pair
+from skewpairs.liealg import build_pair, realization_from_jsonable
 from skewpairs.skewgraph import enumerate_admissible
 
 F = Fraction
@@ -437,6 +442,95 @@ def test_eigen_layer_matches_oracle_with_large_denominator_conjugators():
     assert time.perf_counter() - start < 30
 
 
+def _counted_evaluations(monkeypatch) -> list:
+    """The points at which the root search evaluates f and f', recorded."""
+    points = []
+    value_and_slope = linalg_module._value_and_slope
+    monkeypatch.setattr(linalg_module, "_value_and_slope", lambda f, x: points.append(x) or value_and_slope(f, x))
+    return points
+
+
+def _polynomial(roots) -> list:
+    """The monic integer polynomial with these roots, highest degree first."""
+    f = [1]
+    for r in roots:
+        f = [a - r * b for a, b in zip(f + [0], [0] + f)]
+    return f
+
+
+def test_integer_roots_stay_within_the_evaluation_bound(monkeypatch):
+    # Split polynomials of degree <= 9: roots spread over [-bound, bound],
+    # all at -bound (the longest descent), or one repeated with others.
+    # Newton's method finds each root, as the divisor oracle does for small
+    # bounds, in at most n^2 (bound.bit_length() + 2) evaluations.
+    points = _counted_evaluations(monkeypatch)
+    rng = random.Random(20261020)
+    for _ in range(1500):
+        n, bound = rng.randint(1, 9), rng.choice((0, 1, 5, 60, 10**6, 10**12, 10**40))
+        shape = rng.randrange(3)
+        if shape == 0:
+            roots = [rng.randint(-bound, bound) for _ in range(n)]
+        elif shape == 1:
+            roots = [-bound] * n
+        else:
+            roots = [rng.randint(-bound, bound)] * rng.randint(1, n)
+            roots += [rng.randint(-bound, bound) for _ in range(n - len(roots))]
+        f = _polynomial(roots)
+        del points[:]
+        assert _integer_roots(f, bound) == sorted(set(roots))
+        assert len(points) <= n * n * (bound.bit_length() + 2), (roots, len(points))
+        if bound <= 5:
+            assert sorted(oracle_rational_roots(f)) == sorted(set(roots))
+
+
+@pytest.mark.parametrize("b", [10**12, 10**40], ids=["1e12", "1e40"])
+def test_large_eigenvalues_take_three_evaluations(monkeypatch, b):
+    # h1 = [[0, b], [b, 0]] once made verify trial-divide b^2 up to b.
+    # x^2 - b^2 vanishes at the bound b; x + b, from there, takes one step
+    # to -b.  With b + 1 below the diagonal the eigenvalues are irrational,
+    # seen at the second evaluation, where f is negative.
+    points = _counted_evaluations(monkeypatch)
+    assert joint_eigenspaces(matrix([[0, b], [b, 0]]), zeros(2)) == [
+        ((-b, 0), ((F(-1), F(1)),)), ((b, 0), ((F(1), F(1)),))
+    ]
+    assert points == [b, b, -b]
+    del points[:]
+    with pytest.raises(NotDiagonalizableError, match="joint eigenbasis: an eigenvalue is not rational"):
+        joint_eigenspaces(matrix([[0, b], [b + 1, 0]]), zeros(2))
+    assert points == [b + 1, b]
+
+
+def test_a_repeated_root_at_minus_the_bound_takes_160_evaluations(monkeypatch):
+    # (x + B)^6 from x = B: f / f' = (x + B) / 6, so each step shrinks the
+    # gap of 2 10^12 by a sixth, then by 1; the cap is 36 * 42 = 1512.
+    points = _counted_evaluations(monkeypatch)
+    bound = 10**12
+    assert _integer_roots(_polynomial([-bound] * 6), bound) == [-bound]
+    assert len(points) == 160 and points[0] == bound and points[-6:] == [-bound] * 6
+
+
+def test_the_evaluation_cap_ends_the_search(monkeypatch):
+    # Given a bound below the double root -10^6, Newton's method would need
+    # about twenty halvings of the gap; the cap of 2^2 (1 + 2) = 12
+    # evaluations refuses the polynomial at the thirteenth.
+    points = _counted_evaluations(monkeypatch)
+    with pytest.raises(NotDiagonalizableError, match="joint eigenbasis"):
+        _integer_roots(_polynomial([-10**6] * 2), 1)
+    assert len(points) == 13
+
+
+@pytest.mark.parametrize("name", ["conjugated-c4-zigzag.json", "conjugated-d6-chains.json"])
+def test_eigen_layer_matches_oracle_on_committed_documents(monkeypatch, name):
+    # The two conjugated verify documents under tests/data: the joint
+    # eigenbasis is the oracle's, found within the evaluation bound.
+    points = _counted_evaluations(monkeypatch)
+    r = realization_from_jsonable(json.loads((pathlib.Path(__file__).parent / "data" / name).read_text()))
+    assert_eigen_layer_matches_oracle(r.h1, r.h2)
+    n = r.spec.dimv
+    bound = max(sum(abs(x) for _, x in row) for row in integral_rows(r.h1)[1])
+    assert 0 < len(points) <= 2 * n * n * (bound.bit_length() + 2)
+
+
 def test_commutator_sanity():
     e = matrix([[0, 1], [0, 0]])
     h = matrix([[F(1, 2), 0], [0, F(-1, 2)]])
@@ -523,8 +617,6 @@ def test_diagonalizable_non_commuting_pair_is_not_diagonalizable_jointly():
 def test_joint_eigenspaces_never_solves_for_an_empty_kernel(monkeypatch):
     # One null space per eigenvalue of h1, and one per eigenvalue of each
     # restriction of h2 to a space of dimension >= 2: every one is nonempty.
-    import skewpairs.linalg as linalg_module
-
     results = []
 
     def recording(rows, ncols):

@@ -1,5 +1,6 @@
 """Skew-graph axioms, classification, enumeration and serialization."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_to_cellset, oracle_connected_cellsets, oracle_connected_counts
+from oracles import canonical_form as oracle_canonical_form
+from oracles import component_from_nodes as oracle_component_from_nodes
+from oracles import graph_findings as oracle_graph_findings
 from oracles import graph_key
 from oracles import render_ascii as oracle_render_ascii
 from skewpairs.skewgraph import (
@@ -118,6 +122,45 @@ def test_barycentre_sums_coordinates_of_mixed_denominators():
                 assert f"barycentre is ({sx},{sy}), not the origin" in validate(shifted)
                 assert canonical_form(shifted) == g
     assert mixed > 0
+
+
+def _random_nodes(rng, count):
+    """count nodes with int or Fraction coordinates over mixed denominators,
+    some repeated, a repeat sometimes written with the other type."""
+    nodes = []
+    for _ in range(count):
+        if nodes and rng.random() < 0.25:
+            nd = rng.choice(nodes)
+            nodes.append(Node(F(nd.x), F(nd.y)) if rng.random() < 0.5 else nd)
+        else:
+            x, y = (rng.choice((rng.randint(-3, 3), F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6))))) for _ in "xy")
+            nodes.append(Node(x, y))
+    return nodes
+
+
+def test_int_keys_match_the_fraction_oracles_on_random_nodes():
+    # component_from_nodes, canonical_form and the whole-graph findings of
+    # validate work on int keys; the oracles sort, hash and sum Fractions.
+    # The graphs are off centre, with repeated nodes and components sharing
+    # nodes; each canonical form is checked again with its components and
+    # nodes shuffled, so on centred graphs too.
+    rng = random.Random(20261019)
+    for _ in range(1500):
+        comps = [_random_nodes(rng, rng.randint(1, 6)) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            comps += [[Node(F(0), F(0)), *rng.choice(comps)[: rng.randint(0, 2)]] for _ in range(rng.randint(1, 3))]
+        for nodes in comps:
+            assert component_from_nodes(iter(nodes)) == oracle_component_from_nodes(nodes)
+        graph = SkewGraph(tuple(Component(tuple(nodes)) for nodes in comps))
+        canon = canonical_form(graph)
+        assert canon == oracle_canonical_form(graph)
+        shuffled = [list(c.nodes) for c in canon.components]
+        for nodes in shuffled:
+            rng.shuffle(nodes)
+        rng.shuffle(shuffled)
+        assert canonical_form(SkewGraph(tuple(Component(tuple(c)) for c in shuffled))) == canon
+        for g in (graph, canon):
+            assert [f for f in validate(g) if not f.startswith("component ")] == oracle_graph_findings(g)
 
 
 def test_validate_shared_node_rules():
