@@ -51,7 +51,6 @@ from .skewgraph import (
     SkewGraph,
     _admissible_count,
     _admissible_shapes,
-    canonical_form,
     enumerate_admissible,
     graph_from_jsonable,
     graph_to_jsonable,
@@ -104,11 +103,6 @@ class CatalogEntry:
     report: CentralizerReport
     closed_form_match: Optional[bool]
     realization: PairRealization
-
-
-def graph_hash(graph: SkewGraph) -> str:
-    """Stable 12-hex-digit identifier: sha256 of the canonical text form."""
-    return _text_hash(graph_to_text(canonical_form(graph)))
 
 
 def _text_hash(text: str) -> str:

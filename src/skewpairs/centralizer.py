@@ -44,14 +44,13 @@ are each scaled to integers, which changes no commutant and no image.
 
 The report stores its pieces only as integral_rows, each scaled by its
 value at the lead; the basis and witness in the input coordinates, for the
-closed-form check and JSON export, and their dense Fraction forms are views
-built on first read.
+closed-form check and JSON export, are views built on first read.
 
 graph_from_pair() checks the relations, then _frame_graph reads the
 skew-graph off the same frame, centred and sorted on ints: each basis
 vector is a node at its weight, and each nonzero entry of e1 or e2 joins
-two nodes.  bigrade() and is_rectangular_pair() use the frame too, so
-_eigenframe() is the one place that turns (h1, h2) into a basis.
+two nodes.  So _eigenframe() is the one place that turns (h1, h2) into a
+basis.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Optional
 
 from .liealg import (
     AlgebraSpec,
@@ -75,12 +74,10 @@ from .linalg import (
     Matrix,
     _eliminate,
     _primitive,
-    dense_matrix,
     integer_inverse,
     integer_nullspace,
     integral_rows,
     joint_eigenbasis,
-    rank,
     sparse_product,
     with_columns,
 )
@@ -109,9 +106,6 @@ class BiGrading:
     table: tuple[tuple[tuple[Fraction, Fraction], int], ...]
     total: int
 
-    def as_dict(self) -> dict[tuple[Fraction, Fraction], int]:
-        return dict(self.table)
-
 
 @dataclass(frozen=True)
 class ReportFlags:
@@ -131,8 +125,7 @@ class CentralizerReport:
     T^-1), by their nonzero rows of ints, or None when h1 and h2 came in
     diagonal.  scaled_basis, the reduced echelon basis in the input
     coordinates, and scaled_witness, the witness matrix there and its
-    bi-degree (None without one), are views built on first read, as are
-    their dense forms basis and nonpositive_witness."""
+    bi-degree (None without one), are views built on first read."""
 
     dimension: int
     scaled_pieces: tuple[tuple[tuple, ...], ...]
@@ -162,15 +155,6 @@ class CentralizerReport:
         q, p, k = min(found)
         piece = self.scaled_pieces[k]
         return (piece[0] if self.frame_change is None else _mapped_back(self.frame_change, piece)[0]), (p, q)
-
-    @cached_property
-    def basis(self) -> tuple[Matrix, ...]:
-        return tuple(map(dense_matrix, self.scaled_basis))
-
-    @cached_property
-    def nonpositive_witness(self) -> Optional[tuple[Matrix, tuple[Fraction, Fraction]]]:
-        w = self.scaled_witness
-        return None if w is None else (dense_matrix(w[0]), w[1])
 
 
 def _by_rows(n: int, vec) -> tuple[int, tuple]:
@@ -440,11 +424,12 @@ def _graded_commutant(frame: _Frame, positions, rows, brackets) -> dict:
     each (m, targets) in brackets, as _unite reads them.
 
     Every row lies in one bi-degree block: each m is bi-homogeneous for the
-    frame's weights.  The components of _unite have disjoint supports, so in
-    a block without long rows they are the reduced echelon basis of its
-    kernel, up to scale; long rows are solved per block by integer_nullspace
-    in component variables, and its vectors, mapped to positions, are
-    eliminated once.
+    frame's weights.  The components of _unite have disjoint supports, so
+    they are the reduced echelon basis of the kernel, up to scale, where no
+    long row touches them.  Long rows are solved per block by
+    integer_nullspace in the variables of the components they touch, and
+    its vectors, mapped to positions, are eliminated once; on disjoint
+    supports the two sets merge by leading position.
 
     Returns {degree: piece} for the nonzero graded pieces, each piece a basis
     of its block's kernel in order of leading position, each vector by its
@@ -468,61 +453,30 @@ def _graded_commutant(frame: _Frame, positions, rows, brackets) -> dict:
         long_by_degree.setdefault(degree(row[0][0]), []).append(row)
 
     for delta in pieces.keys() & long_by_degree.keys():
-        block = pieces.pop(delta)
+        on_rows = {p for row in long_by_degree[delta] for p, _ in row}
+        touched, piece = [], []
+        for comp in pieces.pop(delta):
+            (touched if any(p in on_rows for p, _ in comp) else piece).append(comp)
         # x_p = ratio y_k on component k, so a row sum c x_p becomes
         # sum c ratio y_k, and positions outside every component drop out.
-        owner = {p: (k, x) for k, comp in enumerate(block) for p, x in comp}
+        owner = {p: (k, x) for k, comp in enumerate(touched) for p, x in comp}
         system = []
         for row in long_by_degree[delta]:
-            dense = [0] * len(block)
+            dense = [0] * len(touched)
             for p, c in row:
                 hit = owner.get(p)
                 if hit is not None:
                     dense[hit[0]] += c * hit[1]
             system.append(dense)
-        null = integer_nullspace(system, len(block))
+        null = integer_nullspace(system, len(touched))
         if null:
             spots = sorted(owner)
             reduced, _ = _eliminate([v[owner[p][0]] * owner[p][1] for p in spots] for _, v in null)
-            pieces[delta] = [[(p, x) for p, x in zip(spots, vec) if x] for vec in reduced]
+            piece += ([(p, x) for p, x in zip(spots, vec) if x] for vec in reduced)
+            piece.sort(key=lambda vec: vec[0][0])
+        if piece:
+            pieces[delta] = piece
     return {d: pieces[d] for d in sorted(pieces)}
-
-
-# ---------------------------------------------------------------------------
-# Bi-grading
-# ---------------------------------------------------------------------------
-
-def bigrade(spec: AlgebraSpec, h1: Matrix, h2: Matrix, subspace_basis: Sequence[Matrix]) -> BiGrading:
-    """Decompose a subspace into joint ad-(h1,h2) eigenspaces.
-
-    The subspace must be stable under both ad h1 and ad h2; otherwise the
-    decomposition does not exist and a ValueError is raised.  Matrix
-    entries are read as they are, ints or Fractions.
-    """
-    mats = list(subspace_basis)
-    if not mats:
-        return BiGrading(table=(), total=0)
-    frame, moved = _eigenframe(spec, integral_rows(h1), integral_rows(h2), [integral_rows(m) for m in mats])
-    weights = frame.weights
-    n = len(weights)
-    split: dict[tuple[int, int], list] = {}
-    for rows, _ in moved:
-        parts: dict[tuple[int, int], list] = {}
-        for i, row in enumerate(rows):
-            for j, x in row:
-                d = (weights[i][0] - weights[j][0], weights[i][1] - weights[j][1])
-                parts.setdefault(d, [0] * (n * n))[i * n + j] = x
-        for d, flat in parts.items():
-            split.setdefault(d, []).append(flat)
-    table = tuple((frame.degree(d), rank(split[d])) for d in sorted(split))
-    total = sum(dim for _, dim in table)
-    # Each moved matrix is a positive multiple of T^-1 m T: the same rank.
-    span_dim = rank(_flat(n, rows) for rows, _ in moved)
-    if total != span_dim:
-        raise ValueError(
-            f"subspace is not ad-stable: graded dimensions sum to {total}, span has dimension {span_dim}"
-        )
-    return BiGrading(table=table, total=total)
 
 
 # ---------------------------------------------------------------------------
@@ -581,15 +535,6 @@ def _framed(r: PairRealization):
     _checked_form(r.spec.series, r.spec.gram)
     e1, e2, h1, h2 = r._scaled()
     return _eigenframe(r.spec, h1, h2, (e1, e2))
-
-
-def is_rectangular_pair(r: PairRealization) -> bool:
-    """Whether h1 lies in the image of ad e1 inside g (equivalently h2, ad e2).
-
-    The two sides are computed independently and must agree.
-    """
-    frame, (e1, e2) = _framed(r)
-    return _rectangularity(frame, e1, e2)
 
 
 # ---------------------------------------------------------------------------

@@ -152,11 +152,6 @@ def _standard_rows(series: str, dimv: int) -> list:
     return [((dimv - 1 - i, -1 if series == "C" and i >= dimv - 1 - i else 1),) for i in range(dimv)]
 
 
-def standard_form(series: str, dimv: int) -> Optional[Matrix]:
-    """Antidiagonal Gram matrix: symmetric for B/D, alternating for C."""
-    return None if series == "A" else dense_matrix((1, _standard_rows(series, dimv)))
-
-
 def make_spec(series: str, dimv: int, form: Optional[Matrix] = None) -> AlgebraSpec:
     if form is not None:
         return _sparse_spec(series, dimv, integral_rows(form))

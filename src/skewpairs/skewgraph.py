@@ -319,13 +319,6 @@ def _cell_shape(cells, base: Node) -> ShapeClass:
     return ShapeClass(symmetry=symmetry, rectangle=rectangle, near_rectangular_shape=near, young=young)
 
 
-def rectangle_nodes(width: int, height: int) -> frozenset[Node]:
-    """Centered width x height block of unit cells."""
-    xs = [Fraction(2 * k - (width - 1), 2) for k in range(width)]
-    ys = [Fraction(2 * k - (height - 1), 2) for k in range(height)]
-    return frozenset(Node(x, y) for x in xs for y in ys)
-
-
 @lru_cache(maxsize=None)
 def _near_rectangular_cellsets(width: int, height: int) -> tuple[tuple[str, frozenset], ...]:
     """Connected near-rectangular cell sets cut from an even x even rectangle.

@@ -26,7 +26,7 @@ from oracles import (
     matrix,
     transpose,
 )
-from skewpairs.centralizer import CentralizerReport, analyze
+from skewpairs.centralizer import CentralizerReport, _framed, _rectangularity, analyze
 from skewpairs.liealg import (
     PairRealization,
     RelationReport,
@@ -35,7 +35,7 @@ from skewpairs.liealg import (
     realization_to_jsonable,
     verify_relations,
 )
-from skewpairs.skewgraph import SkewGraph, enumerate_admissible
+from skewpairs.skewgraph import Node, SkewGraph, enumerate_admissible
 
 DESK_DIMS = (
     ("A", tuple(range(1, 11))),
@@ -98,6 +98,27 @@ def principal_keys() -> dict:
                 graph_key(g) for g in enumerate_admissible(series, dimv, "principal")
             }
     return keys
+
+
+# ---------------------------------------------------------------------------
+# Shapes and predicates on the package's own code path
+# ---------------------------------------------------------------------------
+
+def rectangle_nodes(width: int, height: int) -> frozenset[Node]:
+    """Centered width x height block of unit cells."""
+    xs = [Fraction(2 * k - (width - 1), 2) for k in range(width)]
+    ys = [Fraction(2 * k - (height - 1), 2) for k in range(height)]
+    return frozenset(Node(x, y) for x in xs for y in ys)
+
+
+def is_rectangular_pair(r: PairRealization) -> bool:
+    """Whether h1 lies in the image of ad e1 inside g (equivalently h2, ad
+    e2), by the call analyze makes for its rectangular flag: both sides are
+    computed independently and must agree, else NormalFormError.  Raises
+    ValueError when a relation fails or the Gram matrix is not symmetric
+    (B, D) or alternating (C)."""
+    frame, (e1, e2) = _framed(r)
+    return _rectangularity(frame, e1, e2)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@ the reduced echelon form, transposes, inverses, canonical null spaces, one
 solution of A x = b, joint eigenspaces, brackets with a sparse algebra
 basis element), the characteristic polynomial as Fractions, the reduced
 echelon span of matrices, the algebra basis of g inside gl(V), membership
-in g by x^T G + G x, the dense centralizer, a null space over the whole
-algebra basis, the graded commutant by one elimination per bi-degree block
-of gl(V), the closed-form check by dense powers and reduction, node
-deduplication, the canonical form and the whole-graph findings of
-validation by comparing and hashing Fractions, and the skew-diagram
-drawing on Fraction coordinates.
+in g by x^T G + G x, the dense centralizer, the dense basis and witness of
+a report, a null space over the whole algebra basis, the graded commutant
+by one elimination per bi-degree block of gl(V), the closed-form check by
+dense powers and reduction, node deduplication, the canonical form and
+the whole-graph findings of validation by comparing and hashing
+Fractions, and the skew-diagram drawing on Fraction coordinates.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from skewpairs.linalg import (
     Vector,
     _eliminate,
     _integer_charpoly,
+    dense_matrix,
     integer_nullspace,
     integral_rows,
     joint_eigenbasis,
@@ -357,6 +358,19 @@ def centralizer(spec: AlgebraSpec, elements: Sequence[Matrix]) -> tuple[Matrix, 
                             arow[j] += c * brow[j]
         mats.append(tuple(tuple(r) for r in acc))
     return canonical_span(mats, n)
+
+
+def dense_basis(report) -> tuple[Matrix, ...]:
+    """A CentralizerReport's basis in the input coordinates, dense: its
+    scaled_basis, each matrix by dense_matrix."""
+    return tuple(map(dense_matrix, report.scaled_basis))
+
+
+def dense_witness(report) -> Optional[tuple[Matrix, tuple[Fraction, Fraction]]]:
+    """A CentralizerReport's nonpositive witness, dense, with its bi-degree;
+    None without one."""
+    w = report.scaled_witness
+    return None if w is None else (dense_matrix(w[0]), w[1])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,14 @@ import itertools
 import random
 from fractions import Fraction
 
-from conftest import divisor_count, naive_nullspace, odd_part, oracle_connected_cellsets, partition_counts
+from conftest import (
+    divisor_count,
+    naive_nullspace,
+    odd_part,
+    oracle_connected_cellsets,
+    partition_counts,
+    rectangle_nodes,
+)
 from oracles import _flatten, commutator, graph_key, matrix, nullspace
 from skewpairs.catalog import CatalogVerificationError, _closed_form_matches, classify, count_orbits
 from skewpairs.centralizer import analyze, closed_form_centralizer, graph_from_pair
@@ -19,7 +26,6 @@ from skewpairs.skewgraph import (
     component_from_nodes,
     enumerate_admissible,
     graph_to_text,
-    rectangle_nodes,
 )
 
 F = Fraction

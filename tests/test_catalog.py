@@ -1,6 +1,7 @@
 """Catalog assembly, counting, determinism, export formats, JSON schema."""
 
 import csv
+import hashlib
 import io
 import json
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from oracles import catalog_table, closed_form_in_span, graph_key, mat_mul, mat_pow, mat_scale
+from oracles import catalog_table, closed_form_in_span, dense_basis, graph_key, mat_mul, mat_pow, mat_scale
 from skewpairs import catalog, centralizer, liealg, linalg, skewgraph
 from skewpairs.catalog import (
     CSV_COLUMNS,
@@ -24,7 +25,6 @@ from skewpairs.catalog import (
     entry_to_jsonable,
     export_catalog_document,
     export_entries,
-    graph_hash,
 )
 from skewpairs.centralizer import AOperator, closed_form_centralizer
 from skewpairs.linalg import integral_rows
@@ -33,11 +33,18 @@ from skewpairs.skewgraph import (
     canonical_form,
     classify_component,
     enumerate_admissible,
+    graph_to_text,
 )
 
 F = Fraction
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "catalog.schema.json").read_text())
+
+
+def graph_hash(graph) -> str:
+    """The orbit label that the README states: the first 12 hex digits of
+    the sha256 of the graph's canonical text."""
+    return hashlib.sha256(graph_to_text(canonical_form(graph)).encode("ascii")).hexdigest()[:12]
 
 
 def test_counts_match_examples():
@@ -203,6 +210,7 @@ def test_graph_hash_stable_across_translation():
         (component_from_nodes(nd.shifted(2, -1) for nd in g.components[0].nodes),)
     )
     assert graph_hash(shifted) == graph_hash(g)
+    assert classify("A", 4, "principal")[0].orbit_label == graph_hash(shifted)
 
 
 def test_export_empty_document():
@@ -366,7 +374,7 @@ def test_sparse_closed_form_check_matches_dense_oracle(desk_records):
     mutated = {"identity": 0, "parity": 0, "a-sign": 0, "dropped": 0}
     parity_series = set()
     for rec in principal:
-        r, basis = rec.realization, rec.report.basis
+        r, basis = rec.realization, dense_basis(rec.report)
         pred = closed_form_centralizer(rec.series, rec.graph)
         where = (rec.series, rec.dimv, rec.sign, rec.graph)
         assert _predicted_in_span(pred, r, _sparse(basis)) is closed_form_in_span(pred, r, basis) is True, where

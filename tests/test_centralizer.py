@@ -9,7 +9,16 @@ from fractions import Fraction
 import pytest
 
 import skewpairs
-from conftest import conjugated, conjugator, distinguished_realizations, moved_by, scaled_shear, small_realizations
+from conftest import (
+    conjugated,
+    conjugator,
+    distinguished_realizations,
+    is_rectangular_pair,
+    moved_by,
+    rectangle_nodes,
+    scaled_shear,
+    small_realizations,
+)
 from oracles import (
     _flatten,
     a_operator_matrix,
@@ -19,11 +28,12 @@ from oracles import (
     canonical_span,
     centralizer,
     commutator,
+    dense_basis,
+    dense_witness,
     eigenframe,
     graph_key,
     in_span,
     invert,
-    mat_add,
     mat_mul,
     mat_scale,
     matrix,
@@ -41,10 +51,8 @@ from skewpairs.centralizer import (
     _graded_commutant,
     _unite,
     analyze,
-    bigrade,
     closed_form_centralizer,
     graph_from_pair,
-    is_rectangular_pair,
     report_to_jsonable,
 )
 from skewpairs.liealg import (
@@ -65,7 +73,6 @@ from skewpairs.skewgraph import (
     component_from_nodes,
     enumerate_admissible,
     graph_to_text,
-    rectangle_nodes,
 )
 
 F = Fraction
@@ -147,20 +154,20 @@ def test_bracket_oracle_matches_full_products():
 
 
 def test_report_basis_is_the_dense_oracle_and_survives_replace():
-    # analyze() keeps the basis sparse and builds the dense one on first
-    # read; a report changed by dataclasses.replace keeps that basis, its
-    # witness and its export.
+    # analyze() keeps the basis sparse and builds scaled_basis on first
+    # read, which made dense is the dense oracle's; a report changed by
+    # dataclasses.replace keeps that basis, its witness and its export.
     count = 0
     for r in small_realizations():
         rep = analyze(r)
         basis = centralizer(r.spec, [r.e1, r.e2])
-        assert rep.basis == basis and rep.basis is rep.basis, r.graph
+        assert dense_basis(rep) == basis and rep.scaled_basis is rep.scaled_basis, r.graph
         flipped = replace(rep, flags=replace(rep.flags, rectangular=not rep.flags.rectangular))
-        assert flipped.basis == basis and flipped.nonpositive_witness == rep.nonpositive_witness, r.graph
+        assert dense_basis(flipped) == basis and dense_witness(flipped) == dense_witness(rep), r.graph
         data, back = report_to_jsonable(rep, include_basis=True), report_to_jsonable(flipped, include_basis=True)
         data["flags"]["rectangular"] = not data["flags"]["rectangular"]
         assert back == data, r.graph
-        count += rep.nonpositive_witness is not None
+        count += rep.scaled_witness is not None
     assert count > 10
 
 
@@ -177,7 +184,7 @@ def test_reports_are_hashable_and_equal_by_value():
                 back = analyze(realization_from_jsonable(realization_to_jsonable(r, fmt)))
                 assert back == rep and hash(back) == hash(rep), (fmt, g)
             count += 1
-            witnessed += rep.nonpositive_witness is not None
+            witnessed += rep.scaled_witness is not None
     assert (count, witnessed) == (6, 4)
 
 
@@ -199,11 +206,11 @@ def test_moved_reports_are_equal_by_value_before_and_after_the_basis_is_read():
     for c in _moved_distinguished():
         rep, again = analyze(c), analyze(c)
         assert rep.frame_change is not None and rep == again and hash(rep) == hash(again), c.graph
-        assert len(rep.basis) == rep.dimension and rep.nonpositive_witness is rep.nonpositive_witness
+        assert len(dense_basis(rep)) == rep.dimension and rep.scaled_witness is rep.scaled_witness
         assert rep == again and hash(rep) == hash(again), c.graph
-        assert again.basis == rep.basis and again.nonpositive_witness == rep.nonpositive_witness, c.graph
+        assert dense_basis(again) == dense_basis(rep) and dense_witness(again) == dense_witness(rep), c.graph
         count += 1
-        witnessed += rep.nonpositive_witness is not None
+        witnessed += rep.scaled_witness is not None
     assert count > 50 and witnessed > 10, (count, witnessed)
 
 
@@ -214,7 +221,7 @@ def test_moved_report_survives_replace():
         rep = analyze(c)
         flipped = replace(rep, flags=replace(rep.flags, rectangular=not rep.flags.rectangular))
         data, back = report_to_jsonable(rep, include_basis=True), report_to_jsonable(flipped, include_basis=True)
-        assert flipped.basis == rep.basis and flipped.nonpositive_witness == rep.nonpositive_witness, c.graph
+        assert dense_basis(flipped) == dense_basis(rep) and dense_witness(flipped) == dense_witness(rep), c.graph
         data["flags"]["rectangular"] = not data["flags"]["rectangular"]
         assert back == data, c.graph
 
@@ -245,7 +252,7 @@ def test_moved_report_maps_back_only_what_is_read(monkeypatch):
         report_to_jsonable(rep)
         wide = [rows for cols, rows in widths if cols == n * n]
         witness = rep.scaled_witness
-        assert wide == ([] if witness is None else [rep.grading.as_dict()[witness[1]]]), c.graph
+        assert wide == ([] if witness is None else [dict(rep.grading.table)[witness[1]]]), c.graph
         del widths[:]
         assert len(rep.scaled_basis) == rep.dimension
         assert widths == [(n * n, rep.dimension)], c.graph
@@ -448,7 +455,7 @@ def test_trace_row_at_dimv_1_2_and_3():
         pieces, oracle = _both_commutants(r)
         assert pieces == oracle
         rep = analyze(r)
-        assert rep.basis == centralizer(r.spec, [r.e1, r.e2])
+        assert dense_basis(rep) == centralizer(r.spec, [r.e1, r.e2])
         assert rep.dimension == dim_z
 
 
@@ -470,7 +477,7 @@ def test_d_components_sharing_the_origin():
     for c in (r, conjugated(r, random.Random(5)), sheared):
         pieces, oracle = _both_commutants(c)
         assert pieces == oracle
-        assert analyze(c).basis == centralizer(c.spec, [c.e1, c.e2])
+        assert dense_basis(analyze(c)) == centralizer(c.spec, [c.e1, c.e2])
     assert analyze(r).dimension == 3
 
 
@@ -573,48 +580,34 @@ def test_analyze_eliminates_only_blocks_with_long_rows(monkeypatch):
     assert count > 500
 
 
-# ---------------------------------------------------------------------------
-# bigrade
-# ---------------------------------------------------------------------------
+def test_a_zero_pair_solves_only_the_components_of_the_trace(monkeypatch):
+    # With e1 = e2 = h1 = h2 = 0 in sl(n) all n^2 positions of gl(V) lie in
+    # the (0,0) block, each its own component, and the one long row, the
+    # trace, touches only the n diagonal ones: no null space or elimination
+    # of the module may take more than n columns.  One over the whole block
+    # takes n^2 columns, and time of order n^5.
+    from skewpairs.linalg import _eliminate as eliminate
 
-def test_bigrade_single_raising_operator():
-    r = build_pair("A", rect_graph(2, 1))
-    grading = bigrade(r.spec, r.h1, r.h2, [r.e1])
-    assert grading.as_dict() == {(F(1), F(0)): 1}
+    n = 20
+    data = realization_to_jsonable(build_pair("A", rect_graph(n, 1)), "sparse")
+    for name in ("e1", "e2", "h1", "h2"):
+        data[name] = {"shape": n, "entries": []}
+    nullspaces, eliminations = [], []
 
+    def counting(rows, ncols):
+        nullspaces.append(ncols)
+        return integer_nullspace(rows, ncols)
 
-def test_bigrade_full_sl2():
-    r = build_pair("A", rect_graph(2, 1))
-    basis = algebra_basis(r.spec)
-    grading = bigrade(r.spec, r.h1, r.h2, basis)
-    assert grading.as_dict() == {(F(-1), F(0)): 1, (F(0), F(0)): 1, (F(1), F(0)): 1}
-    assert grading.total == 3
+    def eliminating(rows):
+        rows = list(rows)
+        eliminations.append(len(rows[0]) if rows else 0)
+        return eliminate(rows)
 
-
-def test_bigrade_centralizer_of_square():
-    r = build_pair("A", rect_graph(2, 2))
-    z = centralizer(r.spec, [r.e1, r.e2])
-    grading = bigrade(r.spec, r.h1, r.h2, z)
-    assert grading.as_dict() == {(F(1), F(0)): 1, (F(0), F(1)): 1, (F(1), F(1)): 1}
-
-
-def test_bigrade_rejects_unstable_subspace():
-    r = build_pair("A", rect_graph(2, 1))
-    with pytest.raises(ValueError, match="ad-stable"):
-        bigrade(r.spec, r.h1, r.h2, [mat_add(r.e1, r.h1)])
-
-
-def test_bigrade_handles_nondiagonal_h():
-    r = build_pair("A", rect_graph(2, 1))
-    t = matrix([[1, 1], [0, 1]])
-    ti = invert(t)
-
-    def conj(m):
-        return mat_mul(t, mat_mul(m, ti))
-
-    basis = [conj(m) for m in algebra_basis(r.spec)]
-    grading = bigrade(r.spec, conj(r.h1), conj(r.h2), basis)
-    assert grading.as_dict() == {(F(-1), F(0)): 1, (F(0), F(0)): 1, (F(1), F(0)): 1}
+    monkeypatch.setattr(centralizer_module, "integer_nullspace", counting)
+    monkeypatch.setattr(centralizer_module, "_eliminate", eliminating)
+    rep = analyze(realization_from_jsonable(data))
+    assert rep.dimension == n * n - 1 and dict(rep.grading.table) == {(F(0), F(0)): n * n - 1}
+    assert nullspaces and eliminations and max(nullspaces + eliminations) <= n, (nullspaces, eliminations)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +620,7 @@ def test_analyze_sl4_square():
     assert rep.dimension == 3
     assert rep.flags.distinguished and rep.flags.principal
     assert rep.biexponents == ((F(0), F(1)), (F(1), F(0)), (F(1), F(1)))
-    assert rep.nonpositive_witness is None
+    assert dense_witness(rep) is None
 
 
 def test_analyze_staircase_distinguished_not_principal():
@@ -635,8 +628,9 @@ def test_analyze_staircase_distinguished_not_principal():
     rep = analyze(r)
     assert rep.flags.distinguished
     assert not rep.flags.principal
-    assert rep.nonpositive_witness is not None
-    _, (p, q) = rep.nonpositive_witness
+    witness = dense_witness(rep)
+    assert witness is not None
+    _, (p, q) = witness
     assert q < 0
 
 
@@ -668,7 +662,7 @@ def test_analyze_degenerate_pair_has_full_centralizer():
         assert not rep.flags.cartan_h
         assert not rep.flags.trivial_intersection
         assert rep.dimension == dim_g
-        assert rep.grading.as_dict() == {(F(0), F(0)): dim_g}
+        assert dict(rep.grading.table) == {(F(0), F(0)): dim_g}
 
 
 def test_analyze_d_signs_agree():
@@ -853,7 +847,8 @@ def test_analyze_commutes_with_a_change_of_basis_to_dimv_8():
                 base.dimension, base.grading, base.biexponents, base.flags
             ), where
             t_inv = invert(t)
-            assert rep.basis == canonical_span([mat_mul(t, mat_mul(x, t_inv)) for x in base.basis], n), where
+            moved_basis = [mat_mul(t, mat_mul(x, t_inv)) for x in dense_basis(base)]
+            assert dense_basis(rep) == canonical_span(moved_basis, n), where
             copies += 1
     assert copies > 1000
     assert time.perf_counter() - start < 120
@@ -1112,13 +1107,14 @@ def test_derived_facts_match_dense_oracles():
             assert rep.flags.trivial_intersection == (
                 centralizer(spec, [c.h1, c.h2, c.e1, c.e2]) == ()
             ), where
-            assert rep.basis == centralizer(spec, [c.e1, c.e2]), where
+            assert dense_basis(rep) == centralizer(spec, [c.e1, c.e2]), where
             assert (rep.grading, rep.biexponents, rep.flags) == (
                 base.grading, base.biexponents, base.flags
             ), where
-            if rep.nonpositive_witness is not None:
-                w, (p, q) = rep.nonpositive_witness
-                assert in_span(span_rref([_flatten(m) for m in rep.basis]), _flatten(w)), where
+            witness = dense_witness(rep)
+            if witness is not None:
+                w, (p, q) = witness
+                assert in_span(span_rref([_flatten(m) for m in dense_basis(rep)]), _flatten(w)), where
                 assert commutator(c.h1, w) == mat_scale(p, w), where
                 assert commutator(c.h2, w) == mat_scale(q, w), where
     assert moved_count > 50
@@ -1160,8 +1156,8 @@ def test_analyze_ignores_scalar_factors_of_e_and_the_form():
                 scaled = replace(c, spec=spec, e1=mat_scale(c1, c.e1), e2=mat_scale(c2, c.e2))
                 rep = analyze(scaled)
                 assert (
-                    rep.dimension, rep.basis, rep.grading, rep.biexponents, rep.flags, rep.nonpositive_witness
+                    rep.dimension, dense_basis(rep), rep.grading, rep.biexponents, rep.flags, dense_witness(rep)
                 ) == (
-                    base.dimension, base.basis, base.grading, base.biexponents, base.flags, base.nonpositive_witness
+                    base.dimension, dense_basis(base), base.grading, base.biexponents, base.flags, dense_witness(base)
                 ), (c.spec.series, graph_to_text(r.graph), c1, c2, cg)
                 assert is_rectangular_pair(scaled) == base.flags.rectangular

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import conjugated, distinguished_realizations, large_dimv_document
+from conftest import conjugated, distinguished_realizations, is_rectangular_pair, large_dimv_document, rectangle_nodes
 from oracles import (
     algebra_basis,
     commutator,
@@ -25,7 +25,7 @@ from oracles import (
 )
 from skewpairs import skewgraph
 from skewpairs.catalog import SCHEMA_NAME, SCHEMA_VERSION, classify, entry_to_jsonable, export_entries
-from skewpairs.centralizer import analyze, is_rectangular_pair
+from skewpairs.centralizer import analyze
 from skewpairs.liealg import (
     BasisLabel,
     NotAdmissibleError,
@@ -38,7 +38,6 @@ from skewpairs.liealg import (
     make_spec,
     realization_from_jsonable,
     realization_to_jsonable,
-    standard_form,
     verify_relations,
 )
 from skewpairs.linalg import integral_rows, rank
@@ -52,7 +51,6 @@ from skewpairs.skewgraph import (
     component_from_nodes,
     enumerate_admissible,
     graph_from_text,
-    rectangle_nodes,
 )
 
 F = Fraction
@@ -173,11 +171,11 @@ def test_algebra_basis_dimensions():
 
 
 def test_standard_form_types():
-    g = standard_form("C", 4)
+    g = make_spec("C", 4).form
     assert g == tuple(tuple(-x for x in row) for row in transpose(g))
-    s = standard_form("D", 4)
+    s = make_spec("D", 4).form
     assert s == transpose(s)
-    assert standard_form("A", 3) is None
+    assert make_spec("A", 3).form is None
 
 
 def test_build_pair_rejects_inadmissible():
@@ -525,7 +523,7 @@ def test_specs_are_hashable_and_equal_by_value():
     # A spec stores its Gram matrix once, as int rows held in tuples, so it
     # hashes, and specs of one form are equal with one hash however made:
     # from the standard rows, from a dense form, built or read from JSON.
-    standard, dense = make_spec("D", 6), make_spec("D", 6, standard_form("D", 6))
+    standard, dense = make_spec("D", 6), make_spec("D", 6, make_spec("D", 6).form)
     assert standard == dense and hash(standard) == hash(dense)
     count = 0
     for g in enumerate_admissible("D", 8, "distinguished"):

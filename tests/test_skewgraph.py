@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_to_cellset, oracle_connected_cellsets, oracle_connected_counts
+from conftest import graph_to_cellset, oracle_connected_cellsets, oracle_connected_counts, rectangle_nodes
 from oracles import canonical_form as oracle_canonical_form
 from oracles import component_from_nodes as oracle_component_from_nodes
 from oracles import graph_findings as oracle_graph_findings
@@ -45,7 +45,6 @@ from skewpairs.skewgraph import (
     graph_to_jsonable,
     graph_to_text,
     is_admissible,
-    rectangle_nodes,
     render_ascii,
     validate,
 )
