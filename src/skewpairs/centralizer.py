@@ -104,7 +104,6 @@ class BiGrading:
     """Joint ad-eigenspace dimensions, keyed by exact eigenvalue pairs."""
 
     table: tuple[tuple[tuple[Fraction, Fraction], int], ...]
-    total: int
 
 
 @dataclass(frozen=True)
@@ -562,7 +561,7 @@ def analyze(r: PairRealization) -> CentralizerReport:
                         distinguished=cartan_h and trivial, principal=dimension == spec.rank,
                         rectangular=_rectangularity(frame, e1, e2))
     return CentralizerReport(dimension=dimension, scaled_pieces=pieces, frame_change=change,
-                             grading=BiGrading(table=table, total=dimension), biexponents=biexponents, flags=flags)
+                             grading=BiGrading(table=table), biexponents=biexponents, flags=flags)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .skewgraph import (
     Node,
     SkewGraph,
     _admissible_shapes,
-    _is_canonical,
+    _check_request,
     canonical_form,
     graph_from_jsonable,
     graph_to_jsonable,
@@ -153,20 +153,21 @@ def _standard_rows(series: str, dimv: int) -> list:
 
 
 def make_spec(series: str, dimv: int, form: Optional[Matrix] = None) -> AlgebraSpec:
-    if form is not None:
-        return _sparse_spec(series, dimv, integral_rows(form))
-    return _sparse_spec(series, dimv, None if series == "A" else (1, _standard_rows(series, dimv)))
+    if form is None:
+        return _sparse_spec(series, dimv, None if series == "A" else (1, _standard_rows(series, dimv)))
+    spec = _sparse_spec(series, dimv, integral_rows(form))
+    if len(form) != dimv or any(len(row) != dimv for row in form):
+        raise ValueError(f"the form is not a {dimv}x{dimv} matrix")
+    return spec
 
 
 def _sparse_spec(series: str, dimv: int, gram: Optional[tuple]) -> AlgebraSpec:
     """make_spec with the Gram matrix given by its integral_rows (None without
-    a form), its rows kept as a tuple so that the spec hashes."""
-    if series not in ("A", "B", "C", "D"):
-        raise ValueError(f"unknown series {series!r}")
-    if series == "B" and dimv % 2 == 0:
-        raise ValueError("series B requires odd dimV")
-    if series in ("C", "D") and dimv % 2:
-        raise ValueError(f"series {series} requires even dimV")
+    a form), its rows kept as a tuple so that the spec hashes.  A ValueError
+    unless the series and dimV pass _check_request, or for a form in series A."""
+    _check_request(series, dimv)
+    if gram is not None and series == "A":
+        raise ValueError("series A takes no gram matrix")
     return AlgebraSpec(series, dimv, series_rank(series, dimv), None if gram is None else (gram[0], tuple(gram[1])))
 
 
@@ -205,11 +206,8 @@ def build_pair(series: str, graph: SkewGraph, orbit_sign: Optional[str] = None) 
     the plus one conjugated by the determinant -1 isometry swapping the dual
     basis vectors at (1/2,1/2) and (-1/2,-1/2).
     """
+    graph = canonical_form(graph)
     found = _admissible_shapes(series, graph, "distinguished")
-    if found is None or not _is_canonical(graph, found):
-        # Only input not in canonical form is moved and validated again.
-        graph = canonical_form(graph)
-        found = _admissible_shapes(series, graph, "distinguished")
     if found is None:
         raise NotAdmissibleError(f"graph is not admissible for series {series}")
     sign = None

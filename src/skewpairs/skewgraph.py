@@ -30,10 +30,10 @@ Nodes only at the end.  Counting them builds no Node and, but for series
 D's origin-sharing pairs and the principal graphs, no shape: class sizes
 follow from column-height recurrences.
 
-Nodes are compared on int keys (_keys): each node times the lcm of the
-denominators of the nodes it is compared with.  Deduplication, the canonical
-form, and the barycentre and shared nodes of validation all run on them;
-_centred_graph, shared with graph_from_pair, centres and sorts on ints.
+A graph is read as ints once, by _keys: each node times the lcm d of the
+denominators of the nodes it is compared with.  Deduplication, validation,
+the ASCII grid and canonical_form, the one canonicalization, all run on
+them; _centred_graph, shared with graph_from_pair, centres and sorts on ints.
 
 The distinguished graphs of B, C and D are listed once, by the classes of
 their components, in _distinguished_types.  Enumeration builds each type,
@@ -149,45 +149,25 @@ def _is_connected(cells: frozenset[tuple[int, int]]) -> bool:
     return len(seen) == len(cells)
 
 
-def _cell_offsets(comp: Component) -> Optional[dict[tuple[int, int], int]]:
-    """The integer offset of each of comp's nodes from its first node, mapped
-    to the node's place in comp, in node order.
-
-    None when some node is off by a non-integral vector.  x - x0 is an
-    integer exactly when the reduced fractions x and x0 share a denominator
-    and their numerators agree modulo it, so no Fraction is built.
-    """
-    x0, y0 = comp.nodes[0].x, comp.nodes[0].y
-    px, qx, py, qy = x0.numerator, x0.denominator, y0.numerator, y0.denominator
-    out = {}
-    for k, nd in enumerate(comp.nodes):
-        x, y = nd.x, nd.y
-        if x.denominator != qx or y.denominator != qy:
-            return None
-        dx, rx = divmod(x.numerator - px, qx)
-        dy, ry = divmod(y.numerator - py, qy)
-        if rx or ry:
-            return None
-        out[dx, dy] = k
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
 
-def _component_cells(index: int, comp: Component) -> tuple[Optional[dict], list[str]]:
-    """comp as integer cells, its _cell_offsets, and its findings.
-
-    The cells are None when the component is empty or not on one integer
-    lattice; the component is valid iff the findings are empty.
-    """
+def _component_cells(index: int, comp: Component, keys: list, d: int) -> tuple[Optional[dict], list[str]]:
+    """comp as integer cells, and its findings, from its nodes' int keys
+    over d (_keys): each node's offset from the first, mapped to its place
+    in comp.  The cells are None when the component is empty or not on one
+    integer lattice; the component is valid iff the findings are empty."""
     tag = f"component {index}"
-    if not comp.nodes:
+    if not keys:
         return None, [f"{tag}: empty node set"]
-    cells = _cell_offsets(comp)
-    if cells is None:
-        return None, [f"{tag}: nodes do not all differ by integer vectors"]
+    x0, y0 = keys[0]
+    cells = {}
+    for k, (x, y) in enumerate(keys):
+        (dx, rx), (dy, ry) = divmod(x - x0, d), divmod(y - y0, d)
+        if rx or ry:
+            return None, [f"{tag}: nodes do not all differ by integer vectors"]
+        cells[dx, dy] = k
     base = comp.nodes[0]
     findings = []
     if len(cells) != len(comp):
@@ -208,13 +188,13 @@ def _component_cells(index: int, comp: Component) -> tuple[Optional[dict], list[
 
 def _validated(graph: SkewGraph) -> tuple[list[str], list[Optional[dict]]]:
     """validate(graph), and each component's integer cells."""
+    d, keys = _keys([c.nodes for c in graph.components])
     findings, cells = [], []
-    for i, comp in enumerate(graph.components):
-        comp_cells, comp_findings = _component_cells(i, comp)
+    for i, (comp, comp_keys) in enumerate(zip(graph.components, keys)):
+        comp_cells, comp_findings = _component_cells(i, comp, comp_keys, d)
         cells.append(comp_cells)
         findings.extend(comp_findings)
-    d, keys = _keys([c.nodes for c in graph.components])
-    sx, sy = sum(x for c in keys for x, _ in c), sum(y for c in keys for _, y in c)
+    sx, sy = _sums(keys)
     if sx or sy:
         findings.append(f"barycentre is ({Fraction(sx, d)},{Fraction(sy, d)}), not the origin")
     # Components may share only (0,0), and at most two may hold it.
@@ -270,7 +250,8 @@ def classify_component(comp: Component) -> ShapeClass:
     Central symmetry is taken about the origin, which is the barycentre for
     every component produced by this package.
     """
-    cells, findings = _component_cells(0, comp)
+    d, (keys,) = _keys([comp.nodes])
+    cells, findings = _component_cells(0, comp, keys, d)
     if findings:
         raise ValueError("component is not a valid connected skew-graph: " + "; ".join(findings))
     return _cell_shape(cells, comp.nodes[0])
@@ -350,8 +331,18 @@ def _near_rectangular_cellsets(width: int, height: int) -> tuple[tuple[str, froz
 
 def canonical_form(graph: SkewGraph) -> SkewGraph:
     """Translate the multiset barycentre to the origin and sort everything,
-    on int keys.  A node repeated in a component stays, for validate to name."""
-    return _centred_graph(*_keys([c.nodes for c in graph.components]))
+    on int keys; a graph whose keys sum to (0, 0), strictly increase in each
+    component and have the components in order is returned itself.  A node
+    repeated in a component stays, for validate to name."""
+    d, keys = _keys([c.nodes for c in graph.components])
+    increasing = all(a < b for c in keys for a, b in zip(c, c[1:]))
+    ordered = all((-len(a), a) <= (-len(b), b) for a, b in zip(keys, keys[1:]))
+    return graph if _sums(keys) == (0, 0) and increasing and ordered else _centred_graph(d, keys)
+
+
+def _sums(comps: list[list[tuple[int, int]]]) -> tuple[int, int]:
+    """The sums of the x and of the y of the int pairs of comps."""
+    return sum(x for c in comps for x, _ in c), sum(y for c in comps for _, y in c)
 
 
 def _centred_graph(d: int, comps: list[list[tuple[int, int]]]) -> SkewGraph:
@@ -360,7 +351,7 @@ def _centred_graph(d: int, comps: list[list[tuple[int, int]]]) -> SkewGraph:
     n d, so the graph is centred, and its components sorted (larger first,
     then by cells), on ints; Nodes are made last, by _node."""
     n = sum(map(len, comps))
-    sx, sy = sum(x for c in comps for x, _ in c), sum(y for c in comps for _, y in c)
+    sx, sy = _sums(comps)
     cells = sorted((sorted((n * x - sx, n * y - sy) for x, y in c) for c in comps), key=lambda c: (-len(c), c))
     return SkewGraph(tuple(Component(tuple(_node(x, y, n * d) for x, y in c)) for c in cells))
 
@@ -605,9 +596,10 @@ def _principal_cells(series: str, n: int) -> list[tuple]:
     return graphs
 
 
-def _check_request(series: str, dimv: int, kind: str, max_nodes: int) -> None:
+def _check_request(series: str, dimv: int, kind: str = KINDS[0], max_nodes: Optional[int] = None) -> None:
     """A ValueError unless series and kind are known and dimV is positive, of
-    the series' parity and within max_nodes (EnumerationLimitError)."""
+    the series' parity and within max_nodes, if given (EnumerationLimitError).
+    make_spec checks its series and dimV here."""
     if series not in SERIES:
         raise ValueError(f"unknown series {series!r}")
     if kind not in KINDS:
@@ -618,7 +610,7 @@ def _check_request(series: str, dimv: int, kind: str, max_nodes: int) -> None:
         raise ValueError("series B requires odd dimV")
     if series in ("C", "D") and dimv % 2 == 1:
         raise ValueError(f"series {series} requires even dimV")
-    if dimv > max_nodes:
+    if max_nodes is not None and dimv > max_nodes:
         raise EnumerationLimitError(
             f"dimV {dimv} exceeds the configured bound of {max_nodes}"
         )
@@ -732,9 +724,10 @@ def is_admissible(series: str, graph: SkewGraph, kind: str) -> bool:
 
 
 def _admissible_shapes(series: str, graph: SkewGraph, kind: str) -> Optional[list[tuple[ShapeClass, dict]]]:
-    """The ShapeClass and the integer cells (_cell_offsets) of each component
-    when the graph is admissible, else None.  The graph is validated once;
-    the shapes come from the cells validation read, which _realize reads too."""
+    """The ShapeClass and the integer cells (_component_cells) of each
+    component when the graph is admissible, else None.  The graph is
+    validated once; the shapes come from the cells validation read, which
+    _realize reads too."""
     if series not in SERIES or kind not in KINDS:
         raise ValueError("unknown series or kind")
     findings, cells = _validated(graph)
@@ -742,16 +735,6 @@ def _admissible_shapes(series: str, graph: SkewGraph, kind: str) -> Optional[lis
         return None
     shapes = [_cell_shape(c, comp.nodes[0]) for c, comp in zip(cells, graph.components)]
     return list(zip(shapes, cells)) if _shapes_admissible(series, graph, kind, shapes, cells) else None
-
-
-def _is_canonical(graph: SkewGraph, found: list) -> bool:
-    """Whether a valid graph, with the (ShapeClass, cells) of its components,
-    is canonical: each one's offsets, so its nodes, strictly increasing, and
-    the components in order."""
-    comps = graph.components
-    if any(len(c) != len(cells) or list(cells) != sorted(cells) for c, (_, cells) in zip(comps, found)):
-        return False
-    return all((-len(a), a.nodes) <= (-len(b), b.nodes) for a, b in zip(comps, comps[1:]))
 
 
 def _principal_case(series: str, shapes: list[ShapeClass], cells: list[dict]) -> Optional[tuple[str, int, int]]:
@@ -883,33 +866,31 @@ def render_ascii(graph: SkewGraph) -> str:
     """Draw skew-diagrams; components with a common half-integer offset are
     drawn on separate grids, same-offset components share one grid.
 
-    A grid is drawn on int cells, x times the least common denominator dx
-    of its x coordinates (y likewise), so that its columns lie dx apart.  It
-    may hold at most n x n cells for n nodes, which every connected graph
-    meets; a wider spread of nodes is a ValueError.
+    A grid is drawn on the int keys of its nodes (_keys), so that its rows
+    and columns lie d apart.  It may hold at most n x n cells for n nodes,
+    which every connected graph meets; a wider spread of nodes is a
+    ValueError.
     """
     n = graph.n_nodes
-    groups: dict[tuple[Fraction, Fraction], list[tuple[int, Component]]] = {}
-    for idx, comp in enumerate(graph.components):
-        anchor = comp.nodes[0]
-        groups.setdefault((anchor.x % 1, anchor.y % 1), []).append((idx, comp))
-    multi = len(graph.components) > 1
+    d, keys = _keys([c.nodes for c in graph.components])
+    groups: dict[tuple[int, int], list[tuple[int, list]]] = {}
+    for idx, comp in enumerate(keys):
+        x, y = comp[0]
+        groups.setdefault((x % d, y % d), []).append((idx, comp))
+    multi = len(keys) > 1
     blocks = []
     for key in sorted(groups):
-        nodes = [nd for _, comp in groups[key] for nd in comp.nodes]
-        dx, dy = lcm(*(nd.x.denominator for nd in nodes)), lcm(*(nd.y.denominator for nd in nodes))
         cells: dict[tuple[int, int], str] = {}
         for idx, comp in groups[key]:
             mark = chr(ord("a") + idx) if multi else "#"
-            for nd in comp.nodes:
-                pos = (nd.x.numerator * (dx // nd.x.denominator), nd.y.numerator * (dy // nd.y.denominator))
+            for pos in comp:
                 cells[pos] = "*" if pos in cells else mark
         x0, x1 = min(x for x, _ in cells), max(x for x, _ in cells)
         y0, y1 = min(y for _, y in cells), max(y for _, y in cells)
-        width, height = x1 - x0 + dx, y1 - y0 + dy
-        if width * height > n * n * dx * dy:
-            width, height = Fraction(width, dx), Fraction(height, dy)
+        width, height = x1 - x0 + d, y1 - y0 + d
+        if width * height > n * n * d * d:
+            width, height = Fraction(width, d), Fraction(height, d)
             raise ValueError(f"nodes spread over {width} x {height} cells, more than {n} x {n} for {n} nodes")
-        columns = range(x0, x1 + 1, dx)
-        blocks.append("\n".join("".join([cells.get((x, y), ".") for x in columns]) for y in range(y1, y0 - 1, -dy)))
+        columns = range(x0, x1 + 1, d)
+        blocks.append("\n".join("".join([cells.get((x, y), ".") for x in columns]) for y in range(y1, y0 - 1, -d)))
     return "\n\n".join(blocks)

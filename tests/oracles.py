@@ -11,7 +11,9 @@ a report, a null space over the whole algebra basis, the graded commutant
 by one elimination per bi-degree block of gl(V), the closed-form check by
 dense powers and reduction, node deduplication, the canonical form and
 the whole-graph findings of validation by comparing and hashing
-Fractions, and the skew-diagram drawing on Fraction coordinates.
+Fractions, a component's cells and findings from each node's own
+denominators, and the skew-diagram drawing on Fraction coordinates and on
+ints scaled per grid and per axis.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 from typing import Optional, Sequence
 
 from skewpairs.centralizer import ClosedFormPrediction, _eigenframe, _Frame
@@ -564,9 +567,90 @@ def graph_findings(graph: SkewGraph) -> list[str]:
     return findings
 
 
+def _cell_offsets(comp: Component) -> Optional[dict[tuple[int, int], int]]:
+    """The integer offset of each of comp's nodes from its first node, mapped
+    to the node's place in comp, in node order.
+
+    None when some node is off by a non-integral vector.  x - x0 is an
+    integer exactly when the reduced fractions x and x0 share a denominator
+    and their numerators agree modulo it, so no Fraction is built.
+    """
+    x0, y0 = comp.nodes[0].x, comp.nodes[0].y
+    px, qx, py, qy = x0.numerator, x0.denominator, y0.numerator, y0.denominator
+    out = {}
+    for k, nd in enumerate(comp.nodes):
+        x, y = nd.x, nd.y
+        if x.denominator != qx or y.denominator != qy:
+            return None
+        dx, rx = divmod(x.numerator - px, qx)
+        dy, ry = divmod(y.numerator - py, qy)
+        if rx or ry:
+            return None
+        out[dx, dy] = k
+    return out
+
+
+def component_cells(index: int, comp: Component) -> tuple[Optional[dict], list[str]]:
+    """skewgraph._component_cells from the numerators and denominators of
+    each node (_cell_offsets), with no int keys."""
+    tag = f"component {index}"
+    if not comp.nodes:
+        return None, [f"{tag}: empty node set"]
+    cells = _cell_offsets(comp)
+    if cells is None:
+        return None, [f"{tag}: nodes do not all differ by integer vectors"]
+    base = comp.nodes[0]
+    findings = []
+    if len(cells) != len(comp):
+        repeated = next(nd for nd in comp.nodes if comp.nodes.count(nd) > 1)
+        findings.append(f"{tag}: node {skewgraph._node_text(repeated)} appears twice")
+    for x, y in sorted(cells):
+        if (x + 1, y + 1) in cells:
+            for req in ((x, y + 1), (x + 1, y)):
+                if req not in cells:
+                    findings.append(
+                        f"{tag}: axiom (iv) fails at square {skewgraph._node_text(base.shifted(x, y))}:"
+                        f" {skewgraph._node_text(base.shifted(*req))} is missing"
+                    )
+    if not skewgraph._is_connected(cells):
+        findings.append(f"{tag}: not connected")
+    return cells, findings
+
+
 # ---------------------------------------------------------------------------
 # Drawing
 # ---------------------------------------------------------------------------
+
+def render_ascii_per_axis(graph: SkewGraph) -> str:
+    """skewgraph.render_ascii on ints scaled per grid and per axis: x times
+    the least common denominator dx of the grid's x coordinates (y
+    likewise), so that its columns lie dx apart."""
+    n = graph.n_nodes
+    groups: dict[tuple[Fraction, Fraction], list[tuple[int, Component]]] = {}
+    for idx, comp in enumerate(graph.components):
+        anchor = comp.nodes[0]
+        groups.setdefault((anchor.x % 1, anchor.y % 1), []).append((idx, comp))
+    multi = len(graph.components) > 1
+    blocks = []
+    for key in sorted(groups):
+        nodes = [nd for _, comp in groups[key] for nd in comp.nodes]
+        dx, dy = lcm(*(nd.x.denominator for nd in nodes)), lcm(*(nd.y.denominator for nd in nodes))
+        cells: dict[tuple[int, int], str] = {}
+        for idx, comp in groups[key]:
+            mark = chr(ord("a") + idx) if multi else "#"
+            for nd in comp.nodes:
+                pos = (nd.x.numerator * (dx // nd.x.denominator), nd.y.numerator * (dy // nd.y.denominator))
+                cells[pos] = "*" if pos in cells else mark
+        x0, x1 = min(x for x, _ in cells), max(x for x, _ in cells)
+        y0, y1 = min(y for _, y in cells), max(y for _, y in cells)
+        width, height = x1 - x0 + dx, y1 - y0 + dy
+        if width * height > n * n * dx * dy:
+            width, height = Fraction(width, dx), Fraction(height, dy)
+            raise ValueError(f"nodes spread over {width} x {height} cells, more than {n} x {n} for {n} nodes")
+        columns = range(x0, x1 + 1, dx)
+        blocks.append("\n".join("".join([cells.get((x, y), ".") for x in columns]) for y in range(y1, y0 - 1, -dy)))
+    return "\n\n".join(blocks)
+
 
 def render_ascii(graph: SkewGraph) -> str:
     """skewgraph.render_ascii stepping Fraction coordinates cell by cell:

@@ -276,8 +276,9 @@ def test_closed_stdout_exits_141_without_a_message():
     assert (proc.wait(timeout=60), err) == (141, b"")
 
 
-# The B3 chain and the D6 graph of two chains sharing the origin.
+# The A2 domino, the B3 chain and the D6 graph of two chains sharing the origin.
 _VERIFY_GRAPHS = {
+    "A": "-1/2,0/1 1/2,0/1\n",
     "B": "-1/1,0/1 0/1,0/1 1/1,0/1\n",
     "D": "-1/1,0/1 0/1,0/1 1/1,0/1\n0/1,-1/1 0/1,0/1 0/1,1/1\n",
     # The D4 square, a connected series-D graph: build writes its orbit sign.
@@ -334,6 +335,22 @@ def test_verify_names_an_unknown_series(tmp_path, capsys, gram):
             doc["gram"] = None
 
     assert _verify_mutated(tmp_path, capsys, rename) == (2, "error: unknown series 'Z'\n")
+
+
+@pytest.mark.parametrize(
+    "graph, changes, message",
+    [
+        # A zero form once exited 1 with the finding form_nondegenerate:
+        # false, and a nondegenerate one exited 0.
+        pytest.param("A", {"gram": {"shape": 2, "entries": []}}, "series A takes no gram matrix", id="A2-zero-gram"),
+        pytest.param("A", {"gram": [["0", "1"], ["1", "0"]]}, "series A takes no gram matrix", id="A2-dense-gram"),
+        pytest.param("B", {"gram": {"shape": 5, "entries": [[i, 4 - i, "1"] for i in range(5)]}},
+                     "gram is not a 3x3 matrix", id="B3-5x5-gram"),
+        pytest.param("B", {"dimv": 0, "labels": []}, "dimv must be a positive integer, got 0", id="B-dimv-0"),
+    ],
+)
+def test_verify_refuses_a_gram_matrix_or_dimv_that_does_not_fit(tmp_path, capsys, graph, changes, message):
+    assert _verify_mutated(tmp_path, capsys, lambda doc: doc.update(changes), graph) == (2, f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -54,6 +54,17 @@ def test_enumeration_is_canonical_admissible_and_strictly_ordered(series):
         assert count_orbits(series, dimv, kind, max_nodes=16) == weighted, (dimv, kind)
 
 
+def test_canonical_form_returns_an_enumerated_graph_itself():
+    # A graph that is canonical already is not rebuilt: build_pair,
+    # closed_form_centralizer and render canonicalize every graph they read.
+    count = 0
+    for series, dimv, kind in _cases(8):
+        for g in enumerate_admissible(series, dimv, kind):
+            assert canonical_form(g) is g, (series, dimv, kind, g)
+            count += 1
+    assert count == 681
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_a_principal_count_is_two_partitions_less_divisors(n):
     assert count_orbits("A", n, "principal", max_nodes=16) == 2 * partition_counts(n)[n] - divisor_count(n)

@@ -170,6 +170,33 @@ def test_algebra_basis_dimensions():
     assert all(in_algebra(so5, m) for m in basis)
 
 
+@pytest.mark.parametrize(
+    "series, dimv, form, message",
+    [
+        pytest.param("Z", 3, None, "unknown series 'Z'", id="unknown-series"),
+        pytest.param("A", 0, None, "dimV must be positive", id="A0"),
+        pytest.param("C", -2, None, "dimV must be positive", id="C-2"),
+        pytest.param("B", 4, None, "series B requires odd dimV", id="B4"),
+        pytest.param("D", 3, None, "series D requires even dimV", id="D3"),
+        # The series and dimV are checked before the form.
+        pytest.param("Z", 3, [[1]], "unknown series 'Z'", id="unknown-series-with-a-form"),
+        pytest.param("B", 0, [], "dimV must be positive", id="B0-with-a-form"),
+        pytest.param("A", 2, [[0, 1], [1, 0]], "series A takes no gram matrix", id="A2-with-a-form"),
+        pytest.param("B", 3, [[int(i + j == 4) for j in range(5)] for i in range(5)],
+                     "the form is not a 3x3 matrix", id="B3-with-a-5x5-form"),
+        pytest.param("B", 3, [[0, 1], [1, 0], [0, 0]], "the form is not a 3x3 matrix", id="B3-with-short-rows"),
+    ],
+)
+def test_make_spec_refuses_what_enumeration_refuses_and_a_form_that_does_not_fit(series, dimv, form, message):
+    # make_spec once skipped the dimV check: A0 had rank -1 and B3 took a
+    # 5x5 form.  Its series and dimV messages are enumeration's.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_spec(series, dimv, None if form is None else matrix(form))
+    if form is None:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            enumerate_admissible(series, dimv, "distinguished")
+
+
 def test_standard_form_types():
     g = make_spec("C", 4).form
     assert g == tuple(tuple(-x for x in row) for row in transpose(g))
@@ -248,12 +275,14 @@ def test_build_pair_refuses_invalid_and_moved_copies_alike(series, text):
 
 
 def test_build_pair_reads_each_component_once(monkeypatch):
-    # On an enumerated (canonical) graph: one _cell_offsets per component,
-    # in build_pair and once per graph in classify, for both D signs, and
-    # no _centred_graph, the barycentre of canonical_form.
+    # On an enumerated (canonical) graph: one _component_cells per
+    # component, in build_pair and once per graph in classify, for both D
+    # signs, and no _centred_graph, the barycentre of canonical_form.
     offsets, sums = [], []
-    cell_offsets, centred_graph = skewgraph._cell_offsets, skewgraph._centred_graph
-    monkeypatch.setattr(skewgraph, "_cell_offsets", lambda comp: offsets.append(comp) or cell_offsets(comp))
+    component_cells, centred_graph = skewgraph._component_cells, skewgraph._centred_graph
+    monkeypatch.setattr(
+        skewgraph, "_component_cells", lambda i, comp, *ks: offsets.append(comp) or component_cells(i, comp, *ks)
+    )
     monkeypatch.setattr(skewgraph, "_centred_graph", lambda d, comps: sums.append(comps) or centred_graph(d, comps))
     for series, dimv in (("A", 5), ("B", 7), ("C", 6), ("D", 8)):
         graphs = enumerate_admissible(series, dimv, "distinguished")

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_to_cellset, oracle_connected_cellsets, oracle_connected_counts, rectangle_nodes
+from conftest import graph_to_cellset, iter_desk_graphs, oracle_connected_cellsets, oracle_connected_counts, rectangle_nodes
 from oracles import canonical_form as oracle_canonical_form
+from oracles import component_cells as oracle_component_cells
 from oracles import component_from_nodes as oracle_component_from_nodes
 from oracles import graph_findings as oracle_graph_findings
 from oracles import graph_key
 from oracles import render_ascii as oracle_render_ascii
+from oracles import render_ascii_per_axis as oracle_render_ascii_per_axis
 from skewpairs.skewgraph import (
     KINDS,
     SYM_INTEGRAL,
@@ -30,6 +32,7 @@ from skewpairs.skewgraph import (
     _connected_shapes,
     _cs_shapes,
     _int_component,
+    _keys,
     _near_rectangles,
     _near_rectangular_cellsets,
     _symmetric_shapes,
@@ -438,9 +441,10 @@ def _invalid_components():
     ]
 
 
-def test_component_checks_match_node_oracles():
-    # Every connected shape with n <= 9 and every near-rectangle in an 8 x 8
-    # box, at the origin barycentre and translated by (1/3, 1/2).
+def _checked_components() -> list[Component]:
+    """_invalid_components, then every connected shape with n <= 9 and every
+    near-rectangle in an 8 x 8 box, each at the origin barycentre and
+    translated by (1/3, 1/2)."""
     centred = [g.components[0] for n in range(1, 10) for g in enumerate_connected(n)]
     centred += [
         component_from_nodes(cand)
@@ -453,14 +457,30 @@ def test_component_checks_match_node_oracles():
     for comp in centred:
         comps.append(comp)
         comps.append(component_from_nodes(nd.shifted(*shift) for nd in comp.nodes))
+    return comps
+
+
+def test_component_checks_match_node_oracles():
     seen_near = set()
-    for comp in comps:
-        assert _component_cells(2, comp)[1] == _oracle_component_findings(2, comp), comp
+    for comp in _checked_components():
+        d, (keys,) = _keys([comp.nodes])
+        assert _component_cells(2, comp, keys, d)[1] == _oracle_component_findings(2, comp), comp
         ours = _oracle_outcome(classify_component, comp)
         assert ours == _oracle_outcome(_oracle_classify, comp), comp
         if isinstance(ours, ShapeClass) and ours.near_rectangular_shape:
             seen_near.add(ours.near_rectangular_shape)
     assert seen_near == {"third", "first", "second"}
+
+
+def test_component_cells_on_keys_match_the_denominator_oracle():
+    # The cells and findings of a component read off its int keys, over its
+    # own d and over the d of a graph with a node of denominator 5 beside
+    # it, are those read off each node's numerator and denominator.
+    for comp in _checked_components():
+        expected = oracle_component_cells(2, comp)
+        for extra in ([], [Node(F(1, 5), F(0))]):
+            d, (keys, _) = _keys([comp.nodes, extra])
+            assert _component_cells(2, comp, keys, d) == expected, (comp, d)
 
 
 def test_near_rectangular_cellsets_match_node_oracle():
@@ -719,15 +739,17 @@ def test_render_zigzag():
     assert art == "##.\n.##"
 
 
+def _rendered(render, graph: SkewGraph) -> str:
+    """The text of render(graph), or its ValueError message."""
+    try:
+        return render(graph)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 def _render_both(graph: SkewGraph) -> tuple:
     """(text or ValueError message) of render_ascii and of its Fraction oracle."""
-    out = []
-    for render in (render_ascii, oracle_render_ascii):
-        try:
-            out.append(render(graph))
-        except ValueError as exc:
-            out.append(f"ValueError: {exc}")
-    return tuple(out)
+    return _rendered(render_ascii, graph), _rendered(oracle_render_ascii, graph)
 
 
 def test_render_on_int_cells_matches_the_fraction_oracle():
@@ -738,6 +760,19 @@ def test_render_on_int_cells_matches_the_fraction_oracle():
     for g in graphs:
         new, old = _render_both(g)
         assert new == old, graph_to_text(g)
+
+
+def test_render_on_keys_matches_the_per_axis_oracle_and_ignores_integer_shifts():
+    # Each desk graph and its translates by integer vectors draw the bytes
+    # that the drawing on ints scaled per grid and per axis drew.
+    count = 0
+    for _, _, g in iter_desk_graphs():
+        art = render_ascii(g)
+        for shift in ((0, 0), (2, -1), (-3, 5)):
+            moved = SkewGraph(tuple(Component(tuple(nd.shifted(*shift) for nd in c.nodes)) for c in g.components))
+            assert render_ascii(moved) == oracle_render_ascii_per_axis(moved) == art, (graph_to_text(g), shift)
+            count += 1
+    assert count > 4000
 
 
 @pytest.mark.parametrize(
@@ -777,4 +812,4 @@ def test_render_matches_the_fraction_oracle_on_any_nodes(comps):
     # off the steps of its grid is left out by both, not drawn by one.
     graph = SkewGraph(tuple(component_from_nodes(Node(x, y) for x, y in nodes) for nodes in comps))
     new, old = _render_both(graph)
-    assert new == old
+    assert new == old == _rendered(oracle_render_ascii_per_axis, graph)
