@@ -21,7 +21,6 @@ line publishes the text only when it is complete.  Peak RSS of `classify
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import re
 from dataclasses import dataclass
@@ -51,6 +50,7 @@ from .skewgraph import (
     SkewGraph,
     _admissible_count,
     _admissible_shapes,
+    _keys,
     enumerate_admissible,
     graph_from_jsonable,
     graph_to_jsonable,
@@ -106,6 +106,7 @@ class CatalogEntry:
 
 
 def _text_hash(text: str) -> str:
+    import hashlib  # only classify labels entries, so only it loads OpenSSL
     return hashlib.sha256(text.encode("ascii")).hexdigest()[:12]
 
 
@@ -186,7 +187,8 @@ def _classified(series: str, dimv: int, kind: str, max_nodes: int) -> Iterator[C
     for graph in enumerate_admissible(series, dimv, kind, max_nodes=max_nodes):
         # Enumerated graphs are canonical: each is validated once, its
         # cells are read once for both signs, and its own text gives the label.
-        found = _admissible_shapes(series, graph, kind)
+        keyed = _keys([c.nodes for c in graph.components])
+        found = _admissible_shapes(series, graph, kind, keyed)
         if found is None:
             raise CatalogVerificationError("graph is not admissible", graph)
         pred = _closed_form(series, graph, found) if kind == "principal" else None
@@ -195,7 +197,7 @@ def _classified(series: str, dimv: int, kind: str, max_nodes: int) -> Iterator[C
         if series == "D" and graph.is_connected():
             signs = ("plus", "minus")
         for sign in signs:
-            r = _realize(series, graph, found, sign)
+            r = _realize(series, graph, keyed, found, sign)
             try:
                 report = analyze(r)
             except ValueError as exc:  # analyze rejects failing relations

@@ -14,18 +14,19 @@ one bi-degree block of gl(V).
 
 On a built pair e1, e2 and G are signed monomial matrices, so almost every
 condition has one or two terms: x_u = 0 or a x_u + b x_v = 0.  One kernel,
-_graded_commutant, solves every pass over the positions, rows and brackets
-it is given.  Its signed union-find, _unite, reads each entry of [x, m]
-off one column and one row of m, and each live component is a kernel
-vector.  Only rows with three or more terms are eliminated, per block, in
-component variables: the series-A trace for dimV >= 3, and the rows of a
-frame in which e or G is not monomial.  analyze() runs the kernel over the
-n^2 positions of gl(V).  The report keeps the graded pieces it returns and
-reads every invariant off them: T is invertible, so each piece has the
-same dimension in the input coordinates.  Only a read of the basis or the
-witness maps them back, each matrix x as the integer product T x T^-1 with
-both factors scaled to ints, and one fraction-free elimination over these
-rows gives the reduced echelon basis; the witness maps its own piece.
+_graded_commutant, solves every pass over the positions, rows, form entries
+and brackets it is given.  Its signed union-find, _unite, reads each entry
+of [x, m] or x^T G + G x off one column and one row of m or G, and each
+live component is a kernel vector.  Only rows with three or more terms are
+eliminated, per block, in component variables: the series-A trace for dimV
+>= 3, and the rows of a frame in which e or G is not monomial.  analyze()
+runs the kernel over the n^2 positions of gl(V).  The report keeps the
+graded pieces it returns and reads every invariant off them: T is
+invertible, so each piece has the same dimension in the input coordinates.
+Only a read of the basis or the witness maps them back, each matrix x as
+the integer product T x T^-1 with both factors scaled to ints, and one
+fraction-free elimination over these rows gives the reduced echelon basis;
+the witness maps its own piece.
 
 The flags need no other solver.  z(h) & z(e) is the (0,0) piece of z(e),
 and z(h), the (0,0) block of g, needs no pass at all: its dimension is
@@ -36,14 +37,14 @@ orthogonal of z_g(e), and h lies in it exactly when tr(h z) vanishes on the
 (0,0) block of z_g(e), one kernel pass on the O(n) positions of that
 block.  In series A these passes drop the trace row and find the block of
 gl(V): that of sl(V) plus the line of I, with tr(h I) = 0, and nothing
-left to eliminate.  Each row is built once: _form_rows keeps a <= b of the
-(anti)symmetric x^T G + G x, and the (0,0)-block rows serve both
-rectangularity sides.  The weights are scaled by their common
-denominator, so bi-degrees are int pairs, and e1, e2 and the Gram matrix
-are each scaled to integers, which changes no commutant and no image.
+left to eliminate.  A pass reads the entries a <= b of the (anti)symmetric
+x^T G + G x, and the (0,0)-block pairs, cached on the frame, serve both
+rectangularity sides.  The weights are scaled by their common denominator,
+so bi-degrees are int pairs, and e1, e2 and the Gram matrix are each
+scaled to integers, which changes no commutant and no image.
 
-The report stores its pieces only as integral_rows, each scaled by its
-value at the lead; the basis and witness in the input coordinates, for the
+The report stores its pieces as the kernel returns them; the pieces scaled
+to ints and the basis and witness in the input coordinates, for the
 closed-form check and JSON export, are views built on first read.
 
 graph_from_pair() checks the relations, then _frame_graph reads the
@@ -85,10 +86,10 @@ from .skewgraph import (
     Node,
     SkewGraph,
     _admissible_shapes,
+    _canonical,
     _centred_graph,
     _principal_case,
-    canonical_form,
-    validate,
+    _validated,
 )
 
 ONE = Fraction(1)
@@ -118,20 +119,26 @@ class ReportFlags:
 
 @dataclass(frozen=True)
 class CentralizerReport:
-    """scaled_pieces[k] is the basis of the graded piece grading.table[k] in
-    the eigenframe, each matrix by integral_rows with rows as tuples, in
-    order of leading position.  frame_change is (T, a positive multiple of
+    """kernel[k] is the basis of the graded piece grading.table[k] in the
+    eigenframe as _graded_commutant returns it, a dimv x dimv matrix by its
+    (position, value) pairs.  frame_change is (T, a positive multiple of
     T^-1), by their nonzero rows of ints, or None when h1 and h2 came in
-    diagonal.  scaled_basis, the reduced echelon basis in the input
-    coordinates, and scaled_witness, the witness matrix there and its
-    bi-degree (None without one), are views built on first read."""
+    diagonal.  scaled_pieces, each matrix of kernel by integral_rows,
+    scaled_basis, the reduced echelon basis in the input coordinates, and
+    scaled_witness, the witness matrix there and its bi-degree (None
+    without one), are views built on first read."""
 
     dimension: int
-    scaled_pieces: tuple[tuple[tuple, ...], ...]
+    dimv: int
+    kernel: tuple[tuple[tuple, ...], ...]
     frame_change: Optional[tuple[tuple, tuple]]
     grading: BiGrading
     biexponents: tuple[tuple[Fraction, Fraction], ...]
     flags: ReportFlags
+
+    @cached_property
+    def scaled_pieces(self) -> tuple[tuple[tuple, ...], ...]:
+        return tuple(tuple(_by_rows(self.dimv, vec) for vec in piece) for piece in self.kernel)
 
     @cached_property
     def scaled_basis(self) -> tuple[tuple, ...]:
@@ -152,7 +159,7 @@ class CentralizerReport:
         if not found:
             return None
         q, p, k = min(found)
-        piece = self.scaled_pieces[k]
+        piece = [_by_rows(self.dimv, vec) for vec in self.kernel[k][:1 if self.frame_change is None else None]]
         return (piece[0] if self.frame_change is None else _mapped_back(self.frame_change, piece)[0]), (p, q)
 
 
@@ -187,7 +194,7 @@ def _mapped_back(change: tuple[tuple, tuple], mats) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# The eigenframe, the constraint rows and the union-find pass
+# The eigenframe and the union-find pass
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -229,12 +236,15 @@ class _Frame:
         return [self.at.get((w[0] - d0, w[1] - d1), ()) for w in self.weights]
 
     @cached_property
-    def zero(self) -> tuple[list[int], list]:
-        """The (0,0)-block positions i * n + j and form rows, without the
-        trace in series A: both rectangularity sides read them."""
+    def zero(self) -> tuple[list[int], Optional[list]]:
+        """The (0,0)-block positions i * n + j and pairs, the b >= a with
+        w_a + w_b = 0 for each a (None without a form, so without the trace
+        in series A): both rectangularity sides read them."""
         n = len(self.weights)
         positions = [i * n + j for i, cols in enumerate(self.block(DEGREE_0)) for j in cols]
-        return positions, [] if self.spec.series == "A" else _form_rows(self, zero_block=True)
+        if self.gram is None:
+            return positions, None
+        return positions, [[b for b in self.at.get((-w[0], -w[1]), ()) if b >= a] for a, w in enumerate(self.weights)]
 
     def cartan_dimension(self) -> int:
         """dim z_g(h) from the weight multiplicities m_w: z_gl(h) is the sum
@@ -311,46 +321,21 @@ def _summed(terms: list) -> list:
     return [(p, c) for p, c in acc.items() if c]
 
 
-def _form_rows(frame: _Frame, zero_block: bool = False) -> list[list[tuple[int, int]]]:
-    """The condition x in g as sparse rows, all of them or those of the
-    (0,0) block.
+def _unite(positions, rows, brackets=(), form=None) -> tuple[list, list]:
+    """One signed union-find pass over these positions, of the sparse rows,
+    of entry (i, j) of [x, m] for each (m, targets) in brackets and, for
+    form = (G, pairs), of entry (i, j) of x^T G + G x: m and G by
+    with_columns, targets[i] and pairs[i] the columns j of row i.
 
     A sparse row lists (position, int coefficient) pairs, positions i * n + j
-    distinct and coefficients nonzero.  Series A has the trace, whose one row
-    lies in the (0,0) block.  B, C and D have the entries (a, b) of
-    x^T G + G x; since G pairs weight w only with -w, entry (a, b) is a row of
-    the block of degree -(w_a + w_b).  G is symmetric or alternating
-    (_checked_form), so entry (b, a) is entry (a, b) up to sign: only a <= b
-    is built."""
-    n = len(frame.weights)
-    if frame.spec.series == "A":
-        return [[(i * n + i, 1) for i in range(n)]]
-    g_rows, g_cols = frame.gram
-    if zero_block:
-        at = frame.at
-        pairs = ((a, b) for w, left in at.items() for a in left for b in at.get((-w[0], -w[1]), ()) if a <= b)
-    else:
-        pairs = ((a, b) for a in range(n) for b in range(a, n))
-    rows = []
-    for a, b in pairs:
-        row = _summed([(c * n + a, val) for c, val in g_cols[b]] + [(c * n + b, val) for c, val in g_rows[a]])
-        if row:
-            rows.append(row)
-    return rows
-
-
-def _unite(positions, rows, brackets=()) -> tuple[list, list]:
-    """One signed union-find pass over these positions, of the sparse rows
-    and of entry (i, j) of [x, m] for each (m, targets) in brackets, m by
-    with_columns and targets[i] the columns j of row i.
-
-    A row a x_u + b x_v = 0 unites u and v with the ratio x_v / x_u = -a / b,
-    an int while the division is exact; a row with one term, or a cycle
-    whose ratios do not close, forces its component to 0.  Entry (i, j) of
-    [x, m], sum_t m_tj x_it - sum_t m_it x_tj, is read off column j and row
-    i of m: one union or one kill while each holds at most one entry (with
-    m_jj and m_ii both nonzero, x_ij meets itself), a row by _summed when one
-    holds two.  Returns (components, rows of three or more terms): each live
+    distinct and coefficients nonzero.  A row a x_u + b x_v = 0 unites u and
+    v with the ratio x_v / x_u = -a / b, an int while the division is exact;
+    a row with one term, or a cycle whose ratios do not close, forces its
+    component to 0.  An entry (i, j), sum_t m_tj x_it - sum_t m_it x_tj of a
+    bracket or sum_t G_tj x_ti + sum_t G_it x_tj of the form, is read off
+    column j and row i of m or G: one union or one kill while each holds at
+    most one entry (x_ij may meet itself), a row by _summed when one holds
+    two.  Returns (components, rows of three or more terms): each live
     component, a kernel vector of the shorter rows, by its (position,
     x_p / x_root) pairs in the order of positions, ordered by first position."""
     size = max(positions, default=-1) + 1
@@ -394,18 +379,21 @@ def _unite(positions, rows, brackets=()) -> tuple[list, list]:
 
     for row in rows:
         take(row)
-    for (m_rows, m_cols), targets in brackets:
+    # A term t of column j lies at u0 + t du, one of row i at t n + j.
+    readings = [(m, targets, False) for m, targets in brackets]
+    for (m_rows, m_cols), targets, transposed in readings if form is None else [(*form, True)] + readings:
         n = len(m_rows)
+        du, sign = (n, 1) if transposed else (1, -1)
         for i, cols in enumerate(targets):
-            row = m_rows[i]
+            row, u0 = m_rows[i], i if transposed else i * n
             for j in cols:
                 col = m_cols[j]
                 if len(col) > 1 or len(row) > 1:
-                    take(_summed([(i * n + t, c) for t, c in col] + [(t * n + j, -c) for t, c in row]))
+                    take(_summed([(u0 + t * du, c) for t, c in col] + [(t * n + j, sign * c) for t, c in row]))
                 elif col and row:
-                    join(i * n + col[0][0], col[0][1], row[0][0] * n + j, -row[0][1])
+                    join(u0 + col[0][0] * du, col[0][1], row[0][0] * n + j, sign * row[0][1])
                 elif col or row:
-                    dead[find(i * n + col[0][0] if col else row[0][0] * n + j)] = True
+                    dead[find(u0 + col[0][0] * du if col else row[0][0] * n + j)] = True
 
     components: dict[int, list] = {}
     for p in positions:
@@ -417,10 +405,14 @@ def _unite(positions, rows, brackets=()) -> tuple[list, list]:
     return list(components.values()), long_rows
 
 
-def _graded_commutant(frame: _Frame, positions, rows, brackets) -> dict:
+def _graded_commutant(frame: _Frame, positions, rows, brackets, pairs=None) -> dict:
     """The solver of every centralizer pass: the kernel, over these
-    positions of gl(V), of the sparse rows and of the entries of [x, m] for
-    each (m, targets) in brackets, as _unite reads them.
+    positions of gl(V), of the sparse rows (the trace in series A), of the
+    entries (a, b) of x^T G + G x for b in pairs[a], G the frame's Gram
+    matrix, and of the entries of [x, m] for each (m, targets) in brackets,
+    as _unite reads them.  G pairs weight w only with -w, so entry (a, b)
+    lies in the block of degree -(w_a + w_b), and G is symmetric or
+    alternating (_checked_form), so entry (b, a) is entry (a, b) up to sign.
 
     Every row lies in one bi-degree block: each m is bi-homogeneous for the
     frame's weights.  The components of _unite have disjoint supports, so
@@ -438,7 +430,7 @@ def _graded_commutant(frame: _Frame, positions, rows, brackets) -> dict:
     """
     weights = frame.weights
     n = len(weights)
-    components, long_rows = _unite(positions, rows, brackets)
+    components, long_rows = _unite(positions, rows, brackets, None if pairs is None else (frame.gram, pairs))
 
     def degree(p: int) -> tuple[int, int]:
         wi, wj = weights[p // n], weights[p % n]
@@ -491,7 +483,7 @@ def _h_in_image(frame: _Frame, e, side: int) -> bool:
     diagonal with the weights along its side, and the form pairs bi-degree
     d only with -d, so phi(z) = sum_i w_i z_ii must vanish on the (0,0)
     block of z_g(e).  _graded_commutant, the solver of z(e1, e2), finds that
-    block from the (0,0) positions and form rows alone: [x, e] lands in the
+    block from the (0,0) positions and form pairs alone: [x, e] lands in the
     block of e's degree, den along its side.  phi must vanish on each vector
     it returns.  In series A the pass has no trace row, so it finds the
     (0,0) block of z_gl(e): that of z_sl(e) plus the line of I, as
@@ -499,9 +491,9 @@ def _h_in_image(frame: _Frame, e, side: int) -> bool:
     z_g(h), needs no pass: _Frame.cartan_dimension reads its dimension off
     the weights.
     """
-    n, (positions, rows) = len(frame.weights), frame.zero
+    n, (positions, pairs) = len(frame.weights), frame.zero
     delta = (frame.den, 0) if side == 0 else (0, frame.den)
-    piece = _graded_commutant(frame, positions, rows, [(e, frame.block(delta))]).get(DEGREE_0, ())
+    piece = _graded_commutant(frame, positions, (), [(e, frame.block(delta))], pairs).get(DEGREE_0, ())
     return not any(sum(frame.weights[p // n][side] * x for p, x in vec if p % (n + 1) == 0) for vec in piece)
 
 
@@ -545,10 +537,12 @@ def analyze(r: PairRealization) -> CentralizerReport:
     frame, (e1, e2) = _framed(r)
     spec, n = frame.spec, r.spec.dimv
     every = [range(n)] * n
-    commutant = _graded_commutant(frame, range(n * n), _form_rows(frame), [(m, every) for m in (e1, e2)])
-    # Each basis matrix scaled to ints; T is invertible, so the pieces'
-    # sizes are the dimensions in the input coordinates too.
-    pieces = tuple(tuple(_by_rows(n, vec) for vec in piece) for piece in commutant.values())
+    series_a = frame.gram is None
+    trace = [[(i * n + i, 1) for i in range(n)]] if series_a else ()
+    upper = None if series_a else [range(a, n) for a in range(n)]
+    commutant = _graded_commutant(frame, range(n * n), trace, [(m, every) for m in (e1, e2)], upper)
+    # T is invertible, so the pieces' sizes are the dimensions in the input
+    # coordinates too.
     table = tuple((frame.degree(d), len(piece)) for d, piece in commutant.items())
     biexponents = tuple(d for d, dim in table for _ in range(dim))
     dimension = len(biexponents)
@@ -560,7 +554,8 @@ def analyze(r: PairRealization) -> CentralizerReport:
     flags = ReportFlags(relations_ok=True, cartan_h=cartan_h, trivial_intersection=trivial,
                         distinguished=cartan_h and trivial, principal=dimension == spec.rank,
                         rectangular=_rectangularity(frame, e1, e2))
-    return CentralizerReport(dimension=dimension, scaled_pieces=pieces, frame_change=change,
+    kernel = tuple(tuple(map(tuple, piece)) for piece in commutant.values())
+    return CentralizerReport(dimension=dimension, dimv=n, kernel=kernel, frame_change=change,
                              grading=BiGrading(table=table), biexponents=biexponents, flags=flags)
 
 
@@ -597,8 +592,8 @@ def closed_form_centralizer(series: str, graph: SkewGraph) -> ClosedFormPredicti
     Powers (k, l) stand for e1^k e2^l; the extra operator A, when present,
     is given by its basis-label actions and bi-degree.
     """
-    graph = canonical_form(graph)
-    found = _admissible_shapes(series, graph, "principal")
+    graph, keyed = _canonical(graph)
+    found = _admissible_shapes(series, graph, "principal", keyed)
     if found is None:
         raise ValueError("graph is outside the closed-form (principal) case list")
     return _closed_form(series, graph, found)
@@ -722,7 +717,7 @@ def _frame_graph(frame: _Frame, moved) -> SkewGraph:
     Joint eigenspaces must be lines, except that series D allows a
     two-dimensional (0,0)-eigenspace, which _split_origin splits into two.
     _centred_graph centres and sorts the weights, ints over den, and the
-    graph is validated once.
+    graph is validated once, on those ints.
     """
     moved = [rows for rows, _ in moved]
     at = frame.at
@@ -739,8 +734,8 @@ def _frame_graph(frame: _Frame, moved) -> SkewGraph:
     groups = [[frame.weights[i] for i, _ in comp] for comp in _unite(range(len(frame.weights)), arrows)[0]]
     if any(len(set(ws)) != len(ws) for ws in groups):
         raise NormalFormError("a reconstructed component repeats a node; not in normal form")
-    graph = _centred_graph(frame.den, groups)
-    findings = validate(graph)
+    graph, (d, cells) = _centred_graph(frame.den, groups)
+    findings, _ = _validated(graph, d, cells)
     if findings:
         raise NormalFormError("reconstructed graph violates the axioms: " + "; ".join(findings))
     return graph

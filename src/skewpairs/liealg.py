@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
 from .linalg import (
@@ -45,8 +45,8 @@ from .skewgraph import (
     Node,
     SkewGraph,
     _admissible_shapes,
+    _canonical,
     _check_request,
-    canonical_form,
     graph_from_jsonable,
     graph_to_jsonable,
     node_from_jsonable,
@@ -206,8 +206,8 @@ def build_pair(series: str, graph: SkewGraph, orbit_sign: Optional[str] = None) 
     the plus one conjugated by the determinant -1 isometry swapping the dual
     basis vectors at (1/2,1/2) and (-1/2,-1/2).
     """
-    graph = canonical_form(graph)
-    found = _admissible_shapes(series, graph, "distinguished")
+    graph, keyed = _canonical(graph)
+    found = _admissible_shapes(series, graph, "distinguished", keyed)
     if found is None:
         raise NotAdmissibleError(f"graph is not admissible for series {series}")
     sign = None
@@ -217,30 +217,30 @@ def build_pair(series: str, graph: SkewGraph, orbit_sign: Optional[str] = None) 
             raise ValueError(f"unknown orbit sign {orbit_sign!r}")
     elif orbit_sign is not None:
         raise ValueError("orbit_sign is only meaningful for connected series-D graphs")
-    return _realize(series, graph, found, sign)
+    return _realize(series, graph, keyed, found, sign)
 
 
-def _realize(series: str, graph: SkewGraph, found: list, sign: Optional[str]) -> PairRealization:
-    """build_pair of a canonical admissible graph, given the (ShapeClass,
-    cells) of each component as _admissible_shapes finds them and the orbit
-    sign ("plus", "minus" or None) it resolved.  All five matrices are made
-    as integral_rows from the cells: e1, e2 and G have scale 1, and h1 and
-    h2 the least common denominator of the coordinates along their axis."""
-    comps = graph.components
-    labels = tuple(BasisLabel(ci, nd) for ci, comp in enumerate(comps) for nd in comp.nodes)
+def _realize(series: str, graph: SkewGraph, keyed: tuple, found: list, sign: Optional[str]) -> PairRealization:
+    """build_pair of a canonical admissible graph, given its _keys, the
+    (ShapeClass, cells) of each component as _admissible_shapes finds them
+    and the orbit sign ("plus", "minus" or None) it resolved.  All five
+    matrices are made as integral_rows from the cells: e1, e2 and G have
+    scale 1, and h1 and h2 the least common denominator along their axis."""
+    labels = tuple(BasisLabel(ci, nd) for ci, comp in enumerate(graph.components) for nd in comp.nodes)
     n = len(labels)
     e1, e2, h1, h2 = [()] * n, [()] * n, [()] * n, [()] * n
-    # A component's nodes share the reduced denominators of its first node.
-    c1 = lcm(*(comp.nodes[0].x.denominator for comp in comps))
-    c2 = lcm(*(comp.nodes[0].y.denominator for comp in comps))
+    # A component's nodes differ by integer vectors, so along each axis the
+    # nodes' lcm of denominators is d / gcd(d, the first nodes' keys).
+    d, keys = keyed
+    bases = [k[0] for k in keys]
+    c1, c2 = (d // gcd(d, *axis) for axis in zip(*bases))
     g: Optional[list] = None if series == "A" else [None] * n
     start = 0
-    for comp, (shape, cells) in zip(comps, found):
+    for (kx, ky), (shape, cells) in zip(bases, found):
         # Arrows and antipodes are found on integer cells.  Twice a node's
         # coordinates are 2 * offset - (min + max offset) once the component
-        # is centred on the origin (series B, C, D); c1 x = c1 base.x + c1 dx.
-        base = comp.nodes[0]
-        bx, by = base.x.numerator * (c1 // base.x.denominator), base.y.numerator * (c2 // base.y.denominator)
+        # is centred on the origin (series B, C, D); c1 x = bx + c1 dx.
+        bx, by = kx * c1 // d, ky * c2 // d
         sx = min(dx for dx, _ in cells) + max(dx for dx, _ in cells)
         sy = min(dy for _, dy in cells) + max(dy for _, dy in cells)
         for (dx, dy), k in cells.items():

@@ -186,9 +186,9 @@ def _component_cells(index: int, comp: Component, keys: list, d: int) -> tuple[O
     return cells, findings
 
 
-def _validated(graph: SkewGraph) -> tuple[list[str], list[Optional[dict]]]:
-    """validate(graph), and each component's integer cells."""
-    d, keys = _keys([c.nodes for c in graph.components])
+def _validated(graph: SkewGraph, d: int, keys: list) -> tuple[list[str], list[Optional[dict]]]:
+    """validate(graph), and each component's integer cells, given its nodes
+    as int pairs over a common denominator d, such as _keys gives."""
     findings, cells = [], []
     for i, (comp, comp_keys) in enumerate(zip(graph.components, keys)):
         comp_cells, comp_findings = _component_cells(i, comp, comp_keys, d)
@@ -214,7 +214,7 @@ def _validated(graph: SkewGraph) -> tuple[list[str], list[Optional[dict]]]:
 
 def validate(graph: SkewGraph) -> list[str]:
     """Check every axiom; the graph is valid iff the returned list is empty."""
-    return _validated(graph)[0]
+    return _validated(graph, *_keys([c.nodes for c in graph.components]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +254,12 @@ def classify_component(comp: Component) -> ShapeClass:
     cells, findings = _component_cells(0, comp, keys, d)
     if findings:
         raise ValueError("component is not a valid connected skew-graph: " + "; ".join(findings))
-    return _cell_shape(cells, comp.nodes[0])
+    return _cell_shape(cells, keys[0], d)
 
 
-def _cell_shape(cells, base: Node) -> ShapeClass:
-    """classify_component for a valid component given as cells offset from base."""
+def _cell_shape(cells, base: tuple[int, int], d: int) -> ShapeClass:
+    """classify_component for a valid component given as cells offset from
+    its first node, whose int key over d (_keys) is base."""
     sources = [(x, y) for x, y in cells if (x - 1, y) not in cells and (x, y - 1) not in cells]
     sinks = [(x, y) for x, y in cells if (x + 1, y) not in cells and (x, y + 1) not in cells]
     if len(sources) == 1 and len(sinks) == 1:
@@ -277,13 +278,10 @@ def _cell_shape(cells, base: Node) -> ShapeClass:
         rectangle = (len(xs), len(ys))
 
     # Symmetric about the origin: the bounding box is centred there, that is
-    # 2 * base + (min + max) = 0 in each coordinate, and the cells are
+    # 2 * base + (min + max) d = 0 in each coordinate, and the cells are
     # symmetric within it.
     symmetry = SYM_NOT_CS
-    if (
-        2 * base.x.numerator + (xs[0] + xs[-1]) * base.x.denominator == 0
-        and 2 * base.y.numerator + (ys[0] + ys[-1]) * base.y.denominator == 0
-    ):
+    if 2 * base[0] + (xs[0] + xs[-1]) * d == 0 and 2 * base[1] + (ys[0] + ys[-1]) * d == 0:
         symmetry = _symmetry(_int_component(cells))
 
     near = None
@@ -334,10 +332,16 @@ def canonical_form(graph: SkewGraph) -> SkewGraph:
     on int keys; a graph whose keys sum to (0, 0), strictly increase in each
     component and have the components in order is returned itself.  A node
     repeated in a component stays, for validate to name."""
+    return _canonical(graph)[0]
+
+
+def _canonical(graph: SkewGraph) -> tuple[SkewGraph, tuple[int, list]]:
+    """canonical_form(graph) and its nodes as (d, int pairs over d): the
+    _keys of graph, or the cells of _centred_graph, so a graph is read once."""
     d, keys = _keys([c.nodes for c in graph.components])
     increasing = all(a < b for c in keys for a, b in zip(c, c[1:]))
     ordered = all((-len(a), a) <= (-len(b), b) for a, b in zip(keys, keys[1:]))
-    return graph if _sums(keys) == (0, 0) and increasing and ordered else _centred_graph(d, keys)
+    return (graph, (d, keys)) if _sums(keys) == (0, 0) and increasing and ordered else _centred_graph(d, keys)
 
 
 def _sums(comps: list[list[tuple[int, int]]]) -> tuple[int, int]:
@@ -345,15 +349,16 @@ def _sums(comps: list[list[tuple[int, int]]]) -> tuple[int, int]:
     return sum(x for c in comps for x, _ in c), sum(y for c in comps for _, y in c)
 
 
-def _centred_graph(d: int, comps: list[list[tuple[int, int]]]) -> SkewGraph:
+def _centred_graph(d: int, comps: list[list[tuple[int, int]]]) -> tuple[SkewGraph, tuple[int, list]]:
     """The canonical graph whose components have these nodes, each an int
-    pair over d.  For n nodes, a pair p becomes the cell n p - sum p over
-    n d, so the graph is centred, and its components sorted (larger first,
-    then by cells), on ints; Nodes are made last, by _node."""
+    pair over d, and its nodes as (n d, cells).  For n nodes, a pair p
+    becomes the cell n p - sum p over n d, so the graph is centred, and its
+    components sorted (larger first, then by cells), on ints; Nodes are made
+    last, by _node."""
     n = sum(map(len, comps))
     sx, sy = _sums(comps)
     cells = sorted((sorted((n * x - sx, n * y - sy) for x, y in c) for c in comps), key=lambda c: (-len(c), c))
-    return SkewGraph(tuple(Component(tuple(_node(x, y, n * d) for x, y in c)) for c in cells))
+    return SkewGraph(tuple(Component(tuple(_node(x, y, n * d) for x, y in c)) for c in cells)), (n * d, cells)
 
 
 def _int_component(cells) -> tuple[int, tuple]:
@@ -720,20 +725,21 @@ def enumerate_admissible(
 
 def is_admissible(series: str, graph: SkewGraph, kind: str) -> bool:
     """Structural admissibility test; equivalent to enumeration membership."""
-    return _admissible_shapes(series, graph, kind) is not None
+    return _admissible_shapes(series, graph, kind, _keys([c.nodes for c in graph.components])) is not None
 
 
-def _admissible_shapes(series: str, graph: SkewGraph, kind: str) -> Optional[list[tuple[ShapeClass, dict]]]:
+def _admissible_shapes(series: str, graph: SkewGraph, kind: str, keyed: tuple) -> Optional[list[tuple[ShapeClass, dict]]]:
     """The ShapeClass and the integer cells (_component_cells) of each
-    component when the graph is admissible, else None.  The graph is
-    validated once; the shapes come from the cells validation read, which
-    _realize reads too."""
+    component when the graph is admissible, else None, given keyed = (d,
+    keys), the graph's _keys.  The graph is validated once; the shapes come
+    from the cells validation read, which _realize reads too."""
     if series not in SERIES or kind not in KINDS:
         raise ValueError("unknown series or kind")
-    findings, cells = _validated(graph)
+    d, keys = keyed
+    findings, cells = _validated(graph, d, keys)
     if findings:
         return None
-    shapes = [_cell_shape(c, comp.nodes[0]) for c, comp in zip(cells, graph.components)]
+    shapes = [_cell_shape(c, k[0], d) for c, k in zip(cells, keys)]
     return list(zip(shapes, cells)) if _shapes_admissible(series, graph, kind, shapes, cells) else None
 
 
@@ -822,12 +828,8 @@ def graph_to_text(graph: SkewGraph) -> str:
 
 
 def graph_from_text(text: str) -> SkewGraph:
-    comps = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        comps.append(_read_component([_node_from_text(tok) for tok in line.split()]))
+    lines = [line.split() for line in text.splitlines()]
+    comps = [_read_component([_node_from_text(tok) for tok in tokens]) for tokens in lines if tokens]
     if not comps:
         raise ValueError("no components in graph text")
     return SkewGraph(tuple(comps))

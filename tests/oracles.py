@@ -6,12 +6,12 @@ the reduced echelon form, transposes, inverses, canonical null spaces, one
 solution of A x = b, joint eigenspaces, brackets with a sparse algebra
 basis element), the characteristic polynomial as Fractions, the reduced
 echelon span of matrices, the algebra basis of g inside gl(V), membership
-in g by x^T G + G x, the dense centralizer, the dense basis and witness of
-a report, a null space over the whole algebra basis, the graded commutant
-by one elimination per bi-degree block of gl(V), the closed-form check by
-dense powers and reduction, node deduplication, the canonical form and
-the whole-graph findings of validation by comparing and hashing
-Fractions, a component's cells and findings from each node's own
+in g by x^T G + G x and its sparse rows, the dense centralizer, the dense
+basis and witness of a report, a null space over the whole algebra basis,
+the graded commutant by one elimination per bi-degree block of gl(V), the
+closed-form check by dense powers and reduction, node deduplication, the
+canonical form and the whole-graph findings of validation by comparing and
+hashing Fractions, a component's cells and findings from each node's own
 denominators, and the skew-diagram drawing on Fraction coordinates and on
 ints scaled per grid and per axis.
 """
@@ -384,6 +384,35 @@ def eigenframe(spec: AlgebraSpec, h1: Matrix, h2: Matrix, mats: Sequence[Matrix]
     """The package's eigenframe from dense matrices: (frame, moved), each
     moved matrix by sparse_rows_cols."""
     return _eigenframe(spec, integral_rows(h1), integral_rows(h2), [integral_rows(m) for m in mats])
+
+
+def form_rows(frame: _Frame, zero_block: bool = False) -> list[list[tuple[int, int]]]:
+    """The condition x in g as sparse rows, all of them or those of the
+    (0,0) block: the rows the package built before it read the form off
+    the Gram matrix, as it reads brackets.
+
+    A sparse row lists (position, int coefficient) pairs, positions i * n + j
+    distinct and coefficients nonzero.  Series A has the trace, whose one row
+    lies in the (0,0) block.  B, C and D have the entries (a, b) of
+    x^T G + G x for a <= b, each row of the block of degree -(w_a + w_b)."""
+    n = len(frame.weights)
+    if frame.spec.series == "A":
+        return [[(i * n + i, 1) for i in range(n)]]
+    g_rows, g_cols = frame.gram
+    if zero_block:
+        at = frame.at
+        pairs = ((a, b) for w, left in at.items() for a in left for b in at.get((-w[0], -w[1]), ()) if a <= b)
+    else:
+        pairs = ((a, b) for a in range(n) for b in range(a, n))
+    rows = []
+    for a, b in pairs:
+        acc: dict[int, int] = {}
+        for p, c in [(c * n + a, val) for c, val in g_cols[b]] + [(c * n + b, val) for c, val in g_rows[a]]:
+            acc[p] = acc.get(p, 0) + c
+        row = [(p, c) for p, c in acc.items() if c]
+        if row:
+            rows.append(row)
+    return rows
 
 
 def _blocks(weights):

@@ -289,9 +289,9 @@ def test_every_entry_flag_consistency():
 def test_classify_validates_each_graph_once(monkeypatch):
     calls = []
 
-    def counted(series, graph, kind):
+    def counted(series, graph, kind, keyed):
         calls.append(graph)
-        return skewgraph._admissible_shapes(series, graph, kind)
+        return skewgraph._admissible_shapes(series, graph, kind, keyed)
 
     for module in (catalog, liealg, centralizer):
         monkeypatch.setattr(module, "_admissible_shapes", counted)

@@ -31,6 +31,7 @@ from oracles import (
     dense_basis,
     dense_witness,
     eigenframe,
+    form_rows,
     graph_key,
     in_span,
     invert,
@@ -47,7 +48,6 @@ from skewpairs import centralizer as centralizer_module
 from skewpairs.centralizer import (
     NormalFormError,
     _by_rows,
-    _form_rows,
     _graded_commutant,
     _unite,
     analyze,
@@ -261,6 +261,41 @@ def test_moved_report_maps_back_only_what_is_read(monkeypatch):
     assert count > 50 and witnessed > 10, (count, witnessed)
 
 
+def test_report_scales_only_what_is_read(monkeypatch):
+    # analyze keeps the kernel vectors as _graded_commutant returns them and
+    # scales none to ints.  scaled_basis scales every vector (a moved one
+    # each mapped-back vector too), and scaled_witness only its own piece,
+    # leaving scaled_pieces unbuilt: one vector as built, every vector of
+    # the piece, before and after the map back, when moved.
+    scaled = []
+    by_rows = centralizer_module._by_rows
+    monkeypatch.setattr(centralizer_module, "_by_rows", lambda n, vec: scaled.append(vec) or by_rows(n, vec))
+    rng = random.Random(20261021)
+    built = moved = witnessed = 0
+    for r in distinguished_realizations(6):
+        c = conjugated(r, rng) if r.spec.dimv > 1 else None
+        for x in [r] if c is None else [r, c]:
+            del scaled[:]
+            rep = analyze(x)
+            assert scaled == [], x.graph
+            witness = rep.scaled_witness
+            factor = 1 if rep.frame_change is None else 2
+            if witness is None:
+                assert scaled == [], x.graph
+            else:
+                piece = dict(rep.grading.table)[witness[1]]
+                assert len(scaled) == (1 if factor == 1 else 2 * piece), x.graph
+                witnessed += 1
+            assert "scaled_pieces" not in vars(rep), x.graph
+            del scaled[:]
+            assert len(rep.scaled_basis) == rep.dimension and len(scaled) == factor * rep.dimension, x.graph
+            if witness is not None and factor == 1:
+                assert witness[0] in rep.scaled_basis, x.graph
+            built += x is r
+            moved += x is not r
+    assert built > 50 and moved > 50 and witnessed > 20, (built, moved, witnessed)
+
+
 def test_graded_commutant_agrees_with_dense():
     cases = []
     for series, dims in [("A", (2, 3, 4, 5)), ("B", (3, 5)), ("C", (2, 4)), ("D", (4, 6))]:
@@ -290,10 +325,21 @@ def _sheared(r):
 
 
 def _everywhere(frame, ms) -> tuple:
-    """The _graded_commutant arguments of z(ms) in g: every position of
-    gl(V), the form rows and the whole of each bracket [x, m]."""
+    """The _graded_commutant arguments of z(ms) in g, as analyze passes
+    those of z(e1, e2): every position of gl(V), the trace row in series A,
+    the whole of each bracket [x, m] and, in B, C and D, every entry a <= b
+    of x^T G + G x."""
     n = len(frame.weights)
-    return range(n * n), _form_rows(frame), [(m, [range(n)] * n) for m in ms]
+    brackets = [(m, [range(n)] * n) for m in ms]
+    if frame.gram is None:
+        return range(n * n), [[(i * n + i, 1) for i in range(n)]], brackets, None
+    return range(n * n), (), brackets, [range(a, n) for a in range(n)]
+
+
+def _united(frame, ms) -> tuple:
+    """_unite over the arguments of _everywhere, as _graded_commutant calls it."""
+    positions, rows, brackets, pairs = _everywhere(frame, ms)
+    return _unite(positions, rows, brackets, None if pairs is None else (frame.gram, pairs))
 
 
 def _dense_pieces(frame, pieces) -> dict:
@@ -318,7 +364,7 @@ def _rows(frame, elements):
     sparse_rows_cols: the form rows, then entry (i, j) of [x, m] as
     sum_t m_tj x_it - sum_t m_it x_tj, equal positions summed."""
     n = len(frame.weights)
-    rows = _form_rows(frame)
+    rows = form_rows(frame)
     for m_rows, m_cols in elements:
         for i in range(n):
             for j in range(n):
@@ -334,38 +380,50 @@ def _rows(frame, elements):
 
 
 def test_analyze_builds_each_constraint_row_once(monkeypatch):
-    # The rows of x in g are built once for a <= b, as entry (b, a) of
-    # x^T G + G x is entry (a, b) up to sign: no two rows share their
-    # positions.  Both rectangularity sides share one set of (0,0)-block
-    # positions and rows, and cartan_h reads no row, only the weights: two
-    # _form_rows and three blocks per analyze, the (0,0) one and that of
-    # each side's e.  Series A has no form, and the (0,0)-block passes leave
-    # out its trace row, so there it is one _form_rows, for z(e1, e2).
+    # The form x^T G + G x is read off the Gram matrix once for a <= b, as
+    # entry (b, a) is entry (a, b) up to sign: no two of its rows (the
+    # oracle's) share their positions.  Both rectangularity sides share one
+    # cached list of (0,0)-block pairs, and cartan_h reads no row, only the
+    # weights: three passes and three blocks per analyze, the (0,0) one and
+    # that of each side's e.  Series A has no form: its z(e1, e2) pass reads
+    # the one trace row, and the (0,0)-block passes leave it out.
     import skewpairs.centralizer as centralizer_module
 
     calls, blocks = [], []
-    block = centralizer_module._Frame.block
+    block, unite = centralizer_module._Frame.block, centralizer_module._unite
 
-    def counted_rows(frame, zero_block=False):
-        calls.append(zero_block)
-        return _form_rows(frame, zero_block)
+    def counted_unite(positions, rows, brackets=(), form=None):
+        calls.append((list(rows), form))
+        return unite(positions, rows, brackets, form)
 
     def counted_block(frame, delta):
         blocks.append(delta)
         return block(frame, delta)
 
-    monkeypatch.setattr(centralizer_module, "_form_rows", counted_rows)
+    monkeypatch.setattr(centralizer_module, "_unite", counted_unite)
     monkeypatch.setattr(centralizer_module._Frame, "block", counted_block)
     count = 0
     for r in distinguished_realizations(8):
         del calls[:], blocks[:]
         analyze(r)
-        assert calls == ([False] if r.spec.series == "A" else [False, True]) and len(blocks) == 3, r.graph
-        if r.spec.series != "A":
-            frame, _ = eigenframe(r.spec, r.h1, r.h2)
-            supports = [frozenset(p for p, _ in row) for row in _form_rows(frame)]
-            assert len(set(supports)) == len(supports), r.graph
-            count += 1
+        n = r.spec.dimv
+        frame, _ = eigenframe(r.spec, r.h1, r.h2)
+        assert len(calls) == 3 and len(blocks) == 3, r.graph
+        if r.spec.series == "A":
+            assert [rows for rows, _ in calls] == [form_rows(frame), [], []], r.graph
+            assert [form for _, form in calls] == [None] * 3, r.graph
+            continue
+        assert [rows for rows, _ in calls] == [[]] * 3, r.graph
+        (gram, everywhere), (gram0, zero), (gram1, zero_again) = (form for _, form in calls)
+        assert gram == gram0 == gram1 == frame.gram and zero is zero_again, r.graph
+        read = [(a, b) for a, bs in enumerate(everywhere) for b in bs]
+        assert read == [(a, b) for a in range(n) for b in range(a, n)], r.graph
+        w = frame.weights
+        opposite = [(a, b) for a in range(n) for b in range(a, n) if (w[a][0] + w[b][0], w[a][1] + w[b][1]) == (0, 0)]
+        assert sorted((a, b) for a, bs in enumerate(zero) for b in bs) == opposite, r.graph
+        supports = [frozenset(p for p, _ in row) for row in form_rows(frame)]
+        assert len(set(supports)) == len(supports), r.graph
+        count += 1
     assert count > 100
 
 
@@ -451,7 +509,7 @@ def test_trace_row_at_dimv_1_2_and_3():
     for dimv, dim_z in ((1, 0), (2, 1), (3, 2)):
         r = build_pair("A", rect_graph(dimv, 1))
         frame, _ = eigenframe(r.spec, r.h1, r.h2)
-        assert [len(row) for row in _form_rows(frame)] == [dimv]
+        assert [len(row) for row in form_rows(frame)] == [dimv]
         pieces, oracle = _both_commutants(r)
         assert pieces == oracle
         rep = analyze(r)
@@ -470,7 +528,7 @@ def test_d_components_sharing_the_origin():
     at_origin = [i for i, w in enumerate(frame.weights) if w == (0, 0)]
     assert len(at_origin) == 2
     n = r.spec.dimv
-    assert all([(a * n + a, 2)] in _form_rows(frame) for a in at_origin)
+    assert all([(a * n + a, 2)] in form_rows(frame) for a in at_origin)
     assert max(len(row) for row in _rows(frame, (e1, e2))) == 2
     sheared_frame, sheared_e = eigenframe(sheared.spec, sheared.h1, sheared.h2, (sheared.e1, sheared.e2))
     assert max(len(row) for row in _rows(sheared_frame, sheared_e)) > 2
@@ -503,7 +561,7 @@ def test_unite_reads_each_bracket_entry_off_a_row_and_a_column_of_m():
         n = len(frame.weights)
         ms = [m for m, _ in elements]
         everywhere = [(i, j) for i in range(n) for j in range(n)]
-        fast = _unite(*_everywhere(frame, ms))
+        fast = _united(frame, ms)
         assert fast == _unite(range(n * n), _rows(frame, ms))
         pieces = _dense_pieces(frame, _graded_commutant(frame, *_everywhere(frame, ms)))
         assert pieces == blockwise_commutant(frame, elements)

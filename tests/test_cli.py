@@ -30,6 +30,26 @@ def test_count_b9_principal(capsys):
     assert out == "3\n"
 
 
+def test_only_classify_loads_hashlib():
+    # hashlib loads OpenSSL; only classify hashes, to label its entries.  A
+    # fresh isolated interpreter imports the package and runs count, then
+    # classify, and reports whether hashlib was loaded after each.
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import skewpairs; from skewpairs import cli; "
+        "seen = ['hashlib' in sys.modules]; "
+        "cli.main(['count', '--series', 'B', '--dimv', '9', '--kind', 'principal']); "
+        "seen.append('hashlib' in sys.modules); "
+        "cli.main(['classify', '--series', 'A', '--dimv', '2', '--kind', 'principal', '--format', 'csv']); "
+        "print(seen + ['hashlib' in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[False, False, True]", done.stdout
+
+
 def test_count_full_mode(capsys):
     code, out, _ = run_cli(
         capsys, "count", "--series", "C", "--dimv", "4", "--kind", "principal", "--mode", "full"

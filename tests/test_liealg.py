@@ -46,6 +46,7 @@ from skewpairs.skewgraph import (
     Node,
     SkewGraph,
     _admissible_shapes,
+    _keys,
     canonical_form,
     classify_component,
     component_from_nodes,
@@ -241,9 +242,10 @@ def test_one_pass_build_matches_the_canonical_route():
         for dimv in range(first, 9, step):
             for g in enumerate_admissible(series, dimv, "distinguished"):
                 canon = canonical_form(g)
-                found = _admissible_shapes(series, canon, "distinguished")
+                keyed = _keys([c.nodes for c in canon.components])
+                found = _admissible_shapes(series, canon, "distinguished", keyed)
                 for sign in ("plus", "minus") if series == "D" and g.is_connected() else (None,):
-                    expected = _realize(series, canon, found, sign)
+                    expected = _realize(series, canon, keyed, found, sign)
                     for graph in (g, _moved(g), _moved(g, (0, 0))):
                         r = build_pair(series, graph, sign)
                         for name in (f.name for f in fields(PairRealization) if f.compare):
@@ -272,6 +274,27 @@ def test_build_pair_refuses_invalid_and_moved_copies_alike(series, text):
     for graph in (g, _moved(g), _moved(g, (0, 0))):
         with pytest.raises(NotAdmissibleError, match=f"^graph is not admissible for series {series}$"):
             build_pair(series, graph)
+
+
+def test_build_pair_reads_a_canonical_graph_as_ints_once(monkeypatch):
+    # canonical_form's int keys go on to validation, the shapes and the
+    # realization: one _keys per build_pair of an enumerated (canonical)
+    # graph, for either D sign, and of a moved copy, whose centred graph
+    # comes with its cells.
+    cases = [(series, g) for series, first, step in (("A", 1, 1), ("B", 1, 2), ("C", 2, 2), ("D", 2, 2))
+             for dimv in range(first, 9, step) for g in enumerate_admissible(series, dimv, "distinguished")]
+    calls = []
+    keys = skewgraph._keys
+    monkeypatch.setattr(skewgraph, "_keys", lambda comps: calls.append(comps) or keys(comps))
+    for series, g in cases:
+        for sign in ("plus", "minus") if series == "D" and g.is_connected() else (None,):
+            del calls[:]
+            build_pair(series, g, sign)
+            assert len(calls) == 1, (series, g)
+        del calls[:]
+        build_pair(series, _moved(g))
+        assert len(calls) == 1, (series, g)
+    assert len(cases) > 500
 
 
 def test_build_pair_reads_each_component_once(monkeypatch):
