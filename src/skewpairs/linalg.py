@@ -16,12 +16,15 @@ of h, the characteristic polynomial of the integer matrix c h is monic over
 Z, so each rational eigenvalue of h is r / c for an integer root r, found
 by Newton's method down from a bound on |r|, in a number of steps that
 grows with the bit length of that bound, not with r.
-The joint eigenspaces of (h1, h2) come from one kernel per eigenvalue of
-h1: the images under h2 of its integer basis give the restriction of h2
-to it without a solve, a line is then a joint eigenspace, and a larger
-space splits by the eigenvalues of the small restricted matrix.  The pair
-is diagonalizable over Q exactly when every eigenspace of h1 is h2-stable
-and the joint eigenspaces span the whole space.
+The joint eigenspaces of (h1, h2) are found block by block, on the
+connected components of the joint off-diagonal support of h1 and h2: a
+block of one coordinate is a joint eigenvector with no solve, and a larger
+block takes one kernel per eigenvalue of h1 on it.  The images under h2 of
+that kernel's integer basis give the restriction of h2 to it without a
+solve, a line is then a joint eigenspace, and a larger space splits by the
+eigenvalues of the small restricted matrix.  The pair is diagonalizable
+over Q exactly when every eigenspace of h1 is h2-stable and the joint
+eigenspaces span the whole space.
 
 Only routines that a package path calls live here.  Dense Fraction
 arithmetic (products, sums, powers, commutators, span membership, the
@@ -35,8 +38,9 @@ import re
 import reprlib
 import sys
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 Matrix = tuple
@@ -341,12 +345,12 @@ def _integer_roots(f: list[int], bound: int) -> list[int]:
     return sorted(set(roots))
 
 
-def _eigen_shifts(c: int, rows: Sequence[Sequence[tuple[int, int]]]) -> list[tuple[Fraction, list[list[int]]]]:
-    """(r / c, rows of A - r I) for each integer eigenvalue r of A, ascending.
+def _eigen_shifts(rows: Sequence[Sequence[tuple[int, int]]]) -> list[tuple[int, list[list[int]]]]:
+    """(r, rows of A - r I) for each integer eigenvalue r of A, ascending.
 
-    A is an integer matrix given by its nonzero entries by row, and A = c h
-    for a rational h and an int c > 0, so ker(A - r I) = ker(h - r / c).
-    Its characteristic polynomial is monic over Z, so its rational roots are
+    A is an integer matrix given by its nonzero entries by row; for A = c h,
+    with h rational and c > 0, ker(A - r I) = ker(h - r / c).  Its
+    characteristic polynomial is monic over Z, so its rational roots are
     integers, none above the largest absolute row sum of A in size.
     """
     n = len(rows)
@@ -358,8 +362,33 @@ def _eigen_shifts(c: int, rows: Sequence[Sequence[tuple[int, int]]]) -> list[tup
             for j, x in row:
                 shifted[i][j] = x
             shifted[i][i] -= r
-        out.append((Fraction(r, c), shifted))
+        out.append((r, shifted))
     return out
+
+
+def _support_blocks(rows1, rows2) -> list[list[int]]:
+    """The connected components of the joint off-diagonal support of two
+    square matrices, given by their nonzero entries by row: each the
+    ascending list of its coordinates, in the order of their first ones.
+    One union-find pass over the entries."""
+    parent = list(range(len(rows1)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for rows in (rows1, rows2):
+        for i, row in enumerate(rows):
+            for j, _ in row:
+                a, b = find(i), find(j)
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+    blocks: dict[int, list[int]] = {}
+    for i in range(len(parent)):
+        blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
 
 
 def joint_eigenbasis(h1, h2) -> list[tuple[tuple[Fraction, Fraction], list[list[int]]]]:
@@ -369,52 +398,90 @@ def joint_eigenbasis(h1, h2) -> list[tuple[tuple[Fraction, Fraction], list[list[
     at its free column, is positive.  Raises NotDiagonalizableError unless
     the joint eigenspaces span Q^n.
 
-    One integer_nullspace per eigenvalue p of h1 gives ker(h1 - p), spanned
-    by primitive v_t, each v_t the one vector with an entry at its free
-    column f_t.  So c2 h2 v_t, if it lies in the space, is
+    h1 and h2 are block diagonal on the connected components of their joint
+    off-diagonal support, so each block is diagonalized on its own and its
+    vectors lifted back to n coordinates.  A block of one coordinate i is
+    the joint eigenvector e_i, with no solve.  On a larger block, one
+    integer_nullspace per eigenvalue p of h1 gives ker(h1 - p), spanned by
+    primitive v_t, each v_t the one vector with an entry at its free column
+    f_t.  So c2 h2 v_t, if it lies in the space, is
     sum_s (c2 h2 v_t)[f_s] / v_s[f_s] v_s: the restriction of h2 needs no
     solve, only an exact check that the space is h2-stable.  A line is a
     joint eigenspace on its own; a larger space splits by the eigenvalues of
-    the small restricted matrix.
+    the small restricted matrix.  The canonical basis of a space on
+    disjoint blocks is the union of the blocks' bases, so the vectors of
+    one (p, q) merge in the order of their free columns.  The blocks' p
+    are taken in ascending order, so an error names the p that it would
+    for h1, h2 taken whole.
     """
-    c2, rows2 = h2
-    n = len(rows2)
-    out = []
-    for p, shifted in _eigen_shifts(*h1):
-        space = integer_nullspace(shifted, n)
-        scale = lcm(*(v[f] for f, v in space))
-        restricted: list[list[tuple[int, int]]] = [[] for _ in space]
-        for t, (_, v) in enumerate(space):
-            image = [sum(x * v[j] for j, x in row) for row in rows2]
-            combo = [0] * n
-            for s, (f, u) in enumerate(space):
-                a = image[f] * (scale // u[f])
-                if a:
-                    restricted[s].append((t, a))
-                    combo = [x + a * y for x, y in zip(combo, u)]
-            if combo != [scale * x for x in image]:
-                raise NotDiagonalizableError(
-                    f"h1, h2 have no rational joint eigenbasis: h2 does not preserve the eigenspace of h1 at {p}"
-                )
-        if len(space) == 1:
-            out.append(((p, Fraction(sum(a for _, a in restricted[0]), scale * c2)), [space[0][1]]))
+    (c1, rows1), (c2, rows2) = h1, h2
+    n = len(rows1)
+    # (c1 p, c2 q) -> (free column, vector) pairs, each key an int pair.
+    spaces: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
+    shifts = []
+    for block in _support_blocks(rows1, rows2):
+        if len(block) == 1:
+            (i,) = block
+            v = [0] * n
+            v[i] = 1
+            spaces.setdefault((sum(x for _, x in rows1[i]), sum(x for _, x in rows2[i])), []).append((i, v))
             continue
-        # restricted holds scale c2 h2 in the coordinates of the v_s.  Each
-        # v_s is 0 after f_s, and a kernel vector of its shift is positive
-        # at its own free coordinate g and 0 at the other free ones and
-        # after g.  So its combination of the v_s is 0 at the other free
-        # columns and last nonzero, and positive, at f_g: the combinations
-        # are the canonical basis up to positive factors.
-        for q, small in _eigen_shifts(scale * c2, restricted):
-            vecs = []
-            for _, coords in integer_nullspace(small, len(space)):
-                u = [sum(a * v[i] for a, (_, v) in zip(coords, space) if a) for i in range(n)]
-                g = gcd(*u)
-                vecs.append([x // g for x in u])
-            out.append(((p, q), vecs))
-    found = sum(len(basis) for _, basis in out)
+        local = {j: k for k, j in enumerate(block)}
+        sub1, sub2 = ([[(local[j], x) for j, x in rows[i]] for i in block] for rows in (rows1, rows2))
+        shifts.extend((r, shifted, block, sub2) for r, shifted in _eigen_shifts(sub1))
+    # As for h1, h2 taken whole: the eigenvalues of h1 ascending, and at each
+    # every block's eigenspace checked for h2-stability before any is split.
+    shifts.sort(key=itemgetter(0))
+    for r, group in groupby(shifts, key=itemgetter(0)):
+        stable = []
+        for _, shifted, block, sub2 in group:
+            b = len(block)
+            space = integer_nullspace(shifted, b)
+            scale = lcm(*(v[f] for f, v in space))
+            restricted: list[list[tuple[int, int]]] = [[] for _ in space]
+            for t, (_, v) in enumerate(space):
+                image = [sum(x * v[j] for j, x in row) for row in sub2]
+                combo = [0] * b
+                for s, (f, u) in enumerate(space):
+                    a = image[f] * (scale // u[f])
+                    if a:
+                        restricted[s].append((t, a))
+                        combo = [x + a * y for x, y in zip(combo, u)]
+                if combo != [scale * x for x in image]:
+                    raise NotDiagonalizableError(
+                        "h1, h2 have no rational joint eigenbasis: "
+                        f"h2 does not preserve the eigenspace of h1 at {Fraction(r, c1)}"
+                    )
+            stable.append((block, space, scale, restricted))
+        for block, space, scale, restricted in stable:
+            # restricted holds scale c2 h2 in the coordinates of the v_s, so
+            # its eigenvalues are scale c2 q.
+            if len(space) == 1:
+                f, v = space[0]
+                pieces = [(sum(a for _, a in restricted[0]) // scale, f, v)]
+            else:
+                # Each v_s is 0 after f_s, and a kernel vector of a shift is
+                # positive at its own free coordinate g and 0 at the other
+                # free ones and after g.  So its combination of the v_s is 0
+                # at the other free columns and last nonzero, and positive,
+                # at f_g: the combinations are the canonical basis up to
+                # positive factors.
+                pieces = []
+                for q, small in _eigen_shifts(restricted):
+                    for g, coords in integer_nullspace(small, len(space)):
+                        u = [sum(a * v[i] for a, (_, v) in zip(coords, space) if a) for i in range(len(block))]
+                        d = gcd(*u)
+                        pieces.append((q // scale, space[g][0], [x // d for x in u]))
+            for q, f, v in pieces:
+                lifted = [0] * n
+                for j, x in zip(block, v):
+                    lifted[j] = x
+                spaces.setdefault((r, q), []).append((block[f], lifted))
+    found = sum(len(vecs) for vecs in spaces.values())
     if found != n:
         raise NotDiagonalizableError(
             f"h1, h2 have no rational joint eigenbasis: their joint eigenspaces span {found} of {n} dimensions"
         )
-    return out
+    return [
+        ((Fraction(p, c1), Fraction(q, c2)), [v for _, v in sorted(vecs)]) for (p, q), vecs in sorted(spaces.items())
+    ]

@@ -62,7 +62,7 @@ from skewpairs.linalg import (
     sparse_product,
 )
 from skewpairs.liealg import build_pair, realization_from_jsonable
-from skewpairs.skewgraph import enumerate_admissible
+from skewpairs.skewgraph import enumerate_admissible, graph_from_text
 
 F = Fraction
 
@@ -598,7 +598,104 @@ def test_eigen_layer_matches_oracle_under_a_scaled_shear():
         t_inv = invert(t)
         d1 = matrix([[F((1, 1, 1, -1, -1, 0, 2)[i]) if i == j else 0 for j in range(n)] for i in range(n)])
         d2 = matrix([[F((1, 0, -1, 1, 0, 3, 3)[i], 2) if i == j else 0 for j in range(n)] for i in range(n)])
-        assert_eigen_layer_matches_oracle(*(mat_mul(t, mat_mul(d, t_inv)) for d in (d1, d2)))
+        h1, h2 = (mat_mul(t, mat_mul(d, t_inv)) for d in (d1, d2))
+        # The support of h1 and h2 is one block: the whole space at once.
+        assert _largest_support_block(h1, h2) == n
+        assert_eigen_layer_matches_oracle(h1, h2)
+
+
+def _block_diagonal(*blocks):
+    """The square matrix with these square blocks down its diagonal."""
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    start = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[start + i][start : start + len(row)] = row
+        start += len(b)
+    return matrix(out)
+
+
+def _permuted(m, perm):
+    """P m P^-1 for the permutation matrix P taking coordinate perm[i] to i."""
+    return matrix([[m[a][b] for b in perm] for a in perm])
+
+
+def _random_conjugate(rng, d1, d2):
+    """T diag(d1) T^-1 and T diag(d2) T^-1 for a seeded T in GL(n, Z) with
+    entries in [-2, 2], drawn until their joint support is one block."""
+    n = len(d1)
+    while True:
+        t = matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        try:
+            t_inv = invert(t)
+        except ValueError:
+            continue
+        moved = [mat_mul(t, mat_mul(matrix([[d[i] if i == j else 0 for j in range(n)] for i in range(n)]), t_inv))
+                 for d in (d1, d2)]
+        if _largest_support_block(*moved) == n:
+            return moved
+
+
+def test_joint_eigenspaces_of_permuted_blocks_match_the_oracle():
+    # Three dense blocks and two single coordinates, shuffled by a seeded
+    # permutation.  The joint eigenspace at (1, -1) spans two dimensions in
+    # the first block, one in the second and one single coordinate; (1/2, 0)
+    # lies in the second block and a single coordinate.
+    for seed in range(12):
+        rng = random.Random(seed)
+        a1, a2 = _random_conjugate(rng, (1, 1, 0), (-1, -1, 2))
+        b1, b2 = _random_conjugate(rng, (1, F(1, 2)), (-1, 0))
+        c1, c2 = _random_conjugate(rng, (-2, 3), (F(1, 3), F(1, 3)))
+        h1 = _block_diagonal(a1, b1, [[1]], c1, [[F(1, 2)]])
+        h2 = _block_diagonal(a2, b2, [[-1]], c2, [[0]])
+        perm = list(range(len(h1)))
+        rng.shuffle(perm)
+        h1, h2 = _permuted(h1, perm), _permuted(h2, perm)
+        assert _largest_support_block(h1, h2) == 3
+        spaces = joint_eigenspaces(h1, h2)
+        assert [(key, len(vecs)) for key, vecs in spaces] == [
+            ((-2, F(1, 3)), 1), ((0, 2), 1), ((F(1, 2), 0), 2), ((1, -1), 4), ((3, F(1, 3)), 1)
+        ]
+        assert_eigen_layer_matches_oracle(h1, h2)
+
+
+@pytest.mark.parametrize(
+    "h1, h2, message",
+    [
+        pytest.param(
+            _block_diagonal([[1]], [[0, 1], [2, 0]], [[-1]]), zeros(4), "an eigenvalue is not rational",
+            id="irrational-block",
+        ),
+        pytest.param(
+            _block_diagonal([[3]], [[F(1, 2), 0], [0, 0]], [[-1]]),
+            _block_diagonal([[0]], [[0, 0], [1, 0]], [[0]]),
+            "h2 does not preserve the eigenspace of h1 at 1/2",
+            id="unstable-block",
+        ),
+        pytest.param(
+            _block_diagonal([[2, 0], [0, 0]], [[1]], [[-1, 0], [0, 0]]),
+            _block_diagonal([[0, 0], [1, 0]], [[0]], [[0, 0], [1, 0]]),
+            "h2 does not preserve the eigenspace of h1 at -1",
+            id="two-unstable-blocks",
+        ),
+        pytest.param(
+            _block_diagonal([[1, 0], [0, 1]], [[0]], [[0, 1], [0, 0]]), zeros(5),
+            "their joint eigenspaces span 4 of 5 dimensions",
+            id="nilpotent-block",
+        ),
+    ],
+)
+def test_a_failing_block_names_what_the_whole_pair_fails_at(h1, h2, message):
+    # A block is diagonalized on its own, but the error is the one of the
+    # pair taken whole: the eigenvalues of h1 on every block are found
+    # first, the blocks' eigenspaces are checked in the ascending order of
+    # p (so two unstable blocks name the smaller p, -1, not the first
+    # block's 2), and the span counts all n coordinates.
+    with pytest.raises(ValueError):
+        oracle_joint_eigenspaces(h1, h2)
+    with pytest.raises(NotDiagonalizableError, match=f"^h1, h2 have no rational joint eigenbasis: {message}$"):
+        joint_eigenspaces(h1, h2)
 
 
 def test_diagonalizable_non_commuting_pair_is_not_diagonalizable_jointly():
@@ -614,23 +711,80 @@ def test_diagonalizable_non_commuting_pair_is_not_diagonalizable_jointly():
             oracle_joint_eigenspaces(a, b)
 
 
-def test_joint_eigenspaces_never_solves_for_an_empty_kernel(monkeypatch):
-    # One null space per eigenvalue of h1, and one per eigenvalue of each
-    # restriction of h2 to a space of dimension >= 2: every one is nonempty.
-    results = []
+def _largest_support_block(h1, h2) -> int:
+    """The size of the largest connected component of the graph on the
+    coordinates with an edge i - j wherever h1 or h2 has an entry at (i, j)
+    or (j, i), found by depth-first search."""
+    n = len(h1)
+    seen: set = set()
+    largest = 0
+    for start in range(n):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, size = [start], 0
+        while stack:
+            i = stack.pop()
+            size += 1
+            for j in range(n):
+                if j not in seen and any(h[i][j] or h[j][i] for h in (h1, h2)):
+                    seen.add(j)
+                    stack.append(j)
+        largest = max(largest, size)
+    return largest
+
+
+def _moved_by_e01(m):
+    """T m T^-1 for T = I + E_01: row 0 += row 1, then column 1 -= column 0."""
+    rows = [list(row) for row in m]
+    rows[0] = [a + b for a, b in zip(rows[0], rows[1])]
+    for row in rows:
+        row[1] -= row[0]
+    return matrix(rows)
+
+
+def _recorded_nullspaces(monkeypatch) -> list:
+    """(kernel dimension, ncols) of each integer_nullspace call, recorded."""
+    calls = []
 
     def recording(rows, ncols):
         out = integer_nullspace(rows, ncols)
-        results.append(len(out))
+        calls.append((len(out), ncols))
         return out
 
     monkeypatch.setattr(linalg_module, "integer_nullspace", recording)
+    return calls
+
+
+def test_joint_eigenspaces_never_solves_for_an_empty_kernel(monkeypatch):
+    # One null space per eigenvalue of h1 on a block of the joint support of
+    # h1 and h2, and one per eigenvalue of each restriction of h2 to a space
+    # of dimension >= 2: every one is nonempty, and none is wider than the
+    # largest block.  A diagonal pair makes no call.
+    calls = _recorded_nullspaces(monkeypatch)
     rng = random.Random(20261020)
     moved_count = 0
     for r in distinguished_realizations(8):
         moved = conjugated(r, rng) if r.spec.dimv > 1 else None
         if moved is not None:
+            del calls[:]
             joint_eigenspaces(moved.h1, moved.h2)
+            assert calls and min(found for found, _ in calls) > 0
+            assert max(ncols for _, ncols in calls) <= _largest_support_block(moved.h1, moved.h2)
+            del calls[:]
+            assert sum(len(vecs) for _, vecs in joint_eigenspaces(r.h1, r.h2)) == r.spec.dimv
+            assert calls == []
             moved_count += 1
     assert moved_count > 500
-    assert results and min(results) > 0
+
+
+def test_a_long_chain_moved_by_one_elementary_matrix_solves_on_two_coordinates(monkeypatch):
+    # T = I + E_01 couples coordinates 0 and 1 of the 60-node horizontal
+    # chain of series A: one block of 2 and 58 of one coordinate.
+    calls = _recorded_nullspaces(monkeypatch)
+    r = build_pair("A", graph_from_text(" ".join(f"{2 * k - 59}/2,0/1" for k in range(60))))
+    h1, h2 = _moved_by_e01(r.h1), _moved_by_e01(r.h2)
+    assert not is_diagonal(h1)
+    spaces = joint_eigenspaces(h1, h2)
+    assert [key for key, _ in spaces] == [(F(2 * k - 59, 2), 0) for k in range(60)]
+    assert calls and max(ncols for _, ncols in calls) == 2
