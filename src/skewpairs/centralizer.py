@@ -15,12 +15,13 @@ one bi-degree block of gl(V).
 On a built pair e1, e2 and G are signed monomial matrices, so almost every
 condition has one or two terms: x_u = 0 or a x_u + b x_v = 0.  One kernel,
 _graded_commutant, solves every pass over the positions, rows, form entries
-and brackets it is given.  Its signed union-find, _unite, reads each entry
-of [x, m] or x^T G + G x off one column and one row of m or G, and each
-live component is a kernel vector.  Only rows with three or more terms are
-eliminated, per block, in component variables: the series-A trace for dimV
->= 3, and the rows of a frame in which e or G is not monomial.  analyze()
-runs the kernel over the n^2 positions of gl(V).  The report keeps the
+and brackets it is given.  Its signed union-find, linalg._unite, reads each
+entry of [x, m] or x^T G + G x off one column and one row of m or G, and
+each live component is a kernel vector.  Only rows with three or more terms
+are eliminated, per block, in component variables: the series-A trace for
+dimV >= 3, and the rows of a frame in which e or G is not monomial.
+analyze() runs the kernel over the n^2 positions of gl(V), reading the
+entries a <= b of the (anti)symmetric x^T G + G x.  The report keeps the
 graded pieces it returns and reads every invariant off them: T is
 invertible, so each piece has the same dimension in the input coordinates.
 Only a read of the basis or the witness maps them back, each matrix x as
@@ -31,21 +32,18 @@ the witness maps its own piece.
 The flags need no other solver.  z(h) & z(e) is the (0,0) piece of z(e),
 and z(h), the (0,0) block of g, needs no pass at all: its dimension is
 read off the weight multiplicities of the frame (_Frame.cartan_dimension).
-Rectangularity (Ginzburg: h_i in [e_i, g]) follows by duality (Kostant):
-the trace form is invariant and nondegenerate on g, so [e, g] is the
-orthogonal of z_g(e), and h lies in it exactly when tr(h z) vanishes on the
-(0,0) block of z_g(e), one kernel pass on the O(n) positions of that
-block.  In series A these passes drop the trace row and find the block of
-gl(V): that of sl(V) plus the line of I, with tr(h I) = 0, and nothing
-left to eliminate.  A pass reads the entries a <= b of the (anti)symmetric
-x^T G + G x, and the (0,0)-block pairs, cached on the frame, serve both
-rectangularity sides.  The weights are scaled by their common denominator,
-so bi-degrees are int pairs, and e1, e2 and the Gram matrix are each
-scaled to integers, which changes no commutant and no image.
+Rectangularity (Ginzburg: h_i in [e_i, g]) is the same question in gl(V),
+as h_i lies in [e_i, g] exactly when it lies in [e_i, gl(V)]
+(_h_in_image).  By duality (Kostant) it holds exactly when tr(h z) vanishes
+on the (0,0) block of z_gl(e): one kernel pass per side, with no form and
+no trace row, on the O(n) positions of that block, found once for both.
+The weights are scaled by their common denominator, so bi-degrees are int
+pairs, and e1, e2 and the Gram matrix are each scaled to integers, which
+changes no commutant and no image.
 
-The report stores its pieces as the kernel returns them; the pieces scaled
-to ints and the basis and witness in the input coordinates, for the
-closed-form check and JSON export, are views built on first read.
+The report stores its pieces as the kernel returns them; the basis and
+witness in the input coordinates, scaled to ints for the closed-form check
+and JSON export, are views built on first read.
 
 graph_from_pair() checks the relations, then _frame_graph reads the
 skew-graph off the same frame, centred and sorted on ints: each basis
@@ -75,6 +73,7 @@ from .linalg import (
     Matrix,
     _eliminate,
     _primitive,
+    _unite,
     integer_inverse,
     integer_nullspace,
     integral_rows,
@@ -123,10 +122,10 @@ class CentralizerReport:
     eigenframe as _graded_commutant returns it, a dimv x dimv matrix by its
     (position, value) pairs.  frame_change is (T, a positive multiple of
     T^-1), by their nonzero rows of ints, or None when h1 and h2 came in
-    diagonal.  scaled_pieces, each matrix of kernel by integral_rows,
-    scaled_basis, the reduced echelon basis in the input coordinates, and
-    scaled_witness, the witness matrix there and its bi-degree (None
-    without one), are views built on first read."""
+    diagonal.  scaled_basis, the reduced echelon basis in the input
+    coordinates by integral_rows, and scaled_witness, the witness matrix
+    there and its bi-degree (None without one), are views built on first
+    read."""
 
     dimension: int
     dimv: int
@@ -137,12 +136,8 @@ class CentralizerReport:
     flags: ReportFlags
 
     @cached_property
-    def scaled_pieces(self) -> tuple[tuple[tuple, ...], ...]:
-        return tuple(tuple(_by_rows(self.dimv, vec) for vec in piece) for piece in self.kernel)
-
-    @cached_property
     def scaled_basis(self) -> tuple[tuple, ...]:
-        every = [m for piece in self.scaled_pieces for m in piece]
+        every = [_by_rows(self.dimv, vec) for piece in self.kernel for vec in piece]
         if self.frame_change is None:
             # The blocks have disjoint supports and list their positions in
             # row-major order, so their reduced bases, ordered by leading
@@ -194,7 +189,7 @@ def _mapped_back(change: tuple[tuple, tuple], mats) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# The eigenframe and the union-find pass
+# The eigenframe and the graded solver
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -234,17 +229,6 @@ class _Frame:
         columns j of each row i."""
         d0, d1 = delta
         return [self.at.get((w[0] - d0, w[1] - d1), ()) for w in self.weights]
-
-    @cached_property
-    def zero(self) -> tuple[list[int], Optional[list]]:
-        """The (0,0)-block positions i * n + j and pairs, the b >= a with
-        w_a + w_b = 0 for each a (None without a form, so without the trace
-        in series A): both rectangularity sides read them."""
-        n = len(self.weights)
-        positions = [i * n + j for i, cols in enumerate(self.block(DEGREE_0)) for j in cols]
-        if self.gram is None:
-            return positions, None
-        return positions, [[b for b in self.at.get((-w[0], -w[1]), ()) if b >= a] for a, w in enumerate(self.weights)]
 
     def cartan_dimension(self) -> int:
         """dim z_g(h) from the weight multiplicities m_w: z_gl(h) is the sum
@@ -307,102 +291,6 @@ def _eigenframe(spec: AlgebraSpec, h1, h2, mats):
         (p.numerator * (den // p.denominator), q.numerator * (den // q.denominator)) for p, q in pairs
     )
     return _Frame(spec, den, weights, gram, t, t_inv), moved
-
-
-def _summed(terms: list) -> list:
-    """A sparse row from (position, coefficient) terms: equal positions summed,
-    zero coefficients dropped.  The terms come in two runs of distinct
-    positions, so two terms meet only across the runs."""
-    if len(terms) < 2 or (len(terms) == 2 and terms[0][0] != terms[1][0]):
-        return terms
-    acc: dict[int, int] = {}
-    for p, c in terms:
-        acc[p] = acc.get(p, 0) + c
-    return [(p, c) for p, c in acc.items() if c]
-
-
-def _unite(positions, rows, brackets=(), form=None) -> tuple[list, list]:
-    """One signed union-find pass over these positions, of the sparse rows,
-    of entry (i, j) of [x, m] for each (m, targets) in brackets and, for
-    form = (G, pairs), of entry (i, j) of x^T G + G x: m and G by
-    with_columns, targets[i] and pairs[i] the columns j of row i.
-
-    A sparse row lists (position, int coefficient) pairs, positions i * n + j
-    distinct and coefficients nonzero.  A row a x_u + b x_v = 0 unites u and
-    v with the ratio x_v / x_u = -a / b, an int while the division is exact;
-    a row with one term, or a cycle whose ratios do not close, forces its
-    component to 0.  An entry (i, j), sum_t m_tj x_it - sum_t m_it x_tj of a
-    bracket or sum_t G_tj x_ti + sum_t G_it x_tj of the form, is read off
-    column j and row i of m or G: one union or one kill while each holds at
-    most one entry (x_ij may meet itself), a row by _summed when one holds
-    two.  Returns (components, rows of three or more terms): each live
-    component, a kernel vector of the shorter rows, by its (position,
-    x_p / x_root) pairs in the order of positions, ordered by first position."""
-    size = max(positions, default=-1) + 1
-    parent, ratio, dead, long_rows = list(range(size)), [1] * size, [False] * size, []
-
-    def find(p: int) -> int:
-        path = []
-        while parent[p] != p:
-            path.append(p)
-            p = parent[p]
-        for q in reversed(path):
-            up = parent[q]
-            if up != p:
-                ratio[q] *= ratio[up]
-                parent[q] = p
-        return p
-
-    def join(u: int, a, v: int, b) -> None:
-        ru, rv = parent[u], parent[v]
-        if parent[ru] != ru:
-            ru = find(u)
-        if parent[rv] != rv:
-            rv = find(v)
-        a, b = a * ratio[u], b * ratio[v]
-        if ru == rv:
-            if a + b:
-                dead[ru] = True
-        else:
-            # a x_ru + b x_rv = 0
-            parent[rv] = ru
-            ratio[rv] = -a // b if type(a) is int and type(b) is int and a % b == 0 else Fraction(-a, b)
-            dead[ru] = dead[ru] or dead[rv]
-
-    def take(row) -> None:
-        if len(row) == 2:
-            join(row[0][0], row[0][1], row[1][0], row[1][1])
-        elif len(row) == 1:
-            dead[find(row[0][0])] = True
-        elif row:
-            long_rows.append(row)
-
-    for row in rows:
-        take(row)
-    # A term t of column j lies at u0 + t du, one of row i at t n + j.
-    readings = [(m, targets, False) for m, targets in brackets]
-    for (m_rows, m_cols), targets, transposed in readings if form is None else [(*form, True)] + readings:
-        n = len(m_rows)
-        du, sign = (n, 1) if transposed else (1, -1)
-        for i, cols in enumerate(targets):
-            row, u0 = m_rows[i], i if transposed else i * n
-            for j in cols:
-                col = m_cols[j]
-                if len(col) > 1 or len(row) > 1:
-                    take(_summed([(u0 + t * du, c) for t, c in col] + [(t * n + j, sign * c) for t, c in row]))
-                elif col and row:
-                    join(u0 + col[0][0] * du, col[0][1], row[0][0] * n + j, sign * row[0][1])
-                elif col or row:
-                    dead[find(u0 + col[0][0] * du if col else row[0][0] * n + j)] = True
-
-    components: dict[int, list] = {}
-    for p in positions:
-        root = parent[p]
-        if parent[root] != root:
-            root = find(p)
-        if not dead[root]:
-            components.setdefault(root, []).append((p, ratio[p]))
-    return list(components.values()), long_rows
 
 
 def _graded_commutant(frame: _Frame, positions, rows, brackets, pairs=None) -> dict:
@@ -474,36 +362,39 @@ def _graded_commutant(frame: _Frame, positions, rows, brackets, pairs=None) -> d
 # Rectangularity
 # ---------------------------------------------------------------------------
 
-def _h_in_image(frame: _Frame, e, side: int) -> bool:
+def _h_in_image(frame: _Frame, positions, e, side: int) -> bool:
     """Whether [e, x] = h for some x in g; e by with_columns is e1 (side 0)
-    or e2 (side 1), and h the matching h1 or h2.
+    or e2 (side 1), h the matching h1 or h2, and positions the i * n + j of
+    the (0,0) block of gl(V).
 
-    The trace form is nondegenerate and invariant on g, so h lies in the
-    image of ad e exactly when tr(h z) = 0 for every z in z_g(e).  den h is
-    diagonal with the weights along its side, and the form pairs bi-degree
-    d only with -d, so phi(z) = sum_i w_i z_ii must vanish on the (0,0)
-    block of z_g(e).  _graded_commutant, the solver of z(e1, e2), finds that
-    block from the (0,0) positions and form pairs alone: [x, e] lands in the
-    block of e's degree, den along its side.  phi must vanish on each vector
-    it returns.  In series A the pass has no trace row, so it finds the
-    (0,0) block of z_gl(e): that of z_sl(e) plus the line of I, as
-    tr I = n != 0, and phi(I) = den tr h = 0.  The (0,0) block of g itself,
-    z_g(h), needs no pass: _Frame.cartan_dimension reads its dimension off
-    the weights.
+    The relations hold, so e and h lie in g and G is nondegenerate, and G is
+    symmetric or alternating (_checked_form).  So sigma(x) = -G^-1 x^T G is
+    an involutive automorphism of gl(V) with fixed space g that fixes e and
+    h: h = [e, x] gives h = [e, (x + sigma x) / 2], and in series A
+    h = [e, x - (tr x / n) I].  So h lies in [e, g] exactly when it lies in
+    [e, gl(V)], that is, the trace form being nondegenerate and invariant on
+    gl(V), when phi(z) = tr(den h z) = sum_i w_i z_ii vanishes on z_gl(e).
+    phi is 0 off the (0,0) block, so it must vanish on each vector of the
+    (0,0) piece that _graded_commutant finds from the positions alone, with
+    no form and no trace row: [x, e] lands in the block of e's degree, den
+    along its side.
     """
-    n, (positions, pairs) = len(frame.weights), frame.zero
+    n = len(frame.weights)
     delta = (frame.den, 0) if side == 0 else (0, frame.den)
-    piece = _graded_commutant(frame, positions, (), [(e, frame.block(delta))], pairs).get(DEGREE_0, ())
+    piece = _graded_commutant(frame, positions, (), [(e, frame.block(delta))]).get(DEGREE_0, ())
     return not any(sum(frame.weights[p // n][side] * x for p, x in vec if p % (n + 1) == 0) for vec in piece)
 
 
 def _rectangularity(frame: _Frame, e1, e2) -> bool:
-    """Both sides of the rectangularity test, e1 and e2 by with_columns.
+    """Both sides of the rectangularity test, e1 and e2 by with_columns, over
+    the (0,0)-block positions found once.
 
     Raises NormalFormError when they disagree.
     """
-    side1 = _h_in_image(frame, e1, 0)
-    side2 = _h_in_image(frame, e2, 1)
+    n = len(frame.weights)
+    positions = [i * n + j for i, cols in enumerate(frame.block(DEGREE_0)) for j in cols]
+    side1 = _h_in_image(frame, positions, e1, 0)
+    side2 = _h_in_image(frame, positions, e2, 1)
     if side1 != side2:
         # Only a pair outside the classification gets here, such as a verify
         # document whose e1 or e2 was edited.

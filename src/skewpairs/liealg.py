@@ -350,8 +350,10 @@ def verify_relations(r: PairRealization) -> RelationReport:
 
 def _checked_form(series: str, gram: Optional[tuple]) -> Optional[tuple]:
     """gram, integral_rows of a Gram matrix or None, if it is symmetric (B, D)
-    or alternating (C), else ValueError: the rectangularity test needs g to
-    be so(G) or sp(G), on which the trace form is nondegenerate."""
+    or alternating (C), else ValueError: the rectangularity test needs
+    sigma(x) = -G^-1 x^T G to be an involution of gl(V), which it is only
+    when G^T = +-G, so that h lies in [e, g] exactly when it lies in
+    [e, gl(V)]."""
     if gram is None or series == "A":
         return gram
     sign = -1 if series == "C" else 1

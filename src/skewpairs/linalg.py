@@ -6,10 +6,12 @@ fraction-free: rows are scaled to primitive integer vectors and eliminated
 with the two-row integer rule, so the reduced echelon form comes out as
 primitive integer rows, each positive at its pivot.  Pivoting is by first
 nonzero column, ties broken by row order, so every result is
-deterministic.  The centralizer, the rectangularity test and the rank of
-the (0,0) block of g reach elimination only for their rows of three or
-more terms; union-find solves the rest, and no inhomogeneous system is
-solved.
+deterministic.  The centralizer and the rectangularity test reach
+elimination only for their rows of three or more terms, and no
+inhomogeneous system is solved.  The package's one union-find, _unite,
+solves the rest: a row a x_u + b x_v = 0 is a signed union.  It also finds
+the blocks of joint_eigenbasis and the components of a graph read off a
+pair, from rows x_i - x_j = 0.
 
 Eigenvalues come from integers too.  With c the least common denominator
 of h, the characteristic polynomial of the integer matrix c h is monic over
@@ -17,14 +19,14 @@ Z, so each rational eigenvalue of h is r / c for an integer root r, found
 by Newton's method down from a bound on |r|, in a number of steps that
 grows with the bit length of that bound, not with r.
 The joint eigenspaces of (h1, h2) are found block by block, on the
-connected components of the joint off-diagonal support of h1 and h2: a
-block of one coordinate is a joint eigenvector with no solve, and a larger
-block takes one kernel per eigenvalue of h1 on it.  The images under h2 of
-that kernel's integer basis give the restriction of h2 to it without a
-solve, a line is then a joint eigenspace, and a larger space splits by the
-eigenvalues of the small restricted matrix.  The pair is diagonalizable
-over Q exactly when every eigenspace of h1 is h2-stable and the joint
-eigenspaces span the whole space.
+connected components of the joint off-diagonal support of h1 and h2, found
+by one _unite pass: a block of one coordinate is a joint eigenvector with
+no solve, and a larger block takes one kernel per eigenvalue of h1 on it.
+The images under h2 of that kernel's integer basis give the restriction of
+h2 to it without a solve, a line is then a joint eigenspace, and a larger
+space splits by the eigenvalues of the small restricted matrix.  The pair
+is diagonalizable over Q exactly when every eigenspace of h1 is h2-stable
+and the joint eigenspaces span the whole space.
 
 Only routines that a package path calls live here.  Dense Fraction
 arithmetic (products, sums, powers, commutators, span membership, the
@@ -366,29 +368,100 @@ def _eigen_shifts(rows: Sequence[Sequence[tuple[int, int]]]) -> list[tuple[int, 
     return out
 
 
-def _support_blocks(rows1, rows2) -> list[list[int]]:
-    """The connected components of the joint off-diagonal support of two
-    square matrices, given by their nonzero entries by row: each the
-    ascending list of its coordinates, in the order of their first ones.
-    One union-find pass over the entries."""
-    parent = list(range(len(rows1)))
+def _summed(terms: list) -> list:
+    """A sparse row from (position, coefficient) terms: equal positions summed,
+    zero coefficients dropped.  The terms come in two runs of distinct
+    positions, so two terms meet only across the runs."""
+    if len(terms) < 2 or (len(terms) == 2 and terms[0][0] != terms[1][0]):
+        return terms
+    acc: dict[int, int] = {}
+    for p, c in terms:
+        acc[p] = acc.get(p, 0) + c
+    return [(p, c) for p, c in acc.items() if c]
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for rows in (rows1, rows2):
-        for i, row in enumerate(rows):
-            for j, _ in row:
-                a, b = find(i), find(j)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-    blocks: dict[int, list[int]] = {}
-    for i in range(len(parent)):
-        blocks.setdefault(find(i), []).append(i)
-    return list(blocks.values())
+def _unite(positions, rows, brackets=(), form=None) -> tuple[list, list]:
+    """One signed union-find pass over these positions, of the sparse rows,
+    of entry (i, j) of [x, m] for each (m, targets) in brackets and, for
+    form = (G, pairs), of entry (i, j) of x^T G + G x: m and G by
+    with_columns, targets[i] and pairs[i] the columns j of row i.
+
+    A sparse row lists (position, int coefficient) pairs, positions i * n + j
+    distinct and coefficients nonzero.  A row a x_u + b x_v = 0 unites u and
+    v with the ratio x_v / x_u = -a / b, an int while the division is exact;
+    a row with one term, or a cycle whose ratios do not close, forces its
+    component to 0.  An entry (i, j), sum_t m_tj x_it - sum_t m_it x_tj of a
+    bracket or sum_t G_tj x_ti + sum_t G_it x_tj of the form, is read off
+    column j and row i of m or G: one union or one kill while each holds at
+    most one entry (x_ij may meet itself), a row by _summed when one holds
+    two.  Returns (components, rows of three or more terms): each live
+    component, a kernel vector of the shorter rows, by its (position,
+    x_p / x_root) pairs in the order of positions, ordered by first position."""
+    size = max(positions, default=-1) + 1
+    parent, ratio, dead, long_rows = list(range(size)), [1] * size, [False] * size, []
+
+    def find(p: int) -> int:
+        path = []
+        while parent[p] != p:
+            path.append(p)
+            p = parent[p]
+        for q in reversed(path):
+            up = parent[q]
+            if up != p:
+                ratio[q] *= ratio[up]
+                parent[q] = p
+        return p
+
+    def join(u: int, a, v: int, b) -> None:
+        ru, rv = parent[u], parent[v]
+        if parent[ru] != ru:
+            ru = find(u)
+        if parent[rv] != rv:
+            rv = find(v)
+        a, b = a * ratio[u], b * ratio[v]
+        if ru == rv:
+            if a + b:
+                dead[ru] = True
+        else:
+            # a x_ru + b x_rv = 0
+            parent[rv] = ru
+            ratio[rv] = -a // b if type(a) is int and type(b) is int and a % b == 0 else Fraction(-a, b)
+            dead[ru] = dead[ru] or dead[rv]
+
+    def take(row) -> None:
+        if len(row) == 2:
+            join(row[0][0], row[0][1], row[1][0], row[1][1])
+        elif len(row) == 1:
+            dead[find(row[0][0])] = True
+        elif row:
+            long_rows.append(row)
+
+    for row in rows:
+        take(row)
+    # A term t of column j lies at u0 + t du, one of row i at t n + j.
+    readings = [(m, targets, False) for m, targets in brackets]
+    for (m_rows, m_cols), targets, transposed in readings if form is None else [(*form, True)] + readings:
+        n = len(m_rows)
+        du, sign = (n, 1) if transposed else (1, -1)
+        for i, cols in enumerate(targets):
+            row, u0 = m_rows[i], i if transposed else i * n
+            for j in cols:
+                col = m_cols[j]
+                if len(col) > 1 or len(row) > 1:
+                    take(_summed([(u0 + t * du, c) for t, c in col] + [(t * n + j, sign * c) for t, c in row]))
+                elif col and row:
+                    join(u0 + col[0][0] * du, col[0][1], row[0][0] * n + j, sign * row[0][1])
+                elif col or row:
+                    dead[find(u0 + col[0][0] * du if col else row[0][0] * n + j)] = True
+
+    components: dict[int, list] = {}
+    for p in positions:
+        root = parent[p]
+        if parent[root] != root:
+            root = find(p)
+        if not dead[root]:
+            components.setdefault(root, []).append((p, ratio[p]))
+    return list(components.values()), long_rows
 
 
 def joint_eigenbasis(h1, h2) -> list[tuple[tuple[Fraction, Fraction], list[list[int]]]]:
@@ -419,7 +492,11 @@ def joint_eigenbasis(h1, h2) -> list[tuple[tuple[Fraction, Fraction], list[list[
     # (c1 p, c2 q) -> (free column, vector) pairs, each key an int pair.
     spaces: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
     shifts = []
-    for block in _support_blocks(rows1, rows2):
+    # Each off-diagonal entry (i, j) is the row x_i - x_j = 0, so the live
+    # components of _unite are the blocks.
+    joins = [[(i, 1), (j, -1)] for rows in (rows1, rows2) for i, row in enumerate(rows) for j, _ in row if j != i]
+    for comp in _unite(range(n), joins)[0]:
+        block = [i for i, _ in comp]
         if len(block) == 1:
             (i,) = block
             v = [0] * n

@@ -19,6 +19,7 @@ from oracles import (
     graph_key,
     identity,
     invert,
+    is_connected,
     is_diagonal,
     mat_add,
     mat_mul,
@@ -276,18 +277,6 @@ def naive_nullspace(rows, ncols):
 # Independent oracle: subset brute force over the n x n grid
 # ---------------------------------------------------------------------------
 
-def _oracle_is_connected(cells: frozenset) -> bool:
-    todo = [next(iter(cells))]
-    seen = {todo[0]}
-    while todo:
-        x, y = todo.pop()
-        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                todo.append(nb)
-    return len(seen) == len(cells)
-
-
 def _oracle_skew_ok(cells: frozenset) -> bool:
     for (x, y) in cells:
         if (x + 1, y + 1) in cells and ((x, y + 1) not in cells or (x + 1, y) not in cells):
@@ -306,7 +295,7 @@ def oracle_connected_cellsets(n: int) -> set:
         cells = frozenset(combo)
         if not _oracle_skew_ok(cells):
             continue
-        if not _oracle_is_connected(cells):
+        if not is_connected(cells):
             continue
         found.add(cells)
     return found

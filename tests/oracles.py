@@ -12,8 +12,9 @@ the graded commutant by one elimination per bi-degree block of gl(V), the
 closed-form check by dense powers and reduction, node deduplication, the
 canonical form and the whole-graph findings of validation by comparing and
 hashing Fractions, a component's cells and findings from each node's own
-denominators, and the skew-diagram drawing on Fraction coordinates and on
-ints scaled per grid and per axis.
+denominators, with connectivity by its own depth-first search, and the
+skew-diagram drawing on Fraction coordinates and on ints scaled per grid
+and per axis.
 """
 
 from __future__ import annotations
@@ -619,6 +620,21 @@ def _cell_offsets(comp: Component) -> Optional[dict[tuple[int, int], int]]:
     return out
 
 
+def is_connected(cells) -> bool:
+    """Whether a nonempty set of integer cells is edge-connected, by
+    depth-first search from one cell: skewgraph._is_connected, kept apart
+    from the code it checks."""
+    todo = [next(iter(cells))]
+    seen = {todo[0]}
+    while todo:
+        x, y = todo.pop()
+        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if nb in cells and nb not in seen:
+                seen.add(nb)
+                todo.append(nb)
+    return len(seen) == len(cells)
+
+
 def component_cells(index: int, comp: Component) -> tuple[Optional[dict], list[str]]:
     """skewgraph._component_cells from the numerators and denominators of
     each node (_cell_offsets), with no int keys."""
@@ -641,7 +657,7 @@ def component_cells(index: int, comp: Component) -> tuple[Optional[dict], list[s
                         f"{tag}: axiom (iv) fails at square {skewgraph._node_text(base.shifted(x, y))}:"
                         f" {skewgraph._node_text(base.shifted(*req))} is missing"
                     )
-    if not skewgraph._is_connected(cells):
+    if not is_connected(cells):
         findings.append(f"{tag}: not connected")
     return cells, findings
 

@@ -264,9 +264,9 @@ def test_moved_report_maps_back_only_what_is_read(monkeypatch):
 def test_report_scales_only_what_is_read(monkeypatch):
     # analyze keeps the kernel vectors as _graded_commutant returns them and
     # scales none to ints.  scaled_basis scales every vector (a moved one
-    # each mapped-back vector too), and scaled_witness only its own piece,
-    # leaving scaled_pieces unbuilt: one vector as built, every vector of
-    # the piece, before and after the map back, when moved.
+    # each mapped-back vector too), and scaled_witness only its own piece:
+    # one vector as built, every vector of the piece, before and after the
+    # map back, when moved.
     scaled = []
     by_rows = centralizer_module._by_rows
     monkeypatch.setattr(centralizer_module, "_by_rows", lambda n, vec: scaled.append(vec) or by_rows(n, vec))
@@ -286,7 +286,6 @@ def test_report_scales_only_what_is_read(monkeypatch):
                 piece = dict(rep.grading.table)[witness[1]]
                 assert len(scaled) == (1 if factor == 1 else 2 * piece), x.graph
                 witnessed += 1
-            assert "scaled_pieces" not in vars(rep), x.graph
             del scaled[:]
             assert len(rep.scaled_basis) == rep.dimension and len(scaled) == factor * rep.dimension, x.graph
             if witness is not None and factor == 1:
@@ -382,18 +381,19 @@ def _rows(frame, elements):
 def test_analyze_builds_each_constraint_row_once(monkeypatch):
     # The form x^T G + G x is read off the Gram matrix once for a <= b, as
     # entry (b, a) is entry (a, b) up to sign: no two of its rows (the
-    # oracle's) share their positions.  Both rectangularity sides share one
-    # cached list of (0,0)-block pairs, and cartan_h reads no row, only the
-    # weights: three passes and three blocks per analyze, the (0,0) one and
-    # that of each side's e.  Series A has no form: its z(e1, e2) pass reads
-    # the one trace row, and the (0,0)-block passes leave it out.
+    # oracle's) share their positions.  Only the z(e1, e2) pass reads it:
+    # both rectangularity sides run in gl(V), with no form and no trace row,
+    # over one list of (0,0)-block positions, and cartan_h reads no row, only
+    # the weights.  So three passes and three blocks per analyze, the (0,0)
+    # one and that of each side's e.  Series A has no form: its z(e1, e2)
+    # pass reads the one trace row.
     import skewpairs.centralizer as centralizer_module
 
     calls, blocks = [], []
     block, unite = centralizer_module._Frame.block, centralizer_module._unite
 
     def counted_unite(positions, rows, brackets=(), form=None):
-        calls.append((list(rows), form))
+        calls.append((positions, list(rows), form))
         return unite(positions, rows, brackets, form)
 
     def counted_block(frame, delta):
@@ -408,19 +408,19 @@ def test_analyze_builds_each_constraint_row_once(monkeypatch):
         analyze(r)
         n = r.spec.dimv
         frame, _ = eigenframe(r.spec, r.h1, r.h2)
-        assert len(calls) == 3 and len(blocks) == 3, r.graph
-        if r.spec.series == "A":
-            assert [rows for rows, _ in calls] == [form_rows(frame), [], []], r.graph
-            assert [form for _, form in calls] == [None] * 3, r.graph
-            continue
-        assert [rows for rows, _ in calls] == [[]] * 3, r.graph
-        (gram, everywhere), (gram0, zero), (gram1, zero_again) = (form for _, form in calls)
-        assert gram == gram0 == gram1 == frame.gram and zero is zero_again, r.graph
-        read = [(a, b) for a, bs in enumerate(everywhere) for b in bs]
-        assert read == [(a, b) for a in range(n) for b in range(a, n)], r.graph
         w = frame.weights
-        opposite = [(a, b) for a in range(n) for b in range(a, n) if (w[a][0] + w[b][0], w[a][1] + w[b][1]) == (0, 0)]
-        assert sorted((a, b) for a, bs in enumerate(zero) for b in bs) == opposite, r.graph
+        assert len(calls) == 3 and blocks == [(0, 0), (frame.den, 0), (0, frame.den)], r.graph
+        (everywhere, _, form), (zero, _, form0), (zero_again, _, form1) = calls
+        assert list(everywhere) == list(range(n * n)) and zero is zero_again, r.graph
+        assert zero == [i * n + j for i in range(n) for j in range(n) if w[i] == w[j]], r.graph
+        assert [rows for _, rows, _ in calls] == [form_rows(frame) if r.spec.series == "A" else [], [], []], r.graph
+        assert form0 is None and form1 is None, r.graph
+        if r.spec.series == "A":
+            assert form is None, r.graph
+            continue
+        gram, upper = form
+        assert gram == frame.gram, r.graph
+        assert [(a, b) for a, bs in enumerate(upper) for b in bs] == [(a, b) for a in range(n) for b in range(a, n)]
         supports = [frozenset(p for p, _ in row) for row in form_rows(frame)]
         assert len(set(supports)) == len(supports), r.graph
         count += 1
@@ -1181,7 +1181,7 @@ def test_derived_facts_match_dense_oracles():
 
 def test_series_a_flags_match_dense_oracles_at_dimv_7_and_8():
     # In series A the (0,0)-block passes run without the trace row
-    # (_Frame.zero): cartan_h subtracts the line of the identity, and the
+    # (_rectangularity): cartan_h subtracts the line of the identity, and the
     # rectangularity test reads phi on the (0,0) block of z_gl(e).  Pinned
     # past dimV 6 on every A7 distinguished realization and a seeded sample
     # of A8 ones, each as built and conjugated.

@@ -55,6 +55,7 @@ from skewpairs.linalg import (
     _entry_parser,
     _integer_charpoly,
     _integer_roots,
+    _unite,
     integer_nullspace,
     integral_rows,
     parse_fraction,
@@ -711,27 +712,59 @@ def test_diagonalizable_non_commuting_pair_is_not_diagonalizable_jointly():
             oracle_joint_eigenspaces(a, b)
 
 
+def _dfs_components(n: int, support) -> list[list[int]]:
+    """The connected components of the graph on range(n) with an edge i - j
+    for each (i, j) in support, by depth-first search: each ascending, in
+    order of first coordinate."""
+    near: dict[int, set] = {i: set() for i in range(n)}
+    for i, j in support:
+        near[i].add(j)
+        near[j].add(i)
+    seen: set = set()
+    out = []
+    for start in range(n):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, comp = [start], []
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j in near[i] - seen:
+                seen.add(j)
+                stack.append(j)
+        out.append(sorted(comp))
+    return out
+
+
+def test_unite_over_difference_rows_finds_the_support_components():
+    # joint_eigenbasis takes its blocks from _unite over one row x_i - x_j
+    # per entry (i, j) of the support.  Such rows never kill a component, a
+    # diagonal entry (x_i - x_i) and an entry met in both orders included:
+    # every coordinate comes back once, with ratio 1, in the components of
+    # the search, ordered by first coordinate.
+    rng = random.Random(20261031)
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        support = {(i, i) for i in range(n) if rng.random() < 0.5}
+        for _ in range(rng.randint(0, 2 * n)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            support |= {(i, j), (j, i)}
+        rows = [[(i, 1), (j, -1)] for i, j in sorted(support)]
+        components, long_rows = _unite(range(n), rows)
+        assert long_rows == []
+        assert sorted(p for comp in components for p, _ in comp) == list(range(n))
+        assert all(x == 1 for comp in components for _, x in comp)
+        assert [[p for p, _ in comp] for comp in components] == _dfs_components(n, support), sorted(support)
+
+
 def _largest_support_block(h1, h2) -> int:
     """The size of the largest connected component of the graph on the
     coordinates with an edge i - j wherever h1 or h2 has an entry at (i, j)
     or (j, i), found by depth-first search."""
     n = len(h1)
-    seen: set = set()
-    largest = 0
-    for start in range(n):
-        if start in seen:
-            continue
-        seen.add(start)
-        stack, size = [start], 0
-        while stack:
-            i = stack.pop()
-            size += 1
-            for j in range(n):
-                if j not in seen and any(h[i][j] or h[j][i] for h in (h1, h2)):
-                    seen.add(j)
-                    stack.append(j)
-        largest = max(largest, size)
-    return largest
+    support = [(i, j) for h in (h1, h2) for i in range(n) for j in range(n) if h[i][j]]
+    return max(map(len, _dfs_components(n, support)))
 
 
 def _moved_by_e01(m):
