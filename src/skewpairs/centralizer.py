@@ -14,12 +14,13 @@ one bi-degree block of gl(V).
 
 On a built pair e1, e2 and G are signed monomial matrices, so almost every
 condition has one or two terms: x_u = 0 or a x_u + b x_v = 0.  One kernel,
-_graded_commutant, solves every pass over the positions, rows, form entries
-and brackets it is given.  Its signed union-find, linalg._unite, reads each
-entry of [x, m] or x^T G + G x off one column and one row of m or G, and
-each live component is a kernel vector.  Only rows with three or more terms
-are eliminated, per block, in component variables: the series-A trace for
-dimV >= 3, and the rows of a frame in which e or G is not monomial.
+_graded_commutant, solves the z(e1, e2) pass over the positions, rows,
+form entries and brackets it is given.  Its signed union-find,
+linalg._unite, reads each entry of [x, m] or x^T G + G x off one column
+and one row of m or G, and each live component is a kernel vector.  Only
+rows with three or more terms are eliminated, per block, in component
+variables: the series-A trace for dimV >= 3, and the rows of a frame in
+which e or G is not monomial.
 analyze() runs the kernel over the n^2 positions of gl(V), reading the
 entries a <= b of the (anti)symmetric x^T G + G x.  The report keeps the
 graded pieces it returns and reads every invariant off them: T is
@@ -32,18 +33,12 @@ the witness maps its own piece.
 The flags need no other solver.  z(h) & z(e) is the (0,0) piece of z(e),
 and z(h), the (0,0) block of g, needs no pass at all: its dimension is
 read off the weight multiplicities of the frame (_Frame.cartan_dimension).
-Rectangularity (Ginzburg: h_i in [e_i, g]) is the same question in gl(V),
-as h_i lies in [e_i, g] exactly when it lies in [e_i, gl(V)]
-(_h_in_image).  By duality (Kostant) it holds exactly when tr(h z) vanishes
-on the (0,0) block of z_gl(e): one kernel pass per side, with no form and
-no trace row, on the O(n) positions of that block, found once for both.
+Rectangularity (Ginzburg: h_i in [e_i, g]) needs no pass either: it holds
+when every graded e_i-string is centred (Morozov), which _centred reads off
+one small rank of a power of e_i per pair of twin weights +-l.
 The weights are scaled by their common denominator, so bi-degrees are int
 pairs, and e1, e2 and the Gram matrix are each scaled to integers, which
 changes no commutant and no image.
-
-The report stores its pieces as the kernel returns them; the basis and
-witness in the input coordinates, scaled to ints for the closed-form check
-and JSON export, are views built on first read.
 
 graph_from_pair() checks the relations, then _frame_graph reads the
 skew-graph off the same frame, centred and sorted on ints: each basis
@@ -78,6 +73,7 @@ from .linalg import (
     integer_nullspace,
     integral_rows,
     joint_eigenbasis,
+    rank,
     sparse_product,
     with_columns,
 )
@@ -224,12 +220,6 @@ class _Frame:
             at.setdefault(w, []).append(i)
         return at
 
-    def block(self, delta: tuple[int, int]) -> list:
-        """The positions (i, j) of gl(V) with w_i - w_j = delta, as the
-        columns j of each row i."""
-        d0, d1 = delta
-        return [self.at.get((w[0] - d0, w[1] - d1), ()) for w in self.weights]
-
     def cartan_dimension(self) -> int:
         """dim z_g(h) from the weight multiplicities m_w: z_gl(h) is the sum
         of the gl(V_w), less the line of I in series A.  In B, C and D, h lies
@@ -294,7 +284,7 @@ def _eigenframe(spec: AlgebraSpec, h1, h2, mats):
 
 
 def _graded_commutant(frame: _Frame, positions, rows, brackets, pairs=None) -> dict:
-    """The solver of every centralizer pass: the kernel, over these
+    """The solver of the z(e1, e2) pass: the kernel, over these
     positions of gl(V), of the sparse rows (the trace in series A), of the
     entries (a, b) of x^T G + G x for b in pairs[a], G the frame's Gram
     matrix, and of the entries of [x, m] for each (m, targets) in brackets,
@@ -362,39 +352,46 @@ def _graded_commutant(frame: _Frame, positions, rows, brackets, pairs=None) -> d
 # Rectangularity
 # ---------------------------------------------------------------------------
 
-def _h_in_image(frame: _Frame, positions, e, side: int) -> bool:
-    """Whether [e, x] = h for some x in g; e by with_columns is e1 (side 0)
-    or e2 (side 1), h the matching h1 or h2, and positions the i * n + j of
-    the (0,0) block of gl(V).
+def _centred(frame: _Frame, e, side: int) -> bool:
+    """Whether h lies in [e, g]; e by with_columns is e1 (side 0) or e2
+    (side 1), h the matching h1 or h2.
 
-    The relations hold, so e and h lie in g and G is nondegenerate, and G is
-    symmetric or alternating (_checked_form).  So sigma(x) = -G^-1 x^T G is
-    an involutive automorphism of gl(V) with fixed space g that fixes e and
-    h: h = [e, x] gives h = [e, (x + sigma x) / 2], and in series A
-    h = [e, x - (tr x / n) I].  So h lies in [e, g] exactly when it lies in
-    [e, gl(V)], that is, the trace form being nondegenerate and invariant on
-    gl(V), when phi(z) = tr(den h z) = sum_i w_i z_ii vanishes on z_gl(e).
-    phi is 0 off the (0,0) block, so it must vanish on each vector of the
-    (0,0) piece that _graded_commutant finds from the positions alone, with
-    no form and no trace row: [x, e] lands in the block of e's degree, den
-    along its side.
+    The relations hold and G^T = +-G (_checked_form), so sigma(x) =
+    -G^-1 x^T G is an involution of gl(V) with fixed space g that fixes e
+    and h, and h = [e, x] gives h = [e, (x + sigma x) / 2] (in series A,
+    [e, x - (tr x / n) I]): h lies in [e, g] exactly when it lies in
+    [e, gl(V)].  As [h, e] = e, that holds (Morozov) exactly when (e, 2h)
+    extends to an sl2-triple: when, on each line W of weights along this
+    side, every string of a graded Jordan decomposition of e has weight sum
+    0.  That holds (Lefschetz) exactly when e^k: W_-l -> W_l is bijective
+    for each l >= 0, k = 2 l / den: a string [a, b] with a + b < 0 holds
+    -l = a but not l, one with a + b > 0 holds l = b but not -l, and a
+    centred string through -l reaches l.  So each weight w at l needs a
+    twin at -l of its multiplicity and an int k < n, as a string has at
+    most n vectors; for l > 0 the twin's basis, pushed k times through e's
+    columns, must have rank dim V_w on V_w.
     """
-    n = len(frame.weights)
-    delta = (frame.den, 0) if side == 0 else (0, frame.den)
-    piece = _graded_commutant(frame, positions, (), [(e, frame.block(delta))]).get(DEGREE_0, ())
-    return not any(sum(frame.weights[p // n][side] * x for p, x in vec if p % (n + 1) == 0) for vec in piece)
+    at, cols, n = frame.at, e[1], len(frame.weights)
+    for w, basis in at.items():
+        lam = w[side]
+        twin = at.get((-lam, w[1]) if side == 0 else (w[0], -lam), ())
+        k, rest = divmod(2 * abs(lam), frame.den)
+        if len(twin) != len(basis) or rest or k >= n:
+            return False
+        if lam > 0:
+            # Row r is (e^k v_r)^T = v_r^T (e^T)^k; e's columns are e^T's rows.
+            images = [[(j, 1)] for j in twin]
+            for _ in range(k):
+                images = sparse_product(images, cols)
+            if rank([[dict(row).get(i, 0) for i in basis] for row in images]) < len(basis):
+                return False
+    return True
 
 
 def _rectangularity(frame: _Frame, e1, e2) -> bool:
-    """Both sides of the rectangularity test, e1 and e2 by with_columns, over
-    the (0,0)-block positions found once.
-
-    Raises NormalFormError when they disagree.
-    """
-    n = len(frame.weights)
-    positions = [i * n + j for i, cols in enumerate(frame.block(DEGREE_0)) for j in cols]
-    side1 = _h_in_image(frame, positions, e1, 0)
-    side2 = _h_in_image(frame, positions, e2, 1)
+    """Both sides of the rectangularity test, e1 and e2 by with_columns;
+    raises NormalFormError when they disagree."""
+    side1, side2 = _centred(frame, e1, 0), _centred(frame, e2, 1)
     if side1 != side2:
         # Only a pair outside the classification gets here, such as a verify
         # document whose e1 or e2 was edited.

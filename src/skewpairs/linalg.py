@@ -6,12 +6,13 @@ fraction-free: rows are scaled to primitive integer vectors and eliminated
 with the two-row integer rule, so the reduced echelon form comes out as
 primitive integer rows, each positive at its pivot.  Pivoting is by first
 nonzero column, ties broken by row order, so every result is
-deterministic.  The centralizer and the rectangularity test reach
-elimination only for their rows of three or more terms, and no
-inhomogeneous system is solved.  The package's one union-find, _unite,
-solves the rest: a row a x_u + b x_v = 0 is a signed union.  It also finds
-the blocks of joint_eigenbasis and the components of a graph read off a
-pair, from rows x_i - x_j = 0.
+deterministic.  The centralizer reaches elimination only for its rows of
+three or more terms, the rectangularity test only for the rank of a power
+of e between two weight spaces, and no inhomogeneous system is solved.
+The package's one union-find, _unite, solves the rest: a row
+a x_u + b x_v = 0 is a signed union.  It also finds the blocks of
+joint_eigenbasis and the components of a graph read off a pair, from rows
+x_i - x_j = 0.
 
 Eigenvalues come from integers too.  With c the least common denominator
 of h, the characteristic polynomial of the integer matrix c h is monic over

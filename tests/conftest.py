@@ -9,6 +9,8 @@ counts come from an integer recurrence over column heights.
 from __future__ import annotations
 
 import itertools
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -114,12 +116,34 @@ def rectangle_nodes(width: int, height: int) -> frozenset[Node]:
 
 def is_rectangular_pair(r: PairRealization) -> bool:
     """Whether h1 lies in the image of ad e1 inside g (equivalently h2, ad
-    e2), by the call analyze makes for its rectangular flag: both sides are
-    computed independently and must agree, else NormalFormError.  Raises
-    ValueError when a relation fails or the Gram matrix is not symmetric
-    (B, D) or alternating (C)."""
+    e2), by the call analyze makes for its rectangular flag: each side checks
+    on its own that every e-string of the eigenframe is centred, and the two
+    must agree, else NormalFormError.  Raises ValueError when a relation
+    fails or the Gram matrix is not symmetric (B, D) or alternating (C)."""
     frame, (e1, e2) = _framed(r)
     return _rectangularity(frame, e1, e2)
+
+
+class DeadlinePassed(Exception):
+    """Raised by deadline; not an OSError, so that no handler of cli.main
+    turns it into an exit code."""
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise DeadlinePassed inside the block once seconds of wall time have
+    passed, so that a loop that does not end fails its test instead of
+    hanging the run."""
+    def expire(signum, frame):
+        raise DeadlinePassed(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ basis element), the characteristic polynomial as Fractions, the reduced
 echelon span of matrices, the algebra basis of g inside gl(V), membership
 in g by x^T G + G x and its sparse rows, the dense centralizer, the dense
 basis and witness of a report, a null space over the whole algebra basis,
-the graded commutant by one elimination per bi-degree block of gl(V), the
-closed-form check by dense powers and reduction, node deduplication, the
-canonical form and the whole-graph findings of validation by comparing and
-hashing Fractions, a component's cells and findings from each node's own
-denominators, with connectivity by its own depth-first search, and the
-skew-diagram drawing on Fraction coordinates and on ints scaled per grid
-and per axis.
+the image of ad e in gl(V) by one dense solve, the graded commutant by one
+elimination per bi-degree block of gl(V), the closed-form check by dense
+powers and reduction, node deduplication, the canonical form and the
+whole-graph findings of validation by comparing and hashing Fractions,
+rectangularity read off the graph's runs of nodes alone, a component's
+cells and findings from each node's own denominators, with connectivity
+by its own depth-first search, and the skew-diagram drawing on Fraction
+coordinates and on ints scaled per grid and per axis.
 """
 
 from __future__ import annotations
@@ -377,6 +378,23 @@ def dense_witness(report) -> Optional[tuple[Matrix, tuple[Fraction, Fraction]]]:
     return None if w is None else (dense_matrix(w[0]), w[1])
 
 
+def in_gl_image(e: Matrix, h: Matrix) -> bool:
+    """Whether [e, x] = h for some x in gl(V): one dense solve over the n^2
+    entries of x, entry (i, j) of [e, x] being
+    sum_t e_it x_tj - sum_t x_it e_tj."""
+    n = len(e)
+    rows, rhs = [], []
+    for i in range(n):
+        for j in range(n):
+            row = [0] * (n * n)
+            for t in range(n):
+                row[t * n + j] += e[i][t]
+                row[i * n + t] -= e[t][j]
+            rows.append(row)
+            rhs.append(h[i][j])
+    return solve(rows, rhs) is not None
+
+
 # ---------------------------------------------------------------------------
 # The graded commutant, one elimination per bi-degree block
 # ---------------------------------------------------------------------------
@@ -387,10 +405,9 @@ def eigenframe(spec: AlgebraSpec, h1: Matrix, h2: Matrix, mats: Sequence[Matrix]
     return _eigenframe(spec, integral_rows(h1), integral_rows(h2), [integral_rows(m) for m in mats])
 
 
-def form_rows(frame: _Frame, zero_block: bool = False) -> list[list[tuple[int, int]]]:
-    """The condition x in g as sparse rows, all of them or those of the
-    (0,0) block: the rows the package built before it read the form off
-    the Gram matrix, as it reads brackets.
+def form_rows(frame: _Frame) -> list[list[tuple[int, int]]]:
+    """The condition x in g as sparse rows: the rows the package built
+    before it read the form off the Gram matrix, as it reads brackets.
 
     A sparse row lists (position, int coefficient) pairs, positions i * n + j
     distinct and coefficients nonzero.  Series A has the trace, whose one row
@@ -400,19 +417,15 @@ def form_rows(frame: _Frame, zero_block: bool = False) -> list[list[tuple[int, i
     if frame.spec.series == "A":
         return [[(i * n + i, 1) for i in range(n)]]
     g_rows, g_cols = frame.gram
-    if zero_block:
-        at = frame.at
-        pairs = ((a, b) for w, left in at.items() for a in left for b in at.get((-w[0], -w[1]), ()) if a <= b)
-    else:
-        pairs = ((a, b) for a in range(n) for b in range(a, n))
     rows = []
-    for a, b in pairs:
-        acc: dict[int, int] = {}
-        for p, c in [(c * n + a, val) for c, val in g_cols[b]] + [(c * n + b, val) for c, val in g_rows[a]]:
-            acc[p] = acc.get(p, 0) + c
-        row = [(p, c) for p, c in acc.items() if c]
-        if row:
-            rows.append(row)
+    for a in range(n):
+        for b in range(a, n):
+            acc: dict[int, int] = {}
+            for p, c in [(c * n + a, val) for c, val in g_cols[b]] + [(c * n + b, val) for c, val in g_rows[a]]:
+                acc[p] = acc.get(p, 0) + c
+            row = [(p, c) for p, c in acc.items() if c]
+            if row:
+                rows.append(row)
     return rows
 
 
@@ -579,6 +592,29 @@ def canonical_form(graph: SkewGraph) -> SkewGraph:
     sx, sy = (sum(coords, ZERO) / len(nodes) for coords in zip(*((nd.x, nd.y) for nd in nodes)))
     comps = [Component(tuple(sorted(nd.shifted(-sx, -sy) for nd in c.nodes))) for c in graph.components]
     return SkewGraph(tuple(sorted(comps, key=lambda c: (-len(c), c.nodes))))
+
+
+def centred_runs(graph: SkewGraph) -> bool:
+    """Whether every maximal horizontal run of nodes in each component has
+    x-coordinate sum 0 and every maximal vertical run y-coordinate sum 0:
+    the rectangularity of a pair in normal form read off its graph alone.
+    e1 (e2) moves a node of a component by (1, 0) ((0, 1)) to the next node
+    of its run, so the runs are the strings of a graded Jordan
+    decomposition of e1 (e2), and h_i lies in [e_i, g] exactly when each of
+    them is centred (Morozov)."""
+    for comp in graph.components:
+        nodes = comp.node_set
+        for step in (Node(ONE, ZERO), Node(ZERO, ONE)):
+            for nd in nodes:
+                if nd.shifted(-step.x, -step.y) in nodes:
+                    continue
+                total = ZERO
+                while nd in nodes:
+                    total += nd.x if step.x else nd.y
+                    nd = nd.shifted(step.x, step.y)
+                if total:
+                    return False
+    return True
 
 
 def graph_findings(graph: SkewGraph) -> list[str]:

@@ -16,7 +16,7 @@ from conftest import (
     partition_counts,
     rectangle_nodes,
 )
-from oracles import _flatten, commutator, graph_key, matrix, nullspace
+from oracles import _flatten, centred_runs, commutator, graph_key, matrix, nullspace
 from skewpairs.catalog import CatalogVerificationError, _closed_form_matches, classify, count_orbits
 from skewpairs.centralizer import analyze, closed_form_centralizer, graph_from_pair
 from skewpairs.liealg import build_pair, verify_relations
@@ -173,6 +173,16 @@ def test_criterion_07_rectangularity(desk_records):
         ):
             failures.append(f"{_rec_id(rec)}: near-rectangular pair claims rectangular")
     _report(7, "pair rectangularity equals all-components-rectangular on every entry", failures)
+
+
+def test_rectangularity_is_read_off_the_runs_of_the_graph(desk_records):
+    # The graph fixes the answer: h_i lies in [e_i, g] exactly when every
+    # maximal horizontal (e1) or vertical (e2) run of nodes in a component
+    # is centred.  centred_runs sees only the graph, never the matrices.
+    failures = [_rec_id(rec) for rec in desk_records if rec.report.flags.rectangular != centred_runs(rec.graph)]
+    rectangular = sum(rec.report.flags.rectangular for rec in desk_records)
+    assert 0 < rectangular < len(desk_records) == 2585
+    assert not failures, f"{len(failures)} records, first: {failures[0]}"
 
 
 def test_criterion_08_counting_oracles():

@@ -12,6 +12,7 @@ import skewpairs
 from conftest import (
     conjugated,
     conjugator,
+    deadline,
     distinguished_realizations,
     is_rectangular_pair,
     moved_by,
@@ -33,6 +34,7 @@ from oracles import (
     eigenframe,
     form_rows,
     graph_key,
+    in_gl_image,
     in_span,
     invert,
     mat_mul,
@@ -381,40 +383,31 @@ def _rows(frame, elements):
 def test_analyze_builds_each_constraint_row_once(monkeypatch):
     # The form x^T G + G x is read off the Gram matrix once for a <= b, as
     # entry (b, a) is entry (a, b) up to sign: no two of its rows (the
-    # oracle's) share their positions.  Only the z(e1, e2) pass reads it:
-    # both rectangularity sides run in gl(V), with no form and no trace row,
-    # over one list of (0,0)-block positions, and cartan_h reads no row, only
-    # the weights.  So three passes and three blocks per analyze, the (0,0)
-    # one and that of each side's e.  Series A has no form: its z(e1, e2)
-    # pass reads the one trace row.
+    # oracle's) share their positions.  The z(e1, e2) pass is the only one:
+    # rectangularity is read off the e-strings (_centred), and cartan_h reads
+    # no row, only the weights.  So one _unite call per analyze, over the n^2
+    # positions of gl(V).  Series A has no form: its pass reads the one
+    # trace row.
     import skewpairs.centralizer as centralizer_module
 
-    calls, blocks = [], []
-    block, unite = centralizer_module._Frame.block, centralizer_module._unite
+    calls = []
+    unite = centralizer_module._unite
 
     def counted_unite(positions, rows, brackets=(), form=None):
         calls.append((positions, list(rows), form))
         return unite(positions, rows, brackets, form)
 
-    def counted_block(frame, delta):
-        blocks.append(delta)
-        return block(frame, delta)
-
     monkeypatch.setattr(centralizer_module, "_unite", counted_unite)
-    monkeypatch.setattr(centralizer_module._Frame, "block", counted_block)
     count = 0
     for r in distinguished_realizations(8):
-        del calls[:], blocks[:]
+        del calls[:]
         analyze(r)
         n = r.spec.dimv
         frame, _ = eigenframe(r.spec, r.h1, r.h2)
-        w = frame.weights
-        assert len(calls) == 3 and blocks == [(0, 0), (frame.den, 0), (0, frame.den)], r.graph
-        (everywhere, _, form), (zero, _, form0), (zero_again, _, form1) = calls
-        assert list(everywhere) == list(range(n * n)) and zero is zero_again, r.graph
-        assert zero == [i * n + j for i in range(n) for j in range(n) if w[i] == w[j]], r.graph
-        assert [rows for _, rows, _ in calls] == [form_rows(frame) if r.spec.series == "A" else [], [], []], r.graph
-        assert form0 is None and form1 is None, r.graph
+        assert len(calls) == 1, r.graph
+        ((everywhere, rows, form),) = calls
+        assert list(everywhere) == list(range(n * n)), r.graph
+        assert rows == (form_rows(frame) if r.spec.series == "A" else []), r.graph
         if r.spec.series == "A":
             assert form is None, r.graph
             continue
@@ -598,14 +591,14 @@ def test_analyze_eliminates_only_blocks_with_long_rows(monkeypatch):
     # On a built pair e1, e2 and the Gram matrix are signed monomial
     # matrices, so the only row of three or more terms is the trace of
     # sl(n), n >= 3: in series A one integer_nullspace call for its block of
-    # the centralizer, none in B, C, D.  Both rectangularity sides run the
-    # same kernel on the (0,0) block, which in series A leaves out the trace
-    # row, so they eliminate nothing, and in B, C and D nothing is
-    # eliminated at all.
+    # the centralizer, none in B, C, D.  The rectangularity sides take one
+    # rank per pair of twin weights +-l, l > 0, of a square matrix of the
+    # weights' multiplicity, so in B, C and D those ranks are the only
+    # eliminations.
     import skewpairs.centralizer as centralizer_module
     import skewpairs.linalg as linalg_module
 
-    calls, eliminations = [], []
+    calls, eliminations, ranks = [], [], []
 
     def counting(rows, ncols):
         calls.append(ncols)
@@ -615,10 +608,15 @@ def test_analyze_eliminates_only_blocks_with_long_rows(monkeypatch):
         eliminations.append(1)
         return eliminate(rows)
 
-    eliminate = linalg_module._eliminate
+    def ranking(rows):
+        ranks.append((len(rows), {len(row) for row in rows}))
+        return rank(rows)
+
+    eliminate, rank = linalg_module._eliminate, centralizer_module.rank
     monkeypatch.setattr(centralizer_module, "integer_nullspace", counting)
     monkeypatch.setattr(centralizer_module, "_eliminate", eliminating)
     monkeypatch.setattr(linalg_module, "_eliminate", eliminating)
+    monkeypatch.setattr(centralizer_module, "rank", ranking)
     count = 0
     for r in distinguished_realizations(8):
         frame, e = eigenframe(r.spec, r.h1, r.h2, (r.e1, r.e2))
@@ -628,12 +626,17 @@ def test_analyze_eliminates_only_blocks_with_long_rows(monkeypatch):
             for row in _rows(frame, e)
             if len(row) > 2
         }
-        del calls[:], eliminations[:]
-        analyze(r)
+        del calls[:], eliminations[:], ranks[:]
+        rectangular = analyze(r).flags.rectangular
         trace_rows = r.spec.series == "A" and n >= 3
         assert (len(calls), len(long_blocks)) == (trace_rows, trace_rows), (r.spec.series, r.graph)
+        # A side stops at its first off-centre string, so only a rectangular
+        # pair takes every rank.
+        twins = sorted(len(basis) for side in (0, 1) for w, basis in frame.at.items() if w[side] > 0)
+        assert all(widths == {m} for m, widths in ranks), (r.spec.series, r.graph)
+        assert sorted(m for m, _ in ranks) == twins if rectangular else len(ranks) <= len(twins), r.graph
         if r.spec.series != "A":
-            assert eliminations == [], (r.spec.series, r.graph)
+            assert len(eliminations) == len(ranks), (r.spec.series, r.graph)
         count += 1
     assert count > 500
 
@@ -1180,11 +1183,11 @@ def test_derived_facts_match_dense_oracles():
 
 
 def test_series_a_flags_match_dense_oracles_at_dimv_7_and_8():
-    # In series A the (0,0)-block passes run without the trace row
-    # (_rectangularity): cartan_h subtracts the line of the identity, and the
-    # rectangularity test reads phi on the (0,0) block of z_gl(e).  Pinned
-    # past dimV 6 on every A7 distinguished realization and a seeded sample
-    # of A8 ones, each as built and conjugated.
+    # In series A cartan_h subtracts the line of the identity, and the
+    # rectangularity test reads the e-strings in gl(V), where the identity
+    # and the trace play no part (_centred).  Pinned past dimV 6 on every A7
+    # distinguished realization and a seeded sample of A8 ones, each as
+    # built and conjugated.
     rng = random.Random(20261019)
     copies = [build_pair("A", g) for g in enumerate_admissible("A", 7, "distinguished")]
     for g in rng.sample(enumerate_admissible("A", 8, "distinguished"), 12):
@@ -1193,6 +1196,55 @@ def test_series_a_flags_match_dense_oracles_at_dimv_7_and_8():
     assert len(copies) == 105 + 24 and None not in copies
     rectangular = [_check_cartan_and_rectangularity(c, analyze(c), graph_to_text(c.graph)) for c in copies]
     assert 0 < sum(rectangular) < len(copies)
+
+
+def _graded_frame(rng):
+    """A seeded graded frame with h diagonal: (frame, e, h, side), e dense of
+    degree den along side, with entries in {0, +-1, +-2, 3}, and h the
+    diagonal of the weights along side.  den is 1, 2 or 3, with one or two
+    lines of weights -3..3, each weight of multiplicity 0-3, half the time
+    the same at w and its twin; a few frames have weights +-10^12."""
+    while True:
+        den, side, far = rng.choice((1, 2, 3)), rng.randrange(2), rng.random() < 0.02
+        mirrored = rng.random() < 0.5
+        weights = []
+        for b in rng.sample(range(-2, 3), rng.choice((1, 2))):
+            mult = {a: rng.choice((0, 0, 1, 1, 2, 3)) for a in range(-3, 4)}
+            if mirrored:
+                mult = {a: mult[abs(a)] for a in mult}
+            weights += [(a * 10**12 if far else a, b) for a, m in mult.items() for _ in range(m)]
+        if 1 <= len(weights) <= 8:
+            break
+    rng.shuffle(weights)
+    weights = [w if side == 0 else w[::-1] for w in weights]
+    n = len(weights)
+    step = (den, 0) if side == 0 else (0, den)
+    e = [
+        [rng.choice((0, 0, 1, -1, 2, -2, 3)) if (wi[0] - wj[0], wi[1] - wj[1]) == step else 0 for wj in weights]
+        for wi in weights
+    ]
+    h = [[weights[i][side] if i == j else 0 for j in range(n)] for i in range(n)]
+    return centralizer_module._Frame(make_spec("A", n), den, tuple(weights), None, None, None), e, h, side
+
+
+def test_centred_matches_a_dense_gl_solve_on_random_graded_frames():
+    # _centred reads h in [e, gl(V)] off the e-strings: the multiplicity of
+    # each weight's twin, the step count k = 2 l / den, an int below n, and
+    # the rank of e^k from each V_-l to V_l.  Pinned against one dense solve
+    # of [e, x] = h over all of gl(V) on seeded graded frames, most of them
+    # with a repeated weight, so that the rank reads a matrix larger than
+    # 1 x 1.  The frames with weights +-10^12 take the k < n exit, so a loop
+    # over k runs out the deadline instead of hanging the run.
+    rng = random.Random(20261020)
+    verdicts, repeated = [], 0
+    with deadline(60):
+        for _ in range(2400):
+            frame, e, h, side = _graded_frame(rng)
+            got = centralizer_module._centred(frame, sparse_rows_cols(e), side)
+            assert got == in_gl_image(e, h), (frame.den, side, frame.weights, e)
+            verdicts.append(got)
+            repeated += len(frame.at) < len(frame.weights)
+    assert 0 < sum(verdicts) < len(verdicts) and repeated > len(verdicts) // 2
 
 
 def test_analyze_ignores_scalar_factors_of_e_and_the_form():

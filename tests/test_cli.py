@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import conjugated, large_dimv_document, small_realizations
+from conftest import conjugated, deadline, large_dimv_document, small_realizations
 from skewpairs import catalog, cli
 from skewpairs.catalog import classify, export_entries
 from skewpairs.cli import main
@@ -151,6 +151,10 @@ def test_verify_of_large_eigenvalues_is_a_finding(tmp_path, capsys, b):
     # h1 = [[0, b], [b, 0]] with e1 = e2 = h2 = 0: the eigenvalues +-b are
     # found in a few Newton steps (a divisor search of b^2 once hung), and
     # h1 is not in the image of ad e1 = 0 while h2 = 0 is in that of ad e2.
+    # An e1-string from -b to b would take k = 2b steps, more than a string
+    # of V's two vectors can, so the rectangularity test stops at k >= n
+    # without taking a power of e1: well under a second, and the deadline
+    # turns a loop over k into a failure.
     graph_file = tmp_path / "graph.txt"
     graph_file.write_text("-1/2,0/1 1/2,0/1\n")
     pair_file = tmp_path / "pair.json"
@@ -159,7 +163,10 @@ def test_verify_of_large_eigenvalues_is_a_finding(tmp_path, capsys, b):
     zero = [["0", "0"], ["0", "0"]]
     doc.update(e1=zero, e2=zero, h1=[["0", str(b)], [str(b), "0"]], h2=zero)
     pair_file.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "verify", "--input", str(pair_file))
+    with deadline(10):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--input", str(pair_file))
+        assert time.perf_counter() - start < 1
     assert (code, out) == (1, "")
     assert err == "finding: the rectangularity tests disagree: h1 is not in the image of ad e1, h2 is in that of ad e2\n"
 
