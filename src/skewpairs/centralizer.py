@@ -14,8 +14,8 @@ one bi-degree block of gl(V).
 
 On a built pair e1, e2 and G are signed monomial matrices, so almost every
 condition has one or two terms: x_u = 0 or a x_u + b x_v = 0.  One kernel,
-_graded_commutant, solves the z(e1, e2) pass over the positions, rows,
-form entries and brackets it is given.  Its signed union-find,
+_graded_commutant, solves the z(e1, e2) pass over gl(V), given the trace
+row of series A and the brackets e1 and e2.  Its signed union-find,
 linalg._unite, reads each entry of [x, m] or x^T G + G x off one column
 and one row of m or G, and each live component is a kernel vector.  Only
 rows with three or more terms are eliminated, per block, in component
@@ -283,14 +283,14 @@ def _eigenframe(spec: AlgebraSpec, h1, h2, mats):
     return _Frame(spec, den, weights, gram, t, t_inv), moved
 
 
-def _graded_commutant(frame: _Frame, positions, rows, brackets, pairs=None) -> dict:
-    """The solver of the z(e1, e2) pass: the kernel, over these
-    positions of gl(V), of the sparse rows (the trace in series A), of the
-    entries (a, b) of x^T G + G x for b in pairs[a], G the frame's Gram
-    matrix, and of the entries of [x, m] for each (m, targets) in brackets,
-    as _unite reads them.  G pairs weight w only with -w, so entry (a, b)
-    lies in the block of degree -(w_a + w_b), and G is symmetric or
-    alternating (_checked_form), so entry (b, a) is entry (a, b) up to sign.
+def _graded_commutant(frame: _Frame, rows, brackets) -> dict:
+    """The solver of the z(e1, e2) pass: the kernel, over the n^2 positions
+    of gl(V), of the sparse rows (the trace in series A), of every entry of
+    [x, m] for each m in brackets and, given the frame's Gram matrix G, of
+    the entries (a, b), a <= b, of x^T G + G x, as _unite reads them.  G
+    pairs weight w only with -w, so entry (a, b) lies in the block of degree
+    -(w_a + w_b), and G is symmetric or alternating (_checked_form), so
+    entry (b, a) is entry (a, b) up to sign.
 
     Every row lies in one bi-degree block: each m is bi-homogeneous for the
     frame's weights.  The components of _unite have disjoint supports, so
@@ -308,7 +308,7 @@ def _graded_commutant(frame: _Frame, positions, rows, brackets, pairs=None) -> d
     """
     weights = frame.weights
     n = len(weights)
-    components, long_rows = _unite(positions, rows, brackets, None if pairs is None else (frame.gram, pairs))
+    components, long_rows = _unite(n * n, rows, brackets, frame.gram)
 
     def degree(p: int) -> tuple[int, int]:
         wi, wj = weights[p // n], weights[p % n]
@@ -424,11 +424,8 @@ def analyze(r: PairRealization) -> CentralizerReport:
     """Centralizer dimensions, bi-exponents and all classification flags."""
     frame, (e1, e2) = _framed(r)
     spec, n = frame.spec, r.spec.dimv
-    every = [range(n)] * n
-    series_a = frame.gram is None
-    trace = [[(i * n + i, 1) for i in range(n)]] if series_a else ()
-    upper = None if series_a else [range(a, n) for a in range(n)]
-    commutant = _graded_commutant(frame, range(n * n), trace, [(m, every) for m in (e1, e2)], upper)
+    trace = [[(i * n + i, 1) for i in range(n)]] if frame.gram is None else ()
+    commutant = _graded_commutant(frame, trace, (e1, e2))
     # T is invertible, so the pieces' sizes are the dimensions in the input
     # coordinates too.
     table = tuple((frame.degree(d), len(piece)) for d, piece in commutant.items())
@@ -619,7 +616,7 @@ def _frame_graph(frame: _Frame, moved) -> SkewGraph:
     # Each arrow i -> j is the row x_i - x_j = 0, so the live components of
     # _unite are the graph's components.
     arrows = [[(i, 1), (j, -1)] for rows in moved for i, row in enumerate(rows) for j, _ in row]
-    groups = [[frame.weights[i] for i, _ in comp] for comp in _unite(range(len(frame.weights)), arrows)[0]]
+    groups = [[frame.weights[i] for i, _ in comp] for comp in _unite(len(frame.weights), arrows)[0]]
     if any(len(set(ws)) != len(ws) for ws in groups):
         raise NormalFormError("a reconstructed component repeats a node; not in normal form")
     graph, (d, cells) = _centred_graph(frame.den, groups)

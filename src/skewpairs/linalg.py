@@ -381,11 +381,11 @@ def _summed(terms: list) -> list:
     return [(p, c) for p, c in acc.items() if c]
 
 
-def _unite(positions, rows, brackets=(), form=None) -> tuple[list, list]:
-    """One signed union-find pass over these positions, of the sparse rows,
-    of entry (i, j) of [x, m] for each (m, targets) in brackets and, for
-    form = (G, pairs), of entry (i, j) of x^T G + G x: m and G by
-    with_columns, targets[i] and pairs[i] the columns j of row i.
+def _unite(size: int, rows, brackets=(), form=None) -> tuple[list, list]:
+    """One signed union-find pass over positions 0, ..., size - 1, of the
+    sparse rows, of every entry (i, j) of [x, m] for each m in brackets and,
+    given the Gram matrix G, of the entries (a, b), a <= b, of x^T G + G x:
+    m and G by with_columns.
 
     A sparse row lists (position, int coefficient) pairs, positions i * n + j
     distinct and coefficients nonzero.  A row a x_u + b x_v = 0 unites u and
@@ -393,12 +393,16 @@ def _unite(positions, rows, brackets=(), form=None) -> tuple[list, list]:
     a row with one term, or a cycle whose ratios do not close, forces its
     component to 0.  An entry (i, j), sum_t m_tj x_it - sum_t m_it x_tj of a
     bracket or sum_t G_tj x_ti + sum_t G_it x_tj of the form, is read off
-    column j and row i of m or G: one union or one kill while each holds at
-    most one entry (x_ij may meet itself), a row by _summed when one holds
-    two.  Returns (components, rows of three or more terms): each live
+    column j and row i of m or G, row by row: one union or one kill while
+    both hold at most one entry (x_ij may meet itself), a row by _summed
+    when one holds two.  A kill marks its position's root dead, by find only
+    when the position's parent is not a root, and a union keeps its root
+    dead when either root was, so a row's unions are joined when the row is
+    done: the sparse rows, then the form's rows and each bracket's, in
+    order.  Returns (components, rows of three or more terms): each live
     component, a kernel vector of the shorter rows, by its (position,
-    x_p / x_root) pairs in the order of positions, ordered by first position."""
-    size = max(positions, default=-1) + 1
+    x_p / x_root) pairs in the order of positions, ordered by first
+    position."""
     parent, ratio, dead, long_rows = list(range(size)), [1] * size, [False] * size, []
 
     def find(p: int) -> int:
@@ -413,51 +417,69 @@ def _unite(positions, rows, brackets=(), form=None) -> tuple[list, list]:
                 parent[q] = p
         return p
 
-    def join(u: int, a, v: int, b) -> None:
-        ru, rv = parent[u], parent[v]
-        if parent[ru] != ru:
-            ru = find(u)
-        if parent[rv] != rv:
-            rv = find(v)
-        a, b = a * ratio[u], b * ratio[v]
-        if ru == rv:
-            if a + b:
-                dead[ru] = True
-        else:
-            # a x_ru + b x_rv = 0
-            parent[rv] = ru
-            ratio[rv] = -a // b if type(a) is int and type(b) is int and a % b == 0 else Fraction(-a, b)
-            dead[ru] = dead[ru] or dead[rv]
+    def unite(pairs: list) -> None:
+        for u, a, v, b in pairs:
+            ru, rv = parent[u], parent[v]
+            if parent[ru] != ru:
+                ru = find(u)
+            if parent[rv] != rv:
+                rv = find(v)
+            a, b = a * ratio[u], b * ratio[v]
+            if ru == rv:
+                if a + b:
+                    dead[ru] = True
+            else:
+                # a x_ru + b x_rv = 0
+                parent[rv] = ru
+                ratio[rv] = -a // b if type(a) is int and type(b) is int and a % b == 0 else Fraction(-a, b)
+                dead[ru] = dead[ru] or dead[rv]
 
-    def take(row) -> None:
+    def take(row, pairs: list) -> None:
         if len(row) == 2:
-            join(row[0][0], row[0][1], row[1][0], row[1][1])
+            pairs.append((*row[0], *row[1]))
         elif len(row) == 1:
             dead[find(row[0][0])] = True
         elif row:
             long_rows.append(row)
 
+    pairs: list = []
     for row in rows:
-        take(row)
+        take(row, pairs)
+    unite(pairs)
     # A term t of column j lies at u0 + t du, one of row i at t n + j.
-    readings = [(m, targets, False) for m, targets in brackets]
-    for (m_rows, m_cols), targets, transposed in readings if form is None else [(*form, True)] + readings:
+    readings = [(m, False) for m in brackets]
+    for (m_rows, m_cols), transposed in readings if form is None else [(form, True)] + readings:
         n = len(m_rows)
         du, sign = (n, 1) if transposed else (1, -1)
-        for i, cols in enumerate(targets):
-            row, u0 = m_rows[i], i if transposed else i * n
-            for j in cols:
-                col = m_cols[j]
-                if len(col) > 1 or len(row) > 1:
-                    take(_summed([(u0 + t * du, c) for t, c in col] + [(t * n + j, sign * c) for t, c in row]))
-                elif col and row:
-                    join(u0 + col[0][0] * du, col[0][1], row[0][0] * n + j, sign * row[0][1])
-                elif col or row:
-                    dead[find(u0 + col[0][0] * du if col else row[0][0] * n + j)] = True
+        for i, row in enumerate(m_rows):
+            pairs, u0, first = [], (i if transposed else i * n), (i if transposed else 0)
+            if len(row) == 1:
+                ((t, c),) = row
+                v0, c = t * n, sign * c
+                for j in range(first, n):
+                    col = m_cols[j]
+                    if len(col) == 1:
+                        ((s, d),) = col
+                        pairs.append((u0 + s * du, d, v0 + j, c))
+                    elif col:
+                        take(_summed([(u0 + s * du, d) for s, d in col] + [(v0 + j, c)]), pairs)
+                    else:
+                        dead[r if parent[r := parent[v0 + j]] == r else find(v0 + j)] = True
+            elif row:
+                for j in range(first, n):
+                    take(_summed([(u0 + s * du, d) for s, d in m_cols[j]] + [(t * n + j, sign * c) for t, c in row]), pairs)
+            else:
+                for j in range(first, n):
+                    col = m_cols[j]
+                    if len(col) == 1:
+                        p = u0 + col[0][0] * du
+                        dead[r if parent[r := parent[p]] == r else find(p)] = True
+                    elif col:
+                        take([(u0 + s * du, d) for s, d in col], pairs)
+            unite(pairs)
 
     components: dict[int, list] = {}
-    for p in positions:
-        root = parent[p]
+    for p, root in enumerate(parent):
         if parent[root] != root:
             root = find(p)
         if not dead[root]:
@@ -496,7 +518,7 @@ def joint_eigenbasis(h1, h2) -> list[tuple[tuple[Fraction, Fraction], list[list[
     # Each off-diagonal entry (i, j) is the row x_i - x_j = 0, so the live
     # components of _unite are the blocks.
     joins = [[(i, 1), (j, -1)] for rows in (rows1, rows2) for i, row in enumerate(rows) for j, _ in row if j != i]
-    for comp in _unite(range(n), joins)[0]:
+    for comp in _unite(n, joins)[0]:
         block = [i for i, _ in comp]
         if len(block) == 1:
             (i,) = block

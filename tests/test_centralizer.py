@@ -327,20 +327,17 @@ def _sheared(r):
 
 def _everywhere(frame, ms) -> tuple:
     """The _graded_commutant arguments of z(ms) in g, as analyze passes
-    those of z(e1, e2): every position of gl(V), the trace row in series A,
-    the whole of each bracket [x, m] and, in B, C and D, every entry a <= b
-    of x^T G + G x."""
+    those of z(e1, e2): the trace row in series A and the brackets [x, m].
+    _graded_commutant reads every position of gl(V), the whole of each
+    bracket and, in B, C and D, every entry a <= b of x^T G + G x."""
     n = len(frame.weights)
-    brackets = [(m, [range(n)] * n) for m in ms]
-    if frame.gram is None:
-        return range(n * n), [[(i * n + i, 1) for i in range(n)]], brackets, None
-    return range(n * n), (), brackets, [range(a, n) for a in range(n)]
+    return ([[(i * n + i, 1) for i in range(n)]] if frame.gram is None else ()), list(ms)
 
 
 def _united(frame, ms) -> tuple:
     """_unite over the arguments of _everywhere, as _graded_commutant calls it."""
-    positions, rows, brackets, pairs = _everywhere(frame, ms)
-    return _unite(positions, rows, brackets, None if pairs is None else (frame.gram, pairs))
+    rows, brackets = _everywhere(frame, ms)
+    return _unite(len(frame.weights) ** 2, rows, brackets, frame.gram)
 
 
 def _dense_pieces(frame, pieces) -> dict:
@@ -393,9 +390,9 @@ def test_analyze_builds_each_constraint_row_once(monkeypatch):
     calls = []
     unite = centralizer_module._unite
 
-    def counted_unite(positions, rows, brackets=(), form=None):
-        calls.append((positions, list(rows), form))
-        return unite(positions, rows, brackets, form)
+    def counted_unite(size, rows, brackets=(), form=None):
+        calls.append((size, list(rows), form))
+        return unite(size, rows, brackets, form)
 
     monkeypatch.setattr(centralizer_module, "_unite", counted_unite)
     count = 0
@@ -405,15 +402,16 @@ def test_analyze_builds_each_constraint_row_once(monkeypatch):
         n = r.spec.dimv
         frame, _ = eigenframe(r.spec, r.h1, r.h2)
         assert len(calls) == 1, r.graph
-        ((everywhere, rows, form),) = calls
-        assert list(everywhere) == list(range(n * n)), r.graph
+        ((everywhere, rows, gram),) = calls
+        assert everywhere == n * n, r.graph
         assert rows == (form_rows(frame) if r.spec.series == "A" else []), r.graph
         if r.spec.series == "A":
-            assert form is None, r.graph
+            assert gram is None, r.graph
             continue
-        gram, upper = form
         assert gram == frame.gram, r.graph
-        assert [(a, b) for a, bs in enumerate(upper) for b in bs] == [(a, b) for a in range(n) for b in range(a, n)]
+        # The form is read at the entries a <= b alone: as the rows the
+        # oracle builds there, ratios included.
+        assert unite(n * n, (), (), gram) == unite(n * n, form_rows(frame)), r.graph
         supports = [frozenset(p for p, _ in row) for row in form_rows(frame)]
         assert len(set(supports)) == len(supports), r.graph
         count += 1
@@ -555,7 +553,7 @@ def test_unite_reads_each_bracket_entry_off_a_row_and_a_column_of_m():
         ms = [m for m, _ in elements]
         everywhere = [(i, j) for i in range(n) for j in range(n)]
         fast = _united(frame, ms)
-        assert fast == _unite(range(n * n), _rows(frame, ms))
+        assert fast == _unite(n * n, _rows(frame, ms))
         pieces = _dense_pieces(frame, _graded_commutant(frame, *_everywhere(frame, ms)))
         assert pieces == blockwise_commutant(frame, elements)
         two_terms += any(len(line) > 1 for m_rows, m_cols in ms for line in list(m_rows) + m_cols)

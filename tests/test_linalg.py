@@ -61,6 +61,7 @@ from skewpairs.linalg import (
     parse_fraction,
     rank,
     sparse_product,
+    with_columns,
 )
 from skewpairs.liealg import build_pair, realization_from_jsonable
 from skewpairs.skewgraph import enumerate_admissible, graph_from_text
@@ -751,11 +752,97 @@ def test_unite_over_difference_rows_finds_the_support_components():
             i, j = rng.randrange(n), rng.randrange(n)
             support |= {(i, j), (j, i)}
         rows = [[(i, 1), (j, -1)] for i, j in sorted(support)]
-        components, long_rows = _unite(range(n), rows)
+        components, long_rows = _unite(n, rows)
         assert long_rows == []
         assert sorted(p for comp in components for p, _ in comp) == list(range(n))
         assert all(x == 1 for comp in components for _, x in comp)
         assert [[p for p, _ in comp] for comp in components] == _dfs_components(n, support), sorted(support)
+
+
+def _read_rows(rows, brackets, form) -> list:
+    """The rows _unite reads, in its order and summed as it sums them: the
+    sparse rows, then entry (a, b), a <= b, of x^T G + G x, then every entry
+    (i, j) of [x, m] for each m in brackets, m and G dense int matrices."""
+    out = [list(row) for row in rows]
+    for m, upper in ([] if form is None else [(form, True)]) + [(m, False) for m in brackets]:
+        n = len(m)
+        for i in range(n):
+            for j in range(i if upper else 0, n):
+                # sum_t G_tb x_ta + sum_t G_at x_tb, or sum_t m_tj x_it - sum_t m_it x_tj.
+                terms = [(t * n + i if upper else i * n + t, m[t][j]) for t in range(n) if m[t][j]]
+                terms += [(t * n + j, m[i][t] if upper else -m[i][t]) for t in range(n) if m[i][t]]
+                acc: dict = {}
+                for p, c in terms:
+                    acc[p] = acc.get(p, 0) + c
+                if any(acc.values()):
+                    out.append([(p, c) for p, c in acc.items() if c])
+    return out
+
+
+def test_unite_matches_a_dense_null_space():
+    # Signed union-find against Gauss-Jordan on systems over at most 12
+    # positions: sparse rows of one, two and three terms in random order,
+    # with coefficients in +-{1, 2, 3}, so that ratios are Fractions, and
+    # brackets and forms read off sparse matrices, so that unions and kills
+    # arrive row by row.  Each component must be a kernel vector of the
+    # rows of one and two terms, no position may appear twice, and the long
+    # rows come back as read; with no long row the components span the
+    # null space.  The fixed systems first: a cycle that closes and one that
+    # does not; then kills of a position that the sparse rows hung two links
+    # below the root x_00, read off a row of m with one entry and off an
+    # empty one.  In [x, E_01] x_10 -> x_01 -> x_00 is killed off row 0 of
+    # E_01 and again off row 1, after row 0's union x_00 = x_11.  In
+    # [x, E_11] x_01 -> x_4 -> x_00 is killed off the empty row 0 alone.
+    rng = random.Random(20261101)
+
+    def coefficient() -> int:
+        return rng.choice((1, 2, 3)) * rng.choice((1, -1))
+
+    def sparse_matrix(n: int) -> list:
+        return [[coefficient() if rng.random() < 0.3 else 0 for _ in range(n)] for _ in range(n)]
+
+    cycle = [[(0, 2), (1, -3)], [(1, 1), (2, 1)]]
+    systems = [
+        (3, cycle + [[(2, 3), (0, 2)]], [], None),
+        (3, cycle + [[(2, 3), (0, -2)]], [], None),
+        (5, [[(1, 1), (2, -1)], [(0, 1), (1, -1)]], [[[0, 1], [0, 0]]], None),
+        (5, [[(4, 1), (1, -1)], [(0, 1), (4, -1)]], [[[0, 0], [0, 1]]], None),
+    ]
+    for _ in range(600):
+        n = rng.randint(1, 3)
+        size = rng.randint(n * n, 12)
+        rows = [[(p, coefficient()) for p in rng.sample(range(size), min(k, size))]
+                for k in rng.choices((1, 2, 3), (1, 4, 1), k=rng.randint(0, 5))]
+        brackets = [sparse_matrix(n) for _ in range(rng.randint(0, 2))]
+        systems.append((size, rows, brackets, sparse_matrix(n) if rng.random() < 0.4 else None))
+    def sparse(m):
+        return with_columns([[(j, x) for j, x in enumerate(row) if x] for row in m])
+
+    live = fractions = spanned = 0
+    found = []
+    for size, rows, brackets, form in systems:
+        components, long_rows = _unite(size, rows, [sparse(m) for m in brackets], None if form is None else sparse(form))
+        found.append(components)
+        read = _read_rows(rows, brackets, form)
+        short = [row for row in read if len(row) < 3]
+        assert long_rows == [row for row in read if len(row) > 2], (size, rows, brackets, form)
+        positions = [p for comp in components for p, _ in comp]
+        assert len(positions) == len(set(positions)), (size, rows, brackets, form)
+        assert [comp[0][0] for comp in components] == sorted(comp[0][0] for comp in components)
+        for comp in components:
+            x = dict(comp)
+            assert [p for p, _ in comp] == sorted(x) and all(x.values()), (size, rows, brackets, form)
+            assert all(sum(c * x.get(p, 0) for p, c in row) == 0 for row in short), (size, rows, brackets, form)
+        if not long_rows:
+            vectors = [[dict(comp).get(p, 0) for p in range(size)] for comp in components]
+            dense = [[dict(row).get(p, 0) for p in range(size)] for row in short]
+            null = nullspace(dense, size) if dense else identity(size)
+            assert span_rref(vectors) == span_rref(null), (size, rows, brackets, form)
+            spanned += 1
+        live += bool(components)
+        fractions += any(type(x) is Fraction for comp in components for _, x in comp)
+    assert found[:4] == [[[(0, 1), (1, Fraction(2, 3)), (2, Fraction(-2, 3))]], [], [[(4, 1)]], [[(3, 1)]]]
+    assert live > 400 and fractions > 100 and spanned > 250, (live, fractions, spanned)
 
 
 def _largest_support_block(h1, h2) -> int:
