@@ -262,24 +262,22 @@ def _eigenframe(spec: AlgebraSpec, h1, h2, mats):
     gram = None if spec.gram is None else with_columns(spec.gram[1])
     (c1, rows1), (c2, rows2) = h1, h2
     if all(j == i for rows in (rows1, rows2) for i, row in enumerate(rows) for j, _ in row):
-        # The diagonal entries are ints over c1 and c2.
-        den = lcm(c1, c2)
-        f1, f2 = den // c1, den // c2
-        weights = tuple((r1[0][1] * f1 if r1 else 0, r2[0][1] * f2 if r2 else 0) for r1, r2 in zip(rows1, rows2))
-        return _Frame(spec, den, weights, gram, t, t_inv), tuple(with_columns(rows) for _, rows in mats)
-    cols, pairs = [], []
-    for key, vecs in joint_eigenbasis(h1, h2):
-        cols.extend(vecs)
-        pairs.extend([key] * len(vecs))
-    dense_t = [list(row) for row in zip(*cols)]
-    t, t_inv = _nonzero(dense_t), _nonzero(integer_inverse(dense_t))
-    moved = tuple(_sparse_form(sparse_product(t_inv, sparse_product(rows, t))) for _, rows in mats)
-    if gram is not None:
-        gram = _sparse_form(sparse_product(_nonzero(cols), sparse_product(gram[0], t)))
-    den = lcm(*(x.denominator for pair in pairs for x in pair))
-    weights = tuple(
-        (p.numerator * (den // p.denominator), q.numerator * (den // q.denominator)) for p, q in pairs
-    )
+        # The diagonal entries are c1 p and c2 q.
+        pairs = ((r1[0][1] if r1 else 0, r2[0][1] if r2 else 0) for r1, r2 in zip(rows1, rows2))
+        moved = tuple(with_columns(rows) for _, rows in mats)
+    else:
+        cols, pairs = [], []
+        for key, vecs in joint_eigenbasis(h1, h2):
+            cols.extend(vecs)
+            pairs.extend([key] * len(vecs))
+        dense_t = [list(row) for row in zip(*cols)]
+        t, t_inv = _nonzero(dense_t), _nonzero(integer_inverse(dense_t))
+        moved = tuple(_sparse_form(sparse_product(t_inv, sparse_product(rows, t))) for _, rows in mats)
+        if gram is not None:
+            gram = _sparse_form(sparse_product(_nonzero(cols), sparse_product(gram[0], t)))
+    den = lcm(c1, c2)
+    f1, f2 = den // c1, den // c2
+    weights = tuple((p * f1, q * f2) for p, q in pairs)
     return _Frame(spec, den, weights, gram, t, t_inv), moved
 
 

@@ -22,12 +22,12 @@ grows with the bit length of that bound, not with r.
 The joint eigenspaces of (h1, h2) are found block by block, on the
 connected components of the joint off-diagonal support of h1 and h2, found
 by one _unite pass: a block of one coordinate is a joint eigenvector with
-no solve, and a larger block takes one kernel per eigenvalue of h1 on it.
-The images under h2 of that kernel's integer basis give the restriction of
-h2 to it without a solve, a line is then a joint eigenspace, and a larger
-space splits by the eigenvalues of the small restricted matrix.  The pair
-is diagonalizable over Q exactly when every eigenspace of h1 is h2-stable
-and the joint eigenspaces span the whole space.
+no solve, and a larger block takes one kernel per eigenvalue p of h1 on
+it.  A line is a joint eigenspace when h2 maps its vector to a multiple of
+it.  On a larger kernel, the eigenvalues q of the small matrix of h2 read
+off its free columns are candidates, each solved once as the kernel of
+h1 - p stacked on h2 - q.  Every vector found is a joint eigenvector, so
+the pair is diagonalizable over Q exactly when they span the whole space.
 
 Only routines that a package path calls live here.  Dense Fraction
 arithmetic (products, sums, powers, commutators, span membership, the
@@ -41,9 +41,8 @@ import re
 import reprlib
 import sys
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import accumulate
 from math import gcd, lcm
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 Matrix = tuple
@@ -348,24 +347,23 @@ def _integer_roots(f: list[int], bound: int) -> list[int]:
     return sorted(set(roots))
 
 
-def _eigen_shifts(rows: Sequence[Sequence[tuple[int, int]]]) -> list[tuple[int, list[list[int]]]]:
-    """(r, rows of A - r I) for each integer eigenvalue r of A, ascending.
-
-    A is an integer matrix given by its nonzero entries by row; for A = c h,
-    with h rational and c > 0, ker(A - r I) = ker(h - r / c).  Its
-    characteristic polynomial is monic over Z, so its rational roots are
-    integers, none above the largest absolute row sum of A in size.
-    """
-    n = len(rows)
+def _eigenvalues(rows: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
+    """The distinct eigenvalues, ascending, of an integer matrix A given by
+    its nonzero entries by row, c times those of h for A = c h, h rational;
+    NotDiagonalizableError unless all are rational.  Its characteristic
+    polynomial is monic over Z, so they are integers, none above the largest
+    absolute row sum of A in size."""
     bound = max((sum(abs(x) for _, x in row) for row in rows), default=0)
-    out = []
-    for r in _integer_roots(_integer_charpoly(rows), bound):
-        shifted = [[0] * n for _ in range(n)]
-        for i, row in enumerate(rows):
-            for j, x in row:
-                shifted[i][j] = x
-            shifted[i][i] -= r
-        out.append((r, shifted))
+    return _integer_roots(_integer_charpoly(rows), bound)
+
+
+def _shifted(rows: Sequence[Sequence[tuple[int, int]]], r: int) -> list[list[int]]:
+    """The dense rows of A - r I, for A given by its nonzero entries by row."""
+    out = [[0] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            out[i][j] = x
+        out[i][i] -= r
     return out
 
 
@@ -487,34 +485,33 @@ def _unite(size: int, rows, brackets=(), form=None) -> tuple[list, list]:
     return list(components.values()), long_rows
 
 
-def joint_eigenbasis(h1, h2) -> list[tuple[tuple[Fraction, Fraction], list[list[int]]]]:
-    """Simultaneous eigenspace decomposition of two commuting matrices h1 and
-    h2, given by integral_rows: sorted ((p, q), basis of V_{p,q}) entries,
-    each basis vector a primitive integer vector whose last nonzero entry,
-    at its free column, is positive.  Raises NotDiagonalizableError unless
-    the joint eigenspaces span Q^n.
+def joint_eigenbasis(h1, h2) -> list[tuple[tuple[int, int], list[list[int]]]]:
+    """Simultaneous eigenspace decomposition of h1 and h2, given by
+    integral_rows as (c1, rows1) and (c2, rows2): sorted ((c1 p, c2 q),
+    basis of V_{p,q}) entries, each basis vector a primitive integer vector
+    whose last nonzero entry, at its free column, is positive.  Raises
+    NotDiagonalizableError unless the joint eigenspaces span Q^n.
 
     h1 and h2 are block diagonal on the connected components of their joint
     off-diagonal support, so each block is diagonalized on its own and its
     vectors lifted back to n coordinates.  A block of one coordinate i is
     the joint eigenvector e_i, with no solve.  On a larger block, one
-    integer_nullspace per eigenvalue p of h1 gives ker(h1 - p), spanned by
-    primitive v_t, each v_t the one vector with an entry at its free column
-    f_t.  So c2 h2 v_t, if it lies in the space, is
-    sum_s (c2 h2 v_t)[f_s] / v_s[f_s] v_s: the restriction of h2 needs no
-    solve, only an exact check that the space is h2-stable.  A line is a
-    joint eigenspace on its own; a larger space splits by the eigenvalues of
-    the small restricted matrix.  The canonical basis of a space on
-    disjoint blocks is the union of the blocks' bases, so the vectors of
-    one (p, q) merge in the order of their free columns.  The blocks' p
-    are taken in ascending order, so an error names the p that it would
-    for h1, h2 taken whole.
+    integer_nullspace per eigenvalue p of h1 gives K = ker(h1 - p), spanned
+    by primitive v_t, each the one vector with an entry at its free column
+    f_t.  A line <v> is a joint eigenspace when c2 h2 v = q v, q read off
+    f.  On a larger K, the matrix of c2 h2 read off the free columns,
+    sum_s (c2 h2 v_t)[f_s] / v_s[f_s] v_s, is its restriction if K is
+    h2-stable, so its eigenvalues are candidates only: each q with c2 q an
+    int is solved once, as the kernel of h1 - p stacked on h2 - q.  So every
+    vector is a joint eigenvector, distinct (p, q) give independent ones,
+    and the span check alone decides.  The canonical basis of a space on
+    disjoint blocks is the union of the blocks' bases, so the vectors of one
+    (p, q) merge in the order of their free columns.
     """
     (c1, rows1), (c2, rows2) = h1, h2
     n = len(rows1)
-    # (c1 p, c2 q) -> (free column, vector) pairs, each key an int pair.
+    # (c1 p, c2 q) -> (free column, vector) pairs.
     spaces: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
-    shifts = []
     # Each off-diagonal entry (i, j) is the row x_i - x_j = 0, so the live
     # components of _unite are the blocks.
     joins = [[(i, 1), (j, -1)] for rows in (rows1, rows2) for i, row in enumerate(rows) for j, _ in row if j != i]
@@ -528,60 +525,33 @@ def joint_eigenbasis(h1, h2) -> list[tuple[tuple[Fraction, Fraction], list[list[
             continue
         local = {j: k for k, j in enumerate(block)}
         sub1, sub2 = ([[(local[j], x) for j, x in rows[i]] for i in block] for rows in (rows1, rows2))
-        shifts.extend((r, shifted, block, sub2) for r, shifted in _eigen_shifts(sub1))
-    # As for h1, h2 taken whole: the eigenvalues of h1 ascending, and at each
-    # every block's eigenspace checked for h2-stability before any is split.
-    shifts.sort(key=itemgetter(0))
-    for r, group in groupby(shifts, key=itemgetter(0)):
-        stable = []
-        for _, shifted, block, sub2 in group:
-            b = len(block)
-            space = integer_nullspace(shifted, b)
-            scale = lcm(*(v[f] for f, v in space))
-            restricted: list[list[tuple[int, int]]] = [[] for _ in space]
-            for t, (_, v) in enumerate(space):
-                image = [sum(x * v[j] for j, x in row) for row in sub2]
-                combo = [0] * b
-                for s, (f, u) in enumerate(space):
-                    a = image[f] * (scale // u[f])
-                    if a:
-                        restricted[s].append((t, a))
-                        combo = [x + a * y for x, y in zip(combo, u)]
-                if combo != [scale * x for x in image]:
-                    raise NotDiagonalizableError(
-                        "h1, h2 have no rational joint eigenbasis: "
-                        f"h2 does not preserve the eigenspace of h1 at {Fraction(r, c1)}"
-                    )
-            stable.append((block, space, scale, restricted))
-        for block, space, scale, restricted in stable:
-            # restricted holds scale c2 h2 in the coordinates of the v_s, so
-            # its eigenvalues are scale c2 q.
+        for p in _eigenvalues(sub1):
+            shifted = _shifted(sub1, p)
+            space = integer_nullspace(shifted, len(block))
+            images = [[sum(x * v[j] for j, x in row) for row in sub2] for _, v in space]
             if len(space) == 1:
-                f, v = space[0]
-                pieces = [(sum(a for _, a in restricted[0]) // scale, f, v)]
+                (f, v), (image,) = space[0], images
+                q = image[f] // v[f]
+                pieces = [(q, space)] if image == [q * x for x in v] else []
             else:
-                # Each v_s is 0 after f_s, and a kernel vector of a shift is
-                # positive at its own free coordinate g and 0 at the other
-                # free ones and after g.  So its combination of the v_s is 0
-                # at the other free columns and last nonzero, and positive,
-                # at f_g: the combinations are the canonical basis up to
-                # positive factors.
-                pieces = []
-                for q, small in _eigen_shifts(restricted):
-                    for g, coords in integer_nullspace(small, len(space)):
-                        u = [sum(a * v[i] for a, (_, v) in zip(coords, space) if a) for i in range(len(block))]
-                        d = gcd(*u)
-                        pieces.append((q // scale, space[g][0], [x // d for x in u]))
-            for q, f, v in pieces:
-                lifted = [0] * n
-                for j, x in zip(block, v):
-                    lifted[j] = x
-                spaces.setdefault((r, q), []).append((block[f], lifted))
+                # scale c2 h2 in the coordinates of the v_s, were K h2-stable:
+                # its eigenvalues would be scale c2 q.
+                scale = lcm(*(v[f] for f, v in space))
+                restricted = [[(t, im[f] * (scale // u[f])) for t, im in enumerate(images) if im[f]] for f, u in space]
+                pieces = [
+                    (q // scale, integer_nullspace(shifted + _shifted(sub2, q // scale), len(block)))
+                    for q in _eigenvalues(restricted)
+                    if q % scale == 0
+                ]
+            for q, vecs in pieces:
+                for f, v in vecs:
+                    lifted = [0] * n
+                    for j, x in zip(block, v):
+                        lifted[j] = x
+                    spaces.setdefault((p, q), []).append((block[f], lifted))
     found = sum(len(vecs) for vecs in spaces.values())
     if found != n:
         raise NotDiagonalizableError(
             f"h1, h2 have no rational joint eigenbasis: their joint eigenspaces span {found} of {n} dimensions"
         )
-    return [
-        ((Fraction(p, c1), Fraction(q, c2)), [v for _, v in sorted(vecs)]) for (p, q), vecs in sorted(spaces.items())
-    ]
+    return [(key, [v for _, v in sorted(vecs)]) for key, vecs in sorted(spaces.items())]

@@ -41,10 +41,10 @@ from skewpairs.liealg import (
 from skewpairs.skewgraph import Node, SkewGraph, enumerate_admissible
 
 DESK_DIMS = (
-    ("A", tuple(range(1, 11))),
-    ("B", tuple(range(1, 10, 2))),
-    ("C", tuple(range(2, 11, 2))),
-    ("D", tuple(range(2, 11, 2))),
+    ("A", tuple(range(1, 13))),
+    ("B", tuple(range(1, 12, 2))),
+    ("C", tuple(range(2, 13, 2))),
+    ("D", tuple(range(2, 13, 2))),
 )
 
 
@@ -68,7 +68,7 @@ def iter_desk_graphs():
 
 @pytest.fixture(scope="session")
 def desk_records() -> tuple[DeskRecord, ...]:
-    """Every admissible distinguished realization with dimV <= 10, both sign
+    """Every admissible distinguished realization with dimV <= 12, both sign
     representatives for connected series-D graphs, fully analyzed."""
     records = []
     for series, dimv, graph in iter_desk_graphs():

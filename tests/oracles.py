@@ -84,10 +84,14 @@ def joint_eigenspaces(h1: Matrix, h2: Matrix) -> list:
     """Sorted ((p, q), basis of V_{p,q}) entries for two commuting matrices,
     each basis the canonical null space basis of ker(h1 - p) & ker(h2 - q):
     the package's joint_eigenbasis with each vector scaled to 1 at its free
-    column, its last nonzero entry."""
+    column, its last nonzero entry, and each key (c1 p, c2 q) read as (p, q)."""
+    (c1, rows1), (c2, rows2) = integral_rows(h1), integral_rows(h2)
     return [
-        (key, tuple(tuple(Fraction(x, next(y for y in reversed(v) if y)) for x in v) for v in vecs))
-        for key, vecs in joint_eigenbasis(integral_rows(h1), integral_rows(h2))
+        (
+            (Fraction(p, c1), Fraction(q, c2)),
+            tuple(tuple(Fraction(x, next(y for y in reversed(v) if y)) for x in v) for v in vecs),
+        )
+        for (p, q), vecs in joint_eigenbasis((c1, rows1), (c2, rows2))
     ]
 
 

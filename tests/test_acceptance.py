@@ -48,7 +48,7 @@ def test_criterion_01_relations(desk_records):
         for rec in desk_records
         if not rec.relations.ok
     ]
-    _report(1, f"relations hold for all {len(desk_records)} realizations with dimV <= 10", failures)
+    _report(1, f"relations hold for all {len(desk_records)} realizations with dimV <= 12", failures)
 
 
 def test_criterion_02_distinguished(desk_records):
@@ -138,7 +138,7 @@ def test_criterion_05_closed_form_match(desk_records):
         failures.append(f"{wide} principal entries with dimV 11-14, expected 763")
     _report(
         5,
-        f"closed-form centralizer descriptions match on all {checked} principal entries with dimV <= 10"
+        f"closed-form centralizer descriptions match on all {checked} principal entries with dimV <= 12"
         f" and {wide} with dimV 11-14",
         failures,
     )
@@ -181,7 +181,7 @@ def test_rectangularity_is_read_off_the_runs_of_the_graph(desk_records):
     # is centred.  centred_runs sees only the graph, never the matrices.
     failures = [_rec_id(rec) for rec in desk_records if rec.report.flags.rectangular != centred_runs(rec.graph)]
     rectangular = sum(rec.report.flags.rectangular for rec in desk_records)
-    assert 0 < rectangular < len(desk_records) == 2585
+    assert 0 < rectangular < len(desk_records) == 12899
     assert not failures, f"{len(failures)} records, first: {failures[0]}"
 
 
@@ -238,7 +238,7 @@ def test_criterion_09_round_trip(desk_records):
         back = graph_from_pair(r.spec, r.e1, r.e2, r.h1, r.h2)
         if graph_key(back) != graph_key(rec.graph):
             failures.append(_rec_id(rec))
-    _report(9, f"graph_from_pair(build_pair(G)) = G for all {checked} desk cases (dimV <= 10)", failures)
+    _report(9, f"graph_from_pair(build_pair(G)) = G for all {checked} desk cases (dimV <= 12)", failures)
 
 
 def test_criterion_10_solver_oracle():

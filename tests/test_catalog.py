@@ -365,7 +365,7 @@ def _sparse(basis) -> list:
 
 
 def test_sparse_closed_form_check_matches_dense_oracle(desk_records):
-    """On every principal realization with dimV <= 10 the sparse membership
+    """On every principal realization with dimV <= 12 the sparse membership
     check agrees with the dense one (mat_mul powers, in_span), on the
     prediction and on four mutations that each must fail.  The sparse check
     takes any echelon basis, so it also holds with the basis matrices scaled

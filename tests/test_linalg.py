@@ -1,5 +1,6 @@
 """Exact linear algebra: unit cases plus agreement with the naive oracle."""
 
+import hashlib
 import json
 import pathlib
 import random
@@ -672,13 +673,13 @@ def test_joint_eigenspaces_of_permuted_blocks_match_the_oracle():
         pytest.param(
             _block_diagonal([[3]], [[F(1, 2), 0], [0, 0]], [[-1]]),
             _block_diagonal([[0]], [[0, 0], [1, 0]], [[0]]),
-            "h2 does not preserve the eigenspace of h1 at 1/2",
+            "their joint eigenspaces span 3 of 4 dimensions",
             id="unstable-block",
         ),
         pytest.param(
             _block_diagonal([[2, 0], [0, 0]], [[1]], [[-1, 0], [0, 0]]),
             _block_diagonal([[0, 0], [1, 0]], [[0]], [[0, 0], [1, 0]]),
-            "h2 does not preserve the eigenspace of h1 at -1",
+            "their joint eigenspaces span 3 of 5 dimensions",
             id="two-unstable-blocks",
         ),
         pytest.param(
@@ -690,10 +691,11 @@ def test_joint_eigenspaces_of_permuted_blocks_match_the_oracle():
 )
 def test_a_failing_block_names_what_the_whole_pair_fails_at(h1, h2, message):
     # A block is diagonalized on its own, but the error is the one of the
-    # pair taken whole: the eigenvalues of h1 on every block are found
-    # first, the blocks' eigenspaces are checked in the ascending order of
-    # p (so two unstable blocks name the smaller p, -1, not the first
-    # block's 2), and the span counts all n coordinates.
+    # pair taken whole: an irrational eigenvalue on any block is named as
+    # such, and the span counts all n coordinates.  The unstable pairs do
+    # not commute, and no package path passes such inputs: h2 moves a plane
+    # of h1 = 1/2 (or of h1 = 2 and of h1 = -1), which then gives only its
+    # one joint eigenvector.
     with pytest.raises(ValueError):
         oracle_joint_eigenspaces(h1, h2)
     with pytest.raises(NotDiagonalizableError, match=f"^h1, h2 have no rational joint eigenbasis: {message}$"):
@@ -711,6 +713,173 @@ def test_diagonalizable_non_commuting_pair_is_not_diagonalizable_jointly():
             joint_eigenspaces(a, b)
         with pytest.raises(ValueError):
             oracle_joint_eigenspaces(a, b)
+
+
+def _joint_dimension(h1, h2) -> int:
+    """The dimension of the span of the joint eigenvectors of h1 and h2 over
+    Q, by the oracle: the sum of dim ker(h1 - p) & ker(h2 - q) over the
+    rational eigenvalues p of h1 and q of h2."""
+    n = len(h1)
+    return sum(
+        len(nullspace(mat_sub(h1, mat_scale(p, identity(n))) + mat_sub(h2, mat_scale(q, identity(n))), n))
+        for p in oracle_rational_roots(oracle_charpoly(h1))
+        for q in oracle_rational_roots(oracle_charpoly(h2))
+    )
+
+
+def _random_pair(rng, n):
+    """A seeded pair of n x n rational matrices, most of them not commuting:
+    two sparse integer matrices, T D1 T^-1 and a sparse one, or T D1 T^-1
+    and U D2 U^-1, where U is T one time in three: D1, D2 diagonal with
+    entries in [-1, 1], T, U invertible with integer entries in [-2, 2]."""
+
+    def sparse():
+        return matrix([[rng.choice((-2, -1, 1, 2)) if rng.random() < 0.4 else 0 for _ in range(n)] for _ in range(n)])
+
+    def invertible():
+        while True:
+            t = matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            try:
+                return t, invert(t)
+            except ValueError:
+                continue
+
+    def conj(t, t_inv):
+        d = matrix([[rng.randint(-1, 1) if i == j else 0 for j in range(n)] for i in range(n)])
+        return mat_mul(t, mat_mul(d, t_inv))
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        return sparse(), sparse()
+    t = invertible()
+    if kind == 1:
+        return conj(*t), sparse()
+    return conj(*t), conj(*(t if rng.randrange(3) == 0 else invertible()))
+
+
+def _checked_joint_eigenbasis(h1, h2) -> str:
+    """joint_eigenbasis of any pair, checked: either it raises, naming an
+    irrational eigenvalue or the span of the true joint eigenvectors, or it
+    returns n independent joint eigenvectors.  Returns the error message
+    past its prefix, or "basis"."""
+    n = len(h1)
+    (c1, rows1), (c2, rows2) = integral_rows(h1), integral_rows(h2)
+    try:
+        oracle_eigenvalues(h1)
+    except ValueError:
+        joint = None
+    else:
+        joint = _joint_dimension(h1, h2)
+    try:
+        spaces = linalg_module.joint_eigenbasis((c1, rows1), (c2, rows2))
+    except NotDiagonalizableError as err:
+        found = str(err).removeprefix("h1, h2 have no rational joint eigenbasis: ")
+        # joint is None when h1 has an irrational eigenvalue: only the first matches.
+        assert found in ("an eigenvalue is not rational", f"their joint eigenspaces span {joint} of {n} dimensions")
+        assert joint != n
+        return found
+    assert joint == n
+    vecs = [v for _, vs in spaces for v in vs]
+    assert rank(vecs) == n == len(vecs)
+    for (p, q), vs in spaces:
+        for v in vs:
+            for rows, c in ((rows1, p), (rows2, q)):
+                assert [sum(x * v[j] for j, x in row) for row in rows] == [c * x for x in v]
+    return "basis"
+
+
+def test_joint_eigenbasis_returns_only_joint_eigenvectors_on_any_input():
+    # h1 and h2 need not commute: an eigenspace of h1 that h2 moves gives
+    # only its joint eigenvectors.  In the fixed pair, h2 moves the line
+    # ker(h1 - 3) and the plane ker(h1).  The matrix of h2 read off the
+    # plane's free columns has eigenvalues 3 and 7/2: only 3 is one of h2,
+    # and ker(h1) & ker(h2 - 3) is the one joint eigenvector.  Solving 7/2
+    # as its floor, 3, would count that vector twice.
+    h1 = matrix([[2, -2, 3, -2], [2, -2, 3, -2], [2, -2, 3, -2], [0, -2, 2, 0]])
+    h2 = matrix([[0, 2, 3, 3], [0, 0, -1, 0], [1, 3, 1, -1], [2, 2, 3, 1]])
+    assert _checked_joint_eigenbasis(h1, h2) == "their joint eigenspaces span 1 of 4 dimensions"
+    # Seeded pairs, most not commuting, reach every outcome.
+    outcomes: dict[str, int] = {}
+    commuting = 0
+    for seed in range(400):
+        h1, h2 = _random_pair(random.Random(seed), 1 + seed % 5)
+        commuting += mat_mul(h1, h2) == mat_mul(h2, h1)
+        outcome = _checked_joint_eigenbasis(h1, h2).split(" span ")[0]
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert commuting < 200
+    assert sorted(outcomes) == ["an eigenvalue is not rational", "basis", "their joint eigenspaces"]
+    assert min(outcomes.values()) >= 40, outcomes
+
+
+def _commuting_piece(rng):
+    """One commuting (h1, h2) block: a Jordan block with h2 a polynomial in
+    h1, a 2 x 2 companion block of x^2 - d (irrational unless d is a
+    square) with h2 a polynomial in it, or h1 scalar on a plane where h2 is
+    any integer 2 x 2 block."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        size = rng.randint(1, 3)
+        p = F(rng.randint(-2, 2), rng.choice((1, 2)))
+        h1 = matrix([[p if i == j else int(j == i + 1) for j in range(size)] for i in range(size)])
+    elif kind == 1:
+        h1 = matrix([[0, rng.choice((1, 2, 3, 4, 5, 8, 9))], [1, 0]])
+    else:
+        p = rng.randint(-2, 2)
+        return matrix([[p, 0], [0, p]]), matrix([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
+    n = len(h1)
+    h2, power = mat_scale(rng.randint(-2, 2), identity(n)), identity(n)
+    for _ in range(2):
+        power = mat_mul(power, h1)
+        h2 = mat_add(h2, mat_scale(F(rng.randint(-2, 2), rng.choice((1, 3))), power))
+    return h1, h2
+
+
+def _commuting_family(count, seed=20261020):
+    """count seeded commuting pairs of at most nine dimensions: one to three
+    _commuting_piece blocks down the diagonal, moved by a seeded T in
+    GL(n, Q), dense with entries in [-2, 2] or a product of three
+    elementary matrices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        pieces = [_commuting_piece(rng) for _ in range(rng.randint(1, 3))]
+        h1, h2 = (_block_diagonal(*(piece[k] for piece in pieces)) for k in (0, 1))
+        n = len(h1)
+        while True:
+            if n > 1 and rng.random() < 0.5:
+                t = identity(n)
+                for _ in range(3):
+                    i, j = rng.sample(range(n), 2)
+                    step = [list(row) for row in identity(n)]
+                    step[i][j] = F(rng.choice((1, -1, 2)))
+                    t = mat_mul(t, matrix(step))
+            else:
+                t = matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            try:
+                t_inv = invert(t)
+            except ValueError:
+                continue
+            break
+        yield tuple(mat_mul(t, mat_mul(m, t_inv)) for m in (h1, h2))
+
+
+def test_the_errors_of_commuting_pairs_are_pinned():
+    # 2,000 seeded commuting pairs, the only kind a package path passes: the
+    # sha256 of their NotDiagonalizableError messages, one line per pair
+    # (empty for a basis), as joint_eigenbasis gave them when it still
+    # checked each eigenspace of h1 for h2-stability and ordered the blocks
+    # by p.  A pair with a Jordan block and an irrational eigenvalue names
+    # the irrational one, wherever the blocks lie.
+    lines = []
+    for h1, h2 in _commuting_family(2000):
+        try:
+            joint_eigenspaces(h1, h2)
+            lines.append("")
+        except NotDiagonalizableError as err:
+            lines.append(str(err))
+    assert sum(map(bool, lines)) == 1567
+    assert sum("not rational" in line for line in lines) == 1098
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "9a9074033832c0d0840b72156475f6061bf78188877e8880cc646b5f2ac9a510"
 
 
 def _dfs_components(n: int, support) -> list[list[int]]:
@@ -877,9 +1046,10 @@ def _recorded_nullspaces(monkeypatch) -> list:
 
 
 def test_joint_eigenspaces_never_solves_for_an_empty_kernel(monkeypatch):
-    # One null space per eigenvalue of h1 on a block of the joint support of
-    # h1 and h2, and one per eigenvalue of each restriction of h2 to a space
-    # of dimension >= 2: every one is nonempty, and none is wider than the
+    # One null space per eigenvalue p of h1 on a block of the joint support
+    # of h1 and h2, and, on a space ker(h1 - p) of dimension >= 2, one per
+    # eigenvalue q of the restriction of h2, stacked on h1 - p: for a
+    # commuting pair every one is nonempty, and none is wider than the
     # largest block.  A diagonal pair makes no call.
     calls = _recorded_nullspaces(monkeypatch)
     rng = random.Random(20261020)
