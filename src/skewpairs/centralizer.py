@@ -4,10 +4,10 @@ analyze() works in one frame: a basis of V in which h1 and h2 are diagonal.
 Realizations built by this package are already in such a basis.  Any other
 input, such as a hand-edited verify document, is conjugated once into the
 joint eigenbasis of h1 and h2, and its Gram matrix G becomes T^T G T.  T has
-primitive integer columns, T^-1 comes scaled to ints by fraction-free
-elimination, and T, T^-1 and the moved e1, e2 and G are sparse int rows,
-multiplied by linalg.sparse_product from the rows the relation check
-read, so no dense Fraction matrix is made.  In that frame ad h1 and ad h2
+primitive integer columns, and e1 and e2 are moved with no T^-1: each row of
+T^-1 e T is a row of e T, read at the columns of one weight (_eigenframe).
+T and the moved e1, e2 and G are sparse int rows, multiplied by
+linalg.sparse_product from the rows the relation check read.  In that frame ad h1 and ad h2
 are diagonal on gl(V), e1 and e2 are bi-homogeneous, and the form pairs
 weight w only with -w, so every condition on x in z(e1, e2) & g lies in
 one bi-degree block of gl(V).
@@ -25,10 +25,10 @@ analyze() runs the kernel over the n^2 positions of gl(V), reading the
 entries a <= b of the (anti)symmetric x^T G + G x.  The report keeps the
 graded pieces it returns and reads every invariant off them: T is
 invertible, so each piece has the same dimension in the input coordinates.
-Only a read of the basis or the witness maps them back, each matrix x as
-the integer product T x T^-1 with both factors scaled to ints, and one
-fraction-free elimination over these rows gives the reduced echelon basis;
-the witness maps its own piece.
+Only a read of the basis or the witness takes T^-1, scaled to ints, and
+maps them back, each matrix x as the integer product T x T^-1; one
+fraction-free elimination over these rows gives the reduced echelon basis,
+and the witness maps its own piece.
 
 The flags need no other solver.  z(h) & z(e) is the (0,0) piece of z(e),
 and z(h), the (0,0) block of g, needs no pass at all: its dimension is
@@ -116,17 +116,16 @@ class ReportFlags:
 class CentralizerReport:
     """kernel[k] is the basis of the graded piece grading.table[k] in the
     eigenframe as _graded_commutant returns it, a dimv x dimv matrix by its
-    (position, value) pairs.  frame_change is (T, a positive multiple of
-    T^-1), by their nonzero rows of ints, or None when h1 and h2 came in
-    diagonal.  scaled_basis, the reduced echelon basis in the input
-    coordinates by integral_rows, and scaled_witness, the witness matrix
-    there and its bi-degree (None without one), are views built on first
-    read."""
+    (position, value) pairs.  frame_change is T, by its nonzero rows of
+    ints, or None when h1 and h2 came in diagonal.  scaled_basis, the
+    reduced echelon basis in the input coordinates by integral_rows, and
+    scaled_witness, the witness matrix there and its bi-degree (None
+    without one), are views built on first read, each taking T^-1 then."""
 
     dimension: int
     dimv: int
     kernel: tuple[tuple[tuple, ...], ...]
-    frame_change: Optional[tuple[tuple, tuple]]
+    frame_change: Optional[tuple]
     grading: BiGrading
     biexponents: tuple[tuple[Fraction, Fraction], ...]
     flags: ReportFlags
@@ -174,12 +173,13 @@ def _flat(n: int, rows) -> list[int]:
     return out
 
 
-def _mapped_back(change: tuple[tuple, tuple], mats) -> tuple:
+def _mapped_back(t: tuple, mats) -> tuple:
     """The reduced echelon basis, by integral_rows, of the span of T x T^-1
-    for x in mats, by one fraction-free elimination.  change is T and a
-    positive multiple of T^-1, which changes no span, by nonzero int rows."""
-    t, t_inv = change
+    for x in mats, by one fraction-free elimination.  T comes by its nonzero
+    int rows, and integer_inverse gives a positive multiple of T^-1, which
+    changes no span."""
     n = len(t)
+    t_inv = _nonzero(integer_inverse([[dict(row).get(j, 0) for j in range(n)] for row in t]))
     reduced, _ = _eliminate(_flat(n, sparse_product(t, sparse_product(rows, t_inv))) for _, rows in mats)
     return tuple(_by_rows(n, [(p, x) for p, x in enumerate(v) if x]) for v in reduced)
 
@@ -196,9 +196,8 @@ class _Frame:
     so every bi-degree is an int pair in units of 1/den.  gram holds the
     nonzero rows and columns of a positive multiple of the Gram matrix in
     this basis, as ints (None without a form).  t is the change of basis T,
-    whose columns are primitive integer vectors, and t_inv a positive
-    multiple of T^-1, both by their nonzero rows of ints and both None when
-    h1 and h2 were diagonal already.
+    whose columns are primitive integer vectors, by its nonzero rows of
+    ints, or None when h1 and h2 were diagonal already.
     """
 
     spec: AlgebraSpec
@@ -206,7 +205,6 @@ class _Frame:
     weights: tuple[tuple[int, int], ...]
     gram: Optional[tuple[list, list]]
     t: Optional[tuple[tuple[tuple[int, int], ...], ...]]
-    t_inv: Optional[tuple[tuple[tuple[int, int], ...], ...]]
 
     def degree(self, d: tuple[int, int]) -> tuple[Fraction, Fraction]:
         """The exact bi-degree of an int degree d, each Fraction made once."""
@@ -251,34 +249,45 @@ def _sparse_form(rows: list[list[tuple[int, int]]]):
 def _eigenframe(spec: AlgebraSpec, h1, h2, mats):
     """Change to a basis of V in which h1 and h2 are diagonal.
 
-    h1, h2 and each m in mats come by integral_rows.  Returns (frame,
-    moved): the columns of T are a joint eigenbasis of h1 and h2, each m in
-    mats becomes a positive multiple of T^-1 m T and the Gram matrix G of
-    spec one of T^T G T, all by with_columns and on ints.  When h1 and h2
-    are already diagonal, mats and G stay as they are.  Raises
+    h1, h2 and mats = (e1, e2) come by integral_rows.  Returns (frame,
+    moved): the columns t_k of T are a joint eigenbasis of h1 and h2, each e
+    becomes a positive multiple of T^-1 e T and the Gram matrix G of spec
+    one of T^T G T, all by with_columns and on ints.  When h1 and h2 are
+    already diagonal, mats and G stay as they are.  Raises
     NotDiagonalizableError when h1, h2 have no rational joint eigenbasis.
+
+    No T^-1 is taken.  t_k is the one vector of its joint eigenspace with an
+    entry at its last one, f_k (joint_eigenbasis), and the callers checked
+    [h_i, e_j] = delta_ij e_j, so e t_j lies in the eigenspace of w_j + d,
+    d = (den, 0) for e1 and (0, den) for e2: (T^-1 e T)[k][j] is
+    (e T)[f_k][j] / t_k[f_k] when w_k = w_j + d, else 0.
     """
-    t = t_inv = None
+    t = None
     gram = None if spec.gram is None else with_columns(spec.gram[1])
     (c1, rows1), (c2, rows2) = h1, h2
-    if all(j == i for rows in (rows1, rows2) for i, row in enumerate(rows) for j, _ in row):
-        # The diagonal entries are c1 p and c2 q.
-        pairs = ((r1[0][1] if r1 else 0, r2[0][1] if r2 else 0) for r1, r2 in zip(rows1, rows2))
-        moved = tuple(with_columns(rows) for _, rows in mats)
-    else:
-        cols, pairs = [], []
-        for key, vecs in joint_eigenbasis(h1, h2):
-            cols.extend(vecs)
-            pairs.extend([key] * len(vecs))
-        dense_t = [list(row) for row in zip(*cols)]
-        t, t_inv = _nonzero(dense_t), _nonzero(integer_inverse(dense_t))
-        moved = tuple(_sparse_form(sparse_product(t_inv, sparse_product(rows, t))) for _, rows in mats)
-        if gram is not None:
-            gram = _sparse_form(sparse_product(_nonzero(cols), sparse_product(gram[0], t)))
     den = lcm(c1, c2)
     f1, f2 = den // c1, den // c2
-    weights = tuple((p * f1, q * f2) for p, q in pairs)
-    return _Frame(spec, den, weights, gram, t, t_inv), moved
+    if all(j == i for rows in (rows1, rows2) for i, row in enumerate(rows) for j, _ in row):
+        # The diagonal entries are c1 p and c2 q.
+        weights = tuple((r1[0][1] * f1 if r1 else 0, r2[0][1] * f2 if r2 else 0) for r1, r2 in zip(rows1, rows2))
+        moved = tuple(with_columns(rows) for _, rows in mats)
+    else:
+        cols, weights = [], []
+        for (p, q), vecs in joint_eigenbasis(h1, h2):
+            cols.extend(vecs)
+            weights.extend([(p * f1, q * f2)] * len(vecs))
+        t = _nonzero(zip(*cols))
+        free = [max(j for j, x in enumerate(v) if x) for v in cols]
+        leads = [v[f] for v, f in zip(cols, free)]
+        scale = lcm(*leads)
+        moved = []
+        for (_, rows), (d1, d2) in zip(mats, ((den, 0), (0, den))):
+            rows_et = sparse_product([rows[f] for f in free], t)
+            moved.append(_sparse_form([[(j, x * (scale // c)) for j, x in row if weights[j] == (p - d1, q - d2)]
+                                       for row, c, (p, q) in zip(rows_et, leads, weights)]))
+        if gram is not None:
+            gram = _sparse_form(sparse_product(_nonzero(cols), sparse_product(gram[0], t)))
+    return _Frame(spec, den, tuple(weights), gram, t), moved
 
 
 def _graded_commutant(frame: _Frame, rows, brackets) -> dict:
@@ -432,13 +441,12 @@ def analyze(r: PairRealization) -> CentralizerReport:
     # z(h) & z(e) is the (0,0) piece of z(e).
     cartan_h = frame.cartan_dimension() == spec.rank
     trivial = DEGREE_0 not in commutant
-    change = None if frame.t is None else (frame.t, frame.t_inv)
 
     flags = ReportFlags(relations_ok=True, cartan_h=cartan_h, trivial_intersection=trivial,
                         distinguished=cartan_h and trivial, principal=dimension == spec.rank,
                         rectangular=_rectangularity(frame, e1, e2))
     kernel = tuple(tuple(map(tuple, piece)) for piece in commutant.values())
-    return CentralizerReport(dimension=dimension, dimv=n, kernel=kernel, frame_change=change,
+    return CentralizerReport(dimension=dimension, dimv=n, kernel=kernel, frame_change=frame.t,
                              grading=BiGrading(table=table), biexponents=biexponents, flags=flags)
 
 

@@ -8,14 +8,13 @@ a label with its antipode inside the same component.
 
 The sparse form lives here: build_pair makes e1, e2, h1, h2 and the Gram
 matrix as integral_rows (c, rows) from the cells validation read, h1 and
-h2 as int weights.  A realization document is read into that form, and
-the relation check, analyze(), the catalog and sparse export read it.
-AlgebraSpec stores only that form of the Gram matrix, and its dense form
-is a view built on first read.  PairRealization alone keeps both forms,
-since it may be made from dense matrices by dataclasses.replace(): the
-dense e1, ..., h2 of a built or read pair are built when a caller first
-reads them, and a pair made by its constructor or replace() is scanned
-once instead.
+h2 as int weights.  A realization document, dense or sparse, is read
+straight into that form, and the relation check, analyze(), the catalog
+and sparse export read it.  AlgebraSpec stores only that form of the Gram
+matrix, and its dense form is a view built on first read.  So are the
+dense e1, ..., h2 of a built or read pair.  Only a PairRealization made by
+its constructor or dataclasses.replace() holds dense matrices, which
+_scaled() scans once.
 """
 
 from __future__ import annotations
@@ -428,12 +427,13 @@ def matrices_to_jsonable(spec: AlgebraSpec, r: PairRealization, fmt: str) -> dic
     return {name: None if m is None else [[str(x) for x in row] for row in m] for name, m in zip(names, mats)}
 
 
-def _square(data, n: int, name: str, parse) -> tuple[Optional[Matrix], tuple]:
-    """(m, integral_rows(m)) for the n x n matrix m in data, each entry read
-    by parse, an _entry_parser, so each 0 is ZERO: m as read from a list of
-    rows, or None for a sparse {shape, entries} object, which is never filled
-    in (a later entry at a place wins).  Raises ValueError for another JSON
-    value or size, an entry outside the shape, or an entry not a number."""
+def _square(data, n: int, name: str, parse) -> tuple:
+    """integral_rows of the n x n matrix in data, each entry read by parse,
+    an _entry_parser, so each 0 is ZERO: from a list of rows, where an entry
+    "0" is skipped unparsed, or from a sparse {shape, entries} object, which
+    is never filled in (a later entry at a place wins).  Raises ValueError
+    for another JSON value or size, an entry outside the shape, or an entry
+    not a number; a list of rows is read whole before its size is checked."""
     if isinstance(data, dict):
         entries = data.get("entries")
         if data.get("shape") != n:
@@ -448,13 +448,13 @@ def _square(data, n: int, name: str, parse) -> tuple[Optional[Matrix], tuple]:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"sparse entry ({i}, {j}) lies outside a {n}x{n} matrix")
             rows[i][j] = parse(v)
-        return None, scaled_rows([sorted((j, x) for j, x in row.items() if x) for row in rows])
+        return scaled_rows([sorted((j, x) for j, x in row.items() if x) for row in rows])
     if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
         raise ValueError(f"a matrix must be a list of rows or a sparse object, got {type(data).__name__}")
-    m = tuple(tuple(map(parse, row)) for row in data)
-    if len(m) != n or any(len(row) != n for row in m):
+    nonzero = [[(j, x) for j, v in enumerate(row) if v != "0" and (x := parse(v)) is not ZERO] for row in data]
+    if len(data) != n or any(len(row) != n for row in data):
         raise ValueError(f"{name} is not a {n}x{n} matrix")
-    return m, scaled_rows([[(j, x) for j, x in enumerate(row) if x is not ZERO] for row in m])
+    return scaled_rows(nonzero)
 
 
 def _check_labels(labels: tuple, graph: SkewGraph) -> None:
@@ -509,7 +509,8 @@ def realization_from_jsonable(data: dict) -> PairRealization:
     distinct (component, node) pairs of the graph (_check_labels).  One
     _entry_parser reads every number: the label nodes, the graph nodes and
     the matrix entries, so each distinct string is parsed once.
-    Sparse matrices stay sparse: their dense fields are built only when read.
+    Every matrix is read into its sparse form alone, dense or sparse, so
+    sparse matrices stay sparse: the dense fields are built only when read.
     """
 
     if not isinstance(data, dict):
@@ -528,13 +529,12 @@ def realization_from_jsonable(data: dict) -> PairRealization:
     labels = tuple(BasisLabel(item["component"], node_from_jsonable(item["node"], parse)) for item in items)
     gram = data.get("gram")
     if gram is not None:
-        gram = _square(gram, n, "gram", parse)[1]
+        gram = _square(gram, n, "gram", parse)
     spec = _sparse_spec(series, n, gram)
     if gram is None and series != "A":
         raise ValueError(f"a series {series} realization needs its gram matrix")
     _checked_form(series, gram)
-    mats = [_square(data[name], n, name, parse) for name in _MATRICES]
-    dense = {name: m for name, (m, _) in zip(_MATRICES, mats) if m is not None}
+    mats = tuple(_square(data[name], n, name, parse) for name in _MATRICES)
     graph = graph_from_jsonable(data["graph"], parse)
     sign = data.get("orbit_sign")
     if sign not in (None, "plus", "minus"):
@@ -544,4 +544,4 @@ def realization_from_jsonable(data: dict) -> PairRealization:
     if sign is None and series == "D" and graph.is_connected():
         raise ValueError("a connected series-D graph needs its orbit_sign, plus or minus")
     _check_labels(labels, graph)
-    return _sparse_pair(tuple(s for _, s in mats), spec=spec, graph=graph, labels=labels, orbit_sign=sign, **dense)
+    return _sparse_pair(mats, spec=spec, graph=graph, labels=labels, orbit_sign=sign)

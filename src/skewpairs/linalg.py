@@ -118,7 +118,7 @@ def integral_rows(m: Matrix) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
     ints.  Empty rows are the one empty tuple, so a held form costs memory
     by its nonzero entries.
     """
-    return scaled_rows([[(j, x) for j, x in enumerate(row) if x] for row in m])
+    return scaled_rows([[(j, x) for j, x in enumerate(row) if x is not ZERO and x] for row in m])
 
 
 def dense_matrix(scaled) -> Matrix:

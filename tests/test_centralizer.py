@@ -68,6 +68,7 @@ from skewpairs.liealg import (
 from skewpairs.linalg import (
     dense_matrix,
     integer_nullspace,
+    integral_rows,
 )
 from skewpairs.skewgraph import (
     Node,
@@ -261,6 +262,42 @@ def test_moved_report_maps_back_only_what_is_read(monkeypatch):
         count += 1
         witnessed += witness is not None
     assert count > 50 and witnessed > 10, (count, witnessed)
+
+
+def test_eigenframe_moves_e_as_the_oracle_inverse_does(monkeypatch):
+    # _eigenframe moves e1 and e2 with no T^-1: row k of T^-1 e T is row f_k
+    # of e T, at the last nonzero entry f_k of column k of T, divided by
+    # T[f_k][k] and kept at the columns of weight w_k - (den, 0) for e1 or
+    # w_k - (0, den) for e2.  On every moved pair, the series-D graphs whose
+    # (0,0) eigenspace is a plane among them, that is the primitive form of
+    # T^-1 e T with T^-1 from the dense oracle.  analyze takes no T^-1, and
+    # each view of a report takes one when it is read: none for the export
+    # of a report with no witness.
+    inverses = []
+    integer_inverse = centralizer_module.integer_inverse
+    monkeypatch.setattr(centralizer_module, "integer_inverse",
+                        lambda rows: inverses.append(rows) or integer_inverse(rows))
+    count = planes = scaled = 0
+    for c in _moved_distinguished():
+        frame, moved = centralizer_module._framed(c)
+        n = c.spec.dimv
+        t = matrix([[dict(row).get(j, 0) for j in range(n)] for row in frame.t])
+        t_inv = invert(t)
+        for (rows, _), e in zip(moved, (c.e1, c.e2)):
+            _, oracle = integral_rows(mat_mul(t_inv, mat_mul(e, t)))
+            want, _ = centralizer_module._sparse_form(oracle)
+            assert [sorted(row) for row in rows] == [sorted(row) for row in want], c.graph
+        rep = analyze(c)
+        assert inverses == [], c.graph
+        report_to_jsonable(rep)
+        assert len(inverses) == (rep.scaled_witness is not None), c.graph
+        del inverses[:]
+        assert len(rep.scaled_basis) == rep.dimension and len(inverses) == 1, c.graph
+        del inverses[:]
+        count += 1
+        planes += len(frame.at.get((0, 0), ())) == 2
+        scaled += any(next(x for x in reversed(col) if x) != 1 for col in zip(*t))
+    assert count > 100 and planes > 0 and scaled > 20, (count, planes, scaled)
 
 
 def test_report_scales_only_what_is_read(monkeypatch):
@@ -1222,7 +1259,7 @@ def _graded_frame(rng):
         for wi in weights
     ]
     h = [[weights[i][side] if i == j else 0 for j in range(n)] for i in range(n)]
-    return centralizer_module._Frame(make_spec("A", n), den, tuple(weights), None, None, None), e, h, side
+    return centralizer_module._Frame(make_spec("A", n), den, tuple(weights), None, None), e, h, side
 
 
 def test_centred_matches_a_dense_gl_solve_on_random_graded_frames():

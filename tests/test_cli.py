@@ -15,6 +15,7 @@ from skewpairs import catalog, cli
 from skewpairs.catalog import classify, export_entries
 from skewpairs.cli import main
 from skewpairs.liealg import json_text, realization_from_jsonable, realization_to_jsonable
+from skewpairs.linalg import joint_eigenbasis
 from skewpairs.skewgraph import graph_to_text
 
 
@@ -768,6 +769,36 @@ def test_verify_committed_conjugated_document_with_a_witness(tmp_path, capsys):
         outs.append(out)
     digest = hashlib.sha256(outs[1].encode()).hexdigest()
     assert digest == "7c28914bb2285a51b24017c1a0445c3060fb37b5f3284c1a74543c1500036ba4"
+    diag, conj = (json.loads(out)["report"] for out in outs)
+    diag.pop("nonpositive_witness")
+    witness = conj.pop("nonpositive_witness")
+    assert diag == conj and not conj["flags"]["principal"]
+    assert (witness["p"], witness["q"]) == ("2", "-1")
+
+
+def test_verify_committed_dense_conjugated_document(tmp_path, capsys):
+    # tests/data/conjugated-b5-dense.json is a B5 graph, distinguished and
+    # not principal, moved by conjugated(r, random.Random(2026)) and written
+    # dense.  Its eigenframe has columns whose last entry is 2, so e1 and e2
+    # are moved by rows of e T scaled to a common lead.  The stdout's sha256
+    # was recorded when e1 and e2 were moved by T^-1; CI pins it too.
+    path = pathlib.Path(__file__).parent / "data" / "conjugated-b5-dense.json"
+    doc = json.loads(path.read_text())
+    assert doc["format"] == "dense"
+    assert any(x != "0" for name in ("h1", "h2") for i, row in enumerate(doc[name]) for j, x in enumerate(row) if i != j)
+    _, _, h1, h2 = realization_from_jsonable(doc)._scaled()
+    assert any(next(x for x in reversed(v) if x) > 1 for _, vecs in joint_eigenbasis(h1, h2) for v in vecs)
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text("-1/1,0/1 -1/1,1/1 0/1,0/1 1/1,-1/1 1/1,0/1\n")
+    pair_file = tmp_path / "pair.json"
+    run_cli(capsys, "build", "--series", "B", "--input", str(graph_file), "--output", str(pair_file))
+    outs = []
+    for source in (pair_file, path):
+        code, out, err = run_cli(capsys, "verify", "--input", str(source))
+        assert (code, err) == (0, "")
+        outs.append(out)
+    digest = hashlib.sha256(outs[1].encode()).hexdigest()
+    assert digest == "fdd48a9397d54b6b4ef747a504ab17a2bac8511c2fc6774affc8b4e0d8fc27f0"
     diag, conj = (json.loads(out)["report"] for out in outs)
     diag.pop("nonpositive_witness")
     witness = conj.pop("nonpositive_witness")

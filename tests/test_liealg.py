@@ -428,6 +428,78 @@ def test_dense_document_tests_no_matrix_entry_for_zero(monkeypatch):
     assert (back.e1, back.e2, back.h1, back.h2, back.spec) == (r.e1, r.e2, r.h1, r.h2, r.spec)
 
 
+def _dense_documents():
+    """The dense document of each distinguished realization with dimV <= 6,
+    as built and, where a seeded draw moves it, conjugated."""
+    rng = random.Random(35)
+    for r in distinguished_realizations(6):
+        c = conjugated(r, rng) if r.spec.dimv > 1 else None
+        for x in (r,) if c is None else (r, c):
+            yield x, realization_to_jsonable(x, "dense")
+
+
+def test_a_dense_row_skips_each_zero_entry_unparsed(monkeypatch):
+    # A dense row is read straight into its sparse form: an entry "0" is
+    # skipped without a parse, and every other distinct string is parsed
+    # once.  The labels and the graph spell their zero coordinates "0/1"
+    # here, so that a parse of "0" could only be a matrix entry's.
+    from skewpairs import linalg
+
+    seen = []
+    parse = linalg.parse_fraction
+    monkeypatch.setattr(linalg, "parse_fraction", lambda value: seen.append(value) or parse(value))
+
+    def spelled(coords):
+        return ["0/1" if v == "0" else v for v in coords]
+
+    count = 0
+    for r, doc in _dense_documents():
+        for item in doc["labels"]:
+            item["node"] = spelled(item["node"])
+        doc["graph"]["components"] = [[spelled(nd) for nd in nodes] for nodes in doc["graph"]["components"]]
+        seen.clear()
+        back = realization_from_jsonable(doc)
+        assert "0" not in seen and sorted(seen) == sorted(set(_numbers(doc)) - {"0"}), r.graph
+        assert back._scaled() == r._scaled() and back.spec == r.spec, r.graph
+        count += "0" in _numbers(doc)
+    assert count > 200
+
+
+def test_dense_documents_round_trip_through_the_sparse_form():
+    # realization_from_jsonable keeps no dense copy: the dense matrices
+    # written back are built from the sparse forms, and they are the
+    # document's own, as built and as moved by a rational isometry.
+    count = 0
+    for r, doc in _dense_documents():
+        assert realization_to_jsonable(realization_from_jsonable(doc), "dense") == doc, r.graph
+        count += 1
+    assert count > 200
+
+
+@pytest.mark.parametrize("zero", ["-0", "0/3", " 0", 0, 0.0])
+def test_every_spelling_of_zero_in_a_dense_row_reads_as_zero(zero):
+    r = build_pair("C", rect_graph(3, 2))
+    doc = realization_to_jsonable(r, "dense")
+    for name in ("gram", "e1", "e2", "h1", "h2"):
+        doc[name] = [[zero if x == "0" else x for x in row] for row in doc[name]]
+    back = realization_from_jsonable(doc)
+    assert back._scaled() == r._scaled() and back.spec == r.spec
+
+
+@pytest.mark.parametrize("name", ["gram", "e1", "h2"])
+def test_a_bad_entry_is_reported_before_the_size_of_its_dense_matrix(name):
+    # A dense matrix is read whole before its size is checked, so in a
+    # matrix of the wrong size a bad entry is the error reported.
+    doc = realization_to_jsonable(build_pair("B", rect_graph(3, 1)), "dense")
+    doc[name] = doc[name][:-1]
+    with pytest.raises(ValueError, match=f"^{name} is not a 3x3 matrix$"):
+        realization_from_jsonable(doc)
+    for bad, message in (("x", "Invalid literal for Fraction"), ([1], "expected a number or a numeric string")):
+        doc[name][-1][-1] = bad
+        with pytest.raises(ValueError, match=message):
+            realization_from_jsonable(doc)
+
+
 def test_realization_json_reads_labels_in_any_order():
     # The basis reversed, labels and matrices alike, is the same pair in
     # another basis: each label still names a distinct node of the graph.

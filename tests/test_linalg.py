@@ -522,9 +522,9 @@ def test_the_evaluation_cap_ends_the_search(monkeypatch):
     assert len(points) == 13
 
 
-@pytest.mark.parametrize("name", ["conjugated-c4-zigzag.json", "conjugated-d6-chains.json"])
+@pytest.mark.parametrize("name", ["conjugated-c4-zigzag.json", "conjugated-d6-chains.json", "conjugated-b5-dense.json"])
 def test_eigen_layer_matches_oracle_on_committed_documents(monkeypatch, name):
-    # The two conjugated verify documents under tests/data: the joint
+    # The conjugated verify documents under tests/data: the joint
     # eigenbasis is the oracle's, found within the evaluation bound.
     points = _counted_evaluations(monkeypatch)
     r = realization_from_jsonable(json.loads((pathlib.Path(__file__).parent / "data" / name).read_text()))
