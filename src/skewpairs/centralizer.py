@@ -25,8 +25,8 @@ analyze() runs the kernel over the n^2 positions of gl(V), reading the
 entries a <= b of the (anti)symmetric x^T G + G x.  The report keeps the
 graded pieces it returns and reads every invariant off them: T is
 invertible, so each piece has the same dimension in the input coordinates.
-Only a read of the basis or the witness takes T^-1, scaled to ints, and
-maps them back, each matrix x as the integer product T x T^-1; one
+Only a read of the basis or the witness takes T^-1, scaled to ints, once
+per report, and maps them back, each matrix x as the integer product T x T^-1; one
 fraction-free elimination over these rows gives the reduced echelon basis,
 and the witness maps its own piece.
 
@@ -49,7 +49,7 @@ basis.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -61,6 +61,7 @@ from .liealg import (
     PairRealization,
     _bracket_checks,
     _checked_form,
+    _diagonal_weights,
     scaled_to_jsonable,
     verify_relations,
 )
@@ -120,7 +121,8 @@ class CentralizerReport:
     ints, or None when h1 and h2 came in diagonal.  scaled_basis, the
     reduced echelon basis in the input coordinates by integral_rows, and
     scaled_witness, the witness matrix there and its bi-degree (None
-    without one), are views built on first read, each taking T^-1 then."""
+    without one), are views built on first read; the first of them to map
+    back takes T^-1, which the report keeps for the other."""
 
     dimension: int
     dimv: int
@@ -138,7 +140,7 @@ class CentralizerReport:
             # row-major order, so their reduced bases, ordered by leading
             # position, form the reduced basis of the span.
             return tuple(sorted(every, key=lambda m: next((i, row[0][0]) for i, row in enumerate(m[1]) if row)))
-        return _mapped_back(self.frame_change, every)
+        return _mapped_back(self.frame_change, self._t_inverse, every)
 
     @cached_property
     def scaled_witness(self) -> Optional[tuple[tuple, tuple[Fraction, Fraction]]]:
@@ -150,7 +152,15 @@ class CentralizerReport:
             return None
         q, p, k = min(found)
         piece = [_by_rows(self.dimv, vec) for vec in self.kernel[k][:1 if self.frame_change is None else None]]
-        return (piece[0] if self.frame_change is None else _mapped_back(self.frame_change, piece)[0]), (p, q)
+        if self.frame_change is None:
+            return piece[0], (p, q)
+        return _mapped_back(self.frame_change, self._t_inverse, piece)[0], (p, q)
+
+    @cached_property
+    def _t_inverse(self) -> tuple:
+        """A positive multiple of T^-1, by its nonzero int rows."""
+        t = self.frame_change
+        return _nonzero(integer_inverse([[dict(row).get(j, 0) for j in range(len(t))] for row in t]))
 
 
 def _by_rows(n: int, vec) -> tuple[int, tuple]:
@@ -173,13 +183,12 @@ def _flat(n: int, rows) -> list[int]:
     return out
 
 
-def _mapped_back(t: tuple, mats) -> tuple:
+def _mapped_back(t: tuple, t_inv: tuple, mats) -> tuple:
     """The reduced echelon basis, by integral_rows, of the span of T x T^-1
-    for x in mats, by one fraction-free elimination.  T comes by its nonzero
-    int rows, and integer_inverse gives a positive multiple of T^-1, which
-    changes no span."""
+    for x in mats, by one fraction-free elimination.  T and t_inv, a
+    positive multiple of T^-1, which changes no span, come by their nonzero
+    int rows."""
     n = len(t)
-    t_inv = _nonzero(integer_inverse([[dict(row).get(j, 0) for j in range(n)] for row in t]))
     reduced, _ = _eliminate(_flat(n, sparse_product(t, sparse_product(rows, t_inv))) for _, rows in mats)
     return tuple(_by_rows(n, [(p, x) for p, x in enumerate(v) if x]) for v in reduced)
 
@@ -264,12 +273,13 @@ def _eigenframe(spec: AlgebraSpec, h1, h2, mats):
     """
     t = None
     gram = None if spec.gram is None else with_columns(spec.gram[1])
-    (c1, rows1), (c2, rows2) = h1, h2
+    c1, c2 = h1[0], h2[0]
     den = lcm(c1, c2)
     f1, f2 = den // c1, den // c2
-    if all(j == i for rows in (rows1, rows2) for i, row in enumerate(rows) for j, _ in row):
+    diagonal = _diagonal_weights(h1, h2)
+    if diagonal is not None:
         # The diagonal entries are c1 p and c2 q.
-        weights = tuple((r1[0][1] * f1 if r1 else 0, r2[0][1] * f2 if r2 else 0) for r1, r2 in zip(rows1, rows2))
+        weights = tuple((p * f1, q * f2) for p, q in diagonal)
         moved = tuple(with_columns(rows) for _, rows in mats)
     else:
         cols, weights = [], []
@@ -636,6 +646,9 @@ def _frame_graph(frame: _Frame, moved) -> SkewGraph:
 # JSON serialization
 # ---------------------------------------------------------------------------
 
+_FLAG_NAMES = tuple(f.name for f in fields(ReportFlags))
+
+
 def report_to_jsonable(report: CentralizerReport, include_basis: bool = False) -> dict:
     """The report as JSON; matrices are written sparse, from the sparse forms."""
     witness = report.scaled_witness
@@ -643,7 +656,7 @@ def report_to_jsonable(report: CentralizerReport, include_basis: bool = False) -
         "dimension": report.dimension,
         "grading": [{"p": str(p), "q": str(q), "dim": dim} for (p, q), dim in report.grading.table],
         "biexponents": [[str(p), str(q)] for p, q in report.biexponents],
-        "flags": asdict(report.flags),
+        "flags": {name: getattr(report.flags, name) for name in _FLAG_NAMES},
         "nonpositive_witness": None,
     }
     if witness is not None:

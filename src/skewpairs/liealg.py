@@ -10,9 +10,11 @@ The sparse form lives here: build_pair makes e1, e2, h1, h2 and the Gram
 matrix as integral_rows (c, rows) from the cells validation read, h1 and
 h2 as int weights.  A realization document, dense or sparse, is read
 straight into that form, and the relation check, analyze(), the catalog
-and sparse export read it.  AlgebraSpec stores only that form of the Gram
-matrix, and its dense form is a view built on first read.  So are the
-dense e1, ..., h2 of a built or read pair.  Only a PairRealization made by
+and sparse export read it.  The relation check reads the grading of a pair
+whose h1 and h2 are diagonal, as every built pair's are, off those
+weights.  AlgebraSpec stores only that form of the Gram matrix, and its
+dense form is a view built on first read.  So are the dense e1, ..., h2
+of a built or read pair.  Only a PairRealization made by
 its constructor or dataclasses.replace() holds dense matrices, which
 _scaled() scans once.
 """
@@ -221,7 +223,7 @@ def build_pair(series: str, graph: SkewGraph, orbit_sign: Optional[str] = None) 
 
 def _realize(series: str, graph: SkewGraph, keyed: tuple, found: list, sign: Optional[str]) -> PairRealization:
     """build_pair of a canonical admissible graph, given its _keys, the
-    (ShapeClass, cells) of each component as _admissible_shapes finds them
+    (ShapeClass or None, cells) of each component as _admissible_shapes finds them
     and the orbit sign ("plus", "minus" or None) it resolved.  All five
     matrices are made as integral_rows from the cells: e1, e2 and G have
     scale 1, and h1 and h2 the least common denominator along their axis."""
@@ -236,6 +238,7 @@ def _realize(series: str, graph: SkewGraph, keyed: tuple, found: list, sign: Opt
     g: Optional[list] = None if series == "A" else [None] * n
     start = 0
     for (kx, ky), (shape, cells) in zip(bases, found):
+        symmetry = None if shape is None else shape.symmetry
         # Arrows and antipodes are found on integer cells.  Twice a node's
         # coordinates are 2 * offset - (min + max offset) once the component
         # is centred on the origin (series B, C, D); c1 x = bx + c1 dx.
@@ -246,7 +249,7 @@ def _realize(series: str, graph: SkewGraph, keyed: tuple, found: list, sign: Opt
             i, x, y = start + k, bx + c1 * dx, by + c2 * dy
             h1[i], h2[i] = ((i, x),) if x else (), ((i, y),) if y else ()
             x2, y2 = 2 * dx - sx, 2 * dy - sy
-            s1, s2 = _shift_signs(series, shape.symmetry, x2, y2)
+            s1, s2 = _shift_signs(series, symmetry, x2, y2)
             right = cells.get((dx + 1, dy))
             if right is not None:
                 e1[start + right] = ((i, s1),)
@@ -254,7 +257,7 @@ def _realize(series: str, graph: SkewGraph, keyed: tuple, found: list, sign: Opt
             if up is not None:
                 e2[start + up] = ((i, s2),)
             if g is not None:
-                positive = series in ("B", "D") or (y2 if shape.symmetry == SYM_SEMI_COLSORT else x2) > 0
+                positive = series in ("B", "D") or (y2 if symmetry == SYM_SEMI_COLSORT else x2) > 0
                 g[i] = ((start + cells[sx - dx, sy - dy], 1 if positive else -1),)
         start += len(cells)
 
@@ -303,6 +306,18 @@ def _in_algebra(spec: AlgebraSpec, rows: list, gram: Optional[tuple]) -> bool:
     return not any(out.values())
 
 
+def _diagonal_weights(h1, h2) -> Optional[list[tuple[int, int]]]:
+    """The diagonals (p_i, q_i) of h1 and h2, given by integral_rows (so p
+    is c_h1 h1's), when every row of both is empty or holds one entry, on
+    the diagonal; else None."""
+    weights = []
+    for i, (r1, r2) in enumerate(zip(h1[1], h2[1])):
+        if len(r1) > 1 or len(r2) > 1 or r1 and r1[0][0] != i or r2 and r2[0][0] != i:
+            return None
+        weights.append((r1[0][1] if r1 else 0, r2[0][1] if r2 else 0))
+    return weights
+
+
 def _bracket_checks(scaled: list) -> list[tuple[str, bool]]:
     """The commuting and grading relations of e1, e2, h1, h2.
 
@@ -310,7 +325,33 @@ def _bracket_checks(scaled: list) -> list[tuple[str, bool]]:
     as its nonzero entries times c_m > 0, so the arithmetic is on ints.
     Commuting does not change under scaling, and [h, e] = e holds iff
     [c_h h, c_e e] = c_h (c_e e).
+
+    When h1 and h2 are diagonal (_diagonal_weights), they commute, and
+    [c_h h, e] has entry (p_i - p_j) e_ij at each entry e_ij of e, p the
+    diagonal of c_h h: [h, e] = e iff p_i - p_j = c_h there, and [h, e] = 0
+    iff p_i = p_j.  Only e1 and e2 are then multiplied; any other pair
+    goes to _commutator_checks.
     """
+    weights = _diagonal_weights(scaled[2], scaled[3])
+    if weights is None:
+        return _commutator_checks(scaled)
+    (_, e1), (_, e2), (c_h1, _), (c_h2, _) = scaled
+
+    def graded(rows: list, axis: int, step: int) -> bool:
+        return all(weights[i][axis] - weights[j][axis] == step for i, row in enumerate(rows) for j, _ in row)
+
+    return [
+        ("e1_e2_commute", not _commutator_entries(e1, e2)),
+        ("h1_h2_commute", True),
+        ("h1_e1_grading", graded(e1, 0, c_h1)),
+        ("h1_e2_grading", graded(e2, 0, 0)),
+        ("h2_e1_grading", graded(e1, 1, 0)),
+        ("h2_e2_grading", graded(e2, 1, c_h2)),
+    ]
+
+
+def _commutator_checks(scaled: list) -> list[tuple[str, bool]]:
+    """_bracket_checks of any pair, by the six sparse commutators."""
     (_, e1), (_, e2), (c_h1, h1), (c_h2, h2) = scaled
 
     def times(c: int, rows: list) -> dict[tuple[int, int], int]:
@@ -479,6 +520,13 @@ def _check_labels(labels: tuple, graph: SkewGraph) -> None:
         seen.add(pair)
 
 
+def _field(data: dict, name: str):
+    """A required field of a realization document, or a ValueError naming it."""
+    if name not in data:
+        raise ValueError(f"realization has no field {name!r}")
+    return data[name]
+
+
 def realization_to_jsonable(r: PairRealization, fmt: str = "dense") -> dict:
     return {
         "series": r.spec.series,
@@ -498,7 +546,8 @@ def realization_to_jsonable(r: PairRealization, fmt: str = "dense") -> dict:
 def realization_from_jsonable(data: dict) -> PairRealization:
     """Read a realization document.
 
-    Raises ValueError when a value has the wrong JSON type, when a matrix is
+    Raises ValueError when a required field is missing ("realization has
+    no field 'h1'"), when a value has the wrong JSON type, when a matrix is
     not dimV x dimV, when the label count differs from dimV, when the series
     is unknown, when series B, C or D comes without a Gram matrix or with
     one that is not symmetric (B, D) or alternating (C), when a number has
@@ -515,12 +564,12 @@ def realization_from_jsonable(data: dict) -> PairRealization:
 
     if not isinstance(data, dict):
         raise ValueError("a realization must be a JSON object")
-    series, n = data["series"], data["dimv"]
+    series, n = _field(data, "series"), _field(data, "dimv")
     if type(n) is not int or n < 1:
         raise ValueError(f"dimv must be a positive integer, got {n!r}")
     # The labels are counted before any matrix is read, so a small document
     # cannot claim a large dimv.
-    items = data["labels"]
+    items = _field(data, "labels")
     if not (isinstance(items, list) and all(isinstance(item, dict) for item in items)):
         raise ValueError("labels must be a list of {component, node} objects")
     if len(items) != n:
@@ -534,8 +583,8 @@ def realization_from_jsonable(data: dict) -> PairRealization:
     if gram is None and series != "A":
         raise ValueError(f"a series {series} realization needs its gram matrix")
     _checked_form(series, gram)
-    mats = tuple(_square(data[name], n, name, parse) for name in _MATRICES)
-    graph = graph_from_jsonable(data["graph"], parse)
+    mats = tuple(_square(_field(data, name), n, name, parse) for name in _MATRICES)
+    graph = graph_from_jsonable(_field(data, "graph"), parse)
     sign = data.get("orbit_sign")
     if sign not in (None, "plus", "minus"):
         raise ValueError(f"orbit_sign must be null, plus or minus, got {reprlib.repr(sign)}")

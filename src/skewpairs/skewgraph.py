@@ -17,6 +17,24 @@ where rows shift weakly left going up.  Components are allowed to share
 a single node (0,0) (two integral components only); this is the one
 overlap that actually occurs in the even orthogonal series.
 
+Validation reads a component by its columns, in one scan (_columns).  A
+set of cells is connected and satisfies (iv) exactly when it is a
+parallelogram polyomino: its columns are runs on consecutive x, their
+bottoms and tops fall weakly from left to right, and each column overlaps
+the one before.  Such a set is connected, and a unit square with cells at
+its lower left and upper right corners lies in two overlapping columns
+whose falling ends hold its other two corners.  Conversely, let a run I of
+column x meet a run J of column x + 1.  Were the top of J above the top m
+of I, (iv) at (x, m) and (x + 1, m + 1) would put (x, m + 1) in I; were
+the bottom j of J above that of I, (iv) at (x, j - 1) and (x + 1, j) would
+put (x + 1, j - 1) in J.  So the ends of J fall weakly from those of I, and
+no run meets two runs of a neighbouring column.  Of two runs of one
+column, the upper one starts above the top of every run that the lower
+one meets in the next column, and the lower one ends below the bottom of
+every run that the upper one meets in the column before.  Runs that meet
+thus form chains of one run per column, and a connected set is one chain.
+The shape class is read off the same columns (_cell_shape).
+
 Enumeration works on integer cells.  A component of k nodes is the pair
 (k, cells), its cells k times its node coordinates about its barycentre, so
 every generator, the series-D shared-origin test included, is integer
@@ -153,21 +171,49 @@ def _is_connected(cells: frozenset[tuple[int, int]]) -> bool:
 # Validation
 # ---------------------------------------------------------------------------
 
-def _component_cells(index: int, comp: Component, keys: list, d: int) -> tuple[Optional[dict], list[str]]:
-    """comp as integer cells, and its findings, from its nodes' int keys
-    over d (_keys): each node's offset from the first, mapped to its place
-    in comp.  The cells are None when the component is empty or not on one
-    integer lattice; the component is valid iff the findings are empty."""
+def _columns(cells) -> Optional[list[list[int]]]:
+    """[x, bottom, top] of each column of these integer cells, read in one
+    scan in sorted order, when the cells are connected and satisfy axiom
+    (iv), else None; cells out of sorted order are refused as well.  The
+    columns must be runs on consecutive x, each falling weakly from the one
+    before and overlapping it (see the module docstring)."""
+    columns: list[list[int]] = []
+    col = [None, None, None]
+    for x, y in cells:
+        if x == col[0]:
+            if y != col[2] + 1:
+                return None
+            col[2] = y
+        else:
+            col = [x, y, y]
+            columns.append(col)
+    for (x, bottom, top), (x2, bottom2, top2) in zip(columns, columns[1:]):
+        if x2 != x + 1 or not bottom2 <= bottom <= top2 <= top:
+            return None
+    return columns
+
+
+def _component_cells(index: int, comp: Component, keys: list, d: int) -> tuple[Optional[dict], Optional[list], list[str]]:
+    """comp as integer cells, their _columns and its findings, from its
+    nodes' int keys over d (_keys): each node's offset from the first,
+    mapped to its place in comp.  The cells are None when the component is
+    empty or not on one integer lattice, and the columns None unless the
+    component is valid, that is iff the findings are empty.  The axioms
+    are checked cell by cell, for the findings, only when _columns refuses
+    the cells or a node repeats."""
     tag = f"component {index}"
     if not keys:
-        return None, [f"{tag}: empty node set"]
+        return None, None, [f"{tag}: empty node set"]
     x0, y0 = keys[0]
     cells = {}
     for k, (x, y) in enumerate(keys):
         (dx, rx), (dy, ry) = divmod(x - x0, d), divmod(y - y0, d)
         if rx or ry:
-            return None, [f"{tag}: nodes do not all differ by integer vectors"]
+            return None, None, [f"{tag}: nodes do not all differ by integer vectors"]
         cells[dx, dy] = k
+    columns = _columns(cells)
+    if columns is not None and len(cells) == len(comp):
+        return cells, columns, []
     base = comp.nodes[0]
     findings = []
     if len(cells) != len(comp):
@@ -183,16 +229,18 @@ def _component_cells(index: int, comp: Component, keys: list, d: int) -> tuple[O
                     )
     if not _is_connected(cells):
         findings.append(f"{tag}: not connected")
-    return cells, findings
+    # A valid component whose nodes came out of order is read again, sorted.
+    return cells, None if findings else _columns(sorted(cells)), findings
 
 
-def _validated(graph: SkewGraph, d: int, keys: list) -> tuple[list[str], list[Optional[dict]]]:
-    """validate(graph), and each component's integer cells, given its nodes
-    as int pairs over a common denominator d, such as _keys gives."""
+def _validated(graph: SkewGraph, d: int, keys: list) -> tuple[list[str], list[tuple]]:
+    """validate(graph), and each component's integer cells and columns
+    (_component_cells), given its nodes as int pairs over a common
+    denominator d, such as _keys gives."""
     findings, cells = [], []
     for i, (comp, comp_keys) in enumerate(zip(graph.components, keys)):
-        comp_cells, comp_findings = _component_cells(i, comp, comp_keys, d)
-        cells.append(comp_cells)
+        comp_cells, columns, comp_findings = _component_cells(i, comp, comp_keys, d)
+        cells.append((comp_cells, columns))
         findings.extend(comp_findings)
     sx, sy = _sums(keys)
     if sx or sy:
@@ -229,21 +277,6 @@ _PARITY_SYMMETRY = {
 }
 
 
-def _symmetry(comp: tuple[int, tuple]) -> str:
-    """Symmetry class of an integer component (see _int_component).
-
-    Its cells are about the barycentre, which is the centre of a centrally
-    symmetric shape, so the shape is symmetric when negation reverses the
-    sorted cells; its nodes are then integral or half-integral along each
-    axis by whether k divides that coordinate of one cell.
-    """
-    k, cells = comp
-    if tuple((-x, -y) for x, y in reversed(cells)) != cells:
-        return SYM_NOT_CS
-    x, y = cells[0]
-    return _PARITY_SYMMETRY[int(x % k != 0), int(y % k != 0)]
-
-
 def classify_component(comp: Component) -> ShapeClass:
     """Symmetry class, Young type, rectangle and near-rectangle detection.
 
@@ -251,49 +284,44 @@ def classify_component(comp: Component) -> ShapeClass:
     every component produced by this package.
     """
     d, (keys,) = _keys([comp.nodes])
-    cells, findings = _component_cells(0, comp, keys, d)
+    cells, columns, findings = _component_cells(0, comp, keys, d)
     if findings:
         raise ValueError("component is not a valid connected skew-graph: " + "; ".join(findings))
-    return _cell_shape(cells, keys[0], d)
+    return _cell_shape(cells, columns, keys[0], d)
 
 
-def _cell_shape(cells, base: tuple[int, int], d: int) -> ShapeClass:
+def _cell_shape(cells, columns: list, base: tuple[int, int], d: int) -> ShapeClass:
     """classify_component for a valid component given as cells offset from
-    its first node, whose int key over d (_keys) is base."""
-    sources = [(x, y) for x, y in cells if (x - 1, y) not in cells and (x, y - 1) not in cells]
-    sinks = [(x, y) for x, y in cells if (x + 1, y) not in cells and (x, y + 1) not in cells]
-    if len(sources) == 1 and len(sinks) == 1:
-        young = "both"
-    elif len(sources) == 1:
-        young = "sw"
-    elif len(sinks) == 1:
-        young = "ne"
-    else:
-        young = "neither"
+    its first node, whose int key over d (_keys) is base, and as their
+    _columns.
 
-    xs = sorted({x for x, _ in cells})
-    ys = sorted({y for _, y in cells})
-    rectangle = None
-    if len(cells) == len(xs) * len(ys) and xs[-1] - xs[0] == len(xs) - 1 and ys[-1] - ys[0] == len(ys) - 1:
-        rectangle = (len(xs), len(ys))
+    A column's bottom cell is a source unless the column before it starts
+    at the same height, and its top cell a sink unless the column after it
+    ends there: one source means equal bottoms, one sink equal tops, and
+    both a rectangle.  The shape is symmetric about the origin when its box
+    is centred there, 2 * base + (min + max) d = 0 on each axis, and the
+    half turn, which reverses the columns and sends (b, t) to (c - t, c -
+    b), c the sum of the box's y ends, keeps them.  Its nodes are then
+    integral along x for an odd number of columns, along y for an even c.
+    """
+    (x0, _, top), (x1, bottom, _) = columns[0], columns[-1]
+    sw = all(col[1] == bottom for col in columns)
+    ne = all(col[2] == top for col in columns)
+    young = "both" if sw and ne else "sw" if sw else "ne" if ne else "neither"
+    width, height = x1 - x0 + 1, top - bottom + 1
+    rectangle = (width, height) if sw and ne else None
 
-    # Symmetric about the origin: the bounding box is centred there, that is
-    # 2 * base + (min + max) d = 0 in each coordinate, and the cells are
-    # symmetric within it.
+    c = bottom + top
     symmetry = SYM_NOT_CS
-    if 2 * base[0] + (xs[0] + xs[-1]) * d == 0 and 2 * base[1] + (ys[0] + ys[-1]) * d == 0:
-        symmetry = _symmetry(_int_component(cells))
+    if (2 * base[0] + (x0 + x1) * d == 0 and 2 * base[1] + c * d == 0
+            and all(b == c - t for (_, b, _), (_, _, t) in zip(columns, reversed(columns)))):
+        symmetry = _PARITY_SYMMETRY[1 - len(columns) % 2, c % 2]
 
     near = None
     if symmetry == SYM_NON_INTEGRAL and rectangle is None and len(cells) % 4 == 2:
-        width = xs[-1] - xs[0] + 1
-        height = ys[-1] - ys[0] + 1
-        if width % 2 == 0 and height % 2 == 0:
-            cornered = frozenset((x - xs[0], y - ys[0]) for x, y in cells)
-            for name, cand in _near_rectangular_cellsets(width, height):
-                if cand == cornered:
-                    near = name
-                    break
+        # Non-integral: width even, and c odd, so the height even too.
+        cornered = frozenset((x - x0, y - bottom) for x, y in cells)
+        near = next((name for name, cand in _near_rectangular_cellsets(width, height) if cand == cornered), None)
 
     return ShapeClass(symmetry=symmetry, rectangle=rectangle, near_rectangular_shape=near, young=young)
 
@@ -728,18 +756,25 @@ def is_admissible(series: str, graph: SkewGraph, kind: str) -> bool:
     return _admissible_shapes(series, graph, kind, _keys([c.nodes for c in graph.components])) is not None
 
 
-def _admissible_shapes(series: str, graph: SkewGraph, kind: str, keyed: tuple) -> Optional[list[tuple[ShapeClass, dict]]]:
+def _admissible_shapes(
+    series: str, graph: SkewGraph, kind: str, keyed: tuple
+) -> Optional[list[tuple[Optional[ShapeClass], dict]]]:
     """The ShapeClass and the integer cells (_component_cells) of each
     component when the graph is admissible, else None, given keyed = (d,
     keys), the graph's _keys.  The graph is validated once; the shapes come
-    from the cells validation read, which _realize reads too."""
+    from the columns validation read, and _realize reads the cells.  A
+    series-A distinguished graph is any connected one, and neither the
+    check nor _realize reads its class, so its ShapeClass is None."""
     if series not in SERIES or kind not in KINDS:
         raise ValueError("unknown series or kind")
     d, keys = keyed
-    findings, cells = _validated(graph, d, keys)
+    findings, comps = _validated(graph, d, keys)
     if findings:
         return None
-    shapes = [_cell_shape(c, k[0], d) for c, k in zip(cells, keys)]
+    cells = [c for c, _ in comps]
+    if series == "A" and kind == "distinguished":
+        return [(None, cells[0])] if len(cells) == 1 else None
+    shapes = [_cell_shape(c, columns, k[0], d) for (c, columns), k in zip(comps, keys)]
     return list(zip(shapes, cells)) if _shapes_admissible(series, graph, kind, shapes, cells) else None
 
 
@@ -787,7 +822,7 @@ def _shapes_admissible(series: str, graph: SkewGraph, kind: str, shapes: list[Sh
     class is checked twice."""
     comps = graph.components
     if series == "A":
-        return len(comps) == 1 and (kind == "distinguished" or shapes[0].young != "neither")
+        return len(comps) == 1 and shapes[0].young != "neither"
     classes = tuple(sorted(s.symmetry for s in shapes))
     sizes = [len(c) for c in comps]
     if classes not in _distinguished_classes(series, sum(sizes)) or sizes.count(1) > 1:

@@ -702,6 +702,63 @@ def component_cells(index: int, comp: Component) -> tuple[Optional[dict], list[s
     return cells, findings
 
 
+def symmetry(comp: tuple[int, tuple]) -> str:
+    """Symmetry class of an integer component (skewgraph._int_component).
+
+    Its cells are about the barycentre, which is the centre of a centrally
+    symmetric shape, so the shape is symmetric when negation reverses the
+    sorted cells; its nodes are then integral or half-integral along each
+    axis by whether k divides that coordinate of one cell.
+    """
+    k, cells = comp
+    if tuple((-x, -y) for x, y in reversed(cells)) != cells:
+        return skewgraph.SYM_NOT_CS
+    x, y = cells[0]
+    return skewgraph._PARITY_SYMMETRY[int(x % k != 0), int(y % k != 0)]
+
+
+def cell_shape(cells, base: tuple[int, int], d: int) -> skewgraph.ShapeClass:
+    """skewgraph._cell_shape by scans of the cells: sources and sinks by
+    their neighbours, the rectangle and the box by the sets of x and of y,
+    and central symmetry by negating the cells about their barycentre."""
+    sources = [(x, y) for x, y in cells if (x - 1, y) not in cells and (x, y - 1) not in cells]
+    sinks = [(x, y) for x, y in cells if (x + 1, y) not in cells and (x, y + 1) not in cells]
+    if len(sources) == 1 and len(sinks) == 1:
+        young = "both"
+    elif len(sources) == 1:
+        young = "sw"
+    elif len(sinks) == 1:
+        young = "ne"
+    else:
+        young = "neither"
+
+    xs = sorted({x for x, _ in cells})
+    ys = sorted({y for _, y in cells})
+    rectangle = None
+    if len(cells) == len(xs) * len(ys) and xs[-1] - xs[0] == len(xs) - 1 and ys[-1] - ys[0] == len(ys) - 1:
+        rectangle = (len(xs), len(ys))
+
+    # Symmetric about the origin: the bounding box is centred there, that is
+    # 2 * base + (min + max) d = 0 in each coordinate, and the cells are
+    # symmetric within it.
+    sym = skewgraph.SYM_NOT_CS
+    if 2 * base[0] + (xs[0] + xs[-1]) * d == 0 and 2 * base[1] + (ys[0] + ys[-1]) * d == 0:
+        sym = symmetry(skewgraph._int_component(cells))
+
+    near = None
+    if sym == skewgraph.SYM_NON_INTEGRAL and rectangle is None and len(cells) % 4 == 2:
+        width = xs[-1] - xs[0] + 1
+        height = ys[-1] - ys[0] + 1
+        if width % 2 == 0 and height % 2 == 0:
+            cornered = frozenset((x - xs[0], y - ys[0]) for x, y in cells)
+            for name, cand in skewgraph._near_rectangular_cellsets(width, height):
+                if cand == cornered:
+                    near = name
+                    break
+
+    return skewgraph.ShapeClass(symmetry=sym, rectangle=rectangle, near_rectangular_shape=near, young=young)
+
+
 # ---------------------------------------------------------------------------
 # Drawing
 # ---------------------------------------------------------------------------

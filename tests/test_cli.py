@@ -327,6 +327,15 @@ def _verify_mutated(tmp_path, capsys, mutate, series="D"):
     return code, err
 
 
+@pytest.mark.parametrize("field", ["series", "dimv", "labels", "graph", "e1", "e2", "h1", "h2"])
+def test_verify_names_a_missing_field(tmp_path, capsys, field):
+    # Once printed as the bare key, "error: 'h1'"; a catalog names its
+    # missing fields the same way.
+    code, err = _verify_mutated(tmp_path, capsys, lambda doc: doc.pop(field))
+    assert code == 2
+    assert err == f"error: realization has no field {field!r}\n"
+
+
 def test_verify_rejects_non_square_matrix(tmp_path, capsys):
     def drop_entry(doc):
         doc["e1"][0].pop()

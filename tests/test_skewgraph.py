@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -9,14 +10,18 @@ from hypothesis import strategies as st
 
 from conftest import graph_to_cellset, iter_desk_graphs, oracle_connected_cellsets, oracle_connected_counts, rectangle_nodes
 from oracles import canonical_form as oracle_canonical_form
+from oracles import cell_shape as oracle_cell_shape
 from oracles import component_cells as oracle_component_cells
 from oracles import component_from_nodes as oracle_component_from_nodes
 from oracles import graph_findings as oracle_graph_findings
 from oracles import graph_key
+from oracles import is_connected as oracle_is_connected
 from oracles import render_ascii as oracle_render_ascii
 from oracles import render_ascii_per_axis as oracle_render_ascii_per_axis
+from oracles import symmetry as oracle_symmetry
 from skewpairs.skewgraph import (
     KINDS,
+    SERIES,
     SYM_INTEGRAL,
     SYM_NON_INTEGRAL,
     SYM_SEMI_COLSORT,
@@ -27,7 +32,9 @@ from skewpairs.skewgraph import (
     ShapeClass,
     SkewGraph,
     _admissible_count,
+    _cell_shape,
     _class_sizes,
+    _columns,
     _component_cells,
     _connected_shapes,
     _cs_shapes,
@@ -36,7 +43,6 @@ from skewpairs.skewgraph import (
     _near_rectangles,
     _near_rectangular_cellsets,
     _symmetric_shapes,
-    _symmetry,
     _to_component,
     canonical_form,
     classify_component,
@@ -313,10 +319,11 @@ def test_symmetry_classes_match_negation_oracle():
             assert classify_component(c).symmetry == expected[c]
         for sym in (SYM_INTEGRAL, SYM_SEMI_COLSORT, SYM_SEMI_ROWSORT, SYM_NON_INTEGRAL):
             assert [_to_component(c) for c in _cs_shapes(n, sym)] == [c for c in comps if expected[c] == sym]
-    # Past n = 10, against every connected shape filtered by _symmetry, order included.
+    # Past n = 10, against every connected shape filtered by the oracle's
+    # symmetry, order included.
     for n in range(11, 14):
         for sym in (SYM_INTEGRAL, SYM_SEMI_COLSORT, SYM_SEMI_ROWSORT, SYM_NON_INTEGRAL):
-            assert list(_cs_shapes(n, sym)) == [c for c in _connected_shapes(n) if _symmetry(c) == sym], (n, sym)
+            assert list(_cs_shapes(n, sym)) == [c for c in _connected_shapes(n) if oracle_symmetry(c) == sym], (n, sym)
     # The class sizes the fast count multiplies, from the left-column recurrence.
     for n in range(1, 15):
         assert _class_sizes(n) == {sym: len(_cs_shapes(n, sym)) for sym in _class_sizes(n)}, n
@@ -464,7 +471,7 @@ def test_component_checks_match_node_oracles():
     seen_near = set()
     for comp in _checked_components():
         d, (keys,) = _keys([comp.nodes])
-        assert _component_cells(2, comp, keys, d)[1] == _oracle_component_findings(2, comp), comp
+        assert _component_cells(2, comp, keys, d)[2] == _oracle_component_findings(2, comp), comp
         ours = _oracle_outcome(classify_component, comp)
         assert ours == _oracle_outcome(_oracle_classify, comp), comp
         if isinstance(ours, ShapeClass) and ours.near_rectangular_shape:
@@ -480,7 +487,67 @@ def test_component_cells_on_keys_match_the_denominator_oracle():
         expected = oracle_component_cells(2, comp)
         for extra in ([], [Node(F(1, 5), F(0))]):
             d, (keys, _) = _keys([comp.nodes, extra])
-            assert _component_cells(2, comp, keys, d) == expected, (comp, d)
+            cells, _, findings = _component_cells(2, comp, keys, d)
+            assert (cells, findings) == expected, (comp, d)
+
+
+def test_columns_accept_exactly_the_connected_cell_sets_with_axiom_iv():
+    # Every nonempty subset of a 4 x 4 grid, in sorted order: _columns
+    # accepts it exactly when it is connected and no unit square with
+    # cells at its lower left and upper right corners misses another
+    # corner, and its columns then hold exactly its cells.  Read in
+    # reverse order, an accepted set of two or more cells is refused.
+    grid = [(x, y) for x in range(4) for y in range(4)]
+    accepted = 0
+    for mask in range(1, 1 << 16):
+        cells = [c for k, c in enumerate(grid) if mask >> k & 1]
+        cellset = set(cells)
+        valid = oracle_is_connected(cellset) and all(
+            (x, y + 1) in cellset and (x + 1, y) in cellset for x, y in cells if (x + 1, y + 1) in cellset
+        )
+        columns = _columns(cells)
+        assert (columns is not None) == valid, cells
+        if columns is not None:
+            accepted += 1
+            assert [(x, y) for x, bottom, top in columns for y in range(bottom, top + 1)] == cells
+            assert len(cells) == 1 or _columns(cells[::-1]) is None, cells
+    # The parallelogram polyominoes with a w x h box number N(w + h - 1, w),
+    # a Narayana number, and each fits in the grid at (5 - w)(5 - h) places.
+    boxes = [(w + h - 1, w, (5 - w) * (5 - h)) for w in range(1, 5) for h in range(1, 5)]
+    assert accepted == sum(comb(n, w) * comb(n, w - 1) // n * places for n, w, places in boxes) == 678
+
+
+def test_cell_shape_matches_the_scan_oracle():
+    # _cell_shape reads the class off the columns and the oracle off scans
+    # of the cells: on every component of every admissible graph with
+    # dimV <= 12, over the graph's common denominator, and on every
+    # connected shape with up to 10 cells, centred, moved by (1/2, 0) and
+    # moved by (1/3, 1/2).
+    seen = set()
+
+    def check(comp, keys, d):
+        cells, columns, findings = _component_cells(0, comp, keys, d)
+        assert findings == [], comp
+        ours = _cell_shape(cells, columns, keys[0], d)
+        assert ours == oracle_cell_shape(cells, keys[0], d), comp
+        seen.add((ours.symmetry, ours.young, ours.rectangle is not None, ours.near_rectangular_shape))
+
+    for series in SERIES:
+        for kind in KINDS:
+            for dimv in range(1 if series in "AB" else 2, 13, 1 if series == "A" else 2):
+                for g in enumerate_admissible(series, dimv, kind):
+                    d, keys = _keys([c.nodes for c in g.components])
+                    for comp, comp_keys in zip(g.components, keys):
+                        check(comp, comp_keys, d)
+    for n in range(1, 11):
+        for g in enumerate_connected(n):
+            for shift in ((0, 0), (F(1, 2), 0), (F(1, 3), F(1, 2))):
+                comp = component_from_nodes(nd.shifted(*shift) for nd in g.components[0].nodes)
+                d, (keys,) = _keys([comp.nodes])
+                check(comp, keys, d)
+    assert {sym for sym, *_ in seen} == {"not-cs", SYM_INTEGRAL, SYM_SEMI_COLSORT, SYM_SEMI_ROWSORT, SYM_NON_INTEGRAL}
+    assert {young for _, young, *_ in seen} == {"both", "sw", "ne", "neither"}
+    assert {near for *_, near in seen} == {None, "first", "second", "third"}
 
 
 def test_near_rectangular_cellsets_match_node_oracle():
