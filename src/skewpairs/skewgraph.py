@@ -71,7 +71,7 @@ from math import lcm, prod
 from operator import itemgetter, sub
 from typing import Iterable, Optional, Sequence
 
-from .linalg import parse_fraction
+from .linalg import _unite, parse_fraction
 
 SERIES = ("A", "B", "C", "D")
 KINDS = ("distinguished", "principal")
@@ -152,21 +152,6 @@ def component_from_nodes(nodes: Iterable[Node]) -> Component:
     return Component(tuple(by_key[k] for k in sorted(by_key)))
 
 
-def _is_connected(cells: frozenset[tuple[int, int]]) -> bool:
-    if not cells:
-        return False
-    start = next(iter(cells))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x, y = stack.pop()
-        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(cells)
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -227,7 +212,12 @@ def _component_cells(index: int, comp: Component, keys: list, d: int) -> tuple[O
                         f"{tag}: axiom (iv) fails at square {_node_text(base.shifted(x, y))}:"
                         f" {_node_text(base.shifted(*req))} is missing"
                     )
-    if not _is_connected(cells):
+    # Each pair of adjacent cells is the row x_i - x_j = 0, so the components
+    # of _unite are the connected pieces.
+    place = {cell: i for i, cell in enumerate(cells)}
+    joins = [[(i, 1), (place[x + dx, y + dy], -1)] for (x, y), i in place.items()
+             for dx, dy in ((1, 0), (0, 1)) if (x + dx, y + dy) in place]
+    if len(_unite(len(place), joins)[0]) > 1:
         findings.append(f"{tag}: not connected")
     # A valid component whose nodes came out of order is read again, sorted.
     return cells, None if findings else _columns(sorted(cells)), findings
@@ -346,7 +336,7 @@ def _near_rectangular_cellsets(width: int, height: int) -> tuple[tuple[str, froz
     second = rect - {(x, 0) for x in range(right)} - {(x, top) for x in range(1, width)}
     out: list[tuple[str, frozenset]] = []
     for name, cand in (("third", third), ("first", first), ("second", second)):
-        if _is_connected(cand) and all(cand != prev for _, prev in out):
+        if _columns(sorted(cand)) is not None and all(cand != prev for _, prev in out):
             out.append((name, cand))
     return tuple(out)
 

@@ -662,8 +662,8 @@ def _cell_offsets(comp: Component) -> Optional[dict[tuple[int, int], int]]:
 
 def is_connected(cells) -> bool:
     """Whether a nonempty set of integer cells is edge-connected, by
-    depth-first search from one cell: skewgraph._is_connected, kept apart
-    from the code it checks."""
+    depth-first search from one cell, apart from the package's _unite over
+    adjacent cells and its _columns scan."""
     todo = [next(iter(cells))]
     seen = {todo[0]}
     while todo:

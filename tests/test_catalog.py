@@ -221,6 +221,9 @@ def test_export_empty_document():
     csv_text = export_entries((), "csv")
     assert csv_text.splitlines()[0] == ",".join(CSV_COLUMNS)
     assert len(csv_text.splitlines()) == 1
+    # D2 has no graph, and its export, unlike its catalog, names no request.
+    for text in (export_entries(classify("D", 2, kind), "json", include_matrices=True) for kind in KINDS):
+        assert hashlib.sha256(text.encode()).hexdigest() == "fd68697ca91ad087e6b7ea2694a7314aee9ae206cfbe447562e898d99e79d435"
 
 
 def test_export_a4_principal_csv():
