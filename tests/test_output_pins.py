@@ -1,7 +1,9 @@
 """Library output pinned by digest, and tier-1's share of the manifest.
 
 The command-line outputs are pinned in tests/data/digests.json (see
-tests/digests.py).  What this file still pins is library output: each digest
+tests/digests.py); tier-1 checks each series' catalog rows in a test of its
+own, and the other rows together.  What this file pins itself is library
+output: each digest
 is a sha256 recorded from the eigen layer that found rational eigenvalues by
 a divisor search over a Fraction characteristic polynomial and split the
 h2-action on each h1-eigenspace by restriction.  A change in any byte of
@@ -22,6 +24,8 @@ every distinguished graph with dimV <= 12 (series A: dimV <= 9)."""
 import hashlib
 import json
 import random
+
+import pytest
 
 import digests
 from conftest import conjugated, distinguished_realizations, small_realizations
@@ -93,8 +97,18 @@ def test_manifest_holds_every_row_in_order():
     assert list(json.loads(digests.MANIFEST.read_text())) == list(digests.rows())
 
 
+def _catalog_of(name: str) -> str | None:
+    """The series of a classify row, else None."""
+    return name.split()[2] if name.startswith("classify --series ") else None
+
+
+@pytest.mark.parametrize("series", "ABCD")
+def test_catalog_output_pinned(series):
+    assert digests.check(lambda name: _in_tier1(name) and _catalog_of(name) == series) == []
+
+
 def test_tier1_rows_match_the_manifest():
-    assert digests.check(_in_tier1) == []
+    assert digests.check(lambda name: _in_tier1(name) and _catalog_of(name) is None) == []
 
 
 def test_analysis_output_pinned():
