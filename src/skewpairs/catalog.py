@@ -4,8 +4,9 @@ classify() walks the admissible graphs for one (series, dimV, kind), builds
 both sign representatives for connected even-orthogonal graphs, verifies the
 defining relations and the kind's flag for every entry, and cross-checks
 principal entries against the closed-form centralizer description, exactly
-and on sparse ints.  Output order is canonical, so two runs serialize
-identically.
+and on sparse ints: each predicted element against the graded piece of
+analyze's kernel of its bi-degree.  Output order is canonical, so two runs
+serialize identically.
 
 Entries are verified and written one at a time: classify_chunks makes each
 entry when the writer asks for it and lets it go once its text is out, so a
@@ -138,24 +139,22 @@ def _in_span(rows: dict, v: dict) -> bool:
     return not any(v.values())
 
 
-def _predicted_in_span(pred: ClosedFormPrediction, r: PairRealization, basis) -> bool:
-    """Whether every predicted power e1^k e2^l, and the A operator when there
-    is one, lies in the span of basis, an echelon basis of matrices given
-    by integral_rows (any nonzero multiples).  Matrices are read as sparse
-    int rows over the positions i * n + j, the basis keyed by leading
-    position, and e1 and e2 from the sparse forms of r.
+def _predicted_in_span(pred: ClosedFormPrediction, r: PairRealization, report: CentralizerReport) -> bool:
+    """Whether every predicted power e1^k e2^l lies in the piece of
+    report.kernel of bi-degree (k, l), and the A operator, when there is
+    one, in that of its own.  r is built, so the pieces are in its
+    coordinates, each an echelon basis over the positions i * n + j in order
+    of leading position; e1 and e2 are read from the sparse forms of r.
     """
     n = r.spec.dimv
-    rows = {}
-    for _, m in basis:
-        (p, lead), *rest = [(i * n + j, x) for i, row in enumerate(m) for j, x in row]
-        rows[p] = (lead, rest)
+    pieces = {d: {vec[0][0]: (vec[0][1], vec[1:]) for vec in piece}
+              for (d, _), piece in zip(report.grading.table, report.kernel)}
     (_, e1), (_, e2), _, _ = r._scaled()
     e1_powers = _powers(e1, max((k for k, _ in pred.powers), default=0))
     e2_powers = _powers(e2, max((l for _, l in pred.powers), default=0))
     for k, l in sorted(pred.powers):
         product = sparse_product(e1_powers[k], e2_powers[l])
-        if not _in_span(rows, {i * n + j: x for i, row in enumerate(product) for j, x in row}):
+        if not _in_span(pieces.get((k, l), {}), {i * n + j: x for i, row in enumerate(product) for j, x in row}):
             return False
     if pred.a_operator is None:
         return True
@@ -165,7 +164,7 @@ def _predicted_in_span(pred: ClosedFormPrediction, r: PairRealization, basis) ->
     if r.orbit_sign == "minus":
         i, j = (index[0, nd] for nd in _SWAPPED)
         index = {key: {i: j, j: i}.get(t, t) for key, t in index.items()}
-    return _in_span(rows, {
+    return _in_span(pieces.get(pred.a_operator.bidegree, {}), {
         index[dst.component_index, dst.node] * n + index[src.component_index, src.node]: c
         for src, dst, c in pred.a_operator.actions
     })
@@ -173,13 +172,13 @@ def _predicted_in_span(pred: ClosedFormPrediction, r: PairRealization, basis) ->
 
 def _closed_form_matches(pred: ClosedFormPrediction, r: PairRealization, report: CentralizerReport) -> bool:
     """Whether the closed-form prediction describes r's centralizer: its rank,
-    its bi-exponents, and every predicted element inside the reported span."""
+    its bi-exponents, and every predicted element inside the graded piece
+    of its bi-degree."""
     if pred.rank != report.dimension:
         return False
     if tuple(sorted(pred.biexponents)) != tuple(sorted(report.biexponents)):
         return False
-    # analyze() returns the basis in reduced echelon form.
-    return _predicted_in_span(pred, r, report.scaled_basis)
+    return _predicted_in_span(pred, r, report)
 
 
 def _classified(series: str, dimv: int, kind: str, max_nodes: int) -> Iterator[CatalogEntry]:

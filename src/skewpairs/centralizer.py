@@ -25,10 +25,10 @@ analyze() runs the kernel over the n^2 positions of gl(V), reading the
 entries a <= b of the (anti)symmetric x^T G + G x.  The report keeps the
 graded pieces it returns and reads every invariant off them: T is
 invertible, so each piece has the same dimension in the input coordinates.
-Only a read of the basis or the witness takes T^-1, scaled to ints, once
-per report, and maps them back, each matrix x as the integer product T x T^-1; one
-fraction-free elimination over these rows gives the reduced echelon basis,
-and the witness maps its own piece.
+Only the witness is mapped back, when it is read: its piece, each matrix x
+as the integer product T x T^-1, with T^-1 scaled to ints, and one
+fraction-free elimination over these rows.  A built pair needs no map, so
+catalog's closed-form check reads the pieces as they are.
 
 The flags need no other solver.  z(h) & z(e) is the (0,0) piece of z(e),
 and z(h), the (0,0) block of g, needs no pass at all: its dimension is
@@ -63,6 +63,7 @@ from .liealg import (
     _checked_form,
     _diagonal_weights,
     scaled_to_jsonable,
+    series_rank,
     verify_relations,
 )
 from .linalg import (
@@ -118,11 +119,9 @@ class CentralizerReport:
     """kernel[k] is the basis of the graded piece grading.table[k] in the
     eigenframe as _graded_commutant returns it, a dimv x dimv matrix by its
     (position, value) pairs.  frame_change is T, by its nonzero rows of
-    ints, or None when h1 and h2 came in diagonal.  scaled_basis, the
-    reduced echelon basis in the input coordinates by integral_rows, and
-    scaled_witness, the witness matrix there and its bi-degree (None
-    without one), are views built on first read; the first of them to map
-    back takes T^-1, which the report keeps for the other."""
+    ints, or None when h1 and h2 came in diagonal.  scaled_witness, the
+    witness matrix in the input coordinates by integral_rows and its
+    bi-degree (None without one), is a view built on first read."""
 
     dimension: int
     dimv: int
@@ -131,16 +130,6 @@ class CentralizerReport:
     grading: BiGrading
     biexponents: tuple[tuple[Fraction, Fraction], ...]
     flags: ReportFlags
-
-    @cached_property
-    def scaled_basis(self) -> tuple[tuple, ...]:
-        every = [_by_rows(self.dimv, vec) for piece in self.kernel for vec in piece]
-        if self.frame_change is None:
-            # The blocks have disjoint supports and list their positions in
-            # row-major order, so their reduced bases, ordered by leading
-            # position, form the reduced basis of the span.
-            return tuple(sorted(every, key=lambda m: next((i, row[0][0]) for i, row in enumerate(m[1]) if row)))
-        return _mapped_back(self.frame_change, self._t_inverse, every)
 
     @cached_property
     def scaled_witness(self) -> Optional[tuple[tuple, tuple[Fraction, Fraction]]]:
@@ -154,13 +143,7 @@ class CentralizerReport:
         piece = [_by_rows(self.dimv, vec) for vec in self.kernel[k][:1 if self.frame_change is None else None]]
         if self.frame_change is None:
             return piece[0], (p, q)
-        return _mapped_back(self.frame_change, self._t_inverse, piece)[0], (p, q)
-
-    @cached_property
-    def _t_inverse(self) -> tuple:
-        """A positive multiple of T^-1, by its nonzero int rows."""
-        t = self.frame_change
-        return _nonzero(integer_inverse([[dict(row).get(j, 0) for j in range(len(t))] for row in t]))
+        return _mapped_back(self.frame_change, piece)[0], (p, q)
 
 
 def _by_rows(n: int, vec) -> tuple[int, tuple]:
@@ -183,12 +166,12 @@ def _flat(n: int, rows) -> list[int]:
     return out
 
 
-def _mapped_back(t: tuple, t_inv: tuple, mats) -> tuple:
+def _mapped_back(t: tuple, mats) -> tuple:
     """The reduced echelon basis, by integral_rows, of the span of T x T^-1
-    for x in mats, by one fraction-free elimination.  T and t_inv, a
-    positive multiple of T^-1, which changes no span, come by their nonzero
-    int rows."""
+    for x in mats, by one fraction-free elimination.  T comes by its nonzero
+    int rows; T^-1 is taken as a positive multiple, which changes no span."""
     n = len(t)
+    t_inv = _nonzero(integer_inverse([[dict(row).get(j, 0) for j in range(n)] for row in t]))
     reduced, _ = _eliminate(_flat(n, sparse_product(t, sparse_product(rows, t_inv))) for _, rows in mats)
     return tuple(_by_rows(n, [(p, x) for p, x in enumerate(v) if x]) for v in reduced)
 
@@ -514,16 +497,15 @@ def _a_operator(x, z, u, y) -> AOperator:
 def _closed_form(series: str, graph: SkewGraph, found: list) -> ClosedFormPrediction:
     """closed_form_centralizer of a canonical principal graph, given the
     (ShapeClass, cells) of each component."""
-    n = graph.n_nodes
+    rank_g = series_rank(series, graph.n_nodes)
     if series == "A":
         # The powers are the offsets of the cells from the source, or to the sink.
         ((shape, cells),) = found
         sign = 1 if shape.young in ("sw", "both") else -1
         x0, y0 = min(sign * x for x, _ in cells), min(sign * y for _, y in cells)
         powers = frozenset((sign * x - x0, sign * y - y0) for x, y in cells) - {(0, 0)}
-        return ClosedFormPrediction("young-sw" if sign == 1 else "young-ne", powers, None, n - 1)
+        return ClosedFormPrediction("young-sw" if sign == 1 else "young-ne", powers, None, rank_g)
 
-    rank_g = (n - 1) // 2 if series == "B" else n // 2
     case, w, h = _principal_case(series, *zip(*found))
     # The powers are the odd cells of the w x h box, cut per case.
     keep = {
@@ -649,7 +631,7 @@ def _frame_graph(frame: _Frame, moved) -> SkewGraph:
 _FLAG_NAMES = tuple(f.name for f in fields(ReportFlags))
 
 
-def report_to_jsonable(report: CentralizerReport, include_basis: bool = False) -> dict:
+def report_to_jsonable(report: CentralizerReport) -> dict:
     """The report as JSON; matrices are written sparse, from the sparse forms."""
     witness = report.scaled_witness
     data = {
@@ -662,6 +644,4 @@ def report_to_jsonable(report: CentralizerReport, include_basis: bool = False) -
     if witness is not None:
         m, (p, q) = witness
         data["nonpositive_witness"] = {"p": str(p), "q": str(q), "matrix": scaled_to_jsonable(m)}
-    if include_basis:
-        data["basis"] = [scaled_to_jsonable(m) for m in report.scaled_basis]
     return data

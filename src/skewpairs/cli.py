@@ -59,8 +59,9 @@ def _write(chunks: Iterable[str], path: Optional[str]) -> None:
     The chunks go to a temporary file beside a regular or missing path,
     which then replaces it (or the file a symlink at path names) with its
     mode, or else to an unnamed one, which is copied to stdout or to what
-    path names, a device or a pipe.  A file the user may not write is
-    refused before anything is made, as opening it would be."""
+    path names, a device or a pipe.  Every file is opened with newline="",
+    so a "\r" reaches stdout and a file alike.  A file the user may not
+    write is refused before anything is made, as opening it would be."""
     if path not in (None, "-") and (os.path.isfile(path) or not os.path.exists(path)):
         target = os.path.realpath(path)
         exists = os.path.exists(target)
@@ -72,7 +73,7 @@ def _write(chunks: Iterable[str], path: Optional[str]) -> None:
         except OSError as exc:  # name the file asked for, not the temporary one
             raise OSError(exc.errno, exc.strerror, path) from None
         try:
-            with open(fd, "w", encoding="utf-8") as fh:
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(chunks)
             if exists:
                 shutil.copymode(target, tmp)
@@ -81,13 +82,13 @@ def _write(chunks: Iterable[str], path: Optional[str]) -> None:
             os.unlink(tmp)
             raise
         return
-    with tempfile.TemporaryFile("w+", encoding="utf-8") as fh:
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as fh:
         fh.writelines(chunks)
         fh.seek(0)
         if path in (None, "-"):
             shutil.copyfileobj(fh, sys.stdout)
             return
-        with open(path, "w", encoding="utf-8") as out:
+        with open(path, "w", encoding="utf-8", newline="") as out:
             shutil.copyfileobj(fh, out)
 
 

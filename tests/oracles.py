@@ -6,8 +6,9 @@ the reduced echelon form, transposes, inverses, canonical null spaces, one
 solution of A x = b, joint eigenspaces, brackets with a sparse algebra
 basis element), the characteristic polynomial as Fractions, the reduced
 echelon span of matrices, the algebra basis of g inside gl(V), membership
-in g by x^T G + G x and its sparse rows, the dense centralizer, the dense
-basis and witness of a report, a null space over the whole algebra basis,
+in g by x^T G + G x and its sparse rows, the dense centralizer, a
+report's kernel mapped back by the dense inverse and its witness made
+dense, a null space over the whole algebra basis,
 the image of ad e in gl(V) by one dense solve, the graded commutant by one
 elimination per bi-degree block of gl(V), the closed-form check by dense
 powers and reduction, node deduplication, the canonical form and the
@@ -370,9 +371,22 @@ def centralizer(spec: AlgebraSpec, elements: Sequence[Matrix]) -> tuple[Matrix, 
 
 
 def dense_basis(report) -> tuple[Matrix, ...]:
-    """A CentralizerReport's basis in the input coordinates, dense: its
-    scaled_basis, each matrix by dense_matrix."""
-    return tuple(map(dense_matrix, report.scaled_basis))
+    """A CentralizerReport's basis in the input coordinates, dense: each
+    vector of report.kernel as a matrix x of its values, ints or Fractions,
+    moved back as T x T^-1 by the dense inverse when the report has a frame
+    change T, and the reduced echelon basis of their span, over Fraction."""
+    n = report.dimv
+    mats = []
+    for vec in (vec for piece in report.kernel for vec in piece):
+        x = [[0] * n for _ in range(n)]
+        for p, value in vec:
+            x[p // n][p % n] = value
+        mats.append(x)
+    if report.frame_change is not None:
+        t = matrix([[dict(row).get(j, 0) for j in range(n)] for row in report.frame_change])
+        t_inv = invert(t)
+        mats = [mat_mul(t, mat_mul(x, t_inv)) for x in mats]
+    return canonical_span(mats, n)
 
 
 def dense_witness(report) -> Optional[tuple[Matrix, tuple[Fraction, Fraction]]]:

@@ -13,7 +13,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from oracles import catalog_table, closed_form_in_span, dense_basis, graph_key, mat_mul, mat_pow, mat_scale
+from oracles import catalog_table, closed_form_in_span, dense_basis, graph_key, mat_mul, mat_pow
 from skewpairs import catalog, centralizer, liealg, linalg, skewgraph
 from skewpairs.catalog import (
     CSV_COLUMNS,
@@ -27,7 +27,6 @@ from skewpairs.catalog import (
     export_entries,
 )
 from skewpairs.centralizer import AOperator, closed_form_centralizer
-from skewpairs.linalg import integral_rows
 from skewpairs.skewgraph import (
     KINDS,
     canonical_form,
@@ -362,40 +361,63 @@ def _sign_flipped(a: AOperator) -> AOperator:
     return replace(a, actions=((src, dst, -coeff), *rest))
 
 
-def _sparse(basis) -> list:
-    """The integral_rows of each matrix, the form _predicted_in_span reads."""
-    return [integral_rows(m) for m in basis]
+def _with_kernel(report, vectors):
+    """report with the pieces of its kernel given as lists of vectors, each
+    vector a list of (position, value) pairs."""
+    return replace(report, kernel=tuple(tuple(tuple(vec) for vec in piece) for piece in vectors))
 
 
 def test_sparse_closed_form_check_matches_dense_oracle(desk_records):
-    """On every principal realization with dimV <= 12 the sparse membership
-    check agrees with the dense one (mat_mul powers, in_span), on the
-    prediction and on four mutations that each must fail.  The sparse check
-    takes any echelon basis, so it also holds with the basis matrices scaled
-    to leads other than 1."""
+    """On every principal realization with dimV <= 12 the graded check, each
+    predicted element against the kernel piece of its bi-degree, agrees with
+    the dense one (mat_mul powers, in_span of the whole span that
+    dense_basis maps back), on the prediction and on four mutations that
+    each must fail.  The graded check takes any echelon pieces, so it also
+    holds with the kernel vectors scaled to leads other than 1.  It is the
+    stronger of the two: a kernel whose pieces of equal dimension trade
+    their vectors spans the same space, so the dense check still accepts
+    it, and the graded one refuses it."""
     principal = [rec for rec in desk_records if rec.report.flags.principal]
-    mutated = {"identity": 0, "parity": 0, "a-sign": 0, "dropped": 0}
+    mutated = {"identity": 0, "parity": 0, "a-sign": 0, "dropped": 0, "swapped": 0}
     parity_series = set()
     for rec in principal:
-        r, basis = rec.realization, dense_basis(rec.report)
+        r, rep = rec.realization, rec.report
         pred = closed_form_centralizer(rec.series, rec.graph)
         where = (rec.series, rec.dimv, rec.sign, rec.graph)
-        assert _predicted_in_span(pred, r, _sparse(basis)) is closed_form_in_span(pred, r, basis) is True, where
-        scaled = [mat_scale(F(-2, 3) if i % 2 else F(3, 2), m) for i, m in enumerate(basis)]
-        assert _predicted_in_span(pred, r, _sparse(scaled)), where
+        assert rep.frame_change is None, where
+        assert _predicted_in_span(pred, r, rep) is closed_form_in_span(pred, r, dense_basis(rep)) is True, where
+        vectors = [[list(vec) for vec in piece] for piece in rep.kernel]
+        leads = iter([F(3, 2), F(-2, 3)] * rep.dimension)
+        scaled = [[[(q, x * f) for q, x in vec] for vec, f in zip(piece, leads)] for piece in vectors]
+        assert _predicted_in_span(pred, r, _with_kernel(rep, scaled)), where
         if scaled:
-            assert not _predicted_in_span(pred, r, _sparse(scaled[1:])), where
-        cases = [("identity", replace(pred, powers=pred.powers | {(0, 0)}), basis)]
+            assert not _predicted_in_span(pred, r, _with_kernel(rep, [scaled[0][1:], *scaled[1:]])), where
+        cases = [("identity", replace(pred, powers=pred.powers | {(0, 0)}), rep)]
         wrong = _wrong_parity_power(r) if rec.series != "A" else None
         if wrong is not None:
-            cases.append(("parity", replace(pred, powers=pred.powers | {wrong}), basis))
+            cases.append(("parity", replace(pred, powers=pred.powers | {wrong}), rep))
             parity_series.add(rec.series)
         if pred.a_operator is not None:
-            cases.append(("a-sign", replace(pred, a_operator=_sign_flipped(pred.a_operator)), basis))
-        cases.extend(("dropped", pred, basis[:i] + basis[i + 1:]) for i in range(len(basis)))
-        for name, p, b in cases:
+            cases.append(("a-sign", replace(pred, a_operator=_sign_flipped(pred.a_operator)), rep))
+        for k, piece in enumerate(vectors):
+            for i in range(len(piece)):
+                dropped = [*vectors[:k], piece[:i] + piece[i + 1:], *vectors[k + 1:]]
+                cases.append(("dropped", pred, _with_kernel(rep, dropped)))
+        for name, p, report in cases:
             mutated[name] += 1
-            assert _predicted_in_span(p, r, _sparse(b)) is closed_form_in_span(p, r, b) is False, (name, where)
+            assert _predicted_in_span(p, r, report) is closed_form_in_span(p, r, dense_basis(report)) is False, (
+                name, where)
+        # The first two pieces of equal dimension trade their vectors.
+        sizes = [len(piece) for piece in vectors]
+        pair = next(((a, b) for b in range(len(sizes)) for a in range(b) if sizes[a] == sizes[b]), None)
+        if pair is not None:
+            a, b = pair
+            swapped = list(vectors)
+            swapped[a], swapped[b] = vectors[b], vectors[a]
+            report = _with_kernel(rep, swapped)
+            assert closed_form_in_span(pred, r, dense_basis(report)), where
+            assert not _predicted_in_span(pred, r, report), where
+            mutated["swapped"] += 1
     assert len(principal) > 100
     assert min(mutated.values()) > 10, mutated
     assert parity_series == {"B", "C", "D"}

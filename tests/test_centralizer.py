@@ -159,17 +159,19 @@ def test_bracket_oracle_matches_full_products():
 
 
 def test_report_basis_is_the_dense_oracle_and_survives_replace():
-    # analyze() keeps the basis sparse and builds scaled_basis on first
-    # read, which made dense is the dense oracle's; a report changed by
-    # dataclasses.replace keeps that basis, its witness and its export.
+    # analyze() keeps the graded pieces of z(e1, e2) sparse, and their span,
+    # mapped back by dense_basis, is the dense oracle's; a report changed by
+    # dataclasses.replace keeps those pieces, so that basis, its witness and
+    # its export.
     count = 0
     for r in small_realizations():
         rep = analyze(r)
         basis = centralizer(r.spec, [r.e1, r.e2])
-        assert dense_basis(rep) == basis and rep.scaled_basis is rep.scaled_basis, r.graph
+        assert dense_basis(rep) == basis, r.graph
         flipped = replace(rep, flags=replace(rep.flags, rectangular=not rep.flags.rectangular))
+        assert flipped.kernel is rep.kernel and flipped.frame_change is rep.frame_change, r.graph
         assert dense_basis(flipped) == basis and dense_witness(flipped) == dense_witness(rep), r.graph
-        data, back = report_to_jsonable(rep, include_basis=True), report_to_jsonable(flipped, include_basis=True)
+        data, back = report_to_jsonable(rep), report_to_jsonable(flipped)
         data["flags"]["rectangular"] = not data["flags"]["rectangular"]
         assert back == data, r.graph
         count += rep.scaled_witness is not None
@@ -205,8 +207,9 @@ def _moved_distinguished():
 
 def test_moved_reports_are_equal_by_value_before_and_after_the_basis_is_read():
     # A moved report stores its eigenframe pieces and the frame change, and
-    # maps them to the input coordinates on first read; reading them
-    # changes neither equality nor the hash.
+    # maps its witness to the input coordinates on first read; reading it,
+    # or the basis through dense_basis, changes neither equality nor the
+    # hash.
     count = witnessed = 0
     for c in _moved_distinguished():
         rep, again = analyze(c), analyze(c)
@@ -221,11 +224,12 @@ def test_moved_reports_are_equal_by_value_before_and_after_the_basis_is_read():
 
 def test_moved_report_survives_replace():
     # dataclasses.replace keeps the pieces and the frame change, so the
-    # copy maps back the same basis, witness and export.
+    # copy maps back the same basis (dense_basis), witness and export.
     for c in _moved_distinguished():
         rep = analyze(c)
         flipped = replace(rep, flags=replace(rep.flags, rectangular=not rep.flags.rectangular))
-        data, back = report_to_jsonable(rep, include_basis=True), report_to_jsonable(flipped, include_basis=True)
+        assert flipped.kernel is rep.kernel and flipped.frame_change is rep.frame_change, c.graph
+        data, back = report_to_jsonable(rep), report_to_jsonable(flipped)
         assert dense_basis(flipped) == dense_basis(rep) and dense_witness(flipped) == dense_witness(rep), c.graph
         data["flags"]["rectangular"] = not data["flags"]["rectangular"]
         assert back == data, c.graph
@@ -234,10 +238,11 @@ def test_moved_report_survives_replace():
 def test_moved_report_maps_back_only_what_is_read(monkeypatch):
     # analyze and the report's export run no elimination over the n^2
     # positions of gl(V) unless the report has a witness, and then one over
-    # the rows of the witness's piece; the basis is mapped back, in one
-    # elimination over all its rows, only when it is read.  Only the
-    # module's own calls are counted: integer_inverse eliminates 2n columns
-    # inside linalg, as many as n^2 at n = 2.
+    # the rows of the witness's piece, once: a second export runs none, and
+    # the package maps no basis back, so reading the whole span through
+    # dense_basis runs none either.  Only the module's own calls are
+    # counted: integer_inverse eliminates 2n columns inside linalg, as many
+    # as n^2 at n = 2.
     import skewpairs.centralizer as centralizer_module
     from skewpairs.linalg import _eliminate as eliminate
 
@@ -259,8 +264,8 @@ def test_moved_report_maps_back_only_what_is_read(monkeypatch):
         witness = rep.scaled_witness
         assert wide == ([] if witness is None else [dict(rep.grading.table)[witness[1]]]), c.graph
         del widths[:]
-        assert len(rep.scaled_basis) == rep.dimension
-        assert widths == [(n * n, rep.dimension)], c.graph
+        report_to_jsonable(rep)
+        assert len(dense_basis(rep)) == rep.dimension and widths == [], c.graph
         count += 1
         witnessed += witness is not None
     assert count > 50 and witnessed > 10, (count, witnessed)
@@ -273,8 +278,9 @@ def test_eigenframe_moves_e_as_the_oracle_inverse_does(monkeypatch):
     # w_k - (0, den) for e2.  On every moved pair, the series-D graphs whose
     # (0,0) eigenspace is a plane among them, that is the primitive form of
     # T^-1 e T with T^-1 from the dense oracle.  analyze takes no T^-1.  The
-    # first view of a report to map back takes one, and the report keeps it
-    # for the other view: the export of a report with no witness takes none.
+    # export takes one when the report has a witness, the first time only,
+    # and none without one; the basis, which only dense_basis maps back,
+    # takes none from the package.
     inverses = []
     integer_inverse = centralizer_module.integer_inverse
     monkeypatch.setattr(centralizer_module, "integer_inverse",
@@ -294,8 +300,8 @@ def test_eigenframe_moves_e_as_the_oracle_inverse_does(monkeypatch):
         report_to_jsonable(rep)
         assert len(inverses) == (rep.scaled_witness is not None), c.graph
         del inverses[:]
-        assert len(rep.scaled_basis) == rep.dimension and len(inverses) == (rep.scaled_witness is None), c.graph
-        del inverses[:]
+        report_to_jsonable(rep)
+        assert len(dense_basis(rep)) == rep.dimension and inverses == [], c.graph
         count += 1
         planes += len(frame.at.get((0, 0), ())) == 2
         scaled += any(next(x for x in reversed(col) if x) != 1 for col in zip(*t))
@@ -334,10 +340,11 @@ def test_centralizer_is_abelian_exactly_where_pinned(desk_records):
 
 def test_report_scales_only_what_is_read(monkeypatch):
     # analyze keeps the kernel vectors as _graded_commutant returns them and
-    # scales none to ints.  scaled_basis scales every vector (a moved one
-    # each mapped-back vector too), and scaled_witness only its own piece:
-    # one vector as built, every vector of the piece, before and after the
-    # map back, when moved.
+    # scales none to ints.  scaled_witness scales only its own piece: one
+    # vector as built, every vector of the piece, before and after the map
+    # back, when moved.  Nothing else in the package scales a kernel vector:
+    # reading the basis through dense_basis scales none.  As built, the
+    # witness is a row of that reduced echelon basis.
     scaled = []
     by_rows = centralizer_module._by_rows
     monkeypatch.setattr(centralizer_module, "_by_rows", lambda n, vec: scaled.append(vec) or by_rows(n, vec))
@@ -358,9 +365,10 @@ def test_report_scales_only_what_is_read(monkeypatch):
                 assert len(scaled) == (1 if factor == 1 else 2 * piece), x.graph
                 witnessed += 1
             del scaled[:]
-            assert len(rep.scaled_basis) == rep.dimension and len(scaled) == factor * rep.dimension, x.graph
+            basis = dense_basis(rep)
+            assert len(basis) == rep.dimension and scaled == [], x.graph
             if witness is not None and factor == 1:
-                assert witness[0] in rep.scaled_basis, x.graph
+                assert dense_witness(rep)[0] in basis, x.graph
             built += x is r
             moved += x is not r
     assert built > 50 and moved > 50 and witnessed > 20, (built, moved, witnessed)

@@ -5,6 +5,7 @@ import os
 import pathlib
 import random
 import reprlib
+import threading
 import time
 
 import pytest
@@ -563,6 +564,26 @@ def test_output_through_a_symlink_or_to_a_device(tmp_path, capsys):
     assert link.is_symlink() and real.read_text() == expected
     assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv"]
     assert run_cli(capsys, *request, "--output", os.devnull) == (0, "", "")
+
+
+def test_carriage_returns_reach_stdout_a_file_and_a_pipe_alike(tmp_path, capsys):
+    # No newline is translated on the way out: what goes through the unnamed
+    # temporary file, to stdout or to a named pipe, keeps each "\r" and
+    # "\r\n" as the temporary file beside a named path does.
+    chunks = ("a\rb\r\n", "c\n", "\r", "\r\nd")
+    expected = "".join(chunks).encode()
+    cli._write(chunks, None)
+    assert capsys.readouterr().out.encode() == expected
+    target, fifo = tmp_path / "out", tmp_path / "fifo"
+    cli._write(chunks, str(target))
+    assert target.read_bytes() == expected
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    cli._write(chunks, str(fifo))
+    reader.join(10)
+    assert not reader.is_alive() and got == [expected]
 
 
 def _set_e1(value):

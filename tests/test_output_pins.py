@@ -9,7 +9,8 @@ a divisor search over a Fraction characteristic polynomial and split the
 h2-action on each h1-eigenspace by restriction.  A change in any byte of
 these outputs fails here:
 
-- ``report_to_jsonable(analyze(r), include_basis=True)`` and the text of
+- ``report_to_jsonable(analyze(r))``, with the basis that
+  ``oracles.dense_basis`` maps back under the key "basis", and the text of
   ``graph_from_pair`` for every distinguished or principal realization
   with dimV <= 6 and for a seeded conjugated copy of each, grouped by
   (series, dimV);
@@ -29,7 +30,10 @@ import pytest
 
 import digests
 from conftest import conjugated, distinguished_realizations, small_realizations
+from oracles import dense_basis
 from skewpairs.centralizer import analyze, closed_form_centralizer, graph_from_pair, report_to_jsonable
+from skewpairs.liealg import scaled_to_jsonable
+from skewpairs.linalg import integral_rows
 from skewpairs.skewgraph import SERIES, enumerate_admissible, graph_to_text, is_admissible
 
 ANALYSIS_DIGESTS = {
@@ -81,7 +85,9 @@ def analysis_digests(realizations) -> dict:
         if moved is not None:
             copies.append(moved)
         for c in copies:
-            report = report_to_jsonable(analyze(c), include_basis=True)
+            rep = analyze(c)
+            report = report_to_jsonable(rep)
+            report["basis"] = [scaled_to_jsonable(integral_rows(m)) for m in dense_basis(rep)]
             graph = graph_from_pair(c.spec, c.e1, c.e2, c.h1, c.h2)
             texts.setdefault(key, []).append(json.dumps(report, indent=1) + "\n" + graph_to_text(graph))
     return {key: _sha("\n\n".join(parts)) for key, parts in texts.items()}

@@ -1,8 +1,10 @@
 """The public API: skewpairs.__all__ against the README's list, and no
-unused import in a package module."""
+unused import in a package module, and no private function that only the
+tests call."""
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import skewpairs
@@ -44,3 +46,30 @@ def test_package_modules_use_every_name_they_import():
         assert imported <= used, (path.name, sorted(imported - used))
         checked += 1
     assert checked == 6
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Each name a tree reads, as a name or an attribute, with its count."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def test_package_code_calls_every_private_function_it_defines():
+    # README's Public API rule: a helper that only the tests call lives in
+    # tests/.  So each private top-level function and private method of a
+    # package module is read somewhere in package code outside its own body.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    read = sum(map(_references, trees.values()), Counter())
+    checked, unread = 0, []
+    for name, tree in trees.items():
+        defs = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defs += [node for cls in defs if isinstance(cls, ast.ClassDef) for node in cls.body]
+        for node in defs:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.endswith("__"):
+                checked += 1
+                if read[node.name] <= _references(node)[node.name]:
+                    unread.append(f"{name}:{node.name}")
+    assert unread == [] and checked > 50, (unread, checked)
